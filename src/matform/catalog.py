@@ -11,10 +11,11 @@ caught.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compose import MultilinearMap
-from .linstruct import (ExtractionRecipe, LinearStructure, NotClosed,
+from .linstruct import (UNIT, ExtractionRecipe, LinearStructure, NotClosed,
                         companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
 
@@ -45,7 +46,9 @@ class FormFamily:
 
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
-    structure of its own).
+    structure of its own).  A numeric family owns everything that depends
+    on its parameter values (structure, recipe, form, maps and the integer
+    tensor `evaluate` uses); each is derived on first use and kept.
     """
 
     def __init__(self, name: str, description: str, kind: str,
@@ -66,11 +69,11 @@ class FormFamily:
         self.param_names = tuple(param_names)
         self.coord_names = tuple(coord_names)
         self.degree = degree
-        self.structure = structure
-        self.recipe = recipe
+        self._structure = structure
+        self._recipe = recipe
         self._pair_map = pair_map
         self._triple_maps = list(triple_maps)
-        self._printed_form = printed_form
+        self.printed_form = printed_form  # transcribed expansion, symbolic
         self._factors_symbolic = factors
         self.degenerate_witness = degenerate_witness
         self.param_values = (tuple(int(v) for v in param_values)
@@ -78,7 +81,8 @@ class FormFamily:
         self._base = base or self
         self._form: Optional[Polynomial] = None
         self._factors: Optional[Tuple[Polynomial, ...]] = None
-        self._structure_numeric: Optional[LinearStructure] = None
+        self._own: Optional[tuple] = None
+        self._maps: Dict[object, MultilinearMap] = {}
 
     # -- basics ----------------------------------------------------------
 
@@ -104,52 +108,71 @@ class FormFamily:
                 f"{self.name} takes {self.arity} parameters, got {len(values)}")
         return FormFamily(
             self.name, self.description, self.kind, self.param_names,
-            self.coord_names, self.degree, structure=self.structure,
-            recipe=self.recipe, pair_map=self._pair_map,
-            triple_maps=self._triple_maps, printed_form=self._printed_form,
+            self.coord_names, self.degree, structure=self._structure,
+            recipe=self._recipe, printed_form=self.printed_form,
             factors=self._factors_symbolic,
             degenerate_witness=self.degenerate_witness,
             param_values=values, base=self._base)
 
-    # -- forms -----------------------------------------------------------
+    # -- matrix realization -------------------------------------------------
 
-    def _structure_at_values(self) -> LinearStructure:
-        if self._structure_numeric is None:
-            self._structure_numeric = self.structure.specialize(self.param_values)
-        return self._structure_numeric
+    def _own_structure(self):
+        """(structure, recipe, cells) at this instance's values, derived once.
+
+        structure and recipe are None unless the structure is in the
+        family's own parameters (threefold_quadratic's is in (t, b, c),
+        sextic_uv has none).  The recipe is None also where one of its
+        divisors vanishes at these values, since extraction would divide by
+        zero.  Once no parameters are left, cells[i][j] lists the (r, c)
+        with A(x)[i][j] = sum of c * x[r]; otherwise cells is None.
+        """
+        if self._own is None:
+            st, recipe, cells = self._structure, self._recipe, None
+            if st is None or st.params != self.param_names:
+                st = recipe = None
+            elif self.param_values is not None:
+                st = st.specialize(self.param_values)
+                recipe = recipe.specialize(
+                    dict(zip(self.param_names, self.param_values)))
+                if not all(coeff for coeff, _ in recipe.divisors):
+                    recipe = None
+            if st is not None and not st.params:
+                cells = [[[(r, c.as_int()) for r, c in enumerate(cell)
+                           if not c.is_zero()]
+                          for cell in row]
+                         for row in st.coeff]
+            self._own = (st, recipe, cells)
+        return self._own
+
+    @property
+    def structure(self) -> Optional[LinearStructure]:
+        """The matrix realization for closure and the matrix proof route:
+        the symbolic structure on a symbolic family (threefold_quadratic's
+        is in t, b, c), else the structure at these values, or None where
+        `_own_structure` gives no recipe."""
+        if self.is_symbolic():
+            return self._structure
+        st, recipe, _ = self._own_structure()
+        return st if recipe is not None else None
+
+    @property
+    def recipe(self) -> Optional[ExtractionRecipe]:
+        """The extraction recipe that goes with `structure`."""
+        if self.is_symbolic():
+            return self._recipe
+        return self._own_structure()[1]
+
+    # -- forms -----------------------------------------------------------
 
     @property
     def form(self) -> Polynomial:
-        """The family's form: det of the structure where one exists, the
-        product of the two factors for the uv system, or the transcribed
-        expansion for the quadratic three-fold family."""
+        """The family's form: det of the structure where it is in the
+        family's parameters, else the product of the factor forms."""
         if self._form is None:
-            if self._factors_symbolic is not None and self.structure is None:
-                f = self.factors[0]
-                for g in self.factors[1:]:
-                    f = f * g
-                self._form = f
-            elif (self.structure is not None
-                    and self.structure.params == self.param_names):
-                if self.is_symbolic():
-                    self._form = self.structure.form(self.coord_names)
-                else:
-                    self._form = self._structure_at_values().form(self.coord_names)
-            else:
-                f = self._printed_form
-                if not self.is_symbolic():
-                    f = f.specialize(dict(zip(self.param_names, self.param_values)))
-                self._form = f
+            st = self._own_structure()[0]
+            self._form = (st.form(self.coord_names) if st is not None
+                          else math.prod(self.factors))
         return self._form
-
-    def symbolic_form(self) -> Polynomial:
-        """The fully symbolic form, regardless of this instance's values."""
-        return self._base.form
-
-    @property
-    def printed_form(self) -> Optional[Polynomial]:
-        """Closed-form expansion where one is transcribed (symbolic)."""
-        return self._printed_form
 
     @property
     def factors(self) -> Tuple[Polynomial, ...]:
@@ -168,52 +191,43 @@ class FormFamily:
 
     # -- maps --------------------------------------------------------------
 
+    def _derived_map(self, order: int) -> MultilinearMap:
+        """The symbolic map induced by the structure's closure certificate."""
+        word = {2: "bilinear", 3: "trilinear"}[order]
+        if self._structure is None or self._recipe is None or \
+                (order == 2 and self.kind == "triple"):
+            raise PolyError(f"{self.name} has no {word} composition map")
+        st = self._structure
+        cert = (st.verify_pair_closure(self._recipe) if order == 2
+                else st.verify_triple_closure(self._recipe))
+        if isinstance(cert, NotClosed):
+            raise PolyError(f"{self.name} {word} closure failed unexpectedly")
+        return MultilinearMap.from_forms(
+            cert.outputs, st.params, [tuple(cs) for cs in cert.coord_sets])
+
+    def _specialized_map(self, key, cmap: MultilinearMap) -> MultilinearMap:
+        if self.is_symbolic():
+            return cmap
+        if key not in self._maps:
+            self._maps[key] = cmap.specialize(self.param_values)
+        return self._maps[key]
+
     @property
     def pair_map(self) -> MultilinearMap:
         base = self._base
         if base._pair_map is None:
-            if base.structure is None or base.recipe is None or \
-                    base.kind == "triple":
-                raise PolyError(f"{self.name} has no bilinear composition map")
-            cert = base.structure.verify_pair_closure(base.recipe)
-            if isinstance(cert, NotClosed):
-                raise PolyError(f"{self.name} pair closure failed unexpectedly")
-            base._pair_map = MultilinearMap.from_forms(
-                cert.outputs, base.structure.params,
-                [tuple(cs) for cs in cert.coord_sets])
-        self._pair_map = base._pair_map
-        if self.is_symbolic():
-            return self._pair_map
-        return self._pair_map.specialize(self.param_values)
+            base._pair_map = base._derived_map(2)
+        return self._specialized_map("pair", base._pair_map)
 
     def triple_map(self, variant: int = 0) -> MultilinearMap:
         base = self._base
         if not base._triple_maps:
-            if base.structure is None or base.recipe is None:
-                raise PolyError(f"{self.name} has no trilinear composition map")
-            cert = base.structure.verify_triple_closure(base.recipe)
-            if isinstance(cert, NotClosed):
-                raise PolyError(f"{self.name} triple closure failed unexpectedly")
-            derived = MultilinearMap.from_forms(
-                cert.outputs, base.structure.params,
-                [tuple(cs) for cs in cert.coord_sets])
-            base._triple_maps.append(derived)
-            self._triple_maps = base._triple_maps
-        m = base._triple_maps[variant]
-        if self.is_symbolic():
-            return m
-        return m.specialize(self.param_values)
+            base._triple_maps.append(base._derived_map(3))
+        return self._specialized_map(variant, base._triple_maps[variant])
 
     @property
     def triple_map_count(self) -> int:
         return max(len(self._base._triple_maps), 1)
-
-    def composition_map(self) -> MultilinearMap:
-        """The family's primary map: bilinear for pair/uv, first trilinear
-        variant for three-fold families."""
-        if self.kind == "triple":
-            return self.triple_map(0)
-        return self.pair_map
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -227,14 +241,12 @@ class FormFamily:
         pt = [int(v) for v in point]
         if len(pt) != self.h:
             raise ValueError(f"point must have length {self.h}")
-        if (self.structure is not None
-                and self.structure.params == self.param_names):
-            matrix = self.structure.matrix_of(pt, self.param_values or ())
-            return int_matrix_determinant(matrix)
-        total = 1
-        for value in self.evaluate_factors(pt):
-            total *= value
-        return total
+        cells = self._own_structure()[2]
+        if cells is not None:
+            return int_matrix_determinant(
+                [[sum(c * pt[r] for r, c in cell) for cell in row]
+                 for row in cells])
+        return math.prod(self.evaluate_factors(pt))
 
     def evaluate_factors(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Exact value of each factor form at an integer point."""
@@ -267,7 +279,7 @@ def _tracefree_structure(ct: str, cb: str, cc: str) -> LinearStructure:
 
 
 def _tracefree_recipe(ct: str) -> ExtractionRecipe:
-    return ExtractionRecipe(((0, 0), (0, 1)), (((ct, 1),), ()))
+    return ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), UNIT))
 
 
 def _cubic_structure() -> LinearStructure:
@@ -813,7 +825,7 @@ def _build_threefold_quadratic() -> FormFamily:
         "triple", ("a", "b", "c"), _coords("x", 2), 2,
         structure=st, recipe=_tracefree_recipe("t"),
         triple_maps=_threefold_quadratic_maps(),
-        printed_form=_threefold_quadratic_form(),
+        factors=(_threefold_quadratic_form(),),
         degenerate_witness=(-1, 0, -1))
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  With
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -18,34 +19,45 @@ from .linstruct import NotClosed
 from .polyring import PolyError
 
 
-def _parse_params(text: Optional[str]) -> Optional[Tuple[int, ...]]:
-    if text is None or text == "symbolic":
-        return None
+def _int_vector(text: str) -> Tuple[int, ...]:
+    """argparse type: comma-separated integers."""
     try:
         return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"parameters must be comma-separated integers or "
-                         f"'symbolic', got {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers: {exc}")
 
 
-def _parse_vec(text: str, flag: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+def _params(text: str) -> Optional[Tuple[int, ...]]:
+    """argparse type: comma-separated integers, or None for 'symbolic'."""
+    return None if text == "symbolic" else _int_vector(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 class UsageError(Exception):
     pass
 
 
-def _family(name: str, params: Optional[str]):
+def _family(name: str, params: Optional[Tuple[int, ...]]):
     try:
-        return catalog.family(name, _parse_params(params))
+        return catalog.family(name, params)
     except catalog.UnknownFamily as exc:
         raise UsageError(f"unknown family: {exc}")
     except catalog.ParamArity as exc:
         raise UsageError(str(exc))
+
+
+def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
+    if vec is not None and len(vec) != fam.h:
+        raise UsageError(f"{flag} needs {fam.h} integers for {fam.name}, "
+                         f"got {len(vec)}")
 
 
 def _emit(obj, text: str, fmt: str) -> None:
@@ -57,6 +69,21 @@ def _emit(obj, text: str, fmt: str) -> None:
 
 def _vec_strings(v: Sequence[int]) -> List[str]:
     return [str(c) for c in v]
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift CPython's int/str digit limit (3.10.7 and later) while a
+    command writes its output; long sequences pass 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -85,11 +112,8 @@ def _cmd_verify(args) -> int:
         cmap = fam.triple_map() if threefold else fam.pair_map
     except (PolyError, ValueError) as exc:
         raise UsageError(f"{fam.name}: {exc}")
-    structure = fam.structure
-    if structure is not None and not fam.is_symbolic():
-        structure = structure.specialize(fam.param_values)
     result = compose.verify_identity(fam.form, cmap, fam.coord_names,
-                                     structure=structure, recipe=fam.recipe)
+                                     structure=fam.structure, recipe=fam.recipe)
     if isinstance(result, ZeroResidual):
         _emit({"status": "zero-residual", "method": result.method},
               "ZERO-RESIDUAL", args.format)
@@ -103,14 +127,15 @@ def _cmd_verify(args) -> int:
 def _cmd_closure(args) -> int:
     fam = _family(args.family, args.params)
     if fam.structure is None:
+        # no realization at these values (see FormFamily.structure):
+        # decide closure for all parameter values instead
+        fam = catalog.family(fam.name)
+    if fam.structure is None:
         raise UsageError(f"{fam.name} has no matrix structure")
-    structure = fam.structure
-    if not fam.is_symbolic() and structure.params == fam.param_names:
-        structure = structure.specialize(fam.param_values)
     if args.order == "pair":
-        result = structure.verify_pair_closure(fam.recipe)
+        result = fam.structure.verify_pair_closure(fam.recipe)
     else:
-        result = structure.verify_triple_closure(fam.recipe)
+        result = fam.structure.verify_triple_closure(fam.recipe)
     if isinstance(result, NotClosed):
         witness = result.witness
         _emit({"closed": False, "order": args.order,
@@ -137,8 +162,9 @@ def _cmd_solve(args) -> int:
     fam = _family(args.family, args.params)
     if fam.is_symbolic():
         raise UsageError("solve needs numeric --params")
-    seed = _parse_vec(args.seed, "--seed")
-    step = _parse_vec(args.step, "--step")
+    for flag, vec in (("--seed", args.seed), ("--step", args.step),
+                      ("--fixed", args.fixed)):
+        _check_length(fam, flag, vec)
     if fam.kind == "triple" or args.fixed is not None:
         if args.fixed is None:
             raise UsageError(f"{fam.name} composes three arguments; "
@@ -146,11 +172,11 @@ def _cmd_solve(args) -> int:
         if sorted(args.order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")
         spec = dioph.SequenceSpec(
-            family=fam, seed=seed, count=args.count, mode="triple",
-            fixed1=_parse_vec(args.fixed, "--fixed"), fixed2=step,
+            family=fam, seed=args.seed, count=args.count, mode="triple",
+            fixed1=args.fixed, fixed2=args.step,
             order=tuple(_SLOT_BY_LETTER[ch] for ch in args.order))
     else:
-        spec = dioph.SequenceSpec(family=fam, seed=seed, step=step,
+        spec = dioph.SequenceSpec(family=fam, seed=args.seed, step=args.step,
                                   count=args.count)
     try:
         result = dioph.generate_sequence(spec)
@@ -158,8 +184,10 @@ def _cmd_solve(args) -> int:
         _emit({"error": type(exc).__name__, "detail": str(exc)},
               f"{type(exc).__name__}: {exc}", args.format)
         return 1
-    text = "\n".join(",".join(_vec_strings(v)) for v in result.solutions)
-    _emit(result.to_json_obj(), text, args.format)
+    if args.format == "json":
+        result.write_json(sys.stdout)
+    else:
+        print("\n".join(",".join(_vec_strings(v)) for v in result.solutions))
     return 0
 
 
@@ -185,7 +213,8 @@ def _cmd_invert(args) -> int:
         raise UsageError("invert needs numeric --params")
     if fam.kind == "triple":
         raise UsageError("invert applies to two-argument composition only")
-    point = _parse_vec(args.point, "--point")
+    point = args.point
+    _check_length(fam, "--point", point)
     try:
         inverse = compose.invert(fam.pair_map, point)
     except (compose.NotAUnit, compose.SingularMap) as exc:
@@ -222,7 +251,6 @@ def _cmd_block(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise UsageError(message)
 
 
@@ -232,51 +260,44 @@ def _build_parser() -> _Parser:
                                  "forms and their f=1 solution sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, default_format):
+    def add(name, handler, default_format, params=None):
+        """A subcommand; with `params` it takes --family and --params,
+        which is optional (default symbolic) or required ("numeric")."""
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "text"),
                        default=default_format)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for interface stability; single-threaded")
+        if params is not None:
+            p.add_argument("--family", required=True)
+            p.add_argument("--params", type=_params, default="symbolic",
+                           required=params == "numeric")
         return p
 
     add("list-families", _cmd_list_families, "json")
+    add("emit-form", _cmd_emit_form, "json", "symbolic")
 
-    p = add("emit-form", _cmd_emit_form, "json")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="symbolic")
-
-    p = add("verify", _cmd_verify, "text")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="symbolic")
+    p = add("verify", _cmd_verify, "text", "symbolic")
     p.add_argument("--threefold", action="store_true")
 
-    p = add("closure", _cmd_closure, "text")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="symbolic")
+    p = add("closure", _cmd_closure, "text", "symbolic")
     p.add_argument("--order", choices=("pair", "triple"), required=True)
 
-    p = add("solve", _cmd_solve, "json")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--step", required=True)
-    p.add_argument("--fixed")
+    p = add("solve", _cmd_solve, "json", "numeric")
+    p.add_argument("--seed", type=_int_vector, required=True)
+    p.add_argument("--step", type=_int_vector, required=True)
+    p.add_argument("--fixed", type=_int_vector)
     p.add_argument("--order", default="xyz",
                    help="slot order for three-argument maps: x=current, "
                         "y=fixed, z=step")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_nonnegative_int, required=True)
 
-    p = add("search", _cmd_search, "json")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p = add("search", _cmd_search, "json", "numeric")
+    p.add_argument("--bound", type=_nonnegative_int, required=True)
 
-    p = add("invert", _cmd_invert, "json")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--point", required=True)
+    p = add("invert", _cmd_invert, "json", "numeric")
+    p.add_argument("--point", type=_int_vector, required=True)
 
     p = add("block", _cmd_block, "json")
     p.add_argument("--outer", required=True)
@@ -289,7 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        with _no_int_str_limit():  # every input number is parsed by now
+            return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,14 +50,6 @@ class ZeroResidual:
     method: str
 
 
-@dataclass(frozen=True)
-class CompositionCertificate:
-    family: str
-    map: "MultilinearMap"
-    residual_checked: bool
-    pairwise_failure: Optional[NotClosed] = None
-
-
 class MultilinearMap:
     """Arity-k integer-coefficient multilinear map on h-vectors."""
 
@@ -132,23 +124,22 @@ class MultilinearMap:
             out[i] = out[i] + term
         return out
 
-    def apply(self, args: Sequence[Sequence[int]],
-              param_values: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
-        """Exact output vector at integer arguments and parameter values."""
+    def _int_coeffs(self):
+        """(i, js, integer coefficient) triples of a parameter-free map."""
+        if self.params:
+            raise ValueError(f"map has parameters {','.join(self.params)}; "
+                             "specialize it first")
+        return [(i, js, c.constant_term()) for (i, js), c in self.coeff.items()]
+
+    def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+        """Exact output vector at integer arguments (parameter-free maps)."""
         if len(args) != self.k:
             raise DimensionMismatch(f"need {self.k} argument vectors")
         for a in args:
             if len(a) != self.h:
                 raise DimensionMismatch(f"argument vectors must have length {self.h}")
-        if self.params:
-            if param_values is None or len(param_values) != len(self.params):
-                raise ValueError(f"need {len(self.params)} parameter values")
-            pv = [int(v) for v in param_values]
-        else:
-            pv = []
         out = [0] * self.h
-        for (i, js), c in self.coeff.items():
-            v = c.eval_vector(pv)
+        for i, js, v in self._int_coeffs():
             for a, j in zip(args, js):
                 v *= int(a[j])
             out[i] += v
@@ -164,16 +155,13 @@ class MultilinearMap:
         return MultilinearMap(self.k, self.h, (), coeff)
 
     def argument_matrix(self, fixed: Sequence[Sequence[int]],
-                        param_values: Optional[Sequence[int]],
                         free_slot: int) -> List[List[int]]:
         """Integer matrix N with map(...) = N @ v when argument `free_slot`
         is the unknown vector v and the other slots are fixed."""
         if len(fixed) != self.k - 1:
             raise DimensionMismatch("need k-1 fixed argument vectors")
-        pv = [int(v) for v in (param_values or [])]
         N = [[0] * self.h for _ in range(self.h)]
-        for (i, js), c in self.coeff.items():
-            v = c.eval_vector(pv)
+        for i, js, v in self._int_coeffs():
             fi = 0
             col = None
             for slot, j in enumerate(js):
@@ -290,11 +278,7 @@ def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:
         ca = a.coeff.get(key, zero)
         cb = b.coeff.get(key, zero)
         if cb.table != ca.table:
-            cb = Polynomial(ca.table, {
-                tuple(m[cb.table.index(p)] if p in cb.table else 0
-                      for p in ca.table.names): c
-                for m, c in cb.terms.items()
-            }) if set(cb.table.names) <= set(ca.table.names) else cb.embed(ca.table)
+            cb = cb.embed(ca.table)  # same names, other order
         if ca != cb:
             return False
     return True
@@ -308,8 +292,7 @@ def identity_element(h: int) -> Tuple[int, ...]:
     return (1,) + (0,) * (h - 1)
 
 
-def invert(cmap: MultilinearMap, x: Sequence[int],
-           param_values: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
+def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
     """The y with map(x, y) = (1, 0, ..., 0), by exact rational solve.
 
     Requires a bilinear map.  Raises NotAUnit when the solution is not
@@ -320,7 +303,7 @@ def invert(cmap: MultilinearMap, x: Sequence[int],
         raise WrongFamilyKind("inversion needs a bilinear map")
     if len(x) != cmap.h:
         raise DimensionMismatch(f"point must have length {cmap.h}")
-    N = cmap.argument_matrix([list(x)], param_values, free_slot=1)
+    N = cmap.argument_matrix([list(x)], free_slot=1)
     e = identity_element(cmap.h)
     y = _solve_exact(N, list(e))
     out = []
@@ -353,41 +336,18 @@ def _solve_exact(matrix: Sequence[Sequence[int]],
 # -- three-fold specifics ----------------------------------------------------
 
 
-def threefold_reduction(form: Polynomial, param_names: Sequence[str],
-                        witness_params: Sequence[int]) -> Polynomial:
-    """Specialize a three-fold form at degenerate parameters.
-
-    Returns the reduced form (e.g. a single monomial like 4*x4^4), whose
-    shape shows that no bilinear composition law with integer coefficients
-    can exist for the family; the impossibility argument itself lives in
-    documentation, not code.
-    """
-    if len(witness_params) != len(param_names):
-        raise ValueError("witness arity differs from parameter count")
-    values = dict(zip(param_names, (int(v) for v in witness_params)))
-    return form.specialize(values)
-
-
 def verify_threefold_genuineness(family, witness_params) -> Polynomial:
-    """Specialize a three-fold family's form at degenerate parameters.
+    """A three-fold family's form at degenerate parameter values.
 
     Returns the reduced polynomial (a single monomial such as 4*x4^4 for the
     documented witnesses), whose shape rules out any bilinear composition law
     with integer coefficients.  The nonexistence conclusion itself is prose,
-    not code.  Uses the structure's determinant at the witness values when
-    the structure shares the family's parameters, which avoids expanding the
-    fully symbolic form.
+    not code.
     """
     if getattr(family, "kind", None) != "triple":
         raise WrongFamilyKind(f"{getattr(family, 'name', family)!r} is not a "
                               "three-fold family")
-    wp = tuple(int(v) for v in witness_params)
-    if len(wp) != len(family.param_names):
-        raise ValueError("witness arity differs from parameter count")
-    st = family.structure
-    if st is not None and st.params == family.param_names:
-        return st.specialize(wp).form(family.coord_names)
-    return threefold_reduction(family.symbolic_form(), family.param_names, wp)
+    return family.specialize(witness_params).form
 
 
 def diophantine_chain(a: int, b: int, c: int,
@@ -398,22 +358,11 @@ def diophantine_chain(a: int, b: int, c: int,
     map send (x, y, z) to (u, v, w) with Q(u) = Q(v) = Q(w) =
     Q(x)Q(y)Q(z); the shared value is returned alongside the points.
     """
-    def phi(x1, x2, y1, y2, z1, z2):
-        u1 = a*x1*y1*z1 + b*x1*y2*z1 + c*x1*y2*z2 - c*x2*y1*z2 + c*x2*y2*z1
-        u2 = a*x1*y1*z2 - a*x1*y2*z1 + a*x2*y1*z1 + b*x2*y1*z2 + c*x2*y2*z2
-        return (u1, u2)
+    from .catalog import family  # catalog builds on this module
 
-    x1, x2 = (int(v) for v in x)
-    y1, y2 = (int(v) for v in y)
-    z1, z2 = (int(v) for v in z)
-    u = phi(x1, x2, y1, y2, z1, z2)
-    v = phi(y1, y2, z1, z2, x1, x2)
-    w = phi(z1, z2, x1, x2, y1, y2)
-
-    def q(p):
-        return a*p[0]*p[0] + b*p[0]*p[1] + c*p[1]*p[1]
-
-    value = q(u)
-    if q(v) != value or q(w) != value:
+    fam = family("threefold_quadratic", (a, b, c))
+    u, v, w = (fam.triple_map(k).apply((x, y, z)) for k in range(3))
+    value = fam.evaluate(u)
+    if fam.evaluate(v) != value or fam.evaluate(w) != value:
         raise AssertionError("chain points disagree; composition data corrupt")
     return u, v, w, value

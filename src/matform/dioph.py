@@ -9,8 +9,9 @@ chain.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .catalog import FormFamily, family as catalog_family
 from .polyring import PolyError
@@ -85,12 +86,26 @@ class SequenceResult:
     verified: bool = True
 
     def to_json_obj(self) -> dict:
+        return self._json_obj([[str(c) for c in v] for v in self.solutions])
+
+    def write_json(self, out: TextIO) -> None:
+        """Write json.dumps(self.to_json_obj()) and a newline, one iterate
+        at a time: a long sequence's decimal strings, all held at once, take
+        several times the memory of its integers."""
+        key = '"solutions": '
+        head, _, tail = json.dumps(self._json_obj(None)).partition(key + "null")
+        out.write(head + key + "[")
+        for i, v in enumerate(self.solutions):
+            out.write((", " if i else "") + json.dumps([str(c) for c in v]))
+        out.write("]" + tail + "\n")
+
+    def _json_obj(self, solutions) -> dict:
         fam = self.spec.family
         return {
             "family": fam.name,
             "params": [str(v) for v in (fam.param_values or ())],
             "mode": self.spec.mode,
-            "solutions": [[str(c) for c in v] for v in self.solutions],
+            "solutions": solutions,
             "verified": self.verified,
         }
 

@@ -10,7 +10,7 @@ ring variables, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable)
 
@@ -58,35 +58,43 @@ class ClosureCertificate:
     order: int
     coord_sets: Tuple[Tuple[str, ...], ...]
     outputs: Tuple[Polynomial, ...]
-    degenerate_single_coordinate: bool = False
     pairwise_failure: Optional[NotClosed] = None  # set on triple certificates
 
 
-Divisor = Tuple[Tuple[str, int], ...]  # parameter monomial, e.g. (("t", 1),)
+Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t", 1),))
+
+UNIT: Divisor = (1, ())
 
 
 @dataclass(frozen=True)
 class ExtractionRecipe:
     """Designated matrix positions from which coordinates are read back.
 
-    `positions[r]` is a 0-based (row, col); `divisors[r]` is a monomial in
-    the parameters, given as ((name, exponent), ...) pairs (the empty tuple
-    means a unit divisor), by which the entry must be exactly divisible.
-    At the listed positions the structure's coefficient matrix must be
-    diagonal with these divisors.
+    `positions[r]` is a 0-based (row, col); `divisors[r]` is the Divisor
+    (coefficient, ((name, exponent), ...)) by which the entry must be
+    exactly divisible.  At the listed positions the structure's coefficient
+    matrix must be diagonal with these divisors.
     """
     positions: Tuple[Tuple[int, int], ...]
     divisors: Tuple[Divisor, ...]
 
     @classmethod
-    def first_row(cls, h: int, divisors: Optional[Sequence[Divisor]] = None
-                  ) -> "ExtractionRecipe":
-        divisors = tuple(divisors) if divisors is not None else ((),) * h
-        return cls(tuple((0, j) for j in range(h)), divisors)
+    def first_row(cls, h: int) -> "ExtractionRecipe":
+        return cls(tuple((0, j) for j in range(h)), (UNIT,) * h)
 
     @classmethod
     def first_column(cls, h: int) -> "ExtractionRecipe":
-        return cls(tuple((i, 0) for i in range(h)), ((),) * h)
+        return cls(tuple((i, 0) for i in range(h)), (UNIT,) * h)
+
+    def specialize(self, values: Mapping[str, int]) -> "ExtractionRecipe":
+        """The recipe with every divisor evaluated at integer parameter
+        values (a divisor may evaluate to 0)."""
+        divisors = []
+        for coeff, monomial in self.divisors:
+            for name, e in monomial:
+                coeff *= int(values[name]) ** e
+            divisors.append((coeff, ()))
+        return ExtractionRecipe(self.positions, tuple(divisors))
 
 
 class LinearStructure:
@@ -265,20 +273,19 @@ class LinearStructure:
             raise ValueError("matrix order differs from structure order")
         table = matrix.table
         outputs: List[Polynomial] = []
-        for (i, j), divisor in zip(recipe.positions, recipe.divisors):
+        for (i, j), (scale, monomial) in zip(recipe.positions, recipe.divisors):
             entry = matrix[i, j]
-            if not divisor:
-                outputs.append(entry)
-                continue
-            div_idx = [(table.index(name), e) for name, e in divisor]
+            if not scale:  # never read coordinates off a zero divisor
+                return NotInSpan(entry=(i, j), residual=None, reason="division")
+            need = [0] * len(table)
+            for name, e in monomial:
+                need[table.index(name)] = e
             divided: Dict[Tuple[int, ...], int] = {}
             for m, c in entry.terms.items():
-                exps = list(m)
-                for k, e in div_idx:
-                    if exps[k] < e:
-                        return NotInSpan(entry=(i, j), residual=None, reason="division")
-                    exps[k] -= e
-                divided[tuple(exps)] = c
+                exps = tuple(a - b for a, b in zip(m, need))
+                if c % scale or min(exps) < 0:
+                    return NotInSpan(entry=(i, j), residual=None, reason="division")
+                divided[exps] = c // scale
             outputs.append(Polynomial(table, divided))
         # Reconstruct and compare entrywise.
         for i in range(self.n):
@@ -315,8 +322,7 @@ class LinearStructure:
         if isinstance(result, NotInSpan):
             return NotClosed(order=2, witness=result)
         return ClosureCertificate(
-            order=2, coord_sets=(xs, ys), outputs=tuple(result),
-            degenerate_single_coordinate=(self.h == 1))
+            order=2, coord_sets=(xs, ys), outputs=tuple(result))
 
     def verify_triple_closure(self, recipe: Optional[ExtractionRecipe] = None):
         """Symbolically check A(x) A(y) A(z) = A(w) for trilinear w.
@@ -337,7 +343,6 @@ class LinearStructure:
             return NotClosed(order=3, witness=result)
         return ClosureCertificate(
             order=3, coord_sets=(xs, ys, zs), outputs=tuple(result),
-            degenerate_single_coordinate=(self.h == 1),
             pairwise_failure=pair if isinstance(pair, NotClosed) else None)
 
     # -- block lifting ------------------------------------------------------
@@ -389,7 +394,7 @@ class LinearStructure:
                 (ii, ij) = inner_recipe.positions[s]
                 idv = inner_recipe.divisors[s]
                 positions.append((oi * m + ii, oj * m + ij))
-                divisors.append(tuple(od) + tuple(idv))  # params are disjoint
+                divisors.append((od[0] * idv[0], od[1] + idv[1]))  # params are disjoint
         recipe = ExtractionRecipe(tuple(positions), tuple(divisors))
         return lifted, recipe
 

@@ -262,11 +262,6 @@ class Polynomial:
             out[tuple(exps)] = c
         return Polynomial(target, out)
 
-    def rename(self, mapping: Mapping[str, str], target: VarTable) -> "Polynomial":
-        """Rename variables (unlisted names keep their own) into `target`."""
-        return self.substitute(
-            {name: target.var(mapping.get(name, name)) for name in self.table.names})
-
     def _map_through(self, target: VarTable, images: Sequence["Polynomial"]) -> "Polynomial":
         # Cache power products per distinct exponent to keep repeated
         # substitution of the same variables cheap.

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from matform.cli import main
+from matform.cli import _no_int_str_limit, main
+
+QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,33 @@ class TestClosure:
         assert json.loads(out)["closed"] is True
 
 
+class TestNumericParams:
+    """Numeric proofs use the structure and recipe at the given values."""
+
+    @pytest.mark.parametrize("argv", [
+        ("closure", "--family", "threefold4x4", "--params=-1,-4,1,-1,1,1",
+         "--order", "triple"),
+        ("closure", "--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1",
+         "--order", "triple"),
+        ("verify", "--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1"),
+    ])
+    def test_recipe_divisors_are_specialized(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj.get("closed") is True or obj["status"] == "zero-residual"
+
+    def test_vanishing_divisors_fall_back_to_symbolic_closure(self, capsys):
+        # s = t = 0 here, so the recipe divisors t*s, t and s all vanish
+        code, out, err = run_cli(capsys, "closure", "--family", "threefold4x4",
+                                 "--params=0,1,0,2,0,0", "--order", "triple",
+                                 "--format", "json")
+        assert code == 0, err
+        symbolic = run_cli(capsys, "closure", "--family", "threefold4x4",
+                           "--order", "triple", "--format", "json")
+        assert (code, out, err) == symbolic
+
+
 class TestSolve:
     def test_quartic_sequence(self, capsys):
         code, out, _ = run_cli(
@@ -118,6 +147,28 @@ class TestSolve:
             "--step", "6,2,3,1", "--count", "2")
         assert code == 1
         assert json.loads(out)["error"] == "SeedNotSolution"
+
+    def test_sequence_past_the_int_str_digit_limit(self, capsys):
+        # x1^2 - 2*x2^2 = 1: a ~500-digit power of the unit (3, 2) as the
+        # step takes the iterates past 4300 decimal digits
+        s1, s2 = 1, 0
+        for _ in range(653):
+            s1, s2 = 3 * s1 + 4 * s2, 2 * s1 + 3 * s2
+        code, out, err = run_cli(
+            capsys, "solve", "--family", "quad2x2", "--params", "0,-2",
+            "--seed", "1,0", "--step", f"{s1},{s2}", "--count", "10")
+        assert code == 0, err
+        powers = [(1, 0)]
+        for _ in range(9):
+            a, b = powers[-1]
+            powers.append((a * s1 + 2 * b * s2, a * s2 + b * s1))
+        with _no_int_str_limit():
+            assert len(str(powers[-1][0])) > 4300
+            assert out == json.dumps({
+                "family": "quad2x2", "params": ["0", "-2"],
+                "mode": "pairwise",
+                "solutions": [[str(a), str(b)] for a, b in powers],
+                "verified": True}) + "\n"
 
     def test_symbolic_params_rejected(self, capsys):
         code, _, err = run_cli(
@@ -161,6 +212,32 @@ class TestSearchInvertBlock:
 class TestContract:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", *QUARTIC, "--seed", "6,2,3", "--step", "6,2,3,1",
+         "--count", "2"),
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1,0",
+         "--count", "2"),
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--fixed", "1,0", "--count", "2"),
+        ("solve", *QUARTIC, "--seed", "6,2,x,1", "--step", "6,2,3,1",
+         "--count", "2"),
+        ("invert", *QUARTIC, "--point", "6,2,3"),
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--count", "-3"),
+        ("search", *QUARTIC, "--bound", "-2"),
+        pytest.param(
+            ("solve", "--family", "quad2x2", "--params", "0,-2",
+             "--seed", "1" * 4301 + ",0", "--step", "3,2", "--count", "1"),
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no int/str digit limit on this Python")),
+    ])
+    def test_malformed_input_is_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_threads_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "quad2x2",

@@ -16,7 +16,6 @@ from matform.compose import (
     identity_element,
     invert,
     maps_equal,
-    threefold_reduction,
     verify_identity,
     verify_threefold_genuineness,
 )
@@ -48,7 +47,7 @@ class TestMultilinearMap:
         cmap = catalog.family("quad2x2").pair_map
         forms = cmap.forms((("x1", "x2"), ("y1", "y2")))
         env = {"p": p, "q": q, "x1": x[0], "x2": x[1], "y1": y[0], "y2": y[1]}
-        assert cmap.apply((x, y), (p, q)) == tuple(
+        assert cmap.specialize((p, q)).apply((x, y)) == tuple(
             f.eval_int(env) for f in forms)
 
     @given(ivec, ivec, ivec, st.integers(-5, 5), st.integers(-5, 5))
@@ -72,7 +71,7 @@ class TestMultilinearMap:
         fam = catalog.family("quartic4x4", (5, -23, 2, -7))
         cmap = fam.pair_map
         x, y = (6, 2, 3, 1), (1, 0, 0, 0)
-        N = cmap.argument_matrix((x,), None, free_slot=1)
+        N = cmap.argument_matrix((x,), free_slot=1)
         assert tuple(sum(N[i][j] * y[j] for j in range(4)) for i in range(4)) \
             == cmap.apply((x, y))
 
@@ -168,14 +167,6 @@ class TestGroupLaw:
 
 
 class TestThreefold:
-    def test_reduction_matches_specialized_form(self):
-        fam = catalog.family("threefold_quadratic")
-        reduced = threefold_reduction(fam.symbolic_form(), fam.param_names,
-                                      (-1, 0, -1))
-        t = reduced.table
-        x1, x2 = t.var("x1"), t.var("x2")
-        assert reduced == -(x1 ** 2) - x2 ** 2
-
     def test_genuineness_wrong_kind(self):
         with pytest.raises(WrongFamilyKind):
             verify_threefold_genuineness(catalog.family("quad2x2"), (0, 1))

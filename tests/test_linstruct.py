@@ -36,7 +36,7 @@ def tracefree(ct: str, cb: str, cc: str) -> LinearStructure:
 
 
 def tracefree_recipe(ct: str) -> ExtractionRecipe:
-    return ExtractionRecipe(((0, 0), (0, 1)), (((ct, 1),), ()))
+    return ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), (1, ())))
 
 
 class TestConstruction:
@@ -120,6 +120,23 @@ class TestExtraction:
         assert out.reason == "mismatch"
         assert out.residual is not None and not out.residual.is_zero()
 
+    def test_specialized_divisor_recipe(self):
+        values = {"t": 3, "b": -2, "c": 5}
+        st = tracefree("t", "b", "c").specialize(tuple(values.values()))
+        recipe = tracefree_recipe("t").specialize(values)
+        assert recipe.divisors == ((3, ()), (1, ()))
+        M = st.instantiate(("u1", "u2"))
+        out = st.extract_coordinates(recipe, M)
+        assert list(out) == [M.table.var("u1"), M.table.var("u2")]
+
+    def test_vanishing_divisor_is_not_divided_by(self):
+        values = {"t": 0, "b": 1, "c": 1}
+        st = tracefree("t", "b", "c").specialize(tuple(values.values()))
+        recipe = tracefree_recipe("t").specialize(values)
+        out = st.extract_coordinates(recipe, st.instantiate(("u1", "u2")))
+        assert isinstance(out, NotInSpan)
+        assert out.reason == "division"
+
     def test_not_in_span_division(self):
         st = tracefree("t", "b", "c")
         table = VarTable(("t", "b", "c", "u1", "u2"))
@@ -174,6 +191,18 @@ class TestClosure:
                 for r in range(st.h):
                     acc = acc + st.coeff[i][j][r].embed(table) * cert.outputs[r]
                 assert acc == prod[i, j]
+
+
+    def test_numeric_triple_closure_is_symbolic_closure_specialized(self):
+        from matform.catalog import family
+        values = (-1, -4, 1, -1, 1, 1)
+        numeric = family("threefold4x4", values)
+        cert = numeric.structure.verify_triple_closure(numeric.recipe)
+        assert isinstance(cert, ClosureCertificate)
+        symbolic = family("threefold4x4")
+        ref = symbolic.structure.verify_triple_closure(symbolic.recipe)
+        env = dict(zip(symbolic.param_names, values))
+        assert list(cert.outputs) == [w.specialize(env) for w in ref.outputs]
 
 
 class TestBlockLifting:
