@@ -947,23 +947,18 @@ def circulant_factor_check(q: Optional[int] = None):
     """Check the three facts behind the simultaneous sextic system:
     (i) det of the circulant block matrix equals f1*f2, (ii) both factor
     identities hold under the shared bilinear map in the x-coordinates,
-    (iii) both hold for the u-coordinate pair under its own map.
+    (iii) both hold for the u-coordinate pair under its own map.  Each
+    family's factor-wise expansion checks that its factors multiply to its
+    form, which for the circulant is the determinant: that is (i).
 
     Returns True, or the first nonzero residual polynomial.
     """
     from .compose import ZeroResidual, verify_identity
 
-    circ = family("sextic_circulant") if q is None else family("sextic_circulant", (q,))
-    uv = family("sextic_uv") if q is None else family("sextic_uv", (q,))
-
-    f1, f2 = circ.factors
-    det = circ.form
-    residual = det - f1 * f2
-    if not residual.is_zero():
-        return residual
-    for fam, coords in ((circ, circ.coord_names), (uv, uv.coord_names)):
-        for factor in fam.factors:
-            res = verify_identity(factor, fam.pair_map, coords, method="expand")
-            if not isinstance(res, ZeroResidual):
-                return res
+    for name in ("sextic_circulant", "sextic_uv"):
+        fam = family(name) if q is None else family(name, (q,))
+        res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
+                              factors=fam.factors, method="expand")
+        if not isinstance(res, ZeroResidual):
+            return res
     return True

@@ -60,6 +60,15 @@ def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
                          f"got {len(vec)}")
 
 
+def _composition_map(fam, threefold: bool):
+    """The family's trilinear or bilinear map; a usage error where the
+    family has no such law."""
+    try:
+        return fam.triple_map() if threefold else fam.pair_map
+    except (PolyError, ValueError) as exc:
+        raise UsageError(f"{fam.name}: {exc}")
+
+
 def _emit(obj, text: str, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj))
@@ -107,13 +116,10 @@ def _cmd_emit_form(args) -> int:
 
 def _cmd_verify(args) -> int:
     fam = _family(args.family, args.params)
-    threefold = args.threefold or fam.kind == "triple"
-    try:
-        cmap = fam.triple_map() if threefold else fam.pair_map
-    except (PolyError, ValueError) as exc:
-        raise UsageError(f"{fam.name}: {exc}")
+    cmap = _composition_map(fam, args.threefold or fam.kind == "triple")
     result = compose.verify_identity(fam.form, cmap, fam.coord_names,
-                                     structure=fam.structure, recipe=fam.recipe)
+                                     structure=fam.structure, recipe=fam.recipe,
+                                     factors=fam.factors)
     if isinstance(result, ZeroResidual):
         _emit({"status": "zero-residual", "method": result.method},
               "ZERO-RESIDUAL", args.format)
@@ -169,6 +175,7 @@ def _cmd_solve(args) -> int:
         if args.fixed is None:
             raise UsageError(f"{fam.name} composes three arguments; "
                              f"supply --fixed")
+        _composition_map(fam, threefold=True)
         if sorted(args.order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")
         spec = dioph.SequenceSpec(

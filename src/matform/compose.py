@@ -4,23 +4,25 @@ integer solutions of f = 1.
 A MultilinearMap holds the coefficient tensor of a bilinear (k=2) or
 trilinear (k=3) map: output_i = sum lambda_{i,j1..jk} * arg1_{j1} * ... *
 argk_{jk}, with entries polynomial in named parameters.  Identity
-verification is exact.  Small identities are expanded termwise; for the
-large determinant-backed families the residual has billions of terms, so the
-proof goes through the matrix family instead: the entrywise product identity
-A(x)A(y) = A(z) is checked symbolically, the form is checked to equal
-det(A(.)) symbolically, and multiplicativity of the determinant does the
-rest.  Both routes are deterministic and exact.
+verification is exact.  Where the form is the determinant of a matrix
+family in the map's own parameters, the proof goes through that family: the
+entrywise product identity A(x)A(y) = A(z) is checked symbolically, the form
+is checked to equal det(A(.)) symbolically, and multiplicativity of the
+determinant does the rest.  Otherwise the residual is expanded termwise, one
+factor at a time where the form is given as a product.  Every route is
+deterministic and exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linstruct import (ClosureCertificate, ExtractionRecipe, LinearStructure,
                         NotClosed)
-from .polyring import PolyError, Polynomial, VarTable
+from .polyring import PolyError, Polynomial, VarTable, _add_into
 
 
 class DimensionMismatch(PolyError):
@@ -44,10 +46,13 @@ class ZeroResidual:
     """Certificate that the composition identity holds exactly.
 
     `method` records the proof route: "expand" for a termwise expansion of
-    f(args...) - f(map(args...)), "matrix" for the entrywise matrix-product
-    identity combined with form == det and det multiplicativity.
+    f(args...) - f(map(args...)) (of each factor's identity where the form
+    was given as a product), "matrix" for the entrywise matrix-product
+    identity combined with form == det and det multiplicativity.  `reason`
+    names the rule that chose the route and what was expanded.
     """
     method: str
+    reason: str
 
 
 class MultilinearMap:
@@ -116,13 +121,13 @@ class MultilinearMap:
             names.extend(cs)
         if table is None:
             table = VarTable(names)
-        out = [table.zero() for _ in range(self.h)]
+        out: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(self.h)]
         for (i, js), c in self.coeff.items():
             term = c.embed(table)
             for cs, j in zip(coord_sets, js):
                 term = term * table.var(cs[j])
-            out[i] = out[i] + term
-        return out
+            _add_into(out[i], term.terms)
+        return [Polynomial._own(table, terms) for terms in out]
 
     def _int_coeffs(self):
         """(i, js, integer coefficient) triples of a parameter-free map."""
@@ -217,30 +222,66 @@ def _expand_residual(form: Polynomial, cmap: MultilinearMap,
     return product - composed
 
 
+def _difference(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a - b, with a moved onto b's table where the two differ."""
+    return (a.embed(b.table) if a.table != b.table else a) - b
+
+
+def _prove_by_expansion(factors: Sequence[Polynomial], cmap: MultilinearMap,
+                        coord_names: Sequence[str],
+                        rule: str) -> Union[ZeroResidual, Polynomial]:
+    """Expand the residual of each factor's identity (of the whole form for
+    a single factor): f_i(x)f_i(y)[f_i(z)] = f_i(map(...)) for every i
+    gives the identity of their product, which the caller has checked to
+    be the form."""
+    for part in factors:
+        residual = _expand_residual(part, cmap, coord_names)
+        if not residual.is_zero():
+            return residual
+    what = (f"{len(factors)} factors expanded one at a time"
+            if len(factors) > 1 else "whole form expanded")
+    return ZeroResidual("expand", f"{rule}; {what}")
+
+
 def verify_identity(form: Polynomial, cmap: MultilinearMap,
                     coord_names: Sequence[str],
                     structure: Optional[LinearStructure] = None,
                     recipe: Optional[ExtractionRecipe] = None,
+                    factors: Optional[Sequence[Polynomial]] = None,
                     method: str = "auto") -> Union[ZeroResidual, Polynomial]:
     """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically.
 
-    method "expand" computes the residual termwise and is the default while
-    the expansion stays tractable (roughly: form term count squared/cubed
-    below ~10^7).  method "matrix" requires `structure` (and optionally
-    `recipe`); it checks the entrywise product identity of the matrix
-    family plus form == det(A) symbolically, which proves the composition
-    identity via multiplicativity of the determinant.  Returns ZeroResidual
-    on success; on failure, the nonzero residual polynomial ("expand") or
-    the offending entry residual ("matrix").
+    method "auto" picks the route from the data's structure, not its size:
+    - "matrix" when `structure` is in the map's own parameters
+      (structure.params == cmap.params), i.e. when its determinant can be
+      the form;
+    - otherwise "expand", one factor at a time when `factors` holds more
+      than one factor, else of the whole form.
+    method "matrix" (needs `structure`, optionally `recipe`) checks the
+    closure certificate of the matrix family, that it induces `cmap`, and
+    form == det(A) symbolically; multiplicativity of the determinant then
+    proves the identity.  Where the structure induces another map the
+    route falls back to expansion.  method "expand" computes the residual
+    termwise.  On every route, `factors` must multiply to `form`.
+    Returns ZeroResidual on success; on failure, product(factors) - form,
+    the nonzero residual polynomial ("expand"), or the offending entry
+    residual or det - form ("matrix").
     """
+    if factors is not None and len(factors) > 1:
+        unfactored = _difference(math.prod(factors), form)
+        if not unfactored.is_zero():
+            return unfactored
+    else:
+        factors = (form,)
     if method == "auto":
-        cost = form.term_count() ** cmap.k
-        method = "expand" if cost <= 10_000_000 else "matrix"
-        if method == "matrix" and structure is None:
-            method = "expand"  # no structure available; pay the expansion
+        if structure is not None and structure.params == cmap.params:
+            method, rule = "matrix", "structure in the map's parameters"
+        else:
+            method, rule = "expand", "no structure in the map's parameters"
+    else:
+        rule = f"method {method!r} requested"
     if method == "expand":
-        residual = _expand_residual(form, cmap, coord_names)
-        return ZeroResidual(method="expand") if residual.is_zero() else residual
+        return _prove_by_expansion(factors, cmap, coord_names, rule)
     if method != "matrix":
         raise ValueError(f"unknown method {method!r}")
     if structure is None:
@@ -258,13 +299,12 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
     if not maps_equal(derived, cmap):
         # The supplied map is not the one the matrix family induces; fall
         # back to the honest expansion to produce a residual.
-        residual = _expand_residual(form, cmap, coord_names)
-        return ZeroResidual(method="expand") if residual.is_zero() else residual
-    det = structure.form(coord_names)
-    diff = det.embed(form.table) - form if det.table != form.table else det - form
+        return _prove_by_expansion(factors, cmap, coord_names,
+                                   "structure induces another map")
+    diff = _difference(structure.form(coord_names), form)
     if not diff.is_zero():
         return diff
-    return ZeroResidual(method="matrix")
+    return ZeroResidual("matrix", rule)
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:

@@ -116,6 +116,7 @@ class LinearStructure:
                         raise ValueError("coefficients must live over the parameter table")
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
+        self._closure_cache: Dict[tuple, object] = {}
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -308,12 +309,26 @@ class LinearStructure:
         return tuple(
             tuple(f"{p}{i + 1}" for i in range(self.h)) for p in prefixes)
 
+    def _cached_closure(self, order: int, recipe: ExtractionRecipe, decide):
+        """Closure results are cached per (order, recipe): deriving a
+        family's map and proving its identity by the matrix route both need
+        the same certificate."""
+        key = (order, recipe)
+        got = self._closure_cache.get(key)
+        if got is None:
+            got = decide(recipe)
+            self._closure_cache[key] = got
+        return got
+
     def verify_pair_closure(self, recipe: Optional[ExtractionRecipe] = None):
         """Symbolically check A(x) A(y) = A(z) for bilinear z.
 
         Returns a ClosureCertificate carrying the z-forms, or NotClosed.
         """
-        recipe = recipe or self.default_recipe()
+        return self._cached_closure(2, recipe or self.default_recipe(),
+                                    self._decide_pair_closure)
+
+    def _decide_pair_closure(self, recipe: ExtractionRecipe):
         xs, ys = self._coord_sets(2)
         table = VarTable(self.params + xs + ys)
         ax = self.instantiate(xs, table)
@@ -331,7 +346,10 @@ class LinearStructure:
         (then the triple law is the pairwise law applied twice) or not (the
         genuinely three-fold case).
         """
-        recipe = recipe or self.default_recipe()
+        return self._cached_closure(3, recipe or self.default_recipe(),
+                                    self._decide_triple_closure)
+
+    def _decide_triple_closure(self, recipe: ExtractionRecipe):
         pair = self.verify_pair_closure(recipe)
         xs, ys, zs = self._coord_sets(3)
         table = VarTable(self.params + xs + ys + zs)

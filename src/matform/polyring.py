@@ -104,6 +104,15 @@ class Polynomial:
         self.table = table
         self.terms: Dict[Monomial, int] = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _own(cls, table: VarTable, terms: Dict[Monomial, int]) -> "Polynomial":
+        """Wrap a dict that already holds no zero coefficient; the new
+        polynomial takes ownership of it (no copy, no zero filter)."""
+        poly = object.__new__(cls)
+        poly.table = table
+        poly.terms = terms
+        return poly
+
     # -- basics ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -172,18 +181,13 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.table, out)
+        _add_into(out, other.terms)
+        return Polynomial._own(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._own(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -193,20 +197,9 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         out: Dict[Monomial, int] = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(map(int.__add__, m1, m2))
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.table, out)
+        _mul_into(out, self.terms, other.terms)
+        return Polynomial._own(self.table, out)
 
     __rmul__ = __mul__
 
@@ -275,14 +268,15 @@ class Polynomial:
                 pow_cache[key] = got
             return got
 
-        acc = target.zero()
+        acc: Dict[Monomial, int] = {}
+        one = target.one()
         for m, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+            factors = [power(i, e) for i, e in enumerate(m) if e]
+            term = factors[0] if factors else one
+            for f in factors[1:]:
+                term = term * f
+            _add_into(acc, term.terms, c)
+        return Polynomial._own(target, acc)
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
         """Substitute integers for a subset of variables, dropping them
@@ -390,6 +384,35 @@ class Polynomial:
         return cls.from_json_obj(json.loads(text))
 
 
+def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
+              scale: int = 1) -> None:
+    """out += scale * terms, in place; keeps `out` free of zeros."""
+    get = out.get
+    for m, c in terms.items():
+        s = get(m, 0) + scale * c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
+              b: Mapping[Monomial, int], scale: int = 1) -> None:
+    """out += scale * a * b, in place; keeps `out` free of zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = tuple(map(int.__add__, m1, m2))
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
 class PolyMatrix:
     """Square matrix of polynomials over one shared VarTable."""
 
@@ -422,15 +445,15 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix) or other.n != self.n:
             raise ValueError("matrix orders differ")
         n = self.n
-        zero = self.table.zero()
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = zero
+                acc: Dict[Monomial, int] = {}
                 for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+                    _mul_into(acc, self.entries[i][k].terms,
+                              other.entries[k][j].terms)
+                row.append(Polynomial._own(self.table, acc))
             rows.append(row)
         return PolyMatrix(rows)
 
@@ -443,30 +466,24 @@ class PolyMatrix:
         sparse polynomial entries.
         """
         n = self.n
-        zero = self.table.zero()
-        minors: Dict[int, Polynomial] = {0: self.table.one()}
+        minors: Dict[int, Dict[Monomial, int]] = {0: self.table.one().terms}
         for i in range(n):
-            nxt: Dict[int, Polynomial] = {}
+            nxt: Dict[int, Dict[Monomial, int]] = {}
             for mask, minor in minors.items():
-                if minor.is_zero():
+                if not minor:
                     continue
                 for j in range(n):
                     bit = 1 << j
                     if mask & bit:
                         continue
-                    entry = self.entries[i][j]
-                    if entry.is_zero():
+                    entry = self.entries[i][j].terms
+                    if not entry:
                         continue
                     # Parity of columns already used that are above j.
                     sign = -1 if bin(mask >> (j + 1)).count("1") & 1 else 1
-                    contrib = entry * minor
-                    if sign < 0:
-                        contrib = -contrib
-                    key = mask | bit
-                    acc = nxt.get(key)
-                    nxt[key] = contrib if acc is None else acc + contrib
+                    _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign)
             minors = nxt
-        return minors.get((1 << n) - 1, zero)
+        return Polynomial._own(self.table, minors.get((1 << n) - 1, {}))
 
     def determinant_cofactor(self) -> Polynomial:
         """Determinant by first-row cofactor expansion (reference oracle)."""

@@ -106,6 +106,17 @@ class TestNumericParams:
         obj = json.loads(out)
         assert obj.get("closed") is True or obj["status"] == "zero-residual"
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "octic8x8", "--params=0,-5,0,-3,0,-14"),
+        ("--family", "sextic6x6", "--params=1,2,-1,3,1,-2,3"),
+        ("--family", "threefold4x4"),
+    ])
+    def test_structured_families_verify_by_matrix(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out) == {"status": "zero-residual",
+                                   "method": "matrix"}
+
     def test_vanishing_divisors_fall_back_to_symbolic_closure(self, capsys):
         # s = t = 0 here, so the recipe divisors t*s, t and s all vanish
         code, out, err = run_cli(capsys, "closure", "--family", "threefold4x4",
@@ -232,6 +243,10 @@ class TestContract:
             marks=pytest.mark.skipif(
                 not hasattr(sys, "get_int_max_str_digits"),
                 reason="no int/str digit limit on this Python")),
+        # --fixed asks for the three-argument law, which sextic_uv lacks
+        ("solve", "--family", "sextic_uv", "--params", "3",
+         "--seed", "2,1,3,-1,3,-4", "--step", "2,1,3,-1,3,-4",
+         "--fixed", "1,0,0,0,0,0", "--count", "2"),
     ])
     def test_malformed_input_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 """Bilinear/trilinear composition maps and identity verification."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,31 @@ from matform.polyring import VarTable
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
+
+# structure in the family's own parameters: the matrix route applies; the
+# other two families, threefold_quadratic and sextic_uv, are expanded
+MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
+                 "sextic_circulant", "octic8x8", "threefold4x4",
+                 "threefold8x8")
+
+
+def composition_map(fam):
+    return fam.triple_map() if fam.kind == "triple" else fam.pair_map
+
+
+def verify_auto(fam, cmap=None):
+    """verify_identity with everything the CLI passes, route left to "auto"."""
+    return verify_identity(fam.form, cmap or composition_map(fam),
+                           fam.coord_names, structure=fam.structure,
+                           recipe=fam.recipe, factors=fam.factors)
+
+
+def mutated(cmap):
+    """cmap with one coefficient increased by one."""
+    bad = dict(cmap.coeff)
+    key = next(iter(bad))
+    bad[key] = bad[key] + 1
+    return MultilinearMap(cmap.k, cmap.h, cmap.params, bad)
 
 
 class TestMultilinearMap:
@@ -122,6 +148,85 @@ class TestVerifyIdentity:
                               structure=fam.structure, recipe=fam.recipe,
                               method="matrix")
         assert not isinstance(res, ZeroResidual)
+
+
+class TestRoute:
+    """The "auto" rule picks the route from the structure, not the size."""
+
+    @pytest.mark.parametrize("name", MATRIX_ROUTED)
+    def test_structure_in_map_parameters_takes_matrix_route(self, name):
+        res = verify_auto(catalog.family(name))
+        assert res == ZeroResidual("matrix",
+                                   "structure in the map's parameters")
+
+    def test_structure_in_other_parameters_expands(self):
+        # threefold_quadratic's structure is in (t, b, c), its map in (a, b, c)
+        res = verify_auto(catalog.family("threefold_quadratic"))
+        assert res == ZeroResidual(
+            "expand", "no structure in the map's parameters; "
+                      "whole form expanded")
+
+    def test_split_form_without_structure_expands_factorwise(self):
+        res = verify_auto(catalog.family("sextic_uv"))
+        assert res == ZeroResidual(
+            "expand", "no structure in the map's parameters; "
+                      "2 factors expanded one at a time")
+
+    def test_mutated_uv_map_yields_nonzero_residual(self):
+        fam = catalog.family("sextic_uv")
+        res = verify_auto(fam, cmap=mutated(fam.pair_map))
+        assert not isinstance(res, ZeroResidual)
+        assert not res.is_zero()
+
+    @pytest.mark.parametrize("name",
+                             ["quad2x2", "sextic_circulant", "sextic_uv"])
+    def test_factors_must_multiply_to_the_form(self, name):
+        # each factor composes under the family's map on its own, so only
+        # the product check stands between these tuples and a false proof
+        fam = catalog.family(name)
+        f1 = fam.factors[0]
+        for factors in ((f1, f1), (f1, f1, f1)):
+            for method in ("auto", "expand"):
+                res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
+                                      structure=fam.structure,
+                                      recipe=fam.recipe, factors=factors,
+                                      method=method)
+                assert not isinstance(res, ZeroResidual), (factors, method)
+                assert not res.is_zero()
+
+
+class TestIntegerPointOracle:
+    """f(x)f(y)[f(z)] = f(map(...)) at integer points, evaluated term by
+    term from the transcribed forms and maps where they exist.  This is the
+    check, independent of both proof routes, for the identities that the
+    matrix route now proves without expanding them; the expansion tests
+    prove the other two."""
+
+    @pytest.mark.parametrize("name", MATRIX_ROUTED)
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_identity_at_integer_points(self, name, data):
+        # nonzero values leave every monomial of a residual switched on
+        # and every recipe divisor nonzero, so each draw has a structure
+        nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        base = catalog.family(name)
+        values = data.draw(st.tuples(*[nonzero] * base.arity))
+        fam = base.specialize(values)
+        assert fam.structure is not None
+        cmap = composition_map(fam)
+        points = data.draw(st.tuples(
+            *[st.tuples(*[nonzero] * fam.h)] * cmap.k))
+        transcribed = ((base.printed_form,) if base.printed_form is not None
+                       else base.factors)
+        at_values = [p.specialize(dict(zip(base.param_names, values)))
+                     for p in transcribed]
+
+        def f(point):
+            env = dict(zip(base.coord_names, point))
+            return math.prod(p.eval_vector([env[n] for n in p.table.names])
+                             for p in at_values)
+
+        assert math.prod(map(f, points)) == f(cmap.apply(points))
 
 
 class TestGroupLaw:
