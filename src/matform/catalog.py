@@ -48,7 +48,7 @@ class FormFamily:
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A numeric family owns everything that depends
     on its parameter values (structure, recipe, form, maps and the integer
-    tensor `evaluate` uses); each is derived on first use and kept.
+    cells of `matrix`); each is derived on first use and kept.
     """
 
     def __init__(self, name: str, description: str, kind: str,
@@ -231,27 +231,36 @@ class FormFamily:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _require_values(self):
+    def _point(self, point: Sequence[int]) -> List[int]:
+        """`point` as integers, once the family and the length allow it."""
         if self.param_values is None and self.arity > 0:
             raise ValueError(f"{self.name} needs numeric parameter values")
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        """Exact integer value of the form at an integer point."""
-        self._require_values()
         pt = [int(v) for v in point]
         if len(pt) != self.h:
             raise ValueError(f"point must have length {self.h}")
+        return pt
+
+    def matrix(self, point: Sequence[int]) -> Optional[List[List[int]]]:
+        """The integer matrix A(point) whose determinant is the form, or
+        None where the family has no parameter-free structure at these
+        values (sextic_uv, threefold_quadratic)."""
+        pt = self._point(point)
         cells = self._own_structure()[2]
-        if cells is not None:
-            return int_matrix_determinant(
-                [[sum(c * pt[r] for r, c in cell) for cell in row]
-                 for row in cells])
-        return math.prod(self.evaluate_factors(pt))
+        if cells is None:
+            return None
+        return [[sum(c * pt[r] for r, c in cell) for cell in row]
+                for row in cells]
+
+    def evaluate(self, point: Sequence[int]) -> int:
+        """Exact integer value of the form at an integer point."""
+        a = self.matrix(point)
+        if a is not None:
+            return int_matrix_determinant(a)
+        return math.prod(self.evaluate_factors(point))
 
     def evaluate_factors(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Exact value of each factor form at an integer point."""
-        self._require_values()
-        pt = [int(v) for v in point]
+        pt = self._point(point)
         return tuple(f.eval_vector(pt) for f in self.factors)
 
 

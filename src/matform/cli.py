@@ -66,7 +66,7 @@ def _composition_map(fam, threefold: bool):
     try:
         return fam.triple_map() if threefold else fam.pair_map
     except (PolyError, ValueError) as exc:
-        raise UsageError(f"{fam.name}: {exc}")
+        raise UsageError(str(exc))  # FormFamily names itself in it
 
 
 def _emit(obj, text: str, fmt: str) -> None:

@@ -301,9 +301,11 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
         # back to the honest expansion to produce a residual.
         return _prove_by_expansion(factors, cmap, coord_names,
                                    "structure induces another map")
-    diff = _difference(structure.form(coord_names), form)
-    if not diff.is_zero():
-        return diff
+    det = structure.form(coord_names)
+    if det is not form:  # a family's form is its structure's cached det
+        diff = _difference(det, form)
+        if not diff.is_zero():
+            return diff
     return ZeroResidual("matrix", rule)
 
 

@@ -11,7 +11,8 @@ output stays deterministic.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+import operator
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -96,13 +97,18 @@ def grlex_key(m: Monomial) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact integer coefficients."""
+    """Immutable sparse polynomial with exact integer coefficients.
 
-    __slots__ = ("table", "terms")
+    `terms` is never mutated after construction, so data derived from it
+    (the sparse term list `eval_vector` uses) is cached per polynomial.
+    """
+
+    __slots__ = ("table", "terms", "_sparse")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int]):
         self.table = table
         self.terms: Dict[Monomial, int] = {m: c for m, c in terms.items() if c}
+        self._sparse = None
 
     @classmethod
     def _own(cls, table: VarTable, terms: Dict[Monomial, int]) -> "Polynomial":
@@ -111,6 +117,7 @@ class Polynomial:
         poly = object.__new__(cls)
         poly.table = table
         poly.terms = terms
+        poly._sparse = None
         return poly
 
     # -- basics ---------------------------------------------------------
@@ -190,10 +197,13 @@ class Polynomial:
         return Polynomial._own(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self.terms)
+        _add_into(out, other.terms, -1)
+        return Polynomial._own(self.table, out)
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -318,18 +328,19 @@ class Polynomial:
         """Exact value given one integer per table variable, in order."""
         if len(values) != len(self.table):
             raise UnassignedVariable("point length != table size")
-        pow_cache: Dict[Tuple[int, int], int] = {}
+        if self._sparse is None:
+            self._sparse = _sparse_terms(self.terms, len(self.table))
+        top, sparse = self._sparse
+        powers: List[List[int]] = []
+        for x, e_max in zip(values, top):
+            row = [1]
+            for _ in range(e_max):
+                row.append(row[-1] * x)
+            powers.append(row)
         total = 0
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = values[i] ** e
-                        pow_cache[key] = p
-                    v *= p
+        for v, factors in sparse:
+            for i, e in factors:
+                v *= powers[i][e]
             total += v
         return total
 
@@ -382,6 +393,20 @@ class Polynomial:
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
         return cls.from_json_obj(json.loads(text))
+
+
+def _sparse_terms(terms: Mapping[Monomial, int], width: int):
+    """(largest exponent per variable, [(c, ((i, e), ...)), ...]) with only
+    the nonzero exponents listed: the form `eval_vector` walks."""
+    top = [0] * width
+    sparse = []
+    for m, c in terms.items():
+        factors = tuple((i, e) for i, e in enumerate(m) if e)
+        for i, e in factors:
+            if e > top[i]:
+                top[i] = e
+        sparse.append((c, factors))
+    return top, sparse
 
 
 def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
@@ -502,6 +527,15 @@ class PolyMatrix:
             term = entry * minor
             acc = acc + (term if j % 2 == 0 else -term)
         return acc
+
+
+def int_matrix_product(a: Sequence[Sequence[int]],
+                       b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Exact product of two integer matrices."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("matrix shapes do not match")
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def int_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:

@@ -247,12 +247,15 @@ class TestContract:
         ("solve", "--family", "sextic_uv", "--params", "3",
          "--seed", "2,1,3,-1,3,-4", "--step", "2,1,3,-1,3,-4",
          "--fixed", "1,0,0,0,0,0", "--count", "2"),
+        ("verify", "--family", "sextic_uv", "--threefold"),
     ])
     def test_malformed_input_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "sextic_uv" in argv:  # the family is named once
+            assert err == "error: sextic_uv has no trilinear composition map\n"
 
     def test_threads_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "quad2x2",

@@ -149,6 +149,16 @@ class TestVerifyIdentity:
                               method="matrix")
         assert not isinstance(res, ZeroResidual)
 
+    def test_matrix_route_checks_a_form_other_than_det(self):
+        # the family's own form is its structure's determinant, so only
+        # another form exercises the det - form check
+        fam = catalog.family("quartic4x4")
+        res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names,
+                              structure=fam.structure, recipe=fam.recipe,
+                              method="matrix")
+        assert not isinstance(res, ZeroResidual)
+        assert res.as_int() == -1
+
 
 class TestRoute:
     """The "auto" rule picks the route from the structure, not the size."""

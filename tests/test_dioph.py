@@ -1,13 +1,17 @@
 """Solution sequences of f = 1 and the brute-force oracle."""
 
+import itertools
+
 import pytest
 
 from matform import dioph
-from matform.catalog import family
+from matform.catalog import FormFamily, family
+from matform.compose import MultilinearMap
 from matform.dioph import (
     SearchSpaceTooLarge,
     SeedNotSolution,
     SequenceSpec,
+    SequenceVerificationError,
     StepNotSolution,
     brute_force_search,
     check_monotone_positive,
@@ -135,6 +139,115 @@ class TestSequences:
                             step=(6, 2, 3, 1), count=4)
         assert generate_sequence(spec).solutions \
             == generate_sequence(spec).solutions
+
+
+T4 = family("threefold4x4", (-1, -4, 1, -1, 1, 1))
+E4 = (1, 0, 0, 0)
+
+
+def bumped(cmap, key):
+    """cmap with the coefficient at `key` increased by one."""
+    coeff = dict(cmap.coeff)
+    one = cmap.param_table.const(1)
+    coeff[key] = coeff[key] + one if key in coeff else one
+    return MultilinearMap(cmap.k, cmap.h, cmap.params, coeff)
+
+
+def printed(fam):
+    """f at a point, term by term from the transcribed printed form."""
+    form = fam.printed_form.specialize(
+        dict(zip(fam.param_names, fam.param_values)))
+
+    def f(v):
+        env = dict(zip(fam.coord_names, v))
+        return form.eval_vector([env[n] for n in form.table.names])
+    return f
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every point FormFamily.evaluate is called on, in call order."""
+    seen = []
+    evaluate = FormFamily.evaluate
+
+    def counting(self, point):
+        seen.append(tuple(point))
+        return evaluate(self, point)
+    monkeypatch.setattr(FormFamily, "evaluate", counting)
+    return seen
+
+
+class TestIterateCertificate:
+    """Each iterate is proven by A(v) == A(a)A(b)[A(c)], with exact
+    evaluation where that fails and for the last iterate."""
+
+    @pytest.mark.parametrize("name, params, seed, key", [
+        ("quartic4x4", (5, -23, 2, -7), QUARTIC_SEQ[0], (0, (0, 0))),
+        ("sextic_uv", (3,), UV_SEQ[0], (0, (0, 0))),
+    ])
+    def test_mutated_pair_map_fails_at_iterate_1(self, monkeypatch, name,
+                                                 params, seed, key):
+        fam = family(name, params)
+        bad = bumped(fam.pair_map, key)
+        monkeypatch.setattr(FormFamily, "pair_map", property(lambda self: bad))
+        with pytest.raises(SequenceVerificationError, match="iterate 1 "):
+            generate_sequence(SequenceSpec(
+                family=fam, seed=seed, step=seed, count=4))
+
+    def test_mutated_triple_map_fails_at_iterate_1(self, monkeypatch):
+        fam = T4.specialize(T4.param_values)  # patched below
+        bad = bumped(fam.triple_map(), (0, (0, 0, 0)))
+        monkeypatch.setattr(fam, "triple_map", lambda variant=0: bad)
+        with pytest.raises(SequenceVerificationError, match="iterate 1 "):
+            generate_sequence(SequenceSpec(
+                family=fam, seed=T4_SEQ[0], count=4, mode="triple",
+                fixed1=E4, fixed2=T4_SEQ[0]))
+
+    def test_map_outside_the_certificate_falls_back(self, monkeypatch,
+                                                    evaluations):
+        # Every catalog pair law is commutative, so a pair map with its
+        # arguments swapped is the same map.  The trilinear law is not:
+        # map(y, x, z) still has f = 1 but is A(y)A(x)A(z), not the
+        # certified A(x)A(y)A(z), so some iterates need the fallback.
+        fam = T4.specialize(T4.param_values)  # patched below
+        cmap = fam.triple_map()
+        swapped = MultilinearMap(3, 4, (), {
+            (i, (j2, j1, j3)): c for (i, (j1, j2, j3)), c in cmap.coeff.items()})
+        monkeypatch.setattr(fam, "triple_map", lambda variant=0: swapped)
+        r = generate_sequence(SequenceSpec(
+            family=fam, seed=T4_SEQ[0], count=6, mode="triple",
+            fixed1=E4, fixed2=T4_SEQ[0]))
+        assert len(evaluations) > 4  # seed, fixed1, fixed2, last
+        assert r.solutions[1] != T4_SEQ[1]
+        f = printed(T4)
+        assert all(f(v) == 1 for v in r.solutions)
+
+    def test_certified_iterates_are_not_evaluated(self, evaluations):
+        r = generate_sequence(SequenceSpec(
+            family=QUARTIC, seed=QUARTIC_SEQ[0], step=QUARTIC_SEQ[0],
+            count=50))
+        assert r.solutions[:4] == QUARTIC_SEQ
+        assert evaluations == [QUARTIC_SEQ[0], QUARTIC_SEQ[0],
+                               r.solutions[-1]]  # seed, step, last
+        assert printed(QUARTIC)(r.solutions[-1]) == 1
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("current", "fixed1", "fixed2"))))
+    def test_every_slot_order_is_certified(self, order, evaluations):
+        # a second solution besides the seed, so no slot holds (1, 0, 0, 0)
+        r = generate_sequence(SequenceSpec(
+            family=T4, seed=T4_SEQ[0], count=6, mode="triple",
+            fixed1=(-4, 1, -3, 3), fixed2=T4_SEQ[0], order=order))
+        assert len(evaluations) == 4  # seed, fixed1, fixed2, last
+        f = printed(T4)
+        assert all(f(v) == 1 for v in r.solutions)
+
+    def test_family_without_matrix_evaluates_every_iterate(self, evaluations):
+        fam = family("sextic_uv", (3,))
+        r = generate_sequence(SequenceSpec(
+            family=fam, seed=UV_SEQ[0], step=UV_SEQ[0], count=4))
+        assert r.solutions == UV_SEQ
+        assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[1:]
 
 
 class TestMonotoneReports:

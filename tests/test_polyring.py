@@ -15,6 +15,7 @@ from matform.polyring import (
     VarTableMismatch,
     grlex_key,
     int_matrix_determinant,
+    int_matrix_product,
 )
 
 T = VarTable(("a", "b", "c"))
@@ -64,6 +65,21 @@ class TestRingAxioms:
     def test_evaluation_is_ring_homomorphism(self, p, q, v):
         assert (p + q).eval_vector(v) == p.eval_vector(v) + q.eval_vector(v)
         assert (p * q).eval_vector(v) == p.eval_vector(v) * q.eval_vector(v)
+
+    @given(polys(), polys())
+    def test_subtraction(self, p, q):
+        assert p - q == p + (-q)
+        assert 3 - p == T.const(3) + (-p)
+        assert (p - p).is_zero()
+
+    @given(polys(), st.lists(st.lists(st.integers(-9, 9), min_size=3,
+                                      max_size=3), min_size=1, max_size=4))
+    def test_eval_vector_is_the_term_sum(self, p, points):
+        # repeated calls reuse the polynomial's cached term list
+        for v in points:
+            expected = sum(c * v[0] ** m[0] * v[1] ** m[1] * v[2] ** m[2]
+                           for m, c in p.terms.items())
+            assert p.eval_vector(v) == expected
 
 
 class TestPolynomialBasics:
@@ -157,6 +173,23 @@ class TestDeterminants:
     def test_bareiss_matches_polynomial_det(self, rows):
         M = _int_matrix(rows, T)
         assert int_matrix_determinant(rows) == M.determinant().as_int()
+
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                    min_size=3, max_size=3),
+           st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3,
+                             max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=40)
+    def test_int_matrix_product(self, m, n):
+        product = int_matrix_product(m, n)
+        assert product == [[sum(m[i][k] * n[k][j] for k in range(3))
+                            for j in range(3)] for i in range(3)]
+        assert int_matrix_determinant(product) \
+            == int_matrix_determinant(m) * int_matrix_determinant(n)
+
+    def test_int_matrix_product_shapes(self):
+        assert int_matrix_product([[1, 2]], [[3], [4]]) == [[11]]
+        with pytest.raises(ValueError):
+            int_matrix_product([[1, 2]], [[3, 4]])
 
     def test_symbolic_det_agrees_with_cofactor_expansion(self):
         names = tuple(f"m{i}{j}" for i in range(4) for j in range(4))
