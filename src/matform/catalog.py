@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .compose import MultilinearMap
+from .compose import MultilinearMap, induced_map
 from .linstruct import (UNIT, ExtractionRecipe, LinearStructure, NotClosed,
                         companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
@@ -47,8 +47,9 @@ class FormFamily:
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A numeric family owns everything that depends
-    on its parameter values (structure, recipe, form, maps and the integer
-    cells of `matrix`); each is derived on first use and kept.
+    on its parameter values (structure, recipe, form and maps); each is
+    derived on first use and kept.  The integer A(point) of `matrix` is the
+    parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, description: str, kind: str,
@@ -117,17 +118,15 @@ class FormFamily:
     # -- matrix realization -------------------------------------------------
 
     def _own_structure(self):
-        """(structure, recipe, cells) at this instance's values, derived once.
+        """(structure, recipe) at this instance's values, derived once.
 
-        structure and recipe are None unless the structure is in the
-        family's own parameters (threefold_quadratic's is in (t, b, c),
-        sextic_uv has none).  The recipe is None also where one of its
-        divisors vanishes at these values, since extraction would divide by
-        zero.  Once no parameters are left, cells[i][j] lists the (r, c)
-        with A(x)[i][j] = sum of c * x[r]; otherwise cells is None.
+        Both are None unless the structure is in the family's own
+        parameters (threefold_quadratic's is in (t, b, c), sextic_uv has
+        none).  The recipe is None also where one of its divisors vanishes
+        at these values, since extraction would divide by zero.
         """
         if self._own is None:
-            st, recipe, cells = self._structure, self._recipe, None
+            st, recipe = self._structure, self._recipe
             if st is None or st.params != self.param_names:
                 st = recipe = None
             elif self.param_values is not None:
@@ -136,12 +135,7 @@ class FormFamily:
                     dict(zip(self.param_names, self.param_values)))
                 if not all(coeff for coeff, _ in recipe.divisors):
                     recipe = None
-            if st is not None and not st.params:
-                cells = [[[(r, c.as_int()) for r, c in enumerate(cell)
-                           if not c.is_zero()]
-                          for cell in row]
-                         for row in st.coeff]
-            self._own = (st, recipe, cells)
+            self._own = (st, recipe)
         return self._own
 
     @property
@@ -152,7 +146,7 @@ class FormFamily:
         `_own_structure` gives no recipe."""
         if self.is_symbolic():
             return self._structure
-        st, recipe, _ = self._own_structure()
+        st, recipe = self._own_structure()
         return st if recipe is not None else None
 
     @property
@@ -197,13 +191,10 @@ class FormFamily:
         if self._structure is None or self._recipe is None or \
                 (order == 2 and self.kind == "triple"):
             raise PolyError(f"{self.name} has no {word} composition map")
-        st = self._structure
-        cert = (st.verify_pair_closure(self._recipe) if order == 2
-                else st.verify_triple_closure(self._recipe))
-        if isinstance(cert, NotClosed):
+        cmap = induced_map(self._structure, order, self._recipe)
+        if isinstance(cmap, NotClosed):
             raise PolyError(f"{self.name} {word} closure failed unexpectedly")
-        return MultilinearMap.from_forms(
-            cert.outputs, st.params, [tuple(cs) for cs in cert.coord_sets])
+        return cmap
 
     def _specialized_map(self, key, cmap: MultilinearMap) -> MultilinearMap:
         if self.is_symbolic():
@@ -245,11 +236,8 @@ class FormFamily:
         None where the family has no parameter-free structure at these
         values (sextic_uv, threefold_quadratic)."""
         pt = self._point(point)
-        cells = self._own_structure()[2]
-        if cells is None:
-            return None
-        return [[sum(c * pt[r] for r, c in cell) for cell in row]
-                for row in cells]
+        st = self._own_structure()[0]
+        return None if st is None else st.matrix_of(pt, ())
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Exact integer value of the form at an integer point."""
@@ -941,14 +929,8 @@ def cubic_norm_progression_test(fam: FormFamily) -> Tuple[bool, Tuple[int, int, 
     if fam.degree != 3 or fam.h != 3:
         raise NotTernaryCubic(f"{fam.name} is not a ternary cubic")
     form = fam.form
-    coeffs = []
-    for i in range(3):
-        mono = tuple(3 if j == i else 0 for j in range(3))
-        c = form.coefficient_of(mono)
-        if isinstance(c, Polynomial):  # pragma: no cover - ints expected
-            c = c.as_int()
-        coeffs.append(int(c))
-    c1, c2, c3 = coeffs
+    c1, c2, c3 = (form.coefficient_of(tuple(3 if j == i else 0 for j in range(3)))
+                  for i in range(3))
     return (c1 * c3 == c2 * c2, (c1, c2, c3))
 
 

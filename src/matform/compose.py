@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linstruct import (ClosureCertificate, ExtractionRecipe, LinearStructure,
-                        NotClosed)
+from .linstruct import (ExtractionRecipe, LinearStructure, NotClosed,
+                        _multilinear_coeffs)
 from .polyring import PolyError, Polynomial, VarTable, _add_into
 
 
@@ -74,6 +74,7 @@ class MultilinearMap:
             if not (0 <= i < h) or len(js) != k or not all(0 <= j < h for j in js):
                 raise ValueError("coefficient index out of range")
             self.coeff[(i, tuple(js))] = c
+        self._ints: Optional[List[Tuple[int, Tuple[int, ...], int]]] = None
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -89,24 +90,8 @@ class MultilinearMap:
         if any(len(cs) != h for cs in coord_sets):
             raise DimensionMismatch("coordinate sets must have length h")
         ptable = VarTable(params)
-        coeff: Dict[Tuple[int, Tuple[int, ...]], Polynomial] = {}
-        for i, form in enumerate(forms):
-            table = form.table
-            set_idx = [[table.index(name) for name in cs] for cs in coord_sets]
-            pidx = [table.index(name) for name in params]
-            for m, c in form.terms.items():
-                js = []
-                for idxs in set_idx:
-                    active = [j for j, pos in enumerate(idxs) if m[pos]]
-                    if len(active) != 1 or m[idxs[active[0]]] != 1:
-                        raise ValueError("form is not multilinear in the coordinate sets")
-                    js.append(active[0])
-                pm = tuple(m[pos] for pos in pidx)
-                if sum(m) != k + sum(pm):
-                    raise ValueError("form involves variables outside params/coords")
-                key = (i, tuple(js))
-                add = Polynomial(ptable, {pm: c})
-                coeff[key] = coeff[key] + add if key in coeff else add
+        coeff = {(i, js): c for i, form in enumerate(forms)
+                 for js, c in _multilinear_coeffs(form, ptable, coord_sets).items()}
         return cls(k, h, params, coeff)
 
     def forms(self, coord_sets: Sequence[Sequence[str]],
@@ -130,11 +115,15 @@ class MultilinearMap:
         return [Polynomial._own(table, terms) for terms in out]
 
     def _int_coeffs(self):
-        """(i, js, integer coefficient) triples of a parameter-free map."""
-        if self.params:
-            raise ValueError(f"map has parameters {','.join(self.params)}; "
-                             "specialize it first")
-        return [(i, js, c.constant_term()) for (i, js), c in self.coeff.items()]
+        """(i, js, integer coefficient) triples of a parameter-free map,
+        derived on first use and kept."""
+        if self._ints is None:
+            if self.params:
+                raise ValueError(f"map has parameters {','.join(self.params)}; "
+                                 "specialize it first")
+            self._ints = [(i, js, c.constant_term())
+                          for (i, js), c in self.coeff.items()]
+        return self._ints
 
     def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """Exact output vector at integer arguments (parameter-free maps)."""
@@ -286,16 +275,10 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
         raise ValueError(f"unknown method {method!r}")
     if structure is None:
         raise ValueError("matrix method needs the linear structure")
-    if cmap.k == 2:
-        cert = structure.verify_pair_closure(recipe)
-    else:
-        cert = structure.verify_triple_closure(recipe)
-    if isinstance(cert, NotClosed):
-        res = cert.witness.residual
+    derived = induced_map(structure, cmap.k, recipe)
+    if isinstance(derived, NotClosed):
+        res = derived.witness.residual
         return res if res is not None else form.table.one()
-    derived = MultilinearMap.from_forms(
-        cert.outputs, structure.params,
-        [tuple(cs) for cs in cert.coord_sets])
     if not maps_equal(derived, cmap):
         # The supplied map is not the one the matrix family induces; fall
         # back to the honest expansion to produce a residual.
@@ -307,6 +290,20 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
         if not diff.is_zero():
             return diff
     return ZeroResidual("matrix", rule)
+
+
+def induced_map(structure: LinearStructure, order: int,
+                recipe: Optional[ExtractionRecipe] = None
+                ) -> Union[MultilinearMap, NotClosed]:
+    """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])) that the structure's
+    pair (order 2) or triple (order 3) closure certificate induces, or the
+    NotClosed witness."""
+    cert = (structure.verify_pair_closure(recipe) if order == 2
+            else structure.verify_triple_closure(recipe))
+    if isinstance(cert, NotClosed):
+        return cert
+    return MultilinearMap.from_forms(cert.outputs, structure.params,
+                                     cert.coord_sets)
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:

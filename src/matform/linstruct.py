@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable)
+from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable, _mul_into)
 
 
 class NameCollision(PolyError):
@@ -66,6 +66,34 @@ Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t
 UNIT: Divisor = (1, ())
 
 
+def _multilinear_coeffs(poly: Polynomial, ptable: VarTable,
+                        coord_sets: Sequence[Sequence[str]]
+                        ) -> Dict[Tuple[int, ...], Polynomial]:
+    """{(j1..jk): c} with poly = sum of c * s1[j1] * ... * sk[jk] over the
+    coordinate sets s1..sk, each c a polynomial over `ptable`.
+
+    Raises ValueError when a term is not of degree one in every set or
+    involves a variable outside the parameters and coordinates.
+    """
+    table = poly.table
+    set_idx = [[table.index(name) for name in cs] for cs in coord_sets]
+    pidx = [table.index(name) for name in ptable.names]
+    k = len(coord_sets)
+    out: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    for m, c in poly.terms.items():
+        js = []
+        for idxs in set_idx:
+            active = [j for j, pos in enumerate(idxs) if m[pos]]
+            if len(active) != 1 or m[idxs[active[0]]] != 1:
+                raise ValueError("not multilinear in the coordinate sets")
+            js.append(active[0])
+        pm = tuple(m[pos] for pos in pidx)
+        if sum(m) != k + sum(pm):
+            raise ValueError("involves variables outside params/coords")
+        out.setdefault(tuple(js), {})[pm] = c
+    return {js: Polynomial._own(ptable, terms) for js, terms in out.items()}
+
+
 @dataclass(frozen=True)
 class ExtractionRecipe:
     """Designated matrix positions from which coordinates are read back.
@@ -117,6 +145,7 @@ class LinearStructure:
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[tuple, object] = {}
+        self._cells: Dict[Tuple[int, ...], list] = {}
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -130,29 +159,13 @@ class LinearStructure:
         Every entry must be homogeneous linear in the coordinates with
         coefficients polynomial in the parameters.
         """
-        n = len(entries)
-        h = len(coords)
         ptable = VarTable(params)
-        coeff: List[List[List[Polynomial]]] = []
-        for row in entries:
-            crow: List[List[Polynomial]] = []
-            for entry in row:
-                cell = [ptable.zero() for _ in range(h)]
-                table = entry.table
-                cidx = [table.index(c) for c in coords]
-                pidx = [table.index(p) for p in params]
-                for m, c in entry.terms.items():
-                    active = [k for k, ci in enumerate(cidx) if m[ci]]
-                    if len(active) != 1 or m[cidx[active[0]]] != 1:
-                        raise ValueError("entry is not linear in the coordinates")
-                    if sum(m) != 1 + sum(m[i] for i in pidx):
-                        raise ValueError("entry mixes coordinates with foreign variables")
-                    pm = tuple(m[i] for i in pidx)
-                    k = active[0]
-                    cell[k] = cell[k] + Polynomial(ptable, {pm: c})
-                crow.append(cell)
-            coeff.append(crow)
-        return cls(n, h, params, coeff)
+        cells = [[_multilinear_coeffs(entry, ptable, (coords,)) for entry in row]
+                 for row in entries]
+        coeff = [[[cell.get((r,), ptable.zero()) for r in range(len(coords))]
+                  for cell in row]
+                 for row in cells]
+        return cls(len(entries), len(coords), params, coeff)
 
     # -- instantiation ----------------------------------------------------
 
@@ -172,35 +185,45 @@ class LinearStructure:
             raise NameCollision("coordinate names collide with parameters")
         if table is None:
             table = VarTable(self.params + coord_names)
-        coord_vars = [table.var(c) for c in coord_names]
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = table.zero()
-                for r in range(self.h):
-                    cr = self.coeff[i][j][r]
-                    if cr.is_zero():
-                        continue
-                    acc = acc + cr.embed(table) * coord_vars[r]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(rows)
+        flat = [entry for _, entry in
+                self._combine(table, [table.var(c) for c in coord_names])]
+        return PolyMatrix([flat[i * self.n:(i + 1) * self.n]
+                           for i in range(self.n)])
+
+    def _combine(self, table: VarTable, values: Sequence[Polynomial]):
+        """The entries ((i, j), sum_r L[i][j][r] * values[r]) of A(values)
+        over `table`, row by row, each accumulated in place."""
+        for i, row in enumerate(self.coeff):
+            for j, cell in enumerate(row):
+                acc: Dict[Tuple[int, ...], int] = {}
+                for cr, v in zip(cell, values):
+                    if cr.terms:
+                        _mul_into(acc, cr.embed(table).terms, v.terms)
+                yield (i, j), Polynomial._own(table, acc)
 
     def matrix_of(self, point: Sequence[int],
                   param_values: Sequence[int]) -> List[List[int]]:
-        """Integer matrix A(point) at numeric coordinates and parameters."""
+        """Integer matrix A(point) at numeric coordinates and parameters.
+
+        The integer cells, [(r, c), ...] with A[i][j] = sum of c * point[r],
+        are derived once per parameter tuple and kept.
+        """
         if len(point) != self.h:
             raise ValueError(f"expected {self.h} coordinates")
-        if len(param_values) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} parameter values")
-        pv = [int(v) for v in param_values]
-        return [
-            [sum(self.coeff[i][j][r].eval_vector(pv) * int(point[r])
-                 for r in range(self.h))
-             for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        key = tuple(param_values)
+        cells = self._cells.get(key)
+        if cells is None:
+            if len(key) != len(self.params):
+                raise ValueError(f"expected {len(self.params)} parameter values")
+            pv = [int(v) for v in key]
+            cells = [[[(r, c.eval_vector(pv)) for r, c in enumerate(cell)
+                       if not c.is_zero()]
+                      for cell in row]
+                     for row in self.coeff]
+            self._cells[key] = cells
+        pt = list(map(int, point))
+        return [[sum(c * pt[r] for r, c in cell) for cell in row]
+                for row in cells]
 
     def form(self, coord_names: Sequence[str]) -> Polynomial:
         """det(A(coord_names)): the degree-n form carried by the family.
@@ -288,18 +311,10 @@ class LinearStructure:
                     return NotInSpan(entry=(i, j), residual=None, reason="division")
                 divided[exps] = c // scale
             outputs.append(Polynomial(table, divided))
-        # Reconstruct and compare entrywise.
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = table.zero()
-                for r in range(self.h):
-                    cr = self.coeff[i][j][r]
-                    if cr.is_zero():
-                        continue
-                    acc = acc + cr.embed(table) * outputs[r]
-                residual = matrix[i, j] - acc
-                if not residual.is_zero():
-                    return NotInSpan(entry=(i, j), residual=residual, reason="mismatch")
+        for (i, j), rebuilt in self._combine(table, outputs):
+            residual = matrix[i, j] - rebuilt
+            if not residual.is_zero():
+                return NotInSpan(entry=(i, j), residual=residual, reason="mismatch")
         return outputs
 
     # -- closure checks ---------------------------------------------------

@@ -1,6 +1,8 @@
 """The built-in form families: transcribed data against derived data."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matform import catalog
 from matform.catalog import (
@@ -16,6 +18,10 @@ from matform.catalog import (
 )
 from matform.compose import MultilinearMap, maps_equal
 from matform.linstruct import ClosureCertificate, NotClosed
+
+# the families whose structure is in their own parameters
+STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
+              "sextic_circulant", "octic8x8", "threefold4x4", "threefold8x8")
 
 
 class TestRegistry:
@@ -109,6 +115,42 @@ class TestEvaluation:
         point = (2, 1, 3, -1, 3, -4)
         a, b = fam.evaluate_factors(point)
         assert a * b == fam.evaluate(point)
+
+
+class TestIntegerMatrix:
+    """FormFamily.matrix, the integer A(point) of LinearStructure.matrix_of,
+    against the symbolic structure instantiated and evaluated entrywise."""
+
+    @staticmethod
+    def symbolic_at(name, values, point):
+        base = family(name)
+        a = base.structure.instantiate(base.coord_names)
+        env = {**dict(zip(base.param_names, values)),
+               **dict(zip(base.coord_names, point))}
+        return [[a[i, j].eval_int(env) for j in range(a.n)] for i in range(a.n)]
+
+    @pytest.mark.parametrize("name", STRUCTURED)
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_matrix_equals_symbolic_instantiation(self, name, data):
+        nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        base = family(name)
+        values = data.draw(st.tuples(*[nonzero] * base.arity))
+        point = data.draw(st.tuples(*[nonzero] * base.h))
+        assert family(name, values).matrix(point) == \
+            self.symbolic_at(name, values, point)
+
+    def test_vanishing_divisor_still_gives_a_matrix(self):
+        values, point = (0, 1, 0, 2, 0, 0), (2, -1, 3, 1)
+        fam = family("threefold4x4", values)
+        assert fam.recipe is None and fam.structure is None
+        assert fam.matrix(point) == self.symbolic_at("threefold4x4", values, point)
+
+    @pytest.mark.parametrize("name, values", [
+        ("sextic_uv", (3,)), ("threefold_quadratic", (1, 2, 3))])
+    def test_no_parameter_free_structure_gives_none(self, name, values):
+        fam = family(name, values)
+        assert fam.matrix((1,) * fam.h) is None
 
 
 class TestInverseFormulas:

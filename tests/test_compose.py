@@ -20,7 +20,7 @@ from matform.compose import (
     verify_identity,
     verify_threefold_genuineness,
 )
-from matform.polyring import VarTable
+from matform.polyring import Polynomial, VarTable
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
@@ -100,6 +100,22 @@ class TestMultilinearMap:
         N = cmap.argument_matrix((x,), free_slot=1)
         assert tuple(sum(N[i][j] * y[j] for j in range(4)) for i in range(4)) \
             == cmap.apply((x, y))
+
+    def test_integer_terms_are_derived_once(self, monkeypatch):
+        cmap = catalog.family("quartic4x4", (5, -23, 2, -7)).pair_map
+        x, y = (6, 2, 3, 1), (352, 121, 192, 66)
+        first = cmap.apply((x, y))
+        calls = []
+        constant_term = Polynomial.constant_term
+
+        def counting(self):
+            calls.append(self)
+            return constant_term(self)
+        monkeypatch.setattr(Polynomial, "constant_term", counting)
+        for _ in range(100):
+            assert cmap.apply((x, y)) == first
+        cmap.argument_matrix((x,), free_slot=1)
+        assert calls == []
 
     def test_json_round_trip(self):
         cmap = catalog.family("cubic3x3").pair_map

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from matform.compose import MultilinearMap
 from matform.linstruct import (
     ClosureCertificate,
     ExtractionRecipe,
@@ -39,6 +40,21 @@ def tracefree_recipe(ct: str) -> ExtractionRecipe:
     return ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), (1, ())))
 
 
+READER_TABLE = VarTable(("p", "w", "x1", "x2", "y1", "y2"))
+
+
+def as_entry(q):
+    """`q`, linear in x1, x2, as the one entry of a 1x1 structure in p."""
+    return LinearStructure.from_matrix(("p",), ("x1", "x2"), [[q]])
+
+
+def as_forms(q):
+    """q*y1 and q*y2 as the outputs of a bilinear map in p."""
+    y1, y2 = READER_TABLE.var("y1"), READER_TABLE.var("y2")
+    return MultilinearMap.from_forms(
+        [q * y1, q * y2], ("p",), (("x1", "x2"), ("y1", "y2")))
+
+
 class TestConstruction:
     def test_from_matrix_instantiate_round_trip(self):
         st = pell("p", "q")
@@ -61,6 +77,18 @@ class TestConstruction:
             LinearStructure.from_matrix(
                 ("p",), ("x1", "x2"), [[x1 + table.one(), x2], [x2, x1]])
 
+    @pytest.mark.parametrize("read", [as_entry, as_forms],
+                             ids=["from_matrix", "from_forms"])
+    @pytest.mark.parametrize("term, message", [
+        (lambda v: v["x1"] * v["x1"], "not multilinear"),
+        (lambda v: v["w"] * v["x1"], "outside params/coords"),
+    ], ids=["not_multilinear", "foreign_variable"])
+    def test_multilinear_reader_rejections(self, read, term, message):
+        v = dict(zip(READER_TABLE.names, READER_TABLE.vars()))
+        read(v["p"] * v["x1"] + v["x2"])  # the same shape, accepted
+        with pytest.raises(ValueError, match=message):
+            read(term(v))
+
     def test_instantiate_name_collisions(self):
         st = pell("p", "q")
         with pytest.raises(NameCollision):
@@ -76,6 +104,14 @@ class TestConstruction:
         for i in range(2):
             for j in range(2):
                 assert M[i][j] == S[i, j].eval_int(env)
+
+    def test_matrix_of_keeps_cells_per_parameter_tuple(self):
+        st = pell("p", "q")
+        S = st.instantiate(("x1", "x2"))
+        for params in [(5, 7), (1, -2), (5, 7)]:
+            env = {"p": params[0], "q": params[1], "x1": 3, "x2": -2}
+            assert st.matrix_of((3, -2), params) == \
+                [[S[i, j].eval_int(env) for j in range(2)] for i in range(2)]
 
     def test_specialize_removes_parameters(self):
         st = pell("p", "q").specialize((0, -1))
