@@ -12,9 +12,10 @@ caught.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .compose import MultilinearMap, induced_map
+from .compose import (MultilinearMap, ZeroResidual, induced_map, maps_equal,
+                      verify_identity)
 from .linstruct import (UNIT, ExtractionRecipe, LinearStructure, NotClosed,
                         companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
@@ -47,9 +48,10 @@ class FormFamily:
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A numeric family owns everything that depends
-    on its parameter values (structure, recipe, form and maps); each is
-    derived on first use and kept.  The integer A(point) of `matrix` is the
-    parameter-free structure's `matrix_of`.
+    on its parameter values (structure, recipe, form and maps, each derived
+    on first use and kept) and proves its identity with `verify`.  The
+    integer A(point) of `matrix` is the parameter-free structure's
+    `matrix_of`.
     """
 
     def __init__(self, name: str, description: str, kind: str,
@@ -140,10 +142,10 @@ class FormFamily:
 
     @property
     def structure(self) -> Optional[LinearStructure]:
-        """The matrix realization for closure and the matrix proof route:
-        the symbolic structure on a symbolic family (threefold_quadratic's
-        is in t, b, c), else the structure at these values, or None where
-        `_own_structure` gives no recipe."""
+        """The matrix realization for closure: the symbolic structure on
+        a symbolic family (threefold_quadratic's is in t, b, c), else the
+        structure at these values, or None where `_own_structure` gives no
+        recipe."""
         if self.is_symbolic():
             return self._structure
         st, recipe = self._own_structure()
@@ -219,6 +221,28 @@ class FormFamily:
     @property
     def triple_map_count(self) -> int:
         return max(len(self._base._triple_maps), 1)
+
+    # -- identity ------------------------------------------------------------
+
+    def verify(self, cmap: MultilinearMap) -> Union[ZeroResidual, Polynomial]:
+        """`verify_identity` of the family's form under `cmap`.  The form is
+        passed as None (det of the family's own structure) wherever that
+        structure has a recipe.  Where a recipe divisor vanishes, the
+        symbolic identity proves `cmap` if it is the family's map here."""
+        st, recipe = self._own_structure()
+        if recipe is not None:
+            return verify_identity(None, cmap, self.coord_names,
+                                   structure=st, recipe=recipe)
+        base = self._base
+        if st is not None and base is not self and \
+                (cmap.k == 3 or self.kind != "triple"):
+            law = base.triple_map() if cmap.k == 3 else base.pair_map
+            if maps_equal(cmap, law.specialize(self.param_values)) and \
+                    isinstance(base.verify(law), ZeroResidual):
+                return ZeroResidual("matrix", "recipe divisor vanishes; "
+                                    "symbolic identity specialized")
+        return verify_identity(self.form, cmap, self.coord_names,
+                               factors=self.factors)
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -944,12 +968,10 @@ def circulant_factor_check(q: Optional[int] = None):
 
     Returns True, or the first nonzero residual polynomial.
     """
-    from .compose import ZeroResidual, verify_identity
-
     for name in ("sextic_circulant", "sextic_uv"):
         fam = family(name) if q is None else family(name, (q,))
         res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                              factors=fam.factors, method="expand")
+                              factors=fam.factors)
         if not isinstance(res, ZeroResidual):
             return res
     return True

@@ -117,9 +117,7 @@ def _cmd_emit_form(args) -> int:
 def _cmd_verify(args) -> int:
     fam = _family(args.family, args.params)
     cmap = _composition_map(fam, args.threefold or fam.kind == "triple")
-    result = compose.verify_identity(fam.form, cmap, fam.coord_names,
-                                     structure=fam.structure, recipe=fam.recipe,
-                                     factors=fam.factors)
+    result = fam.verify(cmap)
     if isinstance(result, ZeroResidual):
         _emit({"status": "zero-residual", "method": result.method},
               "ZERO-RESIDUAL", args.format)
@@ -176,12 +174,15 @@ def _cmd_solve(args) -> int:
             raise UsageError(f"{fam.name} composes three arguments; "
                              f"supply --fixed")
         _composition_map(fam, threefold=True)
-        if sorted(args.order) != ["x", "y", "z"]:
+        order = "xyz" if args.order is None else args.order
+        if sorted(order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")
         spec = dioph.SequenceSpec(
             family=fam, seed=args.seed, count=args.count, mode="triple",
             fixed1=args.fixed, fixed2=args.step,
-            order=tuple(_SLOT_BY_LETTER[ch] for ch in args.order))
+            order=tuple(_SLOT_BY_LETTER[ch] for ch in order))
+    elif args.order is not None:
+        raise UsageError("--order applies to three-argument maps only")
     else:
         spec = dioph.SequenceSpec(family=fam, seed=args.seed, step=args.step,
                                   count=args.count)
@@ -295,9 +296,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_int_vector, required=True)
     p.add_argument("--step", type=_int_vector, required=True)
     p.add_argument("--fixed", type=_int_vector)
-    p.add_argument("--order", default="xyz",
-                   help="slot order for three-argument maps: x=current, "
-                        "y=fixed, z=step")
+    p.add_argument("--order",
+                   help="slot order for three-argument maps (default xyz): "
+                        "x=current, y=fixed, z=step")
     p.add_argument("--count", type=_nonnegative_int, required=True)
 
     p = add("search", _cmd_search, "json", "numeric")

@@ -5,12 +5,13 @@ A MultilinearMap holds the coefficient tensor of a bilinear (k=2) or
 trilinear (k=3) map: output_i = sum lambda_{i,j1..jk} * arg1_{j1} * ... *
 argk_{jk}, with entries polynomial in named parameters.  Identity
 verification is exact.  Where the form is the determinant of a matrix
-family in the map's own parameters, the proof goes through that family: the
-entrywise product identity A(x)A(y) = A(z) is checked symbolically, the form
-is checked to equal det(A(.)) symbolically, and multiplicativity of the
-determinant does the rest.  Otherwise the residual is expanded termwise, one
-factor at a time where the form is given as a product.  Every route is
-deterministic and exact.
+family in the map's own parameters, the proof goes through that family:
+the entrywise product identity A(x)A(y) = A(z) is checked symbolically,
+and multiplicativity of the determinant does the rest.  A form that is
+det(A) by definition (passed as None) is never expanded; a form given
+explicitly is checked to equal det(A).  Otherwise the residual is expanded
+termwise, one factor at a time where the form is given as a product.
+Every route is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class ZeroResidual:
     `method` records the proof route: "expand" for a termwise expansion of
     f(args...) - f(map(args...)) (of each factor's identity where the form
     was given as a product), "matrix" for the entrywise matrix-product
-    identity combined with form == det and det multiplicativity.  `reason`
-    names the rule that chose the route and what was expanded.
+    identity combined with det multiplicativity (and form == det where the
+    form was given rather than defined as det).  `reason` names the rule
+    that chose the route and what was expanded.
     """
     method: str
     reason: str
@@ -216,80 +218,69 @@ def _difference(a: Polynomial, b: Polynomial) -> Polynomial:
     return (a.embed(b.table) if a.table != b.table else a) - b
 
 
-def _prove_by_expansion(factors: Sequence[Polynomial], cmap: MultilinearMap,
-                        coord_names: Sequence[str],
-                        rule: str) -> Union[ZeroResidual, Polynomial]:
-    """Expand the residual of each factor's identity (of the whole form for
-    a single factor): f_i(x)f_i(y)[f_i(z)] = f_i(map(...)) for every i
-    gives the identity of their product, which the caller has checked to
-    be the form."""
-    for part in factors:
-        residual = _expand_residual(part, cmap, coord_names)
-        if not residual.is_zero():
-            return residual
-    what = (f"{len(factors)} factors expanded one at a time"
-            if len(factors) > 1 else "whole form expanded")
-    return ZeroResidual("expand", f"{rule}; {what}")
-
-
-def verify_identity(form: Polynomial, cmap: MultilinearMap,
+def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
                     coord_names: Sequence[str],
                     structure: Optional[LinearStructure] = None,
                     recipe: Optional[ExtractionRecipe] = None,
-                    factors: Optional[Sequence[Polynomial]] = None,
-                    method: str = "auto") -> Union[ZeroResidual, Polynomial]:
+                    factors: Optional[Sequence[Polynomial]] = None
+                    ) -> Union[ZeroResidual, Polynomial]:
     """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically.
 
-    method "auto" picks the route from the data's structure, not its size:
+    `form=None` stands for det(structure); the determinant is then computed
+    only where a route needs the polynomial itself.  The route follows from
+    the arguments' structure, not their size:
     - "matrix" when `structure` is in the map's own parameters
-      (structure.params == cmap.params), i.e. when its determinant can be
-      the form;
+      (structure.params == cmap.params).  It checks the closure certificate
+      of the matrix family (with `recipe`), that the certificate induces
+      `cmap`, and det(A) == form where a form is given; multiplicativity of
+      the determinant then proves the identity.  Where the structure
+      induces another map the route falls back to expansion.
     - otherwise "expand", one factor at a time when `factors` holds more
       than one factor, else of the whole form.
-    method "matrix" (needs `structure`, optionally `recipe`) checks the
-    closure certificate of the matrix family, that it induces `cmap`, and
-    form == det(A) symbolically; multiplicativity of the determinant then
-    proves the identity.  Where the structure induces another map the
-    route falls back to expansion.  method "expand" computes the residual
-    termwise.  On every route, `factors` must multiply to `form`.
+    On every route, `factors` must multiply to the form.
     Returns ZeroResidual on success; on failure, product(factors) - form,
     the nonzero residual polynomial ("expand"), or the offending entry
     residual or det - form ("matrix").
     """
-    if factors is not None and len(factors) > 1:
-        unfactored = _difference(math.prod(factors), form)
+    if form is None and structure is None:
+        raise ValueError("form=None stands for det(structure): pass one")
+
+    def the_form() -> Polynomial:
+        return form if form is not None else structure.form(coord_names)
+
+    split = factors is not None and len(factors) > 1
+    if split:
+        unfactored = _difference(math.prod(factors), the_form())
         if not unfactored.is_zero():
             return unfactored
-    else:
-        factors = (form,)
-    if method == "auto":
-        if structure is not None and structure.params == cmap.params:
-            method, rule = "matrix", "structure in the map's parameters"
-        else:
-            method, rule = "expand", "no structure in the map's parameters"
-    else:
-        rule = f"method {method!r} requested"
-    if method == "expand":
-        return _prove_by_expansion(factors, cmap, coord_names, rule)
-    if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
-    if structure is None:
-        raise ValueError("matrix method needs the linear structure")
+
+    def expand(rule: str) -> Union[ZeroResidual, Polynomial]:
+        # f_i(x)f_i(y)[f_i(z)] = f_i(map(...)) for every factor gives the
+        # identity of their product, which is the form
+        for part in factors if split else (the_form(),):
+            residual = _expand_residual(part, cmap, coord_names)
+            if not residual.is_zero():
+                return residual
+        what = (f"{len(factors)} factors expanded one at a time" if split
+                else "whole form expanded")
+        return ZeroResidual("expand", f"{rule}; {what}")
+
+    if structure is None or structure.params != cmap.params:
+        return expand("no structure in the map's parameters")
     derived = induced_map(structure, cmap.k, recipe)
     if isinstance(derived, NotClosed):
-        res = derived.witness.residual
-        return res if res is not None else form.table.one()
+        # no residual where a divisor does not divide: 1 on det's table
+        return derived.witness.residual or \
+            VarTable(structure.params + tuple(coord_names)).one()
     if not maps_equal(derived, cmap):
         # The supplied map is not the one the matrix family induces; fall
         # back to the honest expansion to produce a residual.
-        return _prove_by_expansion(factors, cmap, coord_names,
-                                   "structure induces another map")
-    det = structure.form(coord_names)
-    if det is not form:  # a family's form is its structure's cached det
-        diff = _difference(det, form)
+        return expand("structure induces another map")
+    if form is not None:
+        diff = _difference(structure.form(coord_names), form)
         if not diff.is_zero():
             return diff
-    return ZeroResidual("matrix", rule)
+    return ZeroResidual("matrix", "structure in the map's parameters")
 
 
 def induced_map(structure: LinearStructure, order: int,

@@ -324,35 +324,12 @@ class LinearStructure:
         return tuple(
             tuple(f"{p}{i + 1}" for i in range(self.h)) for p in prefixes)
 
-    def _cached_closure(self, order: int, recipe: ExtractionRecipe, decide):
-        """Closure results are cached per (order, recipe): deriving a
-        family's map and proving its identity by the matrix route both need
-        the same certificate."""
-        key = (order, recipe)
-        got = self._closure_cache.get(key)
-        if got is None:
-            got = decide(recipe)
-            self._closure_cache[key] = got
-        return got
-
     def verify_pair_closure(self, recipe: Optional[ExtractionRecipe] = None):
         """Symbolically check A(x) A(y) = A(z) for bilinear z.
 
         Returns a ClosureCertificate carrying the z-forms, or NotClosed.
         """
-        return self._cached_closure(2, recipe or self.default_recipe(),
-                                    self._decide_pair_closure)
-
-    def _decide_pair_closure(self, recipe: ExtractionRecipe):
-        xs, ys = self._coord_sets(2)
-        table = VarTable(self.params + xs + ys)
-        ax = self.instantiate(xs, table)
-        ay = self.instantiate(ys, table)
-        result = self.extract_coordinates(recipe, ax @ ay)
-        if isinstance(result, NotInSpan):
-            return NotClosed(order=2, witness=result)
-        return ClosureCertificate(
-            order=2, coord_sets=(xs, ys), outputs=tuple(result))
+        return self._closure(2, recipe or self.default_recipe())
 
     def verify_triple_closure(self, recipe: Optional[ExtractionRecipe] = None):
         """Symbolically check A(x) A(y) A(z) = A(w) for trilinear w.
@@ -361,22 +338,31 @@ class LinearStructure:
         (then the triple law is the pairwise law applied twice) or not (the
         genuinely three-fold case).
         """
-        return self._cached_closure(3, recipe or self.default_recipe(),
-                                    self._decide_triple_closure)
+        return self._closure(3, recipe or self.default_recipe())
 
-    def _decide_triple_closure(self, recipe: ExtractionRecipe):
-        pair = self.verify_pair_closure(recipe)
-        xs, ys, zs = self._coord_sets(3)
-        table = VarTable(self.params + xs + ys + zs)
-        ax = self.instantiate(xs, table)
-        ay = self.instantiate(ys, table)
-        az = self.instantiate(zs, table)
-        result = self.extract_coordinates(recipe, ax @ ay @ az)
-        if isinstance(result, NotInSpan):
-            return NotClosed(order=3, witness=result)
-        return ClosureCertificate(
-            order=3, coord_sets=(xs, ys, zs), outputs=tuple(result),
-            pairwise_failure=pair if isinstance(pair, NotClosed) else None)
+    def _closure(self, order: int, recipe: ExtractionRecipe):
+        """The closure result of `order` factors, cached per (order,
+        recipe): deriving a family's map and proving its identity by the
+        matrix route both need the same certificate."""
+        key = (order, recipe)
+        got = self._closure_cache.get(key)
+        if got is None:
+            pair = self.verify_pair_closure(recipe) if order == 3 else None
+            sets = self._coord_sets(order)
+            table = VarTable(self.params + sum(sets, ()))
+            product = self.instantiate(sets[0], table)
+            for cs in sets[1:]:
+                product = product @ self.instantiate(cs, table)
+            result = self.extract_coordinates(recipe, product)
+            if isinstance(result, NotInSpan):
+                got = NotClosed(order=order, witness=result)
+            else:
+                got = ClosureCertificate(
+                    order=order, coord_sets=sets, outputs=tuple(result),
+                    pairwise_failure=(pair if isinstance(pair, NotClosed)
+                                      else None))
+            self._closure_cache[key] = got
+        return got
 
     # -- block lifting ------------------------------------------------------
 

@@ -50,7 +50,7 @@ def test_criterion_2_threefold_suite():
     quad = family("threefold_quadratic")
     for variant in range(quad.triple_map_count):
         res = verify_identity(quad.form, quad.triple_map(variant),
-                              quad.coord_names, method="expand")
+                              quad.coord_names)
         assert isinstance(res, ZeroResidual), f"quadratic variant {variant}"
 
     # quartic and octic trilinear identities

@@ -1,14 +1,25 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matform.catalog import FormFamily
 from matform.cli import _no_int_str_limit, main
+from matform.linstruct import LinearStructure
+from matform.polyring import PolyMatrix
 
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
+# structure in the family's own parameters: verify takes the matrix route
+MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
+                 "sextic_circulant", "octic8x8", "threefold4x4",
+                 "threefold8x8")
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +81,40 @@ class TestVerify:
         assert out.strip() == "ZERO-RESIDUAL"
 
 
+class TestVerifyWithoutDeterminant:
+    """A realized family's identity follows from its closure certificate:
+    verify asks for no form and computes no symbolic determinant."""
+
+    @pytest.mark.parametrize("argv", [
+        *(("--family", name) for name in MATRIX_ROUTED),
+        ("--family", "octic8x8", "--params=0,-5,0,-3,0,-14"),
+        ("--family", "threefold4x4", "--params=-1,-4,1,-1,1,1"),
+        ("--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1"),
+    ])
+    def test_no_determinant(self, capsys, monkeypatch, argv):
+        # both form accessors are counted too: their caches would hide a
+        # determinant that an earlier test already computed
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PolyMatrix, "determinant",
+                            counting("det", PolyMatrix.determinant))
+        monkeypatch.setattr(LinearStructure, "form",
+                            counting("structure.form", LinearStructure.form))
+        monkeypatch.setattr(FormFamily, "form", property(
+            counting("family.form", FormFamily.form.fget)))
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out) == {"status": "zero-residual",
+                                   "method": "matrix"}
+        assert calls == []
+
+
 class TestClosure:
     def test_pair_closed(self, capsys):
         code, out, _ = run_cli(capsys, "closure", "--family", "quad2x2",
@@ -126,6 +171,15 @@ class TestNumericParams:
         symbolic = run_cli(capsys, "closure", "--family", "threefold4x4",
                            "--order", "triple", "--format", "json")
         assert (code, out, err) == symbolic
+
+    def test_vanishing_divisors_verify_the_symbolic_identity(self, capsys):
+        # no recipe at s = t = 0: the proof is the symbolic family's, for
+        # the map specialized to these values, not an expansion
+        code, out, err = run_cli(capsys, "verify", "--family", "threefold4x4",
+                                 "--params=0,1,0,2,0,0", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out) == {"status": "zero-residual",
+                                   "method": "matrix"}
 
 
 class TestSolve:
@@ -248,6 +302,9 @@ class TestContract:
          "--seed", "2,1,3,-1,3,-4", "--step", "2,1,3,-1,3,-4",
          "--fixed", "1,0,0,0,0,0", "--count", "2"),
         ("verify", "--family", "sextic_uv", "--threefold"),
+        # --order names the slots of a three-argument map only
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--order", "zzz", "--count", "2"),
     ])
     def test_malformed_input_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -275,3 +332,100 @@ class TestContract:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ZERO-RESIDUAL"
+
+
+# -- fuzzing the whole surface -------------------------------------------------
+
+# small families: name -> (parameter count, coordinate count)
+FUZZ_SHAPES = {"quad2x2": (2, 2), "cubic3x3": (5, 3), "quartic4x4": (4, 4),
+               "threefold_quadratic": (3, 2)}
+# subcommand -> its flags; True marks a required one
+FUZZ_FLAGS = {
+    "list-families": {},
+    "emit-form": {"--family": True, "--params": False},
+    "verify": {"--family": True, "--params": False, "--threefold": False},
+    "closure": {"--family": True, "--params": False, "--order": True},
+    "solve": {"--family": True, "--params": True, "--seed": True,
+              "--step": True, "--fixed": False, "--order": False,
+              "--count": True},
+    "search": {"--family": True, "--params": True, "--bound": True},
+    "invert": {"--family": True, "--params": True, "--point": True},
+    "block": {"--outer": True, "--inner": True},
+    "zzz": {},
+}
+JUNK_NAME = st.sampled_from(("zzz", "", "QUAD2X2", "quad2x2 ", "sextic"))
+JUNK_VECTOR = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=6).map(
+        lambda v: ",".join(map(str, v))),
+    st.sampled_from((",", "1,,2", "x", "1.5", " 1", "1e3", "--", "symbolic",
+                     "1" * 4400)))
+JUNK_NUMBER = st.sampled_from(("", "x", "1.0", "+1", "-1", "\u00b2",
+                               "1" * 4400))
+JUNK = {"--family": JUNK_NAME, "--outer": JUNK_NAME, "--inner": JUNK_NAME,
+        "--params": JUNK_VECTOR, "--seed": JUNK_VECTOR, "--step": JUNK_VECTOR,
+        "--fixed": JUNK_VECTOR, "--point": JUNK_VECTOR,
+        "--count": JUNK_NUMBER, "--bound": JUNK_NUMBER,
+        "--threads": JUNK_NUMBER, "--order": st.sampled_from(("", "xxy", "zzz")),
+        "--format": st.sampled_from(("xml", ""))}
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand with well-formed values for a small family; in half
+    the draws up to two of them are junk, and some flags are left out."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    name = draw(st.sampled_from(sorted(FUZZ_SHAPES)))
+    arity, h = FUZZ_SHAPES[name]
+    ints = st.lists(st.integers(-3, 3), min_size=h, max_size=h)
+    vector = st.one_of(st.just((1,) + (0,) * (h - 1)), ints).map(_csv)
+    good = {
+        "--family": st.just(name), "--outer": st.just(name),
+        "--inner": st.sampled_from(sorted(FUZZ_SHAPES)),
+        "--params": st.one_of(st.just("symbolic"), *[st.lists(
+            st.integers(-3, 3), min_size=arity, max_size=arity).map(_csv)] * 3),
+        "--seed": vector, "--step": vector, "--fixed": vector,
+        "--point": vector,
+        "--count": st.integers(0, 4).map(str),
+        "--bound": st.integers(0, 2).map(str),
+        "--order": st.sampled_from(("pair", "triple") if command == "closure"
+                                   else ("xyz", "zyx")),
+        "--format": st.sampled_from(("json", "text")),
+        "--threads": st.integers(1, 4).map(str),
+    }
+    flags = dict(FUZZ_FLAGS[command], **{"--format": False, "--threads": False})
+    bad = (draw(st.sets(st.sampled_from(sorted(JUNK)), max_size=2))
+           if draw(st.booleans()) else ())
+    argv = [command]
+    for flag, required in flags.items():
+        if draw(st.integers(0, 15 if required else 1)) == 0:
+            continue
+        if flag == "--threefold":
+            argv.append(flag)
+        else:
+            # "=" keeps a leading "-" in the value from reading as a flag
+            value = draw((JUNK if flag in bad else good)[flag])
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+class TestFuzz:
+    @given(fuzz_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_any_argv_keeps_the_exit_and_output_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ") \
+                and err.count("\n") == 1, (argv, err)
+        elif "--format=json" in argv or (
+                argv[0] not in ("verify", "closure")  # text by default
+                and "--format=text" not in argv):
+            json.loads(out)  # one JSON document

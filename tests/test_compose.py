@@ -37,10 +37,8 @@ def composition_map(fam):
 
 
 def verify_auto(fam, cmap=None):
-    """verify_identity with everything the CLI passes, route left to "auto"."""
-    return verify_identity(fam.form, cmap or composition_map(fam),
-                           fam.coord_names, structure=fam.structure,
-                           recipe=fam.recipe, factors=fam.factors)
+    """The family's own proof of its identity, as the CLI runs it."""
+    return fam.verify(cmap or composition_map(fam))
 
 
 def mutated(cmap):
@@ -127,19 +125,18 @@ class TestMultilinearMap:
 class TestVerifyIdentity:
     def test_expand_zero_residual(self):
         fam = catalog.family("quad2x2")
-        res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                              method="expand")
+        res = verify_identity(fam.form, fam.pair_map, fam.coord_names)
         assert isinstance(res, ZeroResidual)
 
     def test_matrix_route_agrees_with_expansion(self):
         fam = catalog.family("quartic4x4")
         by_matrix = verify_identity(fam.form, fam.pair_map, fam.coord_names,
                                     structure=fam.structure,
-                                    recipe=fam.recipe, method="matrix")
-        by_expand = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                    method="expand")
+                                    recipe=fam.recipe)
+        by_expand = verify_identity(fam.form, fam.pair_map, fam.coord_names)
         assert isinstance(by_matrix, ZeroResidual)
         assert isinstance(by_expand, ZeroResidual)
+        assert (by_matrix.method, by_expand.method) == ("matrix", "expand")
 
     def test_mutated_map_yields_nonzero_residual(self):
         fam = catalog.family("quad2x2")
@@ -148,8 +145,7 @@ class TestVerifyIdentity:
         key = (0, (0, 0))
         bad[key] = bad[key] + 1
         mutant = MultilinearMap(2, 2, cmap.params, bad)
-        res = verify_identity(fam.form, mutant, fam.coord_names,
-                              method="expand")
+        res = verify_identity(fam.form, mutant, fam.coord_names)
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
 
@@ -161,8 +157,7 @@ class TestVerifyIdentity:
         bad[key] = bad[key] + 1
         mutant = MultilinearMap(2, 4, cmap.params, bad)
         res = verify_identity(fam.form, mutant, fam.coord_names,
-                              structure=fam.structure, recipe=fam.recipe,
-                              method="matrix")
+                              structure=fam.structure, recipe=fam.recipe)
         assert not isinstance(res, ZeroResidual)
 
     def test_matrix_route_checks_a_form_other_than_det(self):
@@ -170,14 +165,19 @@ class TestVerifyIdentity:
         # another form exercises the det - form check
         fam = catalog.family("quartic4x4")
         res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names,
-                              structure=fam.structure, recipe=fam.recipe,
-                              method="matrix")
+                              structure=fam.structure, recipe=fam.recipe)
         assert not isinstance(res, ZeroResidual)
         assert res.as_int() == -1
 
+    def test_form_none_needs_a_structure(self):
+        # form=None stands for det(structure)
+        fam = catalog.family("quad2x2")
+        with pytest.raises(ValueError):
+            verify_identity(None, fam.pair_map, fam.coord_names)
+
 
 class TestRoute:
-    """The "auto" rule picks the route from the structure, not the size."""
+    """The route follows from the structure passed, not from the size."""
 
     @pytest.mark.parametrize("name", MATRIX_ROUTED)
     def test_structure_in_map_parameters_takes_matrix_route(self, name):
@@ -204,6 +204,20 @@ class TestRoute:
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
 
+    def test_vanishing_divisor_proves_only_the_familys_map(self):
+        # s = t = 0: no recipe here, so the symbolic identity stands in,
+        # for the family's own map only
+        fam = catalog.family("threefold4x4", (0, 1, 0, 2, 0, 0))
+        assert fam.recipe is None
+        assert verify_auto(fam) == ZeroResidual(
+            "matrix", "recipe divisor vanishes; symbolic identity specialized")
+        # the form is 4*x4^4 here and w4 = 2*x4*y4*z4; 3*x4*y4*z4 fails
+        bad = dict(fam.triple_map().coeff)
+        bad[(3, (3, 3, 3))] = bad[(3, (3, 3, 3))] + 1
+        res = verify_auto(fam, cmap=MultilinearMap(3, 4, (), bad))
+        assert not isinstance(res, ZeroResidual)
+        assert not res.is_zero()
+
     @pytest.mark.parametrize("name",
                              ["quad2x2", "sextic_circulant", "sextic_uv"])
     def test_factors_must_multiply_to_the_form(self, name):
@@ -212,12 +226,11 @@ class TestRoute:
         fam = catalog.family(name)
         f1 = fam.factors[0]
         for factors in ((f1, f1), (f1, f1, f1)):
-            for method in ("auto", "expand"):
+            for structure in (fam.structure, None):
                 res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                      structure=fam.structure,
-                                      recipe=fam.recipe, factors=factors,
-                                      method=method)
-                assert not isinstance(res, ZeroResidual), (factors, method)
+                                      structure=structure,
+                                      recipe=fam.recipe, factors=factors)
+                assert not isinstance(res, ZeroResidual), (factors, structure)
                 assert not res.is_zero()
 
 
@@ -313,7 +326,7 @@ class TestThreefold:
         fam = catalog.family("threefold_quadratic")
         for variant in range(fam.triple_map_count):
             res = verify_identity(fam.form, fam.triple_map(variant),
-                                  fam.coord_names, method="expand")
+                                  fam.coord_names)
             assert isinstance(res, ZeroResidual)
 
 
