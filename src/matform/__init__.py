@@ -6,7 +6,7 @@ Modules:
     linstruct -- matrices linear in coordinates; closure checks; block lifting
     compose   -- bilinear/trilinear composition maps and identity verification
     catalog   -- the built-in form families
-    dioph     -- solution sequences and a brute-force search oracle
+    dioph     -- solution sequences and the f = target box search
     cli       -- command-line interface
 """
 

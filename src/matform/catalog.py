@@ -246,22 +246,21 @@ class FormFamily:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _point(self, point: Sequence[int]) -> List[int]:
-        """`point` as integers, once the family and the length allow it."""
+    def _check_point(self, point: Sequence[int]) -> None:
+        """Raise ValueError unless the family is numeric and `point` has
+        one entry per coordinate; the callee converts it to integers."""
         if self.param_values is None and self.arity > 0:
             raise ValueError(f"{self.name} needs numeric parameter values")
-        pt = [int(v) for v in point]
-        if len(pt) != self.h:
+        if len(point) != self.h:
             raise ValueError(f"point must have length {self.h}")
-        return pt
 
     def matrix(self, point: Sequence[int]) -> Optional[List[List[int]]]:
         """The integer matrix A(point) whose determinant is the form, or
         None where the family has no parameter-free structure at these
         values (sextic_uv, threefold_quadratic)."""
-        pt = self._point(point)
+        self._check_point(point)
         st = self._own_structure()[0]
-        return None if st is None else st.matrix_of(pt, ())
+        return None if st is None else st.matrix_of(point, ())
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Exact integer value of the form at an integer point."""
@@ -272,7 +271,8 @@ class FormFamily:
 
     def evaluate_factors(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Exact value of each factor form at an integer point."""
-        pt = self._point(point)
+        self._check_point(point)
+        pt = [int(v) for v in point]
         return tuple(f.eval_vector(pt) for f in self.factors)
 
 

@@ -288,13 +288,17 @@ def induced_map(structure: LinearStructure, order: int,
                 ) -> Union[MultilinearMap, NotClosed]:
     """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])) that the structure's
     pair (order 2) or triple (order 3) closure certificate induces, or the
-    NotClosed witness."""
-    cert = (structure.verify_pair_closure(recipe) if order == 2
-            else structure.verify_triple_closure(recipe))
-    if isinstance(cert, NotClosed):
-        return cert
-    return MultilinearMap.from_forms(cert.outputs, structure.params,
-                                     cert.coord_sets)
+    NotClosed witness.  Read from the certificate once per (order, recipe)
+    and kept on the structure beside it."""
+    got = structure._induced.get((order, recipe))
+    if got is None:
+        got = (structure.verify_pair_closure(recipe) if order == 2
+               else structure.verify_triple_closure(recipe))
+        if not isinstance(got, NotClosed):
+            got = MultilinearMap.from_forms(got.outputs, structure.params,
+                                            got.coord_sets)
+        structure._induced[(order, recipe)] = got
+    return got
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:

@@ -1,4 +1,4 @@
-"""Integer-solution sequences of f = 1 and a brute-force search oracle.
+"""Integer-solution sequences of f = 1 and an exhaustive box search.
 
 Sequences iterate a family's composition map from a seed solution; every
 emitted vector is proven to satisfy f = 1 exactly, so a transcription error
@@ -7,12 +7,17 @@ chain.  The proof of an iterate is the matrix identity A(v) = A(x)A(y)
 (A(x)A(y)A(z) for a trilinear map), checked entrywise on integers, with
 exact evaluation of f(v) where the identity fails or the family has no
 integer matrix.
+
+The box search walks a specialization tree over the numeric form (the
+multivariate Horner scheme): it fixes one coordinate at a time, depth
+first, and evaluates the univariate polynomial left at the last coordinate
+by Horner's rule.  Every hit is confirmed by exact evaluation of f before
+it is returned.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -35,6 +40,10 @@ class SearchSpaceTooLarge(PolyError):
 
 class SequenceVerificationError(PolyError):
     """An iterate failed re-verification (internal inconsistency)."""
+
+
+class SearchVerificationError(PolyError):
+    """A search hit failed exact evaluation (internal inconsistency)."""
 
 
 Vec = Tuple[int, ...]
@@ -209,19 +218,86 @@ def check_monotone_positive(solutions: Sequence[Sequence[int]],
 _SEARCH_GUARD = 10 ** 9
 
 
+def _specialization_tree(terms, h: int):
+    """The plan `brute_force_search` walks for a polynomial in h variables.
+
+    Returns (coeffs, levels).  `coeffs` lists the coefficients of `terms`.
+    levels[k] turns the coefficient list of the polynomial in x_{k+1}..x_h
+    into that of the polynomial in x_{k+2}..x_h once x_{k+1} is fixed: one
+    group per monomial left, each group the (index, exponent of x_{k+1})
+    pairs that fold into it.  The last level's monomials are x_h^d..x_h^0,
+    so the polynomial left at the last coordinate is the dense coefficient
+    list of g(x_h), highest degree first.  For h = 1, `coeffs` is that list
+    and there is no level.
+    """
+    monos = list(terms)
+    if h == 1:
+        top = max((m[0] for m in monos), default=0)
+        return [terms.get((e,), 0) for e in range(top, -1, -1)], []
+    coeffs = [terms[m] for m in monos]
+    levels = []
+    for k in range(h - 1):
+        if k == h - 2:
+            top = max((m[1] for m in monos), default=0)
+            left = [(e,) for e in range(top, -1, -1)]
+        else:
+            left = sorted({m[1:] for m in monos})
+        at = {m: j for j, m in enumerate(left)}
+        groups: List[list] = [[] for _ in left]
+        for i, m in enumerate(monos):
+            groups[at[m[1:]]].append((i, m[0]))
+        levels.append(groups)
+        monos = left
+    return coeffs, levels
+
+
 def brute_force_search(fam, bound: int,
                        params: Optional[Sequence[int]] = None,
                        target: int = 1) -> List[Vec]:
     """All v with max|v_i| <= bound and f(v) = target, in lexicographic
-    order.  Deliberately dumb: enumerates the full signed box so it can
-    serve as an independent oracle."""
+    order.
+
+    Every point of the signed box is decided by a specialization tree
+    over the family's numeric form: x_1 is fixed to each of the 2B+1
+    values in turn, then x_2, and so on depth first, each level folding
+    one value into the coefficients of the polynomial in the coordinates
+    left.  At the last coordinate that polynomial is univariate, of degree
+    at most n, and Horner's rule evaluates it at all 2B+1 values.  A level
+    costs its number of prefixes times the number of terms left.  Each hit
+    is confirmed by `FormFamily.evaluate` before it is returned;
+    SearchVerificationError is raised if one fails.
+    """
     f = _as_family(fam, params)
     side = 2 * int(bound) + 1
     if side ** f.h > _SEARCH_GUARD:
         raise SearchSpaceTooLarge(f"{side}^{f.h} candidate points")
+    if f.is_symbolic() and f.arity > 0:
+        raise ValueError(f"{f.name} needs numeric parameter values")
     values = range(-int(bound), int(bound) + 1)
+    form = f.form
+    coeffs, levels = _specialization_tree(form.terms, f.h)
+    powers = {v: [v ** e for e in range(form.total_degree() + 1)]
+              for v in values}
     out: List[Vec] = []
-    for v in itertools.product(values, repeat=f.h):
-        if f.evaluate(v) == target:
-            out.append(v)
+
+    def walk(k: int, prefix: Vec, poly: List[int]) -> None:
+        if k == len(levels):
+            for t in values:
+                acc = 0
+                for c in poly:
+                    acc = acc * t + c
+                if acc == target:
+                    out.append(prefix + (t,))
+            return
+        for v in values:
+            pw = powers[v]
+            walk(k + 1, prefix + (v,),
+                 [sum([poly[i] * pw[e] for i, e in group])
+                  for group in levels[k]])
+
+    walk(0, (), coeffs)
+    for v in out:
+        if f.evaluate(v) != target:
+            raise SearchVerificationError(
+                f"search hit {v} has f = {f.evaluate(v)} != {target}")
     return out

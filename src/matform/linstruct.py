@@ -145,6 +145,8 @@ class LinearStructure:
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[tuple, object] = {}
+        # the map each certificate induces, kept by compose.induced_map
+        self._induced: Dict[tuple, object] = {}
         self._cells: Dict[Tuple[int, ...], list] = {}
 
     @property

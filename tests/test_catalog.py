@@ -152,6 +152,21 @@ class TestIntegerMatrix:
         fam = family(name, values)
         assert fam.matrix((1,) * fam.h) is None
 
+    @pytest.mark.parametrize("name", ["quartic4x4", "sextic_uv"])
+    def test_symbolic_family_needs_values(self, name):
+        fam = family(name)
+        for method in (fam.matrix, fam.evaluate):
+            with pytest.raises(ValueError, match="needs numeric parameter values"):
+                method((1,) + (0,) * (fam.h - 1))
+
+    @pytest.mark.parametrize("name, values", [
+        ("quartic4x4", (5, -23, 2, -7)), ("sextic_uv", (3,))])
+    def test_point_length_checked(self, name, values):
+        fam = family(name, values)
+        for method in (fam.matrix, fam.evaluate):
+            with pytest.raises(ValueError, match=f"point must have length {fam.h}"):
+                method((1,) * (fam.h - 1))
+
 
 class TestInverseFormulas:
     def test_printed_inverse_at_reference_point(self):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matform import catalog
 from matform.catalog import FormFamily
 from matform.cli import _no_int_str_limit, main
+from matform.compose import MultilinearMap
 from matform.linstruct import LinearStructure
 from matform.polyring import PolyMatrix
 
@@ -113,6 +115,21 @@ class TestVerifyWithoutDeterminant:
         assert json.loads(out) == {"status": "zero-residual",
                                    "method": "matrix"}
         assert calls == []
+
+    def test_one_induced_map(self, capsys, monkeypatch):
+        # the map is read from the closure certificate once, although both
+        # the family's triple map and the matrix route ask for it
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        calls = []
+        from_forms = MultilinearMap.from_forms.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return from_forms(cls, *args, **kwargs)
+        monkeypatch.setattr(MultilinearMap, "from_forms", classmethod(counting))
+        code, out, err = run_cli(capsys, "verify", "--family", "threefold8x8")
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestClosure:
@@ -264,6 +281,16 @@ class TestSearchInvertBlock:
         code, out, _ = run_cli(capsys, "invert", "--family", "quad2x2",
                                "--params", "0,-1", "--point", "3,1")
         assert code == 1
+
+    def test_invert_non_unit_writes_one_error_document(self, capsys):
+        code, out, err = run_cli(capsys, "invert", "--family", "quad2x2",
+                                 "--params", "0,-1", "--point", "3,1")
+        assert code == 1
+        assert out.endswith("\n") and out.count("\n") == 1
+        obj = json.loads(out)
+        assert set(obj) == {"error", "detail"}
+        assert obj["error"] == "NotAUnit" and obj["detail"]
+        assert err == ""
 
     def test_block_prefixes_colliding_params(self, capsys):
         code, out, _ = run_cli(capsys, "block", "--outer", "quad2x2",

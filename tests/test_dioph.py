@@ -3,12 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matform import dioph
-from matform.catalog import FormFamily, family
+from matform.catalog import (FormFamily, companion_family, family,
+                             list_families)
 from matform.compose import MultilinearMap
 from matform.dioph import (
     SearchSpaceTooLarge,
+    SearchVerificationError,
     SeedNotSolution,
     SequenceSpec,
     SequenceVerificationError,
@@ -309,3 +313,83 @@ class TestBruteForce:
     def test_every_result_is_a_solution(self):
         for v in brute_force_search(QUARTIC, 3):
             assert is_solution(QUARTIC, v)
+
+
+def box_oracle(fam, bound, target):
+    """Every point of the box with f = target, by exact evaluation of each
+    point in turn; shares nothing with the search tree."""
+    box = range(-bound, bound + 1)
+    return [v for v in itertools.product(box, repeat=fam.h)
+            if fam.evaluate(v) == target]
+
+
+@pytest.fixture
+def form_reads(monkeypatch):
+    """How often FormFamily.form has been read."""
+    reads = []
+    form = FormFamily.form
+
+    def counting(self):
+        reads.append(self)
+        return form.fget(self)
+    monkeypatch.setattr(FormFamily, "form", property(counting))
+    return reads
+
+
+SMALL_FAMILIES = [d["name"] for d in list_families() if d["coords"] <= 6]
+
+
+class TestSearchTree:
+    """brute_force_search, a specialization tree over the numeric form,
+    against the per-point oracle above."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_point_oracle(self, data):
+        name = data.draw(st.sampled_from(SMALL_FAMILIES))
+        base = family(name)
+        nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        fam = family(name, data.draw(st.tuples(*[nonzero] * base.arity)))
+        bound = data.draw(st.integers(0, 1 if fam.h == 6 else 2))
+        box = st.integers(-bound, bound)
+        target = data.draw(st.one_of(
+            st.sampled_from((1, 0)),
+            st.tuples(*[box] * fam.h).map(fam.evaluate)))
+        assert brute_force_search(fam, bound, target=target) == \
+            box_oracle(fam, bound, target)
+
+    @pytest.mark.parametrize("name, values", [
+        ("octic8x8", (0, -5, 0, -3, 0, -14)),
+        ("threefold8x8", (3, -1, 0, -3, 0, -14, 1))])
+    def test_eight_coordinates(self, name, values):
+        fam = family(name, values)
+        found = brute_force_search(fam, 1)
+        assert found == box_oracle(fam, 1, 1)
+        assert (1,) + (0,) * 7 in found
+
+    @pytest.mark.parametrize("coeffs", [(3,), (1, 2), (0, -2, 1)])
+    def test_companion_families(self, coeffs):
+        # h = 1 starts at the last coordinate: the form itself is g(x1)
+        fam = companion_family(coeffs)
+        for target in (1, 2, -2):
+            assert brute_force_search(fam, 3, target=target) == \
+                box_oracle(fam, 3, target)
+
+    def test_guard_reads_no_form(self, form_reads):
+        with pytest.raises(SearchSpaceTooLarge):
+            brute_force_search(OCTIC, 100)
+        assert form_reads == []
+
+    def test_symbolic_family_with_parameters(self, form_reads):
+        with pytest.raises(ValueError, match="needs numeric parameter values"):
+            brute_force_search(family("quartic4x4"), 1)
+        assert form_reads == []
+
+    def test_one_form_per_search(self, form_reads):
+        brute_force_search(QUARTIC, 2)
+        assert len(form_reads) == 1
+
+    def test_hit_that_fails_evaluation_raises(self, monkeypatch):
+        monkeypatch.setattr(FormFamily, "evaluate", lambda self, point: 2)
+        with pytest.raises(SearchVerificationError, match="f = 2 != 1"):
+            brute_force_search(QUARTIC, 1)
