@@ -48,17 +48,16 @@ class FormFamily:
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A numeric family owns everything that depends
-    on its parameter values (structure, recipe, form and maps, each derived
-    on first use and kept) and proves its identity with `verify`.  The
-    integer A(point) of `matrix` is the parameter-free structure's
-    `matrix_of`.
+    on its parameter values (structure, form and maps, each derived on
+    first use and kept; the structure carries its own extraction recipe)
+    and proves its identity with `verify`.  The integer A(point) of
+    `matrix` is the parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, description: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
                  degree: int,
                  structure: Optional[LinearStructure] = None,
-                 recipe: Optional[ExtractionRecipe] = None,
                  pair_map: Optional[MultilinearMap] = None,
                  triple_maps: Sequence[MultilinearMap] = (),
                  printed_form: Optional[Polynomial] = None,
@@ -73,7 +72,6 @@ class FormFamily:
         self.coord_names = tuple(coord_names)
         self.degree = degree
         self._structure = structure
-        self._recipe = recipe
         self._pair_map = pair_map
         self._triple_maps = list(triple_maps)
         self.printed_form = printed_form  # transcribed expansion, symbolic
@@ -112,7 +110,7 @@ class FormFamily:
         return FormFamily(
             self.name, self.description, self.kind, self.param_names,
             self.coord_names, self.degree, structure=self._structure,
-            recipe=self._recipe, printed_form=self.printed_form,
+            printed_form=self.printed_form,
             factors=self._factors_symbolic,
             degenerate_witness=self.degenerate_witness,
             param_values=values, base=self._base)
@@ -120,43 +118,33 @@ class FormFamily:
     # -- matrix realization -------------------------------------------------
 
     def _own_structure(self):
-        """(structure, recipe) at this instance's values, derived once.
+        """(structure, readable) at this instance's values, derived once.
 
-        Both are None unless the structure is in the family's own
-        parameters (threefold_quadratic's is in (t, b, c), sextic_uv has
-        none).  The recipe is None also where one of its divisors vanishes
-        at these values, since extraction would divide by zero.
+        The structure is None unless it is in the family's own parameters
+        (threefold_quadratic's is in (t, b, c), sextic_uv has none).
+        `readable` means every divisor of its recipe is nonzero at these
+        values; extraction would otherwise divide by zero.
         """
         if self._own is None:
-            st, recipe = self._structure, self._recipe
+            st = self._structure
             if st is None or st.params != self.param_names:
-                st = recipe = None
+                st = None
             elif self.param_values is not None:
                 st = st.specialize(self.param_values)
-                recipe = recipe.specialize(
-                    dict(zip(self.param_names, self.param_values)))
-                if not all(coeff for coeff, _ in recipe.divisors):
-                    recipe = None
-            self._own = (st, recipe)
+            self._own = (st, st is not None and
+                         all(coeff for coeff, _ in st.recipe.divisors))
         return self._own
 
     @property
     def structure(self) -> Optional[LinearStructure]:
         """The matrix realization for closure: the symbolic structure on
         a symbolic family (threefold_quadratic's is in t, b, c), else the
-        structure at these values, or None where `_own_structure` gives no
-        recipe."""
+        structure at these values, or None where `_own_structure` finds
+        it unreadable."""
         if self.is_symbolic():
             return self._structure
-        st, recipe = self._own_structure()
-        return st if recipe is not None else None
-
-    @property
-    def recipe(self) -> Optional[ExtractionRecipe]:
-        """The extraction recipe that goes with `structure`."""
-        if self.is_symbolic():
-            return self._recipe
-        return self._own_structure()[1]
+        st, readable = self._own_structure()
+        return st if readable else None
 
     # -- forms -----------------------------------------------------------
 
@@ -190,10 +178,9 @@ class FormFamily:
     def _derived_map(self, order: int) -> MultilinearMap:
         """The symbolic map induced by the structure's closure certificate."""
         word = {2: "bilinear", 3: "trilinear"}[order]
-        if self._structure is None or self._recipe is None or \
-                (order == 2 and self.kind == "triple"):
+        if self._structure is None or (order == 2 and self.kind == "triple"):
             raise PolyError(f"{self.name} has no {word} composition map")
-        cmap = induced_map(self._structure, order, self._recipe)
+        cmap = induced_map(self._structure, order)
         if isinstance(cmap, NotClosed):
             raise PolyError(f"{self.name} {word} closure failed unexpectedly")
         return cmap
@@ -227,12 +214,11 @@ class FormFamily:
     def verify(self, cmap: MultilinearMap) -> Union[ZeroResidual, Polynomial]:
         """`verify_identity` of the family's form under `cmap`.  The form is
         passed as None (det of the family's own structure) wherever that
-        structure has a recipe.  Where a recipe divisor vanishes, the
+        structure is readable.  Where a recipe divisor vanishes, the
         symbolic identity proves `cmap` if it is the family's map here."""
-        st, recipe = self._own_structure()
-        if recipe is not None:
-            return verify_identity(None, cmap, self.coord_names,
-                                   structure=st, recipe=recipe)
+        st, readable = self._own_structure()
+        if readable:
+            return verify_identity(None, cmap, self.coord_names, structure=st)
         base = self._base
         if st is not None and base is not self and \
                 (cmap.k == 3 or self.kind != "triple"):
@@ -291,16 +277,14 @@ def _pell_structure(c1: str, c2: str) -> LinearStructure:
 
 def _tracefree_structure(ct: str, cb: str, cc: str) -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: trace-free 2x2 family, closed
-    only under triple products."""
+    only under triple products; the first row is read back divided by t
+    and 1."""
     t, v = _vars((ct, cb, cc, "a1", "a2"))
     tv, bv, cv, a1, a2 = (v[ct], v[cb], v[cc], v["a1"], v["a2"])
     return LinearStructure.from_matrix(
         (ct, cb, cc), ("a1", "a2"),
-        [[tv * a1, a2], [bv * a1 + cv * a2, -tv * a1]])
-
-
-def _tracefree_recipe(ct: str) -> ExtractionRecipe:
-    return ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), UNIT))
+        [[tv * a1, a2], [bv * a1 + cv * a2, -tv * a1]],
+        ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), UNIT)))
 
 
 def _cubic_structure() -> LinearStructure:
@@ -747,8 +731,7 @@ def _build_quad2x2() -> FormFamily:
         "quad2x2",
         "binary quadratic x1^2 + p*x1*x2 + q*x2^2 as a 2x2 determinant",
         "pair", ("p", "q"), _coords("x", 2), 2,
-        structure=st, recipe=ExtractionRecipe.first_row(2),
-        pair_map=_quad_map())
+        structure=st, pair_map=_quad_map())
 
 
 def _build_cubic3x3() -> FormFamily:
@@ -756,37 +739,32 @@ def _build_cubic3x3() -> FormFamily:
         "cubic3x3",
         "ternary cubic in five parameters; not a norm form in general",
         "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3), 3,
-        structure=_cubic_structure(), recipe=ExtractionRecipe.first_row(3),
-        pair_map=_cubic_map(), printed_form=_cubic_printed_form())
+        structure=_cubic_structure(), pair_map=_cubic_map(),
+        printed_form=_cubic_printed_form())
 
 
-def _quartic_block() -> Tuple[LinearStructure, ExtractionRecipe]:
-    outer = _pell_structure("p", "q")
-    inner = _pell_structure("m", "n")
-    lifted, recipe = outer.block_compose(inner)
-    return lifted.with_param_order(("m", "n", "p", "q")), recipe
+def _quartic_block() -> LinearStructure:
+    lifted = _pell_structure("p", "q").block_compose(_pell_structure("m", "n"))
+    return lifted.with_param_order(("m", "n", "p", "q"))
 
 
 def _build_quartic4x4() -> FormFamily:
-    st, recipe = _quartic_block()
     return FormFamily(
         "quartic4x4",
         "quaternary quartic from a 2x2-of-2x2 block construction",
         "pair", ("m", "n", "p", "q"), _coords("x", 4), 4,
-        structure=st, recipe=recipe,
+        structure=_quartic_block(),
         pair_map=_quartic_map(), printed_form=_quartic_printed_form())
 
 
 def _build_sextic6x6() -> FormFamily:
-    outer = _pell_structure("p", "q")
-    inner = _cubic_structure()
-    lifted, recipe = outer.block_compose(inner)
+    lifted = _pell_structure("p", "q").block_compose(_cubic_structure())
     st = lifted.with_param_order(("l1", "l2", "l3", "l4", "l5", "p", "q"))
     return FormFamily(
         "sextic6x6",
         "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
         "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6), 6,
-        structure=st, recipe=recipe, pair_map=_sextic_map())
+        structure=st, pair_map=_sextic_map())
 
 
 def _build_sextic_circulant() -> FormFamily:
@@ -809,8 +787,7 @@ def _build_sextic_circulant() -> FormFamily:
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
         "pair", ("q",), _coords("x", 6), 6,
-        structure=st, recipe=ExtractionRecipe.first_row(6),
-        pair_map=_circulant_map(), factors=_circulant_factors())
+        structure=st, pair_map=_circulant_map(), factors=_circulant_factors())
 
 
 def _build_sextic_uv() -> FormFamily:
@@ -823,65 +800,55 @@ def _build_sextic_uv() -> FormFamily:
 
 
 def _build_octic8x8() -> FormFamily:
-    outer = _pell_structure("r", "s")
-    inner, inner_recipe = _quartic_block()
-    lifted, recipe = outer.block_compose(inner, inner_recipe=inner_recipe)
+    lifted = _pell_structure("r", "s").block_compose(_quartic_block())
     st = lifted.with_param_order(("m", "n", "p", "q", "r", "s"))
     return FormFamily(
         "octic8x8",
         "octonary octic from a 2x2-of-4x4 block construction",
         "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8), 8,
-        structure=st, recipe=recipe, pair_map=_octic_map())
+        structure=st, pair_map=_octic_map())
 
 
 def _build_threefold_quadratic() -> FormFamily:
     # The matrix realization lives in parameters (t, b, c) with t^2 in the
     # determinant; the family's own form uses a in place of t^2 since only
     # even powers of t occur.
-    st = _tracefree_structure("t", "b", "c")
     return FormFamily(
         "threefold_quadratic",
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with a trilinear law "
         "in three argument-permutation variants",
         "triple", ("a", "b", "c"), _coords("x", 2), 2,
-        structure=st, recipe=_tracefree_recipe("t"),
+        structure=_tracefree_structure("t", "b", "c"),
         triple_maps=_threefold_quadratic_maps(),
         factors=(_threefold_quadratic_form(),),
         degenerate_witness=(-1, 0, -1))
 
 
 def _build_threefold4x4() -> FormFamily:
-    outer = _tracefree_structure("t", "p", "q")
-    inner = _tracefree_structure("s", "m", "n")
-    lifted, recipe = outer.block_compose(
-        inner, outer_recipe=_tracefree_recipe("t"),
-        inner_recipe=_tracefree_recipe("s"))
+    lifted = _tracefree_structure("t", "p", "q").block_compose(
+        _tracefree_structure("s", "m", "n"))
     st = lifted.with_param_order(("m", "n", "p", "q", "s", "t"))
     return FormFamily(
         "threefold4x4",
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
         "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4), 4,
-        structure=st, recipe=recipe,
-        triple_maps=[_threefold4x4_map()],
+        structure=st, triple_maps=[_threefold4x4_map()],
         printed_form=_threefold4x4_printed_form(),
         degenerate_witness=(0, 1, 0, 2, 0, 0))
 
 
 def _build_threefold8x8() -> FormFamily:
-    m1 = _pell_structure("p", "q")
-    m2 = _tracefree_structure("t", "m", "n")
-    a4, a4_recipe = m1.block_compose(m2, inner_recipe=_tracefree_recipe("t"))
-    outer = _pell_structure("r", "s")
-    lifted, recipe = outer.block_compose(a4, inner_recipe=a4_recipe)
+    a4 = _pell_structure("p", "q").block_compose(
+        _tracefree_structure("t", "m", "n"))
+    lifted = _pell_structure("r", "s").block_compose(a4)
     st = lifted.with_param_order(("m", "n", "p", "q", "r", "s", "t"))
     return FormFamily(
         "threefold8x8",
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
         "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8), 8,
-        structure=st, recipe=recipe,
-        degenerate_witness=(0, 2, 0, 0, 0, 0, 0))
+        structure=st, degenerate_witness=(0, 2, 0, 0, 0, 0, 0))
 
 
 _BUILDERS = {
@@ -938,8 +905,7 @@ def companion_family(monic_coeffs: Sequence[int]) -> FormFamily:
     return FormFamily(
         f"companion{n}",
         "norm form of an algebraic integer via its companion matrix",
-        "pair", (), _coords("x", n), n,
-        structure=st, recipe=ExtractionRecipe.first_column(n))
+        "pair", (), _coords("x", n), n, structure=st)
 
 
 def cubic_norm_progression_test(fam: FormFamily) -> Tuple[bool, Tuple[int, int, int]]:

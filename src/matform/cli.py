@@ -137,9 +137,9 @@ def _cmd_closure(args) -> int:
     if fam.structure is None:
         raise UsageError(f"{fam.name} has no matrix structure")
     if args.order == "pair":
-        result = fam.structure.verify_pair_closure(fam.recipe)
+        result = fam.structure.verify_pair_closure()
     else:
-        result = fam.structure.verify_triple_closure(fam.recipe)
+        result = fam.structure.verify_triple_closure()
     if isinstance(result, NotClosed):
         witness = result.witness
         _emit({"closed": False, "order": args.order,
@@ -246,11 +246,12 @@ def _cmd_block(args) -> int:
     if collisions:
         inner_st = inner_st.rename_params(
             {p: f"i_{p}" for p in inner_st.params})
-    lifted, recipe = outer.structure.block_compose(inner_st)
+    lifted = outer.structure.block_compose(inner_st)
+    positions = lifted.recipe.positions
     obj = lifted.to_json_obj()
-    obj["positions"] = [list(pos) for pos in recipe.positions]
+    obj["positions"] = [list(pos) for pos in positions]
     text = (f"n={lifted.n} h={lifted.h} params={','.join(lifted.params)} "
-            f"positions={recipe.positions}")
+            f"positions={positions}")
     _emit(obj, text, args.format)
     return 0
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linstruct import (ExtractionRecipe, LinearStructure, NotClosed,
-                        _multilinear_coeffs)
+from .linstruct import LinearStructure, NotClosed, _multilinear_coeffs
 from .polyring import PolyError, Polynomial, VarTable, _add_into
 
 
@@ -221,7 +220,6 @@ def _difference(a: Polynomial, b: Polynomial) -> Polynomial:
 def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
                     coord_names: Sequence[str],
                     structure: Optional[LinearStructure] = None,
-                    recipe: Optional[ExtractionRecipe] = None,
                     factors: Optional[Sequence[Polynomial]] = None
                     ) -> Union[ZeroResidual, Polynomial]:
     """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically.
@@ -231,10 +229,11 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
     the arguments' structure, not their size:
     - "matrix" when `structure` is in the map's own parameters
       (structure.params == cmap.params).  It checks the closure certificate
-      of the matrix family (with `recipe`), that the certificate induces
-      `cmap`, and det(A) == form where a form is given; multiplicativity of
-      the determinant then proves the identity.  Where the structure
-      induces another map the route falls back to expansion.
+      of the matrix family (read back by the structure's own recipe), that
+      the certificate induces `cmap`, and det(A) == form where a form is
+      given; multiplicativity of the determinant then proves the identity.
+      Where the structure induces another map the route falls back to
+      expansion.
     - otherwise "expand", one factor at a time when `factors` holds more
       than one factor, else of the whole form.
     On every route, `factors` must multiply to the form.
@@ -267,7 +266,7 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
 
     if structure is None or structure.params != cmap.params:
         return expand("no structure in the map's parameters")
-    derived = induced_map(structure, cmap.k, recipe)
+    derived = induced_map(structure, cmap.k)
     if isinstance(derived, NotClosed):
         # no residual where a divisor does not divide: 1 on det's table
         return derived.witness.residual or \
@@ -283,21 +282,20 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
     return ZeroResidual("matrix", "structure in the map's parameters")
 
 
-def induced_map(structure: LinearStructure, order: int,
-                recipe: Optional[ExtractionRecipe] = None
-                ) -> Union[MultilinearMap, NotClosed]:
+def induced_map(structure: LinearStructure,
+                order: int) -> Union[MultilinearMap, NotClosed]:
     """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])) that the structure's
     pair (order 2) or triple (order 3) closure certificate induces, or the
-    NotClosed witness.  Read from the certificate once per (order, recipe)
-    and kept on the structure beside it."""
-    got = structure._induced.get((order, recipe))
+    NotClosed witness.  Read from the certificate once per order and kept
+    on the structure beside it."""
+    got = structure._induced.get(order)
     if got is None:
-        got = (structure.verify_pair_closure(recipe) if order == 2
-               else structure.verify_triple_closure(recipe))
+        got = (structure.verify_pair_closure() if order == 2
+               else structure.verify_triple_closure())
         if not isinstance(got, NotClosed):
             got = MultilinearMap.from_forms(got.outputs, structure.params,
                                             got.coord_sets)
-        structure._induced[(order, recipe)] = got
+        structure._induced[order] = got
     return got
 
 

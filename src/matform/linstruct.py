@@ -23,10 +23,6 @@ class ParameterCollision(PolyError):
     """Outer and inner structures share a parameter name."""
 
 
-class NonExactDivision(PolyError):
-    """A recipe divisor does not divide the designated entry exactly."""
-
-
 @dataclass(frozen=True)
 class NotInSpan:
     """Witness that a matrix does not carry the structure.
@@ -50,15 +46,15 @@ class NotClosed:
 
 @dataclass(frozen=True)
 class ClosureCertificate:
-    """Successful pairwise closure: A(x) A(y) = A(z(x, y)) entrywise.
+    """Successful closure of `order` factors: A(x) A(y) [A(z)] = A(w)
+    entrywise, with w read back by the structure's own recipe.
 
-    `outputs[r]` is z_r, a polynomial bilinear in the two coordinate sets,
+    `outputs[r]` is w_r, a polynomial multilinear in the coordinate sets,
     with coefficients polynomial in the structure's parameters.
     """
     order: int
     coord_sets: Tuple[Tuple[str, ...], ...]
     outputs: Tuple[Polynomial, ...]
-    pairwise_failure: Optional[NotClosed] = None  # set on triple certificates
 
 
 Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t", 1),))
@@ -126,12 +122,19 @@ class ExtractionRecipe:
 
 
 class LinearStructure:
-    """n x n matrix family with entries linear in h coordinate variables."""
+    """n x n matrix family with entries linear in h coordinate variables.
+
+    `recipe` says where coordinates are read back from a product and what
+    each entry is divided by; it is part of the family's definition and
+    defaults to the first row with unit divisors.
+    """
 
     def __init__(self, n: int, h: int, params: Sequence[str],
-                 coeff: Sequence[Sequence[Sequence[Polynomial]]]):
+                 coeff: Sequence[Sequence[Sequence[Polynomial]]],
+                 recipe: Optional[ExtractionRecipe] = None):
         self.n = n
         self.h = h
+        self.recipe = recipe or ExtractionRecipe.first_row(h)
         self.param_table = VarTable(params)
         if len(coeff) != n or any(len(row) != n for row in coeff):
             raise ValueError("coefficient tensor must be n x n")
@@ -144,9 +147,9 @@ class LinearStructure:
                         raise ValueError("coefficients must live over the parameter table")
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
-        self._closure_cache: Dict[tuple, object] = {}
+        self._closure_cache: Dict[int, object] = {}
         # the map each certificate induces, kept by compose.induced_map
-        self._induced: Dict[tuple, object] = {}
+        self._induced: Dict[int, object] = {}
         self._cells: Dict[Tuple[int, ...], list] = {}
 
     @property
@@ -155,7 +158,9 @@ class LinearStructure:
 
     @classmethod
     def from_matrix(cls, params: Sequence[str], coords: Sequence[str],
-                    entries: Sequence[Sequence[Polynomial]]) -> "LinearStructure":
+                    entries: Sequence[Sequence[Polynomial]],
+                    recipe: Optional[ExtractionRecipe] = None
+                    ) -> "LinearStructure":
         """Build a structure from a symbolic matrix over params + coords.
 
         Every entry must be homogeneous linear in the coordinates with
@@ -167,7 +172,7 @@ class LinearStructure:
         coeff = [[[cell.get((r,), ptable.zero()) for r in range(len(coords))]
                   for cell in row]
                  for row in cells]
-        return cls(len(entries), len(coords), params, coeff)
+        return cls(len(entries), len(coords), params, coeff, recipe)
 
     # -- instantiation ----------------------------------------------------
 
@@ -241,7 +246,8 @@ class LinearStructure:
         return got
 
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
-        """Substitute integer values for all parameters (result has none)."""
+        """Substitute integer values for all parameters (result has none),
+        in the coefficients and in the recipe's divisors."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [int(v) for v in param_values]
@@ -250,9 +256,12 @@ class LinearStructure:
                    for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        return LinearStructure(self.n, self.h, (), coeff)
+        recipe = self.recipe.specialize(dict(zip(self.params, pv)))
+        return LinearStructure(self.n, self.h, (), coeff, recipe)
 
     def to_json_obj(self) -> dict:
+        """The coefficients only: `from_json_obj` gives the first-row
+        recipe."""
         return {
             "n": self.n,
             "h": self.h,
@@ -274,22 +283,24 @@ class LinearStructure:
         return cls(int(obj["n"]), int(obj["h"]), params, coeff)
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
+        """Same structure with parameters renamed, in the recipe's divisors
+        too."""
         new_names = tuple(mapping.get(p, p) for p in self.params)
         table = VarTable(new_names)
         coeff = [[[Polynomial(table, self.coeff[i][j][r].terms)
                    for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        return LinearStructure(self.n, self.h, new_names, coeff)
+        divisors = tuple((c, tuple((mapping.get(x, x), e) for x, e in mono))
+                         for c, mono in self.recipe.divisors)
+        recipe = ExtractionRecipe(self.recipe.positions, divisors)
+        return LinearStructure(self.n, self.h, new_names, coeff, recipe)
 
     # -- extraction -------------------------------------------------------
 
-    def default_recipe(self) -> ExtractionRecipe:
-        """First-row recipe with unit divisors (fits most catalog families)."""
-        return ExtractionRecipe.first_row(self.h)
-
-    def extract_coordinates(self, recipe: ExtractionRecipe, matrix: PolyMatrix):
-        """Read coordinates back from `matrix`, or report NotInSpan.
+    def extract_coordinates(self, matrix: PolyMatrix):
+        """Read coordinates back from `matrix` by the structure's recipe,
+        or report NotInSpan.
 
         Returns the list [z_1..z_h] such that instantiating this structure
         at the z's reproduces `matrix` exactly; otherwise a NotInSpan
@@ -299,7 +310,8 @@ class LinearStructure:
             raise ValueError("matrix order differs from structure order")
         table = matrix.table
         outputs: List[Polynomial] = []
-        for (i, j), (scale, monomial) in zip(recipe.positions, recipe.divisors):
+        for (i, j), (scale, monomial) in zip(self.recipe.positions,
+                                             self.recipe.divisors):
             entry = matrix[i, j]
             if not scale:  # never read coordinates off a zero divisor
                 return NotInSpan(entry=(i, j), residual=None, reason="division")
@@ -326,62 +338,53 @@ class LinearStructure:
         return tuple(
             tuple(f"{p}{i + 1}" for i in range(self.h)) for p in prefixes)
 
-    def verify_pair_closure(self, recipe: Optional[ExtractionRecipe] = None):
+    def verify_pair_closure(self):
         """Symbolically check A(x) A(y) = A(z) for bilinear z.
 
         Returns a ClosureCertificate carrying the z-forms, or NotClosed.
         """
-        return self._closure(2, recipe or self.default_recipe())
+        return self._closure(2)
 
-    def verify_triple_closure(self, recipe: Optional[ExtractionRecipe] = None):
+    def verify_triple_closure(self):
         """Symbolically check A(x) A(y) A(z) = A(w) for trilinear w.
 
-        The certificate records whether the pairwise product already closed
-        (then the triple law is the pairwise law applied twice) or not (the
-        genuinely three-fold case).
+        Returns a ClosureCertificate carrying the w-forms, or NotClosed.
         """
-        return self._closure(3, recipe or self.default_recipe())
+        return self._closure(3)
 
-    def _closure(self, order: int, recipe: ExtractionRecipe):
-        """The closure result of `order` factors, cached per (order,
-        recipe): deriving a family's map and proving its identity by the
-        matrix route both need the same certificate."""
-        key = (order, recipe)
-        got = self._closure_cache.get(key)
+    def _closure(self, order: int):
+        """The closure result of `order` factors, cached per order:
+        deriving a family's map and proving its identity by the matrix
+        route both need the same certificate."""
+        got = self._closure_cache.get(order)
         if got is None:
-            pair = self.verify_pair_closure(recipe) if order == 3 else None
             sets = self._coord_sets(order)
             table = VarTable(self.params + sum(sets, ()))
             product = self.instantiate(sets[0], table)
             for cs in sets[1:]:
                 product = product @ self.instantiate(cs, table)
-            result = self.extract_coordinates(recipe, product)
+            result = self.extract_coordinates(product)
             if isinstance(result, NotInSpan):
                 got = NotClosed(order=order, witness=result)
             else:
-                got = ClosureCertificate(
-                    order=order, coord_sets=sets, outputs=tuple(result),
-                    pairwise_failure=(pair if isinstance(pair, NotClosed)
-                                      else None))
-            self._closure_cache[key] = got
+                got = ClosureCertificate(order=order, coord_sets=sets,
+                                         outputs=tuple(result))
+            self._closure_cache[order] = got
         return got
 
     # -- block lifting ------------------------------------------------------
 
-    def block_compose(self, inner: "LinearStructure",
-                      outer_recipe: Optional[ExtractionRecipe] = None,
-                      inner_recipe: Optional[ExtractionRecipe] = None):
+    def block_compose(self, inner: "LinearStructure") -> "LinearStructure":
         """Lift to an (n*m) x (n*m) structure with blocks P_ij = sum_r L[i][j][r] A_r.
 
         A_r is `inner` instantiated on coordinate slice r; coordinates are
         slice-major (all inner coordinates of outer slot 1, then slot 2, ...).
-        Returns (structure, recipe); the recipe is derived from the factors'
-        recipes when both are given (or default to first-row).
+        Coordinate (r, s) of the lift is read at inner position s of the
+        block at outer position r, divided by the product of the two
+        factors' divisors.
         """
         if set(self.params) & set(inner.params):
             raise ParameterCollision(sorted(set(self.params) & set(inner.params))[0])
-        outer_recipe = outer_recipe or self.default_recipe()
-        inner_recipe = inner_recipe or inner.default_recipe()
         n, m = self.n, inner.n
         H, hin = self.h, inner.h
         params = self.params + inner.params
@@ -404,20 +407,14 @@ class LinearStructure:
                                     continue
                                 cell = coeff[i * m + a][j * m + b]
                                 cell[r * hin + s] = cell[r * hin + s] + oc * inner_c.embed(ptable)
-        lifted = LinearStructure(N, H * hin, params, coeff)
-
-        positions = []
-        divisors = []
-        for r in range(H):
-            (oi, oj) = outer_recipe.positions[r]
-            od = outer_recipe.divisors[r]
-            for s in range(hin):
-                (ii, ij) = inner_recipe.positions[s]
-                idv = inner_recipe.divisors[s]
-                positions.append((oi * m + ii, oj * m + ij))
-                divisors.append((od[0] * idv[0], od[1] + idv[1]))  # params are disjoint
-        recipe = ExtractionRecipe(tuple(positions), tuple(divisors))
-        return lifted, recipe
+        outer_r, inner_r = self.recipe, inner.recipe
+        recipe = ExtractionRecipe(
+            tuple((oi * m + ii, oj * m + ij) for oi, oj in outer_r.positions
+                  for ii, ij in inner_r.positions),
+            tuple((oc * ic, om + im)  # params are disjoint
+                  for oc, om in outer_r.divisors
+                  for ic, im in inner_r.divisors))
+        return LinearStructure(N, H * hin, params, coeff, recipe)
 
     def with_param_order(self, names: Sequence[str]) -> "LinearStructure":
         """Same structure with the parameter table reordered to `names`."""
@@ -428,14 +425,14 @@ class LinearStructure:
         coeff = [[[self.coeff[i][j][r].embed(table) for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        return LinearStructure(self.n, self.h, names, coeff)
+        return LinearStructure(self.n, self.h, names, coeff, self.recipe)
 
 
 def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
     """Structure of x1*I + x2*M + ... + xn*M^(n-1) for the companion matrix M
     of x^n + a_1 x^(n-1) + ... + a_n.  Its determinant is the norm form of
     the corresponding algebraic integer, so pairwise closure always holds;
-    coordinates are read from the first column.
+    its recipe reads coordinates from the first column.
     """
     coeffs = [int(a) for a in monic_coeffs]
     n = len(coeffs)
@@ -458,4 +455,4 @@ def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
     coeff = [[[empty.const(powers[r][i][j]) for r in range(n)]
               for j in range(n)]
              for i in range(n)]
-    return LinearStructure(n, n, (), coeff)
+    return LinearStructure(n, n, (), coeff, ExtractionRecipe.first_column(n))

@@ -381,9 +381,6 @@ class Polynomial:
             "terms": [{"c": str(c), "e": list(m)} for m, c in self.sorted_terms()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Polynomial":
         table = VarTable(obj["vars"])

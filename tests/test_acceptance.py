@@ -39,7 +39,7 @@ def test_criterion_1_symbolic_identity_suite():
                  "sextic_circulant", "octic8x8"):
         fam = family(name)
         result = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                 structure=fam.structure, recipe=fam.recipe)
+                                 structure=fam.structure)
         assert isinstance(result, ZeroResidual), name
 
 
@@ -57,13 +57,13 @@ def test_criterion_2_threefold_suite():
     for name in ("threefold4x4", "threefold8x8"):
         fam = family(name)
         res = verify_identity(fam.form, fam.triple_map(), fam.coord_names,
-                              structure=fam.structure, recipe=fam.recipe)
+                              structure=fam.structure)
         assert isinstance(res, ZeroResidual), name
 
     # pairwise products leave the span for all three structures
     for name in ("threefold_quadratic", "threefold4x4", "threefold8x8"):
         fam = family(name)
-        failed = fam.structure.verify_pair_closure(fam.recipe)
+        failed = fam.structure.verify_pair_closure()
         assert isinstance(failed, NotClosed), name
         assert isinstance(failed.witness, NotInSpan), name
 
@@ -248,11 +248,11 @@ def test_criterion_7_block_lifting_suite():
     # lift triple-only
     for name in ("quartic4x4", "sextic6x6", "octic8x8"):
         fam = family(name)
-        assert isinstance(fam.structure.verify_pair_closure(fam.recipe),
+        assert isinstance(fam.structure.verify_pair_closure(),
                           ClosureCertificate), name
     for name in ("threefold4x4", "threefold8x8"):
         fam = family(name)
-        assert isinstance(fam.structure.verify_pair_closure(fam.recipe),
+        assert isinstance(fam.structure.verify_pair_closure(),
                           NotClosed), name
-        assert isinstance(fam.structure.verify_triple_closure(fam.recipe),
+        assert isinstance(fam.structure.verify_triple_closure(),
                           ClosureCertificate), name

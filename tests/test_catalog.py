@@ -60,7 +60,7 @@ class TestTranscribedAgainstDerived:
     @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4"])
     def test_pair_map_matches_closure_outputs(self, name):
         fam = family(name)
-        cert = fam.structure.verify_pair_closure(fam.recipe)
+        cert = fam.structure.verify_pair_closure()
         assert isinstance(cert, ClosureCertificate)
         derived = MultilinearMap.from_forms(
             cert.outputs, fam.structure.params,
@@ -69,7 +69,7 @@ class TestTranscribedAgainstDerived:
 
     def test_threefold4x4_map_matches_closure_outputs(self):
         fam = family("threefold4x4")
-        cert = fam.structure.verify_triple_closure(fam.recipe)
+        cert = fam.structure.verify_triple_closure()
         assert isinstance(cert, ClosureCertificate)
         derived = MultilinearMap.from_forms(
             cert.outputs, fam.structure.params,
@@ -143,7 +143,7 @@ class TestIntegerMatrix:
     def test_vanishing_divisor_still_gives_a_matrix(self):
         values, point = (0, 1, 0, 2, 0, 0), (2, -1, 3, 1)
         fam = family("threefold4x4", values)
-        assert fam.recipe is None and fam.structure is None
+        assert fam.structure is None
         assert fam.matrix(point) == self.symbolic_at("threefold4x4", values, point)
 
     @pytest.mark.parametrize("name, values", [
@@ -228,7 +228,7 @@ class TestThreefoldFamilies:
     def test_pairwise_extraction_fails_for_all(self):
         for name in ("threefold_quadratic", "threefold4x4", "threefold8x8"):
             fam = family(name)
-            assert isinstance(fam.structure.verify_pair_closure(fam.recipe),
+            assert isinstance(fam.structure.verify_pair_closure(),
                               NotClosed)
 
     def test_degenerate_witnesses_recorded(self):

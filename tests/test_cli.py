@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands():
+    """The `matform ...` argvs of the README's "CLI usage" block, with
+    backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI usage", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("matform ")]
 
 
 class TestListFamilies:
@@ -190,8 +202,8 @@ class TestNumericParams:
         assert (code, out, err) == symbolic
 
     def test_vanishing_divisors_verify_the_symbolic_identity(self, capsys):
-        # no recipe at s = t = 0: the proof is the symbolic family's, for
-        # the map specialized to these values, not an expansion
+        # recipe divisors vanish at s = t = 0: the proof is the symbolic
+        # family's, for the map specialized to these values, not an expansion
         code, out, err = run_cli(capsys, "verify", "--family", "threefold4x4",
                                  "--params=0,1,0,2,0,0", "--format", "json")
         assert code == 0, err
@@ -456,3 +468,25 @@ class TestFuzz:
                 argv[0] not in ("verify", "closure")  # text by default
                 and "--format=text" not in argv):
             json.loads(out)  # one JSON document
+
+
+class TestReadmeUsage:
+    """Every command of the README's "CLI usage" block runs as documented."""
+
+    EXIT = {"closure --family threefold4x4 --order pair": 1}  # else 0
+    STDOUT = {"emit-form --family quad2x2 --params 0,1 --format text":
+              "x1^2 + x2^2\n",
+              "verify --family octic8x8": "ZERO-RESIDUAL\n"}
+
+    def test_documented_cases_are_in_the_readme(self):
+        commands = {" ".join(argv) for argv in readme_commands()}
+        assert set(self.EXIT) | set(self.STDOUT) <= commands
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        key = " ".join(argv)
+        assert code == self.EXIT.get(key, 0), err
+        assert "Traceback" not in err
+        if key in self.STDOUT:
+            assert out == self.STDOUT[key]

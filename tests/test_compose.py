@@ -131,8 +131,7 @@ class TestVerifyIdentity:
     def test_matrix_route_agrees_with_expansion(self):
         fam = catalog.family("quartic4x4")
         by_matrix = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                    structure=fam.structure,
-                                    recipe=fam.recipe)
+                                    structure=fam.structure)
         by_expand = verify_identity(fam.form, fam.pair_map, fam.coord_names)
         assert isinstance(by_matrix, ZeroResidual)
         assert isinstance(by_expand, ZeroResidual)
@@ -157,7 +156,7 @@ class TestVerifyIdentity:
         bad[key] = bad[key] + 1
         mutant = MultilinearMap(2, 4, cmap.params, bad)
         res = verify_identity(fam.form, mutant, fam.coord_names,
-                              structure=fam.structure, recipe=fam.recipe)
+                              structure=fam.structure)
         assert not isinstance(res, ZeroResidual)
 
     def test_matrix_route_checks_a_form_other_than_det(self):
@@ -165,9 +164,16 @@ class TestVerifyIdentity:
         # another form exercises the det - form check
         fam = catalog.family("quartic4x4")
         res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names,
-                              structure=fam.structure, recipe=fam.recipe)
+                              structure=fam.structure)
         assert not isinstance(res, ZeroResidual)
         assert res.as_int() == -1
+
+    def test_companion_structure_proves_by_its_own_recipe(self):
+        fam = catalog.companion_family((0, 0, -2))
+        res = verify_identity(None, fam.pair_map, fam.coord_names,
+                              structure=fam.structure)
+        assert res == ZeroResidual("matrix",
+                                   "structure in the map's parameters")
 
     def test_form_none_needs_a_structure(self):
         # form=None stands for det(structure)
@@ -205,10 +211,10 @@ class TestRoute:
         assert not res.is_zero()
 
     def test_vanishing_divisor_proves_only_the_familys_map(self):
-        # s = t = 0: no recipe here, so the symbolic identity stands in,
-        # for the family's own map only
+        # s = t = 0: a recipe divisor vanishes, so the symbolic identity
+        # stands in, for the family's own map only
         fam = catalog.family("threefold4x4", (0, 1, 0, 2, 0, 0))
-        assert fam.recipe is None
+        assert fam.structure is None
         assert verify_auto(fam) == ZeroResidual(
             "matrix", "recipe divisor vanishes; symbolic identity specialized")
         # the form is 4*x4^4 here and w4 = 2*x4*y4*z4; 3*x4*y4*z4 fails
@@ -229,7 +235,7 @@ class TestRoute:
             for structure in (fam.structure, None):
                 res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
                                       structure=structure,
-                                      recipe=fam.recipe, factors=factors)
+                                      factors=factors)
                 assert not isinstance(res, ZeroResidual), (factors, structure)
                 assert not res.is_zero()
 

@@ -27,13 +27,13 @@ def pell(c1: str, c2: str) -> LinearStructure:
         [[a1, a2], [-q * a2, a1 + p * a2]])
 
 
-def tracefree(ct: str, cb: str, cc: str) -> LinearStructure:
+def tracefree(ct: str, cb: str, cc: str, recipe=None) -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: closed only for triples."""
     table = VarTable((ct, cb, cc, "a1", "a2"))
     t, b, c, a1, a2 = table.vars()
     return LinearStructure.from_matrix(
         (ct, cb, cc), ("a1", "a2"),
-        [[t * a1, a2], [b * a1 + c * a2, -t * a1]])
+        [[t * a1, a2], [b * a1 + c * a2, -t * a1]], recipe)
 
 
 def tracefree_recipe(ct: str) -> ExtractionRecipe:
@@ -134,15 +134,15 @@ class TestExtraction:
     def test_round_trip_through_default_recipe(self):
         st = pell("p", "q")
         M = st.instantiate(("u1", "u2"))
-        out = st.extract_coordinates(st.default_recipe(), M)
+        out = st.extract_coordinates(M)
         assert not isinstance(out, NotInSpan)
         u1, u2 = M.table.var("u1"), M.table.var("u2")
         assert list(out) == [u1, u2]
 
     def test_divisor_recipe(self):
-        st = tracefree("t", "b", "c")
+        st = tracefree("t", "b", "c", tracefree_recipe("t"))
         M = st.instantiate(("u1", "u2"))
-        out = st.extract_coordinates(tracefree_recipe("t"), M)
+        out = st.extract_coordinates(M)
         assert list(out) == [M.table.var("u1"), M.table.var("u2")]
 
     def test_not_in_span_mismatch(self):
@@ -151,35 +151,35 @@ class TestExtraction:
         u1, u2 = table.var("u1"), table.var("u2")
         # symmetric matrix: not of the pell shape
         M = PolyMatrix([[u1, u2], [u2, u1]])
-        out = st.extract_coordinates(st.default_recipe(), M)
+        out = st.extract_coordinates(M)
         assert isinstance(out, NotInSpan)
         assert out.reason == "mismatch"
         assert out.residual is not None and not out.residual.is_zero()
 
     def test_specialized_divisor_recipe(self):
         values = {"t": 3, "b": -2, "c": 5}
-        st = tracefree("t", "b", "c").specialize(tuple(values.values()))
-        recipe = tracefree_recipe("t").specialize(values)
-        assert recipe.divisors == ((3, ()), (1, ()))
+        st = tracefree("t", "b", "c", tracefree_recipe("t")).specialize(
+            tuple(values.values()))
+        assert st.recipe.divisors == ((3, ()), (1, ()))
         M = st.instantiate(("u1", "u2"))
-        out = st.extract_coordinates(recipe, M)
+        out = st.extract_coordinates(M)
         assert list(out) == [M.table.var("u1"), M.table.var("u2")]
 
     def test_vanishing_divisor_is_not_divided_by(self):
         values = {"t": 0, "b": 1, "c": 1}
-        st = tracefree("t", "b", "c").specialize(tuple(values.values()))
-        recipe = tracefree_recipe("t").specialize(values)
-        out = st.extract_coordinates(recipe, st.instantiate(("u1", "u2")))
+        st = tracefree("t", "b", "c", tracefree_recipe("t")).specialize(
+            tuple(values.values()))
+        out = st.extract_coordinates(st.instantiate(("u1", "u2")))
         assert isinstance(out, NotInSpan)
         assert out.reason == "division"
 
     def test_not_in_span_division(self):
-        st = tracefree("t", "b", "c")
+        st = tracefree("t", "b", "c", tracefree_recipe("t"))
         table = VarTable(("t", "b", "c", "u1", "u2"))
         u1, u2 = table.var("u1"), table.var("u2")
         # (0,0) entry not divisible by t
         M = PolyMatrix([[u1, u2], [u2, -u1]])
-        out = st.extract_coordinates(tracefree_recipe("t"), M)
+        out = st.extract_coordinates(M)
         assert isinstance(out, NotInSpan)
         assert out.reason == "division"
 
@@ -197,21 +197,20 @@ class TestClosure:
         assert cert.outputs[1] == x1 * y2 + x2 * y1 + p * x2 * y2
 
     def test_tracefree_pairwise_fails_triple_closes(self):
-        st = tracefree("t", "b", "c")
-        recipe = tracefree_recipe("t")
-        pair = st.verify_pair_closure(recipe)
+        st = tracefree("t", "b", "c", tracefree_recipe("t"))
+        pair = st.verify_pair_closure()
         assert isinstance(pair, NotClosed)
         assert pair.order == 2
-        triple = st.verify_triple_closure(recipe)
+        triple = st.verify_triple_closure()
         assert isinstance(triple, ClosureCertificate)
         assert triple.order == 3
-        assert triple.pairwise_failure is not None
+        assert isinstance(st.verify_pair_closure(), NotClosed)
 
     def test_pairwise_closed_implies_triple_closed(self):
         st = pell("p", "q")
         triple = st.verify_triple_closure()
         assert isinstance(triple, ClosureCertificate)
-        assert triple.pairwise_failure is None
+        assert isinstance(st.verify_pair_closure(), ClosureCertificate)
 
     def test_closure_outputs_reproduce_product(self):
         st = pell("p", "q")
@@ -233,10 +232,10 @@ class TestClosure:
         from matform.catalog import family
         values = (-1, -4, 1, -1, 1, 1)
         numeric = family("threefold4x4", values)
-        cert = numeric.structure.verify_triple_closure(numeric.recipe)
+        cert = numeric.structure.verify_triple_closure()
         assert isinstance(cert, ClosureCertificate)
         symbolic = family("threefold4x4")
-        ref = symbolic.structure.verify_triple_closure(symbolic.recipe)
+        ref = symbolic.structure.verify_triple_closure()
         env = dict(zip(symbolic.param_names, values))
         assert list(cert.outputs) == [w.specialize(env) for w in ref.outputs]
 
@@ -247,40 +246,38 @@ class TestBlockLifting:
             pell("p", "q").block_compose(pell("p", "n"))
 
     def test_dimensions_and_params(self):
-        lifted, recipe = pell("p", "q").block_compose(pell("m", "n"))
+        lifted = pell("p", "q").block_compose(pell("m", "n"))
         assert lifted.n == 4 and lifted.h == 4
         assert lifted.params == ("p", "q", "m", "n")
-        assert len(recipe.positions) == 4
+        assert len(lifted.recipe.positions) == 4
 
     def test_pair_times_pair_is_pair_closed(self):
-        lifted, recipe = pell("p", "q").block_compose(pell("m", "n"))
-        cert = lifted.verify_pair_closure(recipe)
+        lifted = pell("p", "q").block_compose(pell("m", "n"))
+        cert = lifted.verify_pair_closure()
         assert isinstance(cert, ClosureCertificate)
 
     def test_any_triple_only_factor_forces_triple_only(self):
         # triple-only inner under a pairwise-closed outer
-        lifted, recipe = pell("p", "q").block_compose(
-            tracefree("t", "b", "c"), inner_recipe=tracefree_recipe("t"))
-        assert isinstance(lifted.verify_pair_closure(recipe), NotClosed)
-        assert isinstance(lifted.verify_triple_closure(recipe),
+        lifted = pell("p", "q").block_compose(
+            tracefree("t", "b", "c", tracefree_recipe("t")))
+        assert isinstance(lifted.verify_pair_closure(), NotClosed)
+        assert isinstance(lifted.verify_triple_closure(),
                           ClosureCertificate)
         # triple-only outer over a pairwise-closed inner
-        lifted2, recipe2 = tracefree("t", "b", "c").block_compose(
-            pell("p", "q"), outer_recipe=tracefree_recipe("t"))
-        assert isinstance(lifted2.verify_pair_closure(recipe2), NotClosed)
-        assert isinstance(lifted2.verify_triple_closure(recipe2),
+        outer = tracefree("t", "b", "c", tracefree_recipe("t"))
+        lifted2 = outer.block_compose(pell("p", "q"))
+        assert isinstance(lifted2.verify_pair_closure(), NotClosed)
+        assert isinstance(lifted2.verify_triple_closure(),
                           ClosureCertificate)
         # triple-only on both levels
-        lifted3, recipe3 = tracefree("t", "b", "c").block_compose(
-            tracefree("s", "e", "f"),
-            outer_recipe=tracefree_recipe("t"),
-            inner_recipe=tracefree_recipe("s"))
-        assert isinstance(lifted3.verify_pair_closure(recipe3), NotClosed)
-        assert isinstance(lifted3.verify_triple_closure(recipe3),
+        lifted3 = outer.block_compose(
+            tracefree("s", "e", "f", tracefree_recipe("s")))
+        assert isinstance(lifted3.verify_pair_closure(), NotClosed)
+        assert isinstance(lifted3.verify_triple_closure(),
                           ClosureCertificate)
 
     def test_lifted_determinant_multiplicative(self):
-        lifted, _ = pell("p", "q").block_compose(pell("m", "n"))
+        lifted = pell("p", "q").block_compose(pell("m", "n"))
         x = lifted.matrix_of((1, 2, 3, 4), (1, 1, 1, 1))
         y = lifted.matrix_of((5, 6, 7, 8), (1, 1, 1, 1))
         from matform.polyring import int_matrix_determinant
@@ -289,8 +286,19 @@ class TestBlockLifting:
         assert (int_matrix_determinant(prod)
                 == int_matrix_determinant(x) * int_matrix_determinant(y))
 
+    def test_lifted_recipe_is_derived_from_both_factors(self):
+        # what `matform block` builds from threefold_quadratic twice
+        from matform.catalog import family
+        st = family("threefold_quadratic").structure
+        lifted = st.block_compose(
+            st.rename_params({p: f"i_{p}" for p in st.params}))
+        assert isinstance(lifted.verify_pair_closure(), NotClosed)
+        assert isinstance(lifted.verify_triple_closure(), ClosureCertificate)
+        assert {name for _, monomial in lifted.recipe.divisors
+                for name, _ in monomial} == {"t", "i_t"}
+
     def test_slice_major_coordinate_order(self):
-        lifted, _ = pell("p", "q").block_compose(pell("m", "n"))
+        lifted = pell("p", "q").block_compose(pell("m", "n"))
         M = lifted.instantiate(("x1", "x2", "x3", "x4"))
         t = M.table
         # top-left block is the inner matrix on the first coordinate slice
@@ -320,8 +328,12 @@ class TestCompanion:
 
     def test_companion_always_pairwise_closed(self):
         st = companion_structure((1, -4, 2))
-        recipe = ExtractionRecipe.first_column(3)
-        cert = st.verify_pair_closure(recipe)
+        assert st.recipe == ExtractionRecipe.first_column(3)
+        cert = st.verify_pair_closure()
+        assert isinstance(cert, ClosureCertificate)
+
+    def test_companion_reads_its_own_first_column(self):
+        cert = companion_structure((0, 0, -2)).verify_pair_closure()
         assert isinstance(cert, ClosureCertificate)
 
     def test_companion_closure_gives_norm_multiplicativity(self):
