@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .compose import (MultilinearMap, ZeroResidual, induced_map, maps_equal,
-                      verify_identity)
+from .compose import (MultilinearMap, WrongFamilyKind, ZeroResidual,
+                      induced_map, maps_equal, verify_identity)
 from .linstruct import (UNIT, ExtractionRecipe, LinearStructure, NotClosed,
                         companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
@@ -199,11 +199,13 @@ class FormFamily:
             base._pair_map = base._derived_map(2)
         return self._specialized_map("pair", base._pair_map)
 
-    def triple_map(self, variant: int = 0) -> MultilinearMap:
+    def triple_map(self, index: int = 0) -> MultilinearMap:
+        """The trilinear law; `index` picks one of `triple_map_count`
+        argument-permutation variants."""
         base = self._base
         if not base._triple_maps:
             base._triple_maps.append(base._derived_map(3))
-        return self._specialized_map(variant, base._triple_maps[variant])
+        return self._specialized_map(index, base._triple_maps[index])
 
     @property
     def triple_map_count(self) -> int:
@@ -246,7 +248,7 @@ class FormFamily:
         values (sextic_uv, threefold_quadratic)."""
         self._check_point(point)
         st = self._own_structure()[0]
-        return None if st is None else st.matrix_of(point, ())
+        return None if st is None else st.matrix_of(point)
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Exact integer value of the form at an integer point."""
@@ -941,3 +943,35 @@ def circulant_factor_check(q: Optional[int] = None):
         if not isinstance(res, ZeroResidual):
             return res
     return True
+
+
+# -- three-fold specifics ------------------------------------------------------
+
+
+def verify_threefold_genuineness(fam: FormFamily, witness_params) -> Polynomial:
+    """A three-fold family's form at degenerate parameter values.
+
+    Returns the reduced polynomial (a single monomial such as 4*x4^4 for the
+    documented witnesses), whose shape rules out any bilinear composition law
+    with integer coefficients.  The nonexistence conclusion itself is prose,
+    not code.
+    """
+    if fam.kind != "triple":
+        raise WrongFamilyKind(f"{fam.name!r} is not a three-fold family")
+    return fam.specialize(witness_params).form
+
+
+def diophantine_chain(a: int, b: int, c: int,
+                      x: Sequence[int], y: Sequence[int], z: Sequence[int]):
+    """Three value-sharing points of the quadratic a*u1^2 + b*u1*u2 + c*u2^2.
+
+    The three argument-permutation variants of the trilinear composition
+    map send (x, y, z) to (u, v, w) with Q(u) = Q(v) = Q(w) =
+    Q(x)Q(y)Q(z); the shared value is returned alongside the points.
+    """
+    fam = family("threefold_quadratic", (a, b, c))
+    u, v, w = (fam.triple_map(k).apply((x, y, z)) for k in range(3))
+    value = fam.evaluate(u)
+    if fam.evaluate(v) != value or fam.evaluate(w) != value:
+        raise AssertionError("chain points disagree; composition data corrupt")
+    return u, v, w, value

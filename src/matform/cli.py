@@ -159,9 +159,6 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-_SLOT_BY_LETTER = {"x": "current", "y": "fixed1", "z": "fixed2"}
-
-
 def _cmd_solve(args) -> int:
     fam = _family(args.family, args.params)
     if fam.is_symbolic():
@@ -178,14 +175,14 @@ def _cmd_solve(args) -> int:
         if sorted(order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")
         spec = dioph.SequenceSpec(
-            family=fam, seed=args.seed, count=args.count, mode="triple",
-            fixed1=args.fixed, fixed2=args.step,
-            order=tuple(_SLOT_BY_LETTER[ch] for ch in order))
+            family=fam, seed=args.seed, count=args.count,
+            partners=(args.fixed, args.step),
+            order=tuple("xyz".index(ch) for ch in order))
     elif args.order is not None:
         raise UsageError("--order applies to three-argument maps only")
     else:
-        spec = dioph.SequenceSpec(family=fam, seed=args.seed, step=args.step,
-                                  count=args.count)
+        spec = dioph.SequenceSpec(family=fam, seed=args.seed, count=args.count,
+                                  partners=(args.step,))
     try:
         result = dioph.generate_sequence(spec)
     except (dioph.SeedNotSolution, dioph.StepNotSolution) as exc:

@@ -168,27 +168,6 @@ class MultilinearMap:
             N[i][col] += v
         return N
 
-    def to_json_obj(self) -> dict:
-        items = sorted(self.coeff.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-        return {
-            "k": self.k,
-            "h": self.h,
-            "coeff": [
-                {"i": i, "j": list(js), "c": c.to_json_obj()}
-                for (i, js), c in items
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MultilinearMap":
-        coeff = {}
-        params: Tuple[str, ...] = ()
-        for item in obj["coeff"]:
-            c = Polynomial.from_json_obj(item["c"])
-            params = c.table.names
-            coeff[(item["i"], tuple(item["j"]))] = c
-        return cls(obj["k"], obj["h"], params, coeff)
-
 
 # -- identity verification -------------------------------------------------
 
@@ -363,38 +342,3 @@ def _solve_exact(matrix: Sequence[Sequence[int]],
                 factor = a[i][col]
                 a[i] = [v - factor * w for v, w in zip(a[i], a[col])]
     return [a[i][n] for i in range(n)]
-
-
-# -- three-fold specifics ----------------------------------------------------
-
-
-def verify_threefold_genuineness(family, witness_params) -> Polynomial:
-    """A three-fold family's form at degenerate parameter values.
-
-    Returns the reduced polynomial (a single monomial such as 4*x4^4 for the
-    documented witnesses), whose shape rules out any bilinear composition law
-    with integer coefficients.  The nonexistence conclusion itself is prose,
-    not code.
-    """
-    if getattr(family, "kind", None) != "triple":
-        raise WrongFamilyKind(f"{getattr(family, 'name', family)!r} is not a "
-                              "three-fold family")
-    return family.specialize(witness_params).form
-
-
-def diophantine_chain(a: int, b: int, c: int,
-                      x: Sequence[int], y: Sequence[int], z: Sequence[int]):
-    """Three value-sharing points of the quadratic a*u1^2 + b*u1*u2 + c*u2^2.
-
-    The three argument-permutation variants of the trilinear composition
-    map send (x, y, z) to (u, v, w) with Q(u) = Q(v) = Q(w) =
-    Q(x)Q(y)Q(z); the shared value is returned alongside the points.
-    """
-    from .catalog import family  # catalog builds on this module
-
-    fam = family("threefold_quadratic", (a, b, c))
-    u, v, w = (fam.triple_map(k).apply((x, y, z)) for k in range(3))
-    value = fam.evaluate(u)
-    if fam.evaluate(v) != value or fam.evaluate(w) != value:
-        raise AssertionError("chain points disagree; composition data corrupt")
-    return u, v, w, value

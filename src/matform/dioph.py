@@ -49,20 +49,10 @@ class SearchVerificationError(PolyError):
 Vec = Tuple[int, ...]
 
 
-def _as_family(fam, params: Optional[Sequence[int]]) -> FormFamily:
-    if isinstance(fam, str):
-        return catalog_family(fam, params)
-    if params is not None:
-        return fam.specialize(params)
-    return fam
-
-
-def is_solution(fam, v: Sequence[int],
-                params: Optional[Sequence[int]] = None) -> bool:
+def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
     """Exact check f(v) = 1 (the product of all factors for multi-factor
     families)."""
-    f = _as_family(fam, params)
-    return f.evaluate(v) == 1
+    return fam.evaluate(v) == 1
 
 
 def simultaneous_is_solution(q: int, v: Sequence[int]) -> bool:
@@ -74,106 +64,95 @@ def simultaneous_is_solution(q: int, v: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Recipe for one solution chain.
+    """Recipe for one solution chain: x_{i+1} = map(slots), x_0 = seed.
 
-    mode "pairwise": next = map(current, step).
-    mode "triple": next = trilinear map applied to the three slots named by
-    `order`, each slot being "current", "fixed1", or "fixed2" (trilinear
-    maps are not symmetric, so the order is explicit and recorded).
+    `partners` holds the fixed vectors the map is applied to besides the
+    previous iterate: one for the bilinear map, two for the trilinear one.
+    `order[s]` says what fills argument slot s: 0 is the previous iterate
+    and j is partners[j-1].  The default is the identity order; trilinear
+    maps are not symmetric, so the order is part of the chain.
     """
     family: FormFamily
     seed: Vec
     count: int
-    mode: str = "pairwise"
-    step: Optional[Vec] = None
-    fixed1: Optional[Vec] = None
-    fixed2: Optional[Vec] = None
-    order: Tuple[str, str, str] = ("current", "fixed1", "fixed2")
-    variant: int = 0
+    partners: Tuple[Vec, ...]
+    order: Optional[Tuple[int, ...]] = None
 
 
 @dataclass
 class SequenceResult:
     spec: SequenceSpec
     solutions: List[Vec] = field(default_factory=list)
-    verified: bool = True
-
-    def to_json_obj(self) -> dict:
-        return self._json_obj([[str(c) for c in v] for v in self.solutions])
 
     def write_json(self, out: TextIO) -> None:
-        """Write json.dumps(self.to_json_obj()) and a newline, one iterate
-        at a time: a long sequence's decimal strings, all held at once, take
-        several times the memory of its integers."""
-        key = '"solutions": '
-        head, _, tail = json.dumps(self._json_obj(None)).partition(key + "null")
-        out.write(head + key + "[")
+        """Write the chain as one JSON document and a newline: family,
+        params, "mode" ("pairwise" for one partner, "triple" for two),
+        the solutions as decimal strings, and "verified": true, since every
+        iterate is proven before it is returned.  The solutions are written
+        one iterate at a time: a long sequence's decimal strings, all held
+        at once, take several times the memory of its integers."""
+        fam = self.spec.family
+        head, _, tail = json.dumps({
+            "family": fam.name,
+            "params": [str(v) for v in (fam.param_values or ())],
+            "mode": "pairwise" if len(self.spec.partners) == 1 else "triple",
+            "solutions": None,
+            "verified": True,
+        }).partition('"solutions": null')
+        out.write(head + '"solutions": [')
         for i, v in enumerate(self.solutions):
             out.write((", " if i else "") + json.dumps([str(c) for c in v]))
         out.write("]" + tail + "\n")
-
-    def _json_obj(self, solutions) -> dict:
-        fam = self.spec.family
-        return {
-            "family": fam.name,
-            "params": [str(v) for v in (fam.param_values or ())],
-            "mode": self.spec.mode,
-            "solutions": solutions,
-            "verified": self.verified,
-        }
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     """Iterate the composition map `count` times total, seed included.
 
-    Raises SeedNotSolution / StepNotSolution up front.  Each iterate v is
-    then proven to satisfy f(v) = 1 by its certificate
-    A(v) == A(a)·A(b)[·A(c)], checked entrywise, where a, b[, c] are the
-    arguments the map was applied to: by induction each has f = 1, so
-    det A(v) = 1 by multiplicativity of the determinant.  Where the
-    certificate does not hold, or the family has no integer matrix at
-    these values, f(v) = 1 is checked by exact evaluation instead;
-    SequenceVerificationError is raised if that fails too.  The last
-    iterate is always evaluated exactly.
+    The map is the family's bilinear `pair_map` for one partner and its
+    trilinear `triple_map()` for two; argument slot s gets
+    slots[order[s]], where slots = [previous iterate, *partners].  Raises
+    ValueError for no partners, more than two, or an order that is not a
+    permutation of 0..len(partners), and SeedNotSolution /
+    StepNotSolution up front.  Each iterate v is then proven to satisfy
+    f(v) = 1 by its certificate A(v) == A(a)·A(b)[·A(c)], checked
+    entrywise, where a, b[, c] are the arguments the map was applied to:
+    by induction each has f = 1, so det A(v) = 1 by multiplicativity of
+    the determinant.  Where the certificate does not hold, or the family
+    has no integer matrix at these values, f(v) = 1 is checked by exact
+    evaluation instead; SequenceVerificationError is raised if that fails
+    too.  The last iterate is always evaluated exactly.
     """
     fam = spec.family
+    k = len(spec.partners) + 1
+    if k not in (2, 3):
+        raise ValueError(f"need one or two partners, got {k - 1}")
+    order = tuple(range(k)) if spec.order is None else tuple(spec.order)
+    if sorted(order) != list(range(k)):
+        raise ValueError(f"order must be a permutation of 0..{k - 1}")
     seed = tuple(int(v) for v in spec.seed)
     if fam.evaluate(seed) != 1:
         raise SeedNotSolution(f"f{seed} = {fam.evaluate(seed)} != 1")
-
-    if spec.mode == "pairwise":
-        fixed = {"step": tuple(int(v) for v in spec.step)}
-        order: Tuple[str, ...] = ("current", "step")
-        cmap = fam.pair_map
-    elif spec.mode == "triple":
-        if sorted(spec.order) != ["current", "fixed1", "fixed2"]:
-            raise ValueError("order must name current, fixed1, fixed2 once each")
-        fixed = {"fixed1": tuple(int(v) for v in spec.fixed1),
-                 "fixed2": tuple(int(v) for v in spec.fixed2)}
-        order = tuple(spec.order)
-        cmap = fam.triple_map(spec.variant)
-    else:
-        raise ValueError(f"unknown mode {spec.mode!r}")
-    for name, vec in fixed.items():
+    cmap = fam.pair_map if k == 2 else fam.triple_map()
+    slots = [seed] + [tuple(int(v) for v in p) for p in spec.partners]
+    for j, vec in enumerate(slots[1:], 1):
         if fam.evaluate(vec) != 1:
-            where = "" if spec.mode == "pairwise" else f"{name}: "
+            where = "" if k == 2 else f"fixed{j}: "
             raise StepNotSolution(f"{where}f{vec} = {fam.evaluate(vec)} != 1")
 
-    matrices = {name: fam.matrix(vec) for name, vec in fixed.items()}
+    matrices = [fam.matrix(vec) for vec in slots]
     result = SequenceResult(spec=spec)
-    current, matrices["current"] = seed, fam.matrix(seed)
+    current = seed
     evaluated = True  # whether `current` was checked by exact evaluation
     for i in range(spec.count):
         if i > 0:
-            slots = {"current": current, **fixed}
-            current = cmap.apply(tuple(slots[name] for name in order))
+            current = cmap.apply([slots[s] for s in order])
             a = fam.matrix(current)
             evaluated = a is None or a != functools.reduce(
-                int_matrix_product, [matrices[name] for name in order])
+                int_matrix_product, [matrices[s] for s in order])
             if evaluated and fam.evaluate(current) != 1:
                 raise SequenceVerificationError(
                     f"iterate {i} fails f = 1: {current}")
-            matrices["current"] = a
+            slots[0], matrices[0] = current, a
         result.solutions.append(current)
     if not evaluated and fam.evaluate(current) != 1:
         raise SequenceVerificationError(
@@ -251,8 +230,7 @@ def _specialization_tree(terms, h: int):
     return coeffs, levels
 
 
-def brute_force_search(fam, bound: int,
-                       params: Optional[Sequence[int]] = None,
+def brute_force_search(fam: FormFamily, bound: int,
                        target: int = 1) -> List[Vec]:
     """All v with max|v_i| <= bound and f(v) = target, in lexicographic
     order.
@@ -267,15 +245,14 @@ def brute_force_search(fam, bound: int,
     is confirmed by `FormFamily.evaluate` before it is returned;
     SearchVerificationError is raised if one fails.
     """
-    f = _as_family(fam, params)
     side = 2 * int(bound) + 1
-    if side ** f.h > _SEARCH_GUARD:
-        raise SearchSpaceTooLarge(f"{side}^{f.h} candidate points")
-    if f.is_symbolic() and f.arity > 0:
-        raise ValueError(f"{f.name} needs numeric parameter values")
+    if side ** fam.h > _SEARCH_GUARD:
+        raise SearchSpaceTooLarge(f"{side}^{fam.h} candidate points")
+    if fam.is_symbolic() and fam.arity > 0:
+        raise ValueError(f"{fam.name} needs numeric parameter values")
     values = range(-int(bound), int(bound) + 1)
-    form = f.form
-    coeffs, levels = _specialization_tree(form.terms, f.h)
+    form = fam.form
+    coeffs, levels = _specialization_tree(form.terms, fam.h)
     powers = {v: [v ** e for e in range(form.total_degree() + 1)]
               for v in values}
     out: List[Vec] = []
@@ -297,7 +274,7 @@ def brute_force_search(fam, bound: int,
 
     walk(0, (), coeffs)
     for v in out:
-        if f.evaluate(v) != target:
+        if fam.evaluate(v) != target:
             raise SearchVerificationError(
-                f"search hit {v} has f = {f.evaluate(v)} != {target}")
+                f"search hit {v} has f = {fam.evaluate(v)} != {target}")
     return out

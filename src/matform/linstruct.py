@@ -150,7 +150,7 @@ class LinearStructure:
         self._closure_cache: Dict[int, object] = {}
         # the map each certificate induces, kept by compose.induced_map
         self._induced: Dict[int, object] = {}
-        self._cells: Dict[Tuple[int, ...], list] = {}
+        self._cells: Optional[list] = None  # kept by matrix_of
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -208,29 +208,26 @@ class LinearStructure:
                         _mul_into(acc, cr.embed(table).terms, v.terms)
                 yield (i, j), Polynomial._own(table, acc)
 
-    def matrix_of(self, point: Sequence[int],
-                  param_values: Sequence[int]) -> List[List[int]]:
-        """Integer matrix A(point) at numeric coordinates and parameters.
+    def matrix_of(self, point: Sequence[int]) -> List[List[int]]:
+        """Integer matrix A(point) of a parameter-free structure (one with
+        parameters raises ValueError: `specialize` it first).
 
         The integer cells, [(r, c), ...] with A[i][j] = sum of c * point[r],
-        are derived once per parameter tuple and kept.
+        are derived on first use and kept.
         """
         if len(point) != self.h:
             raise ValueError(f"expected {self.h} coordinates")
-        key = tuple(param_values)
-        cells = self._cells.get(key)
-        if cells is None:
-            if len(key) != len(self.params):
-                raise ValueError(f"expected {len(self.params)} parameter values")
-            pv = [int(v) for v in key]
-            cells = [[[(r, c.eval_vector(pv)) for r, c in enumerate(cell)
-                       if not c.is_zero()]
-                      for cell in row]
-                     for row in self.coeff]
-            self._cells[key] = cells
+        if self._cells is None:
+            if self.params:
+                raise ValueError(f"structure has parameters "
+                                 f"{','.join(self.params)}; specialize it first")
+            self._cells = [[[(r, c.constant_term())
+                             for r, c in enumerate(cell) if not c.is_zero()]
+                            for cell in row]
+                           for row in self.coeff]
         pt = list(map(int, point))
         return [[sum(c * pt[r] for r, c in cell) for cell in row]
-                for row in cells]
+                for row in self._cells]
 
     def form(self, coord_names: Sequence[str]) -> Polynomial:
         """det(A(coord_names)): the degree-n form carried by the family.
@@ -260,8 +257,7 @@ class LinearStructure:
         return LinearStructure(self.n, self.h, (), coeff, recipe)
 
     def to_json_obj(self) -> dict:
-        """The coefficients only: `from_json_obj` gives the first-row
-        recipe."""
+        """The coefficients only (the recipe is not written)."""
         return {
             "n": self.n,
             "h": self.h,
@@ -271,16 +267,6 @@ class LinearStructure:
                        for j in range(self.n)]
                       for i in range(self.n)],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LinearStructure":
-        params = tuple(obj["params"])
-        table = VarTable(params)
-        coeff = [[[Polynomial.from_json_obj(cell).embed(table)
-                   for cell in entry]
-                  for entry in row]
-                 for row in obj["coeff"]]
-        return cls(int(obj["n"]), int(obj["h"]), params, coeff)
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
         """Same structure with parameters renamed, in the recipe's divisors

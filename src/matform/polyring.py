@@ -10,7 +10,6 @@ output stays deterministic.
 
 from __future__ import annotations
 
-import json
 import operator
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -386,10 +385,6 @@ class Polynomial:
         table = VarTable(obj["vars"])
         terms = {tuple(t["e"]): int(t["c"]) for t in obj["terms"]}
         return cls(table, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        return cls.from_json_obj(json.loads(text))
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):

@@ -5,7 +5,8 @@ polynomials over the integers.
 """
 
 from matform import catalog
-from matform.catalog import family, quartic_inverse_forms
+from matform.catalog import (family, quartic_inverse_forms,
+                             verify_threefold_genuineness)
 from matform.compose import (
     MultilinearMap,
     ZeroResidual,
@@ -13,7 +14,6 @@ from matform.compose import (
     invert,
     maps_equal,
     verify_identity,
-    verify_threefold_genuineness,
 )
 from matform.dioph import SequenceSpec, brute_force_search, generate_sequence
 from matform.linstruct import ClosureCertificate, NotClosed, NotInSpan
@@ -130,11 +130,11 @@ def test_criterion_4_sequence_reproduction():
     for fam, mode, fixed, expected in runs:
         if mode == "pairwise":
             spec = SequenceSpec(family=fam, seed=expected[0],
-                                step=expected[0], count=len(expected))
+                                count=len(expected), partners=(expected[0],))
         else:
             spec = SequenceSpec(family=fam, seed=expected[0],
-                                count=len(expected), mode="triple",
-                                fixed1=fixed, fixed2=expected[0])
+                                count=len(expected),
+                                partners=(fixed, expected[0]))
         assert generate_sequence(spec).solutions == expected, fam.name
 
     # every table entry satisfies f = 1 exactly (checked independently of

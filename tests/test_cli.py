@@ -42,6 +42,13 @@ def readme_commands():
             for line in block.splitlines() if line.startswith("matform ")]
 
 
+def readme_library_example() -> str:
+    """The README's "Library example" python block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 class TestListFamilies:
     def test_json_output(self, capsys):
         code, out, err = run_cli(capsys, "list-families")
@@ -471,7 +478,8 @@ class TestFuzz:
 
 
 class TestReadmeUsage:
-    """Every command of the README's "CLI usage" block runs as documented."""
+    """Every command of the README's "CLI usage" block runs as documented,
+    and so does its "Library example"."""
 
     EXIT = {"closure --family threefold4x4 --order pair": 1}  # else 0
     STDOUT = {"emit-form --family quad2x2 --params 0,1 --format text":
@@ -490,3 +498,6 @@ class TestReadmeUsage:
         assert "Traceback" not in err
         if key in self.STDOUT:
             assert out == self.STDOUT[key]
+
+    def test_library_example(self):
+        exec(compile(readme_library_example(), "README.md", "exec"), {})

@@ -1,6 +1,8 @@
 """Solution sequences of f = 1 and the brute-force oracle."""
 
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -73,9 +75,6 @@ class TestIsSolution:
         assert is_solution(OCTIC, (4, 2, 2, 1, 14, 7, 8, 4))
         assert not is_solution(QUARTIC, (1, 1, 1, 1))
 
-    def test_accepts_name_and_params(self):
-        assert is_solution("quartic4x4", (6, 2, 3, 1), (5, -23, 2, -7))
-
     def test_simultaneous(self):
         assert simultaneous_is_solution(3, (2, 1, 3, -1, 3, -4))
         assert simultaneous_is_solution(3, (1, 0, 0, 0, 0, 0))
@@ -85,19 +84,20 @@ class TestIsSolution:
 class TestSequences:
     def test_quartic_reference_table(self):
         r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=(6, 2, 3, 1), step=(6, 2, 3, 1), count=4))
+            family=QUARTIC, seed=(6, 2, 3, 1), count=4,
+            partners=((6, 2, 3, 1),)))
         assert r.solutions == QUARTIC_SEQ
-        assert r.verified
 
     def test_octic_reference_table(self):
         r = generate_sequence(SequenceSpec(
-            family=OCTIC, seed=OCTIC_SEQ[0], step=OCTIC_SEQ[0], count=4))
+            family=OCTIC, seed=OCTIC_SEQ[0], count=4,
+            partners=(OCTIC_SEQ[0],)))
         assert r.solutions == OCTIC_SEQ
 
     def test_simultaneous_sextic_reference_table(self):
         fam = family("sextic_uv", (3,))
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=UV_SEQ[0], step=UV_SEQ[0], count=4))
+            family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
         assert r.solutions == UV_SEQ
         for v in r.solutions:
             assert simultaneous_is_solution(3, v)
@@ -106,32 +106,48 @@ class TestSequences:
         fam = family("threefold4x4", (-1, -4, 1, -1, 1, 1))
         e = (1, 0, 0, 0)
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=T4_SEQ[0], count=4, mode="triple",
-            fixed1=e, fixed2=T4_SEQ[0]))
+            family=fam, seed=T4_SEQ[0], count=4,
+            partners=(e, T4_SEQ[0])))
         assert r.solutions == T4_SEQ
 
     def test_threefold8x8_reference_table(self):
         fam = family("threefold8x8", (3, -1, 0, -3, 0, -14, 1))
         e = (1, 0, 0, 0, 0, 0, 0, 0)
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=T8_SEQ[0], count=4, mode="triple",
-            fixed1=e, fixed2=T8_SEQ[0]))
+            family=fam, seed=T8_SEQ[0], count=4,
+            partners=(e, T8_SEQ[0])))
         assert r.solutions == T8_SEQ
 
     def test_bad_seed_rejected(self):
         with pytest.raises(SeedNotSolution):
             generate_sequence(SequenceSpec(
-                family=QUARTIC, seed=(1, 1, 1, 1), step=(6, 2, 3, 1), count=2))
+                family=QUARTIC, seed=(1, 1, 1, 1), count=2,
+                partners=((6, 2, 3, 1),)))
 
     def test_bad_step_rejected(self):
         with pytest.raises(StepNotSolution):
             generate_sequence(SequenceSpec(
-                family=QUARTIC, seed=(6, 2, 3, 1), step=(1, 1, 1, 1), count=2))
+                family=QUARTIC, seed=(6, 2, 3, 1), count=2,
+                partners=((1, 1, 1, 1),)))
+
+    @pytest.mark.parametrize("partners, order", [
+        ((), None),
+        (((6, 2, 3, 1),) * 3, None),
+        (((6, 2, 3, 1),), (0, 0)),
+        (((6, 2, 3, 1),), (0, 1, 2)),
+    ])
+    def test_malformed_spec_rejected(self, partners, order):
+        with pytest.raises(ValueError):
+            generate_sequence(SequenceSpec(
+                QUARTIC, (6, 2, 3, 1), 2, partners, order))
 
     def test_json_wire_format(self):
         r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=(6, 2, 3, 1), step=(6, 2, 3, 1), count=2))
-        obj = r.to_json_obj()
+            family=QUARTIC, seed=(6, 2, 3, 1), count=2,
+            partners=((6, 2, 3, 1),)))
+        out = io.StringIO()
+        r.write_json(out)
+        obj = json.loads(out.getvalue())
         assert obj["family"] == "quartic4x4"
         assert obj["params"] == ["5", "-23", "2", "-7"]
         assert obj["mode"] == "pairwise"
@@ -140,7 +156,7 @@ class TestSequences:
 
     def test_deterministic(self):
         spec = SequenceSpec(family=QUARTIC, seed=(6, 2, 3, 1),
-                            step=(6, 2, 3, 1), count=4)
+                            partners=((6, 2, 3, 1),), count=4)
         assert generate_sequence(spec).solutions \
             == generate_sequence(spec).solutions
 
@@ -196,7 +212,7 @@ class TestIterateCertificate:
         monkeypatch.setattr(FormFamily, "pair_map", property(lambda self: bad))
         with pytest.raises(SequenceVerificationError, match="iterate 1 "):
             generate_sequence(SequenceSpec(
-                family=fam, seed=seed, step=seed, count=4))
+                family=fam, seed=seed, partners=(seed,), count=4))
 
     def test_mutated_triple_map_fails_at_iterate_1(self, monkeypatch):
         fam = T4.specialize(T4.param_values)  # patched below
@@ -204,8 +220,8 @@ class TestIterateCertificate:
         monkeypatch.setattr(fam, "triple_map", lambda variant=0: bad)
         with pytest.raises(SequenceVerificationError, match="iterate 1 "):
             generate_sequence(SequenceSpec(
-                family=fam, seed=T4_SEQ[0], count=4, mode="triple",
-                fixed1=E4, fixed2=T4_SEQ[0]))
+                family=fam, seed=T4_SEQ[0], count=4,
+                partners=(E4, T4_SEQ[0])))
 
     def test_map_outside_the_certificate_falls_back(self, monkeypatch,
                                                     evaluations):
@@ -219,37 +235,36 @@ class TestIterateCertificate:
             (i, (j2, j1, j3)): c for (i, (j1, j2, j3)), c in cmap.coeff.items()})
         monkeypatch.setattr(fam, "triple_map", lambda variant=0: swapped)
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=T4_SEQ[0], count=6, mode="triple",
-            fixed1=E4, fixed2=T4_SEQ[0]))
-        assert len(evaluations) > 4  # seed, fixed1, fixed2, last
+            family=fam, seed=T4_SEQ[0], count=6,
+            partners=(E4, T4_SEQ[0])))
+        assert len(evaluations) > 4  # seed, two partners, last
         assert r.solutions[1] != T4_SEQ[1]
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
 
     def test_certified_iterates_are_not_evaluated(self, evaluations):
         r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=QUARTIC_SEQ[0], step=QUARTIC_SEQ[0],
+            family=QUARTIC, seed=QUARTIC_SEQ[0], partners=(QUARTIC_SEQ[0],),
             count=50))
         assert r.solutions[:4] == QUARTIC_SEQ
         assert evaluations == [QUARTIC_SEQ[0], QUARTIC_SEQ[0],
-                               r.solutions[-1]]  # seed, step, last
+                               r.solutions[-1]]  # seed, partner, last
         assert printed(QUARTIC)(r.solutions[-1]) == 1
 
-    @pytest.mark.parametrize(
-        "order", list(itertools.permutations(("current", "fixed1", "fixed2"))))
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_every_slot_order_is_certified(self, order, evaluations):
         # a second solution besides the seed, so no slot holds (1, 0, 0, 0)
         r = generate_sequence(SequenceSpec(
-            family=T4, seed=T4_SEQ[0], count=6, mode="triple",
-            fixed1=(-4, 1, -3, 3), fixed2=T4_SEQ[0], order=order))
-        assert len(evaluations) == 4  # seed, fixed1, fixed2, last
+            family=T4, seed=T4_SEQ[0], count=6,
+            partners=((-4, 1, -3, 3), T4_SEQ[0]), order=order))
+        assert len(evaluations) == 4  # seed, two partners, last
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
 
     def test_family_without_matrix_evaluates_every_iterate(self, evaluations):
         fam = family("sextic_uv", (3,))
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=UV_SEQ[0], step=UV_SEQ[0], count=4))
+            family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
         assert r.solutions == UV_SEQ
         assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[1:]
 

@@ -15,7 +15,7 @@ from matform.linstruct import (
     ParameterCollision,
     companion_structure,
 )
-from matform.polyring import PolyMatrix, VarTable
+from matform.polyring import PolyMatrix, Polynomial, VarTable
 
 
 def pell(c1: str, c2: str) -> LinearStructure:
@@ -98,20 +98,15 @@ class TestConstruction:
 
     def test_matrix_of_matches_symbolic_instantiation(self):
         st = pell("p", "q")
-        M = st.matrix_of((3, -2), (5, 7))
         S = st.instantiate(("x1", "x2"))
-        env = {"p": 5, "q": 7, "x1": 3, "x2": -2}
-        for i in range(2):
-            for j in range(2):
-                assert M[i][j] == S[i, j].eval_int(env)
-
-    def test_matrix_of_keeps_cells_per_parameter_tuple(self):
-        st = pell("p", "q")
-        S = st.instantiate(("x1", "x2"))
-        for params in [(5, 7), (1, -2), (5, 7)]:
+        for params in [(5, 7), (1, -2)]:
+            M = st.specialize(params).matrix_of((3, -2))
             env = {"p": params[0], "q": params[1], "x1": 3, "x2": -2}
-            assert st.matrix_of((3, -2), params) == \
-                [[S[i, j].eval_int(env) for j in range(2)] for i in range(2)]
+            for i in range(2):
+                for j in range(2):
+                    assert M[i][j] == S[i, j].eval_int(env)
+        with pytest.raises(ValueError, match="specialize it first"):
+            st.matrix_of((3, -2))
 
     def test_specialize_removes_parameters(self):
         st = pell("p", "q").specialize((0, -1))
@@ -123,11 +118,12 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         st = tracefree("t", "b", "c")
-        again = LinearStructure.from_json_obj(
-            json.loads(json.dumps(st.to_json_obj())))
-        assert again.n == st.n and again.h == st.h
-        assert again.params == st.params
-        assert again.form(("x1", "x2")) == st.form(("x1", "x2"))
+        obj = json.loads(json.dumps(st.to_json_obj()))
+        assert (obj["n"], obj["h"]) == (st.n, st.h)
+        assert tuple(obj["params"]) == st.params
+        assert [[[Polynomial.from_json_obj(c) for c in cell] for cell in row]
+                for row in obj["coeff"]] == \
+            [[list(cell) for cell in row] for row in st.coeff]
 
 
 class TestExtraction:
@@ -278,8 +274,9 @@ class TestBlockLifting:
 
     def test_lifted_determinant_multiplicative(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
-        x = lifted.matrix_of((1, 2, 3, 4), (1, 1, 1, 1))
-        y = lifted.matrix_of((5, 6, 7, 8), (1, 1, 1, 1))
+        lifted = lifted.specialize((1, 1, 1, 1))
+        x = lifted.matrix_of((1, 2, 3, 4))
+        y = lifted.matrix_of((5, 6, 7, 8))
         from matform.polyring import int_matrix_determinant
         prod = [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)]
                 for i in range(4)]
@@ -338,8 +335,8 @@ class TestCompanion:
 
     def test_companion_closure_gives_norm_multiplicativity(self):
         st = companion_structure((0, 0, -2))
-        x = st.matrix_of((1, 1, 0), ())
-        y = st.matrix_of((1, 0, 1), ())
+        x = st.matrix_of((1, 1, 0))
+        y = st.matrix_of((1, 0, 1))
         from matform.polyring import int_matrix_determinant
         prod = [[sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
                 for i in range(3)]

@@ -127,7 +127,8 @@ class TestPolynomialBasics:
 class TestSerialization:
     @given(polys())
     def test_json_round_trip(self, p):
-        again = Polynomial.from_json(json.dumps(p.to_json_obj()))
+        again = Polynomial.from_json_obj(
+            json.loads(json.dumps(p.to_json_obj())))
         assert again == p
 
     def test_big_coefficients_survive(self):
