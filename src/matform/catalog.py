@@ -47,8 +47,11 @@ class FormFamily:
 
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
-    structure of its own).  A numeric family owns everything that depends
-    on its parameter values (structure, form and maps, each derived on
+    structure of its own).  A family has at most one law per arity k:
+    `pair_map` (k = 2) and `triple_map()` (k = 3), both read from `_law`.
+    Argument order is the caller's: a law applied to reordered arguments
+    is still the one law.  A numeric family owns everything that depends
+    on its parameter values (structure, form and laws, each derived on
     first use and kept; the structure carries its own extraction recipe)
     and proves its identity with `verify`.  The integer A(point) of
     `matrix` is the parameter-free structure's `matrix_of`.
@@ -59,7 +62,7 @@ class FormFamily:
                  degree: int,
                  structure: Optional[LinearStructure] = None,
                  pair_map: Optional[MultilinearMap] = None,
-                 triple_maps: Sequence[MultilinearMap] = (),
+                 triple_map: Optional[MultilinearMap] = None,
                  printed_form: Optional[Polynomial] = None,
                  factors: Optional[Tuple[Polynomial, ...]] = None,
                  degenerate_witness: Optional[Tuple[int, ...]] = None,
@@ -72,8 +75,6 @@ class FormFamily:
         self.coord_names = tuple(coord_names)
         self.degree = degree
         self._structure = structure
-        self._pair_map = pair_map
-        self._triple_maps = list(triple_maps)
         self.printed_form = printed_form  # transcribed expansion, symbolic
         self._factors_symbolic = factors
         self.degenerate_witness = degenerate_witness
@@ -83,7 +84,9 @@ class FormFamily:
         self._form: Optional[Polynomial] = None
         self._factors: Optional[Tuple[Polynomial, ...]] = None
         self._own: Optional[tuple] = None
-        self._maps: Dict[object, MultilinearMap] = {}
+        self._laws: Dict[int, MultilinearMap] = {
+            k: law for k, law in ((2, pair_map), (3, triple_map))
+            if law is not None}
 
     # -- basics ----------------------------------------------------------
 
@@ -175,41 +178,36 @@ class FormFamily:
 
     # -- maps --------------------------------------------------------------
 
-    def _derived_map(self, order: int) -> MultilinearMap:
-        """The symbolic map induced by the structure's closure certificate."""
-        word = {2: "bilinear", 3: "trilinear"}[order]
-        if self._structure is None or (order == 2 and self.kind == "triple"):
-            raise PolyError(f"{self.name} has no {word} composition map")
-        cmap = induced_map(self._structure, order)
-        if isinstance(cmap, NotClosed):
-            raise PolyError(f"{self.name} {word} closure failed unexpectedly")
-        return cmap
-
-    def _specialized_map(self, key, cmap: MultilinearMap) -> MultilinearMap:
-        if self.is_symbolic():
-            return cmap
-        if key not in self._maps:
-            self._maps[key] = cmap.specialize(self.param_values)
-        return self._maps[key]
+    def _law(self, k: int) -> MultilinearMap:
+        """The composition law of arity k (2 bilinear, 3 trilinear),
+        derived on first use and kept.  A symbolic family's law is the
+        transcribed one, else the one its structure's closure certificate
+        induces (a "triple" family has no bilinear law); a numeric
+        family's is the symbolic law at its values."""
+        law = self._laws.get(k)
+        if law is None:
+            if not self.is_symbolic():
+                law = self._base._law(k).specialize(self.param_values)
+            else:
+                word = {2: "bilinear", 3: "trilinear"}[k]
+                if self._structure is None or (k == 2 and self.kind == "triple"):
+                    raise PolyError(f"{self.name} has no {word} composition map")
+                law = induced_map(self._structure, k)
+                if isinstance(law, NotClosed):
+                    raise PolyError(f"{self.name} {word} closure failed unexpectedly")
+            self._laws[k] = law
+        return law
 
     @property
     def pair_map(self) -> MultilinearMap:
-        base = self._base
-        if base._pair_map is None:
-            base._pair_map = base._derived_map(2)
-        return self._specialized_map("pair", base._pair_map)
+        """The bilinear law: f(x)f(y) = f(pair_map(x, y))."""
+        return self._law(2)
 
-    def triple_map(self, index: int = 0) -> MultilinearMap:
-        """The trilinear law; `index` picks one of `triple_map_count`
-        argument-permutation variants."""
-        base = self._base
-        if not base._triple_maps:
-            base._triple_maps.append(base._derived_map(3))
-        return self._specialized_map(index, base._triple_maps[index])
-
-    @property
-    def triple_map_count(self) -> int:
-        return max(len(self._base._triple_maps), 1)
+    def triple_map(self) -> MultilinearMap:
+        """The trilinear law: f(x)f(y)f(z) = f(triple_map()(x, y, z)).
+        It is not symmetric; a caller wanting another argument order
+        applies it to the reordered arguments."""
+        return self._law(3)
 
     # -- identity ------------------------------------------------------------
 
@@ -224,9 +222,8 @@ class FormFamily:
         base = self._base
         if st is not None and base is not self and \
                 (cmap.k == 3 or self.kind != "triple"):
-            law = base.triple_map() if cmap.k == 3 else base.pair_map
-            if maps_equal(cmap, law.specialize(self.param_values)) and \
-                    isinstance(base.verify(law), ZeroResidual):
+            if maps_equal(cmap, self._law(cmap.k)) and \
+                    isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
                 return ZeroResidual("matrix", "recipe divisor vanishes; "
                                     "symbolic identity specialized")
         return verify_identity(self.form, cmap, self.coord_names,
@@ -311,16 +308,13 @@ def _cubic_structure() -> LinearStructure:
 # -- transcribed bilinear maps -------------------------------------------------
 
 
-def _bilinear_from(params: Sequence[str], h: int, builder) -> MultilinearMap:
-    xs, ys = _coords("x", h), _coords("y", h)
-    table, v = _vars(tuple(params) + xs + ys)
-    return MultilinearMap.from_forms(builder(v), params, (xs, ys))
-
-
-def _trilinear_from(params: Sequence[str], h: int, builder) -> MultilinearMap:
-    xs, ys, zs = _coords("x", h), _coords("y", h), _coords("z", h)
-    table, v = _vars(tuple(params) + xs + ys + zs)
-    return MultilinearMap.from_forms(builder(v), params, (xs, ys, zs))
+def _map_from(params: Sequence[str], h: int, k: int,
+              builder) -> MultilinearMap:
+    """The arity-k map whose outputs `builder` writes in x1..xh, y1..yh
+    (and z1..zh for k = 3)."""
+    coord_sets = [_coords(prefix, h) for prefix in "xyz"[:k]]
+    _, v = _vars(tuple(params) + sum(coord_sets, ()))
+    return MultilinearMap.from_forms(builder(v), params, coord_sets)
 
 
 def _quad_map() -> MultilinearMap:
@@ -331,7 +325,7 @@ def _quad_map() -> MultilinearMap:
             x1 * y1 - q * x2 * y2,
             x1 * y2 + x2 * y1 + p * x2 * y2,
         ]
-    return _bilinear_from(("p", "q"), 2, build)
+    return _map_from(("p", "q"), 2, 2, build)
 
 
 def _cubic_map() -> MultilinearMap:
@@ -348,7 +342,7 @@ def _cubic_map() -> MultilinearMap:
             (x1 * y3 + l3 * x2 * y2 + l3 * x2 * y3 + x3 * y1
              + l3 * x3 * y2 + l5 * x3 * y3),
         ]
-    return _bilinear_from(("l1", "l2", "l3", "l4", "l5"), 3, build)
+    return _map_from(("l1", "l2", "l3", "l4", "l5"), 3, 2, build)
 
 
 def _quartic_map() -> MultilinearMap:
@@ -363,7 +357,7 @@ def _quartic_map() -> MultilinearMap:
             (x1*y4 + x2*y3 + m*x2*y4 + x3*y2 + p*x3*y4
              + x4*y1 + m*x4*y2 + p*x4*y3 + m*p*x4*y4),
         ]
-    return _bilinear_from(("m", "n", "p", "q"), 4, build)
+    return _map_from(("m", "n", "p", "q"), 4, 2, build)
 
 
 def _sextic_map() -> MultilinearMap:
@@ -400,7 +394,7 @@ def _sextic_map() -> MultilinearMap:
               + l3*p*x5*y6 + x6*y1 + l3*x6*y2 + l5*x6*y3 + p*x6*y4
               + l3*p*x6*y5 + l5*p*x6*y6)
         return [z1, z2, z3, z4, z5, z6]
-    return _bilinear_from(("l1", "l2", "l3", "l4", "l5", "p", "q"), 6, build)
+    return _map_from(("l1", "l2", "l3", "l4", "l5", "p", "q"), 6, 2, build)
 
 
 def _circulant_map() -> MultilinearMap:
@@ -418,7 +412,7 @@ def _circulant_map() -> MultilinearMap:
             x1*y5 + x2*y4 + x3*y6 + x4*y2 + x5*y1 + x6*y3,
             x1*y6 + x2*y5 + x3*y4 + x4*y3 + x5*y2 + x6*y1,
         ]
-    return _bilinear_from(("q",), 6, build)
+    return _map_from(("q",), 6, 2, build)
 
 
 def _uv_map() -> MultilinearMap:
@@ -442,7 +436,7 @@ def _uv_map() -> MultilinearMap:
               - q*u4*v2 + q*u4*v4 + 2*q*u4*v5 - q*u5*v2 + 2*q*u5*v4
               + q*u5*v5 + u6*v1 - u6*v3 - 2*u6*v6)
         return [w1, w2, w3, w4, w5, w6]
-    return _bilinear_from(("q",), 6, build)
+    return _map_from(("q",), 6, 2, build)
 
 
 def _octic_map() -> MultilinearMap:
@@ -479,32 +473,21 @@ def _octic_map() -> MultilinearMap:
               + r*p*x7*y8 + x8*y1 + m*x8*y2 + p*x8*y3 + p*m*x8*y4
               + r*x8*y5 + r*m*x8*y6 + r*p*x8*y7 + r*p*m*x8*y8)
         return [z1, z2, z3, z4, z5, z6, z7, z8]
-    return _bilinear_from(("m", "n", "p", "q", "r", "s"), 8, build)
+    return _map_from(("m", "n", "p", "q", "r", "s"), 8, 2, build)
 
 
 # -- transcribed trilinear maps ------------------------------------------------
 
 
-def _threefold_quadratic_maps() -> List[MultilinearMap]:
-    """The three argument-permutation variants of the trilinear law for
-    a*x1^2 + b*x1*x2 + c*x2^2."""
-    def phi(a, b, c, x1, x2, y1, y2, z1, z2):
-        u1 = (a*x1*y1*z1 + b*x1*y2*z1 + c*x1*y2*z2
-              - c*x2*y1*z2 + c*x2*y2*z1)
-        u2 = (a*x1*y1*z2 - a*x1*y2*z1 + a*x2*y1*z1
-              + b*x2*y1*z2 + c*x2*y2*z2)
-        return [u1, u2]
-
-    def variant(order):
-        def build(v):
-            a, b, c = v["a"], v["b"], v["c"]
-            pairs = {"x": (v["x1"], v["x2"]), "y": (v["y1"], v["y2"]),
-                     "z": (v["z1"], v["z2"])}
-            (p1, p2), (q1, q2), (r1, r2) = (pairs[key] for key in order)
-            return phi(a, b, c, p1, p2, q1, q2, r1, r2)
-        return _trilinear_from(("a", "b", "c"), 2, build)
-
-    return [variant("xyz"), variant("yzx"), variant("zxy")]
+def _threefold_quadratic_map() -> MultilinearMap:
+    """The trilinear law psi of Q = a*x1^2 + b*x1*x2 + c*x2^2:
+    Q(x)Q(y)Q(z) = Q(psi(x, y, z))."""
+    def build(v):
+        a, b, c, x1, x2, y1, y2, z1, z2 = (v[name] for name in (
+            "a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2"))
+        return [a*x1*y1*z1 + b*x1*y2*z1 + c*x1*y2*z2 - c*x2*y1*z2 + c*x2*y2*z1,
+                a*x1*y1*z2 - a*x1*y2*z1 + a*x2*y1*z1 + b*x2*y1*z2 + c*x2*y2*z2]
+    return _map_from(("a", "b", "c"), 2, 3, build)
 
 
 def _threefold4x4_map() -> MultilinearMap:
@@ -551,7 +534,7 @@ def _threefold4x4_map() -> MultilinearMap:
               + m*p*x4*y1*z4 + m*q*x4*y3*z4 + n*p*x4*y2*z4
               + n*q*x4*y4*z4)
         return [w1, w2, w3, w4]
-    return _trilinear_from(("m", "n", "p", "q", "s", "t"), 4, build)
+    return _map_from(("m", "n", "p", "q", "s", "t"), 4, 3, build)
 
 
 # -- transcribed closed-form expansions ----------------------------------------
@@ -821,7 +804,7 @@ def _build_threefold_quadratic() -> FormFamily:
         "in three argument-permutation variants",
         "triple", ("a", "b", "c"), _coords("x", 2), 2,
         structure=_tracefree_structure("t", "b", "c"),
-        triple_maps=_threefold_quadratic_maps(),
+        triple_map=_threefold_quadratic_map(),
         factors=(_threefold_quadratic_form(),),
         degenerate_witness=(-1, 0, -1))
 
@@ -835,7 +818,7 @@ def _build_threefold4x4() -> FormFamily:
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
         "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4), 4,
-        structure=st, triple_maps=[_threefold4x4_map()],
+        structure=st, triple_map=_threefold4x4_map(),
         printed_form=_threefold4x4_printed_form(),
         degenerate_witness=(0, 1, 0, 2, 0, 0))
 
@@ -965,12 +948,14 @@ def diophantine_chain(a: int, b: int, c: int,
                       x: Sequence[int], y: Sequence[int], z: Sequence[int]):
     """Three value-sharing points of the quadratic a*u1^2 + b*u1*u2 + c*u2^2.
 
-    The three argument-permutation variants of the trilinear composition
-    map send (x, y, z) to (u, v, w) with Q(u) = Q(v) = Q(w) =
-    Q(x)Q(y)Q(z); the shared value is returned alongside the points.
+    The trilinear law psi applied to (x, y, z) and to its two rotations
+    gives u = psi(x, y, z), v = psi(y, z, x) and w = psi(z, x, y), with
+    Q(u) = Q(v) = Q(w) = Q(x)Q(y)Q(z); the shared value is returned
+    alongside the points.
     """
     fam = family("threefold_quadratic", (a, b, c))
-    u, v, w = (fam.triple_map(k).apply((x, y, z)) for k in range(3))
+    psi = fam.triple_map()
+    u, v, w = (psi.apply(args) for args in ((x, y, z), (y, z, x), (z, x, y)))
     value = fam.evaluate(u)
     if fam.evaluate(v) != value or fam.evaluate(w) != value:
         raise AssertionError("chain points disagree; composition data corrupt")

@@ -149,23 +149,16 @@ class MultilinearMap:
         coeff = {key: empty.const(c.eval_vector(pv)) for key, c in self.coeff.items()}
         return MultilinearMap(self.k, self.h, (), coeff)
 
-    def argument_matrix(self, fixed: Sequence[Sequence[int]],
-                        free_slot: int) -> List[List[int]]:
-        """Integer matrix N with map(...) = N @ v when argument `free_slot`
-        is the unknown vector v and the other slots are fixed."""
-        if len(fixed) != self.k - 1:
-            raise DimensionMismatch("need k-1 fixed argument vectors")
+    def argument_matrix(self, x: Sequence[int]) -> List[List[int]]:
+        """Integer matrix N with map(x, y) = N @ y, for a bilinear
+        parameter-free map; raises WrongFamilyKind for any other arity."""
+        if self.k != 2:
+            raise WrongFamilyKind(f"need a bilinear map, got arity {self.k}")
+        if len(x) != self.h:
+            raise DimensionMismatch(f"point must have length {self.h}")
         N = [[0] * self.h for _ in range(self.h)]
-        for i, js, v in self._int_coeffs():
-            fi = 0
-            col = None
-            for slot, j in enumerate(js):
-                if slot == free_slot:
-                    col = j
-                else:
-                    v *= int(fixed[fi][j])
-                    fi += 1
-            N[i][col] += v
+        for i, (j, col), v in self._int_coeffs():
+            N[i][col] += v * int(x[j])
         return N
 
 
@@ -279,20 +272,10 @@ def induced_map(structure: LinearStructure,
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:
-    if a.k != b.k or a.h != b.h:
-        return False
-    if set(a.params) != set(b.params):
-        return False
-    keys = set(a.coeff) | set(b.coeff)
-    zero = a.param_table.zero()
-    for key in keys:
-        ca = a.coeff.get(key, zero)
-        cb = b.coeff.get(key, zero)
-        if cb.table != ca.table:
-            cb = cb.embed(ca.table)  # same names, other order
-        if ca != cb:
-            return False
-    return True
+    """Same arity, dimension, parameter tuple and coefficients.  Zero
+    coefficients are dropped on construction, so the dicts compare exactly;
+    maps over the same parameters in another order are not equal."""
+    return (a.k, a.h, a.params, a.coeff) == (b.k, b.h, b.params, b.coeff)
 
 
 # -- group law on f = 1 -----------------------------------------------------
@@ -306,15 +289,12 @@ def identity_element(h: int) -> Tuple[int, ...]:
 def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
     """The y with map(x, y) = (1, 0, ..., 0), by exact rational solve.
 
-    Requires a bilinear map.  Raises NotAUnit when the solution is not
+    Solves N y = e for N = cmap.argument_matrix(x), so the map must be
+    bilinear and parameter-free.  Raises NotAUnit when the solution is not
     integral (which happens exactly when f(x) is not a unit) and
     SingularMap when the system is singular.
     """
-    if cmap.k != 2:
-        raise WrongFamilyKind("inversion needs a bilinear map")
-    if len(x) != cmap.h:
-        raise DimensionMismatch(f"point must have length {cmap.h}")
-    N = cmap.argument_matrix([list(x)], free_slot=1)
+    N = cmap.argument_matrix(x)
     e = identity_element(cmap.h)
     y = _solve_exact(N, list(e))
     out = []

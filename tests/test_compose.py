@@ -93,7 +93,7 @@ class TestMultilinearMap:
         fam = catalog.family("quartic4x4", (5, -23, 2, -7))
         cmap = fam.pair_map
         x, y = (6, 2, 3, 1), (1, 0, 0, 0)
-        N = cmap.argument_matrix((x,), free_slot=1)
+        N = cmap.argument_matrix(x)
         assert tuple(sum(N[i][j] * y[j] for j in range(4)) for i in range(4)) \
             == cmap.apply((x, y))
 
@@ -110,7 +110,7 @@ class TestMultilinearMap:
         monkeypatch.setattr(Polynomial, "constant_term", counting)
         for _ in range(100):
             assert cmap.apply((x, y)) == first
-        cmap.argument_matrix((x,), free_slot=1)
+        cmap.argument_matrix(x)
         assert calls == []
 
 
@@ -320,12 +320,10 @@ class TestThreefold:
         x1, x2 = t.var("x1"), t.var("x2")
         assert w == -(x1 ** 2) - x2 ** 2
 
-    def test_triple_identity_quadratic_all_variants(self):
+    def test_triple_identity_quadratic(self):
         fam = catalog.family("threefold_quadratic")
-        for variant in range(fam.triple_map_count):
-            res = verify_identity(fam.form, fam.triple_map(variant),
-                                  fam.coord_names)
-            assert isinstance(res, ZeroResidual)
+        res = verify_identity(fam.form, fam.triple_map(), fam.coord_names)
+        assert isinstance(res, ZeroResidual)
 
 
 class TestDiophantineChain:

@@ -217,7 +217,7 @@ class TestIterateCertificate:
     def test_mutated_triple_map_fails_at_iterate_1(self, monkeypatch):
         fam = T4.specialize(T4.param_values)  # patched below
         bad = bumped(fam.triple_map(), (0, (0, 0, 0)))
-        monkeypatch.setattr(fam, "triple_map", lambda variant=0: bad)
+        monkeypatch.setattr(fam, "triple_map", lambda: bad)
         with pytest.raises(SequenceVerificationError, match="iterate 1 "):
             generate_sequence(SequenceSpec(
                 family=fam, seed=T4_SEQ[0], count=4,
@@ -233,7 +233,7 @@ class TestIterateCertificate:
         cmap = fam.triple_map()
         swapped = MultilinearMap(3, 4, (), {
             (i, (j2, j1, j3)): c for (i, (j1, j2, j3)), c in cmap.coeff.items()})
-        monkeypatch.setattr(fam, "triple_map", lambda variant=0: swapped)
+        monkeypatch.setattr(fam, "triple_map", lambda: swapped)
         r = generate_sequence(SequenceSpec(
             family=fam, seed=T4_SEQ[0], count=6,
             partners=(E4, T4_SEQ[0])))
