@@ -12,6 +12,7 @@ caught.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .compose import (MultilinearMap, WrongFamilyKind, ZeroResidual,
@@ -47,10 +48,9 @@ class FormFamily:
 
     `kind` is "pair" (bilinear composition law), "triple" (trilinear law
     only), or "uv" (the simultaneous two-form system with no matrix
-    structure of its own).  A family has at most one law per arity k:
-    `pair_map` (k = 2) and `triple_map()` (k = 3), both read from `_law`.
-    Argument order is the caller's: a law applied to reordered arguments
-    is still the one law.  A numeric family owns everything that depends
+    structure of its own).  A family has one law per arity, `pair_map`
+    (bilinear) and `triple_map()` (trilinear); argument order is the
+    caller's.  A numeric family owns everything that depends
     on its parameter values (structure, form and laws, each derived on
     first use and kept; the structure carries its own extraction recipe)
     and proves its identity with `verify`.  The integer A(point) of
@@ -66,7 +66,7 @@ class FormFamily:
                  printed_form: Optional[Polynomial] = None,
                  factors: Optional[Tuple[Polynomial, ...]] = None,
                  degenerate_witness: Optional[Tuple[int, ...]] = None,
-                 param_values: Optional[Sequence[int]] = None,
+                 param_values: Optional[Tuple[int, ...]] = None,
                  base: Optional["FormFamily"] = None):
         self.name = name
         self.description = description
@@ -78,8 +78,7 @@ class FormFamily:
         self.printed_form = printed_form  # transcribed expansion, symbolic
         self._factors_symbolic = factors
         self.degenerate_witness = degenerate_witness
-        self.param_values = (tuple(int(v) for v in param_values)
-                             if param_values is not None else None)
+        self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
         self._form: Optional[Polynomial] = None
         self._factors: Optional[Tuple[Polynomial, ...]] = None
@@ -106,7 +105,7 @@ class FormFamily:
         return f"FormFamily({self.name}, {vals})"
 
     def specialize(self, param_values: Sequence[int]) -> "FormFamily":
-        values = tuple(int(v) for v in param_values)
+        values = tuple(map(index, param_values))
         if len(values) != self.arity:
             raise ParamArity(
                 f"{self.name} takes {self.arity} parameters, got {len(values)}")
@@ -179,23 +178,20 @@ class FormFamily:
     # -- maps --------------------------------------------------------------
 
     def _law(self, k: int) -> MultilinearMap:
-        """The composition law of arity k (2 bilinear, 3 trilinear),
-        derived on first use and kept.  A symbolic family's law is the
-        transcribed one, else the one its structure's closure certificate
-        induces (a "triple" family has no bilinear law); a numeric
-        family's is the symbolic law at its values."""
+        """The law of arity k (2 or 3), derived on first use and kept: the
+        transcribed law, else the one the structure's closure certificate
+        induces, specialized to the values of a numeric family."""
         law = self._laws.get(k)
-        if law is None:
-            if not self.is_symbolic():
-                law = self._base._law(k).specialize(self.param_values)
-            else:
-                word = {2: "bilinear", 3: "trilinear"}[k]
-                if self._structure is None or (k == 2 and self.kind == "triple"):
-                    raise PolyError(f"{self.name} has no {word} composition map")
-                law = induced_map(self._structure, k)
-                if isinstance(law, NotClosed):
-                    raise PolyError(f"{self.name} {word} closure failed unexpectedly")
-            self._laws[k] = law
+        if law is None and not self.is_symbolic():
+            law = self._base._law(k).specialize(self.param_values)
+        elif law is None:
+            word = {2: "bilinear", 3: "trilinear"}[k]
+            if self._structure is None or (k == 2 and self.kind == "triple"):
+                raise PolyError(f"{self.name} has no {word} composition map")
+            law = induced_map(self._structure, k)
+            if isinstance(law, NotClosed):
+                raise PolyError(f"{self.name} {word} closure failed unexpectedly")
+        self._laws[k] = law
         return law
 
     @property
@@ -204,9 +200,8 @@ class FormFamily:
         return self._law(2)
 
     def triple_map(self) -> MultilinearMap:
-        """The trilinear law: f(x)f(y)f(z) = f(triple_map()(x, y, z)).
-        It is not symmetric; a caller wanting another argument order
-        applies it to the reordered arguments."""
+        """The trilinear law: f(x)f(y)f(z) = f(triple_map()(x, y, z)).  It
+        is not symmetric; the caller orders the arguments it applies to."""
         return self._law(3)
 
     # -- identity ------------------------------------------------------------
@@ -221,11 +216,11 @@ class FormFamily:
             return verify_identity(None, cmap, self.coord_names, structure=st)
         base = self._base
         if st is not None and base is not self and \
-                (cmap.k == 3 or self.kind != "triple"):
-            if maps_equal(cmap, self._law(cmap.k)) and \
-                    isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
-                return ZeroResidual("matrix", "recipe divisor vanishes; "
-                                    "symbolic identity specialized")
+                (cmap.k == 3 or self.kind != "triple") and \
+                maps_equal(cmap, self._law(cmap.k)) and \
+                isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
+            return ZeroResidual("matrix", "recipe divisor vanishes; "
+                                "symbolic identity specialized")
         return verify_identity(self.form, cmap, self.coord_names,
                                factors=self.factors)
 
@@ -257,7 +252,7 @@ class FormFamily:
     def evaluate_factors(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Exact value of each factor form at an integer point."""
         self._check_point(point)
-        pt = [int(v) for v in point]
+        pt = list(map(index, point))
         return tuple(f.eval_vector(pt) for f in self.factors)
 
 
@@ -308,10 +303,8 @@ def _cubic_structure() -> LinearStructure:
 # -- transcribed bilinear maps -------------------------------------------------
 
 
-def _map_from(params: Sequence[str], h: int, k: int,
-              builder) -> MultilinearMap:
-    """The arity-k map whose outputs `builder` writes in x1..xh, y1..yh
-    (and z1..zh for k = 3)."""
+def _map_from(params: Sequence[str], h: int, k: int, builder) -> MultilinearMap:
+    """The arity-k map whose outputs `builder` writes in x.., y.. [, z..]."""
     coord_sets = [_coords(prefix, h) for prefix in "xyz"[:k]]
     _, v = _vars(tuple(params) + sum(coord_sets, ()))
     return MultilinearMap.from_forms(builder(v), params, coord_sets)
@@ -898,11 +891,13 @@ def cubic_norm_progression_test(fam: FormFamily) -> Tuple[bool, Tuple[int, int, 
     coefficients of x1^3, x2^3, x3^3 must be in geometric progression
     (c1*c3 = c2^2).  Returns (verdict, (c1, c2, c3)).
 
-    The family must have numeric parameters (or none), since the test
-    compares integer coefficients.
+    It compares integer coefficients, so a symbolic family with parameters
+    raises ValueError.
     """
     if fam.degree != 3 or fam.h != 3:
         raise NotTernaryCubic(f"{fam.name} is not a ternary cubic")
+    if fam.is_symbolic() and fam.arity > 0:
+        raise ValueError(f"{fam.name} needs numeric parameter values")
     form = fam.form
     c1, c2, c3 = (form.coefficient_of(tuple(3 if j == i else 0 for j in range(3)))
                   for i in range(3))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linstruct import LinearStructure, NotClosed, _multilinear_coeffs
@@ -130,13 +131,13 @@ class MultilinearMap:
         """Exact output vector at integer arguments (parameter-free maps)."""
         if len(args) != self.k:
             raise DimensionMismatch(f"need {self.k} argument vectors")
-        for a in args:
-            if len(a) != self.h:
-                raise DimensionMismatch(f"argument vectors must have length {self.h}")
+        args = [list(map(index, a)) for a in args]
+        if any(len(a) != self.h for a in args):
+            raise DimensionMismatch(f"argument vectors must have length {self.h}")
         out = [0] * self.h
         for i, js, v in self._int_coeffs():
             for a, j in zip(args, js):
-                v *= int(a[j])
+                v *= a[j]
             out[i] += v
         return tuple(out)
 
@@ -156,9 +157,10 @@ class MultilinearMap:
             raise WrongFamilyKind(f"need a bilinear map, got arity {self.k}")
         if len(x) != self.h:
             raise DimensionMismatch(f"point must have length {self.h}")
+        x = list(map(index, x))
         N = [[0] * self.h for _ in range(self.h)]
         for i, (j, col), v in self._int_coeffs():
-            N[i][col] += v * int(x[j])
+            N[i][col] += v * x[j]
         return N
 
 
@@ -272,9 +274,8 @@ def induced_map(structure: LinearStructure,
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:
-    """Same arity, dimension, parameter tuple and coefficients.  Zero
-    coefficients are dropped on construction, so the dicts compare exactly;
-    maps over the same parameters in another order are not equal."""
+    """Same arity, dimension, parameter tuple (in order) and coefficients;
+    zero coefficients are dropped on construction, so this is exact."""
     return (a.k, a.h, a.params, a.coeff) == (b.k, b.h, b.params, b.coeff)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+from operator import index
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TextIO, Tuple
 
@@ -111,9 +112,9 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     The map is the family's bilinear `pair_map` for one partner and its
     trilinear `triple_map()` for two; argument slot s gets
     slots[order[s]], where slots = [previous iterate, *partners].  Raises
-    ValueError for no partners, more than two, or an order that is not a
-    permutation of 0..len(partners), and SeedNotSolution /
-    StepNotSolution up front.  Each iterate v is then proven to satisfy
+    ValueError for no partners, more than two, an order that is not a
+    permutation of 0..len(partners) or a negative count, TypeError for a
+    non-integer coordinate, and SeedNotSolution / StepNotSolution up front.  Each iterate v is then proven to satisfy
     f(v) = 1 by its certificate A(v) == A(a)·A(b)[·A(c)], checked
     entrywise, where a, b[, c] are the arguments the map was applied to:
     by induction each has f = 1, so det A(v) = 1 by multiplicativity of
@@ -129,11 +130,13 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     order = tuple(range(k)) if spec.order is None else tuple(spec.order)
     if sorted(order) != list(range(k)):
         raise ValueError(f"order must be a permutation of 0..{k - 1}")
-    seed = tuple(int(v) for v in spec.seed)
+    if spec.count < 0:
+        raise ValueError(f"count must be >= 0, got {spec.count}")
+    seed = tuple(map(index, spec.seed))
     if fam.evaluate(seed) != 1:
         raise SeedNotSolution(f"f{seed} = {fam.evaluate(seed)} != 1")
     cmap = fam.pair_map if k == 2 else fam.triple_map()
-    slots = [seed] + [tuple(int(v) for v in p) for p in spec.partners]
+    slots = [seed] + [tuple(map(index, p)) for p in spec.partners]
     for j, vec in enumerate(slots[1:], 1):
         if fam.evaluate(vec) != 1:
             where = "" if k == 2 else f"fixed{j}: "
@@ -243,14 +246,18 @@ def brute_force_search(fam: FormFamily, bound: int,
     at most n, and Horner's rule evaluates it at all 2B+1 values.  A level
     costs its number of prefixes times the number of terms left.  Each hit
     is confirmed by `FormFamily.evaluate` before it is returned;
-    SearchVerificationError is raised if one fails.
+    SearchVerificationError is raised if one fails.  A negative bound
+    raises ValueError and a non-integer one TypeError.
     """
-    side = 2 * int(bound) + 1
+    bound = index(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    side = 2 * bound + 1
     if side ** fam.h > _SEARCH_GUARD:
         raise SearchSpaceTooLarge(f"{side}^{fam.h} candidate points")
     if fam.is_symbolic() and fam.arity > 0:
         raise ValueError(f"{fam.name} needs numeric parameter values")
-    values = range(-int(bound), int(bound) + 1)
+    values = range(-bound, bound + 1)
     form = fam.form
     coeffs, levels = _specialization_tree(form.terms, fam.h)
     powers = {v: [v ** e for e in range(form.total_degree() + 1)]

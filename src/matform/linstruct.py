@@ -10,6 +10,7 @@ ring variables, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable, _mul_into)
@@ -225,7 +226,7 @@ class LinearStructure:
                              for r, c in enumerate(cell) if not c.is_zero()]
                             for cell in row]
                            for row in self.coeff]
-        pt = list(map(int, point))
+        pt = list(map(index, point))
         return [[sum(c * pt[r] for r, c in cell) for cell in row]
                 for row in self._cells]
 

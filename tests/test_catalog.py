@@ -207,6 +207,12 @@ class TestNormProgression:
         with pytest.raises(NotTernaryCubic):
             cubic_norm_progression_test(family("quad2x2", (0, 1)))
 
+    def test_symbolic_family_needs_values(self):
+        # the symbolic form is over the parameters plus the coordinates
+        with pytest.raises(ValueError,
+                           match="cubic3x3 needs numeric parameter values"):
+            cubic_norm_progression_test(family("cubic3x3"))
+
 
 class TestCirculantFactorization:
     def test_symbolic_check_passes(self):

@@ -130,6 +130,13 @@ class TestSequences:
                 family=QUARTIC, seed=(6, 2, 3, 1), count=2,
                 partners=((1, 1, 1, 1),)))
 
+    def test_negative_count_rejected(self):
+        # before the seed, which is no solution here, is evaluated
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            generate_sequence(SequenceSpec(
+                family=QUARTIC, seed=(1, 1, 1, 1), count=-1,
+                partners=((6, 2, 3, 1),)))
+
     @pytest.mark.parametrize("partners, order", [
         ((), None),
         (((6, 2, 3, 1),) * 3, None),
@@ -269,6 +276,27 @@ class TestIterateCertificate:
         assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[1:]
 
 
+Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family("quad2x2", (0.5, -2)),
+    lambda: Q2.evaluate((1.5, 0)),
+    lambda: Q2.evaluate_factors((1.5, 0)),
+    lambda: Q2.structure.matrix_of((1.5, 0)),
+    lambda: Q2.pair_map.apply(((1.5, 0), (1, 0))),
+    lambda: Q2.pair_map.argument_matrix((1.5, 0)),
+    lambda: generate_sequence(SequenceSpec(Q2, (3.0, 2), 2, ((3, 2),))),
+    lambda: generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3.0, 2),))),
+    lambda: brute_force_search(Q2, 1.5),
+], ids=["specialize", "evaluate", "evaluate_factors", "matrix_of", "apply",
+        "argument_matrix", "sequence-seed", "sequence-partner", "search"])
+def test_non_integer_input_is_rejected(call):
+    """A float is never truncated to an integer: it raises TypeError."""
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestMonotoneReports:
     def test_quartic_sequence_monotone_positive(self):
         rep = check_monotone_positive(QUARTIC_SEQ)
@@ -315,6 +343,10 @@ class TestBruteForce:
 
     def test_bound_zero_is_empty(self):
         assert brute_force_search(QUARTIC, 0) == []
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="bound must be >= 0, got -1"):
+            brute_force_search(QUARTIC, -1)
 
     def test_custom_target(self):
         fam = family("quad2x2", (0, 1))
