@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import index
 from dataclasses import dataclass, field
+from operator import index
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .catalog import FormFamily, family as catalog_family
@@ -110,18 +110,18 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     """Iterate the composition map `count` times total, seed included.
 
     The map is the family's bilinear `pair_map` for one partner and its
-    trilinear `triple_map()` for two; argument slot s gets
-    slots[order[s]], where slots = [previous iterate, *partners].  Raises
-    ValueError for no partners, more than two, an order that is not a
-    permutation of 0..len(partners) or a negative count, TypeError for a
-    non-integer coordinate, and SeedNotSolution / StepNotSolution up front.  Each iterate v is then proven to satisfy
-    f(v) = 1 by its certificate A(v) == A(a)·A(b)[·A(c)], checked
-    entrywise, where a, b[, c] are the arguments the map was applied to:
-    by induction each has f = 1, so det A(v) = 1 by multiplicativity of
-    the determinant.  Where the certificate does not hold, or the family
-    has no integer matrix at these values, f(v) = 1 is checked by exact
-    evaluation instead; SequenceVerificationError is raised if that fails
-    too.  The last iterate is always evaluated exactly.
+    trilinear `triple_map()` for two; argument slot s gets slots[order[s]],
+    where slots = [previous iterate, *partners].  Raises ValueError for no
+    partners, more than two, an order that is not a permutation of
+    0..len(partners) or a negative count, and SeedNotSolution /
+    StepNotSolution up front.  Each iterate v is then proven to satisfy
+    f(v) = 1 by its certificate A(v) == A(a)·A(b)[·A(c)], checked entrywise,
+    where a, b[, c] are the arguments the map was applied to: by induction
+    each has f = 1, so det A(v) = 1 by multiplicativity of the determinant.
+    Where the certificate does not hold, or the family has no integer matrix
+    at these values, f(v) = 1 is checked by exact evaluation instead;
+    SequenceVerificationError is raised if that fails too.  The last iterate
+    is always evaluated exactly.
     """
     fam = spec.family
     k = len(spec.partners) + 1
