@@ -50,11 +50,11 @@ class FormFamily:
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A family has one law per arity, `pair_map`
     (bilinear) and `triple_map()` (trilinear); argument order is the
-    caller's.  A numeric family owns everything that depends
-    on its parameter values (structure, form and laws, each derived on
-    first use and kept; the structure carries its own extraction recipe)
-    and proves its identity with `verify`.  The integer A(point) of
-    `matrix` is the parameter-free structure's `matrix_of`.
+    caller's.  A numeric family owns everything that depends on its
+    parameter values (structure, form and laws, each derived on first use
+    and kept; the structure carries its own extraction recipe) and proves
+    its identity with `verify`.  The integer A(point) of `matrix` is the
+    parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, description: str, kind: str,
