@@ -793,8 +793,8 @@ def _build_threefold_quadratic() -> FormFamily:
     # even powers of t occur.
     return FormFamily(
         "threefold_quadratic",
-        "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with a trilinear law "
-        "in three argument-permutation variants",
+        "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
+        "law, applied to its arguments in any order",
         "triple", ("a", "b", "c"), _coords("x", 2), 2,
         structure=_tracefree_structure("t", "b", "c"),
         triple_map=_threefold_quadratic_map(),
