@@ -192,7 +192,9 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         result.write_json(sys.stdout)
     else:
-        print("\n".join(",".join(_vec_strings(v)) for v in result.solutions))
+        for i, row in enumerate(result.rows()):
+            sys.stdout.write(("\n" if i else "") + ",".join(row))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -143,7 +143,7 @@ class MultilinearMap:
 
     def specialize(self, param_values: Sequence[int]) -> "MultilinearMap":
         """Substitute integer values for all parameters."""
-        pv = [int(v) for v in param_values]
+        pv = [index(v) for v in param_values]
         if len(pv) != len(self.params):
             raise ValueError(f"need {len(self.params)} parameter values")
         empty = VarTable(())

@@ -1,12 +1,19 @@
 """Integer-solution sequences of f = 1 and an exhaustive box search.
 
-Sequences iterate a family's composition map from a seed solution; every
+Sequences iterate a family's composition map from a seed solution.  With
+its partners fixed, the map is linear in the iterate, so a chain is the
+linear recurrence v <- S v for one h x h integer step matrix S.  Every
 emitted vector is proven to satisfy f = 1 exactly, so a transcription error
 anywhere upstream surfaces immediately instead of silently corrupting the
 chain.  The proof of an iterate is the matrix identity A(v) = A(x)A(y)
 (A(x)A(y)A(z) for a trilinear map), checked entrywise on integers, with
 exact evaluation of f(v) where the identity fails or the family has no
 integer matrix.
+
+The chain is printed from a second run of the same recurrence in exact
+`decimal` arithmetic, whose str() is linear in the digit count where
+CPython's int-to-str is quadratic.  Every printed string is checked
+against its proven integer in its sign and its last 18 digits.
 
 The box search walks a specialization tree over the numeric form (the
 multivariate Horner scheme): it fixes one coordinate at a time, depth
@@ -20,8 +27,10 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
+                     InvalidOperation, Rounded, localcontext)
 from operator import index
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .catalog import FormFamily, family as catalog_family
 from .polyring import PolyError, int_matrix_product
@@ -80,18 +89,90 @@ class SequenceSpec:
     order: Optional[Tuple[int, ...]] = None
 
 
+def _step(S, v):
+    """S v, over whatever number type S and v hold: ints for the proof,
+    Decimals for the printout.  Each sum starts at the int 0, so a Decimal
+    sum of signed zeros (-3 * Decimal(0) is -0) comes out +0.  The running
+    sum keeps one big product alive at a time; summing a list of them
+    raised the peak memory of a 2600-iterate quartic chain by ~0.6 MB."""
+    out = []
+    for row in S:
+        acc = 0
+        for c, x in zip(row, v):
+            if c:
+                acc += c * x
+        out.append(acc)
+    return tuple(out)
+
+
+# Every operation in this context is exact or raises: a result that would
+# need more digits than MAX_PREC, or an exponent past MAX_EMAX, signals
+# Rounded and Inexact, and any invalid operation signals InvalidOperation.
+# localcontext() works on a copy, so no flag is ever set on this one.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
+                 traps=[Inexact, Rounded, InvalidOperation])
+_TAIL = 10 ** 18
+
+
+def _check_printed(i: int, row: List[str], proven: Vec) -> None:
+    """Linear-time guard on one printed iterate: each string has the sign
+    and the last 18 digits of its proven integer."""
+    if len(row) != len(proven):
+        raise SequenceVerificationError(
+            f"iterate {i}: printed {len(row)} coordinates, proved "
+            f"{len(proven)}")
+    for j, (text, v) in enumerate(zip(row, proven)):
+        negative = text.startswith("-")
+        tail = (text[1:] if negative else text)[-18:]
+        if negative != (v < 0) or tail != str(abs(v) % _TAIL).zfill(len(tail)):
+            raise SequenceVerificationError(
+                f"iterate {i}, coordinate {j + 1}: the printed digits differ "
+                f"from the proven value")
+
+
 @dataclass
 class SequenceResult:
+    """The proven chain: `solutions` are the int iterates and `step` the
+    step matrix S they were computed with, v_{i+1} = S v_i."""
     spec: SequenceSpec
+    step: Tuple[Vec, ...]
     solutions: List[Vec] = field(default_factory=list)
+
+    def rows(self) -> Iterator[List[str]]:
+        """The iterates as decimal strings, one iterate at a time.
+
+        The strings come from replaying the chain in `decimal` rather than
+        from str() of the ints, which is quadratic in the digit count.  Each
+        printed value equals its proven int:
+        - the replay runs the step function with the same S from the same
+          seed as `generate_sequence` did over ints (S's entries are
+          converted exactly, an iterate never is);
+        - in _EXACT every Decimal operation is exact or raises;
+        - so the Decimal at each index equals the int there, and str() of
+          an integral Decimal with exponent 0 is its plain decimal digits.
+        `_check_printed` then compares every string's sign and last 18
+        digits with the int; a mismatch raises SequenceVerificationError.
+        Rows are produced one at a time: Decimal copies of a whole long
+        chain would nearly double the memory the ints take.
+        """
+        S = [[Decimal(c) for c in row] for row in self.step]
+        for i, proven in enumerate(self.solutions):
+            if i == 0:
+                v = proven  # the seed
+            else:
+                with localcontext(_EXACT):
+                    v = _step(S, v)
+            row = [str(c) for c in v]
+            _check_printed(i, row, proven)
+            yield row
 
     def write_json(self, out: TextIO) -> None:
         """Write the chain as one JSON document and a newline: family,
         params, "mode" ("pairwise" for one partner, "triple" for two),
         the solutions as decimal strings, and "verified": true, since every
-        iterate is proven before it is returned.  The solutions are written
-        one iterate at a time: a long sequence's decimal strings, all held
-        at once, take several times the memory of its integers."""
+        iterate is proven before it is returned.  The solutions come from
+        `rows()` and are written one iterate at a time, without json.dumps:
+        a string of digits and "-" needs no escaping."""
         fam = self.spec.family
         head, _, tail = json.dumps({
             "family": fam.name,
@@ -101,8 +182,8 @@ class SequenceResult:
             "verified": True,
         }).partition('"solutions": null')
         out.write(head + '"solutions": [')
-        for i, v in enumerate(self.solutions):
-            out.write((", " if i else "") + json.dumps([str(c) for c in v]))
+        for i, row in enumerate(self.rows()):
+            out.write((", " if i else "") + '["' + '", "'.join(row) + '"]')
         out.write("]" + tail + "\n")
 
 
@@ -111,7 +192,10 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
 
     The map is the family's bilinear `pair_map` for one partner and its
     trilinear `triple_map()` for two; argument slot s gets slots[order[s]],
-    where slots = [previous iterate, *partners].  Raises ValueError for no
+    where slots = [previous iterate, *partners].  The map is linear in the
+    previous iterate, so the chain is v_{i+1} = S v_i for the step matrix S
+    whose column j is the map with e_j in the iterate's slot: S costs h map
+    applications, and each iterate h^2 products.  Raises ValueError for no
     partners, more than two, an order that is not a permutation of
     0..len(partners) or a negative count, and SeedNotSolution /
     StepNotSolution up front.  Each iterate v is then proven to satisfy
@@ -142,20 +226,26 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
             where = "" if k == 2 else f"fixed{j}: "
             raise StepNotSolution(f"{where}f{vec} = {fam.evaluate(vec)} != 1")
 
+    args = [slots[s] for s in order]
+    at = order.index(0)
+    h = cmap.h
+    columns = [cmap.apply(args[:at] + [tuple(int(r == j) for r in range(h))]
+                          + args[at + 1:])
+               for j in range(h)]
+    result = SequenceResult(spec=spec, step=tuple(zip(*columns)))
     matrices = [fam.matrix(vec) for vec in slots]
-    result = SequenceResult(spec=spec)
     current = seed
     evaluated = True  # whether `current` was checked by exact evaluation
     for i in range(spec.count):
         if i > 0:
-            current = cmap.apply([slots[s] for s in order])
+            current = _step(result.step, current)
             a = fam.matrix(current)
             evaluated = a is None or a != functools.reduce(
                 int_matrix_product, [matrices[s] for s in order])
             if evaluated and fam.evaluate(current) != 1:
                 raise SequenceVerificationError(
                     f"iterate {i} fails f = 1: {current}")
-            slots[0], matrices[0] = current, a
+            matrices[0] = a
         result.solutions.append(current)
     if not evaluated and fam.evaluate(current) != 1:
         raise SequenceVerificationError(
@@ -176,7 +266,7 @@ def check_monotone_positive(solutions: Sequence[Sequence[int]],
     """Check strict growth of the designated coordinates and positivity of
     the designated coordinate set (all coordinates by default)."""
     report = MonotoneReport(ok=True)
-    seq = [tuple(int(c) for c in v) for v in solutions]
+    seq = [tuple(map(index, v)) for v in solutions]
     if positive is None:
         pos: Sequence[int] = range(len(seq[0])) if seq else ()
     else:

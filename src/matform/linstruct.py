@@ -117,7 +117,7 @@ class ExtractionRecipe:
         divisors = []
         for coeff, monomial in self.divisors:
             for name, e in monomial:
-                coeff *= int(values[name]) ** e
+                coeff *= index(values[name]) ** e
             divisors.append((coeff, ()))
         return ExtractionRecipe(self.positions, tuple(divisors))
 
@@ -248,7 +248,7 @@ class LinearStructure:
         in the coefficients and in the recipe's divisors."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
-        pv = [int(v) for v in param_values]
+        pv = [index(v) for v in param_values]
         empty = VarTable(())
         coeff = [[[empty.const(self.coeff[i][j][r].eval_vector(pv))
                    for r in range(self.h)]
@@ -421,7 +421,7 @@ def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
     the corresponding algebraic integer, so pairwise closure always holds;
     its recipe reads coordinates from the first column.
     """
-    coeffs = [int(a) for a in monic_coeffs]
+    coeffs = [index(a) for a in monic_coeffs]
     n = len(coeffs)
     if n < 1:
         raise ValueError("need at least one coefficient")

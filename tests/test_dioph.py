@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matform import dioph
 from matform.catalog import (FormFamily, companion_family, family,
                              list_families)
+from matform.cli import _no_int_str_limit, main
 from matform.compose import MultilinearMap
 from matform.dioph import (
     SearchSpaceTooLarge,
@@ -25,6 +26,7 @@ from matform.dioph import (
     is_solution,
     simultaneous_is_solution,
 )
+from matform.linstruct import ExtractionRecipe, companion_structure
 
 QUARTIC = family("quartic4x4", (5, -23, 2, -7))
 OCTIC = family("octic8x8", (0, -5, 0, -3, 0, -14))
@@ -289,12 +291,108 @@ Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
     lambda: generate_sequence(SequenceSpec(Q2, (3.0, 2), 2, ((3, 2),))),
     lambda: generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3.0, 2),))),
     lambda: brute_force_search(Q2, 1.5),
+    lambda: family("quad2x2").pair_map.specialize((0.5, -2)),
+    lambda: family("quad2x2").structure.specialize((0.5, -2)),
+    lambda: ExtractionRecipe(((0, 0),), ((1, (("p", 1),)),)).specialize(
+        {"p": 0.5}),
+    lambda: companion_structure((0.7, 5)),
+    lambda: check_monotone_positive([(1.5, 2), (2.2, 3)]),
 ], ids=["specialize", "evaluate", "evaluate_factors", "matrix_of", "apply",
-        "argument_matrix", "sequence-seed", "sequence-partner", "search"])
+        "argument_matrix", "sequence-seed", "sequence-partner", "search",
+        "map-specialize", "structure-specialize", "recipe-specialize",
+        "companion", "monotone"])
 def test_non_integer_input_is_rejected(call):
     """A float is never truncated to an integer: it raises TypeError."""
     with pytest.raises(TypeError):
         call()
+
+
+class TestPrintedChain:
+    """The printed chain is a Decimal replay of the proven one: the same
+    step matrix from the same seed, checked digit by digit at the tail."""
+
+    def test_last_quartic_iterate_matches_str_of_the_int(self):
+        r = generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],)))
+        *_, last = r.rows()
+        with _no_int_str_limit():
+            assert last == [str(c) for c in r.solutions[-1]]
+        assert len(last[0]) > 4300
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_chains(self, capsys, count):
+        r = generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
+        assert list(r.rows()) == [["6", "2", "3", "1"]][:count]
+        out = io.StringIO()
+        r.write_json(out)
+        assert json.loads(out.getvalue())["solutions"] \
+            == [["6", "2", "3", "1"]][:count]
+        argv = ["solve", "--family", "quartic4x4", "--params=5,-23,2,-7",
+                "--seed", "6,2,3,1", "--step", "6,2,3,1",
+                "--count", str(count), "--format", "text"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ("6,2,3,1\n" if count else "\n")
+
+    @pytest.mark.parametrize("seed, partner", [
+        ((1, 0), (-1, 0)),   # S = -I: every step multiplies a 0 by -1
+        ((3, 2), (3, -2)),   # through (1, 0) to negative coordinates
+    ])
+    def test_zero_and_negative_coordinates(self, seed, partner):
+        r = generate_sequence(SequenceSpec(Q2, seed, 6, (partner,)))
+        rows = list(r.rows())
+        assert rows == [[str(c) for c in v] for v in r.solutions]
+        assert any(c == "0" for row in rows for c in row)
+        assert any(c.startswith("-") for row in rows for c in row)
+        assert all(c != "-0" for row in rows for c in row)
+
+    @pytest.mark.parametrize("argv", [
+        "--family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
+        "--step 6,2,3,1 --count 30",
+        "--family quad2x2 --params=0,-2 --seed 1,0 --step=-1,0 --count 5",
+        "--family threefold4x4 --params=-1,-4,1,-1,1,1 --seed 21,8,33,13 "
+        "--fixed 1,0,0,0 --step=-4,1,-3,3 --order zxy --count 12",
+    ])
+    def test_text_rows_equal_json_rows(self, capsys, argv):
+        assert main(["solve", *argv.split(), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["solutions"]
+        assert main(["solve", *argv.split(), "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n")
+        assert [line.split(",") for line in text[:-1].split("\n")] == rows
+
+    @pytest.mark.parametrize("diverge", [lambda d: d + 1, lambda d: -d],
+                             ids=["last-digit", "sign"])
+    def test_printed_chain_diverging_from_proven_raises(self, monkeypatch,
+                                                        diverge):
+        step = dioph._step
+
+        def off(S, v):
+            w = step(S, v)
+            return w if isinstance(w[0], int) else (diverge(w[0]),) + w[1:]
+        monkeypatch.setattr(dioph, "_step", off)
+        r = generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], 4, (QUARTIC_SEQ[0],)))
+        assert r.solutions == QUARTIC_SEQ  # the proof ran over ints
+        with pytest.raises(SequenceVerificationError,
+                           match="iterate 1, coordinate 1"):
+            r.write_json(io.StringIO())
+
+    def test_step_matrix_takes_h_map_applications(self, monkeypatch):
+        calls = []
+        apply = MultilinearMap.apply
+
+        def counting(self, args):
+            calls.append(args)
+            return apply(self, args)
+        monkeypatch.setattr(MultilinearMap, "apply", counting)
+        r = generate_sequence(SequenceSpec(
+            OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],)))
+        assert len(calls) == 8
+        assert r.solutions[:4] == OCTIC_SEQ
+        for v, w in zip(r.solutions, r.solutions[1:]):
+            assert w == tuple(sum(c * x for c, x in zip(row, v))
+                              for row in r.step)
 
 
 class TestMonotoneReports:
