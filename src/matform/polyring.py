@@ -76,9 +76,10 @@ class VarTable:
         return Polynomial(self, {tuple(exps): 1})
 
     def const(self, c: int) -> "Polynomial":
+        c = operator.index(c)
         if c == 0:
             return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.names): int(c)})
+        return Polynomial(self, {(0,) * len(self.names): c})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -293,7 +294,8 @@ class Polynomial:
         for name in values:
             self.table.index(name)  # raises UnknownVariable
         keep = [i for i, name in enumerate(self.table.names) if name not in values]
-        vals = {self.table.index(name): int(v) for name, v in values.items()}
+        vals = {self.table.index(name): operator.index(v)
+                for name, v in values.items()}
         table = VarTable(tuple(self.table.names[i] for i in keep))
         out: Dict[Monomial, int] = {}
         for m, c in self.terms.items():
@@ -317,7 +319,7 @@ class Polynomial:
         for name in self.table.names:
             if name not in point:
                 raise UnassignedVariable(name)
-            values.append(int(point[name]))
+            values.append(operator.index(point[name]))
         extra = set(point) - set(self.table.names)
         if extra:
             raise UnknownVariable(sorted(extra)[0])

@@ -123,6 +123,22 @@ class TestPolynomialBasics:
         with pytest.raises(UnassignedVariable):
             (T.var("a") + T.var("b")).eval_int({"a": 1})
 
+    @pytest.mark.parametrize("call", [
+        lambda: (T.var("a") * T.var("b")).specialize({"a": 0.5}),
+        lambda: (T.var("a") + T.var("b")).eval_int({"a": 1, "b": 0.5}),
+        lambda: T.const(2.5),
+        lambda: T.const(0.0),
+    ], ids=["specialize", "eval_int", "const", "const-zero"])
+    def test_non_integer_input_is_rejected(self, call):
+        """A float is never truncated to an integer: it raises TypeError."""
+        with pytest.raises(TypeError):
+            call()
+
+    def test_family_form_specialize_rejects_a_float(self):
+        from matform.catalog import family
+        with pytest.raises(TypeError):
+            family("quad2x2").form.specialize({"p": 0.5, "q": -2})
+
 
 class TestSerialization:
     @given(polys())
