@@ -22,8 +22,9 @@ from fractions import Fraction
 from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linstruct import LinearStructure, NotClosed, _multilinear_coeffs
-from .polyring import PolyError, Polynomial, VarTable, _add_into
+from .linstruct import (LinearStructure, NotClosed, _multilinear_coeffs,
+                        multilinear_forms)
+from .polyring import PolyError, Polynomial, VarTable
 
 
 class DimensionMismatch(PolyError):
@@ -108,13 +109,7 @@ class MultilinearMap:
             names.extend(cs)
         if table is None:
             table = VarTable(names)
-        out: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(self.h)]
-        for (i, js), c in self.coeff.items():
-            term = c.embed(table)
-            for cs, j in zip(coord_sets, js):
-                term = term * table.var(cs[j])
-            _add_into(out[i], term.terms)
-        return [Polynomial._own(table, terms) for terms in out]
+        return multilinear_forms(self.coeff, self.params, coord_sets, table)
 
     def _int_coeffs(self):
         """(i, js, integer coefficient) triples of a parameter-free map,
@@ -258,19 +253,14 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
 
 def induced_map(structure: LinearStructure,
                 order: int) -> Union[MultilinearMap, NotClosed]:
-    """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])) that the structure's
-    pair (order 2) or triple (order 3) closure certificate induces, or the
-    NotClosed witness.  Read from the certificate once per order and kept
-    on the structure beside it."""
-    got = structure._induced.get(order)
-    if got is None:
-        got = (structure.verify_pair_closure() if order == 2
-               else structure.verify_triple_closure())
-        if not isinstance(got, NotClosed):
-            got = MultilinearMap.from_forms(got.outputs, structure.params,
-                                            got.coord_sets)
-        structure._induced[order] = got
-    return got
+    """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])): the structure-
+    constant table of the structure's pair (order 2) or triple (order 3)
+    closure certificate, or its NotClosed witness."""
+    got = (structure.verify_pair_closure() if order == 2
+           else structure.verify_triple_closure())
+    if isinstance(got, NotClosed):
+        return got
+    return MultilinearMap(order, structure.h, structure.params, got.coeff)
 
 
 def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:

@@ -2,18 +2,27 @@
 
 A LinearStructure describes an n x n matrix A(x_1..x_h) whose (i,j) entry is
 sum_r L[i][j][r] * x_r, with each L[i][j][r] a polynomial in named integer
-parameters.  Closure of the family under matrix multiplication (for pairs or
-for triples) is decided fully symbolically: coordinates and parameters are
-ring variables, never sampled.
+parameters: A(x) = sum_r x_r E_r for the basis matrices E_r = L[.][.][r].
+Closure under matrix multiplication is a fact about the basis products:
+A(x)A(y) = A(z) for bilinear z exactly when every E_r E_s equals
+sum_t c_rs^t E_t, each c_rs^t read off the product by the structure's
+recipe.  The c's are the structure constants of the algebra the matrices
+span, and they are the coefficient table of the composition law.  A closed
+pair table gives the triple table without a matrix product, as
+c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
+products (E_r E_s) E_u read the same way.  Every product, division and
+entrywise check is exact over the parameters, never sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable, _mul_into)
+from .polyring import (Monomial, PolyError, PolyMatrix, Polynomial, VarTable,
+                       _mul_into)
 
 
 class NameCollision(PolyError):
@@ -45,22 +54,144 @@ class NotClosed:
     witness: NotInSpan
 
 
+CoeffTable = Dict[Tuple[int, Tuple[int, ...]], Polynomial]  # {(t, (r, s[, u])): c}
+
+
 @dataclass(frozen=True)
 class ClosureCertificate:
     """Successful closure of `order` factors: A(x) A(y) [A(z)] = A(w)
     entrywise, with w read back by the structure's own recipe.
 
-    `outputs[r]` is w_r, a polynomial multilinear in the coordinate sets,
-    with coefficients polynomial in the structure's parameters.
+    `coeff` is the structure-constant table: c = coeff[(t, (r, s[, u]))],
+    a polynomial over `params`, with E_r E_s [E_u] = sum_t c E_t (zero
+    entries are left out).  `outputs[t]` is w_t, the same table written as
+    a polynomial multilinear in the coordinate sets.
     """
     order: int
     coord_sets: Tuple[Tuple[str, ...], ...]
-    outputs: Tuple[Polynomial, ...]
+    params: Tuple[str, ...]
+    coeff: CoeffTable
+
+    @cached_property
+    def outputs(self) -> Tuple[Polynomial, ...]:
+        table = VarTable(self.params + sum(self.coord_sets, ()))
+        return tuple(multilinear_forms(self.coeff, self.params,
+                                       self.coord_sets, table))
 
 
 Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t", 1),))
 
 UNIT: Divisor = (1, ())
+
+Terms = Dict[Monomial, int]
+Sparse = List[Dict[int, Dict[int, int]]]  # row i: {column: packed entry}
+
+
+def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
+                      coord_sets: Sequence[Sequence[str]],
+                      table: VarTable) -> List[Polynomial]:
+    """[w_1..w_h] over `table`, with w_t the sum of c * s1[r] * s2[s] ...
+    over the entries ((t, (r, s, ...)), c) of a coefficient table whose
+    c's are polynomials over `params`; `table` holds the parameters and
+    the names of the coordinate sets s1, s2, ..."""
+    width = len(table)
+    ppos = [table.index(name) for name in params]
+    cpos = [[table.index(name) for name in cs] for cs in coord_sets]
+    out: List[Terms] = [{} for _ in coord_sets[0]]
+    for (t, js), c in coeff.items():
+        coords = [pos[j] for pos, j in zip(cpos, js)]
+        acc = out[t]
+        for m, v in c.terms.items():
+            exps = [0] * width
+            for pos, e in zip(ppos, m):
+                exps[pos] = e
+            for pos in coords:
+                exps[pos] += 1
+            key = tuple(exps)
+            s = acc.get(key, 0) + v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return [Polynomial._own(table, terms) for terms in out]
+
+
+class _Packing:
+    """Parameter monomials packed into one int each, `bits` per exponent
+    with a guard bit on top, so that a monomial product is one int
+    addition.  Every exponent packed or produced must stay <= `bound`;
+    then no field carries into the next."""
+
+    def __init__(self, width: int, bound: int):
+        bits = bound.bit_length() + 1
+        self.shifts = range(0, width * bits, bits)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+
+    def pack(self, m: Monomial) -> int:
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def poly(self, table: VarTable, terms: Dict[int, int]) -> Polynomial:
+        return Polynomial._own(table, {
+            tuple((m >> s) & self.mask for s in self.shifts): c
+            for m, c in terms.items()})
+
+    def divide(self, terms: Dict[int, int], scale: int,
+               need: int) -> Optional[Dict[int, int]]:
+        """terms / (scale * the packed monomial `need`), or None where some
+        term is not divisible (a field of m - need borrows its guard)."""
+        guard = self.guard
+        out = {}
+        for m, c in terms.items():
+            if c % scale or ((m | guard) - need) & guard != guard:
+                return None
+            out[m - need] = c // scale
+        return out
+
+
+def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
+                scale: int = 1) -> None:
+    """out += scale * a * b over packed monomials; keeps `out` free of
+    zeros."""
+    get = out.get
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
+def _sparse_product(a: Sparse, b: Sparse) -> Sparse:
+    """a @ b for sparse matrices over packed monomials."""
+    out = []
+    for row in a:
+        acc: Dict[int, Dict[int, int]] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                _mul_packed(acc.setdefault(j, {}), x, y)
+        out.append({j: terms for j, terms in acc.items() if terms})
+    return out
+
+
+def _cube(pair: CoeffTable, ptable: VarTable) -> CoeffTable:
+    """The triple table of a closed pair table: E_r E_s E_u =
+    sum_v c_rs^v E_v E_u = sum_t (sum_v c_rs^v c_vu^t) E_t."""
+    by_rs: Dict[Tuple[int, int], List[Tuple[int, Terms]]] = {}
+    by_v: Dict[int, List[Tuple[int, int, Terms]]] = {}
+    for (t, (r, s)), c in pair.items():
+        by_rs.setdefault((r, s), []).append((t, c.terms))
+        by_v.setdefault(r, []).append((s, t, c.terms))
+    out: Dict[Tuple[int, Tuple[int, ...]], Terms] = {}
+    for (r, s), cs in by_rs.items():
+        for v, c1 in cs:
+            for u, t, c2 in by_v.get(v, ()):
+                _mul_into(out.setdefault((t, (r, s, u)), {}), c1, c2)
+    return {key: Polynomial._own(ptable, terms)
+            for key, terms in out.items() if terms}
 
 
 def _multilinear_coeffs(poly: Polynomial, ptable: VarTable,
@@ -149,8 +280,6 @@ class LinearStructure:
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[int, object] = {}
-        # the map each certificate induces, kept by compose.induced_map
-        self._induced: Dict[int, object] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
 
     @property
@@ -345,19 +474,90 @@ class LinearStructure:
         route both need the same certificate."""
         got = self._closure_cache.get(order)
         if got is None:
-            sets = self._coord_sets(order)
-            table = VarTable(self.params + sum(sets, ()))
-            product = self.instantiate(sets[0], table)
-            for cs in sets[1:]:
-                product = product @ self.instantiate(cs, table)
-            result = self.extract_coordinates(product)
-            if isinstance(result, NotInSpan):
-                got = NotClosed(order=order, witness=result)
-            else:
-                got = ClosureCertificate(order=order, coord_sets=sets,
-                                         outputs=tuple(result))
+            got = self._decide(order)
             self._closure_cache[order] = got
         return got
+
+    def _decide(self, order: int) -> Union[ClosureCertificate, NotClosed]:
+        """Closure of `order` factors from the basis products: the triple
+        table of a closed pair table is its contraction, any other table
+        is read off the products E_r E_s [E_u]."""
+        sets = self._coord_sets(order)
+        if order == 3:
+            pair = self._closure(2)
+            if isinstance(pair, ClosureCertificate):
+                return ClosureCertificate(3, sets, self.params,
+                                          _cube(pair.coeff, self.param_table))
+        needs = []  # each divisor's monomial as exponents over the parameters
+        for _, monomial in self.recipe.divisors:
+            exps = [0] * len(self.params)
+            for name, e in monomial:
+                exps[self.param_table.index(name)] = e
+            needs.append(exps)
+        # a product has exponents up to order * top, its reconstruction
+        # (a quotient times a basis entry) up to (order + 1) * top
+        top = max((e for row in self.coeff for cell in row for c in cell
+                   for m in c.terms for e in m), default=0)
+        pack = _Packing(len(self.params),
+                        max([(order + 1) * top] + sum(needs, [])))
+        basis: List[Sparse] = [
+            [{j: {pack.pack(m): c for m, c in cell[r].terms.items()}
+              for j, cell in enumerate(row) if cell[r].terms}
+             for row in self.coeff]
+            for r in range(self.h)]
+        products = {(r, s): _sparse_product(a, b)
+                    for r, a in enumerate(basis) for s, b in enumerate(basis)}
+        if order == 3:
+            products = {(r, s, u): _sparse_product(p, c)
+                        for (r, s), p in products.items()
+                        for u, c in enumerate(basis)}
+        got = self._read_table(sets, basis, products, pack,
+                               [pack.pack(m) for m in needs])
+        if isinstance(got, NotInSpan):
+            return NotClosed(order=order, witness=got)
+        return ClosureCertificate(order, sets, self.params, got)
+
+    def _read_table(self, sets, basis: List[Sparse],
+                    products: Dict[Tuple[int, ...], Sparse],
+                    pack: "_Packing", needs: List[int]
+                    ) -> Union[CoeffTable, NotInSpan]:
+        """The table read off the basis products (keyed by their factors'
+        indices) at the recipe positions, or the witness that
+        A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
+        span.  Every product is read and checked before the witness is
+        chosen: division fails at the first recipe position where any
+        product does not divide, and a mismatch is at the first (i, j) in
+        row-major order, with the residual summed over every product."""
+        coeff: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+        for t, ((i, j), (scale, _), need) in enumerate(
+                zip(self.recipe.positions, self.recipe.divisors, needs)):
+            for js, p in products.items():
+                divided = pack.divide(p[i].get(j, {}), scale, need) if scale else None
+                if divided is None:
+                    return NotInSpan(entry=(i, j), residual=None, reason="division")
+                if divided:
+                    coeff[(t, js)] = divided
+        ptable = self.param_table
+        misses: Dict[Tuple[int, int], CoeffTable] = {}  # (i, j) -> {(0, js): residual}
+        for js, p in products.items():
+            residual = [{j: dict(terms) for j, terms in row.items()} for row in p]
+            for t, e in enumerate(basis):
+                c = coeff.get((t, js))
+                if c is not None:
+                    for row, e_row in zip(residual, e):
+                        for j, terms in e_row.items():
+                            _mul_packed(row.setdefault(j, {}), c, terms, -1)
+            for i, row in enumerate(residual):
+                for j, terms in row.items():
+                    if terms:
+                        misses.setdefault((i, j), {})[(0, js)] = \
+                            pack.poly(ptable, terms)
+        if misses:
+            first = min(misses)
+            table = VarTable(self.params + sum(sets, ()))
+            return NotInSpan(entry=first, reason="mismatch", residual=(
+                multilinear_forms(misses[first], self.params, sets, table)[0]))
+        return {key: pack.poly(ptable, terms) for key, terms in coeff.items()}
 
     # -- block lifting ------------------------------------------------------
 

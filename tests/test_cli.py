@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from matform import catalog
 from matform.catalog import FormFamily
 from matform.cli import _no_int_str_limit, main
-from matform.compose import MultilinearMap
 from matform.linstruct import LinearStructure
 from matform.polyring import PolyMatrix
 
@@ -136,19 +135,20 @@ class TestVerifyWithoutDeterminant:
         assert calls == []
 
     def test_one_induced_map(self, capsys, monkeypatch):
-        # the map is read from the closure certificate once, although both
-        # the family's triple map and the matrix route ask for it
+        # the closure table is derived once, although both the family's
+        # triple map and the matrix route ask for it: the triple table
+        # once, after the pair table it tries first
         monkeypatch.setattr(catalog, "_SYMBOLIC", {})
         calls = []
-        from_forms = MultilinearMap.from_forms.__func__
+        decide = LinearStructure._decide
 
-        def counting(cls, *args, **kwargs):
-            calls.append(cls)
-            return from_forms(cls, *args, **kwargs)
-        monkeypatch.setattr(MultilinearMap, "from_forms", classmethod(counting))
+        def counting(self, order):
+            calls.append(order)
+            return decide(self, order)
+        monkeypatch.setattr(LinearStructure, "_decide", counting)
         code, out, err = run_cli(capsys, "verify", "--family", "threefold8x8")
         assert code == 0, err
-        assert len(calls) == 1
+        assert calls == [3, 2]
 
 
 class TestClosure:
