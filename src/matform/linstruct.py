@@ -117,22 +117,28 @@ def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
 
 
 class _Packing:
-    """Parameter monomials packed into one int each, `bits` per exponent
+    """Monomials over `table` packed into one int each, `bits` per exponent
     with a guard bit on top, so that a monomial product is one int
     addition.  Every exponent packed or produced must stay <= `bound`;
     then no field carries into the next."""
 
-    def __init__(self, width: int, bound: int):
+    def __init__(self, table: VarTable, bound: int):
         bits = bound.bit_length() + 1
-        self.shifts = range(0, width * bits, bits)
+        self.table = table
+        self.shifts = range(0, len(table) * bits, bits)
         self.mask = (1 << bits) - 1
         self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
 
     def pack(self, m: Monomial) -> int:
         return sum(e << s for e, s in zip(m, self.shifts))
 
-    def poly(self, table: VarTable, terms: Dict[int, int]) -> Polynomial:
-        return Polynomial._own(table, {
+    def pack_named(self, monomial: Tuple[Tuple[str, int], ...]) -> int:
+        """A Divisor's monomial ((name, exponent), ...), packed."""
+        return sum(e << self.shifts[self.table.index(name)]
+                   for name, e in dict(monomial).items())
+
+    def poly(self, terms: Dict[int, int]) -> Polynomial:
+        return Polynomial._own(self.table, {
             tuple((m >> s) & self.mask for s in self.shifts): c
             for m, c in terms.items()})
 
@@ -488,18 +494,13 @@ class LinearStructure:
             if isinstance(pair, ClosureCertificate):
                 return ClosureCertificate(3, sets, self.params,
                                           _cube(pair.coeff, self.param_table))
-        needs = []  # each divisor's monomial as exponents over the parameters
-        for _, monomial in self.recipe.divisors:
-            exps = [0] * len(self.params)
-            for name, e in monomial:
-                exps[self.param_table.index(name)] = e
-            needs.append(exps)
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top
         top = max((e for row in self.coeff for cell in row for c in cell
                    for m in c.terms for e in m), default=0)
-        pack = _Packing(len(self.params),
-                        max([(order + 1) * top] + sum(needs, [])))
+        divisor_top = max((e for _, monomial in self.recipe.divisors
+                           for _, e in monomial), default=0)
+        pack = _Packing(self.param_table, max((order + 1) * top, divisor_top))
         basis: List[Sparse] = [
             [{j: {pack.pack(m): c for m, c in cell[r].terms.items()}
               for j, cell in enumerate(row) if cell[r].terms}
@@ -511,16 +512,14 @@ class LinearStructure:
             products = {(r, s, u): _sparse_product(p, c)
                         for (r, s), p in products.items()
                         for u, c in enumerate(basis)}
-        got = self._read_table(sets, basis, products, pack,
-                               [pack.pack(m) for m in needs])
+        got = self._read_table(sets, basis, products, pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
         return ClosureCertificate(order, sets, self.params, got)
 
     def _read_table(self, sets, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
-                    pack: "_Packing", needs: List[int]
-                    ) -> Union[CoeffTable, NotInSpan]:
+                    pack: _Packing) -> Union[CoeffTable, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
         indices) at the recipe positions, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
@@ -529,15 +528,15 @@ class LinearStructure:
         product does not divide, and a mismatch is at the first (i, j) in
         row-major order, with the residual summed over every product."""
         coeff: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
-        for t, ((i, j), (scale, _), need) in enumerate(
-                zip(self.recipe.positions, self.recipe.divisors, needs)):
+        for t, ((i, j), (scale, monomial)) in enumerate(
+                zip(self.recipe.positions, self.recipe.divisors)):
+            need = pack.pack_named(monomial)
             for js, p in products.items():
                 divided = pack.divide(p[i].get(j, {}), scale, need) if scale else None
                 if divided is None:
                     return NotInSpan(entry=(i, j), residual=None, reason="division")
                 if divided:
                     coeff[(t, js)] = divided
-        ptable = self.param_table
         misses: Dict[Tuple[int, int], CoeffTable] = {}  # (i, j) -> {(0, js): residual}
         for js, p in products.items():
             residual = [{j: dict(terms) for j, terms in row.items()} for row in p]
@@ -550,14 +549,13 @@ class LinearStructure:
             for i, row in enumerate(residual):
                 for j, terms in row.items():
                     if terms:
-                        misses.setdefault((i, j), {})[(0, js)] = \
-                            pack.poly(ptable, terms)
+                        misses.setdefault((i, j), {})[(0, js)] = pack.poly(terms)
         if misses:
             first = min(misses)
             table = VarTable(self.params + sum(sets, ()))
             return NotInSpan(entry=first, reason="mismatch", residual=(
                 multilinear_forms(misses[first], self.params, sets, table)[0]))
-        return {key: pack.poly(ptable, terms) for key, terms in coeff.items()}
+        return {key: pack.poly(terms) for key, terms in coeff.items()}
 
     # -- block lifting ------------------------------------------------------
 
