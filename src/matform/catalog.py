@@ -15,10 +15,10 @@ import math
 from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .compose import (MultilinearMap, WrongFamilyKind, ZeroResidual,
-                      induced_map, maps_equal, verify_identity)
-from .linstruct import (UNIT, ExtractionRecipe, LinearStructure, NotClosed,
-                        companion_structure)
+from .compose import ZeroResidual, verify_identity
+from .linstruct import (UNIT, ExtractionRecipe, LinearStructure,
+                        MultilinearMap, NotClosed, WrongFamilyKind,
+                        argument_names, companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
 
 
@@ -179,8 +179,9 @@ class FormFamily:
 
     def _law(self, k: int) -> MultilinearMap:
         """The law of arity k (2 or 3), derived on first use and kept: the
-        transcribed law, else the one the structure's closure certificate
-        induces, specialized to the values of a numeric family."""
+        transcribed law, else the structure's closure (the object its
+        closure cache holds), specialized to the values of a numeric
+        family."""
         law = self._laws.get(k)
         if law is None and not self.is_symbolic():
             law = self._base._law(k).specialize(self.param_values)
@@ -188,7 +189,7 @@ class FormFamily:
             word = {2: "bilinear", 3: "trilinear"}[k]
             if self._structure is None or (k == 2 and self.kind == "triple"):
                 raise PolyError(f"{self.name} has no {word} composition map")
-            law = induced_map(self._structure, k)
+            law = self._structure.closure(k)
             if isinstance(law, NotClosed):
                 raise PolyError(f"{self.name} {word} closure failed unexpectedly")
         self._laws[k] = law
@@ -217,7 +218,7 @@ class FormFamily:
         base = self._base
         if st is not None and base is not self and \
                 (cmap.k == 3 or self.kind != "triple") and \
-                maps_equal(cmap, self._law(cmap.k)) and \
+                cmap == self._law(cmap.k) and \
                 isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
             return ZeroResidual("matrix", "recipe divisor vanishes; "
                                 "symbolic identity specialized")
@@ -305,7 +306,7 @@ def _cubic_structure() -> LinearStructure:
 
 def _map_from(params: Sequence[str], h: int, k: int, builder) -> MultilinearMap:
     """The arity-k map whose outputs `builder` writes in x.., y.. [, z..]."""
-    coord_sets = [_coords(prefix, h) for prefix in "xyz"[:k]]
+    coord_sets = argument_names(h, k)
     _, v = _vars(tuple(params) + sum(coord_sets, ()))
     return MultilinearMap.from_forms(builder(v), params, coord_sets)
 

@@ -136,12 +136,9 @@ def _cmd_closure(args) -> int:
         fam = catalog.family(fam.name)
     if fam.structure is None:
         raise UsageError(f"{fam.name} has no matrix structure")
-    if args.order == "pair":
-        result = fam.structure.verify_pair_closure()
-    else:
-        result = fam.structure.verify_triple_closure()
-    if isinstance(result, NotClosed):
-        witness = result.witness
+    law = fam.structure.closure({"pair": 2, "triple": 3}[args.order])
+    if isinstance(law, NotClosed):
+        witness = law.witness
         _emit({"closed": False, "order": args.order,
                "reason": witness.reason,
                "entry": list(witness.entry),
@@ -151,10 +148,11 @@ def _cmd_closure(args) -> int:
               f"reason {witness.reason}",
               args.format)
         return 1
+    outputs = law.forms(law.coord_sets)
     _emit({"closed": True, "order": args.order,
-           "outputs": [p.to_json_obj() for p in result.outputs]},
+           "outputs": [p.to_json_obj() for p in outputs]},
           f"CLOSED ({args.order}): "
-          + "; ".join(f"z{i + 1} = {p}" for i, p in enumerate(result.outputs)),
+          + "; ".join(f"z{i + 1} = {p}" for i, p in enumerate(outputs)),
           args.format)
     return 0
 

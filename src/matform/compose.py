@@ -1,10 +1,10 @@
-"""Composition maps, symbolic identity verification, and the group law on
+"""Symbolic identity verification of composition laws, and the group law on
 integer solutions of f = 1.
 
-A MultilinearMap holds the coefficient tensor of a bilinear (k=2) or
-trilinear (k=3) map: output_i = sum lambda_{i,j1..jk} * arg1_{j1} * ... *
-argk_{jk}, with entries polynomial in named parameters.  Identity
-verification is exact.  Where the form is the determinant of a matrix
+A law is a linstruct.MultilinearMap (re-exported here with its errors), the
+coefficient tensor of a bilinear (k=2) or trilinear (k=3) map: output_i =
+sum lambda_{i,j1..jk} * arg1_{j1} * ... * argk_{jk}, with entries
+polynomial in named parameters.  Identity verification is exact.  Where the form is the determinant of a matrix
 family in the map's own parameters, the proof goes through that family:
 the entrywise product identity A(x)A(y) = A(z) is checked symbolically,
 and multiplicativity of the determinant does the rest.  A form that is
@@ -19,16 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .linstruct import (LinearStructure, NotClosed, _multilinear_coeffs,
-                        multilinear_forms)
+# the law and its two errors are defined in linstruct and re-exported here
+from .linstruct import (DimensionMismatch, LinearStructure, MultilinearMap,
+                        NotClosed, WrongFamilyKind)
 from .polyring import PolyError, Polynomial, VarTable
-
-
-class DimensionMismatch(PolyError):
-    """Argument vector length differs from the map dimension."""
 
 
 class NotAUnit(PolyError):
@@ -37,10 +33,6 @@ class NotAUnit(PolyError):
 
 class SingularMap(PolyError):
     """The linear system defining the inverse is singular."""
-
-
-class WrongFamilyKind(PolyError):
-    """Operation applied to a family of the wrong kind."""
 
 
 @dataclass(frozen=True)
@@ -56,107 +48,6 @@ class ZeroResidual:
     """
     method: str
     reason: str
-
-
-class MultilinearMap:
-    """Arity-k integer-coefficient multilinear map on h-vectors."""
-
-    def __init__(self, k: int, h: int, params: Sequence[str],
-                 coeff: Dict[Tuple[int, Tuple[int, ...]], Polynomial]):
-        if k not in (2, 3):
-            raise ValueError("arity must be 2 or 3")
-        self.k = k
-        self.h = h
-        self.param_table = VarTable(params)
-        self.coeff = {}
-        for (i, js), c in coeff.items():
-            if c.table != self.param_table:
-                raise ValueError("coefficients must live over the parameter table")
-            if c.is_zero():
-                continue
-            if not (0 <= i < h) or len(js) != k or not all(0 <= j < h for j in js):
-                raise ValueError("coefficient index out of range")
-            self.coeff[(i, tuple(js))] = c
-        self._ints: Optional[List[Tuple[int, Tuple[int, ...], int]]] = None
-
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return self.param_table.names
-
-    @classmethod
-    def from_forms(cls, forms: Sequence[Polynomial], params: Sequence[str],
-                   coord_sets: Sequence[Sequence[str]]) -> "MultilinearMap":
-        """Build the tensor from output polynomials multilinear in the
-        coordinate sets (e.g. the z-forms of a closure certificate)."""
-        k = len(coord_sets)
-        h = len(forms)
-        if any(len(cs) != h for cs in coord_sets):
-            raise DimensionMismatch("coordinate sets must have length h")
-        ptable = VarTable(params)
-        coeff = {(i, js): c for i, form in enumerate(forms)
-                 for js, c in _multilinear_coeffs(form, ptable, coord_sets).items()}
-        return cls(k, h, params, coeff)
-
-    def forms(self, coord_sets: Sequence[Sequence[str]],
-              table: Optional[VarTable] = None) -> List[Polynomial]:
-        """Output polynomials over params + the given coordinate sets."""
-        if len(coord_sets) != self.k:
-            raise DimensionMismatch(f"need {self.k} coordinate sets")
-        names: List[str] = list(self.params)
-        for cs in coord_sets:
-            if len(cs) != self.h:
-                raise DimensionMismatch(f"coordinate sets must have length {self.h}")
-            names.extend(cs)
-        if table is None:
-            table = VarTable(names)
-        return multilinear_forms(self.coeff, self.params, coord_sets, table)
-
-    def _int_coeffs(self):
-        """(i, js, integer coefficient) triples of a parameter-free map,
-        derived on first use and kept."""
-        if self._ints is None:
-            if self.params:
-                raise ValueError(f"map has parameters {','.join(self.params)}; "
-                                 "specialize it first")
-            self._ints = [(i, js, c.constant_term())
-                          for (i, js), c in self.coeff.items()]
-        return self._ints
-
-    def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-        """Exact output vector at integer arguments (parameter-free maps)."""
-        if len(args) != self.k:
-            raise DimensionMismatch(f"need {self.k} argument vectors")
-        args = [list(map(index, a)) for a in args]
-        if any(len(a) != self.h for a in args):
-            raise DimensionMismatch(f"argument vectors must have length {self.h}")
-        out = [0] * self.h
-        for i, js, v in self._int_coeffs():
-            for a, j in zip(args, js):
-                v *= a[j]
-            out[i] += v
-        return tuple(out)
-
-    def specialize(self, param_values: Sequence[int]) -> "MultilinearMap":
-        """Substitute integer values for all parameters."""
-        pv = [index(v) for v in param_values]
-        if len(pv) != len(self.params):
-            raise ValueError(f"need {len(self.params)} parameter values")
-        empty = VarTable(())
-        coeff = {key: empty.const(c.eval_vector(pv)) for key, c in self.coeff.items()}
-        return MultilinearMap(self.k, self.h, (), coeff)
-
-    def argument_matrix(self, x: Sequence[int]) -> List[List[int]]:
-        """Integer matrix N with map(x, y) = N @ y, for a bilinear
-        parameter-free map; raises WrongFamilyKind for any other arity."""
-        if self.k != 2:
-            raise WrongFamilyKind(f"need a bilinear map, got arity {self.k}")
-        if len(x) != self.h:
-            raise DimensionMismatch(f"point must have length {self.h}")
-        x = list(map(index, x))
-        N = [[0] * self.h for _ in range(self.h)]
-        for i, (j, col), v in self._int_coeffs():
-            N[i][col] += v * x[j]
-        return N
 
 
 # -- identity verification -------------------------------------------------
@@ -197,10 +88,10 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
     only where a route needs the polynomial itself.  The route follows from
     the arguments' structure, not their size:
     - "matrix" when `structure` is in the map's own parameters
-      (structure.params == cmap.params).  It checks the closure certificate
-      of the matrix family (read back by the structure's own recipe), that
-      the certificate induces `cmap`, and det(A) == form where a form is
-      given; multiplicativity of the determinant then proves the identity.
+      (structure.params == cmap.params).  It checks that the matrix family
+      closes (read back by the structure's own recipe) with `cmap` as its
+      law, and det(A) == form where a form is given; multiplicativity of
+      the determinant then proves the identity.
       Where the structure induces another map the route falls back to
       expansion.
     - otherwise "expand", one factor at a time when `factors` holds more
@@ -235,12 +126,12 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
 
     if structure is None or structure.params != cmap.params:
         return expand("no structure in the map's parameters")
-    derived = induced_map(structure, cmap.k)
+    derived = structure.closure(cmap.k)
     if isinstance(derived, NotClosed):
         # no residual where a divisor does not divide: 1 on det's table
         return derived.witness.residual or \
             VarTable(structure.params + tuple(coord_names)).one()
-    if not maps_equal(derived, cmap):
+    if derived != cmap:
         # The supplied map is not the one the matrix family induces; fall
         # back to the honest expansion to produce a residual.
         return expand("structure induces another map")
@@ -249,24 +140,6 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
         if not diff.is_zero():
             return diff
     return ZeroResidual("matrix", "structure in the map's parameters")
-
-
-def induced_map(structure: LinearStructure,
-                order: int) -> Union[MultilinearMap, NotClosed]:
-    """The map with A(x)A(y)[A(z)] = A(map(x, y[, z])): the structure-
-    constant table of the structure's pair (order 2) or triple (order 3)
-    closure certificate, or its NotClosed witness."""
-    got = (structure.verify_pair_closure() if order == 2
-           else structure.verify_triple_closure())
-    if isinstance(got, NotClosed):
-        return got
-    return MultilinearMap(order, structure.h, structure.params, got.coeff)
-
-
-def maps_equal(a: MultilinearMap, b: MultilinearMap) -> bool:
-    """Same arity, dimension, parameter tuple (in order) and coefficients;
-    zero coefficients are dropped on construction, so this is exact."""
-    return (a.k, a.h, a.params, a.coeff) == (b.k, b.h, b.params, b.coeff)
 
 
 # -- group law on f = 1 -----------------------------------------------------

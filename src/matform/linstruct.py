@@ -7,7 +7,8 @@ Closure under matrix multiplication is a fact about the basis products:
 A(x)A(y) = A(z) for bilinear z exactly when every E_r E_s equals
 sum_t c_rs^t E_t, each c_rs^t read off the product by the structure's
 recipe.  The c's are the structure constants of the algebra the matrices
-span, and they are the coefficient table of the composition law.  A closed
+span; closure returns them as the composition law itself, a
+MultilinearMap with A(x)A(y) = A(map(x, y)).  A closed
 pair table gives the triple table without a matrix product, as
 c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
 products (E_r E_s) E_u read the same way.  Every product, division and
@@ -17,7 +18,6 @@ entrywise check is exact over the parameters, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -31,6 +31,14 @@ class NameCollision(PolyError):
 
 class ParameterCollision(PolyError):
     """Outer and inner structures share a parameter name."""
+
+
+class DimensionMismatch(PolyError):
+    """Argument vector length differs from the map dimension."""
+
+
+class WrongFamilyKind(PolyError):
+    """Operation applied to a family of the wrong kind."""
 
 
 @dataclass(frozen=True)
@@ -57,26 +65,10 @@ class NotClosed:
 CoeffTable = Dict[Tuple[int, Tuple[int, ...]], Polynomial]  # {(t, (r, s[, u])): c}
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
-    """Successful closure of `order` factors: A(x) A(y) [A(z)] = A(w)
-    entrywise, with w read back by the structure's own recipe.
-
-    `coeff` is the structure-constant table: c = coeff[(t, (r, s[, u]))],
-    a polynomial over `params`, with E_r E_s [E_u] = sum_t c E_t (zero
-    entries are left out).  `outputs[t]` is w_t, the same table written as
-    a polynomial multilinear in the coordinate sets.
-    """
-    order: int
-    coord_sets: Tuple[Tuple[str, ...], ...]
-    params: Tuple[str, ...]
-    coeff: CoeffTable
-
-    @cached_property
-    def outputs(self) -> Tuple[Polynomial, ...]:
-        table = VarTable(self.params + sum(self.coord_sets, ()))
-        return tuple(multilinear_forms(self.coeff, self.params,
-                                       self.coord_sets, table))
+def argument_names(h: int, k: int) -> Tuple[Tuple[str, ...], ...]:
+    """The default names x1..xh, y1..yh [, z1..zh] of the k arguments of a
+    law on h-vectors."""
+    return tuple(tuple(f"{p}{i + 1}" for i in range(h)) for p in "xyz"[:k])
 
 
 Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t", 1),))
@@ -228,6 +220,126 @@ def _multilinear_coeffs(poly: Polynomial, ptable: VarTable,
     return {js: Polynomial._own(ptable, terms) for js, terms in out.items()}
 
 
+class MultilinearMap:
+    """Arity-k multilinear map on h-vectors, output_t = sum of c *
+    arg1[j1] * ... * argk[jk] over the entries ((t, (j1..jk)), c) of
+    `coeff`, each c a polynomial over `params` (zero entries are dropped).
+
+    The law a structure's closure induces is its structure-constant table:
+    A(x)A(y)[A(z)] = A(map(x, y[, z])) with coeff[(t, (r, s[, u]))] the c
+    of E_r E_s [E_u] = sum_t c E_t.
+    """
+
+    def __init__(self, k: int, h: int, params: Sequence[str], coeff: CoeffTable):
+        if k not in (2, 3):
+            raise ValueError("arity must be 2 or 3")
+        self.k = k
+        self.h = h
+        self.param_table = VarTable(params)
+        self.coeff = {}
+        for (i, js), c in coeff.items():
+            if c.table != self.param_table:
+                raise ValueError("coefficients must live over the parameter table")
+            if c.is_zero():
+                continue
+            if not (0 <= i < h) or len(js) != k or not all(0 <= j < h for j in js):
+                raise ValueError("coefficient index out of range")
+            self.coeff[(i, tuple(js))] = c
+        self._ints: Optional[List[Tuple[int, Tuple[int, ...], int]]] = None
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        return self.param_table.names
+
+    @property
+    def coord_sets(self) -> Tuple[Tuple[str, ...], ...]:
+        """The default argument names x1..xh, y1..yh [, z1..zh]."""
+        return argument_names(self.h, self.k)
+
+    def __eq__(self, other) -> bool:
+        """Same arity, dimension, parameter tuple (in order) and
+        coefficients; zero coefficients are dropped on construction, so
+        this is exact."""
+        return isinstance(other, MultilinearMap) and \
+            (self.k, self.h, self.params, self.coeff) == \
+            (other.k, other.h, other.params, other.coeff)
+
+    @classmethod
+    def from_forms(cls, forms: Sequence[Polynomial], params: Sequence[str],
+                   coord_sets: Sequence[Sequence[str]]) -> "MultilinearMap":
+        """Build the tensor from output polynomials multilinear in the
+        coordinate sets (e.g. a law transcribed in x1.., y1..)."""
+        k = len(coord_sets)
+        h = len(forms)
+        if any(len(cs) != h for cs in coord_sets):
+            raise DimensionMismatch("coordinate sets must have length h")
+        ptable = VarTable(params)
+        coeff = {(i, js): c for i, form in enumerate(forms)
+                 for js, c in _multilinear_coeffs(form, ptable, coord_sets).items()}
+        return cls(k, h, params, coeff)
+
+    def forms(self, coord_sets: Sequence[Sequence[str]],
+              table: Optional[VarTable] = None) -> List[Polynomial]:
+        """Output polynomials over params + the given coordinate sets."""
+        if len(coord_sets) != self.k:
+            raise DimensionMismatch(f"need {self.k} coordinate sets")
+        names: List[str] = list(self.params)
+        for cs in coord_sets:
+            if len(cs) != self.h:
+                raise DimensionMismatch(f"coordinate sets must have length {self.h}")
+            names.extend(cs)
+        if table is None:
+            table = VarTable(names)
+        return multilinear_forms(self.coeff, self.params, coord_sets, table)
+
+    def _int_coeffs(self):
+        """(i, js, integer coefficient) triples of a parameter-free map,
+        derived on first use and kept."""
+        if self._ints is None:
+            if self.params:
+                raise ValueError(f"map has parameters {','.join(self.params)}; "
+                                 "specialize it first")
+            self._ints = [(i, js, c.constant_term())
+                          for (i, js), c in self.coeff.items()]
+        return self._ints
+
+    def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+        """Exact output vector at integer arguments (parameter-free maps)."""
+        if len(args) != self.k:
+            raise DimensionMismatch(f"need {self.k} argument vectors")
+        args = [list(map(index, a)) for a in args]
+        if any(len(a) != self.h for a in args):
+            raise DimensionMismatch(f"argument vectors must have length {self.h}")
+        out = [0] * self.h
+        for i, js, v in self._int_coeffs():
+            for a, j in zip(args, js):
+                v *= a[j]
+            out[i] += v
+        return tuple(out)
+
+    def specialize(self, param_values: Sequence[int]) -> "MultilinearMap":
+        """Substitute integer values for all parameters."""
+        pv = [index(v) for v in param_values]
+        if len(pv) != len(self.params):
+            raise ValueError(f"need {len(self.params)} parameter values")
+        empty = VarTable(())
+        coeff = {key: empty.const(c.eval_vector(pv)) for key, c in self.coeff.items()}
+        return MultilinearMap(self.k, self.h, (), coeff)
+
+    def argument_matrix(self, x: Sequence[int]) -> List[List[int]]:
+        """Integer matrix N with map(x, y) = N @ y, for a bilinear
+        parameter-free map; raises WrongFamilyKind for any other arity."""
+        if self.k != 2:
+            raise WrongFamilyKind(f"need a bilinear map, got arity {self.k}")
+        if len(x) != self.h:
+            raise DimensionMismatch(f"point must have length {self.h}")
+        x = list(map(index, x))
+        N = [[0] * self.h for _ in range(self.h)]
+        for i, (j, col), v in self._int_coeffs():
+            N[i][col] += v * x[j]
+        return N
+
+
 @dataclass(frozen=True)
 class ExtractionRecipe:
     """Designated matrix positions from which coordinates are read back.
@@ -285,7 +397,7 @@ class LinearStructure:
                         raise ValueError("coefficients must live over the parameter table")
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
-        self._closure_cache: Dict[int, object] = {}
+        self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
 
     @property
@@ -455,45 +567,48 @@ class LinearStructure:
 
     # -- closure checks ---------------------------------------------------
 
-    def _coord_sets(self, count: int) -> Tuple[Tuple[str, ...], ...]:
-        prefixes = ("x", "y", "z")[:count]
-        return tuple(
-            tuple(f"{p}{i + 1}" for i in range(self.h)) for p in prefixes)
+    def closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
+        """The law induced by closure of `order` factors (2 or 3), or the
+        NotClosed witness."""
+        if order == 2:
+            return self.verify_pair_closure()
+        if order == 3:
+            return self.verify_triple_closure()
+        raise ValueError("order must be 2 or 3")
 
-    def verify_pair_closure(self):
+    def verify_pair_closure(self) -> Union[MultilinearMap, NotClosed]:
         """Symbolically check A(x) A(y) = A(z) for bilinear z.
 
-        Returns a ClosureCertificate carrying the z-forms, or NotClosed.
+        Returns the bilinear law z = map(x, y), its coefficients the pair
+        structure constants, or NotClosed.
         """
         return self._closure(2)
 
-    def verify_triple_closure(self):
+    def verify_triple_closure(self) -> Union[MultilinearMap, NotClosed]:
         """Symbolically check A(x) A(y) A(z) = A(w) for trilinear w.
 
-        Returns a ClosureCertificate carrying the w-forms, or NotClosed.
+        Returns the trilinear law w = map(x, y, z), its coefficients the
+        triple structure constants, or NotClosed.
         """
         return self._closure(3)
 
-    def _closure(self, order: int):
+    def _closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
         """The closure result of `order` factors, cached per order:
-        deriving a family's map and proving its identity by the matrix
-        route both need the same certificate."""
-        got = self._closure_cache.get(order)
-        if got is None:
-            got = self._decide(order)
-            self._closure_cache[order] = got
-        return got
+        deriving a family's law and proving its identity by the matrix
+        route both need the same one."""
+        if order not in self._closure_cache:
+            self._closure_cache[order] = self._decide(order)
+        return self._closure_cache[order]
 
-    def _decide(self, order: int) -> Union[ClosureCertificate, NotClosed]:
+    def _decide(self, order: int) -> Union[MultilinearMap, NotClosed]:
         """Closure of `order` factors from the basis products: the triple
         table of a closed pair table is its contraction, any other table
         is read off the products E_r E_s [E_u]."""
-        sets = self._coord_sets(order)
         if order == 3:
             pair = self._closure(2)
-            if isinstance(pair, ClosureCertificate):
-                return ClosureCertificate(3, sets, self.params,
-                                          _cube(pair.coeff, self.param_table))
+            if isinstance(pair, MultilinearMap):
+                return MultilinearMap(3, self.h, self.params,
+                                      _cube(pair.coeff, self.param_table))
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top
         top = max((e for row in self.coeff for cell in row for c in cell
@@ -512,12 +627,12 @@ class LinearStructure:
             products = {(r, s, u): _sparse_product(p, c)
                         for (r, s), p in products.items()
                         for u, c in enumerate(basis)}
-        got = self._read_table(sets, basis, products, pack)
+        got = self._read_table(order, basis, products, pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
-        return ClosureCertificate(order, sets, self.params, got)
+        return MultilinearMap(order, self.h, self.params, got)
 
-    def _read_table(self, sets, basis: List[Sparse],
+    def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
                     pack: _Packing) -> Union[CoeffTable, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
@@ -552,6 +667,7 @@ class LinearStructure:
                         misses.setdefault((i, j), {})[(0, js)] = pack.poly(terms)
         if misses:
             first = min(misses)
+            sets = argument_names(self.h, order)
             table = VarTable(self.params + sum(sets, ()))
             return NotInSpan(entry=first, reason="mismatch", residual=(
                 multilinear_forms(misses[first], self.params, sets, table)[0]))

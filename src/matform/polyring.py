@@ -525,17 +525,20 @@ class PolyMatrix:
 
 def int_matrix_product(a: Sequence[Sequence[int]],
                        b: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Exact product of two integer matrices."""
+    """Exact product of two integer matrices; a float raises TypeError."""
     if any(len(row) != len(b) for row in a):
         raise ValueError("matrix shapes do not match")
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    index, mul = operator.index, operator.mul
+    cols = list(zip(*[map(index, row) for row in b]))
+    return [[sum(map(mul, row, col)) for col in cols]
+            for row in [list(map(index, row)) for row in a]]
 
 
 def int_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of an integer matrix (fraction-free Bareiss); a
+    float entry raises TypeError."""
     n = len(rows)
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(operator.index, row)) for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     sign = 1

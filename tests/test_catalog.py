@@ -16,8 +16,8 @@ from matform.catalog import (
     list_families,
     quartic_inverse_forms,
 )
-from matform.compose import MultilinearMap, maps_equal
-from matform.linstruct import ClosureCertificate, NotClosed
+from matform.compose import MultilinearMap
+from matform.linstruct import NotClosed
 
 # the families whose structure is in their own parameters
 STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -60,21 +60,34 @@ class TestTranscribedAgainstDerived:
     @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4"])
     def test_pair_map_matches_closure_outputs(self, name):
         fam = family(name)
-        cert = fam.structure.verify_pair_closure()
-        assert isinstance(cert, ClosureCertificate)
+        law = fam.structure.verify_pair_closure()
+        assert isinstance(law, MultilinearMap)
         derived = MultilinearMap.from_forms(
-            cert.outputs, fam.structure.params,
-            [tuple(cs) for cs in cert.coord_sets])
-        assert maps_equal(derived, fam.pair_map)
+            law.forms(law.coord_sets), fam.structure.params,
+            [tuple(cs) for cs in law.coord_sets])
+        assert derived == fam.pair_map
 
     def test_threefold4x4_map_matches_closure_outputs(self):
         fam = family("threefold4x4")
-        cert = fam.structure.verify_triple_closure()
-        assert isinstance(cert, ClosureCertificate)
+        law = fam.structure.verify_triple_closure()
+        assert isinstance(law, MultilinearMap)
         derived = MultilinearMap.from_forms(
-            cert.outputs, fam.structure.params,
-            [tuple(cs) for cs in cert.coord_sets])
-        assert maps_equal(derived, fam.triple_map())
+            law.forms(law.coord_sets), fam.structure.params,
+            [tuple(cs) for cs in law.coord_sets])
+        assert derived == fam.triple_map()
+
+    @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4",
+                                      "sextic6x6", "sextic_circulant",
+                                      "octic8x8"])
+    def test_pair_closure_is_the_transcribed_pair_map(self, name):
+        fam = family(name)
+        assert fam.structure.closure(2) == fam.pair_map
+
+    def test_derived_law_is_the_structure_closure(self):
+        # one cache: the family keeps the object its structure's closure
+        # returned, not a copy
+        fam = family("threefold8x8")
+        assert fam.triple_map() is fam.structure.closure(3)
 
     @pytest.mark.parametrize("name", ["cubic3x3", "quartic4x4", "threefold4x4"])
     def test_printed_form_equals_determinant(self, name):

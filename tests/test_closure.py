@@ -2,7 +2,7 @@
 that never read the table:
 
 - the symbolic product A(x) @ A(y) [@ A(z)] read back by
-  `extract_coordinates`, which must give the same certificate or the same
+  `extract_coordinates`, which must give the same law or the same
   NotClosed witness;
 - integer points: A(x)·A(y)[·A(z)] == A(map(x, y[, z])) through
   `matrix_of`, at seeded random parameters and points;
@@ -14,9 +14,8 @@ import random
 import pytest
 
 from matform import catalog
-from matform.compose import induced_map
-from matform.linstruct import (ClosureCertificate, ExtractionRecipe,
-                               LinearStructure, NotClosed, NotInSpan)
+from matform.linstruct import (ExtractionRecipe, LinearStructure,
+                               MultilinearMap, NotClosed, NotInSpan)
 from matform.polyring import VarTable, int_matrix_product
 
 # every catalog family with a matrix structure
@@ -28,10 +27,6 @@ CASES = [(name, order) for name in NINE for order in (2, 3)]
 def fresh(name: str) -> LinearStructure:
     """The family's structure, built anew so that no closure is cached."""
     return catalog._BUILDERS[name]().structure
-
-
-def closure(st: LinearStructure, order: int):
-    return st.verify_pair_closure() if order == 2 else st.verify_triple_closure()
 
 
 def product_route(st: LinearStructure, order: int):
@@ -49,12 +44,13 @@ def product_route(st: LinearStructure, order: int):
 
 
 def assert_same_as_product_route(st: LinearStructure, order: int):
-    got, want = closure(st, order), product_route(st, order)
+    got, want = st.closure(order), product_route(st, order)
     if isinstance(want, NotClosed):
         assert got == want
     else:
-        assert isinstance(got, ClosureCertificate)
-        assert (got.order, got.coord_sets, got.outputs) == (order, *want)
+        assert isinstance(got, MultilinearMap)
+        assert (got.k, got.coord_sets, tuple(got.forms(got.coord_sets))) \
+            == (order, *want)
 
 
 def tracefree(recipe=None) -> LinearStructure:
@@ -90,7 +86,7 @@ def assert_integer_points(st: LinearStructure, order: int, seed: int,
                           trials: int = 3):
     """A(x)·A(y)[·A(z)] == A(map(...)) at random integer parameters and
     points, each side computed from `matrix_of`."""
-    law = induced_map(st, order)
+    law = st.closure(order)
     rng = random.Random(seed)
     for _ in range(trials):
         values = [rng.randint(-3, 3) for _ in st.params]
@@ -161,7 +157,7 @@ def test_block_lift_of_two_quartics():
     lifted = outer.block_compose(inner)
     assert (lifted.n, lifted.h) == (16, 16)
     for order in (2, 3):
-        assert isinstance(closure(lifted, order), ClosureCertificate)
+        assert isinstance(lifted.closure(order), MultilinearMap)
         assert_integer_points(lifted, order, seed=1600 + order, trials=2)
 
 
@@ -177,7 +173,7 @@ def test_sympy_product_matches_certificate(name, order):
     A(outputs), or the witness's divisor must leave a remainder."""
     sympy = pytest.importorskip("sympy")
     st = catalog.family(name).structure
-    got = closure(st, order)
+    got = st.closure(order)
     sets = tuple(tuple(f"{p}{i + 1}" for i in range(st.h)) for p in "xyz"[:order])
     table = VarTable(st.params + sum(sets, ()))
     ring, *gens = sympy.ring(table.names, sympy.ZZ)
@@ -200,7 +196,7 @@ def test_sympy_product_matches_certificate(name, order):
             divisor *= gens[table.index(x)] ** e
         assert ring(product[i, j]).div(divisor)[1] != 0
         return
-    w = [element(out) for out in got.outputs]
+    w = [element(out) for out in got.forms(got.coord_sets)]
     for i in range(st.n):
         for j in range(st.n):
             rebuilt = sum((element(st.coeff[i][j][r]) * w[r] for r in range(st.h)),

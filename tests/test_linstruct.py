@@ -6,7 +6,6 @@ import pytest
 
 from matform.compose import MultilinearMap
 from matform.linstruct import (
-    ClosureCertificate,
     ExtractionRecipe,
     LinearStructure,
     NameCollision,
@@ -183,14 +182,15 @@ class TestExtraction:
 class TestClosure:
     def test_pell_pairwise_closed(self):
         cert = pell("p", "q").verify_pair_closure()
-        assert isinstance(cert, ClosureCertificate)
-        assert cert.order == 2
-        t = cert.outputs[0].table
+        assert isinstance(cert, MultilinearMap)
+        assert cert.k == 2
+        outputs = cert.forms(cert.coord_sets)
+        t = outputs[0].table
         x1, x2, y1, y2 = (t.var(n) for n in ("x1", "x2", "y1", "y2"))
         q = t.var("q")
         p = t.var("p")
-        assert cert.outputs[0] == x1 * y1 - q * x2 * y2
-        assert cert.outputs[1] == x1 * y2 + x2 * y1 + p * x2 * y2
+        assert outputs[0] == x1 * y1 - q * x2 * y2
+        assert outputs[1] == x1 * y2 + x2 * y1 + p * x2 * y2
 
     def test_tracefree_pairwise_fails_triple_closes(self):
         st = tracefree("t", "b", "c", tracefree_recipe("t"))
@@ -198,20 +198,28 @@ class TestClosure:
         assert isinstance(pair, NotClosed)
         assert pair.order == 2
         triple = st.verify_triple_closure()
-        assert isinstance(triple, ClosureCertificate)
-        assert triple.order == 3
+        assert isinstance(triple, MultilinearMap)
+        assert triple.k == 3
         assert isinstance(st.verify_pair_closure(), NotClosed)
+
+    def test_closure_names_its_order(self):
+        st = pell("p", "q")
+        assert st.closure(2) is st.verify_pair_closure()
+        assert st.closure(3) is st.verify_triple_closure()
+        with pytest.raises(ValueError):
+            st.closure(4)
 
     def test_pairwise_closed_implies_triple_closed(self):
         st = pell("p", "q")
         triple = st.verify_triple_closure()
-        assert isinstance(triple, ClosureCertificate)
-        assert isinstance(st.verify_pair_closure(), ClosureCertificate)
+        assert isinstance(triple, MultilinearMap)
+        assert isinstance(st.verify_pair_closure(), MultilinearMap)
 
     def test_closure_outputs_reproduce_product(self):
         st = pell("p", "q")
         cert = st.verify_pair_closure()
-        table = cert.outputs[0].table
+        outputs = cert.forms(cert.coord_sets)
+        table = outputs[0].table
         ax = st.instantiate(cert.coord_sets[0], table)
         ay = st.instantiate(cert.coord_sets[1], table)
         prod = ax @ ay
@@ -220,7 +228,7 @@ class TestClosure:
             for j in range(st.n):
                 acc = table.zero()
                 for r in range(st.h):
-                    acc = acc + st.coeff[i][j][r].embed(table) * cert.outputs[r]
+                    acc = acc + st.coeff[i][j][r].embed(table) * outputs[r]
                 assert acc == prod[i, j]
 
 
@@ -229,11 +237,12 @@ class TestClosure:
         values = (-1, -4, 1, -1, 1, 1)
         numeric = family("threefold4x4", values)
         cert = numeric.structure.verify_triple_closure()
-        assert isinstance(cert, ClosureCertificate)
+        assert isinstance(cert, MultilinearMap)
         symbolic = family("threefold4x4")
         ref = symbolic.structure.verify_triple_closure()
         env = dict(zip(symbolic.param_names, values))
-        assert list(cert.outputs) == [w.specialize(env) for w in ref.outputs]
+        assert cert.forms(cert.coord_sets) == \
+            [w.specialize(env) for w in ref.forms(ref.coord_sets)]
 
 
 class TestBlockLifting:
@@ -250,7 +259,7 @@ class TestBlockLifting:
     def test_pair_times_pair_is_pair_closed(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
         cert = lifted.verify_pair_closure()
-        assert isinstance(cert, ClosureCertificate)
+        assert isinstance(cert, MultilinearMap)
 
     def test_any_triple_only_factor_forces_triple_only(self):
         # triple-only inner under a pairwise-closed outer
@@ -258,19 +267,19 @@ class TestBlockLifting:
             tracefree("t", "b", "c", tracefree_recipe("t")))
         assert isinstance(lifted.verify_pair_closure(), NotClosed)
         assert isinstance(lifted.verify_triple_closure(),
-                          ClosureCertificate)
+                          MultilinearMap)
         # triple-only outer over a pairwise-closed inner
         outer = tracefree("t", "b", "c", tracefree_recipe("t"))
         lifted2 = outer.block_compose(pell("p", "q"))
         assert isinstance(lifted2.verify_pair_closure(), NotClosed)
         assert isinstance(lifted2.verify_triple_closure(),
-                          ClosureCertificate)
+                          MultilinearMap)
         # triple-only on both levels
         lifted3 = outer.block_compose(
             tracefree("s", "e", "f", tracefree_recipe("s")))
         assert isinstance(lifted3.verify_pair_closure(), NotClosed)
         assert isinstance(lifted3.verify_triple_closure(),
-                          ClosureCertificate)
+                          MultilinearMap)
 
     def test_lifted_determinant_multiplicative(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
@@ -290,7 +299,7 @@ class TestBlockLifting:
         lifted = st.block_compose(
             st.rename_params({p: f"i_{p}" for p in st.params}))
         assert isinstance(lifted.verify_pair_closure(), NotClosed)
-        assert isinstance(lifted.verify_triple_closure(), ClosureCertificate)
+        assert isinstance(lifted.verify_triple_closure(), MultilinearMap)
         assert {name for _, monomial in lifted.recipe.divisors
                 for name, _ in monomial} == {"t", "i_t"}
 
@@ -327,11 +336,11 @@ class TestCompanion:
         st = companion_structure((1, -4, 2))
         assert st.recipe == ExtractionRecipe.first_column(3)
         cert = st.verify_pair_closure()
-        assert isinstance(cert, ClosureCertificate)
+        assert isinstance(cert, MultilinearMap)
 
     def test_companion_reads_its_own_first_column(self):
         cert = companion_structure((0, 0, -2)).verify_pair_closure()
-        assert isinstance(cert, ClosureCertificate)
+        assert isinstance(cert, MultilinearMap)
 
     def test_companion_closure_gives_norm_multiplicativity(self):
         st = companion_structure((0, 0, -2))

@@ -208,6 +208,18 @@ class TestDeterminants:
         with pytest.raises(ValueError):
             int_matrix_product([[1, 2]], [[3, 4]])
 
+    @pytest.mark.parametrize("call", [
+        lambda: int_matrix_determinant([[0.5, 1], [1, 2.9]]),
+        lambda: int_matrix_determinant([[2.0]]),
+        lambda: int_matrix_product([[0.5]], [[2]]),
+        lambda: int_matrix_product([[2]], [[1.0]]),
+    ], ids=["det", "det-integral-float", "product-left", "product-right"])
+    def test_int_matrix_rejects_a_float(self, call):
+        """A float entry is never truncated or carried into the result:
+        it raises TypeError."""
+        with pytest.raises(TypeError):
+            call()
+
     def test_symbolic_det_agrees_with_cofactor_expansion(self):
         names = tuple(f"m{i}{j}" for i in range(4) for j in range(4))
         table = VarTable(names)
