@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .polyring import (Monomial, PolyError, PolyMatrix, Polynomial, VarTable,
-                       _mul_into)
+from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
+                       VarTable, _mul_into, _mul_packed, _top)
 
 
 class NameCollision(PolyError):
@@ -108,61 +108,6 @@ def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
     return [Polynomial._own(table, terms) for terms in out]
 
 
-class _Packing:
-    """Monomials over `table` packed into one int each, `bits` per exponent
-    with a guard bit on top, so that a monomial product is one int
-    addition.  Every exponent packed or produced must stay <= `bound`;
-    then no field carries into the next."""
-
-    def __init__(self, table: VarTable, bound: int):
-        bits = bound.bit_length() + 1
-        self.table = table
-        self.shifts = range(0, len(table) * bits, bits)
-        self.mask = (1 << bits) - 1
-        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
-
-    def pack(self, m: Monomial) -> int:
-        return sum(e << s for e, s in zip(m, self.shifts))
-
-    def pack_named(self, monomial: Tuple[Tuple[str, int], ...]) -> int:
-        """A Divisor's monomial ((name, exponent), ...), packed."""
-        return sum(e << self.shifts[self.table.index(name)]
-                   for name, e in dict(monomial).items())
-
-    def poly(self, terms: Dict[int, int]) -> Polynomial:
-        return Polynomial._own(self.table, {
-            tuple((m >> s) & self.mask for s in self.shifts): c
-            for m, c in terms.items()})
-
-    def divide(self, terms: Dict[int, int], scale: int,
-               need: int) -> Optional[Dict[int, int]]:
-        """terms / (scale * the packed monomial `need`), or None where some
-        term is not divisible (a field of m - need borrows its guard)."""
-        guard = self.guard
-        out = {}
-        for m, c in terms.items():
-            if c % scale or ((m | guard) - need) & guard != guard:
-                return None
-            out[m - need] = c // scale
-        return out
-
-
-def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
-                scale: int = 1) -> None:
-    """out += scale * a * b over packed monomials; keeps `out` free of
-    zeros."""
-    get = out.get
-    for m1, c1 in a.items():
-        c1 *= scale
-        for m2, c2 in b.items():
-            m = m1 + m2
-            s = get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-
-
 def _sparse_product(a: Sparse, b: Sparse) -> Sparse:
     """a @ b for sparse matrices over packed monomials."""
     out = []
@@ -178,18 +123,21 @@ def _sparse_product(a: Sparse, b: Sparse) -> Sparse:
 def _cube(pair: CoeffTable, ptable: VarTable) -> CoeffTable:
     """The triple table of a closed pair table: E_r E_s E_u =
     sum_v c_rs^v E_v E_u = sum_t (sum_v c_rs^v c_vu^t) E_t."""
-    by_rs: Dict[Tuple[int, int], List[Tuple[int, Terms]]] = {}
-    by_v: Dict[int, List[Tuple[int, int, Terms]]] = {}
+    # a product of two pair coefficients has exponents up to twice theirs
+    pack = Packing(ptable, 2 * max((_top(c.terms) for c in pair.values()),
+                                   default=0))
+    by_rs: Dict[Tuple[int, int], List[Tuple[int, Dict[int, int]]]] = {}
+    by_v: Dict[int, List[Tuple[int, int, Dict[int, int]]]] = {}
     for (t, (r, s)), c in pair.items():
-        by_rs.setdefault((r, s), []).append((t, c.terms))
-        by_v.setdefault(r, []).append((s, t, c.terms))
-    out: Dict[Tuple[int, Tuple[int, ...]], Terms] = {}
+        packed = pack.pack_terms(c.terms)
+        by_rs.setdefault((r, s), []).append((t, packed))
+        by_v.setdefault(r, []).append((s, t, packed))
+    out: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
     for (r, s), cs in by_rs.items():
         for v, c1 in cs:
             for u, t, c2 in by_v.get(v, ()):
-                _mul_into(out.setdefault((t, (r, s, u)), {}), c1, c2)
-    return {key: Polynomial._own(ptable, terms)
-            for key, terms in out.items() if terms}
+                _mul_packed(out.setdefault((t, (r, s, u)), {}), c1, c2)
+    return {key: pack.poly(terms) for key, terms in out.items() if terms}
 
 
 def _multilinear_coeffs(poly: Polynomial, ptable: VarTable,
@@ -611,13 +559,13 @@ class LinearStructure:
                                       _cube(pair.coeff, self.param_table))
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top
-        top = max((e for row in self.coeff for cell in row for c in cell
-                   for m in c.terms for e in m), default=0)
+        top = max((_top(c.terms) for row in self.coeff for cell in row
+                   for c in cell), default=0)
         divisor_top = max((e for _, monomial in self.recipe.divisors
                            for _, e in monomial), default=0)
-        pack = _Packing(self.param_table, max((order + 1) * top, divisor_top))
+        pack = Packing(self.param_table, max((order + 1) * top, divisor_top))
         basis: List[Sparse] = [
-            [{j: {pack.pack(m): c for m, c in cell[r].terms.items()}
+            [{j: pack.pack_terms(cell[r].terms)
               for j, cell in enumerate(row) if cell[r].terms}
              for row in self.coeff]
             for r in range(self.h)]
@@ -634,7 +582,7 @@ class LinearStructure:
 
     def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
-                    pack: _Packing) -> Union[CoeffTable, NotInSpan]:
+                    pack: Packing) -> Union[CoeffTable, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
         indices) at the recipe positions, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the

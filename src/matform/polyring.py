@@ -6,12 +6,19 @@ there is no floating point anywhere.  Term order is graded lexicographic
 (total degree first, then lex on the exponent tuple) and is applied only
 when serializing or printing, so arithmetic stays hash-map fast while
 output stays deterministic.
+
+Exponent tuples are the form at rest: `terms`, printing and JSON use them.
+The kernels that loop over many products (`substitute`, `**`, the DP
+`determinant`, and closure in `linstruct`) pack each tuple into one int
+(`Packing`), so that a monomial product is one int addition, and unpack
+once at the end.  A single `*` stays on tuples: packing costs more than it
+saves on one small product.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -73,16 +80,16 @@ class VarTable:
         """The polynomial consisting of the single variable `name`."""
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        return Polynomial._own(self, {tuple(exps): 1})
 
     def const(self, c: int) -> "Polynomial":
         c = operator.index(c)
         if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.names): c})
+            return Polynomial._own(self, {})
+        return Polynomial._own(self, {(0,) * len(self.names): c})
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._own(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -96,6 +103,19 @@ def grlex_key(m: Monomial) -> tuple:
     return (sum(m), m)
 
 
+def _exponents(m: Iterable[int], width: int) -> Monomial:
+    """`m` as an exponent tuple over a table of `width` variables; raises
+    TypeError for a non-int and ValueError for a wrong length or a
+    negative exponent."""
+    m = tuple(map(operator.index, m))
+    if len(m) != width:
+        raise ValueError(f"exponent tuple {m} has length {len(m)}, "
+                         f"the table {width}")
+    if m and min(m) < 0:
+        raise ValueError(f"negative exponent in {m}")
+    return m
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact integer coefficients.
 
@@ -106,8 +126,10 @@ class Polynomial:
     __slots__ = ("table", "terms", "_sparse")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int]):
+        width = len(table)
+        checked = [(_exponents(m, width), c) for m, c in terms.items()]
         self.table = table
-        self.terms: Dict[Monomial, int] = {m: c for m, c in terms.items() if c}
+        self.terms: Dict[Monomial, int] = {m: c for m, c in checked if c}
         self._sparse = None
 
     @classmethod
@@ -214,18 +236,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
+        e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.table.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e = base_needed
-        return result
+        if e == 0:
+            return self.table.one()
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial._own(self.table, {tuple(e * k for k in m): c ** e})
+        # each exponent of a product of e terms is at most e times the
+        # largest exponent of self
+        pack = Packing(self.table, e * _top(self.terms))
+        return pack.poly(_pow_packed(pack.pack_terms(self.terms), e))
 
     # -- substitution and evaluation -------------------------------------
 
@@ -263,30 +285,38 @@ class Polynomial:
             for pos, e in zip(positions, m):
                 exps[pos] = e
             out[tuple(exps)] = c
-        return Polynomial(target, out)
+        return Polynomial._own(target, out)
 
     def _map_through(self, target: VarTable, images: Sequence["Polynomial"]) -> "Polynomial":
-        # Cache power products per distinct exponent to keep repeated
-        # substitution of the same variables cheap.
-        pow_cache: Dict[Tuple[int, int], Polynomial] = {}
+        """sum of c * prod_i images[i] ** m[i] over the terms (m, c), over
+        `target`, with every product taken on packed monomials."""
+        if not self.terms:
+            return Polynomial._own(target, {})
+        # a term of degree d maps to a product of d image terms, so no
+        # exponent exceeds total_degree(self) times the largest image one
+        pack = Packing(target, self.total_degree()
+                       * max((_top(im.terms) for im in images), default=0))
+        # powers[i][e] = images[i] ** e, each from the one before it
+        powers = [[{0: 1}, pack.pack_terms(im.terms)] for im in images]
 
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[i] ** e
-                pow_cache[key] = got
-            return got
+        def power(i: int, e: int) -> Dict[int, int]:
+            row = powers[i]
+            while len(row) <= e:
+                nxt: Dict[int, int] = {}
+                _mul_packed(nxt, row[-1], row[1])
+                row.append(nxt)
+            return row[e]
 
-        acc: Dict[Monomial, int] = {}
-        one = target.one()
+        acc: Dict[int, int] = {}
         for m, c in self.terms.items():
-            factors = [power(i, e) for i, e in enumerate(m) if e]
-            term = factors[0] if factors else one
-            for f in factors[1:]:
-                term = term * f
-            _add_into(acc, term.terms, c)
-        return Polynomial._own(target, acc)
+            *rest, last = [power(i, e) for i, e in enumerate(m) if e] or [{0: 1}]
+            term = {0: c}
+            for f in rest:
+                prod: Dict[int, int] = {}
+                _mul_packed(prod, term, f)
+                term = prod
+            _mul_packed(acc, term, last)
+        return pack.poly(acc)
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
         """Substitute integers for a subset of variables, dropping them
@@ -311,7 +341,7 @@ class Polynomial:
                 out[key] = s
             else:
                 del out[key]
-        return Polynomial(table, out)
+        return Polynomial._own(table, out)
 
     def eval_int(self, point: Mapping[str, int]) -> int:
         """Exact integer value at a fully assigned integer point."""
@@ -384,9 +414,15 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Polynomial":
+        """The polynomial `to_json_obj` wrote; a repeated monomial raises
+        ValueError, a bad exponent ValueError or TypeError."""
         table = VarTable(obj["vars"])
-        terms = {tuple(t["e"]): int(t["c"]) for t in obj["terms"]}
-        return cls(table, terms)
+        pairs = [(_exponents(t["e"], len(table)), int(t["c"]))
+                 for t in obj["terms"]]
+        terms = dict(pairs)
+        if len(terms) != len(pairs):
+            raise ValueError("repeated monomial in the terms")
+        return cls._own(table, {m: c for m, c in terms.items() if c})
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):
@@ -430,6 +466,95 @@ def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
                 out[m] = s
             else:
                 del out[m]
+
+
+def _top(terms: Mapping[Monomial, int]) -> int:
+    """The largest exponent of any variable in `terms`; 0 if none."""
+    return max((max(m, default=0) for m in terms), default=0)
+
+
+class Packing:
+    """Monomials over `table` packed into one int each, `bits` per exponent
+    with a guard bit on top, so that a monomial product is one int
+    addition.  Every exponent packed or produced must stay <= `bound`;
+    then no field carries into the next."""
+
+    __slots__ = ("table", "shifts", "mask", "guard")
+
+    def __init__(self, table: VarTable, bound: int):
+        bits = bound.bit_length() + 1
+        self.table = table
+        self.shifts = range(0, len(table) * bits, bits)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+
+    def pack(self, m: Monomial) -> int:
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def pack_terms(self, terms: Mapping[Monomial, int]) -> Dict[int, int]:
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def pack_named(self, monomial: Tuple[Tuple[str, int], ...]) -> int:
+        """A monomial ((name, exponent), ...), packed."""
+        return sum(e << self.shifts[self.table.index(name)]
+                   for name, e in dict(monomial).items())
+
+    def poly(self, terms: Dict[int, int]) -> Polynomial:
+        """The polynomial of zero-free packed `terms`, unpacked."""
+        shifts, mask = self.shifts, self.mask
+        return Polynomial._own(self.table, {
+            tuple([(m >> s) & mask for s in shifts]): c
+            for m, c in terms.items()})
+
+    def divide(self, terms: Dict[int, int], scale: int,
+               need: int) -> Optional[Dict[int, int]]:
+        """terms / (scale * the packed monomial `need`), or None where some
+        term is not divisible (a field of m - need borrows its guard)."""
+        guard = self.guard
+        out = {}
+        for m, c in terms.items():
+            if c % scale or ((m | guard) - need) & guard != guard:
+                return None
+            out[m - need] = c // scale
+        return out
+
+
+def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
+                scale: int = 1) -> None:
+    """out += scale * a * b over packed monomials; keeps `out` free of
+    zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
+def _pow_packed(base: Dict[int, int], e: int) -> Dict[int, int]:
+    """base ** e over packed monomials, e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            if result is None:
+                result = base
+            else:
+                prod: Dict[int, int] = {}
+                _mul_packed(prod, result, base)
+                result = prod
+        e >>= 1
+        if not e:
+            return result
+        square: Dict[int, int] = {}
+        _mul_packed(square, base, base)
+        base = square
 
 
 class PolyMatrix:
@@ -485,24 +610,26 @@ class PolyMatrix:
         sparse polynomial entries.
         """
         n = self.n
-        minors: Dict[int, Dict[Monomial, int]] = {0: self.table.one().terms}
-        for i in range(n):
-            nxt: Dict[int, Dict[Monomial, int]] = {}
+        # a minor's term is a product of one entry term per row, so no
+        # exponent exceeds the sum over rows of that row's largest one
+        pack = Packing(self.table, sum(max(_top(p.terms) for p in row)
+                                       for row in self.entries))
+        rows = [[pack.pack_terms(p.terms) for p in row] for row in self.entries]
+        minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
+        for row in rows:
+            nxt: Dict[int, Dict[int, int]] = {}
             for mask, minor in minors.items():
                 if not minor:
                     continue
-                for j in range(n):
+                for j, entry in enumerate(row):
                     bit = 1 << j
-                    if mask & bit:
-                        continue
-                    entry = self.entries[i][j].terms
-                    if not entry:
+                    if mask & bit or not entry:
                         continue
                     # Parity of columns already used that are above j.
                     sign = -1 if bin(mask >> (j + 1)).count("1") & 1 else 1
-                    _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign)
+                    _mul_packed(nxt.setdefault(mask | bit, {}), entry, minor, sign)
             minors = nxt
-        return Polynomial._own(self.table, minors.get((1 << n) - 1, {}))
+        return pack.poly(minors.get((1 << n) - 1, {}))
 
     def determinant_cofactor(self) -> Polynomial:
         """Determinant by first-row cofactor expansion (reference oracle)."""

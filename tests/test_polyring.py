@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matform.polyring import (
+    Packing,
     Polynomial,
     PolyMatrix,
     UnassignedVariable,
@@ -54,7 +55,7 @@ class TestRingAxioms:
         assert p + (-p) == T.zero()
         assert p - p == T.zero()
 
-    @given(polys(), st.integers(0, 4))
+    @given(polys(max_exp=9), st.integers(0, 6))
     def test_pow_matches_repeated_mul(self, p, e):
         expected = T.one()
         for _ in range(e):
@@ -138,6 +139,44 @@ class TestPolynomialBasics:
         from matform.catalog import family
         with pytest.raises(TypeError):
             family("quad2x2").form.specialize({"p": 0.5, "q": -2})
+
+
+class TestExponentValidation:
+    """Every exponent tuple has one non-negative int per table variable;
+    anything else raises instead of being truncated or kept."""
+
+    XY = VarTable(("x", "y"))
+
+    @pytest.mark.parametrize("monomial, error", [
+        ((1,), ValueError),
+        ((1, 0, 0), ValueError),
+        ((-1, 2), ValueError),
+        ((1.5, 0), TypeError),
+        ((1.0, 0), TypeError),
+    ], ids=["short", "long", "negative", "fraction", "integral-float"])
+    def test_constructor_rejects(self, monomial, error):
+        with pytest.raises(error):
+            Polynomial(self.XY, {monomial: 1})
+
+    def test_short_tuple_is_not_truncated_in_a_product(self):
+        # zip would drop the missing exponent and return x for x * y
+        with pytest.raises(ValueError):
+            Polynomial(self.XY, {(1,): 1}) * self.XY.var("y")
+
+    def test_valid_exponents_are_kept(self):
+        p = Polynomial(self.XY, {(2, 0): 3, (0, 1): -1, (1, 1): 0})
+        assert p.terms == {(2, 0): 3, (0, 1): -1}
+
+    @pytest.mark.parametrize("vars_, terms, error", [
+        (["x", "y"], [{"c": "1", "e": [-1, 2]}], ValueError),
+        (["x"], [{"c": "1", "e": [1.5]}], TypeError),
+        (["x"], [{"c": "1", "e": [1, 2]}], ValueError),
+        (["x"], [{"c": "1", "e": []}], ValueError),
+        (["x"], [{"c": "1", "e": [1]}, {"c": "2", "e": [1]}], ValueError),
+    ], ids=["negative", "fraction", "long", "short", "duplicate"])
+    def test_from_json_obj_rejects(self, vars_, terms, error):
+        with pytest.raises(error):
+            Polynomial.from_json_obj({"vars": vars_, "terms": terms})
 
 
 class TestSerialization:
@@ -239,3 +278,126 @@ class TestDeterminants:
         M = PolyMatrix([[a, b, c], [c, a, b], [b, c, a]])
         assert I @ M == M
         assert M @ I == M
+
+
+# -- the packed kernels against independent oracles --------------------------
+#
+# `determinant`, `substitute` and `**` multiply on packed monomials; the DP
+# determinant is checked against cofactor expansion, substitution against
+# evaluation, powers against repeated `*`, all of which multiply on tuples.
+
+
+def _matrices(n, max_exp=4):
+    row = st.lists(polys(max_terms=3, max_exp=max_exp, max_coeff=9),
+                   min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(PolyMatrix)
+
+
+# field widths come from these bounds: exponents exactly at 2^k - 1 and 2^k
+BOUNDARIES = [(1 << k) - d for k in range(1, 7) for d in (1, 0)]
+
+
+class TestPackedKernels:
+    @given(_matrices(3))
+    @settings(max_examples=60)
+    def test_det_3x3_matches_cofactor(self, M):
+        assert M.determinant() == M.determinant_cofactor()
+
+    @given(_matrices(4, max_exp=3))
+    @settings(max_examples=15, deadline=None)
+    def test_det_4x4_matches_cofactor(self, M):
+        assert M.determinant() == M.determinant_cofactor()
+
+    @pytest.mark.parametrize("total", BOUNDARIES)
+    def test_det_at_a_field_boundary(self, total):
+        """The det reaches the bound (the sum of the row maxima) in both a
+        and b; a field too narrow carries into its neighbour."""
+        a, b, _ = T.vars()
+        top = a ** (total // 2) * b ** (total // 2)
+        rest = a ** (total - total // 2) * b ** (total - total // 2)
+        one, zero = T.one(), T.zero()
+        M = PolyMatrix([[top, zero, one], [zero, rest, zero], [one, zero, one]])
+        want = a ** total * b ** total - rest
+        assert M.determinant() == want == M.determinant_cofactor()
+
+    @given(polys(max_exp=4),
+           st.lists(polys(max_terms=3, max_exp=3), min_size=3, max_size=3),
+           st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+    @settings(max_examples=60)
+    def test_substitute_is_a_ring_homomorphism(self, p, images, v):
+        """p(images) at v equals p at the images' values at v."""
+        got = p.substitute(dict(zip(T.names, images)))
+        assert got.eval_vector(v) == p.eval_vector([im.eval_vector(v) for im in images])
+
+    @pytest.mark.parametrize("total", BOUNDARIES)
+    def test_substitute_at_a_field_boundary(self, total):
+        """x^d y^(total - d) under x -> a, y -> a*b: the result's exponent
+        of a is the bound total_degree * largest image exponent."""
+        src = VarTable(("x", "y"))
+        x, y = src.vars()
+        a, b, c = T.vars()
+        d = total // 2
+        p = x ** d * y ** (total - d) + 3 * x
+        got = p.substitute({"x": a, "y": a * b})
+        assert got == a ** total * b ** (total - d) + 3 * a
+        at = [2, -1, 5]
+        assert got.eval_vector(at) == p.eval_vector([2, -2])
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 8])
+    @pytest.mark.parametrize("t", [1, 3, 4, 5, 8])
+    def test_pow_at_a_field_boundary(self, t, e):
+        """(a^t + b^t - c)^e has the exponent e*t, the bound, in a and b."""
+        a, b, c = T.vars()
+        p = a ** t + b ** t - c
+        expected = T.one()
+        for _ in range(e):
+            expected = expected * p
+        assert p ** e == expected
+
+    def test_sympy_agrees_on_det_and_substitute(self):
+        sympy = pytest.importorskip("sympy")
+        ring, *gens = sympy.ring(T.names, sympy.ZZ)
+        a, b, c = T.vars()
+
+        def element(poly):
+            return ring(dict(poly.terms))
+
+        rows = [[a ** 3 - b, c ** 2, a * b],
+                [b ** 4, a + c, 7 - c ** 3],
+                [a * b * c, b - 2, c ** 5 + a]]
+        M = PolyMatrix(rows)
+        want = sympy.Matrix(3, 3, lambda i, j: element(rows[i][j]).as_expr()).det()
+        assert element(M.determinant()) == ring(sympy.expand(want))
+        p = a ** 3 * b - 2 * b * c ** 2 + 5
+        images = {"a": b + c, "b": a * c - 1, "c": a ** 2}
+        want = element(p).as_expr().subs(
+            {g.as_expr(): element(images[n]).as_expr()
+             for g, n in zip(gens, T.names)}, simultaneous=True)
+        assert element(p.substitute(images)) == ring(sympy.expand(want))
+
+
+class TestPacking:
+    """The field layout directly: a round trip, a product at the bound and
+    the borrow test of `divide`, for bounds on both sides of a power of
+    two."""
+
+    @pytest.mark.parametrize("bound", BOUNDARIES)
+    def test_round_trip_and_product_at_the_bound(self, bound):
+        pack = Packing(T, bound)
+        m1, m2 = (bound, 0, bound // 2), (0, bound, bound - bound // 2)
+        terms = {m1: 2, m2: -3}
+        assert pack.poly(pack.pack_terms(terms)).terms == terms
+        product = pack.pack(m1) + pack.pack(m2)
+        assert pack.poly({product: 1}).terms == {(bound, bound, bound): 1}
+
+    @pytest.mark.parametrize("bound", BOUNDARIES)
+    def test_divide_detects_a_borrow(self, bound):
+        pack = Packing(T, bound)
+        top = {pack.pack((bound, bound, 0)): 6}
+        assert pack.divide(top, 3, pack.pack((bound, 0, 0))) == \
+            {pack.pack((0, bound, 0)): 2}
+        # b^bound / a: the a field would borrow from the b field
+        assert pack.divide(top, 3, pack.pack((0, 0, 1))) is None
+        assert pack.divide({pack.pack((0, bound, 0)): 1}, 1,
+                           pack.pack((1, 0, 0))) is None
+        assert pack.divide(top, 4, 0) is None
