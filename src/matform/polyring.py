@@ -7,12 +7,10 @@ there is no floating point anywhere.  Term order is graded lexicographic
 when serializing or printing, so arithmetic stays hash-map fast while
 output stays deterministic.
 
-Exponent tuples are the form at rest: `terms`, printing and JSON use them.
-The kernels that loop over many products (`substitute`, `**`, the DP
-`determinant`, and closure in `linstruct`) pack each tuple into one int
-(`Packing`), so that a monomial product is one int addition, and unpack
-once at the end.  A single `*` stays on tuples: packing costs more than it
-saves on one small product.
+Exponent tuples are the form at rest (`terms`, printing, JSON); the kernels
+that loop over products (`substitute`, `**`, `determinant`, closure in
+`linstruct`) pack them into ints (`Packing`) so that a monomial product is
+one int addition.  A single `*` stays on tuples, where packing costs more.
 """
 
 from __future__ import annotations
@@ -104,15 +102,11 @@ def grlex_key(m: Monomial) -> tuple:
 
 
 def _exponents(m: Iterable[int], width: int) -> Monomial:
-    """`m` as an exponent tuple over a table of `width` variables; raises
-    TypeError for a non-int and ValueError for a wrong length or a
-    negative exponent."""
+    """`m` as a tuple of `width` non-negative ints; TypeError for a
+    non-int, ValueError for a wrong length or a negative exponent."""
     m = tuple(map(operator.index, m))
-    if len(m) != width:
-        raise ValueError(f"exponent tuple {m} has length {len(m)}, "
-                         f"the table {width}")
-    if m and min(m) < 0:
-        raise ValueError(f"negative exponent in {m}")
+    if len(m) != width or min(m, default=0) < 0:
+        raise ValueError(f"{m} is not {width} non-negative exponents")
     return m
 
 
@@ -126,8 +120,7 @@ class Polynomial:
     __slots__ = ("table", "terms", "_sparse")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int]):
-        width = len(table)
-        checked = [(_exponents(m, width), c) for m, c in terms.items()]
+        checked = [(_exponents(m, len(table)), c) for m, c in terms.items()]
         self.table = table
         self.terms: Dict[Monomial, int] = {m: c for m, c in checked if c}
         self._sparse = None
@@ -137,9 +130,7 @@ class Polynomial:
         """Wrap a dict that already holds no zero coefficient; the new
         polynomial takes ownership of it (no copy, no zero filter)."""
         poly = object.__new__(cls)
-        poly.table = table
-        poly.terms = terms
-        poly._sparse = None
+        poly.table, poly.terms, poly._sparse = table, terms, None
         return poly
 
     # -- basics ---------------------------------------------------------
@@ -152,16 +143,12 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of `name`; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
         i = self.table.index(name)
-        return max(m[i] for m in self.terms)
+        return max((m[i] for m in self.terms), default=-1)
 
     def coefficient_of(self, monomial: Monomial) -> int:
         """Coefficient of an exponent tuple, 0 if the term is absent."""
@@ -174,13 +161,9 @@ class Polynomial:
 
     def as_int(self) -> int:
         """The value of a constant polynomial; raises if non-constant."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            if not any(m):
-                return c
-        raise ValueError("polynomial is not constant")
+        if any(map(any, self.terms)):
+            raise ValueError("polynomial is not constant")
+        return self.constant_term()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -208,10 +191,8 @@ class Polynomial:
         raise TypeError(f"cannot combine Polynomial with {type(other)!r}")
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return Polynomial._own(self.table, out)
+        return Polynomial._own(self.table, _add_into(dict(self.terms),
+                                                     self._coerce(other).terms))
 
     __radd__ = __add__
 
@@ -219,19 +200,15 @@ class Polynomial:
         return Polynomial._own(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return Polynomial._own(self.table, out)
+        return Polynomial._own(self.table, _add_into(dict(self.terms),
+                                                     self._coerce(other).terms, -1))
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out: Dict[Monomial, int] = {}
-        _mul_into(out, self.terms, other.terms)
-        return Polynomial._own(self.table, out)
+        return Polynomial._own(self.table, _mul_into({}, self.terms,
+                                                     self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -239,15 +216,20 @@ class Polynomial:
         e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        if e == 0:
-            return self.table.one()
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
             return Polynomial._own(self.table, {tuple(e * k for k in m): c ** e})
         # each exponent of a product of e terms is at most e times the
         # largest exponent of self
         pack = Packing(self.table, e * _top(self.terms))
-        return pack.poly(_pow_packed(pack.pack_terms(self.terms), e))
+        base, result = pack.pack_terms(self.terms), {0: 1}
+        while True:
+            if e & 1:
+                result = _mul_packed({}, result, base)
+            e >>= 1
+            if not e:
+                return pack.poly(result)
+            base = _mul_packed({}, base, base)
 
     # -- substitution and evaluation -------------------------------------
 
@@ -267,12 +249,8 @@ class Polynomial:
         for v in values.values():
             if v.table != target:
                 raise VarTableMismatch("substitution values over mixed tables")
-        images = []
-        for name in self.table.names:
-            if name in values:
-                images.append(values[name])
-            else:
-                images.append(target.var(name))  # raises if name missing
+        images = [values[name] if name in values else target.var(name)
+                  for name in self.table.names]
         return self._map_through(target, images)
 
     def embed(self, target: VarTable) -> "Polynomial":
@@ -290,11 +268,9 @@ class Polynomial:
     def _map_through(self, target: VarTable, images: Sequence["Polynomial"]) -> "Polynomial":
         """sum of c * prod_i images[i] ** m[i] over the terms (m, c), over
         `target`, with every product taken on packed monomials."""
-        if not self.terms:
-            return Polynomial._own(target, {})
         # a term of degree d maps to a product of d image terms, so no
         # exponent exceeds total_degree(self) times the largest image one
-        pack = Packing(target, self.total_degree()
+        pack = Packing(target, max(self.total_degree(), 0)
                        * max((_top(im.terms) for im in images), default=0))
         # powers[i][e] = images[i] ** e, each from the one before it
         powers = [[{0: 1}, pack.pack_terms(im.terms)] for im in images]
@@ -302,9 +278,7 @@ class Polynomial:
         def power(i: int, e: int) -> Dict[int, int]:
             row = powers[i]
             while len(row) <= e:
-                nxt: Dict[int, int] = {}
-                _mul_packed(nxt, row[-1], row[1])
-                row.append(nxt)
+                row.append(_mul_packed({}, row[-1], row[1]))
             return row[e]
 
         acc: Dict[int, int] = {}
@@ -312,9 +286,7 @@ class Polynomial:
             *rest, last = [power(i, e) for i, e in enumerate(m) if e] or [{0: 1}]
             term = {0: c}
             for f in rest:
-                prod: Dict[int, int] = {}
-                _mul_packed(prod, term, f)
-                term = prod
+                term = _mul_packed({}, term, f)
             _mul_packed(acc, term, last)
         return pack.poly(acc)
 
@@ -414,15 +386,12 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Polynomial":
-        """The polynomial `to_json_obj` wrote; a repeated monomial raises
-        ValueError, a bad exponent ValueError or TypeError."""
+        """The polynomial `to_json_obj` wrote; bad or repeated exponents raise."""
         table = VarTable(obj["vars"])
-        pairs = [(_exponents(t["e"], len(table)), int(t["c"]))
-                 for t in obj["terms"]]
-        terms = dict(pairs)
-        if len(terms) != len(pairs):
+        pairs = [(_exponents(t["e"], len(table)), int(t["c"])) for t in obj["terms"]]
+        if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("repeated monomial in the terms")
-        return cls._own(table, {m: c for m, c in terms.items() if c})
+        return cls._own(table, {m: c for m, c in pairs if c})
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):
@@ -440,8 +409,9 @@ def _sparse_terms(terms: Mapping[Monomial, int], width: int):
 
 
 def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
-              scale: int = 1) -> None:
-    """out += scale * terms, in place; keeps `out` free of zeros."""
+              scale: int = 1) -> Dict[Monomial, int]:
+    """out += scale * terms, in place and returned; keeps `out` free of
+    zeros."""
     get = out.get
     for m, c in terms.items():
         s = get(m, 0) + scale * c
@@ -449,11 +419,13 @@ def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
             out[m] = s
         else:
             del out[m]
+    return out
 
 
 def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
-              b: Mapping[Monomial, int], scale: int = 1) -> None:
-    """out += scale * a * b, in place; keeps `out` free of zeros."""
+              b: Mapping[Monomial, int], scale: int = 1) -> Dict[Monomial, int]:
+    """out += scale * a * b, in place and returned; keeps `out` free of
+    zeros."""
     if len(a) > len(b):
         a, b = b, a
     get = out.get
@@ -466,6 +438,7 @@ def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
                 out[m] = s
             else:
                 del out[m]
+    return out
 
 
 def _top(terms: Mapping[Monomial, int]) -> int:
@@ -479,8 +452,6 @@ class Packing:
     addition.  Every exponent packed or produced must stay <= `bound`;
     then no field carries into the next."""
 
-    __slots__ = ("table", "shifts", "mask", "guard")
-
     def __init__(self, table: VarTable, bound: int):
         bits = bound.bit_length() + 1
         self.table = table
@@ -492,8 +463,7 @@ class Packing:
         return sum(e << s for e, s in zip(m, self.shifts))
 
     def pack_terms(self, terms: Mapping[Monomial, int]) -> Dict[int, int]:
-        pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
+        return {self.pack(m): c for m, c in terms.items()}
 
     def pack_named(self, monomial: Tuple[Tuple[str, int], ...]) -> int:
         """A monomial ((name, exponent), ...), packed."""
@@ -521,9 +491,9 @@ class Packing:
 
 
 def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
-                scale: int = 1) -> None:
-    """out += scale * a * b over packed monomials; keeps `out` free of
-    zeros."""
+                scale: int = 1) -> Dict[int, int]:
+    """out += scale * a * b over packed monomials, in place and returned;
+    keeps `out` free of zeros."""
     if len(a) > len(b):
         a, b = b, a
     get = out.get
@@ -536,25 +506,7 @@ def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
                 out[m] = s
             else:
                 del out[m]
-
-
-def _pow_packed(base: Dict[int, int], e: int) -> Dict[int, int]:
-    """base ** e over packed monomials, e >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if e & 1:
-            if result is None:
-                result = base
-            else:
-                prod: Dict[int, int] = {}
-                _mul_packed(prod, result, base)
-                result = prod
-        e >>= 1
-        if not e:
-            return result
-        square: Dict[int, int] = {}
-        _mul_packed(square, base, base)
-        base = square
+    return out
 
 
 class PolyMatrix:
@@ -569,17 +521,14 @@ class PolyMatrix:
         if n == 0:
             raise ValueError("matrix order must be >= 1")
         table = entries[0][0].table
-        for row in entries:
-            for p in row:
-                if p.table != table:
-                    raise VarTableMismatch("matrix entries over mixed tables")
+        if any(p.table != table for row in entries for p in row):
+            raise VarTableMismatch("matrix entries over mixed tables")
         self.n = n
         self.table = table
         self.entries = tuple(tuple(row) for row in entries)
 
     def __getitem__(self, ij: Tuple[int, int]) -> Polynomial:
-        i, j = ij
-        return self.entries[i][j]
+        return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyMatrix) and self.n == other.n
@@ -588,18 +537,15 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix) or other.n != self.n:
             raise ValueError("matrix orders differ")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: Dict[Monomial, int] = {}
-                for k in range(n):
-                    _mul_into(acc, self.entries[i][k].terms,
-                              other.entries[k][j].terms)
-                row.append(Polynomial._own(self.table, acc))
-            rows.append(row)
-        return PolyMatrix(rows)
+        a, b = self.entries, other.entries
+
+        def entry(i: int, j: int) -> Polynomial:
+            acc: Dict[Monomial, int] = {}
+            for k in range(self.n):
+                _mul_into(acc, a[i][k].terms, b[k][j].terms)
+            return Polynomial._own(self.table, acc)
+        return PolyMatrix([[entry(i, j) for j in range(self.n)]
+                           for i in range(self.n)])
 
     def determinant(self) -> Polynomial:
         """Exact determinant by dynamic programming over column subsets.
@@ -609,7 +555,6 @@ class PolyMatrix:
         needs O(2^n * n) polynomial multiplies and no division, which suits
         sparse polynomial entries.
         """
-        n = self.n
         # a minor's term is a product of one entry term per row, so no
         # exponent exceeds the sum over rows of that row's largest one
         pack = Packing(self.table, sum(max(_top(p.terms) for p in row)
@@ -629,7 +574,7 @@ class PolyMatrix:
                     sign = -1 if bin(mask >> (j + 1)).count("1") & 1 else 1
                     _mul_packed(nxt.setdefault(mask | bit, {}), entry, minor, sign)
             minors = nxt
-        return pack.poly(minors.get((1 << n) - 1, {}))
+        return pack.poly(minors.get((1 << self.n) - 1, {}))
 
     def determinant_cofactor(self) -> Polynomial:
         """Determinant by first-row cofactor expansion (reference oracle)."""
