@@ -278,7 +278,7 @@ class Polynomial:
         def power(i: int, e: int) -> Dict[int, int]:
             row = powers[i]
             while len(row) <= e:
-                row.append(_mul_packed({}, row[-1], row[1]))
+                row.append(_mul_packed({}, row[1], row[-1]))
             return row[e]
 
         acc: Dict[int, int] = {}
@@ -286,8 +286,8 @@ class Polynomial:
             *rest, last = [power(i, e) for i, e in enumerate(m) if e] or [{0: 1}]
             term = {0: c}
             for f in rest:
-                term = _mul_packed({}, term, f)
-            _mul_packed(acc, term, last)
+                term = _mul_packed({}, *sorted((term, f), key=len))
+            _mul_packed(acc, *sorted((term, last), key=len))
         return pack.poly(acc)
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
@@ -493,9 +493,7 @@ class Packing:
 def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
                 scale: int = 1) -> Dict[int, int]:
     """out += scale * a * b over packed monomials, in place and returned;
-    keeps `out` free of zeros."""
-    if len(a) > len(b):
-        a, b = b, a
+    keeps `out` free of zeros.  Pass the smaller factor as `a`."""
     get = out.get
     for m1, c1 in a.items():
         c1 *= scale
