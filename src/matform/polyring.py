@@ -386,9 +386,10 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Polynomial":
-        """The polynomial `to_json_obj` wrote; bad or repeated exponents raise."""
+        """The polynomial `to_json_obj` wrote; bad or repeated exponents raise,
+        and so does a coefficient that is not an int or its decimal string."""
         table = VarTable(obj["vars"])
-        pairs = [(_exponents(t["e"], len(table)), int(t["c"])) for t in obj["terms"]]
+        pairs = [(_exponents(t["e"], len(table)), int(str(t["c"]))) for t in obj["terms"]]
         if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("repeated monomial in the terms")
         return cls._own(table, {m: c for m, c in pairs if c})

@@ -173,7 +173,10 @@ class TestExponentValidation:
         (["x"], [{"c": "1", "e": [1, 2]}], ValueError),
         (["x"], [{"c": "1", "e": []}], ValueError),
         (["x"], [{"c": "1", "e": [1]}, {"c": "2", "e": [1]}], ValueError),
-    ], ids=["negative", "fraction", "long", "short", "duplicate"])
+        (["x"], [{"c": 1.5, "e": [1]}], ValueError),
+        (["x"], [{"c": 2.0, "e": [1]}], ValueError),
+    ], ids=["negative", "fraction", "long", "short", "duplicate",
+            "float-coefficient", "integral-float-coefficient"])
     def test_from_json_obj_rejects(self, vars_, terms, error):
         with pytest.raises(error):
             Polynomial.from_json_obj({"vars": vars_, "terms": terms})
@@ -185,6 +188,11 @@ class TestSerialization:
         again = Polynomial.from_json_obj(
             json.loads(json.dumps(p.to_json_obj())))
         assert again == p
+
+    def test_int_coefficients_are_read(self):
+        p = Polynomial.from_json_obj({"vars": ["x"], "terms": [
+            {"c": -7, "e": [2]}, {"c": " 12", "e": [0]}]})
+        assert p.terms == {(2,): -7, (0,): 12}
 
     def test_big_coefficients_survive(self):
         big = 10 ** 40 + 7
