@@ -343,7 +343,7 @@ class TestPackedKernels:
         of a is the bound total_degree * largest image exponent."""
         src = VarTable(("x", "y"))
         x, y = src.vars()
-        a, b, c = T.vars()
+        a, b, _ = T.vars()
         d = total // 2
         p = x ** d * y ** (total - d) + 3 * x
         got = p.substitute({"x": a, "y": a * b})
