@@ -13,7 +13,7 @@ Modules:
 """
 
 from .polyring import Polynomial, PolyMatrix, VarTable
-from .linstruct import ExtractionRecipe, LinearStructure, MultilinearMap
+from .linstruct import LinearStructure, MultilinearMap
 from .compose import identity_element, invert, verify_identity
 from .catalog import FormFamily, family, list_families
 
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial", "PolyMatrix", "VarTable",
-    "ExtractionRecipe", "LinearStructure",
-    "MultilinearMap", "identity_element", "invert", "verify_identity",
+    "LinearStructure", "MultilinearMap",
+    "identity_element", "invert", "verify_identity",
     "FormFamily", "family", "list_families",
     "__version__",
 ]

@@ -16,9 +16,8 @@ from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .compose import ZeroResidual, verify_identity
-from .linstruct import (UNIT, ExtractionRecipe, LinearStructure,
-                        MultilinearMap, NotClosed, WrongFamilyKind,
-                        argument_names, companion_structure)
+from .linstruct import (LinearStructure, MultilinearMap, NotClosed,
+                        WrongFamilyKind, argument_names, companion_structure)
 from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
 
 
@@ -52,7 +51,7 @@ class FormFamily:
     (bilinear) and `triple_map()` (trilinear); argument order is the
     caller's.  A numeric family owns everything that depends on its
     parameter values (structure, form and laws, each derived on first use
-    and kept; the structure carries its own extraction recipe) and proves
+    and kept; the structure carries its own read positions) and proves
     its identity with `verify`.  The integer A(point) of `matrix` is the
     parameter-free structure's `matrix_of`.
     """
@@ -124,8 +123,8 @@ class FormFamily:
 
         The structure is None unless it is in the family's own parameters
         (threefold_quadratic's is in (t, b, c), sextic_uv has none).
-        `readable` means every divisor of its recipe is nonzero at these
-        values; extraction would otherwise divide by zero.
+        `readable` means every divisor of the structure is nonzero at
+        these values; extraction would otherwise divide by zero.
         """
         if self._own is None:
             st = self._structure
@@ -133,20 +132,17 @@ class FormFamily:
                 st = None
             elif self.param_values is not None:
                 st = st.specialize(self.param_values)
-            self._own = (st, st is not None and
-                         all(coeff for coeff, _ in st.recipe.divisors))
+            self._own = (st, st is not None and all(st.divisors))
         return self._own
 
     @property
     def structure(self) -> Optional[LinearStructure]:
-        """The matrix realization for closure: the symbolic structure on
-        a symbolic family (threefold_quadratic's is in t, b, c), else the
-        structure at these values, or None where `_own_structure` finds
-        it unreadable."""
-        if self.is_symbolic():
-            return self._structure
+        """The matrix realization for closure: the family's own structure
+        at these values where `_own_structure` finds it readable, else the
+        symbolic family's structure (threefold_quadratic's is in t, b, c;
+        sextic_uv has none)."""
         st, readable = self._own_structure()
-        return st if readable else None
+        return st if readable else self._base._structure
 
     # -- forms -----------------------------------------------------------
 
@@ -210,7 +206,7 @@ class FormFamily:
     def verify(self, cmap: MultilinearMap) -> Union[ZeroResidual, Polynomial]:
         """`verify_identity` of the family's form under `cmap`.  The form is
         passed as None (det of the family's own structure) wherever that
-        structure is readable.  Where a recipe divisor vanishes, the
+        structure is readable.  Where one of its divisors vanishes, the
         symbolic identity proves `cmap` if it is the family's map here."""
         st, readable = self._own_structure()
         if readable:
@@ -220,7 +216,7 @@ class FormFamily:
                 (cmap.k == 3 or self.kind != "triple") and \
                 cmap == self._law(cmap.k) and \
                 isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
-            return ZeroResidual("matrix", "recipe divisor vanishes; "
+            return ZeroResidual("matrix", "divisor vanishes; "
                                 "symbolic identity specialized")
         return verify_identity(self.form, cmap, self.coord_names,
                                factors=self.factors)
@@ -273,13 +269,12 @@ def _pell_structure(c1: str, c2: str) -> LinearStructure:
 def _tracefree_structure(ct: str, cb: str, cc: str) -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: trace-free 2x2 family, closed
     only under triple products; the first row is read back divided by t
-    and 1."""
+    and 1, the coefficients there."""
     t, v = _vars((ct, cb, cc, "a1", "a2"))
     tv, bv, cv, a1, a2 = (v[ct], v[cb], v[cc], v["a1"], v["a2"])
     return LinearStructure.from_matrix(
         (ct, cb, cc), ("a1", "a2"),
-        [[tv * a1, a2], [bv * a1 + cv * a2, -tv * a1]],
-        ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), UNIT)))
+        [[tv * a1, a2], [bv * a1 + cv * a2, -tv * a1]])
 
 
 def _cubic_structure() -> LinearStructure:

@@ -69,11 +69,9 @@ def _composition_map(fam, threefold: bool):
         raise UsageError(str(exc))  # FormFamily names itself in it
 
 
-def _emit(obj, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj))
-    else:
-        print(text)
+def _emit(obj, text, fmt: str) -> None:
+    """Print obj() as JSON or text(): only the format asked for is built."""
+    print(json.dumps(obj()) if fmt == "json" else text())
 
 
 def _vec_strings(v: Sequence[int]) -> List[str]:
@@ -99,18 +97,17 @@ def _no_int_str_limit():
 
 def _cmd_list_families(args) -> int:
     entries = catalog.list_families()
-    text = "\n".join(
+    _emit(lambda: entries, lambda: "\n".join(
         f"{e['name']}: degree {e['degree']}, {e['coords']} coordinates, "
         f"kind {e['kind']}, params {','.join(e['params'])} — {e['description']}"
-        for e in entries)
-    _emit(entries, text, args.format)
+        for e in entries), args.format)
     return 0
 
 
 def _cmd_emit_form(args) -> int:
     fam = _family(args.family, args.params)
     form = fam.form
-    _emit(form.to_json_obj(), str(form), args.format)
+    _emit(form.to_json_obj, form.__str__, args.format)
     return 0
 
 
@@ -119,11 +116,12 @@ def _cmd_verify(args) -> int:
     cmap = _composition_map(fam, args.threefold or fam.kind == "triple")
     result = fam.verify(cmap)
     if isinstance(result, ZeroResidual):
-        _emit({"status": "zero-residual", "method": result.method},
-              "ZERO-RESIDUAL", args.format)
+        _emit(lambda: {"status": "zero-residual", "method": result.method},
+              lambda: "ZERO-RESIDUAL", args.format)
         return 0
-    _emit({"status": "nonzero-residual", "residual": result.to_json_obj()},
-          f"NONZERO-RESIDUAL ({result.term_count()} terms): {result}",
+    _emit(lambda: {"status": "nonzero-residual",
+                   "residual": result.to_json_obj()},
+          lambda: f"NONZERO-RESIDUAL ({result.term_count()} terms): {result}",
           args.format)
     return 1
 
@@ -131,27 +129,23 @@ def _cmd_verify(args) -> int:
 def _cmd_closure(args) -> int:
     fam = _family(args.family, args.params)
     if fam.structure is None:
-        # no realization at these values (see FormFamily.structure):
-        # decide closure for all parameter values instead
-        fam = catalog.family(fam.name)
-    if fam.structure is None:
         raise UsageError(f"{fam.name} has no matrix structure")
     law = fam.structure.closure({"pair": 2, "triple": 3}[args.order])
     if isinstance(law, NotClosed):
         witness = law.witness
-        _emit({"closed": False, "order": args.order,
-               "reason": witness.reason,
-               "entry": list(witness.entry),
-               "residual": (witness.residual.to_json_obj()
-                            if witness.residual is not None else None)},
-              f"NOT-CLOSED ({args.order}): entry {witness.entry}, "
-              f"reason {witness.reason}",
+        _emit(lambda: {"closed": False, "order": args.order,
+                       "reason": witness.reason,
+                       "entry": list(witness.entry),
+                       "residual": (witness.residual.to_json_obj()
+                                    if witness.residual is not None else None)},
+              lambda: f"NOT-CLOSED ({args.order}): entry {witness.entry}, "
+                      f"reason {witness.reason}",
               args.format)
         return 1
     outputs = law.forms(law.coord_sets)
-    _emit({"closed": True, "order": args.order,
-           "outputs": [p.to_json_obj() for p in outputs]},
-          f"CLOSED ({args.order}): "
+    _emit(lambda: {"closed": True, "order": args.order,
+                   "outputs": [p.to_json_obj() for p in outputs]},
+          lambda: f"CLOSED ({args.order}): "
           + "; ".join(f"z{i + 1} = {p}" for i, p in enumerate(outputs)),
           args.format)
     return 0
@@ -184,8 +178,8 @@ def _cmd_solve(args) -> int:
     try:
         result = dioph.generate_sequence(spec)
     except (dioph.SeedNotSolution, dioph.StepNotSolution) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)},
-              f"{type(exc).__name__}: {exc}", args.format)
+        _emit(lambda: {"error": type(exc).__name__, "detail": str(exc)},
+              lambda: f"{type(exc).__name__}: {exc}", args.format)
         return 1
     if args.format == "json":
         result.write_json(sys.stdout)
@@ -204,11 +198,12 @@ def _cmd_search(args) -> int:
         found = dioph.brute_force_search(fam, args.bound)
     except dioph.SearchSpaceTooLarge as exc:
         raise UsageError(f"search space too large: {exc}")
-    text = "\n".join(",".join(_vec_strings(v)) for v in found)
-    _emit({"family": fam.name, "params": _vec_strings(fam.param_values),
-           "bound": args.bound,
-           "solutions": [_vec_strings(v) for v in found]},
-          text, args.format)
+    _emit(lambda: {"family": fam.name,
+                   "params": _vec_strings(fam.param_values),
+                   "bound": args.bound,
+                   "solutions": [_vec_strings(v) for v in found]},
+          lambda: "\n".join(",".join(_vec_strings(v)) for v in found),
+          args.format)
     return 0
 
 
@@ -223,13 +218,13 @@ def _cmd_invert(args) -> int:
     try:
         inverse = compose.invert(fam.pair_map, point)
     except (compose.NotAUnit, compose.SingularMap) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)},
-              f"{type(exc).__name__}: {exc}", args.format)
+        _emit(lambda: {"error": type(exc).__name__, "detail": str(exc)},
+              lambda: f"{type(exc).__name__}: {exc}", args.format)
         return 1
     check = fam.pair_map.apply((point, inverse)) == compose.identity_element(fam.h)
-    _emit({"point": _vec_strings(point), "inverse": _vec_strings(inverse),
-           "verified": check},
-          ",".join(_vec_strings(inverse)), args.format)
+    _emit(lambda: {"point": _vec_strings(point),
+                   "inverse": _vec_strings(inverse), "verified": check},
+          lambda: ",".join(_vec_strings(inverse)), args.format)
     return 0 if check else 1
 
 
@@ -244,12 +239,12 @@ def _cmd_block(args) -> int:
         inner_st = inner_st.rename_params(
             {p: f"i_{p}" for p in inner_st.params})
     lifted = outer.structure.block_compose(inner_st)
-    positions = lifted.recipe.positions
-    obj = lifted.to_json_obj()
-    obj["positions"] = [list(pos) for pos in positions]
-    text = (f"n={lifted.n} h={lifted.h} params={','.join(lifted.params)} "
-            f"positions={positions}")
-    _emit(obj, text, args.format)
+    positions = lifted.positions
+    _emit(lambda: dict(lifted.to_json_obj(),
+                       positions=[list(pos) for pos in positions]),
+          lambda: f"n={lifted.n} h={lifted.h} "
+                  f"params={','.join(lifted.params)} positions={positions}",
+          args.format)
     return 0
 
 
@@ -273,8 +268,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "text"),
                        default=default_format)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; single-threaded")
         if params is not None:
             p.add_argument("--family", required=True)
             p.add_argument("--params", type=_params, default="symbolic",

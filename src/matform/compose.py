@@ -89,7 +89,7 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
     the arguments' structure, not their size:
     - "matrix" when `structure` is in the map's own parameters
       (structure.params == cmap.params).  It checks that the matrix family
-      closes (read back by the structure's own recipe) with `cmap` as its
+      closes (read back at the structure's own positions) with `cmap` as its
       law, and det(A) == form where a form is given; multiplicativity of
       the determinant then proves the identity.
       Where the structure induces another map the route falls back to

@@ -5,10 +5,11 @@ sum_r L[i][j][r] * x_r, with each L[i][j][r] a polynomial in named integer
 parameters: A(x) = sum_r x_r E_r for the basis matrices E_r = L[.][.][r].
 Closure under matrix multiplication is a fact about the basis products:
 A(x)A(y) = A(z) for bilinear z exactly when every E_r E_s equals
-sum_t c_rs^t E_t, each c_rs^t read off the product by the structure's
-recipe.  The c's are the structure constants of the algebra the matrices
-span; closure returns them as the composition law itself, a
-MultilinearMap with A(x)A(y) = A(map(x, y)).  A closed
+sum_t c_rs^t E_t, each c_rs^t read off the product at the structure's
+position for t and divided by E_t's own entry there, the divisor.  The c's
+are the structure constants of the algebra the matrices span; closure
+returns them as the composition law itself, a MultilinearMap with
+A(x)A(y) = A(map(x, y)).  A closed
 pair table gives the triple table without a matrix product, as
 c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
 products (E_r E_s) E_u read the same way.  Every product, division and
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
                        VarTable, _mul_into, _mul_packed, _top)
@@ -70,10 +71,6 @@ def argument_names(h: int, k: int) -> Tuple[Tuple[str, ...], ...]:
     law on h-vectors."""
     return tuple(tuple(f"{p}{i + 1}" for i in range(h)) for p in "xyz"[:k])
 
-
-Divisor = Tuple[int, Tuple[Tuple[str, int], ...]]  # c * monomial: t is (1, (("t", 1),))
-
-UNIT: Divisor = (1, ())
 
 Terms = Dict[Monomial, int]
 Sparse = List[Dict[int, Dict[int, int]]]  # row i: {column: packed entry}
@@ -288,51 +285,20 @@ class MultilinearMap:
         return N
 
 
-@dataclass(frozen=True)
-class ExtractionRecipe:
-    """Designated matrix positions from which coordinates are read back.
-
-    `positions[r]` is a 0-based (row, col); `divisors[r]` is the Divisor
-    (coefficient, ((name, exponent), ...)) by which the entry must be
-    exactly divisible.  At the listed positions the structure's coefficient
-    matrix must be diagonal with these divisors.
-    """
-    positions: Tuple[Tuple[int, int], ...]
-    divisors: Tuple[Divisor, ...]
-
-    @classmethod
-    def first_row(cls, h: int) -> "ExtractionRecipe":
-        return cls(tuple((0, j) for j in range(h)), (UNIT,) * h)
-
-    @classmethod
-    def first_column(cls, h: int) -> "ExtractionRecipe":
-        return cls(tuple((i, 0) for i in range(h)), (UNIT,) * h)
-
-    def specialize(self, values: Mapping[str, int]) -> "ExtractionRecipe":
-        """The recipe with every divisor evaluated at integer parameter
-        values (a divisor may evaluate to 0)."""
-        divisors = []
-        for coeff, monomial in self.divisors:
-            for name, e in monomial:
-                coeff *= index(values[name]) ** e
-            divisors.append((coeff, ()))
-        return ExtractionRecipe(self.positions, tuple(divisors))
-
-
 class LinearStructure:
     """n x n matrix family with entries linear in h coordinate variables.
 
-    `recipe` says where coordinates are read back from a product and what
-    each entry is divided by; it is part of the family's definition and
-    defaults to the first row with unit divisors.
+    Coordinate t is read back from a product at `positions[t]`, a 0-based
+    (row, col) that defaults to the first row, divided by `divisors[t]`,
+    its own coefficient L[i][j][t] there: one term, or 0 where the
+    structure cannot be read at these parameter values.
     """
 
     def __init__(self, n: int, h: int, params: Sequence[str],
                  coeff: Sequence[Sequence[Sequence[Polynomial]]],
-                 recipe: Optional[ExtractionRecipe] = None):
+                 positions: Optional[Sequence[Tuple[int, int]]] = None):
         self.n = n
         self.h = h
-        self.recipe = recipe or ExtractionRecipe.first_row(h)
         self.param_table = VarTable(params)
         if len(coeff) != n or any(len(row) != n for row in coeff):
             raise ValueError("coefficient tensor must be n x n")
@@ -344,6 +310,16 @@ class LinearStructure:
                     if p.table != self.param_table:
                         raise ValueError("coefficients must live over the parameter table")
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
+        if positions is None:
+            positions = [(0, j) for j in range(h)]
+        self.positions = tuple(map(tuple, positions))
+        if len(self.positions) != h or not all(
+                0 <= i < n and 0 <= j < n for i, j in self.positions):
+            raise ValueError(f"need {h} positions in the {n} x {n} matrix")
+        self.divisors = tuple(self.coeff[i][j][t]
+                              for t, (i, j) in enumerate(self.positions))
+        if any(d.term_count() > 1 for d in self.divisors):
+            raise ValueError("each divisor must have at most one term")
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
@@ -355,7 +331,7 @@ class LinearStructure:
     @classmethod
     def from_matrix(cls, params: Sequence[str], coords: Sequence[str],
                     entries: Sequence[Sequence[Polynomial]],
-                    recipe: Optional[ExtractionRecipe] = None
+                    positions: Optional[Sequence[Tuple[int, int]]] = None
                     ) -> "LinearStructure":
         """Build a structure from a symbolic matrix over params + coords.
 
@@ -368,7 +344,7 @@ class LinearStructure:
         coeff = [[[cell.get((r,), ptable.zero()) for r in range(len(coords))]
                   for cell in row]
                  for row in cells]
-        return cls(len(entries), len(coords), params, coeff, recipe)
+        return cls(len(entries), len(coords), params, coeff, positions)
 
     # -- instantiation ----------------------------------------------------
 
@@ -439,8 +415,7 @@ class LinearStructure:
         return got
 
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
-        """Substitute integer values for all parameters (result has none),
-        in the coefficients and in the recipe's divisors."""
+        """Substitute integer values for all parameters (result has none)."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [index(v) for v in param_values]
@@ -449,11 +424,10 @@ class LinearStructure:
                    for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        recipe = self.recipe.specialize(dict(zip(self.params, pv)))
-        return LinearStructure(self.n, self.h, (), coeff, recipe)
+        return LinearStructure(self.n, self.h, (), coeff, self.positions)
 
     def to_json_obj(self) -> dict:
-        """The coefficients only (the recipe is not written)."""
+        """The coefficients only (the positions are not written)."""
         return {
             "n": self.n,
             "h": self.h,
@@ -465,23 +439,19 @@ class LinearStructure:
         }
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
-        """Same structure with parameters renamed, in the recipe's divisors
-        too."""
+        """Same structure with parameters renamed."""
         new_names = tuple(mapping.get(p, p) for p in self.params)
         table = VarTable(new_names)
         coeff = [[[Polynomial(table, self.coeff[i][j][r].terms)
                    for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        divisors = tuple((c, tuple((mapping.get(x, x), e) for x, e in mono))
-                         for c, mono in self.recipe.divisors)
-        recipe = ExtractionRecipe(self.recipe.positions, divisors)
-        return LinearStructure(self.n, self.h, new_names, coeff, recipe)
+        return LinearStructure(self.n, self.h, new_names, coeff, self.positions)
 
     # -- extraction -------------------------------------------------------
 
     def extract_coordinates(self, matrix: PolyMatrix):
-        """Read coordinates back from `matrix` by the structure's recipe,
+        """Read coordinates back from `matrix` at the structure's positions,
         or report NotInSpan.
 
         Returns the list [z_1..z_h] such that instantiating this structure
@@ -492,14 +462,11 @@ class LinearStructure:
             raise ValueError("matrix order differs from structure order")
         table = matrix.table
         outputs: List[Polynomial] = []
-        for (i, j), (scale, monomial) in zip(self.recipe.positions,
-                                             self.recipe.divisors):
+        for (i, j), divisor in zip(self.positions, self.divisors):
             entry = matrix[i, j]
-            if not scale:  # never read coordinates off a zero divisor
+            if not divisor:  # never read coordinates off a zero divisor
                 return NotInSpan(entry=(i, j), residual=None, reason="division")
-            need = [0] * len(table)
-            for name, e in monomial:
-                need[table.index(name)] = e
+            (need, scale), = divisor.embed(table).terms.items()
             divided: Dict[Tuple[int, ...], int] = {}
             for m, c in entry.terms.items():
                 exps = tuple(a - b for a, b in zip(m, need))
@@ -558,12 +525,11 @@ class LinearStructure:
                 return MultilinearMap(3, self.h, self.params,
                                       _cube(pair.coeff, self.param_table))
         # a product has exponents up to order * top, its reconstruction
-        # (a quotient times a basis entry) up to (order + 1) * top
+        # (a quotient times a basis entry) up to (order + 1) * top; each
+        # divisor is a basis entry, so within top
         top = max((_top(c.terms) for row in self.coeff for cell in row
                    for c in cell), default=0)
-        divisor_top = max((e for _, monomial in self.recipe.divisors
-                           for _, e in monomial), default=0)
-        pack = Packing(self.param_table, max((order + 1) * top, divisor_top))
+        pack = Packing(self.param_table, (order + 1) * top)
         basis: List[Sparse] = [
             [{j: pack.pack_terms(cell[r].terms)
               for j, cell in enumerate(row) if cell[r].terms}
@@ -584,18 +550,19 @@ class LinearStructure:
                     products: Dict[Tuple[int, ...], Sparse],
                     pack: Packing) -> Union[CoeffTable, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
-        indices) at the recipe positions, or the witness that
+        indices) at the structure's positions, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
         span.  Every product is read and checked before the witness is
-        chosen: division fails at the first recipe position where any
+        chosen: division fails at the first position where any
         product does not divide, and a mismatch is at the first (i, j) in
         row-major order, with the residual summed over every product."""
         coeff: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
-        for t, ((i, j), (scale, monomial)) in enumerate(
-                zip(self.recipe.positions, self.recipe.divisors)):
-            need = pack.pack_named(monomial)
+        for t, ((i, j), divisor) in enumerate(zip(self.positions, self.divisors)):
+            if not divisor:
+                return NotInSpan(entry=(i, j), residual=None, reason="division")
+            (need, scale), = pack.pack_terms(divisor.terms).items()
             for js, p in products.items():
-                divided = pack.divide(p[i].get(j, {}), scale, need) if scale else None
+                divided = pack.divide(p[i].get(j, {}), scale, need)
                 if divided is None:
                     return NotInSpan(entry=(i, j), residual=None, reason="division")
                 if divided:
@@ -629,8 +596,8 @@ class LinearStructure:
         A_r is `inner` instantiated on coordinate slice r; coordinates are
         slice-major (all inner coordinates of outer slot 1, then slot 2, ...).
         Coordinate (r, s) of the lift is read at inner position s of the
-        block at outer position r, divided by the product of the two
-        factors' divisors.
+        block at outer position r, where its coefficient is the product of
+        the two factors' divisors.
         """
         if set(self.params) & set(inner.params):
             raise ParameterCollision(sorted(set(self.params) & set(inner.params))[0])
@@ -656,14 +623,9 @@ class LinearStructure:
                                     continue
                                 cell = coeff[i * m + a][j * m + b]
                                 cell[r * hin + s] = cell[r * hin + s] + oc * inner_c.embed(ptable)
-        outer_r, inner_r = self.recipe, inner.recipe
-        recipe = ExtractionRecipe(
-            tuple((oi * m + ii, oj * m + ij) for oi, oj in outer_r.positions
-                  for ii, ij in inner_r.positions),
-            tuple((oc * ic, om + im)  # params are disjoint
-                  for oc, om in outer_r.divisors
-                  for ic, im in inner_r.divisors))
-        return LinearStructure(N, H * hin, params, coeff, recipe)
+        positions = [(oi * m + ii, oj * m + ij) for oi, oj in self.positions
+                     for ii, ij in inner.positions]
+        return LinearStructure(N, H * hin, params, coeff, positions)
 
     def with_param_order(self, names: Sequence[str]) -> "LinearStructure":
         """Same structure with the parameter table reordered to `names`."""
@@ -674,14 +636,14 @@ class LinearStructure:
         coeff = [[[self.coeff[i][j][r].embed(table) for r in range(self.h)]
                   for j in range(self.n)]
                  for i in range(self.n)]
-        return LinearStructure(self.n, self.h, names, coeff, self.recipe)
+        return LinearStructure(self.n, self.h, names, coeff, self.positions)
 
 
 def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
     """Structure of x1*I + x2*M + ... + xn*M^(n-1) for the companion matrix M
     of x^n + a_1 x^(n-1) + ... + a_n.  Its determinant is the norm form of
     the corresponding algebraic integer, so pairwise closure always holds;
-    its recipe reads coordinates from the first column.
+    its coordinates are read from the first column.
     """
     coeffs = [index(a) for a in monic_coeffs]
     n = len(coeffs)
@@ -704,4 +666,4 @@ def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
     coeff = [[[empty.const(powers[r][i][j]) for r in range(n)]
               for j in range(n)]
              for i in range(n)]
-    return LinearStructure(n, n, (), coeff, ExtractionRecipe.first_column(n))
+    return LinearStructure(n, n, (), coeff, [(i, 0) for i in range(n)])

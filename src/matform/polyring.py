@@ -466,11 +466,6 @@ class Packing:
     def pack_terms(self, terms: Mapping[Monomial, int]) -> Dict[int, int]:
         return {self.pack(m): c for m, c in terms.items()}
 
-    def pack_named(self, monomial: Tuple[Tuple[str, int], ...]) -> int:
-        """A monomial ((name, exponent), ...), packed."""
-        return sum(e << self.shifts[self.table.index(name)]
-                   for name, e in dict(monomial).items())
-
     def poly(self, terms: Dict[int, int]) -> Polynomial:
         """The polynomial of zero-free packed `terms`, unpacked."""
         shifts, mask = self.shifts, self.mask

@@ -16,7 +16,7 @@ from matform import catalog
 from matform.catalog import FormFamily
 from matform.cli import _no_int_str_limit, main
 from matform.linstruct import LinearStructure
-from matform.polyring import PolyMatrix
+from matform.polyring import PolyMatrix, Polynomial
 
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
 # structure in the family's own parameters: verify takes the matrix route
@@ -101,6 +101,32 @@ class TestVerify:
         assert out.strip() == "ZERO-RESIDUAL"
 
 
+class TestOnlyTheAskedFormatIsBuilt:
+    """`--format json` renders no polynomial as text, and `--format text`
+    builds no JSON object: the other rendering of a large form is waste."""
+
+    @pytest.mark.parametrize("fmt, unbuilt", [("json", "__str__"),
+                                              ("text", "to_json_obj")])
+    @pytest.mark.parametrize("argv", [
+        ("emit-form", "--family", "quad2x2"),
+        ("closure", "--family", "quad2x2", "--order", "pair"),
+        ("verify", "--family", "quad2x2"),
+    ], ids=["emit-form", "closure", "failing-verify"])
+    def test_other_format_is_not_built(self, capsys, monkeypatch, argv,
+                                       fmt, unbuilt):
+        if argv[0] == "verify":  # a nonzero residual: the form itself
+            monkeypatch.setattr(FormFamily, "verify",
+                                lambda self, cmap: self.form)
+
+        def refuse(self):
+            raise AssertionError(f"Polynomial.{unbuilt} called")
+
+        monkeypatch.setattr(Polynomial, unbuilt, refuse)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == (1 if argv[0] == "verify" else 0), err
+        assert out.strip()
+
+
 class TestVerifyWithoutDeterminant:
     """A realized family's identity follows from its closure certificate:
     verify asks for no form and computes no symbolic determinant."""
@@ -172,7 +198,7 @@ class TestClosure:
 
 
 class TestNumericParams:
-    """Numeric proofs use the structure and recipe at the given values."""
+    """Numeric proofs use the structure and its divisors at the given values."""
 
     @pytest.mark.parametrize("argv", [
         ("closure", "--family", "threefold4x4", "--params=-1,-4,1,-1,1,1",
@@ -199,7 +225,7 @@ class TestNumericParams:
                                    "method": "matrix"}
 
     def test_vanishing_divisors_fall_back_to_symbolic_closure(self, capsys):
-        # s = t = 0 here, so the recipe divisors t*s, t and s all vanish
+        # s = t = 0 here, so the divisors t*s, t and s all vanish
         code, out, err = run_cli(capsys, "closure", "--family", "threefold4x4",
                                  "--params=0,1,0,2,0,0", "--order", "triple",
                                  "--format", "json")
@@ -209,7 +235,7 @@ class TestNumericParams:
         assert (code, out, err) == symbolic
 
     def test_vanishing_divisors_verify_the_symbolic_identity(self, capsys):
-        # recipe divisors vanish at s = t = 0: the proof is the symbolic
+        # the divisors vanish at s = t = 0: the proof is the symbolic
         # family's, for the map specialized to these values, not an expansion
         code, out, err = run_cli(capsys, "verify", "--family", "threefold4x4",
                                  "--params=0,1,0,2,0,0", "--format", "json")
@@ -360,11 +386,6 @@ class TestContract:
         if "sextic_uv" in argv:  # the family is named once
             assert err == "error: sextic_uv has no trilinear composition map\n"
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--family", "quad2x2",
-                               "--threads", "4")
-        assert code == 0
-
     def test_byte_identical_reruns(self, capsys):
         args = ("emit-form", "--family", "cubic3x3")
         first = run_cli(capsys, *args)
@@ -411,7 +432,7 @@ JUNK = {"--family": JUNK_NAME, "--outer": JUNK_NAME, "--inner": JUNK_NAME,
         "--params": JUNK_VECTOR, "--seed": JUNK_VECTOR, "--step": JUNK_VECTOR,
         "--fixed": JUNK_VECTOR, "--point": JUNK_VECTOR,
         "--count": JUNK_NUMBER, "--bound": JUNK_NUMBER,
-        "--threads": JUNK_NUMBER, "--order": st.sampled_from(("", "xxy", "zzz")),
+        "--order": st.sampled_from(("", "xxy", "zzz")),
         "--format": st.sampled_from(("xml", ""))}
 
 
@@ -440,9 +461,8 @@ def fuzz_argv(draw):
         "--order": st.sampled_from(("pair", "triple") if command == "closure"
                                    else ("xyz", "zyx")),
         "--format": st.sampled_from(("json", "text")),
-        "--threads": st.integers(1, 4).map(str),
     }
-    flags = dict(FUZZ_FLAGS[command], **{"--format": False, "--threads": False})
+    flags = dict(FUZZ_FLAGS[command], **{"--format": False})
     bad = (draw(st.sets(st.sampled_from(sorted(JUNK)), max_size=2))
            if draw(st.booleans()) else ())
     argv = [command]

@@ -14,8 +14,8 @@ import random
 import pytest
 
 from matform import catalog
-from matform.linstruct import (ExtractionRecipe, LinearStructure,
-                               MultilinearMap, NotClosed, NotInSpan)
+from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
+                               NotInSpan)
 from matform.polyring import VarTable, int_matrix_product
 
 # every catalog family with a matrix structure
@@ -31,7 +31,7 @@ def fresh(name: str) -> LinearStructure:
 
 def product_route(st: LinearStructure, order: int):
     """Closure by multiplying the symbolic matrices and reading the product
-    back with the structure's recipe."""
+    back at the structure's positions."""
     sets = tuple(tuple(f"{p}{i + 1}" for i in range(st.h)) for p in "xyz"[:order])
     table = VarTable(st.params + sum(sets, ()))
     product = st.instantiate(sets[0], table)
@@ -53,22 +53,37 @@ def assert_same_as_product_route(st: LinearStructure, order: int):
             == (order, *want)
 
 
-def tracefree(recipe=None) -> LinearStructure:
+def tracefree(positions=None) -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: closed only for triples, with
     the first row read back divided by t and 1."""
     t, b, c, a1, a2 = VarTable(("t", "b", "c", "a1", "a2")).vars()
     return LinearStructure.from_matrix(
         ("t", "b", "c"), ("a1", "a2"),
-        [[t * a1, a2], [b * a1 + c * a2, -t * a1]],
-        recipe or ExtractionRecipe(((0, 0), (0, 1)), ((1, (("t", 1),)), (1, ()))))
+        [[t * a1, a2], [b * a1 + c * a2, -t * a1]], positions)
 
 
-def doubled(d: int, scale: int = 2) -> LinearStructure:
-    """[[d*a1, d*a2], [d*p*a2, d*a1]] read back divided by `scale`."""
+def doubled(d: int) -> LinearStructure:
+    """[[d*a1, d*a2], [d*p*a2, d*a1]], read back divided by d."""
     p, a1, a2 = VarTable(("p", "a1", "a2")).vars()
     return LinearStructure.from_matrix(
-        ("p",), ("a1", "a2"), [[d * a1, d * a2], [d * p * a2, d * a1]],
-        ExtractionRecipe(((0, 0), (0, 1)), ((scale, ()), (scale, ()))))
+        ("p",), ("a1", "a2"), [[d * a1, d * a2], [d * p * a2, d * a1]])
+
+
+def scaled_diagonal(d: int) -> LinearStructure:
+    """[[d*a1, a2], [p*a2, d*a1]]: E_2 E_2 = p*I, its (0, 0) entry p read
+    back divided by d."""
+    p, a1, a2 = VarTable(("p", "a1", "a2")).vars()
+    return LinearStructure.from_matrix(
+        ("p",), ("a1", "a2"), [[d * a1, a2], [p * a2, d * a1]])
+
+
+def symmetric() -> LinearStructure:
+    """[[a1, a2], [a2, 0]]: its first row reads E_1 E_2 = [[0, 1], [0, 0]]
+    as E_2 and E_2 E_2 = I as E_1, neither of them in the span."""
+    table = VarTable(("a1", "a2"))
+    a1, a2 = table.vars()
+    return LinearStructure.from_matrix(
+        (), ("a1", "a2"), [[a1, a2], [a2, table.zero()]])
 
 
 def upper_triangular() -> LinearStructure:
@@ -78,8 +93,7 @@ def upper_triangular() -> LinearStructure:
     p, a1, a2, a3 = table.vars()
     return LinearStructure.from_matrix(
         ("p",), ("a1", "a2", "a3"), [[a1, p * a2], [table.zero(), a3]],
-        ExtractionRecipe(((0, 0), (0, 1), (1, 1)),
-                         ((1, ()), (1, (("p", 1),)), (1, ()))))
+        ((0, 0), (0, 1), (1, 1)))
 
 
 def assert_integer_points(st: LinearStructure, order: int, seed: int,
@@ -104,12 +118,11 @@ def test_catalog_closure_matches_product_route(name, order):
 
 
 @pytest.mark.parametrize("label,build,order", [
-    # the first row read without dividing by t: a mismatch at (0, 0)
-    ("undivided-pair", lambda: tracefree(ExtractionRecipe.first_row(2)), 2),
-    ("undivided-triple", lambda: tracefree(ExtractionRecipe.first_row(2)), 3),
-    # coordinates read where the basis is not diagonal
-    ("second-row", lambda: tracefree(ExtractionRecipe(
-        ((1, 0), (1, 1)), ((1, ()), (1, ())))), 3),
+    # products outside the span of E_1 = diag(1, 0) and E_2: a mismatch
+    ("mismatch-pair", symmetric, 2),
+    ("mismatch-triple", symmetric, 3),
+    # coordinates read where the basis is not diagonal: divisors b and 0
+    ("second-row", lambda: tracefree(((1, 0), (1, 1))), 3),
     # a divisor that vanishes at these parameter values
     ("zero-divisor", lambda: fresh("threefold4x4").specialize((0, 1, 0, 2, 0, 0)), 3),
     ("zero-divisor-pair", lambda: tracefree().specialize((0, 1, 2)), 2),
@@ -119,7 +132,7 @@ def test_catalog_closure_matches_product_route(name, order):
     # does not
     ("scaled-divisor", lambda: doubled(2), 2),
     ("scaled-divisor-triple", lambda: doubled(2), 3),
-    ("indivisible", lambda: doubled(1, scale=3), 2),
+    ("indivisible", lambda: scaled_diagonal(3), 2),
     # E_r E_s != E_s E_r: the derived triple table keeps the factor order
     ("noncommutative-pair", upper_triangular, 2),
     ("noncommutative-triple", upper_triangular, 3),
@@ -133,11 +146,12 @@ def test_noncommutative_integer_points(order):
     assert_integer_points(upper_triangular(), order, seed=order, trials=5)
 
 
-def test_undivided_recipe_gives_a_mismatch():
-    """The witness case the catalog never reaches: reading t*x1 as x1."""
-    got = tracefree(ExtractionRecipe.first_row(2)).verify_pair_closure()
+def test_symmetric_square_gives_a_mismatch():
+    """The witness case the catalog never reaches: E_1 E_2, read as E_2,
+    first differs from it at (1, 0)."""
+    got = symmetric().verify_pair_closure()
     assert isinstance(got, NotClosed)
-    assert (got.witness.reason, got.witness.entry) == ("mismatch", (0, 0))
+    assert (got.witness.reason, got.witness.entry) == ("mismatch", (1, 0))
     assert not got.witness.residual.is_zero()
 
 
@@ -176,7 +190,7 @@ def test_sympy_product_matches_certificate(name, order):
     got = st.closure(order)
     sets = tuple(tuple(f"{p}{i + 1}" for i in range(st.h)) for p in "xyz"[:order])
     table = VarTable(st.params + sum(sets, ()))
-    ring, *gens = sympy.ring(table.names, sympy.ZZ)
+    ring, *_ = sympy.ring(table.names, sympy.ZZ)
 
     def element(poly):
         return ring(dict(poly.embed(table).terms))
@@ -186,14 +200,11 @@ def test_sympy_product_matches_certificate(name, order):
         a = st.instantiate(cs, table)
         product = product * sympy.Matrix(st.n, st.n, lambda i, j: element(a[i, j]).as_expr())
     if isinstance(got, NotClosed):
-        # the three-fold families: the recipe's divisor does not divide the
-        # product entry it reads
+        # the three-fold families: the divisor does not divide the product
+        # entry it reads
         assert got.witness.reason == "division"
         i, j = got.witness.entry
-        scale, monomial = st.recipe.divisors[st.recipe.positions.index((i, j))]
-        divisor = scale * ring.one
-        for x, e in monomial:
-            divisor *= gens[table.index(x)] ** e
+        divisor = element(st.divisors[st.positions.index((i, j))])
         assert ring(product[i, j]).div(divisor)[1] != 0
         return
     w = [element(out) for out in got.forms(got.coord_sets)]

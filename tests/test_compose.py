@@ -202,12 +202,13 @@ class TestRoute:
         assert not res.is_zero()
 
     def test_vanishing_divisor_proves_only_the_familys_map(self):
-        # s = t = 0: a recipe divisor vanishes, so the symbolic identity
-        # stands in, for the family's own map only
+        # s = t = 0: a divisor vanishes, so the symbolic identity stands
+        # in, for the family's own map only; closure falls back to the
+        # symbolic structure
         fam = catalog.family("threefold4x4", (0, 1, 0, 2, 0, 0))
-        assert fam.structure is None
+        assert fam.structure is catalog.family("threefold4x4").structure
         assert verify_auto(fam) == ZeroResidual(
-            "matrix", "recipe divisor vanishes; symbolic identity specialized")
+            "matrix", "divisor vanishes; symbolic identity specialized")
         # the form is 4*x4^4 here and w4 = 2*x4*y4*z4; 3*x4*y4*z4 fails
         bad = dict(fam.triple_map().coeff)
         bad[(3, (3, 3, 3))] = bad[(3, (3, 3, 3))] + 1
@@ -243,12 +244,13 @@ class TestIntegerPointOracle:
     @settings(max_examples=5, deadline=None)
     def test_identity_at_integer_points(self, name, data):
         # nonzero values leave every monomial of a residual switched on
-        # and every recipe divisor nonzero, so each draw has a structure
+        # and every divisor nonzero, so each draw has its own numeric
+        # structure (not the symbolic fallback)
         nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
         base = catalog.family(name)
         values = data.draw(st.tuples(*[nonzero] * base.arity))
         fam = base.specialize(values)
-        assert fam.structure is not None
+        assert fam.structure.params == ()
         cmap = composition_map(fam)
         points = data.draw(st.tuples(
             *[st.tuples(*[nonzero] * fam.h)] * cmap.k))

@@ -26,7 +26,7 @@ from matform.dioph import (
     is_solution,
     simultaneous_is_solution,
 )
-from matform.linstruct import ExtractionRecipe, companion_structure
+from matform.linstruct import companion_structure
 
 QUARTIC = family("quartic4x4", (5, -23, 2, -7))
 OCTIC = family("octic8x8", (0, -5, 0, -3, 0, -14))
@@ -293,14 +293,11 @@ Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
     lambda: brute_force_search(Q2, 1.5),
     lambda: family("quad2x2").pair_map.specialize((0.5, -2)),
     lambda: family("quad2x2").structure.specialize((0.5, -2)),
-    lambda: ExtractionRecipe(((0, 0),), ((1, (("p", 1),)),)).specialize(
-        {"p": 0.5}),
     lambda: companion_structure((0.7, 5)),
     lambda: check_monotone_positive([(1.5, 2), (2.2, 3)]),
 ], ids=["specialize", "evaluate", "evaluate_factors", "matrix_of", "apply",
         "argument_matrix", "sequence-seed", "sequence-partner", "search",
-        "map-specialize", "structure-specialize", "recipe-specialize",
-        "companion", "monotone"])
+        "map-specialize", "structure-specialize", "companion", "monotone"])
 def test_non_integer_input_is_rejected(call):
     """A float is never truncated to an integer: it raises TypeError."""
     with pytest.raises(TypeError):

@@ -6,12 +6,12 @@ import pytest
 
 from matform.compose import MultilinearMap
 from matform.linstruct import (
-    ExtractionRecipe,
     LinearStructure,
     NameCollision,
     NotClosed,
     NotInSpan,
     ParameterCollision,
+    _multilinear_coeffs,
     companion_structure,
 )
 from matform.polyring import PolyMatrix, Polynomial, VarTable
@@ -26,25 +26,23 @@ def pell(c1: str, c2: str) -> LinearStructure:
         [[a1, a2], [-q * a2, a1 + p * a2]])
 
 
-def tracefree(ct: str, cb: str, cc: str, recipe=None) -> LinearStructure:
-    """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: closed only for triples."""
+def tracefree(ct: str, cb: str, cc: str) -> LinearStructure:
+    """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: closed only for triples, its
+    first row read back divided by t and 1."""
     table = VarTable((ct, cb, cc, "a1", "a2"))
     t, b, c, a1, a2 = table.vars()
     return LinearStructure.from_matrix(
         (ct, cb, cc), ("a1", "a2"),
-        [[t * a1, a2], [b * a1 + c * a2, -t * a1]], recipe)
-
-
-def tracefree_recipe(ct: str) -> ExtractionRecipe:
-    return ExtractionRecipe(((0, 0), (0, 1)), ((1, ((ct, 1),)), (1, ())))
+        [[t * a1, a2], [b * a1 + c * a2, -t * a1]])
 
 
 READER_TABLE = VarTable(("p", "w", "x1", "x2", "y1", "y2"))
 
 
 def as_entry(q):
-    """`q`, linear in x1, x2, as the one entry of a 1x1 structure in p."""
-    return LinearStructure.from_matrix(("p",), ("x1", "x2"), [[q]])
+    """`q`, linear in x1, x2, read as a matrix entry in p (the reader of
+    `LinearStructure.from_matrix`)."""
+    return _multilinear_coeffs(q, VarTable(("p",)), (("x1", "x2"),))
 
 
 def as_forms(q):
@@ -125,6 +123,41 @@ class TestConstruction:
             [[list(cell) for cell in row] for row in st.coeff]
 
 
+class TestPositions:
+    """A structure is read back at one in-range position per coordinate,
+    divided by that coordinate's own coefficient there."""
+
+    def test_divisors_are_the_coefficients_at_the_positions(self):
+        st = tracefree("t", "b", "c")
+        t = st.param_table.var("t")
+        assert st.positions == ((0, 0), (0, 1))
+        assert st.divisors == (t, st.param_table.one())
+        pell_st = pell("p", "q")
+        assert pell_st.divisors == (pell_st.param_table.one(),) * 2
+        assert isinstance(pell_st.closure(2), MultilinearMap)
+
+    @pytest.mark.parametrize("positions", [
+        ((0, 0),), ((0, 0), (0, 1), (1, 1)), ((0, 0), (0, 5)),
+        ((0, 0), (-1, 1)), ((2, 0), (0, 1))],
+        ids=["one", "three", "column-5", "negative-row", "row-2"])
+    def test_wrong_count_or_range_is_rejected(self, positions):
+        p, q, a1, a2 = VarTable(("p", "q", "a1", "a2")).vars()
+        with pytest.raises(ValueError, match="position"):
+            LinearStructure.from_matrix(
+                ("p", "q"), ("a1", "a2"), [[a1, a2], [-q * a2, a1 + p * a2]],
+                positions)
+
+    def test_two_term_divisor_is_rejected(self):
+        p, q, a1, a2 = VarTable(("p", "q", "a1", "a2")).vars()
+        entries = [[(p + q) * a1, a2], [-q * a2, a1 + p * a2]]
+        with pytest.raises(ValueError, match="one term"):
+            LinearStructure.from_matrix(("p", "q"), ("a1", "a2"), entries)
+        # the same entries read at the second row: divisors 0 and 1
+        st = LinearStructure.from_matrix(("p", "q"), ("a1", "a2"), entries,
+                                         ((1, 0), (1, 0)))
+        assert st.divisors == (st.param_table.zero(), -st.param_table.var("q"))
+
+
 class TestExtraction:
     def test_round_trip_through_default_recipe(self):
         st = pell("p", "q")
@@ -135,7 +168,7 @@ class TestExtraction:
         assert list(out) == [u1, u2]
 
     def test_divisor_recipe(self):
-        st = tracefree("t", "b", "c", tracefree_recipe("t"))
+        st = tracefree("t", "b", "c")
         M = st.instantiate(("u1", "u2"))
         out = st.extract_coordinates(M)
         assert list(out) == [M.table.var("u1"), M.table.var("u2")]
@@ -153,23 +186,23 @@ class TestExtraction:
 
     def test_specialized_divisor_recipe(self):
         values = {"t": 3, "b": -2, "c": 5}
-        st = tracefree("t", "b", "c", tracefree_recipe("t")).specialize(
+        st = tracefree("t", "b", "c").specialize(
             tuple(values.values()))
-        assert st.recipe.divisors == ((3, ()), (1, ()))
+        assert st.divisors == (st.param_table.const(3), st.param_table.one())
         M = st.instantiate(("u1", "u2"))
         out = st.extract_coordinates(M)
         assert list(out) == [M.table.var("u1"), M.table.var("u2")]
 
     def test_vanishing_divisor_is_not_divided_by(self):
         values = {"t": 0, "b": 1, "c": 1}
-        st = tracefree("t", "b", "c", tracefree_recipe("t")).specialize(
+        st = tracefree("t", "b", "c").specialize(
             tuple(values.values()))
         out = st.extract_coordinates(st.instantiate(("u1", "u2")))
         assert isinstance(out, NotInSpan)
         assert out.reason == "division"
 
     def test_not_in_span_division(self):
-        st = tracefree("t", "b", "c", tracefree_recipe("t"))
+        st = tracefree("t", "b", "c")
         table = VarTable(("t", "b", "c", "u1", "u2"))
         u1, u2 = table.var("u1"), table.var("u2")
         # (0,0) entry not divisible by t
@@ -193,7 +226,7 @@ class TestClosure:
         assert outputs[1] == x1 * y2 + x2 * y1 + p * x2 * y2
 
     def test_tracefree_pairwise_fails_triple_closes(self):
-        st = tracefree("t", "b", "c", tracefree_recipe("t"))
+        st = tracefree("t", "b", "c")
         pair = st.verify_pair_closure()
         assert isinstance(pair, NotClosed)
         assert pair.order == 2
@@ -254,7 +287,7 @@ class TestBlockLifting:
         lifted = pell("p", "q").block_compose(pell("m", "n"))
         assert lifted.n == 4 and lifted.h == 4
         assert lifted.params == ("p", "q", "m", "n")
-        assert len(lifted.recipe.positions) == 4
+        assert len(lifted.positions) == 4
 
     def test_pair_times_pair_is_pair_closed(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
@@ -264,19 +297,19 @@ class TestBlockLifting:
     def test_any_triple_only_factor_forces_triple_only(self):
         # triple-only inner under a pairwise-closed outer
         lifted = pell("p", "q").block_compose(
-            tracefree("t", "b", "c", tracefree_recipe("t")))
+            tracefree("t", "b", "c"))
         assert isinstance(lifted.verify_pair_closure(), NotClosed)
         assert isinstance(lifted.verify_triple_closure(),
                           MultilinearMap)
         # triple-only outer over a pairwise-closed inner
-        outer = tracefree("t", "b", "c", tracefree_recipe("t"))
+        outer = tracefree("t", "b", "c")
         lifted2 = outer.block_compose(pell("p", "q"))
         assert isinstance(lifted2.verify_pair_closure(), NotClosed)
         assert isinstance(lifted2.verify_triple_closure(),
                           MultilinearMap)
         # triple-only on both levels
         lifted3 = outer.block_compose(
-            tracefree("s", "e", "f", tracefree_recipe("s")))
+            tracefree("s", "e", "f"))
         assert isinstance(lifted3.verify_pair_closure(), NotClosed)
         assert isinstance(lifted3.verify_triple_closure(),
                           MultilinearMap)
@@ -300,8 +333,9 @@ class TestBlockLifting:
             st.rename_params({p: f"i_{p}" for p in st.params}))
         assert isinstance(lifted.verify_pair_closure(), NotClosed)
         assert isinstance(lifted.verify_triple_closure(), MultilinearMap)
-        assert {name for _, monomial in lifted.recipe.divisors
-                for name, _ in monomial} == {"t", "i_t"}
+        t, i_t = lifted.param_table.var("t"), lifted.param_table.var("i_t")
+        assert lifted.positions == ((0, 0), (0, 1), (0, 2), (0, 3))
+        assert lifted.divisors == (t * i_t, t, i_t, lifted.param_table.one())
 
     def test_slice_major_coordinate_order(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
@@ -334,7 +368,7 @@ class TestCompanion:
 
     def test_companion_always_pairwise_closed(self):
         st = companion_structure((1, -4, 2))
-        assert st.recipe == ExtractionRecipe.first_column(3)
+        assert st.positions == ((0, 0), (1, 0), (2, 0))
         cert = st.verify_pair_closure()
         assert isinstance(cert, MultilinearMap)
 
