@@ -5,10 +5,13 @@ its partners fixed, the map is linear in the iterate, so a chain is the
 linear recurrence v <- S v for one h x h integer step matrix S.  Every
 emitted vector is proven to satisfy f = 1 exactly, so a transcription error
 anywhere upstream surfaces immediately instead of silently corrupting the
-chain.  The proof of an iterate is the matrix identity A(v) = A(x)A(y)
-(A(x)A(y)A(z) for a trilinear map), checked entrywise on integers, with
-exact evaluation of f(v) where the identity fails or the family has no
-integer matrix.
+chain.  The proof is one matrix identity per chain, not per iterate: the
+step identity A(S e_j) = P A(e_j) Q over the h unit vectors, where P and Q
+are the products of the partners' matrices before and after the iterate's
+slot.  A is linear, so it gives A(S v) = P A(v) Q for every v, and
+det A = f = 1 follows along the chain by induction.  Where the identity
+fails or the family has no integer matrix, every iterate is evaluated
+exactly instead; the last iterate is always evaluated.
 
 The chain is printed from a second run of the same recurrence in exact
 `decimal` arithmetic, whose str() is linear in the digit count where
@@ -24,15 +27,14 @@ it is returned.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from operator import index
-from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
-from .catalog import FormFamily, family as catalog_family
+from .catalog import FormFamily
 from .polyring import PolyError, int_matrix_product
 
 
@@ -57,19 +59,6 @@ class SearchVerificationError(PolyError):
 
 
 Vec = Tuple[int, ...]
-
-
-def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
-    """Exact check f(v) = 1 (the product of all factors for multi-factor
-    families)."""
-    return fam.evaluate(v) == 1
-
-
-def simultaneous_is_solution(q: int, v: Sequence[int]) -> bool:
-    """Both equations of the simultaneous sextic system at once:
-    f1(v) = 1 and f2(v) = 1 for the u-coordinate pair with parameter q."""
-    fam = catalog_family("sextic_uv", (q,))
-    return fam.evaluate_factors(v) == (1, 1)
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,17 @@ def _check_printed(i: int, row: List[str], proven: Vec) -> None:
 @dataclass
 class SequenceResult:
     """The proven chain: `solutions` are the int iterates and `step` the
-    step matrix S they were computed with, v_{i+1} = S v_i."""
+    step matrix S they were computed with, v_{i+1} = S v_i.
+
+    `proof` names how the chain was proven: "step identity" (one matrix
+    identity for the whole chain, see `generate_sequence`) or "evaluated"
+    (exact evaluation of f at every iterate).  `evaluated` counts the
+    iterates checked by exact evaluation, the seed included."""
     spec: SequenceSpec
     step: Tuple[Vec, ...]
+    proof: str
     solutions: List[Vec] = field(default_factory=list)
+    evaluated: int = 0
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.
@@ -187,6 +183,29 @@ class SequenceResult:
         out.write("]" + tail + "\n")
 
 
+def _step_identity(fam: FormFamily, args: List[Vec], at: int,
+                   units: List[Vec], columns: List[Vec]) -> bool:
+    """Whether A(S e_j) == P A(e_j) Q for every unit vector e_j, entrywise
+    on integers.  `columns[j]` is S e_j, and P and Q are the products of
+    the matrices of args[:at] and args[at + 1:], the partners before and
+    after the iterate's slot.  False where the family has no integer
+    matrix.  The cost is 2h + k - 1 matrices and h(k - 1) products of small
+    ones, whatever the length of the chain."""
+    mats = [fam.matrix(e) for e in units]
+    if mats[0] is None:
+        return False
+    before = [fam.matrix(v) for v in args[:at]]
+    after = [fam.matrix(v) for v in args[at + 1:]]
+    for a, column in zip(mats, columns):
+        for m in reversed(before):
+            a = int_matrix_product(m, a)
+        for m in after:
+            a = int_matrix_product(a, m)
+        if fam.matrix(column) != a:
+            return False
+    return True
+
+
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     """Iterate the composition map `count` times total, seed included.
 
@@ -198,14 +217,20 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     applications, and each iterate h^2 products.  Raises ValueError for no
     partners, more than two, an order that is not a permutation of
     0..len(partners) or a negative count, and SeedNotSolution /
-    StepNotSolution up front.  Each iterate v is then proven to satisfy
-    f(v) = 1 by its certificate A(v) == A(a)·A(b)[·A(c)], checked entrywise,
-    where a, b[, c] are the arguments the map was applied to: by induction
-    each has f = 1, so det A(v) = 1 by multiplicativity of the determinant.
-    Where the certificate does not hold, or the family has no integer matrix
-    at these values, f(v) = 1 is checked by exact evaluation instead;
-    SequenceVerificationError is raised if that fails too.  The last iterate
-    is always evaluated exactly.
+    StepNotSolution up front.
+
+    The chain is then proven once, by the step identity
+    A(S e_j) == P A(e_j) Q for j = 1..h, where P and Q are the products of
+    the partners' matrices before and after the iterate's slot.  A is
+    linear and every iterate is exactly S times the one before, so the
+    identity gives A(v_{i+1}) = P A(v_i) Q for every i; the partners have
+    f = det A = 1, so det A(v_i) = det A(seed) = 1 by induction.  Where the
+    identity fails on some e_j, or the family has no integer matrix at
+    these values, every iterate is checked by exact evaluation instead.
+    The last iterate is always evaluated exactly: the identity makes f
+    invariant under S, so a slip in the integer step anywhere shows in f
+    of the last iterate.  SequenceVerificationError is raised on any
+    iterate that fails f = 1.
     """
     fam = spec.family
     k = len(spec.partners) + 1
@@ -229,62 +254,23 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     args = [slots[s] for s in order]
     at = order.index(0)
     h = cmap.h
-    columns = [cmap.apply(args[:at] + [tuple(int(r == j) for r in range(h))]
-                          + args[at + 1:])
-               for j in range(h)]
-    result = SequenceResult(spec=spec, step=tuple(zip(*columns)))
-    matrices = [fam.matrix(vec) for vec in slots]
+    units = [tuple(int(r == j) for r in range(h)) for j in range(h)]
+    columns = [cmap.apply(args[:at] + [e] + args[at + 1:]) for e in units]
+    proven = spec.count > 1 and _step_identity(fam, args, at, units, columns)
+    result = SequenceResult(spec=spec, step=tuple(zip(*columns)),
+                            proof="step identity" if proven else "evaluated",
+                            evaluated=min(spec.count, 1))  # the seed
     current = seed
-    evaluated = True  # whether `current` was checked by exact evaluation
     for i in range(spec.count):
         if i > 0:
             current = _step(result.step, current)
-            a = fam.matrix(current)
-            evaluated = a is None or a != functools.reduce(
-                int_matrix_product, [matrices[s] for s in order])
-            if evaluated and fam.evaluate(current) != 1:
-                raise SequenceVerificationError(
-                    f"iterate {i} fails f = 1: {current}")
-            matrices[0] = a
+            if not proven or i == spec.count - 1:
+                result.evaluated += 1
+                if fam.evaluate(current) != 1:
+                    raise SequenceVerificationError(
+                        f"iterate {i} fails f = 1: {current}")
         result.solutions.append(current)
-    if not evaluated and fam.evaluate(current) != 1:
-        raise SequenceVerificationError(
-            f"iterate {spec.count - 1} fails f = 1: {current}")
     return result
-
-
-@dataclass
-class MonotoneReport:
-    ok: bool
-    violations: List[str] = field(default_factory=list)
-
-
-def check_monotone_positive(solutions: Sequence[Sequence[int]],
-                            increasing: Sequence[int] = (0,),
-                            positive: Optional[Sequence[int]] = None
-                            ) -> MonotoneReport:
-    """Check strict growth of the designated coordinates and positivity of
-    the designated coordinate set (all coordinates by default)."""
-    report = MonotoneReport(ok=True)
-    seq = [tuple(map(index, v)) for v in solutions]
-    if positive is None:
-        pos: Sequence[int] = range(len(seq[0])) if seq else ()
-    else:
-        pos = positive
-    for i, v in enumerate(seq):
-        for j in pos:
-            if v[j] <= 0:
-                report.ok = False
-                report.violations.append(
-                    f"solution {i}: coordinate {j + 1} = {v[j]} not positive")
-        if i > 0:
-            for j in increasing:
-                if v[j] <= seq[i - 1][j]:
-                    report.ok = False
-                    report.violations.append(
-                        f"solution {i}: coordinate {j + 1} did not increase "
-                        f"({seq[i - 1][j]} -> {v[j]})")
-    return report
 
 
 _SEARCH_GUARD = 10 ** 9

@@ -1,8 +1,12 @@
 """Solution sequences of f = 1 and the brute-force oracle."""
 
+import collections
 import io
 import itertools
 import json
+from dataclasses import dataclass, field
+from operator import index
+from typing import List, Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +25,57 @@ from matform.dioph import (
     SequenceVerificationError,
     StepNotSolution,
     brute_force_search,
-    check_monotone_positive,
     generate_sequence,
-    is_solution,
-    simultaneous_is_solution,
 )
 from matform.linstruct import companion_structure
+
+
+def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
+    """Exact check f(v) = 1 (the product of all factors for multi-factor
+    families)."""
+    return fam.evaluate(v) == 1
+
+
+def simultaneous_is_solution(q: int, v: Sequence[int]) -> bool:
+    """Both equations of the simultaneous sextic system at once:
+    f1(v) = 1 and f2(v) = 1 for the u-coordinate pair with parameter q."""
+    fam = family("sextic_uv", (q,))
+    return fam.evaluate_factors(v) == (1, 1)
+
+
+@dataclass
+class MonotoneReport:
+    ok: bool
+    violations: List[str] = field(default_factory=list)
+
+
+def check_monotone_positive(solutions: Sequence[Sequence[int]],
+                            increasing: Sequence[int] = (0,),
+                            positive: Optional[Sequence[int]] = None
+                            ) -> MonotoneReport:
+    """Check strict growth of the designated coordinates and positivity of
+    the designated coordinate set (all coordinates by default)."""
+    report = MonotoneReport(ok=True)
+    seq = [tuple(map(index, v)) for v in solutions]
+    if positive is None:
+        pos: Sequence[int] = range(len(seq[0])) if seq else ()
+    else:
+        pos = positive
+    for i, v in enumerate(seq):
+        for j in pos:
+            if v[j] <= 0:
+                report.ok = False
+                report.violations.append(
+                    f"solution {i}: coordinate {j + 1} = {v[j]} not positive")
+        if i > 0:
+            for j in increasing:
+                if v[j] <= seq[i - 1][j]:
+                    report.ok = False
+                    report.violations.append(
+                        f"solution {i}: coordinate {j + 1} did not increase "
+                        f"({seq[i - 1][j]} -> {v[j]})")
+    return report
+
 
 QUARTIC = family("quartic4x4", (5, -23, 2, -7))
 OCTIC = family("octic8x8", (0, -5, 0, -3, 0, -14))
@@ -207,8 +256,9 @@ def evaluations(monkeypatch):
 
 
 class TestIterateCertificate:
-    """Each iterate is proven by A(v) == A(a)A(b)[A(c)], with exact
-    evaluation where that fails and for the last iterate."""
+    """A chain is proven once by its step identity A(S e_j) == P A(e_j) Q,
+    with exact evaluation of every iterate where that fails, and of the
+    last iterate always."""
 
     @pytest.mark.parametrize("name, params, seed, key", [
         ("quartic4x4", (5, -23, 2, -7), QUARTIC_SEQ[0], (0, (0, 0))),
@@ -237,7 +287,7 @@ class TestIterateCertificate:
         # Every catalog pair law is commutative, so a pair map with its
         # arguments swapped is the same map.  The trilinear law is not:
         # map(y, x, z) still has f = 1 but is A(y)A(x)A(z), not the
-        # certified A(x)A(y)A(z), so some iterates need the fallback.
+        # A(x)A(y)A(z) of the step identity, so every iterate is evaluated.
         fam = T4.specialize(T4.param_values)  # patched below
         cmap = fam.triple_map()
         swapped = MultilinearMap(3, 4, (), {
@@ -247,6 +297,8 @@ class TestIterateCertificate:
             family=fam, seed=T4_SEQ[0], count=6,
             partners=(E4, T4_SEQ[0])))
         assert len(evaluations) > 4  # seed, two partners, last
+        assert evaluations[3:] == r.solutions[1:]
+        assert (r.proof, r.evaluated) == ("evaluated", 6)
         assert r.solutions[1] != T4_SEQ[1]
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
@@ -258,6 +310,7 @@ class TestIterateCertificate:
         assert r.solutions[:4] == QUARTIC_SEQ
         assert evaluations == [QUARTIC_SEQ[0], QUARTIC_SEQ[0],
                                r.solutions[-1]]  # seed, partner, last
+        assert (r.proof, r.evaluated) == ("step identity", 2)
         assert printed(QUARTIC)(r.solutions[-1]) == 1
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -267,6 +320,7 @@ class TestIterateCertificate:
             family=T4, seed=T4_SEQ[0], count=6,
             partners=((-4, 1, -3, 3), T4_SEQ[0]), order=order))
         assert len(evaluations) == 4  # seed, two partners, last
+        assert r.proof == "step identity"
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
 
@@ -276,6 +330,64 @@ class TestIterateCertificate:
             family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
         assert r.solutions == UV_SEQ
         assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[1:]
+        assert (r.proof, r.evaluated) == ("evaluated", 4)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_chain_without_a_step_is_its_evaluated_seed(self, count):
+        r = generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
+        assert (r.proof, r.evaluated) == ("evaluated", count)
+
+    @pytest.mark.parametrize("fam, seed, partners, order", [
+        pytest.param(QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), None,
+                     id="quartic4x4"),
+        *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
+                       id="threefold4x4-" + "".join("xyz"[s] for s in order))
+          for order in itertools.permutations(range(3))],
+    ])
+    def test_proof_cost_does_not_grow_with_count(self, monkeypatch, fam,
+                                                 seed, partners, order):
+        calls = collections.Counter()
+        matrix, product = FormFamily.matrix, dioph.int_matrix_product
+
+        def counting_matrix(self, point):
+            calls["matrix"] += 1
+            return matrix(self, point)
+
+        def counting_product(a, b):
+            calls["product"] += 1
+            return product(a, b)
+        monkeypatch.setattr(FormFamily, "matrix", counting_matrix)
+        monkeypatch.setattr(dioph, "int_matrix_product", counting_product)
+        costs = []
+        for count in (50, 500):
+            calls.clear()
+            r = generate_sequence(SequenceSpec(fam, seed, count, partners,
+                                               order))
+            assert (r.proof, r.evaluated) == ("step identity", 2)
+            costs.append(dict(calls))
+        assert costs[0] == costs[1]
+        assert costs[0]["product"] > 0
+
+    @pytest.mark.parametrize("fam, seed, partners", [
+        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],)),
+        (T4, T4_SEQ[0], (E4, T4_SEQ[0])),
+    ], ids=["quartic4x4", "threefold4x4"])
+    def test_wrong_integer_step_at_a_middle_iterate_raises(
+            self, monkeypatch, fam, seed, partners):
+        step = dioph._step
+        ints = []
+
+        def slip(S, v):
+            w = step(S, v)
+            if not isinstance(w[0], int):
+                return w
+            ints.append(w)
+            return (w[0] + 1,) + w[1:] if len(ints) == 5 else w
+        monkeypatch.setattr(dioph, "_step", slip)
+        with pytest.raises(SequenceVerificationError, match="fails f = 1"):
+            generate_sequence(SequenceSpec(fam, seed, 12, partners))
+        assert len(ints) >= 5  # the slip happened, at iterate 5
 
 
 Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
