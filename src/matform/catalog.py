@@ -7,13 +7,19 @@ Where an explicit map or form expansion is known in closed form, it is
 transcribed here verbatim and the test suite cross-verifies it against the
 version derived from the matrix structure, so a typo in either direction is
 caught.
+
+The registry holds each family's metadata (description, kind, parameter
+and coordinate names, degree), which `list_families` reads without
+building anything, and the builder of its heavy parts, which `family`
+calls once per process, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .compose import ZeroResidual, verify_identity
 from .linstruct import (LinearStructure, MultilinearMap, NotClosed,
@@ -696,57 +702,16 @@ def _threefold_quadratic_form() -> Polynomial:
     return a*x1**2 + b*x1*x2 + c*x2**2
 
 
-# -- family builders -----------------------------------------------------------
+# -- the registry --------------------------------------------------------------
 
 
-def _build_quad2x2() -> FormFamily:
-    st = _pell_structure("p", "q")
-    return FormFamily(
-        "quad2x2",
-        "binary quadratic x1^2 + p*x1*x2 + q*x2^2 as a 2x2 determinant",
-        "pair", ("p", "q"), _coords("x", 2), 2,
-        structure=st, pair_map=_quad_map())
-
-
-def _build_cubic3x3() -> FormFamily:
-    return FormFamily(
-        "cubic3x3",
-        "ternary cubic in five parameters; not a norm form in general",
-        "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3), 3,
-        structure=_cubic_structure(), pair_map=_cubic_map(),
-        printed_form=_cubic_printed_form())
-
-
-def _quartic_block() -> LinearStructure:
-    lifted = _pell_structure("p", "q").block_compose(_pell_structure("m", "n"))
-    return lifted.with_param_order(("m", "n", "p", "q"))
-
-
-def _build_quartic4x4() -> FormFamily:
-    return FormFamily(
-        "quartic4x4",
-        "quaternary quartic from a 2x2-of-2x2 block construction",
-        "pair", ("m", "n", "p", "q"), _coords("x", 4), 4,
-        structure=_quartic_block(),
-        pair_map=_quartic_map(), printed_form=_quartic_printed_form())
-
-
-def _build_sextic6x6() -> FormFamily:
-    lifted = _pell_structure("p", "q").block_compose(_cubic_structure())
-    st = lifted.with_param_order(("l1", "l2", "l3", "l4", "l5", "p", "q"))
-    return FormFamily(
-        "sextic6x6",
-        "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
-        "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6), 6,
-        structure=st, pair_map=_sextic_map())
-
-
-def _build_sextic_circulant() -> FormFamily:
+def _circulant_structure() -> LinearStructure:
+    """The 6x6 block matrix of two 3x3 circulants, the lower one times q."""
     t, v = _vars(("q", "x1", "x2", "x3", "x4", "x5", "x6"))
     q = v["q"]
     x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
                               v["x4"], v["x5"], v["x6"])
-    st = LinearStructure.from_matrix(
+    return LinearStructure.from_matrix(
         ("q",), ("x1", "x2", "x3", "x4", "x5", "x6"),
         [
             [x1, x2, x3, x4, x5, x6],
@@ -756,119 +721,132 @@ def _build_sextic_circulant() -> FormFamily:
             [q*x6, q*x4, q*x5, x3, x1, x2],
             [q*x5, q*x6, q*x4, x2, x3, x1],
         ])
-    return FormFamily(
-        "sextic_circulant",
+
+
+def _lift(outer: LinearStructure, inner: LinearStructure,
+          params: Tuple[str, ...]) -> LinearStructure:
+    """The block lift of `inner` over `outer`, in the parameter order
+    `params`."""
+    return outer.block_compose(inner).with_param_order(params)
+
+
+def _quartic_block() -> LinearStructure:
+    return _lift(_pell_structure("p", "q"), _pell_structure("m", "n"),
+                 ("m", "n", "p", "q"))
+
+
+class _Entry(NamedTuple):
+    """A family's registry entry.  The metadata is read without building
+    anything; `build()` returns the heavy parts (structure, transcribed
+    law, printed form, factors) as `FormFamily` keywords."""
+    description: str
+    kind: str
+    params: Tuple[str, ...]
+    coords: Tuple[str, ...]
+    degree: int
+    build: Callable[[], dict]
+    degenerate_witness: Optional[Tuple[int, ...]] = None
+
+
+_REGISTRY: Dict[str, _Entry] = {
+    "quad2x2": _Entry(
+        "binary quadratic x1^2 + p*x1*x2 + q*x2^2 as a 2x2 determinant",
+        "pair", ("p", "q"), _coords("x", 2), 2,
+        lambda: dict(structure=_pell_structure("p", "q"),
+                     pair_map=_quad_map())),
+    "cubic3x3": _Entry(
+        "ternary cubic in five parameters; not a norm form in general",
+        "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3), 3,
+        lambda: dict(structure=_cubic_structure(), pair_map=_cubic_map(),
+                     printed_form=_cubic_printed_form())),
+    "quartic4x4": _Entry(
+        "quaternary quartic from a 2x2-of-2x2 block construction",
+        "pair", ("m", "n", "p", "q"), _coords("x", 4), 4,
+        lambda: dict(structure=_quartic_block(), pair_map=_quartic_map(),
+                     printed_form=_quartic_printed_form())),
+    "sextic6x6": _Entry(
+        "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
+        "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6), 6,
+        lambda: dict(
+            structure=_lift(_pell_structure("p", "q"), _cubic_structure(),
+                            ("l1", "l2", "l3", "l4", "l5", "p", "q")),
+            pair_map=_sextic_map())),
+    "sextic_circulant": _Entry(
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
         "pair", ("q",), _coords("x", 6), 6,
-        structure=st, pair_map=_circulant_map(), factors=_circulant_factors())
-
-
-def _build_sextic_uv() -> FormFamily:
-    return FormFamily(
-        "sextic_uv",
+        lambda: dict(structure=_circulant_structure(),
+                     pair_map=_circulant_map(), factors=_circulant_factors())),
+    "sextic_uv": _Entry(
         "simultaneous pair u1^2 - q*u2^2 and a quartic in u1..u6 composed "
         "by one shared bilinear map",
         "uv", ("q",), _coords("u", 6), 6,
-        pair_map=_uv_map(), factors=_uv_factors())
-
-
-def _build_octic8x8() -> FormFamily:
-    lifted = _pell_structure("r", "s").block_compose(_quartic_block())
-    st = lifted.with_param_order(("m", "n", "p", "q", "r", "s"))
-    return FormFamily(
-        "octic8x8",
+        lambda: dict(pair_map=_uv_map(), factors=_uv_factors())),
+    "octic8x8": _Entry(
         "octonary octic from a 2x2-of-4x4 block construction",
         "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8), 8,
-        structure=st, pair_map=_octic_map())
-
-
-def _build_threefold_quadratic() -> FormFamily:
-    # The matrix realization lives in parameters (t, b, c) with t^2 in the
-    # determinant; the family's own form uses a in place of t^2 since only
-    # even powers of t occur.
-    return FormFamily(
-        "threefold_quadratic",
+        lambda: dict(
+            structure=_lift(_pell_structure("r", "s"), _quartic_block(),
+                            ("m", "n", "p", "q", "r", "s")),
+            pair_map=_octic_map())),
+    # the structure is in (t, b, c) with t^2 in the determinant; the
+    # family's own form uses a in place of t^2: only even powers of t occur
+    "threefold_quadratic": _Entry(
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
         "law, applied to its arguments in any order",
         "triple", ("a", "b", "c"), _coords("x", 2), 2,
-        structure=_tracefree_structure("t", "b", "c"),
-        triple_map=_threefold_quadratic_map(),
-        factors=(_threefold_quadratic_form(),),
-        degenerate_witness=(-1, 0, -1))
-
-
-def _build_threefold4x4() -> FormFamily:
-    lifted = _tracefree_structure("t", "p", "q").block_compose(
-        _tracefree_structure("s", "m", "n"))
-    st = lifted.with_param_order(("m", "n", "p", "q", "s", "t"))
-    return FormFamily(
-        "threefold4x4",
+        lambda: dict(structure=_tracefree_structure("t", "b", "c"),
+                     triple_map=_threefold_quadratic_map(),
+                     factors=(_threefold_quadratic_form(),)),
+        degenerate_witness=(-1, 0, -1)),
+    "threefold4x4": _Entry(
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
         "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4), 4,
-        structure=st, triple_map=_threefold4x4_map(),
-        printed_form=_threefold4x4_printed_form(),
-        degenerate_witness=(0, 1, 0, 2, 0, 0))
-
-
-def _build_threefold8x8() -> FormFamily:
-    a4 = _pell_structure("p", "q").block_compose(
-        _tracefree_structure("t", "m", "n"))
-    lifted = _pell_structure("r", "s").block_compose(a4)
-    st = lifted.with_param_order(("m", "n", "p", "q", "r", "s", "t"))
-    return FormFamily(
-        "threefold8x8",
+        lambda: dict(
+            structure=_lift(_tracefree_structure("t", "p", "q"),
+                            _tracefree_structure("s", "m", "n"),
+                            ("m", "n", "p", "q", "s", "t")),
+            triple_map=_threefold4x4_map(),
+            printed_form=_threefold4x4_printed_form()),
+        degenerate_witness=(0, 1, 0, 2, 0, 0)),
+    "threefold8x8": _Entry(
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
         "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8), 8,
-        structure=st, degenerate_witness=(0, 2, 0, 0, 0, 0, 0))
-
-
-_BUILDERS = {
-    "quad2x2": _build_quad2x2,
-    "cubic3x3": _build_cubic3x3,
-    "quartic4x4": _build_quartic4x4,
-    "sextic6x6": _build_sextic6x6,
-    "sextic_circulant": _build_sextic_circulant,
-    "sextic_uv": _build_sextic_uv,
-    "octic8x8": _build_octic8x8,
-    "threefold_quadratic": _build_threefold_quadratic,
-    "threefold4x4": _build_threefold4x4,
-    "threefold8x8": _build_threefold8x8,
+        lambda: dict(structure=_lift(
+            _pell_structure("r", "s"),
+            _pell_structure("p", "q").block_compose(
+                _tracefree_structure("t", "m", "n")),
+            ("m", "n", "p", "q", "r", "s", "t"))),
+        degenerate_witness=(0, 2, 0, 0, 0, 0, 0)),
 }
 
 _SYMBOLIC: Dict[str, FormFamily] = {}
 
 
 def family(name: str, params: Optional[Sequence[int]] = None) -> FormFamily:
-    """Look up a family; `params=None` gives the fully symbolic version."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    """Look up a family; `params=None` gives the fully symbolic version,
+    built from its registry entry on first use and kept."""
+    entry = _REGISTRY.get(name)
+    if entry is None:
         raise UnknownFamily(name)
     fam = _SYMBOLIC.get(name)
     if fam is None:
-        fam = builder()
-        _SYMBOLIC[name] = fam
+        fam = _SYMBOLIC[name] = FormFamily(
+            name, entry.description, entry.kind, entry.params, entry.coords,
+            entry.degree, degenerate_witness=entry.degenerate_witness,
+            **entry.build())
     if params is None:
         return fam
     return fam.specialize(params)
 
 
 def list_families() -> List[dict]:
-    """Registry entries in catalog order, for the CLI."""
-    out = []
-    for name in _BUILDERS:
-        fam = family(name)
-        out.append({
-            "name": name,
-            "kind": fam.kind,
-            "degree": fam.degree,
-            "coords": len(fam.coord_names),
-            "params": list(fam.param_names),
-            "description": fam.description,
-        })
-    return out
+    """Registry entries in catalog order, for the CLI; builds no family."""
+    return [{"name": name, "kind": e.kind, "degree": e.degree,
+             "coords": len(e.coords), "params": list(e.params),
+             "description": e.description} for name, e in _REGISTRY.items()]
 
 
 def companion_family(monic_coeffs: Sequence[int]) -> FormFamily:

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import catalog, compose, dioph
+from . import catalog, compose
 from .compose import ZeroResidual
 from .linstruct import NotClosed
 from .polyring import PolyError
@@ -152,6 +152,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import dioph  # only solve and search load it
     fam = _family(args.family, args.params)
     if fam.is_symbolic():
         raise UsageError("solve needs numeric --params")
@@ -191,6 +192,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import dioph
     fam = _family(args.family, args.params)
     if fam.is_symbolic():
         raise UsageError("search needs numeric --params")

@@ -17,9 +17,7 @@ Every route is deterministic and exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # the law and its two errors are defined in linstruct and re-exported here
 from .linstruct import (DimensionMismatch, LinearStructure, MultilinearMap,
@@ -35,8 +33,7 @@ class SingularMap(PolyError):
     """The linear system defining the inverse is singular."""
 
 
-@dataclass(frozen=True)
-class ZeroResidual:
+class ZeroResidual(NamedTuple):
     """Certificate that the composition identity holds exactly.
 
     `method` records the proof route: "expand" for a termwise expansion of
@@ -170,7 +167,8 @@ def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _solve_exact(matrix: Sequence[Sequence[int]],
-                 rhs: Sequence[int]) -> List[Fraction]:
+                 rhs: Sequence[int]) -> List["Fraction"]:
+    from fractions import Fraction  # only `invert` needs it
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(r)]
          for row, r in zip(matrix, rhs)]

@@ -28,11 +28,10 @@ it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from operator import index
-from typing import Iterator, List, Optional, TextIO, Tuple
+from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .catalog import FormFamily
 from .polyring import PolyError, int_matrix_product
@@ -61,8 +60,7 @@ class SearchVerificationError(PolyError):
 Vec = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """Recipe for one solution chain: x_{i+1} = map(slots), x_0 = seed.
 
     `partners` holds the fixed vectors the map is applied to besides the
@@ -119,7 +117,6 @@ def _check_printed(i: int, row: List[str], proven: Vec) -> None:
                 f"from the proven value")
 
 
-@dataclass
 class SequenceResult:
     """The proven chain: `solutions` are the int iterates and `step` the
     step matrix S they were computed with, v_{i+1} = S v_i.
@@ -127,12 +124,21 @@ class SequenceResult:
     `proof` names how the chain was proven: "step identity" (one matrix
     identity for the whole chain, see `generate_sequence`) or "evaluated"
     (exact evaluation of f at every iterate).  `evaluated` counts the
-    iterates checked by exact evaluation, the seed included."""
-    spec: SequenceSpec
-    step: Tuple[Vec, ...]
-    proof: str
-    solutions: List[Vec] = field(default_factory=list)
-    evaluated: int = 0
+    iterates checked by exact evaluation, the seed included.  Results are
+    equal when all five fields are."""
+    __slots__ = ("spec", "step", "proof", "solutions", "evaluated")
+
+    def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
+                 solutions: Optional[List[Vec]] = None, evaluated: int = 0):
+        self.spec, self.step, self.proof = spec, step, proof
+        self.solutions = [] if solutions is None else solutions
+        self.evaluated = evaluated
+
+    def __eq__(self, other):
+        if type(other) is not SequenceResult:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.

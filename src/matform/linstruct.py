@@ -18,9 +18,8 @@ entrywise check is exact over the parameters, never sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
                        VarTable, _mul_into, _mul_packed, _top)
@@ -42,8 +41,7 @@ class WrongFamilyKind(PolyError):
     """Operation applied to a family of the wrong kind."""
 
 
-@dataclass(frozen=True)
-class NotInSpan:
+class NotInSpan(NamedTuple):
     """Witness that a matrix does not carry the structure.
 
     `entry` is the first offending (row, col), 0-based; `residual` is the
@@ -56,8 +54,7 @@ class NotInSpan:
     reason: str  # "division" or "mismatch"
 
 
-@dataclass(frozen=True)
-class NotClosed:
+class NotClosed(NamedTuple):
     """Witness that a structure is not closed under the attempted product."""
     order: int  # 2 for pairwise, 3 for triple
     witness: NotInSpan

@@ -44,6 +44,26 @@ class TestRegistry:
     def test_symbolic_instances_are_cached(self):
         assert family("quartic4x4") is family("quartic4x4")
 
+    @pytest.mark.parametrize("name", list(catalog._REGISTRY))
+    def test_registry_metadata_is_the_built_family(self, name):
+        entry = catalog._REGISTRY[name]
+        fam = family(name)
+        [listed] = [e for e in list_families() if e["name"] == name]
+        assert listed == {"name": name, "kind": fam.kind,
+                          "degree": fam.degree, "coords": fam.h,
+                          "params": list(fam.param_names),
+                          "description": fam.description}
+        assert (entry.coords, entry.degenerate_witness) == \
+            (fam.coord_names, fam.degenerate_witness)
+        # and the metadata describes the built parts
+        law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
+        st = fam.structure
+        numeric = fam.specialize((2,) * fam.arity)  # degree in x alone
+        degree = st.n if st is not None else \
+            sum(f.total_degree() for f in numeric.factors)
+        assert (degree, fam.h, fam.param_names) == \
+            (entry.degree, law.h, law.params)
+
     def test_kinds_and_dimensions(self):
         info = {e["name"]: e for e in list_families()}
         assert info["quad2x2"]["degree"] == 2 and info["quad2x2"]["coords"] == 2

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from matform import catalog
 from matform.catalog import FormFamily
 from matform.cli import _no_int_str_limit, main
-from matform.linstruct import LinearStructure
+from matform.linstruct import LinearStructure, MultilinearMap
 from matform.polyring import PolyMatrix, Polynomial
 
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
@@ -59,6 +60,61 @@ class TestListFamilies:
         code, out, _ = run_cli(capsys, "list-families", "--format", "text")
         assert code == 0
         assert "quartic4x4" in out
+
+
+    def test_builds_no_family(self, capsys, monkeypatch):
+        # the registry alone answers: no builder, structure, law or family
+        def refuse(*args, **kwargs):
+            raise AssertionError("list-families built part of a family")
+        for name, entry in catalog._REGISTRY.items():
+            monkeypatch.setitem(catalog._REGISTRY, name,
+                                entry._replace(build=refuse))
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        monkeypatch.setattr(FormFamily, "__init__", refuse)
+        monkeypatch.setattr(LinearStructure, "from_matrix", refuse)
+        monkeypatch.setattr(MultilinearMap, "from_forms", refuse)
+        golden = json.loads(
+            Path(__file__).with_name("cli_golden.json").read_text())
+        for argv in ("list-families", "list-families --format text"):
+            code, out, _ = run_cli(capsys, *argv.split(" "))
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert [code, digest] == golden[argv]
+
+
+def modules_after(code: str) -> set:
+    """The names in sys.modules of a fresh interpreter once it has run
+    `code`; they are written to stderr, after whatever `code` prints."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, check=True)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestStartupBudget:
+    """A CLI process imports what its command runs and nothing more (see
+    README, "Start-up").  Measured against `python -c pass` in the same
+    interpreter, so whatever `site` loads does not count."""
+
+    UNUSED = {"inspect", "dataclasses", "fractions", "decimal",
+              "matform.dioph"}
+
+    def test_import_loads_no_unused_module(self):
+        added = modules_after("import matform.cli") - modules_after("pass")
+        assert "matform.cli" in added
+        assert not added & self.UNUSED
+
+    @pytest.mark.parametrize("argv, loads", [
+        ("list-families", False),
+        ("verify --family quad2x2", False),
+        ("solve --family quad2x2 --params 0,-2 --seed 3,2 --step 3,2 "
+         "--count 3", True),
+        ("search --family quad2x2 --params 0,-2 --bound 3", True),
+    ])
+    def test_only_solve_and_search_load_dioph(self, argv, loads):
+        after = modules_after(
+            f"from matform.cli import main\nmain({argv.split(' ')!r})")
+        assert ("matform.dioph" in after) == loads
 
 
 class TestEmitForm:

@@ -26,7 +26,7 @@ CASES = [(name, order) for name in NINE for order in (2, 3)]
 
 def fresh(name: str) -> LinearStructure:
     """The family's structure, built anew so that no closure is cached."""
-    return catalog._BUILDERS[name]().structure
+    return catalog._REGISTRY[name].build()["structure"]
 
 
 def product_route(st: LinearStructure, order: int):

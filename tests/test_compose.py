@@ -46,6 +46,17 @@ def mutated(cmap):
     return MultilinearMap(cmap.k, cmap.h, cmap.params, bad)
 
 
+class TestZeroResidual:
+    def test_equal_by_value(self):
+        assert ZeroResidual("matrix", "r") == ZeroResidual(method="matrix",
+                                                           reason="r")
+        assert ZeroResidual("matrix", "r") != ZeroResidual("expand", "r")
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            ZeroResidual("matrix", "r").method = "expand"
+
+
 class TestMultilinearMap:
     def test_from_forms_round_trip(self):
         fam = catalog.family("quad2x2")

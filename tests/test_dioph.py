@@ -132,6 +132,28 @@ class TestIsSolution:
         assert not simultaneous_is_solution(3, (2, 1, 0, 0, 0, 0))
 
 
+class TestRecords:
+    def test_spec_by_keyword_with_default_order(self):
+        spec = SequenceSpec(family=QUARTIC, seed=(6, 2, 3, 1), count=4,
+                            partners=((6, 2, 3, 1),))
+        assert spec.order is None
+        assert spec == SequenceSpec(QUARTIC, (6, 2, 3, 1), 4,
+                                    ((6, 2, 3, 1),), None)
+        with pytest.raises(AttributeError):
+            spec.count = 5
+
+    def test_results_never_share_a_solutions_list(self):
+        spec = SequenceSpec(family=QUARTIC, seed=(1, 0, 0, 0), count=0,
+                            partners=((6, 2, 3, 1),))
+        a = dioph.SequenceResult(spec=spec, step=(), proof="evaluated")
+        b = dioph.SequenceResult(spec=spec, step=(), proof="evaluated")
+        assert a == b and a.solutions == [] and a.evaluated == 0
+        a.solutions.append((1, 0, 0, 0))
+        assert b.solutions == [] and a != b
+        assert generate_sequence(spec).solutions is not \
+            generate_sequence(spec).solutions
+
+
 class TestSequences:
     def test_quartic_reference_table(self):
         r = generate_sequence(SequenceSpec(

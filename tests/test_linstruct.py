@@ -52,6 +52,30 @@ def as_forms(q):
         [q * y1, q * y2], ("p",), (("x1", "x2"), ("y1", "y2")))
 
 
+class TestRecords:
+    """NotInSpan and NotClosed are immutable values."""
+
+    def test_equal_by_value(self):
+        w = NotInSpan(entry=(0, 1), residual=None, reason="division")
+        assert w == NotInSpan(entry=(0, 1), residual=None, reason="division")
+        assert w != NotInSpan(entry=(1, 0), residual=None, reason="division")
+        assert NotClosed(order=2, witness=w) == NotClosed(order=2, witness=w)
+        assert NotClosed(order=2, witness=w) != NotClosed(order=3, witness=w)
+
+    def test_witness_of_a_closure_equals_its_rebuilt_value(self):
+        got = tracefree("t", "b", "c").closure(2)
+        assert got == NotClosed(order=2, witness=NotInSpan(
+            entry=got.witness.entry, residual=got.witness.residual,
+            reason=got.witness.reason))
+
+    def test_fields_cannot_be_assigned(self):
+        w = NotInSpan(entry=(0, 1), residual=None, reason="division")
+        with pytest.raises(AttributeError):
+            w.reason = "mismatch"
+        with pytest.raises(AttributeError):
+            NotClosed(order=2, witness=w).order = 3
+
+
 class TestConstruction:
     def test_from_matrix_instantiate_round_trip(self):
         st = pell("p", "q")
