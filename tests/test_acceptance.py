@@ -4,9 +4,7 @@ All arithmetic is exact; every comparison is equality of integers or of
 polynomials over the integers.
 """
 
-from matform import catalog
-from matform.catalog import (family, quartic_inverse_forms,
-                             verify_threefold_genuineness)
+from matform.catalog import family
 from matform.compose import (
     MultilinearMap,
     ZeroResidual,
@@ -16,7 +14,9 @@ from matform.compose import (
 )
 from matform.dioph import SequenceSpec, brute_force_search, generate_sequence
 from matform.linstruct import NotClosed, NotInSpan
-from matform.polyring import Polynomial, VarTable
+from matform.polyring import VarTable
+
+import paper
 
 
 def _apply_polys(cmap, args, table):
@@ -33,11 +33,11 @@ def _apply_polys(cmap, args, table):
 
 def test_criterion_1_symbolic_identity_suite():
     """f(x)f(y) - f(z(x,y)) == 0 identically for every two-argument family,
-    all parameters symbolic."""
+    all parameters symbolic, with z the paper's printed law."""
     for name in ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
                  "sextic_circulant", "octic8x8"):
         fam = family(name)
-        result = verify_identity(fam.form, fam.pair_map, fam.coord_names,
+        result = verify_identity(fam.form, paper.law(name), fam.coord_names,
                                  structure=fam.structure)
         assert isinstance(result, ZeroResidual), name
 
@@ -50,10 +50,12 @@ def test_criterion_2_threefold_suite():
     res = verify_identity(quad.form, quad.triple_map(), quad.coord_names)
     assert isinstance(res, ZeroResidual), "quadratic"
 
-    # quartic and octic trilinear identities
-    for name in ("threefold4x4", "threefold8x8"):
+    # quartic and octic trilinear identities: the paper's printed law
+    # for the quartic, the structure's own for the octic
+    for name, law in (("threefold4x4", paper.law("threefold4x4")),
+                      ("threefold8x8", family("threefold8x8").triple_map())):
         fam = family(name)
-        res = verify_identity(fam.form, fam.triple_map(), fam.coord_names,
+        res = verify_identity(fam.form, law, fam.coord_names,
                               structure=fam.structure)
         assert isinstance(res, ZeroResidual), name
 
@@ -65,13 +67,13 @@ def test_criterion_2_threefold_suite():
         assert isinstance(failed.witness, NotInSpan), name
 
     # degenerate parameter choices collapse the forms to powers
-    q4 = verify_threefold_genuineness(family("threefold4x4"),
-                                      family("threefold4x4").degenerate_witness)
+    q4 = family("threefold4x4").specialize(
+        family("threefold4x4").degenerate_witness).form
     t = q4.table
     assert q4 == 4 * t.var("x4") ** 4
 
-    q8 = verify_threefold_genuineness(family("threefold8x8"),
-                                      family("threefold8x8").degenerate_witness)
+    q8 = family("threefold8x8").specialize(
+        family("threefold8x8").degenerate_witness).form
     t = q8.table
     assert q8 == 16 * t.var("x2") ** 8
 
@@ -81,7 +83,7 @@ def test_criterion_3_form_cross_checks():
     determinant splits into its quadratic and quartic factors."""
     quartic = family("quartic4x4")
     det = quartic.structure.form(quartic.coord_names)
-    printed = quartic.printed_form
+    printed = paper.printed_form("quartic4x4")
     if printed.table != det.table:
         printed = printed.embed(det.table)
     assert printed == det
@@ -177,7 +179,8 @@ def test_criterion_5_group_law_suite():
     # printed inverse formulas agree with the solver at the reference point
     env = {"m": 5, "n": -23, "p": 2, "q": -7,
            "x1": 6, "x2": 2, "x3": 3, "x4": 1}
-    printed_inverse = tuple(f.eval_int(env) for f in quartic_inverse_forms())
+    printed_inverse = tuple(f.eval_int(env)
+                            for f in paper.quartic_inverse_forms())
     assert printed_inverse == (32, -4, -8, 1)
     assert printed_inverse == invert(quartic.pair_map, (6, 2, 3, 1))
 
@@ -190,7 +193,7 @@ def test_criterion_6_brute_force_oracle():
 
     # independent route: evaluate the printed polynomial, not the matrix
     # determinant, over the same box traversed in reverse
-    printed = family("quartic4x4").printed_form.specialize(
+    printed = paper.printed_form("quartic4x4").specialize(
         {"m": 5, "n": -23, "p": 2, "q": -7})
     box = range(6, -7, -1)
     expected = set()

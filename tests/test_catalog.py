@@ -1,23 +1,21 @@
-"""The built-in form families: transcribed data against derived data."""
+"""The built-in form families: the paper's transcriptions against the
+data derived from the structures."""
+
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matform import catalog
-from matform.catalog import (
-    NotTernaryCubic,
-    ParamArity,
-    UnknownFamily,
-    circulant_factor_check,
-    companion_family,
-    cubic_norm_progression_test,
-    family,
-    list_families,
-    quartic_inverse_forms,
-)
-from matform.compose import MultilinearMap
+from matform.catalog import (FormFamily, ParamArity, UnknownFamily, family,
+                             list_families)
+from matform.compose import MultilinearMap, ZeroResidual, verify_identity
 from matform.linstruct import NotClosed
+from matform.polyring import PolyError, Polynomial, VarTable
+
+import paper
+from companion import companion_family
 
 # the families whose structure is in their own parameters
 STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -64,6 +62,15 @@ class TestRegistry:
         assert (degree, fam.h, fam.param_names) == \
             (entry.degree, law.h, law.params)
 
+    @pytest.mark.parametrize("name", list(catalog._REGISTRY))
+    def test_law_is_built_only_without_an_own_structure(self, name):
+        # one source per law: a structure in the family's own parameters
+        # gives the law by its closure, so no such entry builds one
+        entry = catalog._REGISTRY[name]
+        parts = entry.build()
+        st = parts.get("structure")
+        assert ("law" in parts) == (st is None or st.params != entry.params)
+
     def test_kinds_and_dimensions(self):
         info = {e["name"]: e for e in list_families()}
         assert info["quad2x2"]["degree"] == 2 and info["quad2x2"]["coords"] == 2
@@ -74,8 +81,9 @@ class TestRegistry:
 
 
 class TestTranscribedAgainstDerived:
-    """The hand-entered composition maps must equal the maps the matrix
-    structures induce (derived independently through symbolic closure)."""
+    """The paper's printed composition maps must equal the maps the matrix
+    structures induce (derived independently through symbolic closure),
+    which are the families' laws at run time."""
 
     @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4"])
     def test_pair_map_matches_closure_outputs(self, name):
@@ -85,7 +93,7 @@ class TestTranscribedAgainstDerived:
         derived = MultilinearMap.from_forms(
             law.forms(law.coord_sets), fam.structure.params,
             [tuple(cs) for cs in law.coord_sets])
-        assert derived == fam.pair_map
+        assert derived == paper.law(name)
 
     def test_threefold4x4_map_matches_closure_outputs(self):
         fam = family("threefold4x4")
@@ -94,27 +102,47 @@ class TestTranscribedAgainstDerived:
         derived = MultilinearMap.from_forms(
             law.forms(law.coord_sets), fam.structure.params,
             [tuple(cs) for cs in law.coord_sets])
-        assert derived == fam.triple_map()
+        assert derived == paper.law("threefold4x4")
 
     @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4",
                                       "sextic6x6", "sextic_circulant",
                                       "octic8x8"])
     def test_pair_closure_is_the_transcribed_pair_map(self, name):
         fam = family(name)
-        assert fam.structure.closure(2) == fam.pair_map
+        assert fam.structure.closure(2) == paper.law(name)
 
-    def test_derived_law_is_the_structure_closure(self):
-        # one cache: the family keeps the object its structure's closure
-        # returned, not a copy
-        fam = family("threefold8x8")
-        assert fam.triple_map() is fam.structure.closure(3)
+    @pytest.mark.parametrize("name", STRUCTURED)
+    def test_derived_law_is_the_structure_closure(self, name):
+        # one source and one cache: the family keeps the object its
+        # structure's closure returned, not a copy
+        fam = family(name)
+        law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
+        assert law is fam.structure.closure(law.k)
 
-    @pytest.mark.parametrize("name", ["cubic3x3", "quartic4x4", "threefold4x4"])
+    def test_threefold_quadratic_law_is_its_closure_with_t_squared_as_a(self):
+        # the structure is in (t, b, c), the family in (a, b, c): its
+        # triple closure holds only even powers of t, and t^2 -> a gives psi
+        fam = family("threefold_quadratic")
+        closure = fam.structure.closure(3)
+        assert closure.params == ("t", "b", "c")
+        abc = VarTable(fam.param_names)
+
+        def t_squared_as_a(c: Polynomial) -> Polynomial:
+            assert all(m[0] % 2 == 0 for m in c.terms), c
+            return Polynomial(abc, {(m[0] // 2,) + tuple(m[1:]): v
+                                    for m, v in c.terms.items()})
+
+        assert len(closure.coeff) == 10
+        psi = MultilinearMap(3, 2, fam.param_names,
+                             {key: t_squared_as_a(c)
+                              for key, c in closure.coeff.items()})
+        assert psi == fam.triple_map()
+
+    @pytest.mark.parametrize("name", paper.PRINTED_FAMILIES)
     def test_printed_form_equals_determinant(self, name):
         fam = family(name)
         det = fam.structure.form(fam.coord_names)
-        printed = fam.printed_form
-        assert printed is not None
+        printed = paper.printed_form(name)
         if printed.table != det.table:
             printed = printed.embed(det.table)
         assert printed == det
@@ -204,19 +232,42 @@ class TestIntegerMatrix:
 
 class TestInverseFormulas:
     def test_printed_inverse_at_reference_point(self):
-        forms = quartic_inverse_forms()
+        forms = paper.quartic_inverse_forms()
         env = {"m": 5, "n": -23, "p": 2, "q": -7,
                "x1": 6, "x2": 2, "x3": 3, "x4": 1}
         assert tuple(f.eval_int(env) for f in forms) == (32, -4, -8, 1)
 
     def test_printed_inverse_is_group_inverse(self):
         fam = family("quartic4x4", (5, -23, 2, -7))
-        forms = quartic_inverse_forms()
+        forms = paper.quartic_inverse_forms()
         for point in [(6, 2, 3, 1), (352, 121, 192, 66)]:
             env = {"m": 5, "n": -23, "p": 2, "q": -7}
             env.update(zip(("x1", "x2", "x3", "x4"), point))
             inv = tuple(f.eval_int(env) for f in forms)
             assert fam.pair_map.apply((point, inv)) == (1, 0, 0, 0)
+
+
+class NotTernaryCubic(PolyError):
+    """The geometric-progression test needs a cubic form in three variables."""
+
+
+def cubic_norm_progression_test(fam: FormFamily
+                                ) -> Tuple[bool, Tuple[int, int, int]]:
+    """Necessary condition for a ternary cubic to be a norm form: the
+    coefficients of x1^3, x2^3, x3^3 must be in geometric progression
+    (c1*c3 = c2^2).  Returns (verdict, (c1, c2, c3)).
+
+    It compares integer coefficients, so a symbolic family with parameters
+    raises ValueError.
+    """
+    if fam.degree != 3 or fam.h != 3:
+        raise NotTernaryCubic(f"{fam.name} is not a ternary cubic")
+    if fam.is_symbolic() and fam.arity > 0:
+        raise ValueError(f"{fam.name} needs numeric parameter values")
+    form = fam.form
+    c1, c2, c3 = (form.coefficient_of(tuple(3 if j == i else 0 for j in range(3)))
+                  for i in range(3))
+    return (c1 * c3 == c2 * c2, (c1, c2, c3))
 
 
 class TestNormProgression:
@@ -249,11 +300,25 @@ class TestNormProgression:
 
 
 class TestCirculantFactorization:
+    """The facts behind the simultaneous sextic system: the circulant's
+    determinant is f1*f2, and each factor composes under the shared map,
+    in the x-coordinates and in the u-coordinates.  Expansion factor by
+    factor checks that the factors multiply to the form (the determinant
+    for the circulant) before it expands each factor's identity."""
+
+    @staticmethod
+    def factorwise(params):
+        for name in ("sextic_circulant", "sextic_uv"):
+            fam = family(name, params)
+            res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
+                                  factors=fam.factors)
+            assert isinstance(res, ZeroResidual), name
+
     def test_symbolic_check_passes(self):
-        assert circulant_factor_check() is True
+        self.factorwise(None)
 
     def test_numeric_check_passes(self):
-        assert circulant_factor_check(3) is True
+        self.factorwise((3,))
 
     def test_mutated_factor_fails(self):
         # same machinery, wrong data: f1 shifted by one is no longer a

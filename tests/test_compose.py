@@ -1,23 +1,25 @@
 """Bilinear/trilinear composition maps and identity verification."""
 
 import math
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matform import catalog, compose
-from matform.catalog import diophantine_chain, verify_threefold_genuineness
 from matform.compose import (
     MultilinearMap,
     NotAUnit,
-    WrongFamilyKind,
     ZeroResidual,
     identity_element,
     invert,
     verify_identity,
 )
 from matform.polyring import Polynomial, VarTable
+
+import paper
+from companion import companion_family
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
@@ -171,7 +173,7 @@ class TestVerifyIdentity:
         assert res.as_int() == -1
 
     def test_companion_structure_proves_by_its_own_recipe(self):
-        fam = catalog.companion_family((0, 0, -2))
+        fam = companion_family((0, 0, -2))
         res = verify_identity(None, fam.pair_map, fam.coord_names,
                               structure=fam.structure)
         assert res == ZeroResidual("matrix",
@@ -245,10 +247,11 @@ class TestRoute:
 
 class TestIntegerPointOracle:
     """f(x)f(y)[f(z)] = f(map(...)) at integer points, evaluated term by
-    term from the transcribed forms and maps where they exist.  This is the
-    check, independent of both proof routes, for the identities that the
-    matrix route now proves without expanding them; the expansion tests
-    prove the other two."""
+    term from the paper's printed forms and laws where it prints them.
+    This is the check, independent of both proof routes and of the
+    closure that gives the run-time law, for the identities that the
+    matrix route proves without expanding them; the expansion tests prove
+    the other two."""
 
     @pytest.mark.parametrize("name", MATRIX_ROUTED)
     @given(data=st.data())
@@ -262,11 +265,12 @@ class TestIntegerPointOracle:
         values = data.draw(st.tuples(*[nonzero] * base.arity))
         fam = base.specialize(values)
         assert fam.structure.params == ()
-        cmap = composition_map(fam)
+        cmap = (paper.law(name).specialize(values)
+                if name in paper.LAW_FAMILIES else composition_map(fam))
         points = data.draw(st.tuples(
             *[st.tuples(*[nonzero] * fam.h)] * cmap.k))
-        transcribed = ((base.printed_form,) if base.printed_form is not None
-                       else base.factors)
+        transcribed = ((paper.printed_form(name),)
+                       if name in paper.PRINTED_FAMILIES else base.factors)
         at_values = [p.specialize(dict(zip(base.param_names, values)))
                      for p in transcribed]
 
@@ -321,13 +325,9 @@ class TestGroupLaw:
 
 
 class TestThreefold:
-    def test_genuineness_wrong_kind(self):
-        with pytest.raises(WrongFamilyKind):
-            verify_threefold_genuineness(catalog.family("quad2x2"), (0, 1))
-
     def test_quadratic_witness_is_definite_negative(self):
         fam = catalog.family("threefold_quadratic")
-        w = verify_threefold_genuineness(fam, fam.degenerate_witness)
+        w = fam.specialize(fam.degenerate_witness).form
         t = w.table
         x1, x2 = t.var("x1"), t.var("x2")
         assert w == -(x1 ** 2) - x2 ** 2
@@ -336,6 +336,23 @@ class TestThreefold:
         fam = catalog.family("threefold_quadratic")
         res = verify_identity(fam.form, fam.triple_map(), fam.coord_names)
         assert isinstance(res, ZeroResidual)
+
+
+def diophantine_chain(a: int, b: int, c: int,
+                      x: Sequence[int], y: Sequence[int], z: Sequence[int]):
+    """Three value-sharing points of the quadratic a*u1^2 + b*u1*u2 + c*u2^2.
+
+    The trilinear law psi applied to (x, y, z) and to its two rotations
+    gives u = psi(x, y, z), v = psi(y, z, x) and w = psi(z, x, y), with
+    Q(u) = Q(v) = Q(w) = Q(x)Q(y)Q(z); the shared value is returned
+    alongside the points.
+    """
+    fam = catalog.family("threefold_quadratic", (a, b, c))
+    psi = fam.triple_map()
+    u, v, w = (psi.apply(args) for args in ((x, y, z), (y, z, x), (z, x, y)))
+    value = fam.evaluate(u)
+    assert fam.evaluate(v) == value and fam.evaluate(w) == value
+    return u, v, w, value
 
 
 class TestDiophantineChain:

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matform import dioph
-from matform.catalog import (FormFamily, companion_family, family,
-                             list_families)
+from matform.catalog import FormFamily, family, list_families
 from matform.cli import _no_int_str_limit, main
 from matform.compose import MultilinearMap
 from matform.dioph import (
@@ -27,7 +26,9 @@ from matform.dioph import (
     brute_force_search,
     generate_sequence,
 )
-from matform.linstruct import companion_structure
+
+import paper
+from companion import companion_family, companion_structure
 
 
 def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
@@ -254,8 +255,8 @@ def bumped(cmap, key):
 
 
 def printed(fam):
-    """f at a point, term by term from the transcribed printed form."""
-    form = fam.printed_form.specialize(
+    """f at a point, term by term from the paper's printed form."""
+    form = paper.printed_form(fam.name).specialize(
         dict(zip(fam.param_names, fam.param_values)))
 
     def f(v):

@@ -12,9 +12,10 @@ from matform.linstruct import (
     NotInSpan,
     ParameterCollision,
     _multilinear_coeffs,
-    companion_structure,
 )
 from matform.polyring import PolyMatrix, Polynomial, VarTable
+
+from companion import companion_structure
 
 
 def pell(c1: str, c2: str) -> LinearStructure:
