@@ -5,15 +5,16 @@ usually realized as the determinant of a matrix with a linear structure,
 together with the bilinear or trilinear composition law the family carries.
 Where the structure is in the family's own parameters, its determinant is
 the form and its closure is the law: both come from the structure alone.
-A law is transcribed here only for the two families without such a
-structure (sextic_uv has none, threefold_quadratic's is in t, b, c).  The
-paper's printed laws and expansions are the test suite's reference data,
-checked there against the derived ones.
+threefold_quadratic's structure is in (t, b, c): its law psi is the triple
+closure and its form Q is -det, each with t^2 read as a.  Only sextic_uv,
+which has no structure, has its law and factor forms transcribed here.
+The paper's printed laws, expansions and factorizations are the test
+suite's reference data, checked there against the derived ones.
 
 The registry holds each family's metadata (description, kind, parameter
-and coordinate names, degree), which `list_families` reads without
-building anything, and the builder of its heavy parts, which `family`
-calls once per process, on first use.
+and coordinate names, degree), which `list_families` prints without
+building anything, and the builder of the parts the run path reads, which
+`family` calls once per process, on first use.
 """
 
 from __future__ import annotations
@@ -53,37 +54,32 @@ class FormFamily:
     only), or "uv" (the simultaneous two-form system with no matrix
     structure of its own).  A family has one law per arity, `pair_map`
     (bilinear) and `triple_map()` (trilinear); argument order is the
-    caller's.  Each is its structure's closure where the structure is in
-    the family's own parameters, else the `law` passed in (the only law a
-    family without such a structure has).  A numeric family owns
-    everything that depends on its parameter values (structure, form and
-    laws, each derived on first use and kept; the structure carries its
-    own read positions) and proves its identity with `verify`.  The
-    integer A(point) of `matrix` is the parameter-free structure's
-    `matrix_of`.
+    caller's.  Each is its structure's closure (with t^2 read as a for
+    threefold_quadratic), else the `law` passed in (sextic_uv's, the only
+    family without a structure).  `factors`, where passed, define the form
+    of a family whose structure is not in its own parameters.  A numeric
+    family owns everything that depends on its parameter values
+    (structure, form and laws, each derived on first use and kept) and
+    proves its identity with `verify`.  The integer A(point) of `matrix`
+    is the parameter-free structure's `matrix_of`.
     """
 
-    def __init__(self, name: str, description: str, kind: str,
+    def __init__(self, name: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
-                 degree: int,
                  structure: Optional[LinearStructure] = None,
                  law: Optional[MultilinearMap] = None,
                  printed_form: Optional[Polynomial] = None,
                  factors: Optional[Tuple[Polynomial, ...]] = None,
-                 degenerate_witness: Optional[Tuple[int, ...]] = None,
                  param_values: Optional[Tuple[int, ...]] = None,
                  base: Optional["FormFamily"] = None):
         self.name = name
-        self.description = description
         self.kind = kind
         self.param_names = tuple(param_names)
         self.coord_names = tuple(coord_names)
-        self.degree = degree
         self._structure = structure
         # the quartic's printed expansion, symbolic; bench/oracle.py reads it
         self.printed_form = printed_form
         self._factors_symbolic = factors
-        self.degenerate_witness = degenerate_witness
         self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
         self._form: Optional[Polynomial] = None
@@ -115,12 +111,10 @@ class FormFamily:
             raise ParamArity(
                 f"{self.name} takes {self.arity} parameters, got {len(values)}")
         return FormFamily(
-            self.name, self.description, self.kind, self.param_names,
-            self.coord_names, self.degree, structure=self._structure,
-            printed_form=self.printed_form,
-            factors=self._factors_symbolic,
-            degenerate_witness=self.degenerate_witness,
-            param_values=values, base=self._base)
+            self.name, self.kind, self.param_names, self.coord_names,
+            structure=self._structure, printed_form=self.printed_form,
+            factors=self._factors_symbolic, param_values=values,
+            base=self._base)
 
     # -- matrix realization -------------------------------------------------
 
@@ -181,20 +175,27 @@ class FormFamily:
 
     def _law(self, k: int) -> MultilinearMap:
         """The law of arity k (2 or 3), derived on first use and kept: the
-        law passed in, else the closure of the structure in the family's
-        own parameters (the object its closure cache holds).  A numeric
-        family specializes the symbolic family's law."""
+        law passed in, else the closure of the family's structure.  That
+        is the object the structure's closure cache holds where the
+        structure is in the family's own parameters; threefold_quadratic's
+        is in (t, b, c), and its closure with t^2 read as a is psi.  A
+        numeric family specializes the symbolic family's law."""
         law = self._laws.get(k)
         if law is None and not self.is_symbolic():
             law = self._base._law(k).specialize(self.param_values)
         elif law is None:
             word = {2: "bilinear", 3: "trilinear"}[k]
-            st = self._own_structure()[0]
+            st = self._structure
             if st is None or (k == 2 and self.kind == "triple"):
                 raise PolyError(f"{self.name} has no {word} composition map")
             law = st.closure(k)
             if isinstance(law, NotClosed):
                 raise PolyError(f"{self.name} {word} closure failed unexpectedly")
+            if st.params != self.param_names:
+                table = VarTable(self.param_names)
+                law = MultilinearMap(k, law.h, table.names, {
+                    key: _t_squared_as_a(c, table)
+                    for key, c in law.coeff.items()})
         self._laws[k] = law
         return law
 
@@ -303,50 +304,53 @@ def _cubic_structure() -> LinearStructure:
         ])
 
 
-# -- laws of the families without a structure in their own parameters ---------
+# -- threefold_quadratic, from its structure in (t, b, c) ---------------------
 
 
-def _map_from(params: Sequence[str], h: int, k: int, builder) -> MultilinearMap:
-    """The arity-k map whose outputs `builder` writes in x.., y.. [, z..]."""
-    coord_sets = argument_names(h, k)
-    _, v = _vars(tuple(params) + sum(coord_sets, ()))
-    return MultilinearMap.from_forms(builder(v), params, coord_sets)
+def _t_squared_as_a(poly: Polynomial, table: VarTable) -> Polynomial:
+    """`poly`, whose first variable is t, over `table`, whose first is a,
+    with t^2 read as a; raises ValueError on an odd power of t."""
+    terms = {}
+    for m, c in poly.terms.items():
+        if m[0] % 2:
+            raise ValueError(f"odd power of {poly.table.names[0]} in {poly}")
+        terms[(m[0] // 2,) + m[1:]] = c
+    return Polynomial(table, terms)
+
+
+def _threefold_quadratic() -> dict:
+    """The trace-free structure in (t, b, c) and the form it defines,
+    Q = a*x1^2 + b*x1*x2 + c*x2^2: -det with t^2 read as a."""
+    st = _tracefree_structure("t", "b", "c")
+    coords = _coords("x", 2)
+    form = _t_squared_as_a(-st.form(coords), VarTable(("a", "b", "c") + coords))
+    return dict(structure=st, factors=(form,))
+
+
+# -- sextic_uv, the family without a structure ---------------------------------
 
 
 def _uv_map() -> MultilinearMap:
-    # The map is written below in x (first argument) and y (second argument);
-    # the family's own coordinates are named u1..u6.
-    def build(v):
-        q = v["q"]
-        u1, u2, u3, u4, u5, u6 = (v["x1"], v["x2"], v["x3"],
-                                  v["x4"], v["x5"], v["x6"])
-        v1, v2, v3, v4, v5, v6 = (v["y1"], v["y2"], v["y3"],
-                                  v["y4"], v["y5"], v["y6"])
-        w1 = u1*v1 + q*u2*v2
-        w2 = u1*v2 + u2*v1
-        w3 = (u1*v3 + q*u2*v4 + u3*v1 - 2*u3*v3 - u3*v6 + q*u4*v2
-              - 2*q*u4*v4 - q*u4*v5 - q*u5*v4 + q*u5*v5 - u6*v3 + u6*v6)
-        w4 = (u1*v4 + u2*v6 - u3*v4 + u3*v5 + u4*v1 - u4*v3 - 2*u4*v6
-              + u5*v3 - u5*v6 + u6*v2 - 2*u6*v4 - u6*v5)
-        w5 = (u1*v5 + u2*v3 + u3*v2 - u3*v4 - 2*u3*v5 - u4*v3
-              + u4*v6 + u5*v1 - 2*u5*v3 - u5*v6 + u6*v4 - u6*v5)
-        w6 = (u1*v6 + q*u2*v2 - q*u2*v4 - q*u2*v5 + u3*v3 - u3*v6
-              - q*u4*v2 + q*u4*v4 + 2*q*u4*v5 - q*u5*v2 + 2*q*u5*v4
-              + q*u5*v5 + u6*v1 - u6*v3 - 2*u6*v6)
-        return [w1, w2, w3, w4, w5, w6]
-    return _map_from(("q",), 6, 2, build)
-
-
-def _threefold_quadratic_map() -> MultilinearMap:
-    """The trilinear law psi of Q = a*x1^2 + b*x1*x2 + c*x2^2:
-    Q(x)Q(y)Q(z) = Q(psi(x, y, z)).  It is the triple closure of the
-    trace-free structure in (t, b, c) with t^2 read as a."""
-    def build(v):
-        a, b, c, x1, x2, y1, y2, z1, z2 = (v[name] for name in (
-            "a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2"))
-        return [a*x1*y1*z1 + b*x1*y2*z1 + c*x1*y2*z2 - c*x2*y1*z2 + c*x2*y2*z1,
-                a*x1*y1*z2 - a*x1*y2*z1 + a*x2*y1*z1 + b*x2*y1*z2 + c*x2*y2*z2]
-    return _map_from(("a", "b", "c"), 2, 3, build)
+    """sextic_uv's bilinear law, written in x (first argument) and y
+    (second argument); the family's own coordinates are named u1..u6."""
+    coord_sets = argument_names(6, 2)
+    _, v = _vars(("q",) + sum(coord_sets, ()))
+    q = v["q"]
+    u1, u2, u3, u4, u5, u6 = (v[name] for name in coord_sets[0])
+    v1, v2, v3, v4, v5, v6 = (v[name] for name in coord_sets[1])
+    w1 = u1*v1 + q*u2*v2
+    w2 = u1*v2 + u2*v1
+    w3 = (u1*v3 + q*u2*v4 + u3*v1 - 2*u3*v3 - u3*v6 + q*u4*v2
+          - 2*q*u4*v4 - q*u4*v5 - q*u5*v4 + q*u5*v5 - u6*v3 + u6*v6)
+    w4 = (u1*v4 + u2*v6 - u3*v4 + u3*v5 + u4*v1 - u4*v3 - 2*u4*v6
+          + u5*v3 - u5*v6 + u6*v2 - 2*u6*v4 - u6*v5)
+    w5 = (u1*v5 + u2*v3 + u3*v2 - u3*v4 - 2*u3*v5 - u4*v3
+          + u4*v6 + u5*v1 - 2*u5*v3 - u5*v6 + u6*v4 - u6*v5)
+    w6 = (u1*v6 + q*u2*v2 - q*u2*v4 - q*u2*v5 + u3*v3 - u3*v6
+          - q*u4*v2 + q*u4*v4 + 2*q*u4*v5 - q*u5*v2 + 2*q*u5*v4
+          + q*u5*v5 + u6*v1 - u6*v3 - 2*u6*v6)
+    return MultilinearMap.from_forms([w1, w2, w3, w4, w5, w6], ("q",),
+                                     coord_sets)
 
 
 # -- forms and factors --------------------------------------------------------
@@ -376,33 +380,6 @@ def _quartic_printed_form() -> Polynomial:
             + 2*m*n*q**2*x3*x4**3 + n**2*q**2*x4**4)
 
 
-def _circulant_factors() -> Tuple[Polynomial, Polynomial]:
-    t, v = _vars(("q", "x1", "x2", "x3", "x4", "x5", "x6"))
-    q = v["q"]
-    x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
-                              v["x4"], v["x5"], v["x6"])
-    f1 = (x1 + x2 + x3)**2 - q*(x4 + x5 + x6)**2
-    f2 = (x1**4 - (2*x2 + 2*x3)*x1**3
-          + (3*x2**2 + 3*x3**2 - 2*q*x4**2 + 2*q*x4*x5 + 2*q*x4*x6
-             + q*x5**2 - 4*q*x5*x6 + q*x6**2)*x1**2
-          + (-2*x2**3 + 2*q*x2*x4**2 - 8*q*x2*x4*x5 + 4*q*x2*x4*x6
-             + 2*q*x2*x5**2 + 4*q*x2*x5*x6 - 4*q*x2*x6**2 - 2*x3**3
-             + 2*q*x3*x4**2 + 4*q*x3*x4*x5 - 8*q*x3*x4*x6 - 4*q*x3*x5**2
-             + 4*q*x3*x5*x6 + 2*q*x3*x6**2)*x1
-          + x2**4 - 2*x2**3*x3 + 3*x2**2*x3**2 + q*x2**2*x4**2
-          + 2*q*x2**2*x4*x5 - 4*q*x2**2*x4*x6 - 2*q*x2**2*x5**2
-          + 2*q*x2**2*x5*x6 + q*x2**2*x6**2 - 2*x2*x3**3
-          - 4*q*x2*x3*x4**2 + 4*q*x2*x3*x4*x5 + 4*q*x2*x3*x4*x6
-          + 2*q*x2*x3*x5**2 - 8*q*x2*x3*x5*x6 + 2*q*x2*x3*x6**2
-          + x3**4 + q*x3**2*x4**2 - 4*q*x3**2*x4*x5 + 2*q*x3**2*x4*x6
-          + q*x3**2*x5**2 + 2*q*x3**2*x5*x6 - 2*q*x3**2*x6**2
-          + q**2*x4**4 - 2*q**2*x4**3*x5 - 2*q**2*x4**3*x6
-          + 3*q**2*x4**2*x5**2 + 3*q**2*x4**2*x6**2 - 2*q**2*x4*x5**3
-          - 2*q**2*x4*x6**3 + q**2*x5**4 - 2*q**2*x5**3*x6
-          + 3*q**2*x5**2*x6**2 - 2*q**2*x5*x6**3 + q**2*x6**4)
-    return f1, f2
-
-
 def _uv_factors() -> Tuple[Polynomial, Polynomial]:
     t, v = _vars(("q", "u1", "u2", "u3", "u4", "u5", "u6"))
     q = v["q"]
@@ -430,12 +407,6 @@ def _uv_factors() -> Tuple[Polynomial, Polynomial]:
           + 9*q*u5**2*u6**2 + 9*u3**4 + 18*u3**3*u6 + 27*u3**2*u6**2
           + 18*u3*u6**3 + 9*u6**4)
     return f1, f2
-
-
-def _threefold_quadratic_form() -> Polynomial:
-    t, v = _vars(("a", "b", "c", "x1", "x2"))
-    a, b, c, x1, x2 = v["a"], v["b"], v["c"], v["x1"], v["x2"]
-    return a*x1**2 + b*x1*x2 + c*x2**2
 
 
 # -- the registry --------------------------------------------------------------
@@ -472,17 +443,17 @@ def _quartic_block() -> LinearStructure:
 
 
 class _Entry(NamedTuple):
-    """A family's registry entry.  The metadata is read without building
-    anything; `build()` returns the heavy parts (structure, factors, the
-    quartic's printed form, and the law of a family without a structure
-    in its own parameters) as `FormFamily` keywords."""
+    """A family's registry entry.  The metadata, which `list_families`
+    prints, is read without building anything; `build()` returns the parts
+    the run path reads as `FormFamily` keywords: the structure, the law
+    and factors of sextic_uv, threefold_quadratic's factor (its form) and
+    the quartic's printed form."""
     description: str
     kind: str
     params: Tuple[str, ...]
     coords: Tuple[str, ...]
     degree: int
     build: Callable[[], dict]
-    degenerate_witness: Optional[Tuple[int, ...]] = None
 
 
 _REGISTRY: Dict[str, _Entry] = {
@@ -509,8 +480,7 @@ _REGISTRY: Dict[str, _Entry] = {
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
         "pair", ("q",), _coords("x", 6), 6,
-        lambda: dict(structure=_circulant_structure(),
-                     factors=_circulant_factors())),
+        lambda: dict(structure=_circulant_structure())),
     "sextic_uv": _Entry(
         "simultaneous pair u1^2 - q*u2^2 and a quartic in u1..u6 composed "
         "by one shared bilinear map",
@@ -527,11 +497,7 @@ _REGISTRY: Dict[str, _Entry] = {
     "threefold_quadratic": _Entry(
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
         "law, applied to its arguments in any order",
-        "triple", ("a", "b", "c"), _coords("x", 2), 2,
-        lambda: dict(structure=_tracefree_structure("t", "b", "c"),
-                     law=_threefold_quadratic_map(),
-                     factors=(_threefold_quadratic_form(),)),
-        degenerate_witness=(-1, 0, -1)),
+        "triple", ("a", "b", "c"), _coords("x", 2), 2, _threefold_quadratic),
     "threefold4x4": _Entry(
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
@@ -539,8 +505,7 @@ _REGISTRY: Dict[str, _Entry] = {
         lambda: dict(
             structure=_lift(_tracefree_structure("t", "p", "q"),
                             _tracefree_structure("s", "m", "n"),
-                            ("m", "n", "p", "q", "s", "t"))),
-        degenerate_witness=(0, 1, 0, 2, 0, 0)),
+                            ("m", "n", "p", "q", "s", "t")))),
     "threefold8x8": _Entry(
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
@@ -549,8 +514,7 @@ _REGISTRY: Dict[str, _Entry] = {
             _pell_structure("r", "s"),
             _pell_structure("p", "q").block_compose(
                 _tracefree_structure("t", "m", "n")),
-            ("m", "n", "p", "q", "r", "s", "t"))),
-        degenerate_witness=(0, 2, 0, 0, 0, 0, 0)),
+            ("m", "n", "p", "q", "r", "s", "t")))),
 }
 
 _SYMBOLIC: Dict[str, FormFamily] = {}
@@ -565,9 +529,7 @@ def family(name: str, params: Optional[Sequence[int]] = None) -> FormFamily:
     fam = _SYMBOLIC.get(name)
     if fam is None:
         fam = _SYMBOLIC[name] = FormFamily(
-            name, entry.description, entry.kind, entry.params, entry.coords,
-            entry.degree, degenerate_witness=entry.degenerate_witness,
-            **entry.build())
+            name, entry.kind, entry.params, entry.coords, **entry.build())
     if params is None:
         return fam
     return fam.specialize(params)

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  With
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import catalog, compose
 from .compose import ZeroResidual
 from .linstruct import NotClosed
-from .polyring import PolyError
+from .polyring import PolyError, no_int_str_limit
 
 
 def _int_vector(text: str) -> Tuple[int, ...]:
@@ -76,21 +75,6 @@ def _emit(obj, text, fmt: str) -> None:
 
 def _vec_strings(v: Sequence[int]) -> List[str]:
     return [str(c) for c in v]
-
-
-@contextlib.contextmanager
-def _no_int_str_limit():
-    """Lift CPython's int/str digit limit (3.10.7 and later) while a
-    command writes its output; long sequences pass 4300 digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -311,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with _no_int_str_limit():  # every input number is parsed by now
+        with no_int_str_limit():  # every input number is parsed by now
             return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

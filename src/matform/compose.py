@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 # the law and its two errors are defined in linstruct and re-exported here
 from .linstruct import (DimensionMismatch, LinearStructure, MultilinearMap,
                         NotClosed, WrongFamilyKind)
-from .polyring import PolyError, Polynomial, VarTable
+from .polyring import PolyError, Polynomial, VarTable, no_int_str_limit
 
 
 class NotAUnit(PolyError):
@@ -86,7 +86,7 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
     the arguments' structure, not their size:
     - "matrix" when `structure` is in the map's own parameters
       (structure.params == cmap.params).  It checks that the matrix family
-      closes (read back at the structure's own positions) with `cmap` as its
+      closes (read back on its first row) with `cmap` as its
       law, and det(A) == form where a form is given; multiplicativity of
       the determinant then proves the identity.
       Where the structure induces another map the route falls back to
@@ -161,7 +161,8 @@ def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
     out = []
     for v in y:
         if v.denominator != 1:
-            raise NotAUnit(f"non-integral inverse component {v}")
+            with no_int_str_limit():
+                raise NotAUnit(f"non-integral inverse component {v}")
         out.append(int(v))
     return tuple(out)
 

@@ -34,7 +34,7 @@ from operator import index
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .catalog import FormFamily
-from .polyring import PolyError, int_matrix_product
+from .polyring import PolyError, int_matrix_product, no_int_str_limit
 
 
 class SeedNotSolution(PolyError):
@@ -248,14 +248,18 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     if spec.count < 0:
         raise ValueError(f"count must be >= 0, got {spec.count}")
     seed = tuple(map(index, spec.seed))
-    if fam.evaluate(seed) != 1:
-        raise SeedNotSolution(f"f{seed} = {fam.evaluate(seed)} != 1")
+    value = fam.evaluate(seed)
+    if value != 1:
+        with no_int_str_limit():
+            raise SeedNotSolution(f"f{seed} = {value} != 1")
     cmap = fam.pair_map if k == 2 else fam.triple_map()
     slots = [seed] + [tuple(map(index, p)) for p in spec.partners]
     for j, vec in enumerate(slots[1:], 1):
-        if fam.evaluate(vec) != 1:
+        value = fam.evaluate(vec)
+        if value != 1:
             where = "" if k == 2 else f"fixed{j}: "
-            raise StepNotSolution(f"{where}f{vec} = {fam.evaluate(vec)} != 1")
+            with no_int_str_limit():
+                raise StepNotSolution(f"{where}f{vec} = {value} != 1")
 
     args = [slots[s] for s in order]
     at = order.index(0)
@@ -273,8 +277,9 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
             if not proven or i == spec.count - 1:
                 result.evaluated += 1
                 if fam.evaluate(current) != 1:
-                    raise SequenceVerificationError(
-                        f"iterate {i} fails f = 1: {current}")
+                    with no_int_str_limit():
+                        raise SequenceVerificationError(
+                            f"iterate {i} fails f = 1: {current}")
         result.solutions.append(current)
     return result
 
@@ -363,7 +368,9 @@ def brute_force_search(fam: FormFamily, bound: int,
 
     walk(0, (), coeffs)
     for v in out:
-        if fam.evaluate(v) != target:
-            raise SearchVerificationError(
-                f"search hit {v} has f = {fam.evaluate(v)} != {target}")
+        value = fam.evaluate(v)
+        if value != target:
+            with no_int_str_limit():
+                raise SearchVerificationError(
+                    f"search hit {v} has f = {value} != {target}")
     return out

@@ -3,14 +3,15 @@
 A LinearStructure describes an n x n matrix A(x_1..x_h) whose (i,j) entry is
 sum_r L[i][j][r] * x_r, with each L[i][j][r] a polynomial in named integer
 parameters: A(x) = sum_r x_r E_r for the basis matrices E_r = L[.][.][r].
+A structure is its coefficients alone: like every matrix in the paper, it
+carries its h <= n coordinates on the first row, x_t at (0, t).
 Closure under matrix multiplication is a fact about the basis products:
 A(x)A(y) = A(z) for bilinear z exactly when every E_r E_s equals
-sum_t c_rs^t E_t, each c_rs^t read off the product at the structure's
-position for t and divided by E_t's own entry there, the divisor.  The c's
-are the structure constants of the algebra the matrices span; closure
-returns them as the composition law itself, a MultilinearMap with
-A(x)A(y) = A(map(x, y)).  A closed
-pair table gives the triple table without a matrix product, as
+sum_t c_rs^t E_t, each c_rs^t read off the product at (0, t) and divided
+by E_t's own entry there, the divisor.  The c's are the structure
+constants of the algebra the matrices span; closure returns them as the
+composition law itself, a MultilinearMap with A(x)A(y) = A(map(x, y)).  A
+closed pair table gives the triple table without a matrix product, as
 c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
 products (E_r E_s) E_u read the same way.  Every product, division and
 entrywise check is exact over the parameters, never sampled.
@@ -283,20 +284,23 @@ class MultilinearMap:
 
 
 class LinearStructure:
-    """n x n matrix family with entries linear in h coordinate variables.
+    """n x n matrix family with entries linear in h <= n coordinate
+    variables.
 
-    Coordinate t is read back from a product at `positions[t]`, a 0-based
-    (row, col) that defaults to the first row, divided by `divisors[t]`,
-    its own coefficient L[i][j][t] there: one term, or 0 where the
-    structure cannot be read at these parameter values.
+    Coordinate t is read back from a product at (0, t), on the first row,
+    divided by `divisors[t]`, its own coefficient L[0][t][t] there: one
+    term, or 0 where the structure cannot be read at these parameter
+    values.
     """
 
     def __init__(self, n: int, h: int, params: Sequence[str],
-                 coeff: Sequence[Sequence[Sequence[Polynomial]]],
-                 positions: Optional[Sequence[Tuple[int, int]]] = None):
+                 coeff: Sequence[Sequence[Sequence[Polynomial]]]):
         self.n = n
         self.h = h
         self.param_table = VarTable(params)
+        if h > n:
+            raise ValueError(f"{h} coordinates do not fit the first row of "
+                             f"a {n} x {n} matrix")
         if len(coeff) != n or any(len(row) != n for row in coeff):
             raise ValueError("coefficient tensor must be n x n")
         for row in coeff:
@@ -307,14 +311,7 @@ class LinearStructure:
                     if p.table != self.param_table:
                         raise ValueError("coefficients must live over the parameter table")
         self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
-        if positions is None:
-            positions = [(0, j) for j in range(h)]
-        self.positions = tuple(map(tuple, positions))
-        if len(self.positions) != h or not all(
-                0 <= i < n and 0 <= j < n for i, j in self.positions):
-            raise ValueError(f"need {h} positions in the {n} x {n} matrix")
-        self.divisors = tuple(self.coeff[i][j][t]
-                              for t, (i, j) in enumerate(self.positions))
+        self.divisors = tuple(self.coeff[0][t][t] for t in range(h))
         if any(d.term_count() > 1 for d in self.divisors):
             raise ValueError("each divisor must have at most one term")
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
@@ -325,10 +322,14 @@ class LinearStructure:
     def params(self) -> Tuple[str, ...]:
         return self.param_table.names
 
+    @property
+    def positions(self) -> Tuple[Tuple[int, int], ...]:
+        """The (row, col) each coordinate is read at: (0, t) for t."""
+        return tuple((0, t) for t in range(self.h))
+
     @classmethod
     def from_matrix(cls, params: Sequence[str], coords: Sequence[str],
-                    entries: Sequence[Sequence[Polynomial]],
-                    positions: Optional[Sequence[Tuple[int, int]]] = None
+                    entries: Sequence[Sequence[Polynomial]]
                     ) -> "LinearStructure":
         """Build a structure from a symbolic matrix over params + coords.
 
@@ -341,7 +342,7 @@ class LinearStructure:
         coeff = [[[cell.get((r,), ptable.zero()) for r in range(len(coords))]
                   for cell in row]
                  for row in cells]
-        return cls(len(entries), len(coords), params, coeff, positions)
+        return cls(len(entries), len(coords), params, coeff)
 
     # -- instantiation ----------------------------------------------------
 
@@ -411,20 +412,22 @@ class LinearStructure:
             self._form_cache[key] = got
         return got
 
+    def _mapped(self, params: Sequence[str], fn) -> "LinearStructure":
+        """The structure over `params` with fn(c) for every coefficient c."""
+        return LinearStructure(self.n, self.h, params,
+                               [[[fn(c) for c in cell] for cell in row]
+                                for row in self.coeff])
+
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
         """Substitute integer values for all parameters (result has none)."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [index(v) for v in param_values]
         empty = VarTable(())
-        coeff = [[[empty.const(self.coeff[i][j][r].eval_vector(pv))
-                   for r in range(self.h)]
-                  for j in range(self.n)]
-                 for i in range(self.n)]
-        return LinearStructure(self.n, self.h, (), coeff, self.positions)
+        return self._mapped((), lambda c: empty.const(c.eval_vector(pv)))
 
     def to_json_obj(self) -> dict:
-        """The coefficients only (the positions are not written)."""
+        """The coefficients only (the read positions, (0, t), follow)."""
         return {
             "n": self.n,
             "h": self.h,
@@ -437,19 +440,14 @@ class LinearStructure:
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
         """Same structure with parameters renamed."""
-        new_names = tuple(mapping.get(p, p) for p in self.params)
-        table = VarTable(new_names)
-        coeff = [[[Polynomial(table, self.coeff[i][j][r].terms)
-                   for r in range(self.h)]
-                  for j in range(self.n)]
-                 for i in range(self.n)]
-        return LinearStructure(self.n, self.h, new_names, coeff, self.positions)
+        table = VarTable(mapping.get(p, p) for p in self.params)
+        return self._mapped(table.names, lambda c: Polynomial(table, c.terms))
 
     # -- extraction -------------------------------------------------------
 
     def extract_coordinates(self, matrix: PolyMatrix):
-        """Read coordinates back from `matrix` at the structure's positions,
-        or report NotInSpan.
+        """Read coordinates back from `matrix`'s first row, or report
+        NotInSpan.
 
         Returns the list [z_1..z_h] such that instantiating this structure
         at the z's reproduces `matrix` exactly; otherwise a NotInSpan
@@ -547,7 +545,7 @@ class LinearStructure:
                     products: Dict[Tuple[int, ...], Sparse],
                     pack: Packing) -> Union[CoeffTable, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
-        indices) at the structure's positions, or the witness that
+        indices) on the first row, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
         span.  Every product is read and checked before the witness is
         chosen: division fails at the first position where any
@@ -592,12 +590,17 @@ class LinearStructure:
 
         A_r is `inner` instantiated on coordinate slice r; coordinates are
         slice-major (all inner coordinates of outer slot 1, then slot 2, ...).
-        Coordinate (r, s) of the lift is read at inner position s of the
-        block at outer position r, where its coefficient is the product of
-        the two factors' divisors.
+        Coordinate (r, s) of the lift is read on its first row, at column
+        r*h_in + s: inner column s of outer block r, where its coefficient
+        is the product of the two factors' divisors.  That needs an inner
+        structure with as many coordinates as rows (every catalog structure
+        has); any other raises ValueError.
         """
         if set(self.params) & set(inner.params):
             raise ParameterCollision(sorted(set(self.params) & set(inner.params))[0])
+        if inner.h != inner.n:
+            raise ValueError(f"a lift needs an inner structure with h = n, "
+                             f"got h = {inner.h}, n = {inner.n}")
         n, m = self.n, inner.n
         H, hin = self.h, inner.h
         params = self.params + inner.params
@@ -620,9 +623,7 @@ class LinearStructure:
                                     continue
                                 cell = coeff[i * m + a][j * m + b]
                                 cell[r * hin + s] = cell[r * hin + s] + oc * inner_c.embed(ptable)
-        positions = [(oi * m + ii, oj * m + ij) for oi, oj in self.positions
-                     for ii, ij in inner.positions]
-        return LinearStructure(N, H * hin, params, coeff, positions)
+        return LinearStructure(N, H * hin, params, coeff)
 
     def with_param_order(self, names: Sequence[str]) -> "LinearStructure":
         """Same structure with the parameter table reordered to `names`."""
@@ -630,8 +631,5 @@ class LinearStructure:
         if set(names) != set(self.params) or len(names) != len(self.params):
             raise ValueError("names must be a permutation of the parameters")
         table = VarTable(names)
-        coeff = [[[self.coeff[i][j][r].embed(table) for r in range(self.h)]
-                  for j in range(self.n)]
-                 for i in range(self.n)]
-        return LinearStructure(self.n, self.h, names, coeff, self.positions)
+        return self._mapped(names, lambda c: c.embed(table))
 

@@ -15,7 +15,9 @@ one int addition.  A single `*` stays on tuples, where packing costs more.
 
 from __future__ import annotations
 
+import contextlib
 import operator
+import sys
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -35,6 +37,21 @@ class UnknownVariable(PolyError):
 
 class UnassignedVariable(PolyError):
     """Evaluation point leaves a variable without a value."""
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    """Lift CPython's int/str digit limit (3.10.7 and later) for the
+    duration: output and error messages name values past 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class VarTable:

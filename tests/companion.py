@@ -1,7 +1,7 @@
 """Norm forms of algebraic integers as a generic closed structure: the
-companion-matrix family x1*I + x2*M + ... + xn*M^(n-1), parameter-free
-and pairwise closed for every monic polynomial, read from its first
-column rather than its first row."""
+transposed companion-matrix family x1*I + x2*M^T + ... + xn*(M^T)^(n-1),
+parameter-free and pairwise closed for every monic polynomial, with
+(x1, ..., xn) as its first row."""
 
 from operator import index
 from typing import Sequence
@@ -12,10 +12,11 @@ from matform.polyring import VarTable
 
 
 def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
-    """Structure of x1*I + x2*M + ... + xn*M^(n-1) for the companion matrix M
-    of x^n + a_1 x^(n-1) + ... + a_n.  Its determinant is the norm form of
-    the corresponding algebraic integer, so pairwise closure always holds;
-    its coordinates are read from the first column.
+    """Structure of x1*I + x2*M^T + ... + xn*(M^T)^(n-1) for the companion
+    matrix M of x^n + a_1 x^(n-1) + ... + a_n.  Its determinant is the norm
+    form of the corresponding algebraic integer, so pairwise closure always
+    holds (the powers of M commute); the first column of M^k is e_(k+1)
+    for k < n, so the first row of the transpose carries x1..xn.
     """
     coeffs = [index(a) for a in monic_coeffs]
     n = len(coeffs)
@@ -35,18 +36,15 @@ def companion_structure(monic_coeffs: Sequence[int]) -> LinearStructure:
             for i in range(n)
         ])
     empty = VarTable(())
-    coeff = [[[empty.const(powers[r][i][j]) for r in range(n)]
+    coeff = [[[empty.const(powers[r][j][i]) for r in range(n)]
               for j in range(n)]
              for i in range(n)]
-    return LinearStructure(n, n, (), coeff, [(i, 0) for i in range(n)])
+    return LinearStructure(n, n, (), coeff)
 
 
 def companion_family(monic_coeffs: Sequence[int]) -> FormFamily:
     """The norm-form family of `companion_structure`, with its closure as
     its law."""
     st = companion_structure(monic_coeffs)
-    n = st.n
-    return FormFamily(
-        f"companion{n}",
-        "norm form of an algebraic integer via its companion matrix",
-        "pair", (), tuple(f"x{i + 1}" for i in range(n)), n, structure=st)
+    return FormFamily(f"companion{st.n}", "pair", (),
+                      tuple(f"x{i + 1}" for i in range(st.n)), structure=st)

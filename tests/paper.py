@@ -1,17 +1,22 @@
 """The paper's printed formulas, transcribed verbatim: the tests' reference.
 
 At run time every structured family's composition law is its structure's
-closure, and its form is the structure's determinant.  The laws, printed
-expansions and inverse formulas the paper prints live here, so that the
-suite checks the derived data against them and a typo on either side is
-caught.
+closure, and its form is the structure's determinant (threefold_quadratic
+reads t^2 as a in both).  The laws, printed expansions, factorizations and
+inverse formulas the paper prints live here, so that the suite checks the
+derived data against them and a typo on either side is caught.
 
 - `law(name)`: the printed bilinear or trilinear law of the seven
-  structured families whose law the paper prints.
+  structured families whose law the paper prints, and psi of
+  threefold_quadratic.
 - `printed_form(name)`: the printed expansion of cubic3x3, quartic4x4 and
   threefold4x4.  The quartic's transcription is the one the catalog keeps
   (`FormFamily.printed_form`), because the benchmark's oracle reads it
-  there.
+  there.  `threefold_quadratic_form()` is Q = a*x1^2 + b*x1*x2 + c*x2^2.
+- `circulant_factors()`: the quadratic and quartic factors of
+  sextic_circulant's form.
+- `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
+  form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.
 """
 
@@ -208,6 +213,13 @@ def _threefold4x4_map(v):
     return [w1, w2, w3, w4]
 
 
+def _threefold_quadratic_map(v):
+    a, b, c, x1, x2, y1, y2, z1, z2 = (v[name] for name in (
+        "a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2"))
+    return [a*x1*y1*z1 + b*x1*y2*z1 + c*x1*y2*z2 - c*x2*y1*z2 + c*x2*y2*z1,
+            a*x1*y1*z2 - a*x1*y2*z1 + a*x2*y1*z1 + b*x2*y1*z2 + c*x2*y2*z2]
+
+
 # name: (parameters, h, arity, outputs written in x.., y.. [, z..])
 _LAWS = {
     "quad2x2": (("p", "q"), 2, 2, _quad_map),
@@ -217,6 +229,7 @@ _LAWS = {
                   _sextic_map),
     "sextic_circulant": (("q",), 6, 2, _circulant_map),
     "octic8x8": (("m", "n", "p", "q", "r", "s"), 8, 2, _octic_map),
+    "threefold_quadratic": (("a", "b", "c"), 2, 3, _threefold_quadratic_map),
     "threefold4x4": (("m", "n", "p", "q", "s", "t"), 4, 3, _threefold4x4_map),
 }
 LAW_FAMILIES = tuple(_LAWS)
@@ -224,7 +237,7 @@ LAW_FAMILIES = tuple(_LAWS)
 
 @lru_cache(maxsize=None)
 def law(name: str) -> MultilinearMap:
-    """The paper's printed law of a structured family, symbolic."""
+    """The paper's printed law of a family, symbolic."""
     return _map_from(*_LAWS[name])
 
 
@@ -291,6 +304,55 @@ PRINTED_FAMILIES = tuple(_PRINTED_FORMS)
 def printed_form(name: str) -> Polynomial:
     """The paper's printed expansion of a family's form, symbolic."""
     return _PRINTED_FORMS[name]()
+
+
+def threefold_quadratic_form() -> Polynomial:
+    """Q = a*x1^2 + b*x1*x2 + c*x2^2, the form psi composes."""
+    v = _vars(("a", "b", "c", "x1", "x2"))
+    a, b, c, x1, x2 = v["a"], v["b"], v["c"], v["x1"], v["x2"]
+    return a*x1**2 + b*x1*x2 + c*x2**2
+
+
+# -- factorizations and degenerate values ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def circulant_factors() -> Tuple[Polynomial, Polynomial]:
+    """f1 * f2 = sextic_circulant's form: a quadratic and a quartic factor,
+    symbolic in q."""
+    v = _vars(("q", "x1", "x2", "x3", "x4", "x5", "x6"))
+    q = v["q"]
+    x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
+                              v["x4"], v["x5"], v["x6"])
+    f1 = (x1 + x2 + x3)**2 - q*(x4 + x5 + x6)**2
+    f2 = (x1**4 - (2*x2 + 2*x3)*x1**3
+          + (3*x2**2 + 3*x3**2 - 2*q*x4**2 + 2*q*x4*x5 + 2*q*x4*x6
+             + q*x5**2 - 4*q*x5*x6 + q*x6**2)*x1**2
+          + (-2*x2**3 + 2*q*x2*x4**2 - 8*q*x2*x4*x5 + 4*q*x2*x4*x6
+             + 2*q*x2*x5**2 + 4*q*x2*x5*x6 - 4*q*x2*x6**2 - 2*x3**3
+             + 2*q*x3*x4**2 + 4*q*x3*x4*x5 - 8*q*x3*x4*x6 - 4*q*x3*x5**2
+             + 4*q*x3*x5*x6 + 2*q*x3*x6**2)*x1
+          + x2**4 - 2*x2**3*x3 + 3*x2**2*x3**2 + q*x2**2*x4**2
+          + 2*q*x2**2*x4*x5 - 4*q*x2**2*x4*x6 - 2*q*x2**2*x5**2
+          + 2*q*x2**2*x5*x6 + q*x2**2*x6**2 - 2*x2*x3**3
+          - 4*q*x2*x3*x4**2 + 4*q*x2*x3*x4*x5 + 4*q*x2*x3*x4*x6
+          + 2*q*x2*x3*x5**2 - 8*q*x2*x3*x5*x6 + 2*q*x2*x3*x6**2
+          + x3**4 + q*x3**2*x4**2 - 4*q*x3**2*x4*x5 + 2*q*x3**2*x4*x6
+          + q*x3**2*x5**2 + 2*q*x3**2*x5*x6 - 2*q*x3**2*x6**2
+          + q**2*x4**4 - 2*q**2*x4**3*x5 - 2*q**2*x4**3*x6
+          + 3*q**2*x4**2*x5**2 + 3*q**2*x4**2*x6**2 - 2*q**2*x4*x5**3
+          - 2*q**2*x4*x6**3 + q**2*x5**4 - 2*q**2*x5**3*x6
+          + 3*q**2*x5**2*x6**2 - 2*q**2*x5*x6**3 + q**2*x6**4)
+    return f1, f2
+
+
+# parameter values at which the form degenerates: -(x1^2 + x2^2), 4*x4^4
+# and 16*x2^8
+DEGENERATE_WITNESSES = {
+    "threefold_quadratic": (-1, 0, -1),
+    "threefold4x4": (0, 1, 0, 2, 0, 0),
+    "threefold8x8": (0, 2, 0, 0, 0, 0, 0),
+}
 
 
 # -- the quartic's inverse -----------------------------------------------------

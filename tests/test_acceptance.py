@@ -67,13 +67,11 @@ def test_criterion_2_threefold_suite():
         assert isinstance(failed.witness, NotInSpan), name
 
     # degenerate parameter choices collapse the forms to powers
-    q4 = family("threefold4x4").specialize(
-        family("threefold4x4").degenerate_witness).form
+    q4 = family("threefold4x4", paper.DEGENERATE_WITNESSES["threefold4x4"]).form
     t = q4.table
     assert q4 == 4 * t.var("x4") ** 4
 
-    q8 = family("threefold8x8").specialize(
-        family("threefold8x8").degenerate_witness).form
+    q8 = family("threefold8x8", paper.DEGENERATE_WITNESSES["threefold8x8"]).form
     t = q8.table
     assert q8 == 16 * t.var("x2") ** 8
 
@@ -92,7 +90,7 @@ def test_criterion_3_form_cross_checks():
     assert sextic.form.term_count() == 11926
 
     circ = family("sextic_circulant")
-    f1, f2 = circ.factors
+    f1, f2 = paper.circulant_factors()
     assert (circ.form - f1 * f2).is_zero()
 
 

@@ -12,7 +12,7 @@ from matform.catalog import (FormFamily, ParamArity, UnknownFamily, family,
                              list_families)
 from matform.compose import MultilinearMap, ZeroResidual, verify_identity
 from matform.linstruct import NotClosed
-from matform.polyring import PolyError, Polynomial, VarTable
+from matform.polyring import PolyError, VarTable
 
 import paper
 from companion import companion_family
@@ -48,11 +48,10 @@ class TestRegistry:
         fam = family(name)
         [listed] = [e for e in list_families() if e["name"] == name]
         assert listed == {"name": name, "kind": fam.kind,
-                          "degree": fam.degree, "coords": fam.h,
+                          "degree": entry.degree, "coords": fam.h,
                           "params": list(fam.param_names),
-                          "description": fam.description}
-        assert (entry.coords, entry.degenerate_witness) == \
-            (fam.coord_names, fam.degenerate_witness)
+                          "description": entry.description}
+        assert entry.coords == fam.coord_names
         # and the metadata describes the built parts
         law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
         st = fam.structure
@@ -63,13 +62,17 @@ class TestRegistry:
             (entry.degree, law.h, law.params)
 
     @pytest.mark.parametrize("name", list(catalog._REGISTRY))
-    def test_law_is_built_only_without_an_own_structure(self, name):
-        # one source per law: a structure in the family's own parameters
-        # gives the law by its closure, so no such entry builds one
-        entry = catalog._REGISTRY[name]
-        parts = entry.build()
-        st = parts.get("structure")
-        assert ("law" in parts) == (st is None or st.params != entry.params)
+    def test_only_what_no_structure_gives_is_built(self, name):
+        # one source per law and form: a structure gives the law by its
+        # closure, so only sextic_uv, which has none, builds one; factors
+        # are built only where they define the form, and the printed
+        # quartic only because bench/oracle.py reads it
+        parts = catalog._REGISTRY[name].build()
+        assert ("structure" in parts) == (name != "sextic_uv")
+        assert ("law" in parts) == (name == "sextic_uv")
+        assert ("factors" in parts) == \
+            (name in ("sextic_uv", "threefold_quadratic"))
+        assert ("printed_form" in parts) == (name == "quartic4x4")
 
     def test_kinds_and_dimensions(self):
         info = {e["name"]: e for e in list_families()}
@@ -125,18 +128,20 @@ class TestTranscribedAgainstDerived:
         fam = family("threefold_quadratic")
         closure = fam.structure.closure(3)
         assert closure.params == ("t", "b", "c")
-        abc = VarTable(fam.param_names)
-
-        def t_squared_as_a(c: Polynomial) -> Polynomial:
-            assert all(m[0] % 2 == 0 for m in c.terms), c
-            return Polynomial(abc, {(m[0] // 2,) + tuple(m[1:]): v
-                                    for m, v in c.terms.items()})
-
         assert len(closure.coeff) == 10
-        psi = MultilinearMap(3, 2, fam.param_names,
-                             {key: t_squared_as_a(c)
-                              for key, c in closure.coeff.items()})
-        assert psi == fam.triple_map()
+        assert fam.triple_map() == paper.law("threefold_quadratic")
+
+    def test_threefold_quadratic_form_is_minus_det_with_t_squared_as_a(self):
+        fam = family("threefold_quadratic")
+        assert fam.form == paper.threefold_quadratic_form()
+        det = fam.structure.form(fam.coord_names)
+        t, b, c, x1, x2 = det.table.vars()
+        assert det == -(t**2 * x1**2 + b * x1 * x2 + c * x2**2)
+
+    def test_odd_power_of_t_is_rejected(self):
+        t, b = VarTable(("t", "b")).vars()
+        with pytest.raises(ValueError, match="odd power of t"):
+            catalog._t_squared_as_a(t**2 + t * b, VarTable(("a", "b")))
 
     @pytest.mark.parametrize("name", paper.PRINTED_FAMILIES)
     def test_printed_form_equals_determinant(self, name):
@@ -174,7 +179,8 @@ class TestEvaluation:
     def test_circulant_splits(self):
         fam = family("sextic_circulant", (3,))
         point = (2, 1, 3, -1, 3, -4)
-        a, b = fam.evaluate_factors(point)
+        a, b = (f.eval_int({"q": 3, **dict(zip(fam.coord_names, point))})
+                for f in paper.circulant_factors())
         assert a * b == fam.evaluate(point)
 
 
@@ -260,7 +266,7 @@ def cubic_norm_progression_test(fam: FormFamily
     It compares integer coefficients, so a symbolic family with parameters
     raises ValueError.
     """
-    if fam.degree != 3 or fam.h != 3:
+    if fam.h != 3 or fam.structure.n != 3:
         raise NotTernaryCubic(f"{fam.name} is not a ternary cubic")
     if fam.is_symbolic() and fam.arity > 0:
         raise ValueError(f"{fam.name} needs numeric parameter values")
@@ -301,18 +307,22 @@ class TestNormProgression:
 
 class TestCirculantFactorization:
     """The facts behind the simultaneous sextic system: the circulant's
-    determinant is f1*f2, and each factor composes under the shared map,
-    in the x-coordinates and in the u-coordinates.  Expansion factor by
-    factor checks that the factors multiply to the form (the determinant
-    for the circulant) before it expands each factor's identity."""
+    determinant is the paper's f1*f2, and each factor composes under the
+    shared map, in the x-coordinates and in the u-coordinates.  Expansion
+    factor by factor checks that the factors multiply to the form (the
+    determinant for the circulant) before it expands each factor's
+    identity."""
 
     @staticmethod
     def factorwise(params):
-        for name in ("sextic_circulant", "sextic_uv"):
-            fam = family(name, params)
+        circ = family("sextic_circulant", params)
+        env = {} if params is None else dict(zip(circ.param_names, params))
+        f1, f2 = (f.specialize(env) for f in paper.circulant_factors())
+        uv = family("sextic_uv", params)
+        for fam, factors in ((circ, (f1, f2)), (uv, uv.factors)):
             res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                  factors=fam.factors)
-            assert isinstance(res, ZeroResidual), name
+                                  factors=factors)
+            assert isinstance(res, ZeroResidual), fam.name
 
     def test_symbolic_check_passes(self):
         self.factorwise(None)
@@ -324,7 +334,7 @@ class TestCirculantFactorization:
         # same machinery, wrong data: f1 shifted by one is no longer a
         # factor of the determinant
         circ = family("sextic_circulant")
-        f1, f2 = circ.factors
+        f1, f2 = paper.circulant_factors()
         det = circ.form
         assert not (det - (f1 + 1) * f2).is_zero()
 
@@ -337,10 +347,10 @@ class TestThreefoldFamilies:
                               NotClosed)
 
     def test_degenerate_witnesses_recorded(self):
-        for name in ("threefold_quadratic", "threefold4x4", "threefold8x8"):
-            fam = family(name)
-            assert fam.degenerate_witness is not None
-            assert len(fam.degenerate_witness) == len(fam.param_names)
+        assert set(paper.DEGENERATE_WITNESSES) == \
+            {"threefold_quadratic", "threefold4x4", "threefold8x8"}
+        for name, witness in paper.DEGENERATE_WITNESSES.items():
+            assert len(witness) == family(name).arity
 
 
 class TestCompanionFamily:

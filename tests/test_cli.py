@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from matform import catalog
 from matform.catalog import FormFamily
-from matform.cli import _no_int_str_limit, main
+from matform.cli import main
+from matform.polyring import no_int_str_limit
 from matform.linstruct import LinearStructure, MultilinearMap
 from matform.polyring import PolyMatrix, Polynomial
 
@@ -345,7 +346,7 @@ class TestSolve:
         for _ in range(9):
             a, b = powers[-1]
             powers.append((a * s1 + 2 * b * s2, a * s2 + b * s1))
-        with _no_int_str_limit():
+        with no_int_str_limit():
             assert len(str(powers[-1][0])) > 4300
             assert out == json.dumps({
                 "family": "quad2x2", "params": ["0", "-2"],

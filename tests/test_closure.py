@@ -12,11 +12,13 @@ that never read the table:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matform import catalog
 from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
                                NotInSpan)
-from matform.polyring import VarTable, int_matrix_product
+from matform.polyring import Polynomial, VarTable, int_matrix_product
 
 # every catalog family with a matrix structure
 NINE = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6", "sextic_circulant",
@@ -53,13 +55,13 @@ def assert_same_as_product_route(st: LinearStructure, order: int):
             == (order, *want)
 
 
-def tracefree(positions=None) -> LinearStructure:
+def tracefree() -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: closed only for triples, with
     the first row read back divided by t and 1."""
     t, b, c, a1, a2 = VarTable(("t", "b", "c", "a1", "a2")).vars()
     return LinearStructure.from_matrix(
         ("t", "b", "c"), ("a1", "a2"),
-        [[t * a1, a2], [b * a1 + c * a2, -t * a1]], positions)
+        [[t * a1, a2], [b * a1 + c * a2, -t * a1]])
 
 
 def doubled(d: int) -> LinearStructure:
@@ -87,13 +89,16 @@ def symmetric() -> LinearStructure:
 
 
 def upper_triangular() -> LinearStructure:
-    """[[a1, p*a2], [0, a3]]: a pair-closed algebra that is not commutative,
-    with the corner read back divided by p."""
+    """[[a1, p*a2, a3], [0, a1, 0], [0, p*a2, a1 + a3]]: the transposed
+    left-regular representation of the upper-triangular 2 x 2 matrices
+    a1*I + p*a2*E12 + a3*E22, a pair-closed algebra that is not
+    commutative, with a2 read back divided by p."""
     table = VarTable(("p", "a1", "a2", "a3"))
     p, a1, a2, a3 = table.vars()
+    zero = table.zero()
     return LinearStructure.from_matrix(
-        ("p",), ("a1", "a2", "a3"), [[a1, p * a2], [table.zero(), a3]],
-        ((0, 0), (0, 1), (1, 1)))
+        ("p",), ("a1", "a2", "a3"),
+        [[a1, p * a2, a3], [zero, a1, zero], [zero, p * a2, a1 + a3]])
 
 
 def assert_integer_points(st: LinearStructure, order: int, seed: int,
@@ -121,8 +126,6 @@ def test_catalog_closure_matches_product_route(name, order):
     # products outside the span of E_1 = diag(1, 0) and E_2: a mismatch
     ("mismatch-pair", symmetric, 2),
     ("mismatch-triple", symmetric, 3),
-    # coordinates read where the basis is not diagonal: divisors b and 0
-    ("second-row", lambda: tracefree(((1, 0), (1, 1))), 3),
     # a divisor that vanishes at these parameter values
     ("zero-divisor", lambda: fresh("threefold4x4").specialize((0, 1, 0, 2, 0, 0)), 3),
     ("zero-divisor-pair", lambda: tracefree().specialize((0, 1, 2)), 2),
@@ -139,6 +142,34 @@ def test_catalog_closure_matches_product_route(name, order):
 ])
 def test_other_structures_match_product_route(label, build, order):
     assert_same_as_product_route(build(), order)
+
+
+@st.composite
+def first_row_structures(draw) -> LinearStructure:
+    """An n x n structure, n <= 3, with h <= n coordinates on the first row
+    and 0-2 parameters.  Each divisor L[0][t][t] is one nonzero term; every
+    other cell coefficient is c * p^i * q^j with a small c, often 0."""
+    n = draw(st.integers(1, 3))
+    h = draw(st.integers(1, n))
+    table = VarTable(("p", "q")[:draw(st.integers(0, 2))])
+    exponents = st.tuples(*[st.integers(0, 2)] * len(table))
+
+    def term(values):
+        return Polynomial(table, {draw(exponents): draw(st.sampled_from(values))})
+
+    return LinearStructure(n, h, table.names, [
+        [[term((-2, -1, 1, 2, 3) if (i, j) == (0, r) else (0, 0, 0, -1, 1, 2))
+          for r in range(h)] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@given(structure=first_row_structures())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_structures_match_product_route(order, structure):
+    """The law, or the witness with its rule (division at the first
+    position, mismatch at the first entry with its residual), is the
+    product route's on structures the catalog does not have."""
+    assert_same_as_product_route(structure, order)
 
 
 @pytest.mark.parametrize("order", [2, 3])

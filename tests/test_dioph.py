@@ -4,6 +4,7 @@ import collections
 import io
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from operator import index
 from typing import List, Optional, Sequence
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from matform import dioph
 from matform.catalog import FormFamily, family, list_families
-from matform.cli import _no_int_str_limit, main
-from matform.compose import MultilinearMap
+from matform.cli import main
+from matform.polyring import no_int_str_limit
+from matform.compose import MultilinearMap, NotAUnit, invert
 from matform.dioph import (
     SearchSpaceTooLarge,
     SearchVerificationError,
@@ -416,6 +418,49 @@ class TestIterateCertificate:
 Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int/str digit limit on this Python")
+class TestErrorsPastTheDigitLimit:
+    """Library errors that name a value past CPython's int/str digit
+    limit (4300 by default) are still their own class, not the ValueError
+    of the conversion.  f(10^2200, 1) = 10^4400 - 2 has 4400 digits."""
+
+    BIG = (10 ** 2200, 1)
+    F_BIG = r"9{4399}8"
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_seed(self):
+        with pytest.raises(SeedNotSolution, match=f"= {self.F_BIG} != 1$"):
+            generate_sequence(SequenceSpec(Q2, self.BIG, 3, ((3, 2),)))
+
+    def test_step(self):
+        with pytest.raises(StepNotSolution, match=f"= {self.F_BIG} != 1$"):
+            generate_sequence(SequenceSpec(Q2, (3, 2), 3, (self.BIG,)))
+
+    def test_iterate(self, monkeypatch):
+        monkeypatch.setattr(dioph, "_step", lambda S, v: (10 ** 4400, 1))
+        with pytest.raises(SequenceVerificationError,
+                           match=r"iterate 1 fails f = 1: \(10{4400}, 1\)$"):
+            generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3, 2),)))
+
+    def test_search_hit(self, monkeypatch):
+        monkeypatch.setattr(FormFamily, "evaluate",
+                            lambda self, point: 10 ** 4400)
+        with pytest.raises(SearchVerificationError,
+                           match=r"has f = 10{4400} != 1$"):
+            brute_force_search(Q2, 1)
+
+    def test_invert(self):
+        with pytest.raises(NotAUnit, match="non-integral inverse component"):
+            invert(Q2.pair_map, self.BIG)
+
+
 @pytest.mark.parametrize("call", [
     lambda: family("quad2x2", (0.5, -2)),
     lambda: Q2.evaluate((1.5, 0)),
@@ -447,7 +492,7 @@ class TestPrintedChain:
         r = generate_sequence(SequenceSpec(
             QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],)))
         *_, last = r.rows()
-        with _no_int_str_limit():
+        with no_int_str_limit():
             assert last == [str(c) for c in r.solutions[-1]]
         assert len(last[0]) > 4300
 

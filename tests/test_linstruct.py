@@ -149,8 +149,8 @@ class TestConstruction:
 
 
 class TestPositions:
-    """A structure is read back at one in-range position per coordinate,
-    divided by that coordinate's own coefficient there."""
+    """A structure is read back on its first row, each coordinate divided
+    by its own coefficient there."""
 
     def test_divisors_are_the_coefficients_at_the_positions(self):
         st = tracefree("t", "b", "c")
@@ -161,26 +161,17 @@ class TestPositions:
         assert pell_st.divisors == (pell_st.param_table.one(),) * 2
         assert isinstance(pell_st.closure(2), MultilinearMap)
 
-    @pytest.mark.parametrize("positions", [
-        ((0, 0),), ((0, 0), (0, 1), (1, 1)), ((0, 0), (0, 5)),
-        ((0, 0), (-1, 1)), ((2, 0), (0, 1))],
-        ids=["one", "three", "column-5", "negative-row", "row-2"])
-    def test_wrong_count_or_range_is_rejected(self, positions):
-        p, q, a1, a2 = VarTable(("p", "q", "a1", "a2")).vars()
-        with pytest.raises(ValueError, match="position"):
+    def test_more_coordinates_than_columns_is_rejected(self):
+        a1, a2, a3 = VarTable(("a1", "a2", "a3")).vars()
+        with pytest.raises(ValueError, match="first row"):
             LinearStructure.from_matrix(
-                ("p", "q"), ("a1", "a2"), [[a1, a2], [-q * a2, a1 + p * a2]],
-                positions)
+                (), ("a1", "a2", "a3"), [[a1, a2 + a3], [a2, a1]])
 
     def test_two_term_divisor_is_rejected(self):
         p, q, a1, a2 = VarTable(("p", "q", "a1", "a2")).vars()
         entries = [[(p + q) * a1, a2], [-q * a2, a1 + p * a2]]
         with pytest.raises(ValueError, match="one term"):
             LinearStructure.from_matrix(("p", "q"), ("a1", "a2"), entries)
-        # the same entries read at the second row: divisors 0 and 1
-        st = LinearStructure.from_matrix(("p", "q"), ("a1", "a2"), entries,
-                                         ((1, 0), (1, 0)))
-        assert st.divisors == (st.param_table.zero(), -st.param_table.var("q"))
 
 
 class TestExtraction:
@@ -308,6 +299,15 @@ class TestBlockLifting:
         with pytest.raises(ParameterCollision):
             pell("p", "q").block_compose(pell("p", "n"))
 
+    def test_inner_with_fewer_coordinates_than_columns_is_rejected(self):
+        # the lift's first row would hold an inner zero where a coordinate
+        # is read, and closure would report a closed lift as not closed
+        b1, zero = VarTable(("b1",)).var("b1"), VarTable(("b1",)).zero()
+        scalar = LinearStructure.from_matrix((), ("b1",),
+                                             [[b1, zero], [zero, b1]])
+        with pytest.raises(ValueError, match="inner structure with h = n"):
+            pell("p", "q").block_compose(scalar)
+
     def test_dimensions_and_params(self):
         lifted = pell("p", "q").block_compose(pell("m", "n"))
         assert lifted.n == 4 and lifted.h == 4
@@ -393,12 +393,8 @@ class TestCompanion:
 
     def test_companion_always_pairwise_closed(self):
         st = companion_structure((1, -4, 2))
-        assert st.positions == ((0, 0), (1, 0), (2, 0))
+        assert st.matrix_of((2, -3, 5))[0] == [2, -3, 5]
         cert = st.verify_pair_closure()
-        assert isinstance(cert, MultilinearMap)
-
-    def test_companion_reads_its_own_first_column(self):
-        cert = companion_structure((0, 0, -2)).verify_pair_closure()
         assert isinstance(cert, MultilinearMap)
 
     def test_companion_closure_gives_norm_multiplicativity(self):
