@@ -9,7 +9,9 @@ threefold_quadratic's structure is in (t, b, c): its law psi is the triple
 closure and its form Q is -det, each with t^2 read as a.  Only sextic_uv,
 which has no structure, has its law and factor forms transcribed here.
 The paper's printed laws, expansions and factorizations are the test
-suite's reference data, checked there against the derived ones.
+suite's reference data, checked there against the derived ones.  Each
+identity has one proof, the symbolic family's: at numeric parameters the
+law is the symbolic law specialized, and so is its proof.
 
 The registry holds each family's metadata (description, kind, parameter
 and coordinate names, degree), which `list_families` prints without
@@ -59,9 +61,10 @@ class FormFamily:
     family without a structure).  `factors`, where passed, define the form
     of a family whose structure is not in its own parameters.  A numeric
     family owns everything that depends on its parameter values
-    (structure, form and laws, each derived on first use and kept) and
-    proves its identity with `verify`.  The integer A(point) of `matrix`
-    is the parameter-free structure's `matrix_of`.
+    (structure, form and laws, each derived on first use and kept); its
+    laws, form and factors are the symbolic ones specialized, so `verify`
+    proves its own law by the symbolic family's proof.  The integer
+    A(point) of `matrix` is the parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, kind: str,
@@ -84,7 +87,8 @@ class FormFamily:
         self._base = base or self
         self._form: Optional[Polynomial] = None
         self._factors: Optional[Tuple[Polynomial, ...]] = None
-        self._own: Optional[tuple] = None
+        self._own: tuple = ()  # (the own structure,) once derived
+        self._proofs: Dict[int, Union[ZeroResidual, Polynomial]] = {}
         self._laws: Dict[int, MultilinearMap] = \
             {} if law is None else {law.k: law}
 
@@ -118,31 +122,29 @@ class FormFamily:
 
     # -- matrix realization -------------------------------------------------
 
-    def _own_structure(self):
-        """(structure, readable) at this instance's values, derived once.
-
-        The structure is None unless it is in the family's own parameters
-        (threefold_quadratic's is in (t, b, c), sextic_uv has none).
-        `readable` means every divisor of the structure is nonzero at
-        these values; extraction would otherwise divide by zero.
-        """
-        if self._own is None:
+    def _own_structure(self) -> Optional[LinearStructure]:
+        """The family's structure at this instance's values, derived once;
+        None unless it is in the family's own parameters
+        (threefold_quadratic's is in (t, b, c), sextic_uv has none)."""
+        if not self._own:
             st = self._structure
             if st is None or st.params != self.param_names:
                 st = None
             elif self.param_values is not None:
                 st = st.specialize(self.param_values)
-            self._own = (st, st is not None and all(st.divisors))
-        return self._own
+            self._own = (st,)
+        return self._own[0]
 
     @property
     def structure(self) -> Optional[LinearStructure]:
         """The matrix realization for closure: the family's own structure
-        at these values where `_own_structure` finds it readable, else the
-        symbolic family's structure (threefold_quadratic's is in t, b, c;
-        sextic_uv has none)."""
-        st, readable = self._own_structure()
-        return st if readable else self._base._structure
+        at these values where every divisor is nonzero there (extraction
+        would otherwise divide by zero), else the symbolic family's
+        structure (threefold_quadratic's is in t, b, c; sextic_uv has
+        none)."""
+        st = self._own_structure()
+        return st if st is not None and all(st.divisors) \
+            else self._base._structure
 
     # -- forms -----------------------------------------------------------
 
@@ -151,7 +153,7 @@ class FormFamily:
         """The family's form: det of the structure where it is in the
         family's parameters, else the product of the factor forms."""
         if self._form is None:
-            st = self._own_structure()[0]
+            st = self._own_structure()
             self._form = (st.form(self.coord_names) if st is not None
                           else math.prod(self.factors))
         return self._form
@@ -212,22 +214,40 @@ class FormFamily:
     # -- identity ------------------------------------------------------------
 
     def verify(self, cmap: MultilinearMap) -> Union[ZeroResidual, Polynomial]:
-        """`verify_identity` of the family's form under `cmap`.  The form is
-        passed as None (det of the family's own structure) wherever that
-        structure is readable.  Where one of its divisors vanishes, the
-        symbolic identity proves `cmap` if it is the family's map here."""
-        st, readable = self._own_structure()
-        if readable:
-            return verify_identity(None, cmap, self.coord_names, structure=st)
-        base = self._base
-        if st is not None and base is not self and \
-                (cmap.k == 3 or self.kind != "triple") and \
-                cmap == self._law(cmap.k) and \
-                isinstance(base.verify(base._law(cmap.k)), ZeroResidual):
-            return ZeroResidual("matrix", "divisor vanishes; "
-                                "symbolic identity specialized")
+        """`verify_identity` of the family's form under `cmap`.
+
+        The symbolic family passes its form as None (det of its own
+        structure) wherever it has one.  A numeric family's own law, form
+        and factors are the symbolic ones specialized, and the identity is
+        polynomial in the parameters, so the symbolic proof of the law
+        proves it at every value: `verify` returns that proof's method with
+        the reason "symbolic identity specialized".  Any other map is
+        checked at these values against the form and its factors."""
+        if self.is_symbolic():
+            st = self._own_structure()
+            if st is not None:
+                return verify_identity(None, cmap, self.coord_names,
+                                       structure=st)
+        elif self._is_own_law(cmap):
+            proof = self._base._proof(cmap.k)
+            if isinstance(proof, ZeroResidual):
+                return ZeroResidual(proof.method,
+                                    "symbolic identity specialized")
         return verify_identity(self.form, cmap, self.coord_names,
                                factors=self.factors)
+
+    def _is_own_law(self, cmap: MultilinearMap) -> bool:
+        try:
+            return cmap == self._law(cmap.k)
+        except PolyError:  # the family has no law of that arity
+            return False
+
+    def _proof(self, k: int) -> Union[ZeroResidual, Polynomial]:
+        """`verify` of the family's own law of arity k, run once and kept."""
+        proof = self._proofs.get(k)
+        if proof is None:
+            proof = self._proofs[k] = self.verify(self._law(k))
+        return proof
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -244,7 +264,7 @@ class FormFamily:
         None where the family has no parameter-free structure at these
         values (sextic_uv, threefold_quadratic)."""
         self._check_point(point)
-        st = self._own_structure()[0]
+        st = self._own_structure()
         return None if st is None else st.matrix_of(point)
 
     def evaluate(self, point: Sequence[int]) -> int:

@@ -5,13 +5,10 @@ its partners fixed, the map is linear in the iterate, so a chain is the
 linear recurrence v <- S v for one h x h integer step matrix S.  Every
 emitted vector is proven to satisfy f = 1 exactly, so a transcription error
 anywhere upstream surfaces immediately instead of silently corrupting the
-chain.  The proof is one matrix identity per chain, not per iterate: the
-step identity A(S e_j) = P A(e_j) Q over the h unit vectors, where P and Q
-are the products of the partners' matrices before and after the iterate's
-slot.  A is linear, so it gives A(S v) = P A(v) Q for every v, and
-det A = f = 1 follows along the chain by induction.  Where the identity
-fails or the family has no integer matrix, every iterate is evaluated
-exactly instead; the last iterate is always evaluated.
+chain.  The proof is the family's composition identity, once per chain:
+the partners have f = 1, so the identity gives f(S v) = f(v) for every v,
+and f = 1 follows along the chain by induction.  The last iterate is
+evaluated exactly, which catches a slip in the integer step.
 
 The chain is printed from a second run of the same recurrence in exact
 `decimal` arithmetic, whose str() is linear in the digit count where
@@ -34,7 +31,8 @@ from operator import index
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .catalog import FormFamily
-from .polyring import PolyError, int_matrix_product, no_int_str_limit
+from .compose import ZeroResidual
+from .polyring import PolyError, no_int_str_limit
 
 
 class SeedNotSolution(PolyError):
@@ -50,7 +48,8 @@ class SearchSpaceTooLarge(PolyError):
 
 
 class SequenceVerificationError(PolyError):
-    """An iterate failed re-verification (internal inconsistency)."""
+    """The chain's identity or its last iterate failed verification
+    (internal inconsistency)."""
 
 
 class SearchVerificationError(PolyError):
@@ -121,11 +120,10 @@ class SequenceResult:
     """The proven chain: `solutions` are the int iterates and `step` the
     step matrix S they were computed with, v_{i+1} = S v_i.
 
-    `proof` names how the chain was proven: "step identity" (one matrix
-    identity for the whole chain, see `generate_sequence`) or "evaluated"
-    (exact evaluation of f at every iterate).  `evaluated` counts the
-    iterates checked by exact evaluation, the seed included.  Results are
-    equal when all five fields are."""
+    `proof` is the method of the identity proof the chain rests on,
+    "matrix" or "expand" (see `FormFamily.verify`).  `evaluated` counts
+    the iterates checked by exact evaluation: the seed and the last one.
+    Results are equal when all five fields are."""
     __slots__ = ("spec", "step", "proof", "solutions", "evaluated")
 
     def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
@@ -189,29 +187,6 @@ class SequenceResult:
         out.write("]" + tail + "\n")
 
 
-def _step_identity(fam: FormFamily, args: List[Vec], at: int,
-                   units: List[Vec], columns: List[Vec]) -> bool:
-    """Whether A(S e_j) == P A(e_j) Q for every unit vector e_j, entrywise
-    on integers.  `columns[j]` is S e_j, and P and Q are the products of
-    the matrices of args[:at] and args[at + 1:], the partners before and
-    after the iterate's slot.  False where the family has no integer
-    matrix.  The cost is 2h + k - 1 matrices and h(k - 1) products of small
-    ones, whatever the length of the chain."""
-    mats = [fam.matrix(e) for e in units]
-    if mats[0] is None:
-        return False
-    before = [fam.matrix(v) for v in args[:at]]
-    after = [fam.matrix(v) for v in args[at + 1:]]
-    for a, column in zip(mats, columns):
-        for m in reversed(before):
-            a = int_matrix_product(m, a)
-        for m in after:
-            a = int_matrix_product(a, m)
-        if fam.matrix(column) != a:
-            return False
-    return True
-
-
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     """Iterate the composition map `count` times total, seed included.
 
@@ -225,18 +200,14 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     0..len(partners) or a negative count, and SeedNotSolution /
     StepNotSolution up front.
 
-    The chain is then proven once, by the step identity
-    A(S e_j) == P A(e_j) Q for j = 1..h, where P and Q are the products of
-    the partners' matrices before and after the iterate's slot.  A is
-    linear and every iterate is exactly S times the one before, so the
-    identity gives A(v_{i+1}) = P A(v_i) Q for every i; the partners have
-    f = det A = 1, so det A(v_i) = det A(seed) = 1 by induction.  Where the
-    identity fails on some e_j, or the family has no integer matrix at
-    these values, every iterate is checked by exact evaluation instead.
-    The last iterate is always evaluated exactly: the identity makes f
-    invariant under S, so a slip in the integer step anywhere shows in f
-    of the last iterate.  SequenceVerificationError is raised on any
-    iterate that fails f = 1.
+    The chain is then proven once, by the family's composition identity
+    f(x)f(y)[f(z)] = f(map(x, y[, z])) (`FormFamily.verify`, the symbolic
+    family's proof specialized), and SequenceVerificationError is raised
+    up front where that is no ZeroResidual.  With the partners' f = 1, the
+    identity gives f(S v) = f(v) for every v, so f(v_i) = f(seed) = 1 by
+    induction.  The last iterate is evaluated exactly: f is invariant
+    under S, so a slip in the integer step anywhere shows in f of the last
+    iterate, and SequenceVerificationError is raised if it is not 1.
     """
     fam = spec.family
     k = len(spec.partners) + 1
@@ -260,27 +231,28 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
             where = "" if k == 2 else f"fixed{j}: "
             with no_int_str_limit():
                 raise StepNotSolution(f"{where}f{vec} = {value} != 1")
+    proof = fam.verify(cmap)
+    if not isinstance(proof, ZeroResidual):
+        raise SequenceVerificationError(
+            f"{fam.name}: the composition identity fails for this map")
 
     args = [slots[s] for s in order]
     at = order.index(0)
     h = cmap.h
     units = [tuple(int(r == j) for r in range(h)) for j in range(h)]
     columns = [cmap.apply(args[:at] + [e] + args[at + 1:]) for e in units]
-    proven = spec.count > 1 and _step_identity(fam, args, at, units, columns)
     result = SequenceResult(spec=spec, step=tuple(zip(*columns)),
-                            proof="step identity" if proven else "evaluated",
-                            evaluated=min(spec.count, 1))  # the seed
+                            proof=proof.method,
+                            evaluated=min(spec.count, 2))  # seed and last
     current = seed
     for i in range(spec.count):
         if i > 0:
             current = _step(result.step, current)
-            if not proven or i == spec.count - 1:
-                result.evaluated += 1
-                if fam.evaluate(current) != 1:
-                    with no_int_str_limit():
-                        raise SequenceVerificationError(
-                            f"iterate {i} fails f = 1: {current}")
         result.solutions.append(current)
+    if spec.count > 1 and fam.evaluate(current) != 1:
+        with no_int_str_limit():
+            raise SequenceVerificationError(
+                f"iterate {spec.count - 1} fails f = 1: {current}")
     return result
 
 

@@ -255,7 +255,8 @@ class TestClosure:
 
 
 class TestNumericParams:
-    """Numeric proofs use the structure and its divisors at the given values."""
+    """Numeric closure uses the structure and its divisors at the given
+    values; numeric `verify` is the symbolic proof specialized."""
 
     @pytest.mark.parametrize("argv", [
         ("closure", "--family", "threefold4x4", "--params=-1,-4,1,-1,1,1",

@@ -27,11 +27,12 @@ def test_stdout_unchanged(capsys, argv):
         f"matform {argv}: now exit {code}, stdout sha256 {digest}"
 
 
-# How `solve` proves each family's chain: once by the step identity where
-# the family has an integer matrix, else by evaluating every iterate.
-ROUTES = {"quartic4x4": "step identity", "octic8x8": "step identity",
-          "threefold4x4": "step identity", "threefold8x8": "step identity",
-          "sextic_uv": "evaluated", "threefold_quadratic": "evaluated"}
+# How `solve` proves each family's chain: by the method of the family's
+# identity proof, the matrix route where the structure is in the family's
+# own parameters, else expansion.
+ROUTES = {"quartic4x4": "matrix", "octic8x8": "matrix",
+          "threefold4x4": "matrix", "threefold8x8": "matrix",
+          "sextic_uv": "expand", "threefold_quadratic": "expand"}
 
 
 @pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("solve ")])
@@ -46,6 +47,4 @@ def test_solve_reports_its_route(capsys, monkeypatch, argv):
     assert main(argv.split(" ")) == 0
     capsys.readouterr()
     [r] = results
-    assert r.proof == ROUTES[r.spec.family.name]
-    assert r.evaluated == (2 if r.proof == "step identity"
-                           else len(r.solutions))
+    assert (r.proof, r.evaluated) == (ROUTES[r.spec.family.name], 2)

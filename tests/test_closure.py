@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from matform import catalog
 from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
                                NotInSpan)
-from matform.polyring import Polynomial, VarTable, int_matrix_product
+from matform.polyring import Polynomial, VarTable, int_matrix_determinant
+
+from intmatrix import int_matrix_product
 
 # every catalog family with a matrix structure
 NINE = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6", "sextic_circulant",
@@ -147,8 +149,8 @@ def test_other_structures_match_product_route(label, build, order):
 @st.composite
 def first_row_structures(draw) -> LinearStructure:
     """An n x n structure, n <= 3, with h <= n coordinates on the first row
-    and 0-2 parameters.  Each divisor L[0][t][t] is one nonzero term; every
-    other cell coefficient is c * p^i * q^j with a small c, often 0."""
+    and 0-2 parameters.  Each divisor L[0][t][t] is one term, sometimes 0;
+    every other cell coefficient is c * p^i * q^j with a small c, often 0."""
     n = draw(st.integers(1, 3))
     h = draw(st.integers(1, n))
     table = VarTable(("p", "q")[:draw(st.integers(0, 2))])
@@ -158,7 +160,7 @@ def first_row_structures(draw) -> LinearStructure:
         return Polynomial(table, {draw(exponents): draw(st.sampled_from(values))})
 
     return LinearStructure(n, h, table.names, [
-        [[term((-2, -1, 1, 2, 3) if (i, j) == (0, r) else (0, 0, 0, -1, 1, 2))
+        [[term((0, -2, -1, 1, 2, 3) if (i, j) == (0, r) else (0, 0, 0, -1, 1, 2))
           for r in range(h)] for j in range(n)] for i in range(n)])
 
 
@@ -168,8 +170,43 @@ def first_row_structures(draw) -> LinearStructure:
 def test_random_structures_match_product_route(order, structure):
     """The law, or the witness with its rule (division at the first
     position, mismatch at the first entry with its residual), is the
-    product route's on structures the catalog does not have."""
+    product route's on structures the catalog does not have.  A zero
+    divisor is never read: division fails there at the latest."""
     assert_same_as_product_route(structure, order)
+    zero = [t for t, d in enumerate(structure.divisors) if not d]
+    if zero:
+        witness = structure.closure(order).witness
+        assert witness.reason == "division" and witness.entry <= (0, zero[0])
+
+
+class TestIntMatrixProduct:
+    """The oracles' integer product, against the sum it abbreviates and
+    the multiplicativity of the exact determinant."""
+
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                    min_size=3, max_size=3),
+           st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3,
+                             max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=40)
+    def test_int_matrix_product(self, m, n):
+        product = int_matrix_product(m, n)
+        assert product == [[sum(m[i][k] * n[k][j] for k in range(3))
+                            for j in range(3)] for i in range(3)]
+        assert int_matrix_determinant(product) \
+            == int_matrix_determinant(m) * int_matrix_determinant(n)
+
+    def test_int_matrix_product_shapes(self):
+        assert int_matrix_product([[1, 2]], [[3], [4]]) == [[11]]
+        with pytest.raises(ValueError):
+            int_matrix_product([[1, 2]], [[3, 4]])
+
+    @pytest.mark.parametrize("a, b", [([[0.5]], [[2]]), ([[2]], [[1.0]])],
+                             ids=["product-left", "product-right"])
+    def test_int_matrix_product_rejects_a_float(self, a, b):
+        """A float entry is never carried into the result: it raises
+        TypeError."""
+        with pytest.raises(TypeError):
+            int_matrix_product(a, b)
 
 
 @pytest.mark.parametrize("order", [2, 3])

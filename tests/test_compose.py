@@ -31,6 +31,28 @@ MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
                  "threefold8x8")
 
 
+# the values of the golden numeric `verify` argvs
+GOLDEN_VALUES = {
+    "quad2x2": (0, -2), "cubic3x3": (1, -1, 2, 1, -2),
+    "quartic4x4": (5, -23, 2, -7), "sextic6x6": (1, -1, 2, 1, -2, 1, -3),
+    "sextic_circulant": (3,), "sextic_uv": (3,),
+    "octic8x8": (0, -5, 0, -3, 0, -14), "threefold_quadratic": (1, 0, -2),
+    "threefold4x4": (-1, -4, 1, -1, 1, 1),
+    "threefold8x8": (3, -1, 0, -3, 0, -14, 1)}
+# divisors vanish: threefold4x4 at s = t = 0, at s = 0 and at t = 0,
+# threefold8x8 at t = 0
+VANISHING = [("threefold4x4", (0, 1, 0, 2, 0, 0)),
+             ("threefold4x4", (-1, -4, 1, -1, 0, 1)),
+             ("threefold4x4", (-1, -4, 1, -1, 1, 0)),
+             ("threefold8x8", (3, -1, 0, -3, 0, -14, 0))]
+
+
+def numeric_cases(cases):
+    return [pytest.param(name, values,
+                         id=f"{name}-{','.join(map(str, values))}")
+            for name, values in cases]
+
+
 def composition_map(fam):
     return fam.triple_map() if fam.kind == "triple" else fam.pair_map
 
@@ -38,6 +60,16 @@ def composition_map(fam):
 def verify_auto(fam, cmap=None):
     """The family's own proof of its identity, as the CLI runs it."""
     return fam.verify(cmap or composition_map(fam))
+
+
+def bumped_last(cmap):
+    """cmap with the coefficient of x_h*y_h[*z_h] in output h increased
+    by one."""
+    bad = dict(cmap.coeff)
+    key = (cmap.h - 1, (cmap.h - 1,) * cmap.k)
+    one = cmap.param_table.const(1)
+    bad[key] = bad[key] + one if key in bad else one
+    return MultilinearMap(cmap.k, cmap.h, cmap.params, bad)
 
 
 def mutated(cmap):
@@ -214,20 +246,35 @@ class TestRoute:
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
 
-    def test_vanishing_divisor_proves_only_the_familys_map(self):
-        # s = t = 0: a divisor vanishes, so the symbolic identity stands
-        # in, for the family's own map only; closure falls back to the
-        # symbolic structure
-        fam = catalog.family("threefold4x4", (0, 1, 0, 2, 0, 0))
-        assert fam.structure is catalog.family("threefold4x4").structure
-        assert verify_auto(fam) == ZeroResidual(
-            "matrix", "divisor vanishes; symbolic identity specialized")
-        # the form is 4*x4^4 here and w4 = 2*x4*y4*z4; 3*x4*y4*z4 fails
-        bad = dict(fam.triple_map().coeff)
-        bad[(3, (3, 3, 3))] = bad[(3, (3, 3, 3))] + 1
-        res = verify_auto(fam, cmap=MultilinearMap(3, 4, (), bad))
+    @pytest.mark.parametrize("name, values", numeric_cases(
+        [*GOLDEN_VALUES.items(), *VANISHING]))
+    def test_numeric_verify_is_the_symbolic_proof_specialized(self, name,
+                                                              values):
+        symbolic = verify_auto(catalog.family(name))
+        assert verify_auto(catalog.family(name, values)) == ZeroResidual(
+            symbolic.method, "symbolic identity specialized")
+
+    # expanding a mutated map is the cost of the test: the other golden
+    # values and threefold8x8's (a 722-term octic at t = 0) take seconds
+    @pytest.mark.parametrize("name, values", numeric_cases(
+        [(name, GOLDEN_VALUES[name]) for name in
+         ("quad2x2", "cubic3x3", "quartic4x4", "threefold_quadratic")]
+        + VANISHING[:3]))
+    def test_mutated_map_at_numeric_values_leaves_a_residual(self, name,
+                                                             values):
+        # the specialized proof is for the family's own map only; another
+        # map is expanded at these values.  The bumped coefficient is that
+        # of x_h*y_h[*z_h] in the last output: at s = t = 0 threefold4x4's
+        # form is 4*x4^4, so only the last output enters it.
+        fam = catalog.family(name, values)
+        cmap = composition_map(fam)
+        res = verify_auto(fam, cmap=bumped_last(cmap))
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
+
+    def test_vanishing_divisor_closes_the_symbolic_structure(self):
+        fam = catalog.family("threefold4x4", (0, 1, 0, 2, 0, 0))
+        assert fam.structure is catalog.family("threefold4x4").structure
 
     @pytest.mark.parametrize("name",
                              ["quad2x2", "sextic_circulant", "sextic_uv"])

@@ -1,6 +1,5 @@
 """Solution sequences of f = 1 and the brute-force oracle."""
 
-import collections
 import io
 import itertools
 import json
@@ -17,7 +16,7 @@ from matform import dioph
 from matform.catalog import FormFamily, family, list_families
 from matform.cli import main
 from matform.polyring import no_int_str_limit
-from matform.compose import MultilinearMap, NotAUnit, invert
+from matform.compose import MultilinearMap, NotAUnit, ZeroResidual, invert
 from matform.dioph import (
     SearchSpaceTooLarge,
     SearchVerificationError,
@@ -148,8 +147,8 @@ class TestRecords:
     def test_results_never_share_a_solutions_list(self):
         spec = SequenceSpec(family=QUARTIC, seed=(1, 0, 0, 0), count=0,
                             partners=((6, 2, 3, 1),))
-        a = dioph.SequenceResult(spec=spec, step=(), proof="evaluated")
-        b = dioph.SequenceResult(spec=spec, step=(), proof="evaluated")
+        a = dioph.SequenceResult(spec=spec, step=(), proof="matrix")
+        b = dioph.SequenceResult(spec=spec, step=(), proof="matrix")
         assert a == b and a.solutions == [] and a.evaluated == 0
         a.solutions.append((1, 0, 0, 0))
         assert b.solutions == [] and a != b
@@ -246,6 +245,11 @@ class TestSequences:
 
 T4 = family("threefold4x4", (-1, -4, 1, -1, 1, 1))
 E4 = (1, 0, 0, 0)
+T8 = family("threefold8x8", (3, -1, 0, -3, 0, -14, 1))
+E8 = (1,) + (0,) * 7
+TQ = family("threefold_quadratic", (1, 0, -2))  # x1^2 - 2*x2^2
+TQ_SEED = (3, 2)
+E2 = (1, 0)
 
 
 def bumped(cmap, key):
@@ -281,118 +285,121 @@ def evaluations(monkeypatch):
 
 
 class TestIterateCertificate:
-    """A chain is proven once by its step identity A(S e_j) == P A(e_j) Q,
-    with exact evaluation of every iterate where that fails, and of the
-    last iterate always."""
+    """A chain rests on the family's composition identity, proven once
+    (`FormFamily.verify`, the symbolic proof specialized): a map it does
+    not prove raises before any iterate.  Besides the seed and the
+    partners, only the last iterate is evaluated."""
 
     @pytest.mark.parametrize("name, params, seed, key", [
         ("quartic4x4", (5, -23, 2, -7), QUARTIC_SEQ[0], (0, (0, 0))),
         ("sextic_uv", (3,), UV_SEQ[0], (0, (0, 0))),
     ])
-    def test_mutated_pair_map_fails_at_iterate_1(self, monkeypatch, name,
-                                                 params, seed, key):
+    def test_mutated_pair_map_fails_before_any_iterate(
+            self, monkeypatch, evaluations, name, params, seed, key):
         fam = family(name, params)
         bad = bumped(fam.pair_map, key)
         monkeypatch.setattr(FormFamily, "pair_map", property(lambda self: bad))
-        with pytest.raises(SequenceVerificationError, match="iterate 1 "):
+        with pytest.raises(SequenceVerificationError,
+                           match="composition identity fails"):
             generate_sequence(SequenceSpec(
                 family=fam, seed=seed, partners=(seed,), count=4))
+        assert evaluations == [seed, seed]  # seed and partner only
 
-    def test_mutated_triple_map_fails_at_iterate_1(self, monkeypatch):
-        fam = T4.specialize(T4.param_values)  # patched below
+    def test_mutated_triple_map_fails_before_any_iterate(self, monkeypatch,
+                                                         evaluations):
+        fam = TQ.specialize(TQ.param_values)  # patched below
         bad = bumped(fam.triple_map(), (0, (0, 0, 0)))
         monkeypatch.setattr(fam, "triple_map", lambda: bad)
-        with pytest.raises(SequenceVerificationError, match="iterate 1 "):
+        with pytest.raises(SequenceVerificationError,
+                           match="composition identity fails"):
             generate_sequence(SequenceSpec(
-                family=fam, seed=T4_SEQ[0], count=4,
-                partners=(E4, T4_SEQ[0])))
+                family=fam, seed=TQ_SEED, count=4, partners=(E2, TQ_SEED)))
+        assert evaluations == [TQ_SEED, E2, TQ_SEED]
 
-    def test_map_outside_the_certificate_falls_back(self, monkeypatch,
-                                                    evaluations):
+    def test_another_map_is_proven_at_the_values(self, monkeypatch,
+                                                 evaluations):
         # Every catalog pair law is commutative, so a pair map with its
         # arguments swapped is the same map.  The trilinear law is not:
-        # map(y, x, z) still has f = 1 but is A(y)A(x)A(z), not the
-        # A(x)A(y)A(z) of the step identity, so every iterate is evaluated.
-        fam = T4.specialize(T4.param_values)  # patched below
+        # map(y, x, z) still has f = 1 but is not the family's law, so it
+        # is proven by expanding its identity at these values.
+        fam = TQ.specialize(TQ.param_values)  # patched below
         cmap = fam.triple_map()
-        swapped = MultilinearMap(3, 4, (), {
+        swapped = MultilinearMap(3, 2, (), {
             (i, (j2, j1, j3)): c for (i, (j1, j2, j3)), c in cmap.coeff.items()})
+        assert fam.verify(swapped) == ZeroResidual(
+            "expand", "no structure in the map's parameters; "
+                      "whole form expanded")
         monkeypatch.setattr(fam, "triple_map", lambda: swapped)
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=T4_SEQ[0], count=6,
-            partners=(E4, T4_SEQ[0])))
-        assert len(evaluations) > 4  # seed, two partners, last
-        assert evaluations[3:] == r.solutions[1:]
-        assert (r.proof, r.evaluated) == ("evaluated", 6)
-        assert r.solutions[1] != T4_SEQ[1]
-        f = printed(T4)
-        assert all(f(v) == 1 for v in r.solutions)
+            family=fam, seed=TQ_SEED, count=6, partners=(E2, TQ_SEED)))
+        assert evaluations == [TQ_SEED, E2, TQ_SEED, r.solutions[-1]]
+        assert (r.proof, r.evaluated) == ("expand", 2)
+        assert r.solutions[1] != generate_sequence(SequenceSpec(
+            TQ, TQ_SEED, 2, (E2, TQ_SEED))).solutions[1]
+        assert all(x * x - 2 * y * y == 1 for x, y in r.solutions)
 
-    def test_certified_iterates_are_not_evaluated(self, evaluations):
+    def test_proven_iterates_are_not_evaluated(self, evaluations):
         r = generate_sequence(SequenceSpec(
             family=QUARTIC, seed=QUARTIC_SEQ[0], partners=(QUARTIC_SEQ[0],),
             count=50))
         assert r.solutions[:4] == QUARTIC_SEQ
         assert evaluations == [QUARTIC_SEQ[0], QUARTIC_SEQ[0],
                                r.solutions[-1]]  # seed, partner, last
-        assert (r.proof, r.evaluated) == ("step identity", 2)
+        assert (r.proof, r.evaluated) == ("matrix", 2)
         assert printed(QUARTIC)(r.solutions[-1]) == 1
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-    def test_every_slot_order_is_certified(self, order, evaluations):
+    def test_every_slot_order_is_proven(self, order, evaluations):
         # a second solution besides the seed, so no slot holds (1, 0, 0, 0)
         r = generate_sequence(SequenceSpec(
             family=T4, seed=T4_SEQ[0], count=6,
             partners=((-4, 1, -3, 3), T4_SEQ[0]), order=order))
         assert len(evaluations) == 4  # seed, two partners, last
-        assert r.proof == "step identity"
+        assert r.proof == "matrix"
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
 
-    def test_family_without_matrix_evaluates_every_iterate(self, evaluations):
+    def test_family_without_matrix_is_proven_by_expansion(self, evaluations):
         fam = family("sextic_uv", (3,))
         r = generate_sequence(SequenceSpec(
             family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
         assert r.solutions == UV_SEQ
-        assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[1:]
-        assert (r.proof, r.evaluated) == ("evaluated", 4)
+        assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[3:]
+        assert (r.proof, r.evaluated) == ("expand", 2)
+        assert all(simultaneous_is_solution(3, v) for v in r.solutions)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_chain_without_a_step_is_its_evaluated_seed(self, count):
         r = generate_sequence(SequenceSpec(
             QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
-        assert (r.proof, r.evaluated) == ("evaluated", count)
+        assert (r.proof, r.evaluated) == ("matrix", count)
 
-    @pytest.mark.parametrize("fam, seed, partners, order", [
+    # the six families of the golden `solve` argvs, with their partners
+    @pytest.mark.parametrize("fam, seed, partners, order, proof", [
         pytest.param(QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), None,
-                     id="quartic4x4"),
+                     "matrix", id="quartic4x4"),
+        pytest.param(OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), None, "matrix",
+                     id="octic8x8"),
+        pytest.param(family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],),
+                     None, "expand", id="sextic_uv"),
+        pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, "matrix",
+                     id="threefold8x8"),
+        pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0), "expand",
+                     id="threefold_quadratic-zyx"),
         *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
+                       "matrix",
                        id="threefold4x4-" + "".join("xyz"[s] for s in order))
           for order in itertools.permutations(range(3))],
     ])
-    def test_proof_cost_does_not_grow_with_count(self, monkeypatch, fam,
-                                                 seed, partners, order):
-        calls = collections.Counter()
-        matrix, product = FormFamily.matrix, dioph.int_matrix_product
-
-        def counting_matrix(self, point):
-            calls["matrix"] += 1
-            return matrix(self, point)
-
-        def counting_product(a, b):
-            calls["product"] += 1
-            return product(a, b)
-        monkeypatch.setattr(FormFamily, "matrix", counting_matrix)
-        monkeypatch.setattr(dioph, "int_matrix_product", counting_product)
-        costs = []
+    def test_proof_cost_does_not_grow_with_count(self, evaluations, fam,
+                                                 seed, partners, order,
+                                                 proof):
         for count in (50, 500):
-            calls.clear()
+            evaluations.clear()
             r = generate_sequence(SequenceSpec(fam, seed, count, partners,
                                                order))
-            assert (r.proof, r.evaluated) == ("step identity", 2)
-            costs.append(dict(calls))
-        assert costs[0] == costs[1]
-        assert costs[0]["product"] > 0
+            assert (r.proof, r.evaluated) == (proof, 2)
+            assert evaluations == [seed, *partners, r.solutions[-1]]
 
     @pytest.mark.parametrize("fam, seed, partners", [
         (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],)),

@@ -16,7 +16,6 @@ from matform.polyring import (
     VarTableMismatch,
     grlex_key,
     int_matrix_determinant,
-    int_matrix_product,
 )
 
 T = VarTable(("a", "b", "c"))
@@ -238,29 +237,10 @@ class TestDeterminants:
         M = _int_matrix(rows, T)
         assert int_matrix_determinant(rows) == M.determinant().as_int()
 
-    @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                    min_size=3, max_size=3),
-           st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3,
-                             max_size=3), min_size=3, max_size=3))
-    @settings(max_examples=40)
-    def test_int_matrix_product(self, m, n):
-        product = int_matrix_product(m, n)
-        assert product == [[sum(m[i][k] * n[k][j] for k in range(3))
-                            for j in range(3)] for i in range(3)]
-        assert int_matrix_determinant(product) \
-            == int_matrix_determinant(m) * int_matrix_determinant(n)
-
-    def test_int_matrix_product_shapes(self):
-        assert int_matrix_product([[1, 2]], [[3], [4]]) == [[11]]
-        with pytest.raises(ValueError):
-            int_matrix_product([[1, 2]], [[3, 4]])
-
     @pytest.mark.parametrize("call", [
         lambda: int_matrix_determinant([[0.5, 1], [1, 2.9]]),
         lambda: int_matrix_determinant([[2.0]]),
-        lambda: int_matrix_product([[0.5]], [[2]]),
-        lambda: int_matrix_product([[2]], [[1.0]]),
-    ], ids=["det", "det-integral-float", "product-left", "product-right"])
+    ], ids=["det", "det-integral-float"])
     def test_int_matrix_rejects_a_float(self, call):
         """A float entry is never truncated or carried into the result:
         it raises TypeError."""
