@@ -3,15 +3,17 @@
 Each family bundles a degree-n form in n coordinates (integer parameters),
 usually realized as the determinant of a matrix with a linear structure,
 together with the bilinear or trilinear composition law the family carries.
-Where the structure is in the family's own parameters, its determinant is
-the form and its closure is the law: both come from the structure alone.
-threefold_quadratic's structure is in (t, b, c): its law psi is the triple
-closure and its form Q is -det, each with t^2 read as a.  Only sextic_uv,
-which has no structure, has its law and factor forms transcribed here.
-The paper's printed laws, expansions and factorizations are the test
-suite's reference data, checked there against the derived ones.  Each
-identity has one proof, the symbolic family's: at numeric parameters the
-law is the symbolic law specialized, and so is its proof.
+Every family has a structure.  Where it is in the family's own
+parameters, its determinant is the form and its closure is the law: both
+come from the structure alone.  sextic_uv's structure is the regular
+representation of its law, block upper triangular, and its two factor
+forms are the determinants of the diagonal blocks.  threefold_quadratic's
+structure is in (t, b, c): its law psi is the triple closure and its form
+Q is -det, each with t^2 read as a.  The paper's printed laws, expansions
+and factorizations are the test suite's reference data, checked there
+against the derived ones.  Each identity has one proof, the symbolic
+family's: at numeric parameters the law is the symbolic law specialized,
+and so is its proof.
 
 The registry holds each family's metadata (description, kind, parameter
 and coordinate names, degree), which `list_families` prints without
@@ -27,9 +29,9 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .compose import ZeroResidual, verify_identity
-from .linstruct import (LinearStructure, MultilinearMap, NotClosed,
-                        argument_names)
-from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant)
+from .linstruct import LinearStructure, MultilinearMap, NotClosed
+from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable,
+                       int_matrix_determinant)
 
 
 class UnknownFamily(PolyError):
@@ -52,25 +54,23 @@ def _coords(prefix: str, h: int) -> Tuple[str, ...]:
 class FormFamily:
     """One catalog family, either fully symbolic or with numeric parameters.
 
-    `kind` is "pair" (bilinear composition law), "triple" (trilinear law
-    only), or "uv" (the simultaneous two-form system with no matrix
-    structure of its own).  A family has one law per arity, `pair_map`
-    (bilinear) and `triple_map()` (trilinear); argument order is the
-    caller's.  Each is its structure's closure (with t^2 read as a for
-    threefold_quadratic), else the `law` passed in (sextic_uv's, the only
-    family without a structure).  `factors`, where passed, define the form
-    of a family whose structure is not in its own parameters.  A numeric
-    family owns everything that depends on its parameter values
-    (structure, form and laws, each derived on first use and kept); its
-    laws, form and factors are the symbolic ones specialized, so `verify`
-    proves its own law by the symbolic family's proof.  The integer
-    A(point) of `matrix` is the parameter-free structure's `matrix_of`.
+    `kind` is "pair" (bilinear composition law) or "triple" (trilinear
+    law only).  A family has one law per arity, `pair_map` (bilinear) and
+    `triple_map()` (trilinear); argument order is the caller's.  Each is
+    its structure's closure (with t^2 read as a for threefold_quadratic).
+    `factors`, where passed, are the forms that compose simultaneously
+    under the law (sextic_uv's), or define the form of a family whose
+    structure is not in its own parameters.  A numeric family owns
+    everything that depends on its parameter values (structure, form and
+    laws, each derived on first use and kept); its laws, form and factors
+    are the symbolic ones specialized, so `verify` proves its own law by
+    the symbolic family's proof.  The integer A(point) of `matrix` is the
+    parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
-                 structure: Optional[LinearStructure] = None,
-                 law: Optional[MultilinearMap] = None,
+                 structure: LinearStructure,
                  printed_form: Optional[Polynomial] = None,
                  factors: Optional[Tuple[Polynomial, ...]] = None,
                  param_values: Optional[Tuple[int, ...]] = None,
@@ -89,8 +89,7 @@ class FormFamily:
         self._factors: Optional[Tuple[Polynomial, ...]] = None
         self._own: tuple = ()  # (the own structure,) once derived
         self._proofs: Dict[int, Union[ZeroResidual, Polynomial]] = {}
-        self._laws: Dict[int, MultilinearMap] = \
-            {} if law is None else {law.k: law}
+        self._laws: Dict[int, MultilinearMap] = {}
 
     # -- basics ----------------------------------------------------------
 
@@ -125,10 +124,10 @@ class FormFamily:
     def _own_structure(self) -> Optional[LinearStructure]:
         """The family's structure at this instance's values, derived once;
         None unless it is in the family's own parameters
-        (threefold_quadratic's is in (t, b, c), sextic_uv has none)."""
+        (threefold_quadratic's is in (t, b, c))."""
         if not self._own:
             st = self._structure
-            if st is None or st.params != self.param_names:
+            if st.params != self.param_names:
                 st = None
             elif self.param_values is not None:
                 st = st.specialize(self.param_values)
@@ -136,12 +135,11 @@ class FormFamily:
         return self._own[0]
 
     @property
-    def structure(self) -> Optional[LinearStructure]:
+    def structure(self) -> LinearStructure:
         """The matrix realization for closure: the family's own structure
         at these values where every divisor is nonzero there (extraction
         would otherwise divide by zero), else the symbolic family's
-        structure (threefold_quadratic's is in t, b, c; sextic_uv has
-        none)."""
+        structure (threefold_quadratic's is in t, b, c)."""
         st = self._own_structure()
         return st if st is not None and all(st.divisors) \
             else self._base._structure
@@ -177,18 +175,18 @@ class FormFamily:
 
     def _law(self, k: int) -> MultilinearMap:
         """The law of arity k (2 or 3), derived on first use and kept: the
-        law passed in, else the closure of the family's structure.  That
-        is the object the structure's closure cache holds where the
-        structure is in the family's own parameters; threefold_quadratic's
-        is in (t, b, c), and its closure with t^2 read as a is psi.  A
-        numeric family specializes the symbolic family's law."""
+        closure of the family's structure.  That is the object the
+        structure's closure cache holds where the structure is in the
+        family's own parameters; threefold_quadratic's is in (t, b, c),
+        and its closure with t^2 read as a is psi.  A numeric family
+        specializes the symbolic family's law."""
         law = self._laws.get(k)
         if law is None and not self.is_symbolic():
             law = self._base._law(k).specialize(self.param_values)
         elif law is None:
             word = {2: "bilinear", 3: "trilinear"}[k]
             st = self._structure
-            if st is None or (k == 2 and self.kind == "triple"):
+            if k == 2 and self.kind == "triple":
                 raise PolyError(f"{self.name} has no {word} composition map")
             law = st.closure(k)
             if isinstance(law, NotClosed):
@@ -217,17 +215,20 @@ class FormFamily:
         """`verify_identity` of the family's form under `cmap`.
 
         The symbolic family passes its form as None (det of its own
-        structure) wherever it has one.  A numeric family's own law, form
-        and factors are the symbolic ones specialized, and the identity is
-        polynomial in the parameters, so the symbolic proof of the law
-        proves it at every value: `verify` returns that proof's method with
-        the reason "symbolic identity specialized".  Any other map is
-        checked at these values against the form and its factors."""
+        structure) wherever it has one, with its factors, so that where it
+        has more than one another map is expanded one factor at a time.
+        A numeric family's own law, form and factors are the symbolic ones
+        specialized, and the identity is polynomial in the parameters, so
+        the symbolic proof of the law proves it at every value: `verify`
+        returns that proof's method with the reason "symbolic identity
+        specialized".  Any other map is checked at these values against
+        the form and its factors."""
         if self.is_symbolic():
             st = self._own_structure()
             if st is not None:
                 return verify_identity(None, cmap, self.coord_names,
-                                       structure=st)
+                                       structure=st,
+                                       factors=self._factors_symbolic)
         elif self._is_own_law(cmap):
             proof = self._base._proof(cmap.k)
             if isinstance(proof, ZeroResidual):
@@ -262,7 +263,7 @@ class FormFamily:
     def matrix(self, point: Sequence[int]) -> Optional[List[List[int]]]:
         """The integer matrix A(point) whose determinant is the form, or
         None where the family has no parameter-free structure at these
-        values (sextic_uv, threefold_quadratic)."""
+        values (threefold_quadratic)."""
         self._check_point(point)
         st = self._own_structure()
         return None if st is None else st.matrix_of(point)
@@ -347,33 +348,7 @@ def _threefold_quadratic() -> dict:
     return dict(structure=st, factors=(form,))
 
 
-# -- sextic_uv, the family without a structure ---------------------------------
-
-
-def _uv_map() -> MultilinearMap:
-    """sextic_uv's bilinear law, written in x (first argument) and y
-    (second argument); the family's own coordinates are named u1..u6."""
-    coord_sets = argument_names(6, 2)
-    _, v = _vars(("q",) + sum(coord_sets, ()))
-    q = v["q"]
-    u1, u2, u3, u4, u5, u6 = (v[name] for name in coord_sets[0])
-    v1, v2, v3, v4, v5, v6 = (v[name] for name in coord_sets[1])
-    w1 = u1*v1 + q*u2*v2
-    w2 = u1*v2 + u2*v1
-    w3 = (u1*v3 + q*u2*v4 + u3*v1 - 2*u3*v3 - u3*v6 + q*u4*v2
-          - 2*q*u4*v4 - q*u4*v5 - q*u5*v4 + q*u5*v5 - u6*v3 + u6*v6)
-    w4 = (u1*v4 + u2*v6 - u3*v4 + u3*v5 + u4*v1 - u4*v3 - 2*u4*v6
-          + u5*v3 - u5*v6 + u6*v2 - 2*u6*v4 - u6*v5)
-    w5 = (u1*v5 + u2*v3 + u3*v2 - u3*v4 - 2*u3*v5 - u4*v3
-          + u4*v6 + u5*v1 - 2*u5*v3 - u5*v6 + u6*v4 - u6*v5)
-    w6 = (u1*v6 + q*u2*v2 - q*u2*v4 - q*u2*v5 + u3*v3 - u3*v6
-          - q*u4*v2 + q*u4*v4 + 2*q*u4*v5 - q*u5*v2 + 2*q*u5*v4
-          + q*u5*v5 + u6*v1 - u6*v3 - 2*u6*v6)
-    return MultilinearMap.from_forms([w1, w2, w3, w4, w5, w6], ("q",),
-                                     coord_sets)
-
-
-# -- forms and factors --------------------------------------------------------
+# -- the printed quartic -------------------------------------------------------
 
 
 def _quartic_printed_form() -> Polynomial:
@@ -400,35 +375,6 @@ def _quartic_printed_form() -> Polynomial:
             + 2*m*n*q**2*x3*x4**3 + n**2*q**2*x4**4)
 
 
-def _uv_factors() -> Tuple[Polynomial, Polynomial]:
-    t, v = _vars(("q", "u1", "u2", "u3", "u4", "u5", "u6"))
-    q = v["q"]
-    u1, u2, u3, u4, u5, u6 = (v["u1"], v["u2"], v["u3"],
-                              v["u4"], v["u5"], v["u6"])
-    f1 = u1**2 - q*u2**2
-    f2 = (u1**4 - (6*u3 + 6*u6)*u1**3
-          + (q*u2**2 - 6*q*u2*u5 + 15*u3**2 + 24*u3*u6
-             - 3*q*u4**2 + 6*q*u4*u5 + 6*q*u5**2 + 15*u6**2)*u1**2
-          + (-6*q*u2**2*u6 - 12*q*u2*u3*u4 + 12*q*u2*u3*u5
-             + 12*q*u2*u4*u6 + 24*q*u2*u5*u6 - 18*u3**3 - 36*u3**2*u6
-             + 18*q*u3*u4**2 - 18*q*u3*u5**2 - 36*u3*u6**2
-             - 36*q*u4*u5*u6 - 18*q*u5**2*u6 - 18*u6**3)*u1
-          + q**2*u2**4 - 6*q**2*u2**3*u4 - 6*q**2*u2**3*u5
-          + 15*q**2*u2**2*u4**2 + 24*q**2*u2**2*u4*u5
-          + 15*q**2*u2**2*u5**2 - 18*q**2*u2*u4**3
-          - 36*q**2*u2*u4**2*u5 - 36*q**2*u2*u4*u5**2
-          - 18*q**2*u2*u5**3 + 9*q**2*u4**4 + 18*q**2*u4**3*u5
-          + 27*q**2*u4**2*u5**2 + 18*q**2*u4*u5**3 + 9*q**2*u5**4
-          - 3*q*u2**2*u3**2 + 6*q*u2**2*u3*u6 + 6*q*u2**2*u6**2
-          + 18*q*u2*u3**2*u4 - 36*q*u2*u3*u5*u6 - 18*q*u2*u4*u6**2
-          - 18*q*u2*u5*u6**2 - 18*q*u3**2*u4**2 - 18*q*u3**2*u4*u5
-          + 9*q*u3**2*u5**2 - 18*q*u3*u4**2*u6 + 36*q*u3*u4*u5*u6
-          + 36*q*u3*u5**2*u6 + 9*q*u4**2*u6**2 + 36*q*u4*u5*u6**2
-          + 9*q*u5**2*u6**2 + 9*u3**4 + 18*u3**3*u6 + 27*u3**2*u6**2
-          + 18*u3*u6**3 + 9*u6**4)
-    return f1, f2
-
-
 # -- the registry --------------------------------------------------------------
 
 
@@ -450,6 +396,33 @@ def _circulant_structure() -> LinearStructure:
         ])
 
 
+def _sextic_uv() -> dict:
+    """A(u) = L(u)^T, L(u) the left-regular matrix of the law of a
+    6-dimensional commutative algebra over Z[q] with unit e1.  A is block
+    upper triangular, and its lower-left 4x2 block stays zero under
+    products, so each diagonal block multiplies by itself: their
+    determinants, f1 = u1^2 - q*u2^2 and a quartic f2, are the factors
+    that compose simultaneously under the one law."""
+    coords = _coords("u", 6)
+    t, v = _vars(("q",) + coords)
+    q, zero = v["q"], t.zero()
+    u1, u2, u3, u4, u5, u6 = (v[name] for name in coords)
+    st = LinearStructure.from_matrix(("q",), coords, [
+        [u1, u2, u3, u4, u5, u6],
+        [q*u2, u1, q*u4, u6, u3, q*u2 - q*u4 - q*u5],
+        [zero, zero, u1 - 2*u3 - u6, -u4 + u5, u2 - u4 - 2*u5, u3 - u6],
+        [zero, zero, q*u2 - 2*q*u4 - q*u5, u1 - u3 - 2*u6, -u3 + u6,
+         -q*u2 + q*u4 + 2*q*u5],
+        [zero, zero, -q*u4 + q*u5, u3 - u6, u1 - 2*u3 - u6,
+         -q*u2 + 2*q*u4 + q*u5],
+        [zero, zero, -u3 + u6, u2 - 2*u4 - u5, u4 - u5, u1 - u3 - 2*u6],
+    ])
+    a = st.instantiate(coords).entries
+    return dict(structure=st, factors=tuple(
+        PolyMatrix([row[lo:hi] for row in a[lo:hi]]).determinant()
+        for lo, hi in ((0, 2), (2, 6))))
+
+
 def _lift(outer: LinearStructure, inner: LinearStructure,
           params: Tuple[str, ...]) -> LinearStructure:
     """The block lift of `inner` over `outer`, in the parameter order
@@ -465,9 +438,9 @@ def _quartic_block() -> LinearStructure:
 class _Entry(NamedTuple):
     """A family's registry entry.  The metadata, which `list_families`
     prints, is read without building anything; `build()` returns the parts
-    the run path reads as `FormFamily` keywords: the structure, the law
-    and factors of sextic_uv, threefold_quadratic's factor (its form) and
-    the quartic's printed form."""
+    the run path reads as `FormFamily` keywords: the structure, sextic_uv's
+    factors (its diagonal blocks' determinants), threefold_quadratic's
+    factor (its form) and the quartic's printed form."""
     description: str
     kind: str
     params: Tuple[str, ...]
@@ -504,8 +477,7 @@ _REGISTRY: Dict[str, _Entry] = {
     "sextic_uv": _Entry(
         "simultaneous pair u1^2 - q*u2^2 and a quartic in u1..u6 composed "
         "by one shared bilinear map",
-        "uv", ("q",), _coords("u", 6), 6,
-        lambda: dict(law=_uv_map(), factors=_uv_factors())),
+        "pair", ("q",), _coords("u", 6), 6, _sextic_uv),
     "octic8x8": _Entry(
         "octonary octic from a 2x2-of-4x4 block construction",
         "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8), 8,

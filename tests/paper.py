@@ -6,15 +6,17 @@ reads t^2 as a in both).  The laws, printed expansions, factorizations and
 inverse formulas the paper prints live here, so that the suite checks the
 derived data against them and a typo on either side is caught.
 
-- `law(name)`: the printed bilinear or trilinear law of the seven
-  structured families whose law the paper prints, and psi of
-  threefold_quadratic.
+- `law(name)`: the printed bilinear or trilinear law of the eight
+  families whose law the paper prints (sextic_uv's among them), and psi
+  of threefold_quadratic.
 - `printed_form(name)`: the printed expansion of cubic3x3, quartic4x4 and
   threefold4x4.  The quartic's transcription is the one the catalog keeps
   (`FormFamily.printed_form`), because the benchmark's oracle reads it
   there.  `threefold_quadratic_form()` is Q = a*x1^2 + b*x1*x2 + c*x2^2.
 - `circulant_factors()`: the quadratic and quartic factors of
   sextic_circulant's form.
+- `uv_factors()`: the pair f1, f2 that sextic_uv's law composes
+  simultaneously, whose product is its form.
 - `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
   form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.
@@ -165,6 +167,26 @@ def _octic_map(v):
     return [z1, z2, z3, z4, z5, z6, z7, z8]
 
 
+def _uv_map(v):
+    # the paper writes this law in u (first argument) and v (second)
+    q = v["q"]
+    u1, u2, u3, u4, u5, u6 = (v[f"x{i}"] for i in range(1, 7))
+    v1, v2, v3, v4, v5, v6 = (v[f"y{i}"] for i in range(1, 7))
+    return [
+        u1*v1 + q*u2*v2,
+        u1*v2 + u2*v1,
+        (u1*v3 + q*u2*v4 + u3*v1 - 2*u3*v3 - u3*v6 + q*u4*v2
+         - 2*q*u4*v4 - q*u4*v5 - q*u5*v4 + q*u5*v5 - u6*v3 + u6*v6),
+        (u1*v4 + u2*v6 - u3*v4 + u3*v5 + u4*v1 - u4*v3 - 2*u4*v6
+         + u5*v3 - u5*v6 + u6*v2 - 2*u6*v4 - u6*v5),
+        (u1*v5 + u2*v3 + u3*v2 - u3*v4 - 2*u3*v5 - u4*v3
+         + u4*v6 + u5*v1 - 2*u5*v3 - u5*v6 + u6*v4 - u6*v5),
+        (u1*v6 + q*u2*v2 - q*u2*v4 - q*u2*v5 + u3*v3 - u3*v6
+         - q*u4*v2 + q*u4*v4 + 2*q*u4*v5 - q*u5*v2 + 2*q*u5*v4
+         + q*u5*v5 + u6*v1 - u6*v3 - 2*u6*v6),
+    ]
+
+
 # -- trilinear laws ------------------------------------------------------------
 
 
@@ -228,6 +250,7 @@ _LAWS = {
     "sextic6x6": (("l1", "l2", "l3", "l4", "l5", "p", "q"), 6, 2,
                   _sextic_map),
     "sextic_circulant": (("q",), 6, 2, _circulant_map),
+    "sextic_uv": (("q",), 6, 2, _uv_map),
     "octic8x8": (("m", "n", "p", "q", "r", "s"), 8, 2, _octic_map),
     "threefold_quadratic": (("a", "b", "c"), 2, 3, _threefold_quadratic_map),
     "threefold4x4": (("m", "n", "p", "q", "s", "t"), 4, 3, _threefold4x4_map),
@@ -343,6 +366,38 @@ def circulant_factors() -> Tuple[Polynomial, Polynomial]:
           + 3*q**2*x4**2*x5**2 + 3*q**2*x4**2*x6**2 - 2*q**2*x4*x5**3
           - 2*q**2*x4*x6**3 + q**2*x5**4 - 2*q**2*x5**3*x6
           + 3*q**2*x5**2*x6**2 - 2*q**2*x5*x6**3 + q**2*x6**4)
+    return f1, f2
+
+
+@lru_cache(maxsize=None)
+def uv_factors() -> Tuple[Polynomial, Polynomial]:
+    """f1 = u1^2 - q*u2^2 and the quartic f2, each composed by sextic_uv's
+    law; symbolic in q."""
+    v = _vars(("q", "u1", "u2", "u3", "u4", "u5", "u6"))
+    q = v["q"]
+    u1, u2, u3, u4, u5, u6 = (v["u1"], v["u2"], v["u3"],
+                              v["u4"], v["u5"], v["u6"])
+    f1 = u1**2 - q*u2**2
+    f2 = (u1**4 - (6*u3 + 6*u6)*u1**3
+          + (q*u2**2 - 6*q*u2*u5 + 15*u3**2 + 24*u3*u6
+             - 3*q*u4**2 + 6*q*u4*u5 + 6*q*u5**2 + 15*u6**2)*u1**2
+          + (-6*q*u2**2*u6 - 12*q*u2*u3*u4 + 12*q*u2*u3*u5
+             + 12*q*u2*u4*u6 + 24*q*u2*u5*u6 - 18*u3**3 - 36*u3**2*u6
+             + 18*q*u3*u4**2 - 18*q*u3*u5**2 - 36*u3*u6**2
+             - 36*q*u4*u5*u6 - 18*q*u5**2*u6 - 18*u6**3)*u1
+          + q**2*u2**4 - 6*q**2*u2**3*u4 - 6*q**2*u2**3*u5
+          + 15*q**2*u2**2*u4**2 + 24*q**2*u2**2*u4*u5
+          + 15*q**2*u2**2*u5**2 - 18*q**2*u2*u4**3
+          - 36*q**2*u2*u4**2*u5 - 36*q**2*u2*u4*u5**2
+          - 18*q**2*u2*u5**3 + 9*q**2*u4**4 + 18*q**2*u4**3*u5
+          + 27*q**2*u4**2*u5**2 + 18*q**2*u4*u5**3 + 9*q**2*u5**4
+          - 3*q*u2**2*u3**2 + 6*q*u2**2*u3*u6 + 6*q*u2**2*u6**2
+          + 18*q*u2*u3**2*u4 - 36*q*u2*u3*u5*u6 - 18*q*u2*u4*u6**2
+          - 18*q*u2*u5*u6**2 - 18*q*u3**2*u4**2 - 18*q*u3**2*u4*u5
+          + 9*q*u3**2*u5**2 - 18*q*u3*u4**2*u6 + 36*q*u3*u4*u5*u6
+          + 36*q*u3*u5**2*u6 + 9*q*u4**2*u6**2 + 36*q*u4*u5*u6**2
+          + 9*q*u5**2*u6**2 + 9*u3**4 + 18*u3**3*u6 + 27*u3**2*u6**2
+          + 18*u3*u6**3 + 9*u6**4)
     return f1, f2
 
 

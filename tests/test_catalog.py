@@ -12,14 +12,15 @@ from matform.catalog import (FormFamily, ParamArity, UnknownFamily, family,
                              list_families)
 from matform.compose import MultilinearMap, ZeroResidual, verify_identity
 from matform.linstruct import NotClosed
-from matform.polyring import PolyError, VarTable
+from matform.polyring import PolyError, PolyMatrix, VarTable
 
 import paper
 from companion import companion_family
 
 # the families whose structure is in their own parameters
 STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-              "sextic_circulant", "octic8x8", "threefold4x4", "threefold8x8")
+              "sextic_circulant", "sextic_uv", "octic8x8", "threefold4x4",
+              "threefold8x8")
 
 
 class TestRegistry:
@@ -54,22 +55,18 @@ class TestRegistry:
         assert entry.coords == fam.coord_names
         # and the metadata describes the built parts
         law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
-        st = fam.structure
-        numeric = fam.specialize((2,) * fam.arity)  # degree in x alone
-        degree = st.n if st is not None else \
-            sum(f.total_degree() for f in numeric.factors)
-        assert (degree, fam.h, fam.param_names) == \
+        assert (fam.structure.n, fam.h, fam.param_names) == \
             (entry.degree, law.h, law.params)
 
     @pytest.mark.parametrize("name", list(catalog._REGISTRY))
     def test_only_what_no_structure_gives_is_built(self, name):
-        # one source per law and form: a structure gives the law by its
-        # closure, so only sextic_uv, which has none, builds one; factors
-        # are built only where they define the form, and the printed
-        # quartic only because bench/oracle.py reads it
+        # one source per law and form: every family has a structure, which
+        # gives the law by its closure, so none builds a law; factors are
+        # built only where they define the form or split it into forms
+        # composed simultaneously, and the printed quartic only because
+        # bench/oracle.py reads it
         parts = catalog._REGISTRY[name].build()
-        assert ("structure" in parts) == (name != "sextic_uv")
-        assert ("law" in parts) == (name == "sextic_uv")
+        assert "structure" in parts and "law" not in parts
         assert ("factors" in parts) == \
             (name in ("sextic_uv", "threefold_quadratic"))
         assert ("printed_form" in parts) == (name == "quartic4x4")
@@ -78,9 +75,21 @@ class TestRegistry:
         info = {e["name"]: e for e in list_families()}
         assert info["quad2x2"]["degree"] == 2 and info["quad2x2"]["coords"] == 2
         assert info["octic8x8"]["degree"] == 8 and info["octic8x8"]["coords"] == 8
-        assert info["sextic_uv"]["kind"] == "uv"
-        for name in ("threefold_quadratic", "threefold4x4", "threefold8x8"):
-            assert info[name]["kind"] == "triple"
+        triple = ("threefold_quadratic", "threefold4x4", "threefold8x8")
+        for name, e in info.items():
+            assert e["kind"] == ("triple" if name in triple else "pair")
+
+    @pytest.mark.parametrize("name", ["threefold_quadratic", "threefold4x4",
+                                      "threefold8x8"])
+    @pytest.mark.parametrize("values", [None, "numeric"])
+    def test_triple_family_has_no_bilinear_law(self, name, values):
+        fam = family(name)
+        if values is not None:
+            fam = fam.specialize(paper.DEGENERATE_WITNESSES[name])
+        with pytest.raises(PolyError) as info:
+            fam.pair_map
+        assert type(info.value) is PolyError
+        assert str(info.value) == f"{name} has no bilinear composition map"
 
 
 class TestTranscribedAgainstDerived:
@@ -109,7 +118,7 @@ class TestTranscribedAgainstDerived:
 
     @pytest.mark.parametrize("name", ["quad2x2", "cubic3x3", "quartic4x4",
                                       "sextic6x6", "sextic_circulant",
-                                      "octic8x8"])
+                                      "sextic_uv", "octic8x8"])
     def test_pair_closure_is_the_transcribed_pair_map(self, name):
         fam = family(name)
         assert fam.structure.closure(2) == paper.law(name)
@@ -151,6 +160,32 @@ class TestTranscribedAgainstDerived:
         if printed.table != det.table:
             printed = printed.embed(det.table)
         assert printed == det
+
+    def test_uv_form_is_the_transcribed_factor_product(self):
+        # det A, term for term and as printed
+        form = family("sextic_uv").form
+        f1, f2 = paper.uv_factors()
+        assert form == f1 * f2 and str(form) == str(f1 * f2)
+
+    def test_uv_factors_are_the_diagonal_block_determinants(self):
+        # derived from the structure, and equal to the transcription
+        # string for string
+        fam = family("sextic_uv")
+        a = fam.structure.instantiate(fam.coord_names)
+        blocks = [PolyMatrix([[a[i, j] for j in cut] for i in cut])
+                  for cut in (range(2), range(2, 6))]
+        assert fam.factors == tuple(b.determinant() for b in blocks) \
+            == paper.uv_factors()
+        assert list(map(str, fam.factors)) == \
+            list(map(str, paper.uv_factors()))
+
+    def test_uv_structure_is_block_upper_triangular(self):
+        # the zero lower-left 4x2 block is closed under products, so each
+        # diagonal block multiplies by itself and each factor composes
+        # under the one law
+        st = family("sextic_uv").structure
+        assert all(st.coeff[i][j][r].is_zero() for i in range(2, 6)
+                   for j in range(2) for r in range(st.h))
 
     def test_quartic_printed_form_spot_values(self):
         fam = family("quartic4x4", (5, -23, 2, -7))
@@ -214,10 +249,9 @@ class TestIntegerMatrix:
         assert fam.structure is family("threefold4x4").structure
         assert fam.matrix(point) == self.symbolic_at("threefold4x4", values, point)
 
-    @pytest.mark.parametrize("name, values", [
-        ("sextic_uv", (3,)), ("threefold_quadratic", (1, 2, 3))])
-    def test_no_parameter_free_structure_gives_none(self, name, values):
-        fam = family(name, values)
+    def test_no_parameter_free_structure_gives_none(self):
+        # threefold_quadratic's structure is in (t, b, c)
+        fam = family("threefold_quadratic", (1, 2, 3))
         assert fam.matrix((1,) * fam.h) is None
 
     @pytest.mark.parametrize("name", ["quartic4x4", "sextic_uv"])

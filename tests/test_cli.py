@@ -427,11 +427,6 @@ class TestContract:
             marks=pytest.mark.skipif(
                 not hasattr(sys, "get_int_max_str_digits"),
                 reason="no int/str digit limit on this Python")),
-        # --fixed asks for the three-argument law, which sextic_uv lacks
-        ("solve", "--family", "sextic_uv", "--params", "3",
-         "--seed", "2,1,3,-1,3,-4", "--step", "2,1,3,-1,3,-4",
-         "--fixed", "1,0,0,0,0,0", "--count", "2"),
-        ("verify", "--family", "sextic_uv", "--threefold"),
         # --order names the slots of a three-argument map only
         ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
          "--order", "zzz", "--count", "2"),
@@ -441,8 +436,6 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        if "sextic_uv" in argv:  # the family is named once
-            assert err == "error: sextic_uv has no trilinear composition map\n"
 
     def test_byte_identical_reruns(self, capsys):
         args = ("emit-form", "--family", "cubic3x3")

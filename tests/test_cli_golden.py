@@ -32,7 +32,7 @@ def test_stdout_unchanged(capsys, argv):
 # own parameters, else expansion.
 ROUTES = {"quartic4x4": "matrix", "octic8x8": "matrix",
           "threefold4x4": "matrix", "threefold8x8": "matrix",
-          "sextic_uv": "expand", "threefold_quadratic": "expand"}
+          "sextic_uv": "matrix", "threefold_quadratic": "expand"}
 
 
 @pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("solve ")])

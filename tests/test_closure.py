@@ -22,10 +22,11 @@ from matform.polyring import Polynomial, VarTable, int_matrix_determinant
 
 from intmatrix import int_matrix_product
 
-# every catalog family with a matrix structure
-NINE = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6", "sextic_circulant",
-        "octic8x8", "threefold_quadratic", "threefold4x4", "threefold8x8")
-CASES = [(name, order) for name in NINE for order in (2, 3)]
+# every catalog family: each has a matrix structure
+FAMILIES = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
+            "sextic_circulant", "octic8x8", "threefold_quadratic",
+            "threefold4x4", "threefold8x8", "sextic_uv")
+CASES = [(name, order) for name in FAMILIES for order in (2, 3)]
 
 
 def fresh(name: str) -> LinearStructure:
@@ -228,7 +229,7 @@ def test_symmetric_square_gives_a_mismatch():
     if not (order == 2 and name.startswith("threefold"))])
 def test_integer_point_oracle(name, order):
     assert_integer_points(catalog.family(name).structure, order,
-                          seed=NINE.index(name) * 10 + order)
+                          seed=FAMILIES.index(name) * 10 + order)
 
 
 def test_block_lift_of_two_quartics():

@@ -25,9 +25,9 @@ ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
 
 # structure in the family's own parameters: the matrix route applies; the
-# other two families, threefold_quadratic and sextic_uv, are expanded
+# other family, threefold_quadratic, is expanded
 MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-                 "sextic_circulant", "octic8x8", "threefold4x4",
+                 "sextic_circulant", "sextic_uv", "octic8x8", "threefold4x4",
                  "threefold8x8")
 
 
@@ -235,16 +235,23 @@ class TestRoute:
                       "whole form expanded")
 
     def test_split_form_without_structure_expands_factorwise(self):
-        res = verify_auto(catalog.family("sextic_uv"))
+        # the transcribed factors, each composed under the derived law
+        fam = catalog.family("sextic_uv")
+        res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
+                              factors=paper.uv_factors())
         assert res == ZeroResidual(
             "expand", "no structure in the map's parameters; "
                       "2 factors expanded one at a time")
 
     def test_mutated_uv_map_yields_nonzero_residual(self):
+        # the structure induces another map, so the identity is expanded
+        # one factor at a time: the residual is f1's, in u1 and u2 alone
         fam = catalog.family("sextic_uv")
         res = verify_auto(fam, cmap=mutated(fam.pair_map))
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
+        assert {name for name in res.table.names if res.degree_in(name)} \
+            <= {"q", "x_u1", "x_u2", "y_u1", "y_u2"}
 
     @pytest.mark.parametrize("name, values", numeric_cases(
         [*GOLDEN_VALUES.items(), *VANISHING]))
@@ -320,6 +327,7 @@ class TestIntegerPointOracle:
         transcribed = ((paper.printed_form(name),)
                        if name in paper.PRINTED_FAMILIES else
                        paper.circulant_factors() if name == "sextic_circulant"
+                       else paper.uv_factors() if name == "sextic_uv"
                        else base.factors)
         at_values = [p.specialize(dict(zip(base.param_names, values)))
                      for p in transcribed]
@@ -330,6 +338,20 @@ class TestIntegerPointOracle:
                              for p in at_values)
 
         assert math.prod(map(f, points)) == f(cmap.apply(points))
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_uv_triple_law_is_the_pair_law_twice(self, data):
+        # the law is associative, which is why the structure closes at
+        # order 3 as well: A(x)A(y)A(z) = A(pair(pair(x, y), z))
+        base = catalog.family("sextic_uv")
+        fam = base.specialize((data.draw(st.integers(-5, 5)),))
+        ivec6 = st.tuples(*[st.integers(-9, 9)] * 6)
+        x, y, z = (data.draw(ivec6) for _ in range(3))
+        pair = fam.pair_map
+        assert fam.triple_map().apply((x, y, z)) == \
+            pair.apply((pair.apply((x, y)), z)) == \
+            pair.apply((x, pair.apply((y, z))))
 
 
 class TestGroupLaw:

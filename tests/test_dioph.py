@@ -360,13 +360,14 @@ class TestIterateCertificate:
         assert all(f(v) == 1 for v in r.solutions)
 
     def test_family_without_matrix_is_proven_by_expansion(self, evaluations):
-        fam = family("sextic_uv", (3,))
+        # threefold_quadratic's structure is in (t, b, c), not in (a, b, c)
         r = generate_sequence(SequenceSpec(
-            family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
-        assert r.solutions == UV_SEQ
-        assert evaluations == [UV_SEQ[0]] * 2 + UV_SEQ[3:]
+            family=TQ, seed=TQ_SEED, partners=(E2, TQ_SEED), count=4))
+        assert evaluations == [TQ_SEED, E2, TQ_SEED, r.solutions[-1]]
         assert (r.proof, r.evaluated) == ("expand", 2)
-        assert all(simultaneous_is_solution(3, v) for v in r.solutions)
+        f = paper.threefold_quadratic_form().specialize(
+            dict(zip(TQ.param_names, TQ.param_values)))
+        assert all(f.eval_vector(list(v)) == 1 for v in r.solutions)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_chain_without_a_step_is_its_evaluated_seed(self, count):
@@ -381,7 +382,7 @@ class TestIterateCertificate:
         pytest.param(OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), None, "matrix",
                      id="octic8x8"),
         pytest.param(family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],),
-                     None, "expand", id="sextic_uv"),
+                     None, "matrix", id="sextic_uv"),
         pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, "matrix",
                      id="threefold8x8"),
         pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0), "expand",
