@@ -59,15 +59,6 @@ def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
                          f"got {len(vec)}")
 
 
-def _composition_map(fam, threefold: bool):
-    """The family's trilinear or bilinear map; a usage error where the
-    family has no such law."""
-    try:
-        return fam.triple_map() if threefold else fam.pair_map
-    except (PolyError, ValueError) as exc:
-        raise UsageError(str(exc))  # FormFamily names itself in it
-
-
 def _emit(obj, text, fmt: str) -> None:
     """Print obj() as JSON or text(): only the format asked for is built."""
     print(json.dumps(obj()) if fmt == "json" else text())
@@ -97,7 +88,8 @@ def _cmd_emit_form(args) -> int:
 
 def _cmd_verify(args) -> int:
     fam = _family(args.family, args.params)
-    cmap = _composition_map(fam, args.threefold or fam.kind == "triple")
+    cmap = (fam.triple_map() if args.threefold or fam.kind == "triple"
+            else fam.pair_map)
     result = fam.verify(cmap)
     if isinstance(result, ZeroResidual):
         _emit(lambda: {"status": "zero-residual", "method": result.method},
@@ -145,7 +137,6 @@ def _cmd_solve(args) -> int:
         if args.fixed is None:
             raise UsageError(f"{fam.name} composes three arguments; "
                              f"supply --fixed")
-        _composition_map(fam, threefold=True)
         order = "xyz" if args.order is None else args.order
         if sorted(order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")

@@ -13,8 +13,12 @@ constants of the algebra the matrices span; closure returns them as the
 composition law itself, a MultilinearMap with A(x)A(y) = A(map(x, y)).  A
 closed pair table gives the triple table without a matrix product, as
 c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
-products (E_r E_s) E_u read the same way.  Every product, division and
-entrywise check is exact over the parameters, never sampled.
+products (E_r E_s) E_u read the same way.  A block lift keeps its two
+factors: its basis is E_r (x) F_s, so where both factors close its table is
+the Kronecker product of theirs, c_(r,s)(r',s')^(t,u) = c_rr'^t c'_ss'^u
+(and likewise for triples), and no product of its own basis is taken.
+Every product, division and entrywise check is exact over the parameters,
+never sampled.
 """
 
 from __future__ import annotations
@@ -317,6 +321,8 @@ class LinearStructure:
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
+        # (outer, inner) where block_compose built this structure
+        self._factors: Optional[Tuple[LinearStructure, LinearStructure]] = None
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -412,14 +418,19 @@ class LinearStructure:
             self._form_cache[key] = got
         return got
 
-    def _mapped(self, params: Sequence[str], fn) -> "LinearStructure":
-        """The structure over `params` with fn(c) for every coefficient c."""
-        return LinearStructure(self.n, self.h, params,
-                               [[[fn(c) for c in cell] for cell in row]
-                                for row in self.coeff])
+    def _mapped(self, params: Sequence[str], fn,
+                factors: Optional[tuple] = None) -> "LinearStructure":
+        """The structure over `params` with fn(c) for every coefficient c,
+        a lift of `factors` where given."""
+        st = LinearStructure(self.n, self.h, params,
+                             [[[fn(c) for c in cell] for cell in row]
+                              for row in self.coeff])
+        st._factors = factors
+        return st
 
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
-        """Substitute integer values for all parameters (result has none)."""
+        """Substitute integer values for all parameters (result has none,
+        and no factors: its closure is read off its basis products)."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [index(v) for v in param_values]
@@ -439,9 +450,11 @@ class LinearStructure:
         }
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
-        """Same structure with parameters renamed."""
+        """Same structure with parameters renamed, a lift's factors too."""
         table = VarTable(mapping.get(p, p) for p in self.params)
-        return self._mapped(table.names, lambda c: Polynomial(table, c.terms))
+        return self._mapped(table.names, lambda c: Polynomial(table, c.terms),
+                            self._factors and tuple(f.rename_params(mapping)
+                                                    for f in self._factors))
 
     # -- extraction -------------------------------------------------------
 
@@ -511,9 +524,14 @@ class LinearStructure:
         return self._closure_cache[order]
 
     def _decide(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """Closure of `order` factors from the basis products: the triple
-        table of a closed pair table is its contraction, any other table
-        is read off the products E_r E_s [E_u]."""
+        """Closure of `order` factors: a lift of two factors that close is
+        their laws' Kronecker product, the triple table of a closed pair
+        table is its contraction, any other table is read off the basis
+        products E_r E_s [E_u]."""
+        if self._factors is not None:
+            laws = [f._closure(order) for f in self._factors]
+            if all(isinstance(law, MultilinearMap) for law in laws):
+                return self._tensor(*laws)
         if order == 3:
             pair = self._closure(2)
             if isinstance(pair, MultilinearMap):
@@ -540,6 +558,21 @@ class LinearStructure:
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
         return MultilinearMap(order, self.h, self.params, got)
+
+    def _tensor(self, outer: MultilinearMap,
+                inner: MultilinearMap) -> MultilinearMap:
+        """The lift's law from its factors' laws of one arity:
+        E_r E_r' [E_r''] (x) F_s F_s' [F_s''] = sum c_rr'[r'']^t
+        c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u).  The
+        factors' parameters are disjoint, so no two monomials of a product
+        merge."""
+        table, hin = self.param_table, inner.h
+        a = [(t, js, c.embed(table).terms) for (t, js), c in outer.coeff.items()]
+        b = [(u, ks, c.embed(table).terms) for (u, ks), c in inner.coeff.items()]
+        return MultilinearMap(outer.k, self.h, self.params, {
+            (t * hin + u, tuple(j * hin + k for j, k in zip(js, ks))):
+                Polynomial._own(table, _mul_into({}, ca, cb))
+            for t, js, ca in a for u, ks, cb in b})
 
     def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
@@ -595,6 +628,11 @@ class LinearStructure:
         is the product of the two factors' divisors.  That needs an inner
         structure with as many coordinates as rows (every catalog structure
         has); any other raises ValueError.
+
+        The lift keeps both structures as its factors, and
+        `with_param_order` and `rename_params` carry them along: its basis
+        is E_r (x) F_s, so its law at an order both factors close at is
+        their laws' Kronecker product, proven by their closures.
         """
         if set(self.params) & set(inner.params):
             raise ParameterCollision(sorted(set(self.params) & set(inner.params))[0])
@@ -623,7 +661,9 @@ class LinearStructure:
                                     continue
                                 cell = coeff[i * m + a][j * m + b]
                                 cell[r * hin + s] = cell[r * hin + s] + oc * inner_c.embed(ptable)
-        return LinearStructure(N, H * hin, params, coeff)
+        lifted = LinearStructure(N, H * hin, params, coeff)
+        lifted._factors = (self, inner)
+        return lifted
 
     def with_param_order(self, names: Sequence[str]) -> "LinearStructure":
         """Same structure with the parameter table reordered to `names`."""
@@ -631,5 +671,5 @@ class LinearStructure:
         if set(names) != set(self.params) or len(names) != len(self.params):
             raise ValueError("names must be a permutation of the parameters")
         table = VarTable(names)
-        return self._mapped(names, lambda c: c.embed(table))
+        return self._mapped(names, lambda c: c.embed(table), self._factors)
 

@@ -7,6 +7,10 @@ that never read the table:
 - integer points: A(x)·A(y)[·A(z)] == A(map(x, y[, z])) through
   `matrix_of`, at seeded random parameters and points;
 - sympy, multiplying the instantiated matrices itself.
+
+A block lift's table, the Kronecker product of its factors' tables, is
+also checked against the same structure without factors, which reads its
+table off its own basis products.
 """
 
 import random
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matform import catalog
+from matform import catalog, linstruct
 from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
                                NotInSpan)
 from matform.polyring import Polynomial, VarTable, int_matrix_determinant
@@ -242,6 +246,97 @@ def test_block_lift_of_two_quartics():
     for order in (2, 3):
         assert isinstance(lifted.closure(order), MultilinearMap)
         assert_integer_points(lifted, order, seed=1600 + order, trials=2)
+
+
+# -- block lifts: the Kronecker product of the factors' tables ----------------
+
+# the catalog's block lifts; threefold8x8's inner structure is itself one
+LIFTS = ("quartic4x4", "sextic6x6", "octic8x8", "threefold4x4", "threefold8x8")
+
+
+def basis_route(st: LinearStructure) -> LinearStructure:
+    """The same structure without factors: its closure is read off its own
+    basis products."""
+    return LinearStructure(st.n, st.h, st.params, st.coeff)
+
+
+def renamed_quartic() -> LinearStructure:
+    """quartic4x4's structure with its parameters renamed as `matform
+    block` renames an inner structure that collides with the outer."""
+    st = fresh("quartic4x4")
+    return st.rename_params({p: f"i_{p}" for p in st.params})
+
+
+def test_lifts_are_the_catalog_block_compositions():
+    assert tuple(name for name in FAMILIES
+                 if fresh(name)._factors is not None) == LIFTS
+
+
+@pytest.mark.parametrize("name,order", [
+    (name, order) for name in LIFTS + ("threefold8x8-inner",) for order in (2, 3)])
+def test_lift_closure_is_the_basis_route(name, order):
+    """The law (or the witness, where a factor does not close) equals the
+    one read off the lift's own basis products."""
+    st = (fresh("threefold8x8")._factors[1] if name == "threefold8x8-inner"
+          else fresh(name))
+    assert st._factors is not None
+    assert st.closure(order) == basis_route(st).closure(order)
+
+
+@pytest.mark.parametrize("name", ["threefold4x4", "threefold8x8"])
+def test_lift_of_a_factor_not_closed_keeps_the_witness(name):
+    """A trace-free factor does not close pairwise, so the lift takes the
+    basis route and gives its division witness."""
+    st = fresh(name)
+    assert any(isinstance(f.closure(2), NotClosed) for f in st._factors)
+    got = st.closure(2)
+    assert isinstance(got, NotClosed) and got.witness.reason == "division"
+    assert got == basis_route(st).closure(2)
+
+
+@pytest.mark.parametrize("name,order", [
+    (name, order) for name in LIFTS for order in (2, 3)
+    if order == 3 or not name.startswith("threefold")])
+def test_closed_lift_takes_no_product_of_its_own_basis(name, order, monkeypatch):
+    """Where both factors close, the lift multiplies no n x n matrices:
+    only its factors' smaller bases are multiplied out."""
+    st = fresh(name)
+    sizes = []
+    product = linstruct._sparse_product
+
+    def counting(a, b):
+        sizes.append(len(a))
+        return product(a, b)
+    monkeypatch.setattr(linstruct, "_sparse_product", counting)
+    assert isinstance(st.closure(order), MultilinearMap)
+    assert st.n not in sizes
+
+
+def test_renamed_and_reordered_lift_keeps_its_factors():
+    """`rename_params` renames the factors with the lift, and
+    `with_param_order` keeps them; `specialize` drops them."""
+    st = fresh("octic8x8").rename_params({"p": "P", "m": "M"})
+    assert st._factors is not None
+    assert {p for f in st._factors for p in f.params} == set(st.params)
+    reordered = st.with_param_order(sorted(st.params))
+    for lift in (st, reordered):
+        assert lift.closure(2) == basis_route(lift).closure(2)
+    assert st.specialize((1, -2, 3, 1, 0, -1))._factors is None
+
+
+def test_block_lift_of_two_quartics_is_the_basis_route():
+    """The 16 x 16 lift `matform block --outer quartic4x4 --inner
+    quartic4x4` builds, with its inner parameters renamed."""
+    lifted = fresh("quartic4x4").block_compose(renamed_quartic())
+    assert lifted.closure(3) == basis_route(lifted).closure(3)
+
+
+def test_32x32_lift_integer_points():
+    """octic8x8 over the renamed quartic: a 32 x 32 lift in ten parameters,
+    pairwise closed from its factors' tables."""
+    lifted = fresh("octic8x8").block_compose(renamed_quartic())
+    assert (lifted.n, lifted.h, len(lifted.params)) == (32, 32, 10)
+    assert_integer_points(lifted, 2, seed=3200, trials=1)
 
 
 # -- sympy as an independent multiplier --------------------------------------
