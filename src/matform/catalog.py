@@ -6,32 +6,32 @@ together with the bilinear or trilinear composition law the family carries.
 Every family has a structure.  Where it is in the family's own
 parameters, its determinant is the form and its closure is the law: both
 come from the structure alone.  sextic_uv's structure is the regular
-representation of its law, block upper triangular, and its two factor
-forms are the determinants of the diagonal blocks.  threefold_quadratic's
-structure is in (t, b, c): its law psi is the triple closure and its form
-Q is -det, each with t^2 read as a.  The paper's printed laws, expansions
-and factorizations are the test suite's reference data, checked there
-against the derived ones.  Each identity has one proof, the symbolic
-family's: at numeric parameters the law is the symbolic law specialized,
-and so is its proof.
+representation of its law, block upper triangular, so each diagonal
+block's determinant composes under the same law; the tests check that
+those are the paper's two factors.  threefold_quadratic's structure is in
+(t, b, c): its law psi is the triple closure and its form Q is -det, each
+with t^2 read as a.  The paper's printed laws, expansions and
+factorizations are the test suite's reference data, checked there against
+the derived ones.  Each identity has one proof, the symbolic family's: at
+numeric parameters the law is the symbolic law specialized, and so is its
+proof.
 
 The registry holds each family's metadata (description, kind, parameter
-and coordinate names, degree), which `list_families` prints without
-building anything, and the builder of the parts the run path reads, which
-`family` calls once per process, on first use.
+and coordinate names; the degree is the coordinate count), which
+`list_families` prints without building anything, and the builder of the
+parts the run path reads, which `family` calls once per process, on first
+use.
 """
 
 from __future__ import annotations
 
-import math
 from operator import index
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .compose import ZeroResidual, verify_identity
 from .linstruct import LinearStructure, MultilinearMap, NotClosed
-from .polyring import (PolyError, PolyMatrix, Polynomial, VarTable,
-                       int_matrix_determinant)
+from .polyring import PolyError, Polynomial, VarTable, int_matrix_determinant
 
 
 class UnknownFamily(PolyError):
@@ -58,13 +58,13 @@ class FormFamily:
     law only).  A family has one law per arity, `pair_map` (bilinear) and
     `triple_map()` (trilinear); argument order is the caller's.  Each is
     its structure's closure (with t^2 read as a for threefold_quadratic).
-    `factors`, where passed, are the forms that compose simultaneously
-    under the law (sextic_uv's), or define the form of a family whose
-    structure is not in its own parameters.  A numeric family owns
-    everything that depends on its parameter values (structure, form and
-    laws, each derived on first use and kept); its laws, form and factors
-    are the symbolic ones specialized, so `verify` proves its own law by
-    the symbolic family's proof.  The integer A(point) of `matrix` is the
+    Its form is its structure's determinant; `form` is passed only where
+    the structure is not in the family's own parameters
+    (threefold_quadratic's).  A numeric family owns everything that
+    depends on its parameter values (structure, form and laws, each
+    derived on first use and kept); its laws and form are the symbolic
+    ones specialized, so `verify` proves its own law by the symbolic
+    family's proof.  The integer A(point) of `matrix` is the
     parameter-free structure's `matrix_of`.
     """
 
@@ -72,7 +72,7 @@ class FormFamily:
                  param_names: Sequence[str], coord_names: Sequence[str],
                  structure: LinearStructure,
                  printed_form: Optional[Polynomial] = None,
-                 factors: Optional[Tuple[Polynomial, ...]] = None,
+                 form: Optional[Polynomial] = None,
                  param_values: Optional[Tuple[int, ...]] = None,
                  base: Optional["FormFamily"] = None):
         self.name = name
@@ -82,11 +82,9 @@ class FormFamily:
         self._structure = structure
         # the quartic's printed expansion, symbolic; bench/oracle.py reads it
         self.printed_form = printed_form
-        self._factors_symbolic = factors
         self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
-        self._form: Optional[Polynomial] = None
-        self._factors: Optional[Tuple[Polynomial, ...]] = None
+        self._form = form  # threefold_quadratic's; else derived on first use
         self._own: tuple = ()  # (the own structure,) once derived
         self._proofs: Dict[int, Union[ZeroResidual, Polynomial]] = {}
         self._laws: Dict[int, MultilinearMap] = {}
@@ -116,8 +114,7 @@ class FormFamily:
         return FormFamily(
             self.name, self.kind, self.param_names, self.coord_names,
             structure=self._structure, printed_form=self.printed_form,
-            factors=self._factors_symbolic, param_values=values,
-            base=self._base)
+            param_values=values, base=self._base)
 
     # -- matrix realization -------------------------------------------------
 
@@ -149,27 +146,14 @@ class FormFamily:
     @property
     def form(self) -> Polynomial:
         """The family's form: det of the structure where it is in the
-        family's parameters, else the product of the factor forms."""
+        family's parameters, else the symbolic family's form (given at
+        build) at these values."""
         if self._form is None:
             st = self._own_structure()
             self._form = (st.form(self.coord_names) if st is not None
-                          else math.prod(self.factors))
+                          else self._base.form.specialize(
+                              dict(zip(self.param_names, self.param_values))))
         return self._form
-
-    @property
-    def factors(self) -> Tuple[Polynomial, ...]:
-        """The factor forms whose simultaneous composition the family's map
-        realizes; a single-element tuple for irreducible families."""
-        if self._factors is None:
-            if self._factors_symbolic is None:
-                self._factors = (self.form,)
-            elif self.is_symbolic():
-                self._factors = self._factors_symbolic
-            else:
-                values = dict(zip(self.param_names, self.param_values))
-                self._factors = tuple(f.specialize(values)
-                                      for f in self._factors_symbolic)
-        return self._factors
 
     # -- maps --------------------------------------------------------------
 
@@ -215,27 +199,23 @@ class FormFamily:
         """`verify_identity` of the family's form under `cmap`.
 
         The symbolic family passes its form as None (det of its own
-        structure) wherever it has one, with its factors, so that where it
-        has more than one another map is expanded one factor at a time.
-        A numeric family's own law, form and factors are the symbolic ones
-        specialized, and the identity is polynomial in the parameters, so
-        the symbolic proof of the law proves it at every value: `verify`
-        returns that proof's method with the reason "symbolic identity
-        specialized".  Any other map is checked at these values against
-        the form and its factors."""
+        structure) wherever it has one.  A numeric family's own law and
+        form are the symbolic ones specialized, and the identity is
+        polynomial in the parameters, so the symbolic proof of the law
+        proves it at every value: `verify` returns that proof's method
+        with the reason "symbolic identity specialized".  Any other map is
+        expanded at these values against the form."""
         if self.is_symbolic():
             st = self._own_structure()
             if st is not None:
                 return verify_identity(None, cmap, self.coord_names,
-                                       structure=st,
-                                       factors=self._factors_symbolic)
+                                       structure=st)
         elif self._is_own_law(cmap):
             proof = self._base._proof(cmap.k)
             if isinstance(proof, ZeroResidual):
                 return ZeroResidual(proof.method,
                                     "symbolic identity specialized")
-        return verify_identity(self.form, cmap, self.coord_names,
-                               factors=self.factors)
+        return verify_identity(self.form, cmap, self.coord_names)
 
     def _is_own_law(self, cmap: MultilinearMap) -> bool:
         try:
@@ -269,17 +249,12 @@ class FormFamily:
         return None if st is None else st.matrix_of(point)
 
     def evaluate(self, point: Sequence[int]) -> int:
-        """Exact integer value of the form at an integer point."""
+        """Exact integer value of the form at an integer point: det of
+        `matrix`, or the form evaluated where there is none."""
         a = self.matrix(point)
         if a is not None:
             return int_matrix_determinant(a)
-        return math.prod(self.evaluate_factors(point))
-
-    def evaluate_factors(self, point: Sequence[int]) -> Tuple[int, ...]:
-        """Exact value of each factor form at an integer point."""
-        self._check_point(point)
-        pt = list(map(index, point))
-        return tuple(f.eval_vector(pt) for f in self.factors)
+        return self.form.eval_vector(list(map(index, point)))
 
 
 # -- shared structure pieces --------------------------------------------------
@@ -345,7 +320,7 @@ def _threefold_quadratic() -> dict:
     st = _tracefree_structure("t", "b", "c")
     coords = _coords("x", 2)
     form = _t_squared_as_a(-st.form(coords), VarTable(("a", "b", "c") + coords))
-    return dict(structure=st, factors=(form,))
+    return dict(structure=st, form=form)
 
 
 # -- the printed quartic -------------------------------------------------------
@@ -396,18 +371,18 @@ def _circulant_structure() -> LinearStructure:
         ])
 
 
-def _sextic_uv() -> dict:
+def _sextic_uv_structure() -> LinearStructure:
     """A(u) = L(u)^T, L(u) the left-regular matrix of the law of a
     6-dimensional commutative algebra over Z[q] with unit e1.  A is block
     upper triangular, and its lower-left 4x2 block stays zero under
     products, so each diagonal block multiplies by itself: their
-    determinants, f1 = u1^2 - q*u2^2 and a quartic f2, are the factors
-    that compose simultaneously under the one law."""
+    determinants, u1^2 - q*u2^2 and a quartic, compose simultaneously
+    under the one law, and det A is their product."""
     coords = _coords("u", 6)
     t, v = _vars(("q",) + coords)
     q, zero = v["q"], t.zero()
     u1, u2, u3, u4, u5, u6 = (v[name] for name in coords)
-    st = LinearStructure.from_matrix(("q",), coords, [
+    return LinearStructure.from_matrix(("q",), coords, [
         [u1, u2, u3, u4, u5, u6],
         [q*u2, u1, q*u4, u6, u3, q*u2 - q*u4 - q*u5],
         [zero, zero, u1 - 2*u3 - u6, -u4 + u5, u2 - u4 - 2*u5, u3 - u6],
@@ -417,10 +392,6 @@ def _sextic_uv() -> dict:
          -q*u2 + 2*q*u4 + q*u5],
         [zero, zero, -u3 + u6, u2 - 2*u4 - u5, u4 - u5, u1 - u3 - 2*u6],
     ])
-    a = st.instantiate(coords).entries
-    return dict(structure=st, factors=tuple(
-        PolyMatrix([row[lo:hi] for row in a[lo:hi]]).determinant()
-        for lo, hi in ((0, 2), (2, 6))))
 
 
 def _lift(outer: LinearStructure, inner: LinearStructure,
@@ -437,50 +408,50 @@ def _quartic_block() -> LinearStructure:
 
 class _Entry(NamedTuple):
     """A family's registry entry.  The metadata, which `list_families`
-    prints, is read without building anything; `build()` returns the parts
-    the run path reads as `FormFamily` keywords: the structure, sextic_uv's
-    factors (its diagonal blocks' determinants), threefold_quadratic's
-    factor (its form) and the quartic's printed form."""
+    prints, is read without building anything; the degree is the number of
+    coordinates (n variables, degree n).  `build()` returns the parts the
+    run path reads as `FormFamily` keywords: the structure,
+    threefold_quadratic's form and the quartic's printed form."""
     description: str
     kind: str
     params: Tuple[str, ...]
     coords: Tuple[str, ...]
-    degree: int
     build: Callable[[], dict]
 
 
 _REGISTRY: Dict[str, _Entry] = {
     "quad2x2": _Entry(
         "binary quadratic x1^2 + p*x1*x2 + q*x2^2 as a 2x2 determinant",
-        "pair", ("p", "q"), _coords("x", 2), 2,
+        "pair", ("p", "q"), _coords("x", 2),
         lambda: dict(structure=_pell_structure("p", "q"))),
     "cubic3x3": _Entry(
         "ternary cubic in five parameters; not a norm form in general",
-        "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3), 3,
+        "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3),
         lambda: dict(structure=_cubic_structure())),
     "quartic4x4": _Entry(
         "quaternary quartic from a 2x2-of-2x2 block construction",
-        "pair", ("m", "n", "p", "q"), _coords("x", 4), 4,
+        "pair", ("m", "n", "p", "q"), _coords("x", 4),
         lambda: dict(structure=_quartic_block(),
                      printed_form=_quartic_printed_form())),
     "sextic6x6": _Entry(
         "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
-        "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6), 6,
+        "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6),
         lambda: dict(
             structure=_lift(_pell_structure("p", "q"), _cubic_structure(),
                             ("l1", "l2", "l3", "l4", "l5", "p", "q")))),
     "sextic_circulant": _Entry(
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
-        "pair", ("q",), _coords("x", 6), 6,
+        "pair", ("q",), _coords("x", 6),
         lambda: dict(structure=_circulant_structure())),
     "sextic_uv": _Entry(
         "simultaneous pair u1^2 - q*u2^2 and a quartic in u1..u6 composed "
         "by one shared bilinear map",
-        "pair", ("q",), _coords("u", 6), 6, _sextic_uv),
+        "pair", ("q",), _coords("u", 6),
+        lambda: dict(structure=_sextic_uv_structure())),
     "octic8x8": _Entry(
         "octonary octic from a 2x2-of-4x4 block construction",
-        "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8), 8,
+        "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8),
         lambda: dict(
             structure=_lift(_pell_structure("r", "s"), _quartic_block(),
                             ("m", "n", "p", "q", "r", "s")))),
@@ -489,11 +460,11 @@ _REGISTRY: Dict[str, _Entry] = {
     "threefold_quadratic": _Entry(
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
         "law, applied to its arguments in any order",
-        "triple", ("a", "b", "c"), _coords("x", 2), 2, _threefold_quadratic),
+        "triple", ("a", "b", "c"), _coords("x", 2), _threefold_quadratic),
     "threefold4x4": _Entry(
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
-        "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4), 4,
+        "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4),
         lambda: dict(
             structure=_lift(_tracefree_structure("t", "p", "q"),
                             _tracefree_structure("s", "m", "n"),
@@ -501,7 +472,7 @@ _REGISTRY: Dict[str, _Entry] = {
     "threefold8x8": _Entry(
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
-        "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8), 8,
+        "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8),
         lambda: dict(structure=_lift(
             _pell_structure("r", "s"),
             _pell_structure("p", "q").block_compose(
@@ -529,7 +500,7 @@ def family(name: str, params: Optional[Sequence[int]] = None) -> FormFamily:
 
 def list_families() -> List[dict]:
     """Registry entries in catalog order, for the CLI; builds no family."""
-    return [{"name": name, "kind": e.kind, "degree": e.degree,
+    return [{"name": name, "kind": e.kind, "degree": len(e.coords),
              "coords": len(e.coords), "params": list(e.params),
              "description": e.description} for name, e in _REGISTRY.items()]
 

@@ -1,14 +1,16 @@
 """Command-line surface for the form catalog, identity verifiers, and
 integer-solution sequence generators.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  With
---format json, stdout is a single JSON document; diagnostics go to stderr.
+Exit codes: 0 success, 1 verification failure or a reader that closed
+stdout, 2 usage error.  With --format json, stdout is a single JSON
+document; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -283,12 +285,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         with no_int_str_limit():  # every input number is parsed by now
-            return args.handler(args)
+            code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull
+        # at exit instead of raising again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

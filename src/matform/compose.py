@@ -4,19 +4,18 @@ integer solutions of f = 1.
 A law is a linstruct.MultilinearMap (re-exported here with its errors), the
 coefficient tensor of a bilinear (k=2) or trilinear (k=3) map: output_i =
 sum lambda_{i,j1..jk} * arg1_{j1} * ... * argk_{jk}, with entries
-polynomial in named parameters.  Identity verification is exact.  Where the form is the determinant of a matrix
-family in the map's own parameters, the proof goes through that family:
-the entrywise product identity A(x)A(y) = A(z) is checked symbolically,
-and multiplicativity of the determinant does the rest.  A form that is
-det(A) by definition (passed as None) is never expanded; a form given
-explicitly is checked to equal det(A).  Otherwise the residual is expanded
-termwise, one factor at a time where the form is given as a product.
-Every route is deterministic and exact.
+polynomial in named parameters.  Identity verification is exact and takes
+one of two routes.  Where the form is the determinant of a matrix family in
+the map's own parameters, the proof goes through that family: the
+entrywise product identity A(x)A(y) = A(z) is checked symbolically, and
+multiplicativity of the determinant does the rest.  A form that is det(A)
+by definition (passed as None) is never expanded; a form given explicitly
+is checked to equal det(A).  Otherwise the residual of the whole form is
+expanded termwise.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # the law and its two errors are defined in linstruct and re-exported here
@@ -37,8 +36,7 @@ class ZeroResidual(NamedTuple):
     """Certificate that the composition identity holds exactly.
 
     `method` records the proof route: "expand" for a termwise expansion of
-    f(args...) - f(map(args...)) (of each factor's identity where the form
-    was given as a product), "matrix" for the entrywise matrix-product
+    f(args...) - f(map(args...)), "matrix" for the entrywise matrix-product
     identity combined with det multiplicativity (and form == det where the
     form was given rather than defined as det).  `reason` names the rule
     that chose the route and what was expanded.
@@ -69,15 +67,9 @@ def _expand_residual(form: Polynomial, cmap: MultilinearMap,
     return product - composed
 
 
-def _difference(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a - b, with a moved onto b's table where the two differ."""
-    return (a.embed(b.table) if a.table != b.table else a) - b
-
-
 def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
                     coord_names: Sequence[str],
-                    structure: Optional[LinearStructure] = None,
-                    factors: Optional[Sequence[Polynomial]] = None
+                    structure: Optional[LinearStructure] = None
                     ) -> Union[ZeroResidual, Polynomial]:
     """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically.
 
@@ -91,35 +83,21 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
       the determinant then proves the identity.
       Where the structure induces another map the route falls back to
       expansion.
-    - otherwise "expand", one factor at a time when `factors` holds more
-      than one factor, else of the whole form.
-    On every route, `factors` must multiply to the form.
-    Returns ZeroResidual on success; on failure, product(factors) - form,
-    the nonzero residual polynomial ("expand"), or the offending entry
-    residual or det - form ("matrix").
+    - otherwise "expand" of the whole form.
+    Returns ZeroResidual on success; on failure, the nonzero residual
+    polynomial ("expand"), or the offending entry residual or det - form
+    ("matrix").
     """
     if form is None and structure is None:
         raise ValueError("form=None stands for det(structure): pass one")
 
-    def the_form() -> Polynomial:
-        return form if form is not None else structure.form(coord_names)
-
-    split = factors is not None and len(factors) > 1
-    if split:
-        unfactored = _difference(math.prod(factors), the_form())
-        if not unfactored.is_zero():
-            return unfactored
-
     def expand(rule: str) -> Union[ZeroResidual, Polynomial]:
-        # f_i(x)f_i(y)[f_i(z)] = f_i(map(...)) for every factor gives the
-        # identity of their product, which is the form
-        for part in factors if split else (the_form(),):
-            residual = _expand_residual(part, cmap, coord_names)
-            if not residual.is_zero():
-                return residual
-        what = (f"{len(factors)} factors expanded one at a time" if split
-                else "whole form expanded")
-        return ZeroResidual("expand", f"{rule}; {what}")
+        residual = _expand_residual(
+            form if form is not None else structure.form(coord_names),
+            cmap, coord_names)
+        if not residual.is_zero():
+            return residual
+        return ZeroResidual("expand", f"{rule}; whole form expanded")
 
     if structure is None or structure.params != cmap.params:
         return expand("no structure in the map's parameters")
@@ -133,9 +111,11 @@ def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
         # back to the honest expansion to produce a residual.
         return expand("structure induces another map")
     if form is not None:
-        diff = _difference(structure.form(coord_names), form)
-        if not diff.is_zero():
-            return diff
+        det = structure.form(coord_names)
+        if det.table != form.table:
+            det = det.embed(form.table)
+        if det != form:
+            return det - form
     return ZeroResidual("matrix", "structure in the map's parameters")
 
 

@@ -162,25 +162,8 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.terms), default=-1)
 
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of `name`; -1 for the zero polynomial."""
-        i = self.table.index(name)
-        return max((m[i] for m in self.terms), default=-1)
-
-    def coefficient_of(self, monomial: Monomial) -> int:
-        """Coefficient of an exponent tuple, 0 if the term is absent."""
-        if len(monomial) != len(self.table):
-            raise VarTableMismatch("exponent tuple length != table size")
-        return self.terms.get(tuple(monomial), 0)
-
     def constant_term(self) -> int:
         return self.terms.get((0,) * len(self.table), 0)
-
-    def as_int(self) -> int:
-        """The value of a constant polynomial; raises if non-constant."""
-        if any(map(any, self.terms)):
-            raise ValueError("polynomial is not constant")
-        return self.constant_term()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -332,18 +315,6 @@ class Polynomial:
                 del out[key]
         return Polynomial._own(table, out)
 
-    def eval_int(self, point: Mapping[str, int]) -> int:
-        """Exact integer value at a fully assigned integer point."""
-        values = []
-        for name in self.table.names:
-            if name not in point:
-                raise UnassignedVariable(name)
-            values.append(operator.index(point[name]))
-        extra = set(point) - set(self.table.names)
-        if extra:
-            raise UnknownVariable(sorted(extra)[0])
-        return self.eval_vector(values)
-
     def eval_vector(self, values: Sequence[int]) -> int:
         """Exact value given one integer per table variable, in order."""
         if len(values) != len(self.table):
@@ -400,16 +371,6 @@ class Polynomial:
             "vars": list(self.table.names),
             "terms": [{"c": str(c), "e": list(m)} for m, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Polynomial":
-        """The polynomial `to_json_obj` wrote; bad or repeated exponents raise,
-        and so does a coefficient that is not an int or its decimal string."""
-        table = VarTable(obj["vars"])
-        pairs = [(_exponents(t["e"], len(table)), int(str(t["c"]))) for t in obj["terms"]]
-        if len({m for m, _ in pairs}) != len(pairs):
-            raise ValueError("repeated monomial in the terms")
-        return cls._own(table, {m: c for m, c in pairs if c})
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):
@@ -586,24 +547,6 @@ class PolyMatrix:
                     _mul_packed(nxt.setdefault(mask | bit, {}), entry, minor, sign)
             minors = nxt
         return pack.poly(minors.get((1 << self.n) - 1, {}))
-
-    def determinant_cofactor(self) -> Polynomial:
-        """Determinant by first-row cofactor expansion (reference oracle)."""
-        n = self.n
-        if n == 1:
-            return self.entries[0][0]
-        acc = self.table.zero()
-        for j in range(n):
-            entry = self.entries[0][j]
-            if entry.is_zero():
-                continue
-            minor = PolyMatrix([
-                [self.entries[i][k] for k in range(n) if k != j]
-                for i in range(1, n)
-            ]).determinant_cofactor()
-            term = entry * minor
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
 
 
 def int_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:

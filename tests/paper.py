@@ -16,7 +16,8 @@ derived data against them and a typo on either side is caught.
 - `circulant_factors()`: the quadratic and quartic factors of
   sextic_circulant's form.
 - `uv_factors()`: the pair f1, f2 that sextic_uv's law composes
-  simultaneously, whose product is its form.
+  simultaneously, whose product is its form: the determinants of its
+  structure's diagonal blocks.  The catalog keeps no factor.
 - `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
   form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.

@@ -16,6 +16,7 @@ from matform.polyring import PolyError, PolyMatrix, VarTable
 
 import paper
 from companion import companion_family
+from polytools import coefficient_of, eval_int
 
 # the families whose structure is in their own parameters
 STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -49,26 +50,32 @@ class TestRegistry:
         fam = family(name)
         [listed] = [e for e in list_families() if e["name"] == name]
         assert listed == {"name": name, "kind": fam.kind,
-                          "degree": entry.degree, "coords": fam.h,
+                          "degree": fam.h, "coords": fam.h,
                           "params": list(fam.param_names),
                           "description": entry.description}
         assert entry.coords == fam.coord_names
         # and the metadata describes the built parts
         law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
-        assert (fam.structure.n, fam.h, fam.param_names) == \
-            (entry.degree, law.h, law.params)
+        assert (fam.h, fam.param_names) == (law.h, law.params)
+
+    @pytest.mark.parametrize("name", list(catalog._REGISTRY))
+    def test_degree_is_the_coordinate_count(self, name):
+        # the paper's forms have degree n in n variables: each structure is
+        # n x n with n coordinates, so the listed degree is their count
+        fam = family(name)
+        assert fam.structure.n == fam.h == len(catalog._REGISTRY[name].coords)
 
     @pytest.mark.parametrize("name", list(catalog._REGISTRY))
     def test_only_what_no_structure_gives_is_built(self, name):
         # one source per law and form: every family has a structure, which
-        # gives the law by its closure, so none builds a law; factors are
-        # built only where they define the form or split it into forms
-        # composed simultaneously, and the printed quartic only because
-        # bench/oracle.py reads it
+        # gives the law by its closure and the form by its determinant, so
+        # none builds a law; a form is built only where the structure is
+        # not in the family's own parameters, and the printed quartic only
+        # because bench/oracle.py reads it
         parts = catalog._REGISTRY[name].build()
         assert "structure" in parts and "law" not in parts
-        assert ("factors" in parts) == \
-            (name in ("sextic_uv", "threefold_quadratic"))
+        assert "factors" not in parts
+        assert ("form" in parts) == (name == "threefold_quadratic")
         assert ("printed_form" in parts) == (name == "quartic4x4")
 
     def test_kinds_and_dimensions(self):
@@ -168,16 +175,14 @@ class TestTranscribedAgainstDerived:
         assert form == f1 * f2 and str(form) == str(f1 * f2)
 
     def test_uv_factors_are_the_diagonal_block_determinants(self):
-        # derived from the structure, and equal to the transcription
-        # string for string
+        # the transcription, string for string, is derived from the
+        # structure: the forms its law composes simultaneously
         fam = family("sextic_uv")
         a = fam.structure.instantiate(fam.coord_names)
-        blocks = [PolyMatrix([[a[i, j] for j in cut] for i in cut])
-                  for cut in (range(2), range(2, 6))]
-        assert fam.factors == tuple(b.determinant() for b in blocks) \
-            == paper.uv_factors()
-        assert list(map(str, fam.factors)) == \
-            list(map(str, paper.uv_factors()))
+        dets = tuple(PolyMatrix([[a[i, j] for j in cut] for i in cut])
+                     .determinant() for cut in (range(2), range(2, 6)))
+        assert dets == paper.uv_factors()
+        assert list(map(str, dets)) == list(map(str, paper.uv_factors()))
 
     def test_uv_structure_is_block_upper_triangular(self):
         # the zero lower-left 4x2 block is closed under products, so each
@@ -199,22 +204,44 @@ class TestEvaluation:
         fam = family("cubic3x3", (2, -1, 3, 0, 4))
         point = (2, -5, 7)
         env = dict(zip(fam.coord_names, point))
-        assert fam.evaluate(point) == fam.form.eval_int(env)
+        assert fam.evaluate(point) == eval_int(fam.form, env)
 
     def test_evaluate_uses_integer_matrices_for_structures(self):
         fam = family("octic8x8", (0, -5, 0, -3, 0, -14))
         assert fam.evaluate((4, 2, 2, 1, 14, 7, 8, 4)) == 1
 
     def test_uv_factors(self):
+        # each factor's value, and the form's as their product
         fam = family("sextic_uv", (3,))
-        assert fam.evaluate_factors((2, 1, 3, -1, 3, -4)) == (1, 1)
-        f1, f2 = fam.evaluate_factors((2, 1, 0, 0, 0, 0))
+
+        def factors_at(point):
+            env = {"q": 3, **dict(zip(fam.coord_names, point))}
+            return tuple(eval_int(f, env) for f in paper.uv_factors())
+
+        assert factors_at((2, 1, 3, -1, 3, -4)) == (1, 1)
+        f1, f2 = factors_at((2, 1, 0, 0, 0, 0))
         assert f1 == 1 and f2 != 1
+        assert fam.evaluate((2, 1, 0, 0, 0, 0)) == f1 * f2
+
+    @given(st.tuples(*[st.integers(-9, 9)] * 3),
+           st.tuples(*[st.integers(-9, 9)] * 2))
+    @settings(max_examples=25)
+    def test_threefold_quadratic_is_the_printed_quadratic(self, values,
+                                                          point):
+        # no matrix at these values: `evaluate` reads the form, which is
+        # the symbolic form specialized
+        a, b, c = values
+        fam = family("threefold_quadratic", values)
+        assert fam.matrix(point) is None
+        assert fam.form == family("threefold_quadratic").form.specialize(
+            dict(zip(fam.param_names, values)))
+        x1, x2 = point
+        assert fam.evaluate(point) == a*x1**2 + b*x1*x2 + c*x2**2
 
     def test_circulant_splits(self):
         fam = family("sextic_circulant", (3,))
         point = (2, 1, 3, -1, 3, -4)
-        a, b = (f.eval_int({"q": 3, **dict(zip(fam.coord_names, point))})
+        a, b = (eval_int(f, {"q": 3, **dict(zip(fam.coord_names, point))})
                 for f in paper.circulant_factors())
         assert a * b == fam.evaluate(point)
 
@@ -229,7 +256,7 @@ class TestIntegerMatrix:
         a = base.structure.instantiate(base.coord_names)
         env = {**dict(zip(base.param_names, values)),
                **dict(zip(base.coord_names, point))}
-        return [[a[i, j].eval_int(env) for j in range(a.n)] for i in range(a.n)]
+        return [[eval_int(a[i, j], env) for j in range(a.n)] for i in range(a.n)]
 
     @pytest.mark.parametrize("name", STRUCTURED)
     @given(data=st.data())
@@ -275,7 +302,7 @@ class TestInverseFormulas:
         forms = paper.quartic_inverse_forms()
         env = {"m": 5, "n": -23, "p": 2, "q": -7,
                "x1": 6, "x2": 2, "x3": 3, "x4": 1}
-        assert tuple(f.eval_int(env) for f in forms) == (32, -4, -8, 1)
+        assert tuple(eval_int(f, env) for f in forms) == (32, -4, -8, 1)
 
     def test_printed_inverse_is_group_inverse(self):
         fam = family("quartic4x4", (5, -23, 2, -7))
@@ -283,7 +310,7 @@ class TestInverseFormulas:
         for point in [(6, 2, 3, 1), (352, 121, 192, 66)]:
             env = {"m": 5, "n": -23, "p": 2, "q": -7}
             env.update(zip(("x1", "x2", "x3", "x4"), point))
-            inv = tuple(f.eval_int(env) for f in forms)
+            inv = tuple(eval_int(f, env) for f in forms)
             assert fam.pair_map.apply((point, inv)) == (1, 0, 0, 0)
 
 
@@ -305,7 +332,7 @@ def cubic_norm_progression_test(fam: FormFamily
     if fam.is_symbolic() and fam.arity > 0:
         raise ValueError(f"{fam.name} needs numeric parameter values")
     form = fam.form
-    c1, c2, c3 = (form.coefficient_of(tuple(3 if j == i else 0 for j in range(3)))
+    c1, c2, c3 = (coefficient_of(form, tuple(3 * (j == i) for j in range(3)))
                   for i in range(3))
     return (c1 * c3 == c2 * c2, (c1, c2, c3))
 
@@ -341,22 +368,22 @@ class TestNormProgression:
 
 class TestCirculantFactorization:
     """The facts behind the simultaneous sextic system: the circulant's
-    determinant is the paper's f1*f2, and each factor composes under the
-    shared map, in the x-coordinates and in the u-coordinates.  Expansion
-    factor by factor checks that the factors multiply to the form (the
-    determinant for the circulant) before it expands each factor's
-    identity."""
+    determinant is the paper's f1*f2, and so is sextic_uv's, and each
+    factor composes under the shared map on its own, in the x-coordinates
+    and in the u-coordinates.  Each factor's identity is expanded by its
+    own `verify_identity` call; the product is checked against the form."""
 
     @staticmethod
     def factorwise(params):
-        circ = family("sextic_circulant", params)
-        env = {} if params is None else dict(zip(circ.param_names, params))
-        f1, f2 = (f.specialize(env) for f in paper.circulant_factors())
-        uv = family("sextic_uv", params)
-        for fam, factors in ((circ, (f1, f2)), (uv, uv.factors)):
-            res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                  factors=factors)
-            assert isinstance(res, ZeroResidual), fam.name
+        for name, factors in (("sextic_circulant", paper.circulant_factors()),
+                              ("sextic_uv", paper.uv_factors())):
+            fam = family(name, params)
+            env = {} if params is None else dict(zip(fam.param_names, params))
+            f1, f2 = (f.specialize(env) for f in factors)
+            assert f1 * f2 == fam.form, name
+            for f in (f1, f2):
+                res = verify_identity(f, fam.pair_map, fam.coord_names)
+                assert isinstance(res, ZeroResidual), (name, str(f))
 
     def test_symbolic_check_passes(self):
         self.factorwise(None)

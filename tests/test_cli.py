@@ -453,6 +453,24 @@ class TestContract:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ZERO-RESIDUAL"
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--count", "2600"),
+        ("emit-form", "--family", "octic8x8"),
+    ], ids=["solve", "emit-form"])
+    def test_closed_stdout_is_exit_one_without_a_traceback(self, argv):
+        # as `matform ... | head -c 10`: the reader takes 10 bytes and
+        # closes the pipe while the command is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matform.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert len(head) == 10
+        assert (proc.wait(), err) == (1, b"")
+
 
 # -- fuzzing the whole surface -------------------------------------------------
 

@@ -20,6 +20,7 @@ from matform.polyring import Polynomial, VarTable
 
 import paper
 from companion import companion_family
+from polytools import as_int, degree_in, eval_int
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
@@ -114,7 +115,7 @@ class TestMultilinearMap:
         forms = cmap.forms((("x1", "x2"), ("y1", "y2")))
         env = {"p": p, "q": q, "x1": x[0], "x2": x[1], "y1": y[0], "y2": y[1]}
         assert cmap.specialize((p, q)).apply((x, y)) == tuple(
-            f.eval_int(env) for f in forms)
+            eval_int(f, env) for f in forms)
 
     @given(ivec, ivec, ivec, st.integers(-5, 5), st.integers(-5, 5))
     def test_bilinearity(self, x, xp, y, p, q):
@@ -202,7 +203,7 @@ class TestVerifyIdentity:
         res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names,
                               structure=fam.structure)
         assert not isinstance(res, ZeroResidual)
-        assert res.as_int() == -1
+        assert as_int(res) == -1
 
     def test_companion_structure_proves_by_its_own_recipe(self):
         fam = companion_family((0, 0, -2))
@@ -234,23 +235,34 @@ class TestRoute:
             "expand", "no structure in the map's parameters; "
                       "whole form expanded")
 
-    def test_split_form_without_structure_expands_factorwise(self):
-        # the transcribed factors, each composed under the derived law
+    def test_uv_factor_without_structure_expands(self):
+        # each transcribed factor composes under the derived law on its
+        # own: with no structure its whole form is expanded
         fam = catalog.family("sextic_uv")
-        res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                              factors=paper.uv_factors())
-        assert res == ZeroResidual(
-            "expand", "no structure in the map's parameters; "
-                      "2 factors expanded one at a time")
+        for f in paper.uv_factors():
+            res = verify_identity(f, fam.pair_map, fam.coord_names)
+            assert res == ZeroResidual(
+                "expand", "no structure in the map's parameters; "
+                          "whole form expanded")
 
     def test_mutated_uv_map_yields_nonzero_residual(self):
-        # the structure induces another map, so the identity is expanded
-        # one factor at a time: the residual is f1's, in u1 and u2 alone
-        fam = catalog.family("sextic_uv")
+        # the family's own proof is for its own law: another map is
+        # expanded, whole form, at these values.  At q = 3 that takes
+        # ~0.7 s; symbolic in q the sextic's expansion takes minutes.
+        fam = catalog.family("sextic_uv", (3,))
         res = verify_auto(fam, cmap=mutated(fam.pair_map))
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
-        assert {name for name in res.table.names if res.degree_in(name)} \
+
+    def test_mutated_uv_map_leaves_f1_a_residual_of_its_own(self):
+        # a mutated symbolic law, checked on the factor u1^2 - q*u2^2 by a
+        # direct call: its residual is in u1 and u2 alone
+        fam = catalog.family("sextic_uv")
+        f1 = paper.uv_factors()[0]
+        res = verify_identity(f1, mutated(fam.pair_map), fam.coord_names)
+        assert not isinstance(res, ZeroResidual)
+        assert not res.is_zero()
+        assert {name for name in res.table.names if degree_in(res, name)} \
             <= {"q", "x_u1", "x_u2", "y_u1", "y_u2"}
 
     @pytest.mark.parametrize("name, values", numeric_cases(
@@ -285,19 +297,20 @@ class TestRoute:
 
     @pytest.mark.parametrize("name",
                              ["quad2x2", "sextic_circulant", "sextic_uv"])
-    def test_factors_must_multiply_to_the_form(self, name):
-        # each factor composes under the family's map on its own, so only
-        # the product check stands between these tuples and a false proof
+    def test_matrix_route_proves_det_and_no_other_form(self, name):
+        # a power of a factor composes under the family's map too, so only
+        # the det - form check stands between it and a false matrix proof
+        # that it is the determinant
         fam = catalog.family(name)
-        f1 = (paper.circulant_factors() if name == "sextic_circulant"
-              else fam.factors)[0]
-        for factors in ((f1, f1), (f1, f1, f1)):
-            for structure in (fam.structure, None):
-                res = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                      structure=structure,
-                                      factors=factors)
-                assert not isinstance(res, ZeroResidual), (factors, structure)
-                assert not res.is_zero()
+        f1 = (paper.circulant_factors()[0] if name == "sextic_circulant"
+              else paper.uv_factors()[0] if name == "sextic_uv"
+              else fam.form)
+        det = fam.structure.form(fam.coord_names)
+        for power in (f1 * f1, f1 * f1 * f1):
+            res = verify_identity(power, fam.pair_map, fam.coord_names,
+                                  structure=fam.structure)
+            assert res == det - power.embed(det.table)
+            assert not res.is_zero()
 
 
 class TestIntegerPointOracle:
@@ -328,7 +341,7 @@ class TestIntegerPointOracle:
                        if name in paper.PRINTED_FAMILIES else
                        paper.circulant_factors() if name == "sextic_circulant"
                        else paper.uv_factors() if name == "sextic_uv"
-                       else base.factors)
+                       else (base.form,))
         at_values = [p.specialize(dict(zip(base.param_names, values)))
                      for p in transcribed]
 

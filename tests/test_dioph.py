@@ -30,19 +30,20 @@ from matform.dioph import (
 
 import paper
 from companion import companion_family, companion_structure
+from polytools import eval_int
 
 
 def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
-    """Exact check f(v) = 1 (the product of all factors for multi-factor
-    families)."""
+    """Exact check f(v) = 1."""
     return fam.evaluate(v) == 1
 
 
 def simultaneous_is_solution(q: int, v: Sequence[int]) -> bool:
     """Both equations of the simultaneous sextic system at once:
-    f1(v) = 1 and f2(v) = 1 for the u-coordinate pair with parameter q."""
-    fam = family("sextic_uv", (q,))
-    return fam.evaluate_factors(v) == (1, 1)
+    f1(v) = 1 and f2(v) = 1 for the paper's factors of sextic_uv's form
+    with parameter q."""
+    env = {"q": q, **dict(zip(family("sextic_uv").coord_names, v))}
+    return tuple(eval_int(f, env) for f in paper.uv_factors()) == (1, 1)
 
 
 @dataclass
@@ -472,7 +473,7 @@ class TestErrorsPastTheDigitLimit:
 @pytest.mark.parametrize("call", [
     lambda: family("quad2x2", (0.5, -2)),
     lambda: Q2.evaluate((1.5, 0)),
-    lambda: Q2.evaluate_factors((1.5, 0)),
+    lambda: family("threefold_quadratic", (1, 0, -2)).evaluate((1.5, 0)),
     lambda: Q2.structure.matrix_of((1.5, 0)),
     lambda: Q2.pair_map.apply(((1.5, 0), (1, 0))),
     lambda: Q2.pair_map.argument_matrix((1.5, 0)),
@@ -483,7 +484,7 @@ class TestErrorsPastTheDigitLimit:
     lambda: family("quad2x2").structure.specialize((0.5, -2)),
     lambda: companion_structure((0.7, 5)),
     lambda: check_monotone_positive([(1.5, 2), (2.2, 3)]),
-], ids=["specialize", "evaluate", "evaluate_factors", "matrix_of", "apply",
+], ids=["specialize", "evaluate", "evaluate-form", "matrix_of", "apply",
         "argument_matrix", "sequence-seed", "sequence-partner", "search",
         "map-specialize", "structure-specialize", "companion", "monotone"])
 def test_non_integer_input_is_rejected(call):

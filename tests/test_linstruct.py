@@ -13,9 +13,10 @@ from matform.linstruct import (
     ParameterCollision,
     _multilinear_coeffs,
 )
-from matform.polyring import PolyMatrix, Polynomial, VarTable
+from matform.polyring import PolyMatrix, VarTable
 
 from companion import companion_structure
+from polytools import eval_int, from_json_obj
 
 
 def pell(c1: str, c2: str) -> LinearStructure:
@@ -126,7 +127,7 @@ class TestConstruction:
             env = {"p": params[0], "q": params[1], "x1": 3, "x2": -2}
             for i in range(2):
                 for j in range(2):
-                    assert M[i][j] == S[i, j].eval_int(env)
+                    assert M[i][j] == eval_int(S[i, j], env)
         with pytest.raises(ValueError, match="specialize it first"):
             st.matrix_of((3, -2))
 
@@ -143,7 +144,7 @@ class TestConstruction:
         obj = json.loads(json.dumps(st.to_json_obj()))
         assert (obj["n"], obj["h"]) == (st.n, st.h)
         assert tuple(obj["params"]) == st.params
-        assert [[[Polynomial.from_json_obj(c) for c in cell] for cell in row]
+        assert [[[from_json_obj(c) for c in cell] for cell in row]
                 for row in obj["coeff"]] == \
             [[list(cell) for cell in row] for row in st.coeff]
 

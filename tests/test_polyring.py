@@ -18,6 +18,9 @@ from matform.polyring import (
     int_matrix_determinant,
 )
 
+from polytools import (as_int, degree_in, determinant_cofactor, eval_int,
+                       from_json_obj)
+
 T = VarTable(("a", "b", "c"))
 
 
@@ -92,13 +95,13 @@ class TestPolynomialBasics:
         a, b, c = T.vars()
         p = a ** 2 * b + c
         assert p.total_degree() == 3
-        assert p.degree_in("a") == 2
-        assert p.degree_in("c") == 1
+        assert degree_in(p, "a") == 2
+        assert degree_in(p, "c") == 1
 
     def test_as_int(self):
-        assert T.const(-7).as_int() == -7
+        assert as_int(T.const(-7)) == -7
         with pytest.raises(ValueError):
-            (T.var("a") + 1).as_int()
+            as_int(T.var("a") + 1)
 
     def test_table_mismatch_rejected(self):
         other = VarTable(("x",))
@@ -121,11 +124,11 @@ class TestPolynomialBasics:
 
     def test_eval_requires_all_variables(self):
         with pytest.raises(UnassignedVariable):
-            (T.var("a") + T.var("b")).eval_int({"a": 1})
+            eval_int(T.var("a") + T.var("b"), {"a": 1})
 
     @pytest.mark.parametrize("call", [
         lambda: (T.var("a") * T.var("b")).specialize({"a": 0.5}),
-        lambda: (T.var("a") + T.var("b")).eval_int({"a": 1, "b": 0.5}),
+        lambda: eval_int(T.var("a") + T.var("b"), {"a": 1, "b": 0.5}),
         lambda: T.const(2.5),
         lambda: T.const(0.0),
     ], ids=["specialize", "eval_int", "const", "const-zero"])
@@ -178,18 +181,18 @@ class TestExponentValidation:
             "float-coefficient", "integral-float-coefficient"])
     def test_from_json_obj_rejects(self, vars_, terms, error):
         with pytest.raises(error):
-            Polynomial.from_json_obj({"vars": vars_, "terms": terms})
+            from_json_obj({"vars": vars_, "terms": terms})
 
 
 class TestSerialization:
     @given(polys())
     def test_json_round_trip(self, p):
-        again = Polynomial.from_json_obj(
+        again = from_json_obj(
             json.loads(json.dumps(p.to_json_obj())))
         assert again == p
 
     def test_int_coefficients_are_read(self):
-        p = Polynomial.from_json_obj({"vars": ["x"], "terms": [
+        p = from_json_obj({"vars": ["x"], "terms": [
             {"c": -7, "e": [2]}, {"c": " 12", "e": [0]}]})
         assert p.terms == {(2,): -7, (0,): 12}
 
@@ -198,7 +201,7 @@ class TestSerialization:
         p = Polynomial(T, {(1, 2, 3): big, (0, 0, 0): -big})
         obj = p.to_json_obj()
         assert obj["terms"][0]["c"] == str(big)
-        assert Polynomial.from_json_obj(obj) == p
+        assert from_json_obj(obj) == p
 
     def test_terms_in_graded_lex_descending(self):
         a, b, c = T.vars()
@@ -235,7 +238,7 @@ class TestDeterminants:
     @settings(max_examples=40)
     def test_bareiss_matches_polynomial_det(self, rows):
         M = _int_matrix(rows, T)
-        assert int_matrix_determinant(rows) == M.determinant().as_int()
+        assert int_matrix_determinant(rows) == as_int(M.determinant())
 
     @pytest.mark.parametrize("call", [
         lambda: int_matrix_determinant([[0.5, 1], [1, 2.9]]),
@@ -252,7 +255,7 @@ class TestDeterminants:
         table = VarTable(names)
         M = PolyMatrix([[table.var(f"m{i}{j}") for j in range(4)]
                         for i in range(4)])
-        assert M.determinant() == M.determinant_cofactor()
+        assert M.determinant() == determinant_cofactor(M)
 
     def test_known_2x2(self):
         table = VarTable(("x", "y"))
@@ -289,12 +292,12 @@ class TestPackedKernels:
     @given(_matrices(3))
     @settings(max_examples=60)
     def test_det_3x3_matches_cofactor(self, M):
-        assert M.determinant() == M.determinant_cofactor()
+        assert M.determinant() == determinant_cofactor(M)
 
     @given(_matrices(4, max_exp=3))
     @settings(max_examples=15, deadline=None)
     def test_det_4x4_matches_cofactor(self, M):
-        assert M.determinant() == M.determinant_cofactor()
+        assert M.determinant() == determinant_cofactor(M)
 
     @pytest.mark.parametrize("total", BOUNDARIES)
     def test_det_at_a_field_boundary(self, total):
@@ -306,7 +309,7 @@ class TestPackedKernels:
         one, zero = T.one(), T.zero()
         M = PolyMatrix([[top, zero, one], [zero, rest, zero], [one, zero, one]])
         want = a ** total * b ** total - rest
-        assert M.determinant() == want == M.determinant_cofactor()
+        assert M.determinant() == want == determinant_cofactor(M)
 
     @given(polys(max_exp=4),
            st.lists(polys(max_terms=3, max_exp=3), min_size=3, max_size=3),
