@@ -10,10 +10,11 @@ the partners have f = 1, so the identity gives f(S v) = f(v) for every v,
 and f = 1 follows along the chain by induction.  The last iterate is
 evaluated exactly, which catches a slip in the integer step.
 
-The chain is printed from a second run of the same recurrence in exact
-`decimal` arithmetic, whose str() is linear in the digit count where
-CPython's int-to-str is quadratic.  Every printed string is checked
-against its proven integer in its sign and its last 18 digits.
+The integer chain runs once and keeps no iterate, only a key per
+coordinate: its sign and its last 18 digits.  The chain is printed from a
+second run of the same recurrence in exact `decimal` arithmetic, whose
+str() is linear in the digit count where CPython's int-to-str is
+quadratic, and every printed string is checked against its key.
 
 The box search walks a specialization tree over the numeric form (the
 multivariate Horner scheme): it fixes one coordinate at a time, depth
@@ -25,6 +26,7 @@ it is returned.
 from __future__ import annotations
 
 import json
+from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from operator import index
@@ -79,8 +81,7 @@ def _step(S, v):
     """S v, over whatever number type S and v hold: ints for the proof,
     Decimals for the printout.  Each sum starts at the int 0, so a Decimal
     sum of signed zeros (-3 * Decimal(0) is -0) comes out +0.  The running
-    sum keeps one big product alive at a time; summing a list of them
-    raised the peak memory of a 2600-iterate quartic chain by ~0.6 MB."""
+    sum keeps one big product alive at a time."""
     out = []
     for row in S:
         acc = 0
@@ -97,46 +98,79 @@ def _step(S, v):
 # localcontext() works on a copy, so no flag is ever set on this one.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
-_TAIL = 10 ** 18
+_E9 = 10 ** 9
 
 
-def _check_printed(i: int, row: List[str], proven: Vec) -> None:
+def _key(v: int) -> int:
+    """The sign of v and r = |v| mod 10**18 in one int: r for v >= 0 and
+    ~r = -r - 1 for v < 0, so it fits a signed 64-bit slot.  r takes two
+    divisions by 10**9, each a one-limb divisor with its own fast path in
+    CPython, where % 10**18 would take a long division."""
+    high, low = divmod(abs(v), _E9)
+    r = high % _E9 * _E9 + low
+    return ~r if v < 0 else r
+
+
+def _check_printed(i: int, row: List[str], keys) -> None:
     """Linear-time guard on one printed iterate: each string has the sign
-    and the last 18 digits of its proven integer."""
-    if len(row) != len(proven):
+    and the last 18 digits of its proven integer, read from its `_key`."""
+    if len(row) != len(keys):
         raise SequenceVerificationError(
             f"iterate {i}: printed {len(row)} coordinates, proved "
-            f"{len(proven)}")
-    for j, (text, v) in enumerate(zip(row, proven)):
+            f"{len(keys)}")
+    for j, (text, key) in enumerate(zip(row, keys)):
         negative = text.startswith("-")
         tail = (text[1:] if negative else text)[-18:]
-        if negative != (v < 0) or tail != str(abs(v) % _TAIL).zfill(len(tail)):
+        if negative != (key < 0) or \
+                tail != str(~key if negative else key).zfill(len(tail)):
             raise SequenceVerificationError(
                 f"iterate {i}, coordinate {j + 1}: the printed digits differ "
                 f"from the proven value")
 
 
 class SequenceResult:
-    """The proven chain: `solutions` are the int iterates and `step` the
-    step matrix S they were computed with, v_{i+1} = S v_i.
+    """The proven chain of spec.count iterates v_0 = seed, v_{i+1} = S v_i,
+    with `step` the step matrix S and `seed` the int seed.
+
+    The chain keeps no iterate: iterate i has O(i) digits, so all of them
+    would take memory quadratic in the count.  `keys` holds what the
+    printout is checked against, the `_key` of every coordinate (sign and
+    |v| mod 10**18), h per iterate in a signed 64-bit array.  `solutions`
+    replays the int chain on each read.
 
     `proof` is the method of the identity proof the chain rests on,
     "matrix" or "expand" (see `FormFamily.verify`).  `evaluated` counts
     the iterates checked by exact evaluation: the seed and the last one.
-    Results are equal when all five fields are."""
-    __slots__ = ("spec", "step", "proof", "solutions", "evaluated")
+    Results are equal when all six fields are."""
+    __slots__ = ("spec", "step", "proof", "seed", "keys", "evaluated")
 
     def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
-                 solutions: Optional[List[Vec]] = None, evaluated: int = 0):
+                 seed: Vec, keys: array, evaluated: int):
         self.spec, self.step, self.proof = spec, step, proof
-        self.solutions = [] if solutions is None else solutions
-        self.evaluated = evaluated
+        self.seed, self.keys, self.evaluated = seed, keys, evaluated
 
     def __eq__(self, other):
         if type(other) is not SequenceResult:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f)
                    for f in self.__slots__)
+
+    def _replay(self, S) -> Iterator[Vec]:
+        """The chain from the seed under `_step` with S, ints or Decimals:
+        each step runs in _EXACT, which only Decimal arithmetic reads."""
+        v = self.seed
+        for i in range(self.spec.count):
+            if i:
+                with localcontext(_EXACT):
+                    v = _step(S, v)
+            yield v
+
+    @property
+    def solutions(self) -> List[Vec]:
+        """The int iterates, replayed from the seed with the same S as
+        `generate_sequence` proved them with: a new list on every read,
+        which holds the whole chain.  `rows()` prints without it."""
+        return list(self._replay(self.step))
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.
@@ -146,24 +180,21 @@ class SequenceResult:
         printed value equals its proven int:
         - the replay runs the step function with the same S from the same
           seed as `generate_sequence` did over ints (S's entries are
-          converted exactly, an iterate never is);
+          converted exactly, an iterate never is; the seed row is the int
+          seed);
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
         `_check_printed` then compares every string's sign and last 18
-        digits with the int; a mismatch raises SequenceVerificationError.
-        Rows are produced one at a time: Decimal copies of a whole long
-        chain would nearly double the memory the ints take.
+        digits with the int's key; a mismatch raises
+        SequenceVerificationError.  Rows are produced one at a time, so
+        only the current iterate is held.
         """
+        h = len(self.seed)
         S = [[Decimal(c) for c in row] for row in self.step]
-        for i, proven in enumerate(self.solutions):
-            if i == 0:
-                v = proven  # the seed
-            else:
-                with localcontext(_EXACT):
-                    v = _step(S, v)
+        for i, v in enumerate(self._replay(S)):
             row = [str(c) for c in v]
-            _check_printed(i, row, proven)
+            _check_printed(i, row, self.keys[i * h:(i + 1) * h])
             yield row
 
     def write_json(self, out: TextIO) -> None:
@@ -205,9 +236,11 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     family's proof specialized), and SequenceVerificationError is raised
     up front where that is no ZeroResidual.  With the partners' f = 1, the
     identity gives f(S v) = f(v) for every v, so f(v_i) = f(seed) = 1 by
-    induction.  The last iterate is evaluated exactly: f is invariant
-    under S, so a slip in the integer step anywhere shows in f of the last
-    iterate, and SequenceVerificationError is raised if it is not 1.
+    induction.  The ints are run once, keeping only the current iterate
+    and each coordinate's key (see `SequenceResult`).  The last iterate is
+    evaluated exactly: f is invariant under S, so a slip in the integer
+    step anywhere shows in f of the last iterate, and
+    SequenceVerificationError is raised if it is not 1.
     """
     fam = spec.family
     k = len(spec.partners) + 1
@@ -242,13 +275,10 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     units = [tuple(int(r == j) for r in range(h)) for j in range(h)]
     columns = [cmap.apply(args[:at] + [e] + args[at + 1:]) for e in units]
     result = SequenceResult(spec=spec, step=tuple(zip(*columns)),
-                            proof=proof.method,
+                            proof=proof.method, seed=seed, keys=array("q"),
                             evaluated=min(spec.count, 2))  # seed and last
-    current = seed
-    for i in range(spec.count):
-        if i > 0:
-            current = _step(result.step, current)
-        result.solutions.append(current)
+    for current in result._replay(result.step):
+        result.keys.extend([_key(c) for c in current])
     if spec.count > 1 and fam.evaluate(current) != 1:
         with no_int_str_limit():
             raise SequenceVerificationError(

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
+from array import array
 from dataclasses import dataclass, field
 from operator import index
 from typing import List, Optional, Sequence
@@ -145,16 +147,26 @@ class TestRecords:
         with pytest.raises(AttributeError):
             spec.count = 5
 
-    def test_results_never_share_a_solutions_list(self):
-        spec = SequenceSpec(family=QUARTIC, seed=(1, 0, 0, 0), count=0,
+    def test_solutions_is_a_replay_and_results_compare_by_field(self):
+        spec = SequenceSpec(family=QUARTIC, seed=(6, 2, 3, 1), count=4,
                             partners=((6, 2, 3, 1),))
-        a = dioph.SequenceResult(spec=spec, step=(), proof="matrix")
-        b = dioph.SequenceResult(spec=spec, step=(), proof="matrix")
-        assert a == b and a.solutions == [] and a.evaluated == 0
-        a.solutions.append((1, 0, 0, 0))
-        assert b.solutions == [] and a != b
-        assert generate_sequence(spec).solutions is not \
-            generate_sequence(spec).solutions
+        a, b = generate_sequence(spec), generate_sequence(spec)
+        assert a == b and a.keys is not b.keys
+        first = a.solutions
+        assert first == QUARTIC_SEQ and first is not a.solutions
+        first.append((1, 0, 0, 0))
+        assert a.solutions == QUARTIC_SEQ and a == b
+        with pytest.raises(AttributeError):
+            a.solutions = []
+        fields = {f: getattr(a, f) for f in dioph.SequenceResult.__slots__}
+        assert dioph.SequenceResult(**fields) == a
+        for f, other in [("spec", spec._replace(count=3)),
+                         ("step", a.step[1:]),
+                         ("proof", "expand"),
+                         ("seed", (1, 0, 0, 0)),
+                         ("keys", a.keys[:-1]),
+                         ("evaluated", 1)]:
+            assert dioph.SequenceResult(**{**fields, f: other}) != a, f
 
 
 class TestSequences:
@@ -520,6 +532,12 @@ class TestPrintedChain:
         assert main(argv) == 0
         assert capsys.readouterr().out == ("6,2,3,1\n" if count else "\n")
 
+    def test_seed_row_prints_the_int_seed(self):
+        r = generate_sequence(SequenceSpec(Q2, (True, False), 3, ((3, 2),)))
+        assert list(r.rows()) == [["1", "0"], ["3", "2"], ["17", "12"]]
+        assert r.solutions[0] == (1, 0)
+        assert all(type(c) is int for c in r.solutions[0])
+
     @pytest.mark.parametrize("seed, partner", [
         ((1, 0), (-1, 0)),   # S = -I: every step multiplies a 0 by -1
         ((3, 2), (3, -2)),   # through (1, 0) to negative coordinates
@@ -563,6 +581,38 @@ class TestPrintedChain:
         with pytest.raises(SequenceVerificationError,
                            match="iterate 1, coordinate 1"):
             r.write_json(io.StringIO())
+
+    @pytest.mark.parametrize("v", [
+        0, 7, -7, 10 ** 18 - 1, 10 ** 18, -10 ** 18,
+        3 * 10 ** 40 + 10 ** 17 + 9, -(3 * 10 ** 40 + 10 ** 17 + 9)])
+    def test_key_is_the_sign_and_the_last_18_digits(self, v):
+        r = abs(v) % 10 ** 18
+        assert dioph._key(v) == (r if v >= 0 else ~r)
+        dioph._check_printed(0, [str(v)], array("q", [dioph._key(v)]))
+        for wrong in (str(-v) if v else "-0", str(v + 10 ** 17)):
+            with pytest.raises(SequenceVerificationError):
+                dioph._check_printed(0, [wrong], [dioph._key(v)])
+
+    def test_peak_memory_is_not_quadratic_in_the_count(self):
+        """The chain keeps a key per coordinate, not its big ints: from 300
+        to 1200 iterates the traced peak grows far less than the 16x of
+        holding every iterate (the ints take count^2 digits)."""
+        class Null:
+            def write(self, text):
+                return len(text)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                generate_sequence(SequenceSpec(
+                    QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],))
+                ).write_json(Null())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the proof is cached per family
+        assert peak(1200) < 6 * peak(300)
 
     def test_step_matrix_takes_h_map_applications(self, monkeypatch):
         calls = []
