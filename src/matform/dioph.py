@@ -11,10 +11,14 @@ and f = 1 follows along the chain by induction.  The last iterate is
 evaluated exactly, which catches a slip in the integer step.
 
 The integer chain runs once and keeps no iterate, only a key per
-coordinate: its sign and its last 18 digits.  The chain is printed from a
-second run of the same recurrence in exact `decimal` arithmetic, whose
-str() is linear in the digit count where CPython's int-to-str is
-quadratic, and every printed string is checked against its key.
+coordinate: its sign and |v| mod 2**60, a mask of its lowest limbs.  The
+chain is printed from a second run of the same recurrence in exact
+`decimal` arithmetic, whose str() is linear in the digit count where
+CPython's int-to-str is quadratic, and every printed string is checked
+against its key: 2**60 divides 10**60, so the last 60 printed digits fix
+the residue, and any error confined to the last 18 digits changes it.
+Each step is a C-level dot product per row, and the JSON rows are
+written in chunks of about 64 KB.
 
 The box search walks a specialization tree over the numeric form (the
 multivariate Horner scheme): it fixes one coordinate at a time, depth
@@ -29,7 +33,7 @@ import json
 from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
-from operator import index
+from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .catalog import FormFamily
@@ -78,18 +82,13 @@ class SequenceSpec(NamedTuple):
 
 
 def _step(S, v):
-    """S v, over whatever number type S and v hold: ints for the proof,
-    Decimals for the printout.  Each sum starts at the int 0, so a Decimal
-    sum of signed zeros (-3 * Decimal(0) is -0) comes out +0.  The running
-    sum keeps one big product alive at a time."""
-    out = []
-    for row in S:
-        acc = 0
-        for c, x in zip(row, v):
-            if c:
-                acc += c * x
-        out.append(acc)
-    return tuple(out)
+    """S v, with S given row by row as (columns, entries) over its nonzero
+    entries, over whatever number type S and v hold.  Each row is one
+    C-level dot product.  Each sum starts at the int 0 and skips the zero
+    entries of S, so a Decimal sum of signed zeros (-3 * Decimal(0) is -0)
+    comes out +0."""
+    return tuple([sum(map(mul, entries, map(v.__getitem__, columns)))
+                  for columns, entries in S])
 
 
 # Every operation in this context is exact or raises: a result that would
@@ -98,31 +97,44 @@ def _step(S, v):
 # localcontext() works on a copy, so no flag is ever set on this one.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
-_E9 = 10 ** 9
+_MASK = 2 ** 60 - 1
+# The least JSON per `write_json` write, in characters (all ASCII, so
+# bytes).  Below glibc's default 128 KB mmap threshold: a larger chunk's
+# join and its encoded copy take fresh pages and raise the peak RSS.
+_CHUNK = 2 ** 16
 
 
 def _key(v: int) -> int:
-    """The sign of v and r = |v| mod 10**18 in one int: r for v >= 0 and
-    ~r = -r - 1 for v < 0, so it fits a signed 64-bit slot.  r takes two
-    divisions by 10**9, each a one-limb divisor with its own fast path in
-    CPython, where % 10**18 would take a long division."""
-    high, low = divmod(abs(v), _E9)
-    r = high % _E9 * _E9 + low
+    """The sign of v and r = |v| mod 2**60 in one int: r for v >= 0 and
+    ~r = -r - 1 for v < 0, so it fits a signed 64-bit slot.  The mask
+    reads the lowest limbs of |v| and divides nothing (abs copies a
+    negative v)."""
+    r = abs(v) & _MASK
     return ~r if v < 0 else r
 
 
 def _check_printed(i: int, row: List[str], keys) -> None:
-    """Linear-time guard on one printed iterate: each string has the sign
-    and the last 18 digits of its proven integer, read from its `_key`."""
+    """Guard on one printed iterate: each string has the sign of its
+    proven integer, and its last 60 characters read as an int have the
+    residue mod 2**60 in its `_key`.  2**60 divides 10**60, so those
+    digits fix |v| mod 2**60.  A wrong value whose error d is confined to
+    the last 18 digits fails, since 0 < |d| < 10**18 < 2**60, as does a
+    one-digit change up to the 57th digit from the end (a digit change is
+    c * 10**(p-1) with |c| <= 9, and 2**60 divides it only from p = 58 on).
+    Each string costs the parse of at most 60 characters."""
     if len(row) != len(keys):
         raise SequenceVerificationError(
             f"iterate {i}: printed {len(row)} coordinates, proved "
             f"{len(keys)}")
     for j, (text, key) in enumerate(zip(row, keys)):
         negative = text.startswith("-")
-        tail = (text[1:] if negative else text)[-18:]
-        if negative != (key < 0) or \
-                tail != str(~key if negative else key).zfill(len(tail)):
+        try:
+            # a string of at most 60 characters may keep its "-"
+            ok = negative == (key < 0) and \
+                abs(int(text[-60:])) & _MASK == (~key if negative else key)
+        except ValueError:  # not an integer's digits
+            ok = False
+        if not ok:
             raise SequenceVerificationError(
                 f"iterate {i}, coordinate {j + 1}: the printed digits differ "
                 f"from the proven value")
@@ -135,7 +147,7 @@ class SequenceResult:
     The chain keeps no iterate: iterate i has O(i) digits, so all of them
     would take memory quadratic in the count.  `keys` holds what the
     printout is checked against, the `_key` of every coordinate (sign and
-    |v| mod 10**18), h per iterate in a signed 64-bit array.  `solutions`
+    |v| mod 2**60), h per iterate in a signed 64-bit array.  `solutions`
     replays the int chain on each read.
 
     `proof` is the method of the identity proof the chain rests on,
@@ -155,14 +167,20 @@ class SequenceResult:
         return all(getattr(self, f) == getattr(other, f)
                    for f in self.__slots__)
 
-    def _replay(self, S) -> Iterator[Vec]:
-        """The chain from the seed under `_step` with S, ints or Decimals:
-        each step runs in _EXACT, which only Decimal arithmetic reads."""
+    def _replay(self, number=int) -> Iterator[Vec]:
+        """The chain from the seed under `_step`, with S's entries
+        converted by `number`: int for the proof, whose steps read no
+        context, or Decimal for the printout, each step in _EXACT."""
+        S = [(tuple(j for j, c in enumerate(row) if c),
+              tuple(number(c) for c in row if c)) for row in self.step]
         v = self.seed
         for i in range(self.spec.count):
             if i:
-                with localcontext(_EXACT):
+                if number is int:
                     v = _step(S, v)
+                else:
+                    with localcontext(_EXACT):
+                        v = _step(S, v)
             yield v
 
     @property
@@ -170,7 +188,7 @@ class SequenceResult:
         """The int iterates, replayed from the seed with the same S as
         `generate_sequence` proved them with: a new list on every read,
         which holds the whole chain.  `rows()` prints without it."""
-        return list(self._replay(self.step))
+        return list(self._replay())
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.
@@ -185,14 +203,13 @@ class SequenceResult:
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
-        `_check_printed` then compares every string's sign and last 18
-        digits with the int's key; a mismatch raises
-        SequenceVerificationError.  Rows are produced one at a time, so
-        only the current iterate is held.
+        `_check_printed` then compares every string's sign, and the
+        residue mod 2**60 of its last 60 characters, with the int's key; a
+        mismatch raises SequenceVerificationError.  Rows are produced one
+        at a time, so only the current iterate is held.
         """
         h = len(self.seed)
-        S = [[Decimal(c) for c in row] for row in self.step]
-        for i, v in enumerate(self._replay(S)):
+        for i, v in enumerate(self._replay(Decimal)):
             row = [str(c) for c in v]
             _check_printed(i, row, self.keys[i * h:(i + 1) * h])
             yield row
@@ -202,8 +219,10 @@ class SequenceResult:
         params, "mode" ("pairwise" for one partner, "triple" for two),
         the solutions as decimal strings, and "verified": true, since every
         iterate is proven before it is returned.  The solutions come from
-        `rows()` and are written one iterate at a time, without json.dumps:
-        a string of digits and "-" needs no escaping."""
+        `rows()`, without json.dumps: a string of digits and "-" needs no
+        escaping.  They are written in chunks of at least _CHUNK
+        characters, the last one shorter, so an unbuffered `out` makes one
+        system call per chunk rather than one per iterate."""
         fam = self.spec.family
         head, _, tail = json.dumps({
             "family": fam.name,
@@ -212,10 +231,17 @@ class SequenceResult:
             "solutions": None,
             "verified": True,
         }).partition('"solutions": null')
-        out.write(head + '"solutions": [')
+        text = head + '"solutions": ['
+        chunk, size = [text], len(text)
         for i, row in enumerate(self.rows()):
-            out.write((", " if i else "") + '["' + '", "'.join(row) + '"]')
-        out.write("]" + tail + "\n")
+            text = (", " if i else "") + '["' + '", "'.join(row) + '"]'
+            chunk.append(text)
+            size += len(text)
+            if size >= _CHUNK:
+                out.write("".join(chunk))
+                chunk, size = [], 0
+        chunk.append("]" + tail + "\n")
+        out.write("".join(chunk))
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:
@@ -277,8 +303,8 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     result = SequenceResult(spec=spec, step=tuple(zip(*columns)),
                             proof=proof.method, seed=seed, keys=array("q"),
                             evaluated=min(spec.count, 2))  # seed and last
-    for current in result._replay(result.step):
-        result.keys.extend([_key(c) for c in current])
+    for current in result._replay():
+        result.keys.extend(map(_key, current))
     if spec.count > 1 and fam.evaluate(current) != 1:
         with no_int_str_limit():
             raise SequenceVerificationError(

@@ -1,5 +1,6 @@
 """Solution sequences of f = 1 and the brute-force oracle."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import tracemalloc
 from array import array
 from dataclasses import dataclass, field
 from operator import index
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import pytest
@@ -33,6 +35,9 @@ from matform.dioph import (
 import paper
 from companion import companion_family, companion_structure
 from polytools import eval_int
+
+
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 
 def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
@@ -565,10 +570,15 @@ class TestPrintedChain:
         assert text.endswith("\n")
         assert [line.split(",") for line in text[:-1].split("\n")] == rows
 
-    @pytest.mark.parametrize("diverge", [lambda d: d + 1, lambda d: -d],
-                             ids=["last-digit", "sign"])
+    @pytest.mark.parametrize("diverge", [lambda d: d + 1, lambda d: -d,
+                                         lambda d: d + 10 ** 30],
+                             ids=["last-digit", "sign", "high-digit"])
     def test_printed_chain_diverging_from_proven_raises(self, monkeypatch,
                                                         diverge):
+        """The printout is checked against the proven ints: a printed value
+        off in its last digit, its sign or its 31st digit from the end
+        raises.  The last of these keeps the last 18 digits (352 at
+        iterate 1), so only a residue of more digits catches it."""
         step = dioph._step
 
         def off(S, v):
@@ -584,14 +594,70 @@ class TestPrintedChain:
 
     @pytest.mark.parametrize("v", [
         0, 7, -7, 10 ** 18 - 1, 10 ** 18, -10 ** 18,
-        3 * 10 ** 40 + 10 ** 17 + 9, -(3 * 10 ** 40 + 10 ** 17 + 9)])
-    def test_key_is_the_sign_and_the_last_18_digits(self, v):
-        r = abs(v) % 10 ** 18
+        3 * 10 ** 40 + 10 ** 17 + 9, -(3 * 10 ** 40 + 10 ** 17 + 9),
+        2 ** 60, -2 ** 60, 2 ** 60 - 1])
+    def test_key_is_the_sign_and_the_residue_mod_2_to_the_60(self, v):
+        r = abs(v) % 2 ** 60
         assert dioph._key(v) == (r if v >= 0 else ~r)
-        dioph._check_printed(0, [str(v)], array("q", [dioph._key(v)]))
-        for wrong in (str(-v) if v else "-0", str(v + 10 ** 17)):
+        keys = array("q", [dioph._key(v)])  # fits a signed 64-bit slot
+        dioph._check_printed(0, [str(v)], keys)
+        digit_18 = 10 ** 17 if v >= 0 else -10 ** 17  # keeps the sign
+        for wrong in (str(-v) if v else "-0", str(v + digit_18)):
             with pytest.raises(SequenceVerificationError):
-                dioph._check_printed(0, [wrong], [dioph._key(v)])
+                dioph._check_printed(0, [wrong], keys)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(-10 ** 3000, 10 ** 3000)
+           | st.integers(0, 3000).flatmap(
+               lambda n: st.integers(-10 ** n, 10 ** n)),  # every length
+           st.integers(19, 57), st.integers(1, 9))
+    def test_printed_check_catches_every_low_digit_change(self, v, far,
+                                                          shift):
+        """`_check_printed` accepts str(v) and refuses a flipped sign,
+        every one-digit change among the last 18 digits, and a one-digit
+        change at position `far` from the end (19..57) where v has it."""
+        keys = array("q", [dioph._key(v)])
+        text = str(v)
+        dioph._check_printed(0, [text], keys)
+        sign, digits = ("-", text[1:]) if v < 0 else ("", text)
+
+        def changed(p, d):  # digit p from the end set to d
+            k = len(digits) - p
+            return sign + digits[:k] + d + digits[k + 1:]
+        wrongs = [str(-v) if v else "-0"]
+        for p in range(1, min(18, len(digits)) + 1):
+            wrongs += [changed(p, d) for d in "0123456789" if d != digits[-p]]
+        if far <= len(digits):
+            wrongs.append(changed(far, str((int(digits[-far]) + shift) % 10)))
+        for wrong in wrongs:
+            with pytest.raises(SequenceVerificationError):
+                dioph._check_printed(0, [wrong], keys)
+
+    def test_quartic_json_is_written_in_byte_bounded_chunks(self):
+        """The 2600-iterate quartic's JSON is the golden CLI stdout, written
+        in at most ceil(bytes / chunk) + 1 calls: every call but the last
+        holds at least one chunk, and none holds more than a chunk and one
+        row."""
+        class Counting:
+            def __init__(self):
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+                return len(text)
+        out = Counting()
+        generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],))).write_json(out)
+        text = "".join(out.calls)
+        argv = ("solve --family quartic4x4 --params=5,-23,2,-7 "
+                "--seed 6,2,3,1 --step 6,2,3,1 --count 2600")
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv][1]
+        chunk = dioph._CHUNK
+        assert len(out.calls) <= -(-len(text) // chunk) + 1
+        assert all(len(c) >= chunk for c in out.calls[:-1])
+        longest = max(len(", " + json.dumps(row))
+                      for row in json.loads(text)["solutions"])
+        assert all(len(c) < chunk + longest for c in out.calls)
 
     def test_peak_memory_is_not_quadratic_in_the_count(self):
         """The chain keeps a key per coordinate, not its big ints: from 300
