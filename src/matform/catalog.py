@@ -3,18 +3,18 @@
 Each family bundles a degree-n form in n coordinates (integer parameters),
 usually realized as the determinant of a matrix with a linear structure,
 together with the bilinear or trilinear composition law the family carries.
-Every family has a structure.  Where it is in the family's own
-parameters, its determinant is the form and its closure is the law: both
-come from the structure alone.  sextic_uv's structure is the regular
-representation of its law, block upper triangular, so each diagonal
-block's determinant composes under the same law; the tests check that
-those are the paper's two factors.  threefold_quadratic's structure is in
-(t, b, c): its law psi is the triple closure and its form Q is -det, each
-with t^2 read as a.  The paper's printed laws, expansions and
-factorizations are the test suite's reference data, checked there against
-the derived ones.  Each identity has one proof, the symbolic family's: at
-numeric parameters the law is the symbolic law specialized, and so is its
-proof.
+Every family has a structure, and its form and law come from the
+structure alone.  Where it is in the family's own parameters, its
+determinant is the form and its closure is the law.  sextic_uv's
+structure is the regular representation of its law, block upper
+triangular, so each diagonal block's determinant composes under the same
+law; the tests check that those are the paper's two factors.
+threefold_quadratic's structure is in (t, b, c): its law psi is the
+triple closure and its form Q is -det, each with t^2 read as a.  The
+paper's printed laws, expansions and factorizations are the test suite's
+reference data, checked there against the derived ones.  A family's own
+law is proven by its derivation: the closure holds, and det is
+multiplicative (`FormFamily.verify`).
 
 The registry holds each family's metadata (description, kind, parameter
 and coordinate names; the degree is the coordinate count), which
@@ -57,22 +57,18 @@ class FormFamily:
     `kind` is "pair" (bilinear composition law) or "triple" (trilinear
     law only).  A family has one law per arity, `pair_map` (bilinear) and
     `triple_map()` (trilinear); argument order is the caller's.  Each is
-    its structure's closure (with t^2 read as a for threefold_quadratic).
-    Its form is its structure's determinant; `form` is passed only where
-    the structure is not in the family's own parameters
-    (threefold_quadratic's).  A numeric family owns everything that
-    depends on its parameter values (structure, form and laws, each
-    derived on first use and kept); its laws and form are the symbolic
-    ones specialized, so `verify` proves its own law by the symbolic
-    family's proof.  The integer A(point) of `matrix` is the
-    parameter-free structure's `matrix_of`.
+    its structure's closure, and its form is its structure's determinant
+    (each with t^2 read as a for threefold_quadratic).  A numeric family
+    owns everything that depends on its parameter values (structure, form
+    and laws, each derived on first use and kept); its laws and form are
+    the symbolic ones specialized.  The integer A(point) of `matrix` is
+    the parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
                  structure: LinearStructure,
                  printed_form: Optional[Polynomial] = None,
-                 form: Optional[Polynomial] = None,
                  param_values: Optional[Tuple[int, ...]] = None,
                  base: Optional["FormFamily"] = None):
         self.name = name
@@ -84,9 +80,8 @@ class FormFamily:
         self.printed_form = printed_form
         self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
-        self._form = form  # threefold_quadratic's; else derived on first use
+        self._form: Optional[Polynomial] = None  # derived on first use
         self._own: tuple = ()  # (the own structure,) once derived
-        self._proofs: Dict[int, Union[ZeroResidual, Polynomial]] = {}
         self._laws: Dict[int, MultilinearMap] = {}
 
     # -- basics ----------------------------------------------------------
@@ -146,13 +141,20 @@ class FormFamily:
     @property
     def form(self) -> Polynomial:
         """The family's form: det of the structure where it is in the
-        family's parameters, else the symbolic family's form (given at
-        build) at these values."""
+        family's parameters; threefold_quadratic's symbolic form is -det
+        with t^2 read as a, and its numeric one that form at these
+        values."""
         if self._form is None:
             st = self._own_structure()
-            self._form = (st.form(self.coord_names) if st is not None
-                          else self._base.form.specialize(
-                              dict(zip(self.param_names, self.param_values))))
+            if st is not None:
+                self._form = st.form(self.coord_names)
+            elif self.is_symbolic():
+                self._form = _t_squared_as_a(
+                    -self._structure.form(self.coord_names),
+                    VarTable(self.param_names + self.coord_names))
+            else:
+                self._form = self._base.form.specialize(
+                    dict(zip(self.param_names, self.param_values)))
         return self._form
 
     # -- maps --------------------------------------------------------------
@@ -196,39 +198,33 @@ class FormFamily:
     # -- identity ------------------------------------------------------------
 
     def verify(self, cmap: MultilinearMap) -> Union[ZeroResidual, Polynomial]:
-        """`verify_identity` of the family's form under `cmap`.
+        """Decide f(x)f(y)[f(z)] == f(cmap(x, y[, z])) for the family's form.
 
-        The symbolic family passes its form as None (det of its own
-        structure) wherever it has one.  A numeric family's own law and
-        form are the symbolic ones specialized, and the identity is
-        polynomial in the parameters, so the symbolic proof of the law
-        proves it at every value: `verify` returns that proof's method
-        with the reason "symbolic identity specialized".  Any other map is
-        expanded at these values against the form."""
-        if self.is_symbolic():
-            st = self._own_structure()
-            if st is not None:
-                return verify_identity(None, cmap, self.coord_names,
-                                       structure=st)
-        elif self._is_own_law(cmap):
-            proof = self._base._proof(cmap.k)
-            if isinstance(proof, ZeroResidual):
-                return ZeroResidual(proof.method,
-                                    "symbolic identity specialized")
-        return verify_identity(self.form, cmap, self.coord_names)
+        The family's own law is proven by its derivation, with no
+        expansion: ZeroResidual("matrix").  `_law` returns a law only from
+        a successful closure, A(x)A(y)[A(z)] = A(law) entry by entry, and
+        the form is det A, so det multiplicativity gives the identity.
+        threefold_quadratic's closure and det are in (t, b, c) and hold
+        only even powers of t (`_t_squared_as_a` raises on an odd one), so
+        reading t^2 as a keeps the identity, now in a: the closure becomes
+        psi and -det becomes Q, and with three factors the signs agree,
+        (-1)^3 = -1.  With two they would not, which is one reason `_law`
+        refuses a bilinear law for a "triple" family.  A numeric family's
+        law and form are the symbolic ones specialized, and the identity
+        is polynomial in the parameters, so it holds at every value,
+        divisors of 0 included ("symbolic identity specialized").  Any
+        other map is expanded against the form by `verify_identity`."""
+        if not self._is_own_law(cmap):
+            return verify_identity(self.form, cmap, self.coord_names)
+        return ZeroResidual("matrix", "closure of the family's structure"
+                            if self.is_symbolic()
+                            else "symbolic identity specialized")
 
     def _is_own_law(self, cmap: MultilinearMap) -> bool:
         try:
             return cmap == self._law(cmap.k)
         except PolyError:  # the family has no law of that arity
             return False
-
-    def _proof(self, k: int) -> Union[ZeroResidual, Polynomial]:
-        """`verify` of the family's own law of arity k, run once and kept."""
-        proof = self._proofs.get(k)
-        if proof is None:
-            proof = self._proofs[k] = self.verify(self._law(k))
-        return proof
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -312,15 +308,6 @@ def _t_squared_as_a(poly: Polynomial, table: VarTable) -> Polynomial:
             raise ValueError(f"odd power of {poly.table.names[0]} in {poly}")
         terms[(m[0] // 2,) + m[1:]] = c
     return Polynomial(table, terms)
-
-
-def _threefold_quadratic() -> dict:
-    """The trace-free structure in (t, b, c) and the form it defines,
-    Q = a*x1^2 + b*x1*x2 + c*x2^2: -det with t^2 read as a."""
-    st = _tracefree_structure("t", "b", "c")
-    coords = _coords("x", 2)
-    form = _t_squared_as_a(-st.form(coords), VarTable(("a", "b", "c") + coords))
-    return dict(structure=st, form=form)
 
 
 # -- the printed quartic -------------------------------------------------------
@@ -410,8 +397,8 @@ class _Entry(NamedTuple):
     """A family's registry entry.  The metadata, which `list_families`
     prints, is read without building anything; the degree is the number of
     coordinates (n variables, degree n).  `build()` returns the parts the
-    run path reads as `FormFamily` keywords: the structure,
-    threefold_quadratic's form and the quartic's printed form."""
+    run path reads as `FormFamily` keywords: the structure and the
+    quartic's printed form."""
     description: str
     kind: str
     params: Tuple[str, ...]
@@ -460,7 +447,8 @@ _REGISTRY: Dict[str, _Entry] = {
     "threefold_quadratic": _Entry(
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
         "law, applied to its arguments in any order",
-        "triple", ("a", "b", "c"), _coords("x", 2), _threefold_quadratic),
+        "triple", ("a", "b", "c"), _coords("x", 2),
+        lambda: dict(structure=_tracefree_structure("t", "b", "c"))),
     "threefold4x4": _Entry(
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",

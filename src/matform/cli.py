@@ -160,9 +160,7 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         result.write_json(sys.stdout)
     else:
-        for i, row in enumerate(result.rows()):
-            sys.stdout.write(("\n" if i else "") + ",".join(row))
-        sys.stdout.write("\n")
+        result.write_text(sys.stdout)
     return 0
 
 

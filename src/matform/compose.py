@@ -4,23 +4,20 @@ integer solutions of f = 1.
 A law is a linstruct.MultilinearMap (re-exported here with its errors), the
 coefficient tensor of a bilinear (k=2) or trilinear (k=3) map: output_i =
 sum lambda_{i,j1..jk} * arg1_{j1} * ... * argk_{jk}, with entries
-polynomial in named parameters.  Identity verification is exact and takes
-one of two routes.  Where the form is the determinant of a matrix family in
-the map's own parameters, the proof goes through that family: the
-entrywise product identity A(x)A(y) = A(z) is checked symbolically, and
-multiplicativity of the determinant does the rest.  A form that is det(A)
-by definition (passed as None) is never expanded; a form given explicitly
-is checked to equal det(A).  Otherwise the residual of the whole form is
-expanded termwise.
+polynomial in named parameters.  `verify_identity` decides an identity
+f(x)f(y)[f(z)] = f(map(x, y[, z])) by expanding its residual termwise.
+A catalog family's own law needs no expansion: it is its structure's
+closure, A(x)A(y)[A(z)] = A(law) entry by entry, and its form is det A,
+so det multiplicativity proves it (`FormFamily.verify`).  The expansion
+decides every other map and form.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 # the law and its two errors are defined in linstruct and re-exported here
-from .linstruct import (DimensionMismatch, LinearStructure, MultilinearMap,
-                        NotClosed, WrongFamilyKind)
+from .linstruct import DimensionMismatch, MultilinearMap, WrongFamilyKind
 from .polyring import PolyError, Polynomial, VarTable, no_int_str_limit
 
 
@@ -35,11 +32,11 @@ class SingularMap(PolyError):
 class ZeroResidual(NamedTuple):
     """Certificate that the composition identity holds exactly.
 
-    `method` records the proof route: "expand" for a termwise expansion of
-    f(args...) - f(map(args...)), "matrix" for the entrywise matrix-product
-    identity combined with det multiplicativity (and form == det where the
-    form was given rather than defined as det).  `reason` names the rule
-    that chose the route and what was expanded.
+    `method` records the proof route: "matrix" for a catalog family's own
+    law, its structure's closure combined with det multiplicativity
+    (`FormFamily.verify`), "expand" for a termwise expansion of
+    f(args...) - f(map(args...)) (`verify_identity`).  `reason` says what
+    the proof rests on.
     """
     method: str
     reason: str
@@ -48,9 +45,14 @@ class ZeroResidual(NamedTuple):
 # -- identity verification -------------------------------------------------
 
 
-def _expand_residual(form: Polynomial, cmap: MultilinearMap,
-                     coord_names: Sequence[str]) -> Polynomial:
-    """f(x)f(y)[f(z)] - f(map(x,y[,z])), fully expanded."""
+def verify_identity(form: Polynomial, cmap: MultilinearMap,
+                    coord_names: Sequence[str]
+                    ) -> Union[ZeroResidual, Polynomial]:
+    """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically by
+    expanding the residual f(x)f(y)[f(z)] - f(map(x,y[,z])) termwise.
+    Returns ZeroResidual("expand", ...) where it is zero, else the
+    residual, a polynomial in the map's parameters and the coordinates
+    prefixed x_, y_[, z_]."""
     prefixes = ("x", "y", "z")[:cmap.k]
     coord_sets = [tuple(f"{p}_{name}" for name in coord_names) for p in prefixes]
     names = list(cmap.params)
@@ -62,61 +64,11 @@ def _expand_residual(form: Polynomial, cmap: MultilinearMap,
         product = product * form.substitute(
             {name: table.var(alias) for name, alias in zip(coord_names, cs)})
     outputs = cmap.forms(coord_sets, table=table)
-    composed = form.substitute(
+    residual = product - form.substitute(
         {name: out for name, out in zip(coord_names, outputs)})
-    return product - composed
-
-
-def verify_identity(form: Optional[Polynomial], cmap: MultilinearMap,
-                    coord_names: Sequence[str],
-                    structure: Optional[LinearStructure] = None
-                    ) -> Union[ZeroResidual, Polynomial]:
-    """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically.
-
-    `form=None` stands for det(structure); the determinant is then computed
-    only where a route needs the polynomial itself.  The route follows from
-    the arguments' structure, not their size:
-    - "matrix" when `structure` is in the map's own parameters
-      (structure.params == cmap.params).  It checks that the matrix family
-      closes (read back on its first row) with `cmap` as its
-      law, and det(A) == form where a form is given; multiplicativity of
-      the determinant then proves the identity.
-      Where the structure induces another map the route falls back to
-      expansion.
-    - otherwise "expand" of the whole form.
-    Returns ZeroResidual on success; on failure, the nonzero residual
-    polynomial ("expand"), or the offending entry residual or det - form
-    ("matrix").
-    """
-    if form is None and structure is None:
-        raise ValueError("form=None stands for det(structure): pass one")
-
-    def expand(rule: str) -> Union[ZeroResidual, Polynomial]:
-        residual = _expand_residual(
-            form if form is not None else structure.form(coord_names),
-            cmap, coord_names)
-        if not residual.is_zero():
-            return residual
-        return ZeroResidual("expand", f"{rule}; whole form expanded")
-
-    if structure is None or structure.params != cmap.params:
-        return expand("no structure in the map's parameters")
-    derived = structure.closure(cmap.k)
-    if isinstance(derived, NotClosed):
-        # no residual where a divisor does not divide: 1 on det's table
-        return derived.witness.residual or \
-            VarTable(structure.params + tuple(coord_names)).one()
-    if derived != cmap:
-        # The supplied map is not the one the matrix family induces; fall
-        # back to the honest expansion to produce a residual.
-        return expand("structure induces another map")
-    if form is not None:
-        det = structure.form(coord_names)
-        if det.table != form.table:
-            det = det.embed(form.table)
-        if det != form:
-            return det - form
-    return ZeroResidual("matrix", "structure in the map's parameters")
+    if not residual.is_zero():
+        return residual
+    return ZeroResidual("expand", "whole form expanded")
 
 
 # -- group law on f = 1 -----------------------------------------------------

@@ -17,8 +17,8 @@ chain is printed from a second run of the same recurrence in exact
 CPython's int-to-str is quadratic, and every printed string is checked
 against its key: 2**60 divides 10**60, so the last 60 printed digits fix
 the residue, and any error confined to the last 18 digits changes it.
-Each step is a C-level dot product per row, and the JSON rows are
-written in chunks of about 64 KB.
+Each step is a C-level dot product per row, and the rows, JSON or text,
+are written in chunks of about 64 KB.
 
 The box search walks a specialization tree over the numeric form (the
 multivariate Horner scheme): it fixes one coordinate at a time, depth
@@ -98,9 +98,10 @@ def _step(S, v):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
 _MASK = 2 ** 60 - 1
-# The least JSON per `write_json` write, in characters (all ASCII, so
-# bytes).  Below glibc's default 128 KB mmap threshold: a larger chunk's
-# join and its encoded copy take fresh pages and raise the peak RSS.
+# The least text per write of a chain, JSON or text, in characters (all
+# ASCII, so bytes).  Below glibc's default 128 KB mmap threshold: a larger
+# chunk's join and its encoded copy take fresh pages and raise the peak
+# RSS.
 _CHUNK = 2 ** 16
 
 
@@ -151,8 +152,9 @@ class SequenceResult:
     replays the int chain on each read.
 
     `proof` is the method of the identity proof the chain rests on,
-    "matrix" or "expand" (see `FormFamily.verify`).  `evaluated` counts
-    the iterates checked by exact evaluation: the seed and the last one.
+    `FormFamily.verify` of the family's own law: "matrix".  `evaluated`
+    counts the iterates checked by exact evaluation: the seed and the
+    last one.
     Results are equal when all six fields are."""
     __slots__ = ("spec", "step", "proof", "seed", "keys", "evaluated")
 
@@ -220,9 +222,7 @@ class SequenceResult:
         the solutions as decimal strings, and "verified": true, since every
         iterate is proven before it is returned.  The solutions come from
         `rows()`, without json.dumps: a string of digits and "-" needs no
-        escaping.  They are written in chunks of at least _CHUNK
-        characters, the last one shorter, so an unbuffered `out` makes one
-        system call per chunk rather than one per iterate."""
+        escaping."""
         fam = self.spec.family
         head, _, tail = json.dumps({
             "family": fam.name,
@@ -231,16 +231,30 @@ class SequenceResult:
             "solutions": None,
             "verified": True,
         }).partition('"solutions": null')
-        text = head + '"solutions": ['
-        chunk, size = [text], len(text)
+        self._write(out, head + '"solutions": [',
+                    lambda row: '["' + '", "'.join(row) + '"]', ", ",
+                    "]" + tail + "\n")
+
+    def write_text(self, out: TextIO) -> None:
+        """Write the chain one iterate per line, its coordinates joined by
+        commas."""
+        self._write(out, "", ",".join, "\n", "\n")
+
+    def _write(self, out: TextIO, head: str, row_text, sep: str,
+               tail: str) -> None:
+        """Write head, row_text(row) of every row joined by sep, and tail,
+        in chunks of at least _CHUNK characters, the last one shorter, so
+        an unbuffered `out` makes one system call per chunk rather than
+        one per iterate."""
+        chunk, size = [head], len(head)
         for i, row in enumerate(self.rows()):
-            text = (", " if i else "") + '["' + '", "'.join(row) + '"]'
+            text = (sep if i else "") + row_text(row)
             chunk.append(text)
             size += len(text)
             if size >= _CHUNK:
                 out.write("".join(chunk))
                 chunk, size = [], 0
-        chunk.append("]" + tail + "\n")
+        chunk.append(tail)
         out.write("".join(chunk))
 
 
@@ -258,9 +272,10 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     StepNotSolution up front.
 
     The chain is then proven once, by the family's composition identity
-    f(x)f(y)[f(z)] = f(map(x, y[, z])) (`FormFamily.verify`, the symbolic
-    family's proof specialized), and SequenceVerificationError is raised
-    up front where that is no ZeroResidual.  With the partners' f = 1, the
+    f(x)f(y)[f(z)] = f(map(x, y[, z])) (`FormFamily.verify` of the
+    family's own law, which its derivation proves), and
+    SequenceVerificationError is raised up front where that is no
+    ZeroResidual.  With the partners' f = 1, the
     identity gives f(S v) = f(v) for every v, so f(v_i) = f(seed) = 1 by
     induction.  The ints are run once, keeping only the current iterate
     and each coordinate's key (see `SequenceResult`).  The last iterate is

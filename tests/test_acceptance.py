@@ -34,31 +34,34 @@ def _apply_polys(cmap, args, table):
 
 def test_criterion_1_symbolic_identity_suite():
     """f(x)f(y) - f(z(x,y)) == 0 identically for every two-argument family,
-    all parameters symbolic, with z the paper's printed law."""
+    all parameters symbolic, with z the paper's printed law: it is the
+    family's closure exactly, so the matrix route proves it."""
     for name in ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
                  "sextic_circulant", "octic8x8"):
-        fam = family(name)
-        result = verify_identity(fam.form, paper.law(name), fam.coord_names,
-                                 structure=fam.structure)
+        result = family(name).verify(paper.law(name))
         assert isinstance(result, ZeroResidual), name
+        assert result.method == "matrix", name
 
 
 def test_criterion_2_threefold_suite():
     """Trilinear identities hold symbolically; the three-fold structures
     genuinely fail pairwise; degenerate reductions are 4*x4^4 and 16*x2^8."""
-    # the quadratic law
+    # the quadratic law, by expansion: an oracle independent of the
+    # closure that proves it in `verify`
     quad = family("threefold_quadratic")
     res = verify_identity(quad.form, quad.triple_map(), quad.coord_names)
     assert isinstance(res, ZeroResidual), "quadratic"
 
-    # quartic and octic trilinear identities: the paper's printed law
-    # for the quartic, the structure's own for the octic
-    for name, law in (("threefold4x4", paper.law("threefold4x4")),
+    # the trilinear identities by the matrix route: the paper's printed
+    # law for the quadratic and the quartic, the structure's own for the
+    # octic
+    for name, law in (("threefold_quadratic",
+                       paper.law("threefold_quadratic")),
+                      ("threefold4x4", paper.law("threefold4x4")),
                       ("threefold8x8", family("threefold8x8").triple_map())):
-        fam = family(name)
-        res = verify_identity(fam.form, law, fam.coord_names,
-                              structure=fam.structure)
+        res = family(name).verify(law)
         assert isinstance(res, ZeroResidual), name
+        assert res.method == "matrix", name
 
     # pairwise products leave the span for all three structures
     for name in ("threefold_quadratic", "threefold4x4", "threefold8x8"):

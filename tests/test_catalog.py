@@ -68,14 +68,13 @@ class TestRegistry:
     @pytest.mark.parametrize("name", list(catalog._REGISTRY))
     def test_only_what_no_structure_gives_is_built(self, name):
         # one source per law and form: every family has a structure, which
-        # gives the law by its closure and the form by its determinant, so
-        # none builds a law; a form is built only where the structure is
-        # not in the family's own parameters, and the printed quartic only
-        # because bench/oracle.py reads it
+        # gives the law by its closure and the form by its determinant
+        # (threefold_quadratic's with t^2 read as a), so none builds a law
+        # or a form; the printed quartic is built only because
+        # bench/oracle.py reads it
         parts = catalog._REGISTRY[name].build()
         assert "structure" in parts and "law" not in parts
-        assert "factors" not in parts
-        assert ("form" in parts) == (name == "threefold_quadratic")
+        assert "factors" not in parts and "form" not in parts
         assert ("printed_form" in parts) == (name == "quartic4x4")
 
     def test_kinds_and_dimensions(self):

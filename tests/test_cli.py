@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matform import catalog
+from matform import catalog, dioph
 from matform.catalog import FormFamily
 from matform.cli import main
 from matform.polyring import no_int_str_limit
@@ -21,10 +21,10 @@ from matform.linstruct import LinearStructure, MultilinearMap
 from matform.polyring import PolyMatrix, Polynomial
 
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
-# structure in the family's own parameters: verify takes the matrix route
+# verify proves a family's own law by the matrix route
 MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-                 "sextic_circulant", "octic8x8", "threefold4x4",
-                 "threefold8x8")
+                 "sextic_circulant", "octic8x8", "threefold_quadratic",
+                 "threefold4x4", "threefold8x8")
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +356,35 @@ class TestSolve:
                 "mode": "pairwise",
                 "solutions": [[str(a), str(b)] for a, b in powers],
                 "verified": True}) + "\n"
+
+    def test_text_is_written_in_byte_bounded_chunks(self, monkeypatch):
+        """The 2600-iterate quartic as text: its JSON's solutions, one per
+        line, written in at most ceil(bytes / chunk) + 1 calls, every call
+        but the last at least one chunk, not one call per iterate."""
+        class Counting:
+            def __init__(self):
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def stdout(*fmt):
+            out = Counting()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["solve", *QUARTIC, "--seed", "6,2,3,1", "--step",
+                         "6,2,3,1", "--count", "2600", *fmt]) == 0
+            return out.calls
+        calls = stdout("--format", "text")
+        text = "".join(calls)
+        rows = json.loads("".join(stdout()))["solutions"]
+        assert text == "\n".join(",".join(row) for row in rows) + "\n"
+        chunk = dioph._CHUNK
+        assert len(calls) <= -(-len(text) // chunk) + 1
+        assert all(len(c) >= chunk for c in calls[:-1])
 
     def test_symbolic_params_rejected(self, capsys):
         code, _, err = run_cli(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from matform import dioph
+from matform import catalog, compose, dioph
 from matform.cli import main
 
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
@@ -28,11 +28,10 @@ def test_stdout_unchanged(capsys, argv):
 
 
 # How `solve` proves each family's chain: by the method of the family's
-# identity proof, the matrix route where the structure is in the family's
-# own parameters, else expansion.
+# identity proof, the matrix route for every family's own law.
 ROUTES = {"quartic4x4": "matrix", "octic8x8": "matrix",
           "threefold4x4": "matrix", "threefold8x8": "matrix",
-          "sextic_uv": "matrix", "threefold_quadratic": "expand"}
+          "sextic_uv": "matrix", "threefold_quadratic": "matrix"}
 
 
 @pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("solve ")])
@@ -48,3 +47,17 @@ def test_solve_reports_its_route(capsys, monkeypatch, argv):
     capsys.readouterr()
     [r] = results
     assert (r.proof, r.evaluated) == (ROUTES[r.spec.family.name], 2)
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN
+                                  if a.startswith(("verify ", "solve "))])
+def test_proofs_expand_nothing(capsys, monkeypatch, argv):
+    # every `verify` and `solve` proves the family's own law, which its
+    # closure proves: the expansion is never reached
+    def refuse(*args):
+        raise AssertionError("verify_identity expanded an identity")
+    monkeypatch.setattr(catalog, "verify_identity", refuse)
+    monkeypatch.setattr(compose, "verify_identity", refuse)
+    code = main(argv.split(" "))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert [code, digest] == GOLDEN[argv]

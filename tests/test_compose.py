@@ -20,16 +20,15 @@ from matform.polyring import Polynomial, VarTable
 
 import paper
 from companion import companion_family
-from polytools import as_int, degree_in, eval_int
+from polytools import degree_in, eval_int
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
 
-# structure in the family's own parameters: the matrix route applies; the
-# other family, threefold_quadratic, is expanded
+# every family's own law is its structure's closure: the matrix route
 MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-                 "sextic_circulant", "sextic_uv", "octic8x8", "threefold4x4",
-                 "threefold8x8")
+                 "sextic_circulant", "sextic_uv", "octic8x8",
+                 "threefold_quadratic", "threefold4x4", "threefold8x8")
 
 
 # the values of the golden numeric `verify` argvs
@@ -167,8 +166,7 @@ class TestVerifyIdentity:
 
     def test_matrix_route_agrees_with_expansion(self):
         fam = catalog.family("quartic4x4")
-        by_matrix = verify_identity(fam.form, fam.pair_map, fam.coord_names,
-                                    structure=fam.structure)
+        by_matrix = fam.verify(fam.pair_map)
         by_expand = verify_identity(fam.form, fam.pair_map, fam.coord_names)
         assert isinstance(by_matrix, ZeroResidual)
         assert isinstance(by_expand, ZeroResidual)
@@ -185,65 +183,49 @@ class TestVerifyIdentity:
         assert not isinstance(res, ZeroResidual)
         assert not res.is_zero()
 
-    def test_mutated_map_detected_by_matrix_route(self):
-        fam = catalog.family("quartic4x4")
-        cmap = fam.pair_map
-        bad = dict(cmap.coeff)
-        key = next(iter(bad))
-        bad[key] = bad[key] + 1
-        mutant = MultilinearMap(2, 4, cmap.params, bad)
-        res = verify_identity(fam.form, mutant, fam.coord_names,
-                              structure=fam.structure)
+    def test_mutated_map_is_expanded_by_the_family(self):
+        # a map other than the family's law is not proven by its closure:
+        # `verify` expands it, and the residual is left
+        fam = catalog.family("quad2x2")
+        res = fam.verify(mutated(fam.pair_map))
         assert not isinstance(res, ZeroResidual)
+        assert not res.is_zero()
 
-    def test_matrix_route_checks_a_form_other_than_det(self):
-        # the family's own form is its structure's determinant, so only
-        # another form exercises the det - form check
-        fam = catalog.family("quartic4x4")
-        res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names,
-                              structure=fam.structure)
+    def test_expansion_checks_a_form_other_than_the_familys(self):
+        # (f(x) + 1)(f(y) + 1) - (f(z) + 1) = f(x) + f(y) where f(x)f(y) =
+        # f(z); at x = y = (1, 0), f = 1 and the residual is 2
+        fam = catalog.family("quad2x2")
+        res = verify_identity(fam.form + 1, fam.pair_map, fam.coord_names)
         assert not isinstance(res, ZeroResidual)
-        assert as_int(res) == -1
+        env = {"p": 5, "q": -7, "x_x1": 1, "x_x2": 0, "y_x1": 1, "y_x2": 0}
+        assert eval_int(res, env) == 2
 
     def test_companion_structure_proves_by_its_own_recipe(self):
         fam = companion_family((0, 0, -2))
-        res = verify_identity(None, fam.pair_map, fam.coord_names,
-                              structure=fam.structure)
+        res = fam.verify(fam.pair_map)
         assert res == ZeroResidual("matrix",
-                                   "structure in the map's parameters")
-
-    def test_form_none_needs_a_structure(self):
-        # form=None stands for det(structure)
-        fam = catalog.family("quad2x2")
-        with pytest.raises(ValueError):
-            verify_identity(None, fam.pair_map, fam.coord_names)
+                                   "closure of the family's structure")
 
 
 class TestRoute:
-    """The route follows from the structure passed, not from the size."""
+    """The route follows from the map, not from the size: a family's own
+    law takes the matrix route, any other map is expanded."""
 
     @pytest.mark.parametrize("name", MATRIX_ROUTED)
-    def test_structure_in_map_parameters_takes_matrix_route(self, name):
+    def test_own_law_takes_matrix_route(self, name):
+        # threefold_quadratic's closure is in (t, b, c), its law in
+        # (a, b, c): the closure with t^2 read as a proves it all the same
         res = verify_auto(catalog.family(name))
         assert res == ZeroResidual("matrix",
-                                   "structure in the map's parameters")
-
-    def test_structure_in_other_parameters_expands(self):
-        # threefold_quadratic's structure is in (t, b, c), its map in (a, b, c)
-        res = verify_auto(catalog.family("threefold_quadratic"))
-        assert res == ZeroResidual(
-            "expand", "no structure in the map's parameters; "
-                      "whole form expanded")
+                                   "closure of the family's structure")
 
     def test_uv_factor_without_structure_expands(self):
         # each transcribed factor composes under the derived law on its
-        # own: with no structure its whole form is expanded
+        # own: its whole form is expanded
         fam = catalog.family("sextic_uv")
         for f in paper.uv_factors():
             res = verify_identity(f, fam.pair_map, fam.coord_names)
-            assert res == ZeroResidual(
-                "expand", "no structure in the map's parameters; "
-                          "whole form expanded")
+            assert res == ZeroResidual("expand", "whole form expanded")
 
     def test_mutated_uv_map_yields_nonzero_residual(self):
         # the family's own proof is for its own law: another map is
@@ -298,19 +280,16 @@ class TestRoute:
     @pytest.mark.parametrize("name",
                              ["quad2x2", "sextic_circulant", "sextic_uv"])
     def test_matrix_route_proves_det_and_no_other_form(self, name):
-        # a power of a factor composes under the family's map too, so only
-        # the det - form check stands between it and a false matrix proof
-        # that it is the determinant
+        # a power of a factor composes under the family's map too, but the
+        # matrix route proves the family's own form only, det A: another
+        # form is checked by expansion alone
         fam = catalog.family(name)
         f1 = (paper.circulant_factors()[0] if name == "sextic_circulant"
               else paper.uv_factors()[0] if name == "sextic_uv"
               else fam.form)
-        det = fam.structure.form(fam.coord_names)
         for power in (f1 * f1, f1 * f1 * f1):
-            res = verify_identity(power, fam.pair_map, fam.coord_names,
-                                  structure=fam.structure)
-            assert res == det - power.embed(det.table)
-            assert not res.is_zero()
+            res = verify_identity(power, fam.pair_map, fam.coord_names)
+            assert res == ZeroResidual("expand", "whole form expanded")
 
 
 class TestIntegerPointOracle:
@@ -318,8 +297,7 @@ class TestIntegerPointOracle:
     term from the paper's printed forms and laws where it prints them.
     This is the check, independent of both proof routes and of the
     closure that gives the run-time law, for the identities that the
-    matrix route proves without expanding them; the expansion tests prove
-    the other two."""
+    matrix route proves without expanding them."""
 
     @pytest.mark.parametrize("name", MATRIX_ROUTED)
     @given(data=st.data())
@@ -327,12 +305,14 @@ class TestIntegerPointOracle:
     def test_identity_at_integer_points(self, name, data):
         # nonzero values leave every monomial of a residual switched on
         # and every divisor nonzero, so each draw has its own numeric
-        # structure (not the symbolic fallback)
+        # structure (not the symbolic fallback); threefold_quadratic's is
+        # in (t, b, c), so it keeps the symbolic one
         nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
         base = catalog.family(name)
         values = data.draw(st.tuples(*[nonzero] * base.arity))
         fam = base.specialize(values)
-        assert fam.structure.params == ()
+        assert fam.structure.params == (
+            ("t", "b", "c") if name == "threefold_quadratic" else ())
         cmap = (paper.law(name).specialize(values)
                 if name in paper.LAW_FAMILIES else composition_map(fam))
         points = data.draw(st.tuples(
@@ -341,7 +321,8 @@ class TestIntegerPointOracle:
                        if name in paper.PRINTED_FAMILIES else
                        paper.circulant_factors() if name == "sextic_circulant"
                        else paper.uv_factors() if name == "sextic_uv"
-                       else (base.form,))
+                       else (paper.threefold_quadratic_form(),)
+                       if name == "threefold_quadratic" else (base.form,))
         at_values = [p.specialize(dict(zip(base.param_names, values)))
                      for p in transcribed]
 

@@ -304,9 +304,9 @@ def evaluations(monkeypatch):
 
 class TestIterateCertificate:
     """A chain rests on the family's composition identity, proven once
-    (`FormFamily.verify`, the symbolic proof specialized): a map it does
-    not prove raises before any iterate.  Besides the seed and the
-    partners, only the last iterate is evaluated."""
+    (`FormFamily.verify`, by its derivation for the family's own law): a
+    map it does not prove raises before any iterate.  Besides the seed
+    and the partners, only the last iterate is evaluated."""
 
     @pytest.mark.parametrize("name, params, seed, key", [
         ("quartic4x4", (5, -23, 2, -7), QUARTIC_SEQ[0], (0, (0, 0))),
@@ -344,9 +344,8 @@ class TestIterateCertificate:
         cmap = fam.triple_map()
         swapped = MultilinearMap(3, 2, (), {
             (i, (j2, j1, j3)): c for (i, (j1, j2, j3)), c in cmap.coeff.items()})
-        assert fam.verify(swapped) == ZeroResidual(
-            "expand", "no structure in the map's parameters; "
-                      "whole form expanded")
+        assert fam.verify(swapped) == ZeroResidual("expand",
+                                                   "whole form expanded")
         monkeypatch.setattr(fam, "triple_map", lambda: swapped)
         r = generate_sequence(SequenceSpec(
             family=fam, seed=TQ_SEED, count=6, partners=(E2, TQ_SEED)))
@@ -377,12 +376,14 @@ class TestIterateCertificate:
         f = printed(T4)
         assert all(f(v) == 1 for v in r.solutions)
 
-    def test_family_without_matrix_is_proven_by_expansion(self, evaluations):
-        # threefold_quadratic's structure is in (t, b, c), not in (a, b, c)
+    def test_family_without_matrix_is_proven_by_its_closure(self,
+                                                            evaluations):
+        # threefold_quadratic has no integer matrix: its structure is in
+        # (t, b, c), not in (a, b, c), and its closure proves its law
         r = generate_sequence(SequenceSpec(
             family=TQ, seed=TQ_SEED, partners=(E2, TQ_SEED), count=4))
         assert evaluations == [TQ_SEED, E2, TQ_SEED, r.solutions[-1]]
-        assert (r.proof, r.evaluated) == ("expand", 2)
+        assert (r.proof, r.evaluated) == ("matrix", 2)
         f = paper.threefold_quadratic_form().specialize(
             dict(zip(TQ.param_names, TQ.param_values)))
         assert all(f.eval_vector(list(v)) == 1 for v in r.solutions)
@@ -403,7 +404,7 @@ class TestIterateCertificate:
                      None, "matrix", id="sextic_uv"),
         pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, "matrix",
                      id="threefold8x8"),
-        pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0), "expand",
+        pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0), "matrix",
                      id="threefold_quadratic-zyx"),
         *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
                        "matrix",
@@ -677,7 +678,7 @@ class TestPrintedChain:
             finally:
                 tracemalloc.stop()
 
-        peak(2)  # the proof is cached per family
+        peak(2)  # the law is derived once per family
         assert peak(1200) < 6 * peak(300)
 
     def test_step_matrix_takes_h_map_applications(self, monkeypatch):
