@@ -35,11 +35,14 @@ def _params(text: str) -> Optional[Tuple[int, ...]]:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    """argparse type: an integer >= 0, written in digits alone."""
+    try:
+        if text.isdigit():
+            return int(text)
+    except ValueError:  # digits int() does not read, such as "2²"
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 class UsageError(Exception):

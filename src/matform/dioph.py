@@ -20,11 +20,17 @@ the residue, and any error confined to the last 18 digits changes it.
 Each step is a C-level dot product per row, and the rows, JSON or text,
 are written in chunks of about 64 KB.
 
-The box search walks a specialization tree over the numeric form (the
-multivariate Horner scheme): it fixes one coordinate at a time, depth
-first, and evaluates the univariate polynomial left at the last coordinate
-by Horner's rule.  Every hit is confirmed by exact evaluation of f before
-it is returned.
+The box search decides a packed sub-box at a time.  The values of f at
+every point of the box's last few coordinates sit in w-bit fields of one
+int, so the form's coefficients over the first coordinates become packed
+ints (the tensor-product layout of the trailing points).  A specialization
+tree over the numeric form (the multivariate Horner scheme) fixes the
+first coordinates one at a time, depth first, each multiply-add one
+big-integer operation for the whole sub-box.  Each leaf is tested without
+a carry: w exceeds the bound L on |f - target| by two bits, so a bias of
+L - target per field makes every field f - target + L, in [0, 2L], and
+one XOR and one addition flag the fields with f = target.  Every hit is
+confirmed by exact evaluation of f before it is returned.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import json
 from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
+from itertools import product
 from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
@@ -328,6 +335,11 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
 
 
 _SEARCH_GUARD = 10 ** 9
+# The most fields, one per trailing point, in one packed int of
+# `brute_force_search`.  More fields leave fewer prefixes to walk, but each
+# monomial of the form then costs an operation on a longer int; 625 was the
+# fastest cap, or close to it, on every box of a sweep from 81 to 2187.
+_FIELDS = 625
 
 
 def _specialization_tree(terms, h: int):
@@ -363,53 +375,135 @@ def _specialization_tree(terms, h: int):
     return coeffs, levels
 
 
+def _packed_coefficients(terms, p: int, boxes, w: int):
+    """The polynomial `terms` in x_1..x_h as one in its first p coordinates
+    whose coefficients are packed ints over the trailing box
+    boxes[0] x ... x boxes[-1] of x_{p+1}..x_h.
+
+    Field i, w bits wide at bit w*i, stands for the i-th trailing point q
+    in lexicographic order.  A monomial c * x^a * q^b adds c * Q_b to the
+    coefficient of x^a, where Q_b = sum_i q^b * 2**(w*i) over the trailing
+    points.  That is the tensor-product layout: with b = (e, *rest) and v_j
+    the values of the first trailing coordinate,
+    Q_b = sum_j v_j^e * Q_rest * 2**(w * j * n_rest), where Q_rest, over
+    the n_rest points of the coordinates after it, fills the fields of one
+    value v_j.  Both are identities of integers whatever the fields'
+    signs.  Each suffix of each b is built once, by len(values) shifts and
+    small multiplies, the shortest first.
+    """
+    suffixes = {(): (1, 1)}  # b -> (Q_b, number of fields)
+
+    def trailing(b):
+        got = suffixes.get(b)
+        if got is None:
+            rest, n = trailing(b[1:])
+            shift, e = w * n, b[0]
+            values = boxes[len(boxes) - len(b)]
+            q = 0
+            for v in reversed(values):
+                q = (q << shift) + v ** e * rest
+            got = suffixes[b] = (q, n * len(values))
+        return got
+
+    out: dict = {}
+    for m, c in terms.items():
+        a = m[:p]
+        out[a] = out.get(a, 0) + c * trailing(m[p:])[0]
+    return out
+
+
 def brute_force_search(fam: FormFamily, bound: int,
                        target: int = 1) -> List[Vec]:
     """All v with max|v_i| <= bound and f(v) = target, in lexicographic
     order.
 
-    Every point of the signed box is decided by a specialization tree
-    over the family's numeric form: x_1 is fixed to each of the 2B+1
-    values in turn, then x_2, and so on depth first, each level folding
-    one value into the coefficients of the polynomial in the coordinates
-    left.  At the last coordinate that polynomial is univariate, of degree
-    at most n, and Horner's rule evaluates it at all 2B+1 values.  A level
-    costs its number of prefixes times the number of terms left.  Each hit
-    is confirmed by `FormFamily.evaluate` before it is returned;
+    The box is searched a packed sub-box at a time.  Its last r
+    coordinates, r as large as keeps (2B+1)^r <= _FIELDS, make the
+    trailing box, and f at every trailing point is held in one w-bit field
+    of one int (`_packed_coefficients`); a last coordinate wider than
+    _FIELDS is packed one slice of _FIELDS values at a time, each slice
+    its own pass.  A specialization tree over the first h - r coordinates
+    (`_specialization_tree`) then fixes them one at a time, depth first,
+    each level folding one value into the packed coefficients left, and
+    Horner's rule finishes at the last of them; every multiply-add is one
+    big-integer operation for the whole trailing box.
+
+    Each leaf g, whose fields are the signed values of f, is tested
+    without a carry.  L = sum |c_m| B^|m| + |target| bounds |f - target|
+    on the box, and w is chosen with 2**(w-1) > 2L.  Adding the bias
+    (L - target) * ones to g gives the exact base-2**w expansion of the
+    fields f - target + L, all in [0, 2L], so every top bit is clear.  XOR
+    with L * ones keeps the top bits clear and zeroes exactly the fields
+    with f = target.  For such a field y, y + low (low = 2**(w-1) - 1 in
+    every field) sets the top bit unless y = 0 and carries out of no
+    field, so high & ~(z + low) has its top bit set at exactly the hits,
+    read off in lexicographic order.  The same bound shows that no point
+    hits when |target| exceeds sum |c_m| B^|m|.
+
+    Each hit is confirmed by `FormFamily.evaluate` before it is returned;
     SearchVerificationError is raised if one fails.  A negative bound
-    raises ValueError and a non-integer one TypeError.
+    raises ValueError, and a non-integer bound or target TypeError.
     """
-    bound = index(bound)
+    bound, target = index(bound), index(target)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     side = 2 * bound + 1
-    if side ** fam.h > _SEARCH_GUARD:
-        raise SearchSpaceTooLarge(f"{side}^{fam.h} candidate points")
+    h = fam.h
+    if side ** h > _SEARCH_GUARD:
+        raise SearchSpaceTooLarge(f"{side}^{h} candidate points")
     if fam.is_symbolic() and fam.arity > 0:
         raise ValueError(f"{fam.name} needs numeric parameter values")
+    terms = fam.form.terms
+    reach = sum(abs(c) * bound ** sum(m) for m, c in terms.items())
+    if abs(target) > reach:
+        return []
     values = range(-bound, bound + 1)
-    form = fam.form
-    coeffs, levels = _specialization_tree(form.terms, fam.h)
-    powers = {v: [v ** e for e in range(form.total_degree() + 1)]
-              for v in values}
+    r = 1
+    while r < h and side ** (r + 1) <= _FIELDS:
+        r += 1
+    p = h - r
+    L = reach + abs(target)
+    w = (2 * L).bit_length() + 1
+    powers = {v: [v ** e for e in range(max(map(sum, terms), default=0) + 1)]
+              for v in values} if p > 1 else {}
     out: List[Vec] = []
+    for start in range(0, side, _FIELDS):
+        boxes = [values] * (r - 1) + [values[start:start + _FIELDS]]
+        points = list(product(*boxes))
+        ones = ((1 << w * len(points)) - 1) // ((1 << w) - 1)
+        bias, xor = (L - target) * ones, L * ones
+        high = ones << (w - 1)
+        low = high - ones
 
-    def walk(k: int, prefix: Vec, poly: List[int]) -> None:
-        if k == len(levels):
-            for t in values:
-                acc = 0
-                for c in poly:
-                    acc = acc * t + c
-                if acc == target:
-                    out.append(prefix + (t,))
-            return
-        for v in values:
-            pw = powers[v]
-            walk(k + 1, prefix + (v,),
-                 [sum([poly[i] * pw[e] for i, e in group])
-                  for group in levels[k]])
+        def test(g: int, prefix: Vec) -> None:
+            hits = high & ~(((g + bias) ^ xor) + low)
+            while hits:
+                bit = hits & -hits
+                out.append(prefix + points[bit.bit_length() // w - 1])
+                hits ^= bit
 
-    walk(0, (), coeffs)
+        def walk(k: int, prefix: Vec, poly: List[int]) -> None:
+            if k == len(levels):
+                for t in values:
+                    acc = 0
+                    for c in poly:
+                        acc = acc * t + c
+                    test(acc, prefix + (t,))
+                return
+            for v in values:
+                pw = powers[v]
+                walk(k + 1, prefix + (v,),
+                     [sum([poly[i] * pw[e] for i, e in group])
+                      for group in levels[k]])
+
+        packed = _packed_coefficients(terms, p, boxes, w)
+        if p:
+            coeffs, levels = _specialization_tree(packed, p)
+            walk(0, (), coeffs)
+        else:
+            test(packed.get((), 0), ())
+    if side > _FIELDS:
+        out.sort()  # each slice of the last coordinate was its own pass
     for v in out:
         value = fam.evaluate(v)
         if value != target:

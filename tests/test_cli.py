@@ -468,6 +468,16 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bound", ["2²", "²", "①", "-2", "2.0", ""])
+    def test_bound_that_is_no_integer_gets_the_parsers_own_line(
+            self, capsys, bound):
+        # "2²".isdigit() is true and int() refuses it: the line must
+        # still be the parser's own, not argparse's "invalid <function>"
+        code, out, err = run_cli(capsys, "search", *QUARTIC, "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert f"expected a non-negative integer, got {bound!r}" in err
+
     def test_byte_identical_reruns(self, capsys):
         args = ("emit-form", "--family", "cubic3x3")
         first = run_cli(capsys, *args)

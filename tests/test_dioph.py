@@ -498,12 +498,14 @@ class TestErrorsPastTheDigitLimit:
     lambda: generate_sequence(SequenceSpec(Q2, (3.0, 2), 2, ((3, 2),))),
     lambda: generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3.0, 2),))),
     lambda: brute_force_search(Q2, 1.5),
+    lambda: brute_force_search(Q2, 1, target=1.5),
     lambda: family("quad2x2").pair_map.specialize((0.5, -2)),
     lambda: family("quad2x2").structure.specialize((0.5, -2)),
     lambda: companion_structure((0.7, 5)),
     lambda: check_monotone_positive([(1.5, 2), (2.2, 3)]),
 ], ids=["specialize", "evaluate", "evaluate-form", "matrix_of", "apply",
         "argument_matrix", "sequence-seed", "sequence-partner", "search",
+        "search-target",
         "map-specialize", "structure-specialize", "companion", "monotone"])
 def test_non_integer_input_is_rejected(call):
     """A float is never truncated to an integer: it raises TypeError."""
@@ -841,3 +843,117 @@ class TestSearchTree:
         monkeypatch.setattr(FormFamily, "evaluate", lambda self, point: 2)
         with pytest.raises(SearchVerificationError, match="f = 2 != 1"):
             brute_force_search(QUARTIC, 1)
+
+
+class TestPackedSearch:
+    """The packed sub-box at its edges, against the per-point oracle:
+    fields wider than a machine word, targets at and just past the range
+    of f, every point a hit, a last coordinate packed in slices, and
+    trailing boxes with and without a tree over the coordinates before
+    them."""
+
+    @pytest.fixture
+    def boxes(self, monkeypatch):
+        """The number of trailing points of every packed int searched."""
+        sizes = []
+        packed = dioph._packed_coefficients
+
+        def recording(terms, p, boxes, w):
+            sizes.append(len(list(itertools.product(*boxes))))
+            return packed(terms, p, boxes, w)
+        monkeypatch.setattr(dioph, "_packed_coefficients", recording)
+        return sizes
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_per_point_oracle_at_any_cap(self, data):
+        # a cap of 1 or 2 packs one slice of the last coordinate at a
+        # time, 3 and 9 pack one or two whole coordinates at bound 1
+        name = data.draw(st.sampled_from(
+            ["quad2x2", "threefold_quadratic", "cubic3x3", "quartic4x4"]))
+        base = family(name)
+        fam = family(name, data.draw(st.tuples(
+            *[st.integers(-10 ** 6, 10 ** 6)] * base.arity)))
+        bound = data.draw(st.integers(0, {2: 4, 3: 2}.get(fam.h, 1)))
+        box = st.integers(-bound, bound)
+        target = data.draw(st.one_of(
+            st.sampled_from((1, 0, -1)),
+            st.tuples(*[box] * fam.h).map(fam.evaluate)))
+        cap = data.draw(st.sampled_from((1, 2, 3, 9, dioph._FIELDS)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dioph, "_FIELDS", cap)
+            found = brute_force_search(fam, bound, target=target)
+        assert found == box_oracle(fam, bound, target)
+
+    def test_fields_wider_than_a_machine_word(self):
+        fam = family("quartic4x4", (10 ** 6, -10 ** 6, 999_999, -999_998))
+        assert max(map(abs, fam.form.terms.values())) >= 2 ** 64
+        for target in (1, 0, fam.evaluate((1, 1, -1, 1))):
+            assert brute_force_search(fam, 2, target=target) == \
+                box_oracle(fam, 2, target)
+
+    @pytest.mark.parametrize("name, params, bound", [
+        ("quad2x2", (3, -7), 6), ("cubic3x3", (1, -1, 2, 1, -2), 3),
+        ("quartic4x4", (5, -23, 2, -7), 2)])
+    def test_targets_at_and_past_the_range_of_f(self, name, params, bound):
+        # the bias maps f - target into [0, 2L]: the extremes hit, one past
+        # them hits nothing
+        fam = family(name, params)
+        box = range(-bound, bound + 1)
+        f = [fam.evaluate(v) for v in itertools.product(box, repeat=fam.h)]
+        low, high = min(f), max(f)
+        for target in (low - 1, low, high, high + 1):
+            assert brute_force_search(fam, bound, target=target) == \
+                box_oracle(fam, bound, target)
+        assert brute_force_search(fam, bound, target=low)
+        assert brute_force_search(fam, bound, target=high)
+        assert not brute_force_search(fam, bound, target=low - 1)
+        assert not brute_force_search(fam, bound, target=high + 1)
+
+    def test_zero_form_hits_every_point(self, boxes):
+        fam = family("threefold_quadratic", (0, 0, 0))
+        assert fam.form.terms == {}
+        box = range(-30, 31)
+        assert brute_force_search(fam, 30, target=0) == \
+            list(itertools.product(box, repeat=2))
+        assert brute_force_search(fam, 30, target=1) == []
+        assert max(boxes) <= dioph._FIELDS
+
+    @pytest.mark.parametrize("name", [d["name"] for d in list_families()])
+    def test_bound_zero(self, name):
+        base = family(name)
+        fam = family(name, tuple(range(2, 2 + base.arity)))
+        origin = (0,) * fam.h
+        for target in (fam.evaluate(origin), 1, -1):
+            assert brute_force_search(fam, 0, target=target) == \
+                box_oracle(fam, 0, target)
+
+    @pytest.mark.parametrize("coeffs", [(3,), (-5,)])
+    def test_one_coordinate_wider_than_a_packed_int(self, coeffs, boxes):
+        # h = 1: the only coordinate is packed one slice at a time
+        fam = companion_family(coeffs)
+        bound = dioph._FIELDS
+        for target in (1, -bound, bound, 0, bound + 1):
+            assert brute_force_search(fam, bound, target=target) == \
+                box_oracle(fam, bound, target)
+        assert len(boxes) > 1 and max(boxes) <= dioph._FIELDS
+
+    def test_slices_of_the_last_coordinate_come_out_in_order(
+            self, boxes, monkeypatch):
+        # x2 spans 21 values, packed 9, 9 and 3 at a time, each slice its
+        # own pass over x1
+        monkeypatch.setattr(dioph, "_FIELDS", 9)
+        fam = family("quad2x2", (0, -2))
+        found = brute_force_search(fam, 10)
+        assert found == box_oracle(fam, 10, 1)
+        assert found == [(-3, -2), (-3, 2), (-1, 0), (1, 0), (3, -2), (3, 2)]
+        assert boxes == [9, 9, 3]
+
+    def test_whole_box_in_one_int_and_a_tree_before_it(self, boxes):
+        # quad2x2 fits one int at bound 1 (r = h, no tree); quartic4x4 at
+        # bound 3 leaves a tree over its first coordinates (r < h)
+        quad = family("quad2x2", (0, -2))
+        assert brute_force_search(quad, 1) == box_oracle(quad, 1, 1)
+        assert boxes == [9]
+        assert brute_force_search(QUARTIC, 3) == box_oracle(QUARTIC, 3, 1)
+        assert boxes[1] < 7 ** 4
