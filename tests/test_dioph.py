@@ -910,14 +910,13 @@ class TestPackedSearch:
         assert not brute_force_search(fam, bound, target=low - 1)
         assert not brute_force_search(fam, bound, target=high + 1)
 
-    def test_zero_form_hits_every_point(self, boxes):
+    def test_zero_form_hits_every_point(self):
         fam = family("threefold_quadratic", (0, 0, 0))
         assert fam.form.terms == {}
         box = range(-30, 31)
         assert brute_force_search(fam, 30, target=0) == \
             list(itertools.product(box, repeat=2))
         assert brute_force_search(fam, 30, target=1) == []
-        assert max(boxes) <= dioph._FIELDS
 
     @pytest.mark.parametrize("name", [d["name"] for d in list_families()])
     def test_bound_zero(self, name):
