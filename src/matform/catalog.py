@@ -18,13 +18,13 @@ multiplicative (`FormFamily.verify`).
 
 The registry holds each family's metadata (description, kind, parameter
 and coordinate names; the degree is the coordinate count), which
-`list_families` prints without building anything, and the builder of the
-parts the run path reads, which `family` calls once per process, on first
-use.
+`list_families` prints without building anything, and the builder of
+its structure, which `family` calls once per process, on first use.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import index
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -68,7 +68,6 @@ class FormFamily:
     def __init__(self, name: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
                  structure: LinearStructure,
-                 printed_form: Optional[Polynomial] = None,
                  param_values: Optional[Tuple[int, ...]] = None,
                  base: Optional["FormFamily"] = None):
         self.name = name
@@ -76,8 +75,6 @@ class FormFamily:
         self.param_names = tuple(param_names)
         self.coord_names = tuple(coord_names)
         self._structure = structure
-        # the quartic's printed expansion, symbolic; bench/oracle.py reads it
-        self.printed_form = printed_form
         self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
         self._form: Optional[Polynomial] = None  # derived on first use
@@ -108,8 +105,7 @@ class FormFamily:
                 f"{self.name} takes {self.arity} parameters, got {len(values)}")
         return FormFamily(
             self.name, self.kind, self.param_names, self.coord_names,
-            structure=self._structure, printed_form=self.printed_form,
-            param_values=values, base=self._base)
+            structure=self._structure, param_values=values, base=self._base)
 
     # -- matrix realization -------------------------------------------------
 
@@ -156,6 +152,13 @@ class FormFamily:
                 self._form = self._base.form.specialize(
                     dict(zip(self.param_names, self.param_values)))
         return self._form
+
+    @property
+    def printed_form(self) -> Optional[Polynomial]:
+        """The quartic's printed expansion, symbolic, which bench/oracle.py
+        reads: built on first read and kept.  None for every other
+        family."""
+        return _quartic_printed_form() if self.name == "quartic4x4" else None
 
     # -- maps --------------------------------------------------------------
 
@@ -313,6 +316,7 @@ def _t_squared_as_a(poly: Polynomial, table: VarTable) -> Polynomial:
 # -- the printed quartic -------------------------------------------------------
 
 
+@cache
 def _quartic_printed_form() -> Polynomial:
     t, v = _vars(("m", "n", "p", "q", "x1", "x2", "x3", "x4"))
     m, n, p, q = v["m"], v["n"], v["p"], v["q"]
@@ -396,76 +400,71 @@ def _quartic_block() -> LinearStructure:
 class _Entry(NamedTuple):
     """A family's registry entry.  The metadata, which `list_families`
     prints, is read without building anything; the degree is the number of
-    coordinates (n variables, degree n).  `build()` returns the parts the
-    run path reads as `FormFamily` keywords: the structure and the
-    quartic's printed form."""
+    coordinates (n variables, degree n).  `build()` returns the family's
+    structure, all the run path reads."""
     description: str
     kind: str
     params: Tuple[str, ...]
     coords: Tuple[str, ...]
-    build: Callable[[], dict]
+    build: Callable[[], LinearStructure]
 
 
 _REGISTRY: Dict[str, _Entry] = {
     "quad2x2": _Entry(
         "binary quadratic x1^2 + p*x1*x2 + q*x2^2 as a 2x2 determinant",
         "pair", ("p", "q"), _coords("x", 2),
-        lambda: dict(structure=_pell_structure("p", "q"))),
+        lambda: _pell_structure("p", "q")),
     "cubic3x3": _Entry(
         "ternary cubic in five parameters; not a norm form in general",
         "pair", ("l1", "l2", "l3", "l4", "l5"), _coords("x", 3),
-        lambda: dict(structure=_cubic_structure())),
+        _cubic_structure),
     "quartic4x4": _Entry(
         "quaternary quartic from a 2x2-of-2x2 block construction",
         "pair", ("m", "n", "p", "q"), _coords("x", 4),
-        lambda: dict(structure=_quartic_block(),
-                     printed_form=_quartic_printed_form())),
+        _quartic_block),
     "sextic6x6": _Entry(
         "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
         "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6),
-        lambda: dict(
-            structure=_lift(_pell_structure("p", "q"), _cubic_structure(),
-                            ("l1", "l2", "l3", "l4", "l5", "p", "q")))),
+        lambda: _lift(_pell_structure("p", "q"), _cubic_structure(),
+                      ("l1", "l2", "l3", "l4", "l5", "p", "q"))),
     "sextic_circulant": _Entry(
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
         "pair", ("q",), _coords("x", 6),
-        lambda: dict(structure=_circulant_structure())),
+        _circulant_structure),
     "sextic_uv": _Entry(
         "simultaneous pair u1^2 - q*u2^2 and a quartic in u1..u6 composed "
         "by one shared bilinear map",
         "pair", ("q",), _coords("u", 6),
-        lambda: dict(structure=_sextic_uv_structure())),
+        _sextic_uv_structure),
     "octic8x8": _Entry(
         "octonary octic from a 2x2-of-4x4 block construction",
         "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8),
-        lambda: dict(
-            structure=_lift(_pell_structure("r", "s"), _quartic_block(),
-                            ("m", "n", "p", "q", "r", "s")))),
+        lambda: _lift(_pell_structure("r", "s"), _quartic_block(),
+                      ("m", "n", "p", "q", "r", "s"))),
     # the structure is in (t, b, c) with t^2 in the determinant; the
     # family's own form uses a in place of t^2: only even powers of t occur
     "threefold_quadratic": _Entry(
         "binary quadratic a*x1^2 + b*x1*x2 + c*x2^2 with one trilinear "
         "law, applied to its arguments in any order",
         "triple", ("a", "b", "c"), _coords("x", 2),
-        lambda: dict(structure=_tracefree_structure("t", "b", "c"))),
+        lambda: _tracefree_structure("t", "b", "c")),
     "threefold4x4": _Entry(
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
         "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4),
-        lambda: dict(
-            structure=_lift(_tracefree_structure("t", "p", "q"),
-                            _tracefree_structure("s", "m", "n"),
-                            ("m", "n", "p", "q", "s", "t")))),
+        lambda: _lift(_tracefree_structure("t", "p", "q"),
+                      _tracefree_structure("s", "m", "n"),
+                      ("m", "n", "p", "q", "s", "t"))),
     "threefold8x8": _Entry(
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
         "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8),
-        lambda: dict(structure=_lift(
+        lambda: _lift(
             _pell_structure("r", "s"),
             _pell_structure("p", "q").block_compose(
                 _tracefree_structure("t", "m", "n")),
-            ("m", "n", "p", "q", "r", "s", "t")))),
+            ("m", "n", "p", "q", "r", "s", "t"))),
 }
 
 _SYMBOLIC: Dict[str, FormFamily] = {}
@@ -480,7 +479,7 @@ def family(name: str, params: Optional[Sequence[int]] = None) -> FormFamily:
     fam = _SYMBOLIC.get(name)
     if fam is None:
         fam = _SYMBOLIC[name] = FormFamily(
-            name, entry.kind, entry.params, entry.coords, **entry.build())
+            name, entry.kind, entry.params, entry.coords, entry.build())
     if params is None:
         return fam
     return fam.specialize(params)

@@ -284,8 +284,8 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        with no_int_str_limit():  # every input number is parsed by now
+        with no_int_str_limit():  # argv bounds the digits of every input
+            args = parser.parse_args(argv)
             code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

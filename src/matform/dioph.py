@@ -23,14 +23,15 @@ are written in chunks of about 64 KB.
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
 int, so the form's coefficients over the first coordinates become packed
-ints (the tensor-product layout of the trailing points).  A specialization
-tree over the numeric form (the multivariate Horner scheme) fixes the
-first coordinates one at a time, depth first, each multiply-add one
-big-integer operation for the whole sub-box.  Each leaf is tested without
-a carry: w exceeds the bound L on |f - target| by two bits, so a bias of
-L - target per field makes every field f - target + L, in [0, 2L], and
-one XOR and one addition flag the fields with f = target.  Every hit is
-confirmed by exact evaluation of f before it is returned.
+ints (the tensor-product layout of the trailing points).  The first
+coordinates are fixed one at a time, depth first, each value folded
+straight into the packed coefficients, and Horner's rule runs over the
+last of them: every multiply-add is one big-integer operation for the
+whole sub-box.  Each leaf is tested without a carry: w exceeds the bound
+L on |f - target| by two bits, so a bias of L - target per field makes
+every field f - target + L, in [0, 2L], and one XOR and one addition flag
+the fields with f = target.  Every hit is confirmed by exact evaluation
+of f before it is returned.
 """
 
 from __future__ import annotations
@@ -342,39 +343,6 @@ _SEARCH_GUARD = 10 ** 9
 _FIELDS = 625
 
 
-def _specialization_tree(terms, h: int):
-    """The plan `brute_force_search` walks for a polynomial in h variables.
-
-    Returns (coeffs, levels).  `coeffs` lists the coefficients of `terms`.
-    levels[k] turns the coefficient list of the polynomial in x_{k+1}..x_h
-    into that of the polynomial in x_{k+2}..x_h once x_{k+1} is fixed: one
-    group per monomial left, each group the (index, exponent of x_{k+1})
-    pairs that fold into it.  The last level's monomials are x_h^d..x_h^0,
-    so the polynomial left at the last coordinate is the dense coefficient
-    list of g(x_h), highest degree first.  For h = 1, `coeffs` is that list
-    and there is no level.
-    """
-    monos = list(terms)
-    if h == 1:
-        top = max((m[0] for m in monos), default=0)
-        return [terms.get((e,), 0) for e in range(top, -1, -1)], []
-    coeffs = [terms[m] for m in monos]
-    levels = []
-    for k in range(h - 1):
-        if k == h - 2:
-            top = max((m[1] for m in monos), default=0)
-            left = [(e,) for e in range(top, -1, -1)]
-        else:
-            left = sorted({m[1:] for m in monos})
-        at = {m: j for j, m in enumerate(left)}
-        groups: List[list] = [[] for _ in left]
-        for i, m in enumerate(monos):
-            groups[at[m[1:]]].append((i, m[0]))
-        levels.append(groups)
-        monos = left
-    return coeffs, levels
-
-
 def _packed_coefficients(terms, p: int, boxes, w: int):
     """The polynomial `terms` in x_1..x_h as one in its first p coordinates
     whose coefficients are packed ints over the trailing box
@@ -422,11 +390,12 @@ def brute_force_search(fam: FormFamily, bound: int,
     trailing box, and f at every trailing point is held in one w-bit field
     of one int (`_packed_coefficients`); a last coordinate wider than
     _FIELDS is packed one slice of _FIELDS values at a time, each slice
-    its own pass.  A specialization tree over the first h - r coordinates
-    (`_specialization_tree`) then fixes them one at a time, depth first,
-    each level folding one value into the packed coefficients left, and
-    Horner's rule finishes at the last of them; every multiply-add is one
-    big-integer operation for the whole trailing box.
+    its own pass.  The first p = h - r coordinates are then fixed one at a
+    time, depth first: a value v of the next one folds the packed
+    coefficients {m: c} left into {m[1:]: sum of c * v^m[0]}, and Horner's
+    rule runs over the last of them.  Every multiply-add is one big-integer
+    operation for the whole trailing box; for p = 0 the whole box is one
+    int.
 
     Each leaf g, whose fields are the signed values of f, is tested
     without a carry.  L = sum |c_m| B^|m| + |target| bounds |f - target|
@@ -482,24 +451,26 @@ def brute_force_search(fam: FormFamily, bound: int,
                 out.append(prefix + points[bit.bit_length() // w - 1])
                 hits ^= bit
 
-        def walk(k: int, prefix: Vec, poly: List[int]) -> None:
-            if k == len(levels):
+        def walk(prefix: Vec, poly: dict) -> None:
+            if len(prefix) == p - 1:  # the last prefix coordinate
+                coeffs = [poly.get((e,), 0) for e in range(top, -1, -1)]
                 for t in values:
                     acc = 0
-                    for c in poly:
+                    for c in coeffs:
                         acc = acc * t + c
                     test(acc, prefix + (t,))
                 return
             for v in values:
-                pw = powers[v]
-                walk(k + 1, prefix + (v,),
-                     [sum([poly[i] * pw[e] for i, e in group])
-                      for group in levels[k]])
+                pw, folded = powers[v], {}
+                for m, c in poly.items():
+                    rest = m[1:]
+                    folded[rest] = folded.get(rest, 0) + c * pw[m[0]]
+                walk(prefix + (v,), folded)
 
         packed = _packed_coefficients(terms, p, boxes, w)
         if p:
-            coeffs, levels = _specialization_tree(packed, p)
-            walk(0, (), coeffs)
+            top = max((m[-1] for m in packed), default=0)  # degree in x_p
+            walk((), packed)
         else:
             test(packed.get((), 0), ())
     if side > _FIELDS:

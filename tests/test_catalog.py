@@ -11,7 +11,7 @@ from matform import catalog
 from matform.catalog import (FormFamily, ParamArity, UnknownFamily, family,
                              list_families)
 from matform.compose import MultilinearMap, ZeroResidual, verify_identity
-from matform.linstruct import NotClosed
+from matform.linstruct import LinearStructure, NotClosed
 from matform.polyring import PolyError, PolyMatrix, VarTable
 
 import paper
@@ -70,12 +70,11 @@ class TestRegistry:
         # one source per law and form: every family has a structure, which
         # gives the law by its closure and the form by its determinant
         # (threefold_quadratic's with t^2 read as a), so none builds a law
-        # or a form; the printed quartic is built only because
-        # bench/oracle.py reads it
-        parts = catalog._REGISTRY[name].build()
-        assert "structure" in parts and "law" not in parts
-        assert "factors" not in parts and "form" not in parts
-        assert ("printed_form" in parts) == (name == "quartic4x4")
+        # or a form; only the quartic has a printed form, because
+        # bench/oracle.py reads it, and it is built when read
+        assert isinstance(catalog._REGISTRY[name].build(), LinearStructure)
+        assert (family(name).printed_form is not None) == \
+            (name == "quartic4x4")
 
     def test_kinds_and_dimensions(self):
         info = {e["name"]: e for e in list_families()}

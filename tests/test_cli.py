@@ -327,11 +327,15 @@ class TestSolve:
         assert obj["mode"] == "triple"
         assert obj["solutions"][1][0] == "13650"
 
-    def test_bad_seed_exit_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "solve", "--family", "quartic4x4",
-            "--params", "5,-23,2,-7", "--seed", "1,1,1,1",
-            "--step", "6,2,3,1", "--count", "2")
+    @pytest.mark.parametrize("argv", [
+        (*QUARTIC, "--seed", "1,1,1,1", "--step", "6,2,3,1", "--count", "2"),
+        # argv bounds the digits of an input number: a seed past the
+        # interpreter's 4300-digit limit parses, and its f is no 1
+        ("--family", "quad2x2", "--params", "0,-2", "--seed", "1" * 4301 +
+         ",0", "--step", "3,2", "--count", "1"),
+    ], ids=["quartic", "past-the-digit-limit"])
+    def test_bad_seed_exit_one(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "solve", *argv)
         assert code == 1
         assert json.loads(out)["error"] == "SeedNotSolution"
 
@@ -356,6 +360,23 @@ class TestSolve:
                 "mode": "pairwise",
                 "solutions": [[str(a), str(b)] for a, b in powers],
                 "verified": True}) + "\n"
+
+    def test_what_solve_prints_reads_back(self, capsys):
+        # the golden 2600-iterate quartic ends past 4300 digits: its last
+        # iterate continues the chain as --seed and inverts as --point
+        chain = ("solve", *QUARTIC, "--step", "6,2,3,1", "--format", "text")
+        code, out, _ = run_cli(capsys, *chain, "--seed", "6,2,3,1",
+                               "--count", "2600")
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert max(map(len, last.split(","))) > 4300
+        code, out, err = run_cli(capsys, *chain, "--seed", last,
+                                 "--count", "2")
+        assert code == 0, err
+        assert out.splitlines()[0] == last
+        code, out, err = run_cli(capsys, "invert", *QUARTIC, "--point", last)
+        assert code == 0, err
+        assert json.loads(out)["verified"] is True
 
     def test_text_is_written_in_byte_bounded_chunks(self, monkeypatch):
         """The 2600-iterate quartic as text: its JSON's solutions, one per
@@ -435,6 +456,24 @@ class TestSearchInvertBlock:
         assert obj["params"] == ["p", "q", "i_p", "i_q"]
 
 
+class TestRunPathBuildsNoPrintedForm:
+    @pytest.mark.parametrize("argv", [
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--count", "3"),
+        ("search", *QUARTIC, "--bound", "2"),
+        ("invert", *QUARTIC, "--point", "6,2,3,1"),
+    ], ids=["solve", "search", "invert"])
+    def test_quartic_commands_never_build_the_printed_form(
+            self, capsys, monkeypatch, argv):
+        # only the benchmark's oracle and the tests read the printed quartic
+        calls = []
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        monkeypatch.setattr(catalog, "_quartic_printed_form",
+                            lambda: calls.append(argv[0]))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == []
+
+
 class TestContract:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -452,12 +491,6 @@ class TestContract:
         ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
          "--count", "-3"),
         ("search", *QUARTIC, "--bound", "-2"),
-        pytest.param(
-            ("solve", "--family", "quad2x2", "--params", "0,-2",
-             "--seed", "1" * 4301 + ",0", "--step", "3,2", "--count", "1"),
-            marks=pytest.mark.skipif(
-                not hasattr(sys, "get_int_max_str_digits"),
-                reason="no int/str digit limit on this Python")),
         # --order names the slots of a three-argument map only
         ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
          "--order", "zzz", "--count", "2"),

@@ -35,7 +35,7 @@ CASES = [(name, order) for name in FAMILIES for order in (2, 3)]
 
 def fresh(name: str) -> LinearStructure:
     """The family's structure, built anew so that no closure is cached."""
-    return catalog._REGISTRY[name].build()["structure"]
+    return catalog._REGISTRY[name].build()
 
 
 def product_route(st: LinearStructure, order: int):

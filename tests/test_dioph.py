@@ -767,7 +767,7 @@ class TestBruteForce:
 
 def box_oracle(fam, bound, target):
     """Every point of the box with f = target, by exact evaluation of each
-    point in turn; shares nothing with the search tree."""
+    point in turn; shares nothing with the packed search."""
     box = range(-bound, bound + 1)
     return [v for v in itertools.product(box, repeat=fam.h)
             if fam.evaluate(v) == target]
@@ -789,9 +789,10 @@ def form_reads(monkeypatch):
 SMALL_FAMILIES = [d["name"] for d in list_families() if d["coords"] <= 6]
 
 
-class TestSearchTree:
-    """brute_force_search, a specialization tree over the numeric form,
-    against the per-point oracle above."""
+class TestFoldedSearch:
+    """brute_force_search, each prefix value folded into the packed
+    coefficients of the numeric form, against the per-point oracle
+    above."""
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -849,8 +850,7 @@ class TestPackedSearch:
     """The packed sub-box at its edges, against the per-point oracle:
     fields wider than a machine word, targets at and just past the range
     of f, every point a hit, a last coordinate packed in slices, and
-    trailing boxes with and without a tree over the coordinates before
-    them."""
+    trailing boxes with and without folded coordinates before them."""
 
     @pytest.fixture
     def boxes(self, monkeypatch):
@@ -948,11 +948,21 @@ class TestPackedSearch:
         assert found == [(-3, -2), (-3, 2), (-1, 0), (1, 0), (3, -2), (3, 2)]
         assert boxes == [9, 9, 3]
 
-    def test_whole_box_in_one_int_and_a_tree_before_it(self, boxes):
-        # quad2x2 fits one int at bound 1 (r = h, no tree); quartic4x4 at
-        # bound 3 leaves a tree over its first coordinates (r < h)
+    def test_whole_box_in_one_int_and_folds_before_it(self, boxes):
+        # quad2x2 fits one int at bound 1 (r = h, nothing to fold);
+        # quartic4x4 at bound 3 leaves its first coordinates to fold (r < h)
         quad = family("quad2x2", (0, -2))
         assert brute_force_search(quad, 1) == box_oracle(quad, 1, 1)
         assert boxes == [9]
         assert brute_force_search(QUARTIC, 3) == box_oracle(QUARTIC, 3, 1)
         assert boxes[1] < 7 ** 4
+
+    @pytest.mark.parametrize("cap", [3, 9])
+    def test_folds_then_horner(self, cap, boxes, monkeypatch):
+        # quartic4x4 at bound 1 packs one trailing coordinate (cap 3, p = 3)
+        # or two (cap 9, p = 2): two fold levels or one, then Horner's rule
+        monkeypatch.setattr(dioph, "_FIELDS", cap)
+        for target in (1, 0, QUARTIC.evaluate((1, 1, -1, 1))):
+            assert brute_force_search(QUARTIC, 1, target=target) == \
+                box_oracle(QUARTIC, 1, target)
+        assert boxes == [cap] * 3
