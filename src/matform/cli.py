@@ -65,8 +65,15 @@ def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
 
 
 def _emit(obj, text, fmt: str) -> None:
-    """Print obj() as JSON or text(): only the format asked for is built."""
-    print(json.dumps(obj()) if fmt == "json" else text())
+    """Print obj() as JSON or text(): only the format asked for is built.
+    A str from obj() is JSON text already and is printed as it is."""
+    out = obj() if fmt == "json" else text()
+    print(out if isinstance(out, str) else json.dumps(out))
+
+
+def _json_list(texts) -> str:
+    """The JSON list of items that are JSON text already."""
+    return "[%s]" % ", ".join(texts)
 
 
 def _vec_strings(v: Sequence[int]) -> List[str]:
@@ -87,7 +94,7 @@ def _cmd_list_families(args) -> int:
 def _cmd_emit_form(args) -> int:
     fam = _family(args.family, args.params)
     form = fam.form
-    _emit(form.to_json_obj, form.__str__, args.format)
+    _emit(form.to_json, form.__str__, args.format)
     return 0
 
 
@@ -100,8 +107,8 @@ def _cmd_verify(args) -> int:
         _emit(lambda: {"status": "zero-residual", "method": result.method},
               lambda: "ZERO-RESIDUAL", args.format)
         return 0
-    _emit(lambda: {"status": "nonzero-residual",
-                   "residual": result.to_json_obj()},
+    _emit(lambda: '{"status": "nonzero-residual", "residual": %s}'
+          % result.to_json(),
           lambda: f"NONZERO-RESIDUAL ({result.term_count()} terms): {result}",
           args.format)
     return 1
@@ -112,18 +119,18 @@ def _cmd_closure(args) -> int:
     law = fam.structure.closure({"pair": 2, "triple": 3}[args.order])
     if isinstance(law, NotClosed):
         witness = law.witness
-        _emit(lambda: {"closed": False, "order": args.order,
-                       "reason": witness.reason,
-                       "entry": list(witness.entry),
-                       "residual": (witness.residual.to_json_obj()
-                                    if witness.residual is not None else None)},
+        residual = witness.residual
+        _emit(lambda: '{"closed": false, "order": "%s", "reason": "%s", '
+              '"entry": %s, "residual": %s}' % (
+                  args.order, witness.reason, list(witness.entry),
+                  "null" if residual is None else residual.to_json()),
               lambda: f"NOT-CLOSED ({args.order}): entry {witness.entry}, "
                       f"reason {witness.reason}",
               args.format)
         return 1
     outputs = law.forms(law.coord_sets)
-    _emit(lambda: {"closed": True, "order": args.order,
-                   "outputs": [p.to_json_obj() for p in outputs]},
+    _emit(lambda: '{"closed": true, "order": "%s", "outputs": %s}' % (
+              args.order, _json_list(p.to_json() for p in outputs)),
           lambda: f"CLOSED ({args.order}): "
           + "; ".join(f"z{i + 1} = {p}" for i, p in enumerate(outputs)),
           args.format)
@@ -216,8 +223,12 @@ def _cmd_block(args) -> int:
             {p: f"i_{p}" for p in inner_st.params})
     lifted = outer.structure.block_compose(inner_st)
     positions = lifted.positions
-    _emit(lambda: dict(lifted.to_json_obj(),
-                       positions=[list(pos) for pos in positions]),
+    _emit(lambda: '{"n": %d, "h": %d, "params": %s, "coeff": %s, '
+          '"positions": %s}' % (
+              lifted.n, lifted.h, json.dumps(lifted.params),
+              _json_list(_json_list(_json_list(c.to_json() for c in cell)
+                                    for cell in row) for row in lifted.coeff),
+              json.dumps(positions)),
           lambda: f"n={lifted.n} h={lifted.h} "
                   f"params={','.join(lifted.params)} positions={positions}",
           args.format)

@@ -437,18 +437,6 @@ class LinearStructure:
         empty = VarTable(())
         return self._mapped((), lambda c: empty.const(c.eval_vector(pv)))
 
-    def to_json_obj(self) -> dict:
-        """The coefficients only (the read positions, (0, t), follow)."""
-        return {
-            "n": self.n,
-            "h": self.h,
-            "params": list(self.params),
-            "coeff": [[[self.coeff[i][j][r].to_json_obj()
-                        for r in range(self.h)]
-                       for j in range(self.n)]
-                      for i in range(self.n)],
-        }
-
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
         """Same structure with parameters renamed, a lift's factors too."""
         table = VarTable(mapping.get(p, p) for p in self.params)

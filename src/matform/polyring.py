@@ -16,6 +16,7 @@ one int addition.  A single `*` stays on tuples, where packing costs more.
 from __future__ import annotations
 
 import contextlib
+import json
 import operator
 import sys
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -112,10 +113,6 @@ class VarTable:
     def vars(self) -> Tuple["Polynomial", ...]:
         """All variables as polynomials, in table order."""
         return tuple(self.var(name) for name in self.names)
-
-
-def grlex_key(m: Monomial) -> tuple:
-    return (sum(m), m)
 
 
 def _exponents(m: Iterable[int], width: int) -> Monomial:
@@ -337,9 +334,12 @@ class Polynomial:
 
     # -- printing and JSON ------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in graded-lex descending order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    def sorted_terms(self) -> List[Tuple[Monomial, int]]:
+        """Terms in graded-lex descending order (the canonical order): total
+        degree first, then lex on the exponent tuple."""
+        monos = sorted(self.terms, reverse=True)
+        monos.sort(key=sum, reverse=True)  # stable: lex order within a degree
+        return [(m, self.terms[m]) for m in monos]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -366,11 +366,12 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "vars": list(self.table.names),
-            "terms": [{"c": str(c), "e": list(m)} for m, c in self.sorted_terms()],
-        }
+    def to_json(self) -> str:
+        """Canonical JSON text, {"vars": [...], "terms": [{"c": "<decimal>",
+        "e": [...]}, ...]} in `sorted_terms` order, spaced as json.dumps is."""
+        terms = ['{"c": "%d", "e": %s}' % (c, list(m)) for m, c in self.sorted_terms()]
+        return '{"vars": %s, "terms": [%s]}' % (json.dumps(self.table.names),
+                                                ", ".join(terms))
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):

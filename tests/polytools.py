@@ -1,6 +1,8 @@
 """Polynomial helpers that only the tests use: exact evaluation at a named
-point, coefficient and degree queries, reading `to_json_obj` back, and
-the first-row cofactor determinant, the oracle for `PolyMatrix.determinant`.
+point, coefficient and degree queries, the graded-lex key and the dict
+form that `Polynomial.to_json` writes as text (the oracles for its order
+and its bytes), reading that form back, and the first-row cofactor
+determinant, the oracle for `PolyMatrix.determinant`.
 """
 
 import operator
@@ -44,9 +46,23 @@ def eval_int(poly: Polynomial, point: Mapping[str, int]) -> int:
     return poly.eval_vector(values)
 
 
+def grlex_key(m: Monomial) -> tuple:
+    """Sort key of the canonical order: total degree, then lex."""
+    return (sum(m), m)
+
+
+def json_obj(poly: Polynomial) -> dict:
+    """The document `poly.to_json()` writes, built as a dict per term: its
+    json.dumps is the text that `to_json` must equal byte for byte."""
+    return {"vars": list(poly.table.names),
+            "terms": [{"c": str(c), "e": list(m)}
+                      for m, c in poly.sorted_terms()]}
+
+
 def from_json_obj(obj: dict) -> Polynomial:
-    """The polynomial `to_json_obj` wrote; bad or repeated exponents raise,
-    and so does a coefficient that is not an int or its decimal string."""
+    """The polynomial of a parsed `to_json` document; bad or repeated
+    exponents raise, and so does a coefficient that is not an int or its
+    decimal string."""
     table = VarTable(obj["vars"])
     pairs = [(_exponents(t["e"], len(table)), int(str(t["c"])))
              for t in obj["terms"]]

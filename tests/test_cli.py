@@ -20,6 +20,8 @@ from matform.polyring import no_int_str_limit
 from matform.linstruct import LinearStructure, MultilinearMap
 from matform.polyring import PolyMatrix, Polynomial
 
+from polytools import from_json_obj
+
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
 # verify proves a family's own law by the matrix route
 MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -160,28 +162,52 @@ class TestVerify:
 
 class TestOnlyTheAskedFormatIsBuilt:
     """`--format json` renders no polynomial as text, and `--format text`
-    builds no JSON object: the other rendering of a large form is waste."""
+    writes no JSON, neither a polynomial's text nor any json.dumps: the
+    other rendering of a large form is waste."""
 
-    @pytest.mark.parametrize("fmt, unbuilt", [("json", "__str__"),
-                                              ("text", "to_json_obj")])
-    @pytest.mark.parametrize("argv", [
-        ("emit-form", "--family", "quad2x2"),
-        ("closure", "--family", "quad2x2", "--order", "pair"),
-        ("verify", "--family", "quad2x2"),
-    ], ids=["emit-form", "closure", "failing-verify"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv, exit_code", [
+        (("emit-form", "--family", "quad2x2"), 0),
+        (("closure", "--family", "quad2x2", "--order", "pair"), 0),
+        (("closure", "--family", "threefold4x4",
+          "--params=-1,-4,1,-1,1,1", "--order", "pair"), 1),
+        (("verify", "--family", "quad2x2"), 1),
+        (("block", "--outer", "quad2x2", "--inner", "cubic3x3"), 0),
+    ], ids=["emit-form", "closure", "not-closed-residual", "failing-verify",
+            "block"])
     def test_other_format_is_not_built(self, capsys, monkeypatch, argv,
-                                       fmt, unbuilt):
+                                       exit_code, fmt):
         if argv[0] == "verify":  # a nonzero residual: the form itself
             monkeypatch.setattr(FormFamily, "verify",
                                 lambda self, cmap: self.form)
+        written = []
+        to_json = Polynomial.to_json
 
-        def refuse(self):
-            raise AssertionError(f"Polynomial.{unbuilt} called")
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return refused
 
-        monkeypatch.setattr(Polynomial, unbuilt, refuse)
-        code, out, err = run_cli(capsys, *argv, "--format", fmt)
-        assert code == (1 if argv[0] == "verify" else 0), err
+        def counting(self):
+            written.append(self)
+            return to_json(self)
+
+        with monkeypatch.context() as patch:
+            if fmt == "json":
+                patch.setattr(Polynomial, "__str__",
+                              refuse("Polynomial.__str__"))
+                patch.setattr(Polynomial, "to_json", counting)
+            else:
+                patch.setattr(Polynomial, "to_json",
+                              refuse("Polynomial.to_json"))
+                patch.setattr(json, "dumps", refuse("json.dumps"))
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == exit_code, err
         assert out.strip()
+        if fmt == "json":  # every polynomial came from its own writer
+            obj = json.loads(out)
+            assert written
+            assert obj.get("residual", True)  # a NotClosed one has one
 
 
 class TestVerifyWithoutDeterminant:
@@ -454,6 +480,20 @@ class TestSearchInvertBlock:
         obj = json.loads(out)
         assert obj["n"] == 4 and obj["h"] == 4
         assert obj["params"] == ["p", "q", "i_p", "i_q"]
+
+    def test_block_reads_back_as_the_lifted_structure(self, capsys):
+        code, out, _ = run_cli(capsys, "block", "--outer", "quad2x2",
+                               "--inner", "quad2x2")
+        assert code == 0
+        st = catalog.family("quad2x2").structure
+        lifted = st.block_compose(st.rename_params({"p": "i_p", "q": "i_q"}))
+        obj = json.loads(out)
+        assert (obj["n"], obj["h"]) == (lifted.n, lifted.h)
+        assert obj["params"] == list(lifted.params)
+        assert [[[from_json_obj(c) for c in cell] for cell in row]
+                for row in obj["coeff"]] == \
+            [[list(cell) for cell in row] for row in lifted.coeff]
+        assert obj["positions"] == [list(pos) for pos in lifted.positions]
 
 
 class TestRunPathBuildsNoPrintedForm:

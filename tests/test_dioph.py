@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from matform import dioph
 from matform.catalog import FormFamily, family, list_families
 from matform.cli import main
-from matform.polyring import no_int_str_limit
+from matform.linstruct import LinearStructure
+from matform.polyring import VarTable, no_int_str_limit
 from matform.compose import MultilinearMap, NotAUnit, ZeroResidual, invert
 from matform.dioph import (
     SearchSpaceTooLarge,
@@ -966,3 +967,25 @@ class TestPackedSearch:
             assert brute_force_search(QUARTIC, 1, target=target) == \
                 box_oracle(QUARTIC, 1, target)
         assert boxes == [cap] * 3
+
+    def test_horner_takes_the_degree_in_the_last_prefix_coordinate(
+            self, boxes, monkeypatch):
+        # [[x1, x2, x3], [0, x2, 0], [0, 0, x2]] has f = x1*x2^2: with cap 3
+        # Horner's rule runs over x2 (p = 2), of higher degree than x1.
+        # Every catalog form has its full degree in x1, so none shows this.
+        empty = VarTable(())
+        x1, x2, x3 = ([empty.const(int(r == t)) for r in range(3)]
+                      for t in range(3))
+        zero = [empty.zero()] * 3
+        st = LinearStructure(3, 3, (), [[x1, x2, x3], [zero, x2, zero],
+                                        [zero, zero, x2]])
+        fam = FormFamily("x1x2sq", "pair", (), ("x1", "x2", "x3"),
+                         structure=st)
+        assert fam.form.terms == {(1, 2, 0): 1}
+        monkeypatch.setattr(dioph, "_FIELDS", 3)
+        for bound in (1, 2):
+            for target in (1, 4):
+                assert brute_force_search(fam, bound, target=target) == \
+                    box_oracle(fam, bound, target)
+        assert brute_force_search(fam, 2, target=4)
+        assert max(boxes) == 3  # one trailing coordinate, x3: p = 2

@@ -14,12 +14,12 @@ from matform.polyring import (
     UnknownVariable,
     VarTable,
     VarTableMismatch,
-    grlex_key,
     int_matrix_determinant,
+    no_int_str_limit,
 )
 
 from polytools import (as_int, degree_in, determinant_cofactor, eval_int,
-                       from_json_obj)
+                       from_json_obj, grlex_key, json_obj)
 
 T = VarTable(("a", "b", "c"))
 
@@ -187,9 +187,31 @@ class TestExponentValidation:
 class TestSerialization:
     @given(polys())
     def test_json_round_trip(self, p):
-        again = from_json_obj(
-            json.loads(json.dumps(p.to_json_obj())))
-        assert again == p
+        assert from_json_obj(json.loads(p.to_json())) == p
+
+    @given(st.one_of(polys(), polys(VarTable(("x",))), polys(VarTable(()))))
+    def test_text_is_json_dumps_of_the_dict_form(self, p):
+        assert p.to_json() == json.dumps(json_obj(p))
+
+    @pytest.mark.parametrize("p", [
+        T.zero(), VarTable(()).zero(), VarTable(()).const(-3),
+        VarTable(("x",)).var("x") ** 5 - 2, VarTable(("x",)).zero()],
+        ids=["zero", "no-vars-zero", "no-vars-const", "one-var",
+             "one-var-zero"])
+    def test_text_at_the_edges(self, p):
+        # a one-variable monomial is (e,), whose str is no JSON list; the
+        # zero polynomial and an empty table are both []
+        assert p.to_json() == json.dumps(json_obj(p))
+        assert from_json_obj(json.loads(p.to_json())) == p
+
+    def test_text_past_the_digit_limit(self):
+        big = -(10 ** 4400) - 1
+        p = Polynomial(T, {(1, 0, 2): big, (0, 0, 0): 7})
+        with no_int_str_limit():
+            text = p.to_json()
+            assert text == json.dumps(json_obj(p))
+            assert json.loads(text)["terms"][0]["c"] == str(big)
+            assert from_json_obj(json.loads(text)) == p
 
     def test_int_coefficients_are_read(self):
         p = from_json_obj({"vars": ["x"], "terms": [
@@ -199,7 +221,7 @@ class TestSerialization:
     def test_big_coefficients_survive(self):
         big = 10 ** 40 + 7
         p = Polynomial(T, {(1, 2, 3): big, (0, 0, 0): -big})
-        obj = p.to_json_obj()
+        obj = json.loads(p.to_json())
         assert obj["terms"][0]["c"] == str(big)
         assert from_json_obj(obj) == p
 
