@@ -60,9 +60,10 @@ class FormFamily:
     its structure's closure, and its form is its structure's determinant
     (each with t^2 read as a for threefold_quadratic).  A numeric family
     owns everything that depends on its parameter values (structure, form
-    and laws, each derived on first use and kept); its laws and form are
-    the symbolic ones specialized.  The integer A(point) of `matrix` is
-    the parameter-free structure's `matrix_of`.
+    and laws, each derived on first use and kept); its laws and form
+    equal the symbolic ones specialized, a lift's law computed
+    factor-first (`LinearStructure.law_at`).  The integer A(point) of
+    `matrix` is the parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, kind: str,
@@ -167,17 +168,21 @@ class FormFamily:
         closure of the family's structure.  That is the object the
         structure's closure cache holds where the structure is in the
         family's own parameters; threefold_quadratic's is in (t, b, c),
-        and its closure with t^2 read as a is psi.  A numeric family
-        specializes the symbolic family's law."""
+        and its closure with t^2 read as a is psi.  A numeric family's law
+        equals the symbolic family's law specialized; where the structure
+        is in the family's own parameters it is computed factor-first,
+        `LinearStructure.law_at`, and a lift's symbolic law is not built."""
         law = self._laws.get(k)
-        if law is None and not self.is_symbolic():
+        st = self._structure
+        if law is None and not self.is_symbolic() \
+                and st.params != self.param_names:
             law = self._base._law(k).specialize(self.param_values)
         elif law is None:
             word = {2: "bilinear", 3: "trilinear"}[k]
-            st = self._structure
             if k == 2 and self.kind == "triple":
                 raise PolyError(f"{self.name} has no {word} composition map")
-            law = st.closure(k)
+            law = st.closure(k) if self.is_symbolic() \
+                else st.law_at(k, self.param_values)
             if isinstance(law, NotClosed):
                 raise PolyError(f"{self.name} {word} closure failed unexpectedly")
             if st.params != self.param_names:

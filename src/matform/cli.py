@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import catalog, compose
 from .compose import ZeroResidual
 from .linstruct import NotClosed
-from .polyring import PolyError, no_int_str_limit
+from .polyring import PolyError, no_int_str_limit, write_chunks
 
 
 def _int_vector(text: str) -> Tuple[int, ...]:
@@ -92,9 +93,11 @@ def _cmd_list_families(args) -> int:
 
 
 def _cmd_emit_form(args) -> int:
-    fam = _family(args.family, args.params)
-    form = fam.form
-    _emit(form.to_json, form.__str__, args.format)
+    form = _family(args.family, args.params).form
+    if args.format == "json":  # in chunks: the whole text is never held
+        write_chunks(sys.stdout, chain(form.json_pieces(), ("\n",)))
+    else:
+        print(form)
     return 0
 
 

@@ -40,13 +40,13 @@ import json
 from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
-from itertools import product
+from itertools import chain, product
 from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .catalog import FormFamily
 from .compose import ZeroResidual
-from .polyring import PolyError, no_int_str_limit
+from .polyring import PolyError, no_int_str_limit, write_chunks
 
 
 class SeedNotSolution(PolyError):
@@ -106,11 +106,6 @@ def _step(S, v):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
 _MASK = 2 ** 60 - 1
-# The least text per write of a chain, JSON or text, in characters (all
-# ASCII, so bytes).  Below glibc's default 128 KB mmap threshold: a larger
-# chunk's join and its encoded copy take fresh pages and raise the peak
-# RSS.
-_CHUNK = 2 ** 16
 
 
 def _key(v: int) -> int:
@@ -251,19 +246,11 @@ class SequenceResult:
     def _write(self, out: TextIO, head: str, row_text, sep: str,
                tail: str) -> None:
         """Write head, row_text(row) of every row joined by sep, and tail,
-        in chunks of at least _CHUNK characters, the last one shorter, so
-        an unbuffered `out` makes one system call per chunk rather than
+        in chunks (`write_chunks`): one system call per chunk rather than
         one per iterate."""
-        chunk, size = [head], len(head)
-        for i, row in enumerate(self.rows()):
-            text = (sep if i else "") + row_text(row)
-            chunk.append(text)
-            size += len(text)
-            if size >= _CHUNK:
-                out.write("".join(chunk))
-                chunk, size = [], 0
-        chunk.append(tail)
-        out.write("".join(chunk))
+        write_chunks(out, chain(
+            (head,), ((sep if i else "") + row_text(row)
+                      for i, row in enumerate(self.rows())), (tail,)))
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:

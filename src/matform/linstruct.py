@@ -16,9 +16,10 @@ c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
 products (E_r E_s) E_u read the same way.  A block lift keeps its two
 factors: its basis is E_r (x) F_s, so where both factors close its table is
 the Kronecker product of theirs, c_(r,s)(r',s')^(t,u) = c_rr'^t c'_ss'^u
-(and likewise for triples), and no product of its own basis is taken.
-Every product, division and entrywise check is exact over the parameters,
-never sampled.
+(and likewise for triples), and no product of its own basis is taken;
+at integer parameter values (`law_at`) the same product is taken of the
+factors' laws at their own values.  Every product, division and
+entrywise check is exact over the parameters, never sampled.
 """
 
 from __future__ import annotations
@@ -547,17 +548,36 @@ class LinearStructure:
             return NotClosed(order=order, witness=got)
         return MultilinearMap(order, self.h, self.params, got)
 
+    def law_at(self, order: int, values: Sequence[int]
+               ) -> Union[MultilinearMap, NotClosed]:
+        """The closure of `order` factors at integer parameter values:
+        closure(order).specialize(values), or its NotClosed.  A lift whose
+        factors close is the Kronecker product of their laws at their own
+        values, so no symbolic law of the lift is built; any other
+        structure specializes its (cached) closure."""
+        if self._factors is not None:
+            laws = [f.law_at(order, [values[self.params.index(p)]
+                                     for p in f.params])
+                    for f in self._factors]
+            if all(isinstance(law, MultilinearMap) for law in laws):
+                return self._tensor(*laws)
+        law = self._closure(order)
+        return law if isinstance(law, NotClosed) else law.specialize(values)
+
     def _tensor(self, outer: MultilinearMap,
                 inner: MultilinearMap) -> MultilinearMap:
         """The lift's law from its factors' laws of one arity:
         E_r E_r' [E_r''] (x) F_s F_s' [F_s''] = sum c_rr'[r'']^t
-        c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u).  The
-        factors' parameters are disjoint, so no two monomials of a product
-        merge."""
-        table, hin = self.param_table, inner.h
+        c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u), over
+        the lift's parameters, or none where both laws are at integer
+        values.  The factors' parameters are disjoint, so no two monomials
+        of a product merge, and c(v) c'(v) is the product c c' at v."""
+        table = self.param_table if outer.params or inner.params \
+            else inner.param_table
+        hin = inner.h
         a = [(t, js, c.embed(table).terms) for (t, js), c in outer.coeff.items()]
         b = [(u, ks, c.embed(table).terms) for (u, ks), c in inner.coeff.items()]
-        return MultilinearMap(outer.k, self.h, self.params, {
+        return MultilinearMap(outer.k, self.h, table.names, {
             (t * hin + u, tuple(j * hin + k for j, k in zip(js, ks))):
                 Polynomial._own(table, _mul_into({}, ca, cb))
             for t, js, ca in a for u, ks, cb in b})

@@ -19,7 +19,8 @@ import contextlib
 import json
 import operator
 import sys
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, TextIO, Tuple)
 
 Monomial = Tuple[int, ...]
 
@@ -334,12 +335,12 @@ class Polynomial:
 
     # -- printing and JSON ------------------------------------------------
 
-    def sorted_terms(self) -> List[Tuple[Monomial, int]]:
+    def sorted_terms(self) -> Iterator[Tuple[Monomial, int]]:
         """Terms in graded-lex descending order (the canonical order): total
-        degree first, then lex on the exponent tuple."""
+        degree first, then lex on the exponent tuple; one pair at a time."""
         monos = sorted(self.terms, reverse=True)
         monos.sort(key=sum, reverse=True)  # stable: lex order within a degree
-        return [(m, self.terms[m]) for m in monos]
+        return ((m, self.terms[m]) for m in monos)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -368,10 +369,40 @@ class Polynomial:
 
     def to_json(self) -> str:
         """Canonical JSON text, {"vars": [...], "terms": [{"c": "<decimal>",
-        "e": [...]}, ...]} in `sorted_terms` order, spaced as json.dumps is."""
-        terms = ['{"c": "%d", "e": %s}' % (c, list(m)) for m, c in self.sorted_terms()]
-        return '{"vars": %s, "terms": [%s]}' % (json.dumps(self.table.names),
-                                                ", ".join(terms))
+        "e": [...]}, ...]} in `sorted_terms` order, spaced as json.dumps is:
+        the join of `json_pieces`."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """The text of `to_json` in pieces, one per term, so a large form
+        can be written in chunks (`write_chunks`) without its whole text."""
+        yield '{"vars": %s, "terms": [' % json.dumps(self.table.names)
+        sep = ""
+        for m, c in self.sorted_terms():
+            yield '%s{"c": "%d", "e": %s}' % (sep, c, list(m))
+            sep = ", "
+        yield "]}"
+
+
+# The least text per write of a long output, in characters (all ASCII, so
+# bytes).  Below glibc's default 128 KB mmap threshold: a larger chunk's
+# join and its encoded copy take fresh pages and raise the peak RSS.
+_CHUNK = 2 ** 16
+
+
+def write_chunks(out: TextIO, pieces: Iterable[str]) -> None:
+    """Write the concatenation of `pieces` in chunks of at least _CHUNK
+    characters, the last one shorter, so an unbuffered `out` makes one
+    system call per chunk rather than one per piece, and no more than a
+    chunk and a piece of the text is held at once."""
+    chunk, size = [], 0
+    for text in pieces:
+        chunk.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            out.write("".join(chunk))
+            chunk, size = [], 0
+    out.write("".join(chunk))
 
 
 def _sparse_terms(terms: Mapping[Monomial, int], width: int):

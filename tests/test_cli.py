@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matform import catalog, dioph
+from matform import catalog, polyring
 from matform.catalog import FormFamily
 from matform.cli import main
 from matform.polyring import no_int_str_limit
@@ -134,6 +134,29 @@ class TestEmitForm:
         obj = json.loads(out)
         assert set(obj["vars"]) == {"p", "q", "x1", "x2"}
 
+    def test_json_is_written_in_byte_bounded_chunks(self, monkeypatch):
+        """The sextic's 11 926 terms go out in at most ceil(bytes / chunk)
+        + 1 calls, every call but the last at least one chunk, and no call
+        holds the whole text."""
+        class Counting:
+            def __init__(self):
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["emit-form", "--family", "sextic6x6"]) == 0
+        text = "".join(out.calls)
+        assert text == catalog.family("sextic6x6").form.to_json() + "\n"
+        chunk = polyring._CHUNK
+        assert 1 < len(out.calls) <= -(-len(text) // chunk) + 1
+        assert all(len(c) >= chunk for c in out.calls[:-1])
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "emit-form", "--family", "zzz")
         assert code == 2
@@ -181,7 +204,7 @@ class TestOnlyTheAskedFormatIsBuilt:
             monkeypatch.setattr(FormFamily, "verify",
                                 lambda self, cmap: self.form)
         written = []
-        to_json = Polynomial.to_json
+        json_pieces = Polynomial.json_pieces  # to_json joins its pieces
 
         def refuse(name):
             def refused(*args, **kwargs):
@@ -190,16 +213,16 @@ class TestOnlyTheAskedFormatIsBuilt:
 
         def counting(self):
             written.append(self)
-            return to_json(self)
+            return json_pieces(self)
 
         with monkeypatch.context() as patch:
             if fmt == "json":
                 patch.setattr(Polynomial, "__str__",
                               refuse("Polynomial.__str__"))
-                patch.setattr(Polynomial, "to_json", counting)
+                patch.setattr(Polynomial, "json_pieces", counting)
             else:
-                patch.setattr(Polynomial, "to_json",
-                              refuse("Polynomial.to_json"))
+                patch.setattr(Polynomial, "json_pieces",
+                              refuse("Polynomial.json_pieces"))
                 patch.setattr(json, "dumps", refuse("json.dumps"))
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == exit_code, err
@@ -429,7 +452,7 @@ class TestSolve:
         text = "".join(calls)
         rows = json.loads("".join(stdout()))["solutions"]
         assert text == "\n".join(",".join(row) for row in rows) + "\n"
-        chunk = dioph._CHUNK
+        chunk = polyring._CHUNK
         assert len(calls) <= -(-len(text) // chunk) + 1
         assert all(len(c) >= chunk for c in calls[:-1])
 
@@ -512,6 +535,68 @@ class TestRunPathBuildsNoPrintedForm:
                             lambda: calls.append(argv[0]))
         assert run_cli(capsys, *argv)[0] == 0
         assert calls == []
+
+
+OCTIC = ("--family", "octic8x8", "--params=0,-5,0,-3,0,-14")
+THREEFOLD4 = ("--family", "threefold4x4", "--params=-1,-4,1,-1,1,1")
+THREEFOLD8 = ("--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1")
+
+
+class TestRunPathBuildsNoSymbolicLiftLaw:
+    """A numeric lift's law is its factors' laws at its values, multiplied
+    (`LinearStructure.law_at`): solve, invert and numeric verify decide the
+    closure of no lift, at any level, symbolically.  Symbolic verify and
+    closure still decide the lift's own."""
+
+    def decided(self, capsys, monkeypatch, argv):
+        """The lifts whose closure `argv` decided, as (lift, order);
+        no family or closure is cached beforehand."""
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        calls = []
+        decide = LinearStructure._decide
+
+        def spy(self, order):
+            if self._factors is not None:
+                calls.append((self, order))
+            return decide(self, order)
+        monkeypatch.setattr(LinearStructure, "_decide", spy)
+        assert run_cli(capsys, *argv)[0] == 0
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+         "--count", "3"),
+        ("invert", *QUARTIC, "--point", "6,2,3,1"),
+        ("verify", *QUARTIC),
+        ("solve", *OCTIC, "--seed", "4,2,2,1,14,7,8,4",
+         "--step", "4,2,2,1,14,7,8,4", "--count", "3"),
+        ("invert", *OCTIC, "--point", "4,2,2,1,14,7,8,4"),
+        ("verify", *OCTIC),
+        ("solve", *THREEFOLD4, "--seed", "21,8,33,13", "--step",
+         "21,8,33,13", "--fixed", "1,0,0,0", "--count", "3"),
+        ("verify", *THREEFOLD4),
+        # every divisor of the lift vanishes at s = t = 0
+        ("verify", "--family", "threefold4x4", "--params=0,1,0,2,0,0"),
+        ("solve", *THREEFOLD8, "--seed", "2,6,1,3,7,21,4,12", "--step",
+         "2,6,1,3,7,21,4,12", "--fixed", "1,0,0,0,0,0,0,0", "--count", "3"),
+        ("verify", *THREEFOLD8),
+    ], ids=["solve-quartic4x4", "invert-quartic4x4", "verify-quartic4x4",
+            "solve-octic8x8", "invert-octic8x8", "verify-octic8x8",
+            "solve-threefold4x4", "verify-threefold4x4",
+            "verify-threefold4x4-zero-divisors", "solve-threefold8x8",
+            "verify-threefold8x8"])
+    def test_numeric_commands_decide_no_lift(self, capsys, monkeypatch, argv):
+        assert self.decided(capsys, monkeypatch, argv) == []
+
+    @pytest.mark.parametrize("name", ["quartic4x4", "octic8x8",
+                                      "threefold4x4", "threefold8x8"])
+    @pytest.mark.parametrize("command", [("verify",),
+                                         ("closure", "--order", "triple")])
+    def test_symbolic_commands_decide_the_lift(self, capsys, monkeypatch,
+                                               name, command):
+        calls = self.decided(capsys, monkeypatch,
+                             (command[0], "--family", name, *command[1:]))
+        assert catalog.family(name)._structure in [st for st, _ in calls]
 
 
 class TestContract:

@@ -339,6 +339,64 @@ def test_32x32_lift_integer_points():
     assert_integer_points(lifted, 2, seed=3200, trials=1)
 
 
+# -- a numeric lift's law: its factors' laws at its values, multiplied -------
+
+# the lifts and orders where both factors close; a trace-free factor does
+# not close pairwise
+LIFT_ORDERS = [(name, order) for name in LIFTS for order in (2, 3)
+               if order == 3 or not name.startswith("threefold")]
+# the values of the golden numeric argvs
+GOLDEN_VALUES = {
+    "quartic4x4": (5, -23, 2, -7), "sextic6x6": (1, -1, 2, 1, -2, 1, -3),
+    "octic8x8": (0, -5, 0, -3, 0, -14),
+    "threefold4x4": (-1, -4, 1, -1, 1, 1),
+    "threefold8x8": (3, -1, 0, -3, 0, -14, 1)}
+
+
+def assert_law_is_specialized(name: str, order: int, values) -> None:
+    """The numeric family's law, built from its factors' laws at their
+    values, equals the symbolic family's law specialized (the route a
+    numeric law took before), zero entries dropped included."""
+    want = catalog.family(name)._law(order).specialize(values)
+    assert catalog.family(name, values)._law(order) == want
+
+
+@pytest.mark.parametrize("name,order", LIFT_ORDERS)
+@pytest.mark.parametrize("label", ["golden", "zero"])
+def test_numeric_lift_law_is_the_symbolic_law_specialized(name, order, label):
+    """At the golden values and at zero, where every divisor vanishes."""
+    values = GOLDEN_VALUES[name]
+    assert_law_is_specialized(
+        name, order, values if label == "golden" else (0,) * len(values))
+
+
+@pytest.mark.parametrize("name,order", LIFT_ORDERS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_numeric_lift_law_at_random_values(name, order, data):
+    arity = len(GOLDEN_VALUES[name])
+    assert_law_is_specialized(name, order, data.draw(
+        st.lists(st.integers(-9, 9), min_size=arity, max_size=arity)))
+
+
+@pytest.mark.parametrize("name", ["threefold4x4", "threefold8x8"])
+def test_numeric_law_of_a_lift_whose_factor_does_not_close(name):
+    """A trace-free factor does not close pairwise: the lift's law at
+    integer values is its own closure's, here the same witness."""
+    lift = fresh(name)
+    assert lift.law_at(2, GOLDEN_VALUES[name]) == lift.closure(2)
+
+
+@pytest.mark.parametrize("inner_values", [(5, -23, 2, -7), (1, -2, 3, 0)])
+def test_block_lift_of_two_quartics_pair_law_at_values(inner_values):
+    """The 16 x 16 lift `matform block --outer quartic4x4 --inner
+    quartic4x4` builds (inner parameters renamed i_*): its pair law at
+    integer values, factor-first, is its symbolic pair law specialized."""
+    lifted = fresh("quartic4x4").block_compose(renamed_quartic())
+    values = (5, -23, 2, -7) + inner_values
+    assert lifted.law_at(2, values) == lifted.closure(2).specialize(values)
+
+
 # -- sympy as an independent multiplier --------------------------------------
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matform import dioph
+from matform import dioph, polyring
 from matform.catalog import FormFamily, family, list_families
 from matform.cli import main
 from matform.linstruct import LinearStructure
@@ -656,7 +656,7 @@ class TestPrintedChain:
         argv = ("solve --family quartic4x4 --params=5,-23,2,-7 "
                 "--seed 6,2,3,1 --step 6,2,3,1 --count 2600")
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv][1]
-        chunk = dioph._CHUNK
+        chunk = polyring._CHUNK
         assert len(out.calls) <= -(-len(text) // chunk) + 1
         assert all(len(c) >= chunk for c in out.calls[:-1])
         longest = max(len(", " + json.dumps(row))
