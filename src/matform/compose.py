@@ -1,10 +1,13 @@
 """Symbolic identity verification of composition laws, and the group law on
 integer solutions of f = 1.
 
-A law is a linstruct.MultilinearMap (re-exported here with its errors), the
-coefficient tensor of a bilinear (k=2) or trilinear (k=3) map: output_i =
-sum lambda_{i,j1..jk} * arg1_{j1} * ... * argk_{jk}, with entries
-polynomial in named parameters.  `verify_identity` decides an identity
+A law is a linstruct.MultilinearMap (re-exported here with its error
+DimensionMismatch), the coefficient tensor of a bilinear (k=2) or
+trilinear (k=3) map: output_i = sum lambda_{i,j1..jk} * arg1_{j1} * ... *
+argk_{jk}, with entries polynomial in named parameters.  At integer
+parameters, `MultilinearMap.argument_matrix` is its one integer
+linearization; `invert` solves it by cofactors, each an integer
+determinant.  `verify_identity` decides an identity
 f(x)f(y)[f(z)] = f(map(x, y[, z])) by expanding its residual termwise.
 A catalog family's own law needs no expansion: it is its structure's
 closure, A(x)A(y)[A(z)] = A(law) entry by entry, and its form is det A,
@@ -14,11 +17,13 @@ decides every other map and form.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from math import gcd
+from typing import NamedTuple, Sequence, Tuple, Union
 
-# the law and its two errors are defined in linstruct and re-exported here
-from .linstruct import DimensionMismatch, MultilinearMap, WrongFamilyKind
-from .polyring import PolyError, Polynomial, VarTable, no_int_str_limit
+# the law and its error are defined in linstruct and re-exported here
+from .linstruct import DimensionMismatch, MultilinearMap
+from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant,
+                       no_int_str_limit)
 
 
 class NotAUnit(PolyError):
@@ -80,40 +85,27 @@ def identity_element(h: int) -> Tuple[int, ...]:
 
 
 def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
-    """The y with map(x, y) = (1, 0, ..., 0), by exact rational solve.
+    """The y with map(x, y) = (1, 0, ..., 0), by cofactors.
 
-    Solves N y = e for N = cmap.argument_matrix(x), so the map must be
-    bilinear and parameter-free.  Raises NotAUnit when the solution is not
-    integral (which happens exactly when f(x) is not a unit) and
-    SingularMap when the system is singular.
+    N = cmap.argument_matrix((x, None), 1) gives map(x, y) = N y, so the map
+    must be bilinear and parameter-free.  N y = e_1 has y_i = (-1)^i det N_0i
+    / det N, N_0i being N without row 0 and column i; every determinant is
+    `int_matrix_determinant`'s.  Raises SingularMap when det N = 0 and
+    NotAUnit, with y_i in lowest terms, at the first non-integral y_i (there
+    is one exactly when f(x) is not a unit).
     """
-    N = cmap.argument_matrix(x)
-    e = identity_element(cmap.h)
-    y = _solve_exact(N, list(e))
+    N = cmap.argument_matrix((x, None), 1)
+    det = int_matrix_determinant(N)
+    if det == 0:
+        raise SingularMap("the inverse's linear system has determinant 0")
     out = []
-    for v in y:
-        if v.denominator != 1:
+    for i in range(cmap.h):
+        num = (-1) ** i * int_matrix_determinant(
+            [row[:i] + row[i + 1:] for row in N[1:]])
+        g = gcd(num, det) * (1 if det > 0 else -1)
+        if g != det:
             with no_int_str_limit():
-                raise NotAUnit(f"non-integral inverse component {v}")
-        out.append(int(v))
+                raise NotAUnit(
+                    f"non-integral inverse component {num // g}/{det // g}")
+        out.append(num // det)
     return tuple(out)
-
-
-def _solve_exact(matrix: Sequence[Sequence[int]],
-                 rhs: Sequence[int]) -> List["Fraction"]:
-    from fractions import Fraction  # only `invert` needs it
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(r)]
-         for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            raise SingularMap(f"no pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]

@@ -259,12 +259,12 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     The map is the family's bilinear `pair_map` for one partner and its
     trilinear `triple_map()` for two; argument slot s gets slots[order[s]],
     where slots = [previous iterate, *partners].  The map is linear in the
-    previous iterate, so the chain is v_{i+1} = S v_i for the step matrix S
-    whose column j is the map with e_j in the iterate's slot: S costs h map
-    applications, and each iterate h^2 products.  Raises ValueError for no
-    partners, more than two, an order that is not a permutation of
-    0..len(partners) or a negative count, and SeedNotSolution /
-    StepNotSolution up front.
+    previous iterate, so the chain is v_{i+1} = S v_i for the step matrix
+    S, the map's `argument_matrix` at the partners with the iterate's slot
+    free: one pass over the law's integer terms, and each iterate h^2
+    products.  Raises ValueError for no partners, more than two, an order
+    that is not a permutation of 0..len(partners) or a negative count, and
+    SeedNotSolution / StepNotSolution up front.
 
     The chain is then proven once, by the family's composition identity
     f(x)f(y)[f(z)] = f(map(x, y[, z])) (`FormFamily.verify` of the
@@ -305,12 +305,8 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
         raise SequenceVerificationError(
             f"{fam.name}: the composition identity fails for this map")
 
-    args = [slots[s] for s in order]
-    at = order.index(0)
-    h = cmap.h
-    units = [tuple(int(r == j) for r in range(h)) for j in range(h)]
-    columns = [cmap.apply(args[:at] + [e] + args[at + 1:]) for e in units]
-    result = SequenceResult(spec=spec, step=tuple(zip(*columns)),
+    step = cmap.argument_matrix([slots[s] for s in order], order.index(0))
+    result = SequenceResult(spec=spec, step=tuple(map(tuple, step)),
                             proof=proof.method, seed=seed, keys=array("q"),
                             evaluated=min(spec.count, 2))  # seed and last
     for current in result._replay():

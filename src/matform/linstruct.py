@@ -43,10 +43,6 @@ class DimensionMismatch(PolyError):
     """Argument vector length differs from the map dimension."""
 
 
-class WrongFamilyKind(PolyError):
-    """Operation applied to a family of the wrong kind."""
-
-
 class NotInSpan(NamedTuple):
     """Witness that a matrix does not carry the structure.
 
@@ -252,18 +248,13 @@ class MultilinearMap:
         return self._ints
 
     def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-        """Exact output vector at integer arguments (parameter-free maps)."""
-        if len(args) != self.k:
-            raise DimensionMismatch(f"need {self.k} argument vectors")
-        args = [list(map(index, a)) for a in args]
-        if any(len(a) != self.h for a in args):
+        """Exact output vector at integer arguments (parameter-free maps):
+        M @ args[-1] for M = argument_matrix(args, k - 1)."""
+        M = self.argument_matrix(args, self.k - 1)
+        v = list(map(index, args[-1]))
+        if len(v) != self.h:
             raise DimensionMismatch(f"argument vectors must have length {self.h}")
-        out = [0] * self.h
-        for i, js, v in self._int_coeffs():
-            for a, j in zip(args, js):
-                v *= a[j]
-            out[i] += v
-        return tuple(out)
+        return tuple(sum(m * x for m, x in zip(row, v)) for row in M)
 
     def specialize(self, param_values: Sequence[int]) -> "MultilinearMap":
         """Substitute integer values for all parameters."""
@@ -274,18 +265,28 @@ class MultilinearMap:
         coeff = {key: empty.const(c.eval_vector(pv)) for key, c in self.coeff.items()}
         return MultilinearMap(self.k, self.h, (), coeff)
 
-    def argument_matrix(self, x: Sequence[int]) -> List[List[int]]:
-        """Integer matrix N with map(x, y) = N @ y, for a bilinear
-        parameter-free map; raises WrongFamilyKind for any other arity."""
-        if self.k != 2:
-            raise WrongFamilyKind(f"need a bilinear map, got arity {self.k}")
-        if len(x) != self.h:
-            raise DimensionMismatch(f"point must have length {self.h}")
-        x = list(map(index, x))
-        N = [[0] * self.h for _ in range(self.h)]
-        for i, (j, col), v in self._int_coeffs():
-            N[i][col] += v * x[j]
-        return N
+    def argument_matrix(self, args: Sequence[Optional[Sequence[int]]],
+                        slot: int) -> List[List[int]]:
+        """Integer matrix M with map(args, with v in `slot`) = M @ v, for a
+        parameter-free map of either arity; args[slot] is not read.  The
+        one integer linearization of the law: `apply`, the `solve` step
+        and `invert` all read it."""
+        if len(args) != self.k:
+            raise DimensionMismatch(f"need {self.k} argument vectors")
+        if not 0 <= slot < self.k:
+            raise ValueError(f"slot must be in 0..{self.k - 1}, got {slot}")
+        # a vector of ones in the free slot leaves each term's coefficient
+        # times the fixed arguments
+        fixed = [[1] * self.h if s == slot else list(map(index, a))
+                 for s, a in enumerate(args)]
+        if any(len(a) != self.h for a in fixed):
+            raise DimensionMismatch(f"argument vectors must have length {self.h}")
+        M = [[0] * self.h for _ in range(self.h)]
+        for i, js, v in self._int_coeffs():
+            for a, j in zip(fixed, js):
+                v *= a[j]
+            M[i][js[slot]] += v
+        return M
 
 
 class LinearStructure:

@@ -119,6 +119,17 @@ class TestStartupBudget:
             f"from matform.cli import main\nmain({argv.split(' ')!r})")
         assert ("matform.dioph" in after) == loads
 
+    @pytest.mark.parametrize("point", ["6,2,3,1", "1,1,0,0", "0,0,0,0"])
+    def test_invert_loads_no_rational_arithmetic(self, point):
+        # invert solves by integer cofactors: neither `fractions` nor the
+        # `decimal` that it imports
+        argv = ["invert", "--family", "quartic4x4", "--params=5,-23,2,-7",
+                "--point", point]
+        added = modules_after(f"from matform.cli import main\nmain({argv!r})") \
+            - modules_after("pass")
+        assert "matform.compose" in added
+        assert not added & {"fractions", "decimal"}
+
 
 class TestEmitForm:
     def test_text_quad(self, capsys):
@@ -495,6 +506,24 @@ class TestSearchInvertBlock:
         assert set(obj) == {"error", "detail"}
         assert obj["error"] == "NotAUnit" and obj["detail"]
         assert err == ""
+
+    def test_invert_at_a_zero_of_the_form_is_singular(self, capsys):
+        # f(0, 0, 0, 0) = 0: the inverse's linear system has det 0
+        code, out, err = run_cli(capsys, "invert", "--family", "quartic4x4",
+                                 "--params=5,-23,2,-7", "--point", "0,0,0,0")
+        assert code == 1
+        obj = json.loads(out)
+        assert set(obj) == {"error", "detail"}
+        assert obj["error"] == "SingularMap" and obj["detail"]
+        assert err == ""
+
+    def test_invert_names_the_first_non_integral_component(self, capsys):
+        code, out, _ = run_cli(capsys, "invert", "--family", "quartic4x4",
+                               "--params=5,-23,2,-7", "--point", "1,1,0,0")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "NotAUnit",
+            "detail": "non-integral inverse component -6/17"}
 
     def test_block_prefixes_colliding_params(self, capsys):
         code, out, _ = run_cli(capsys, "block", "--outer", "quad2x2",

@@ -20,6 +20,7 @@ from matform.polyring import Polynomial, VarTable
 
 import paper
 from companion import companion_family
+from intmatrix import solve_rational
 from polytools import degree_in, eval_int
 
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
@@ -51,6 +52,25 @@ def numeric_cases(cases):
     return [pytest.param(name, values,
                          id=f"{name}-{','.join(map(str, values))}")
             for name, values in cases]
+
+
+# every catalog law, by family and arity: a "triple" family has no
+# bilinear law
+LAWS = [(f["name"], k) for f in catalog.list_families()
+        for k in ((2, 3) if f["kind"] == "pair" else (3,))]
+
+
+def unit_vector_matrix(cmap, args, slot):
+    """The matrix of v -> map(args with v in `slot`), read column by column
+    off the map's output forms evaluated at the unit vectors."""
+    forms = cmap.forms(cmap.coord_sets)
+    columns = []
+    for j in range(cmap.h):
+        e = [int(r == j) for r in range(cmap.h)]
+        point = [c for s, a in enumerate(args)
+                 for c in (e if s == slot else a)]
+        columns.append([f.eval_vector(point) for f in forms])
+    return [list(row) for row in zip(*columns)]
 
 
 def composition_map(fam):
@@ -133,13 +153,32 @@ class TestMultilinearMap:
         assert spec.apply((doubled, y, z)) == tuple(
             2 * v for v in spec.apply((x, y, z)))
 
-    def test_argument_matrix_reproduces_apply(self):
-        fam = catalog.family("quartic4x4", (5, -23, 2, -7))
-        cmap = fam.pair_map
-        x, y = (6, 2, 3, 1), (1, 0, 0, 0)
-        N = cmap.argument_matrix(x)
-        assert tuple(sum(N[i][j] * y[j] for j in range(4)) for i in range(4)) \
-            == cmap.apply((x, y))
+    @pytest.mark.parametrize("name, k", LAWS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_argument_matrix_matches_forms_at_unit_vectors(self, name, k,
+                                                           data):
+        fam = catalog.family(name, GOLDEN_VALUES[name])
+        cmap = fam.triple_map() if k == 3 else fam.pair_map
+        vec = st.lists(st.integers(-9, 9), min_size=cmap.h,
+                       max_size=cmap.h).map(tuple)
+        args = [data.draw(vec) for _ in range(k)]
+        for slot in range(k):
+            free = args[:slot] + [None] + args[slot + 1:]
+            assert cmap.argument_matrix(free, slot) == \
+                unit_vector_matrix(cmap, args, slot)
+
+    def test_argument_matrix_checks_its_arguments(self):
+        cmap = catalog.family("quad2x2", (0, -2)).pair_map
+        with pytest.raises(compose.DimensionMismatch):
+            cmap.argument_matrix(((1, 0),), 1)
+        with pytest.raises(compose.DimensionMismatch):
+            cmap.argument_matrix(((1, 0, 0), None), 1)
+        with pytest.raises(ValueError):
+            cmap.argument_matrix(((1, 0), (1, 0)), 2)
+        # the free slot is not read, so its length is not checked either
+        assert cmap.argument_matrix(((1, 0, 0), (3, 2)), 0) == \
+            cmap.argument_matrix((None, (3, 2)), 0)
 
     def test_integer_terms_are_derived_once(self, monkeypatch):
         cmap = catalog.family("quartic4x4", (5, -23, 2, -7)).pair_map
@@ -154,7 +193,9 @@ class TestMultilinearMap:
         monkeypatch.setattr(Polynomial, "constant_term", counting)
         for _ in range(100):
             assert cmap.apply((x, y)) == first
-        cmap.argument_matrix(x)
+        cmap.argument_matrix((x, None), 1)
+        cmap.argument_matrix((None, y), 0)
+        assert invert(cmap, x) == (32, -4, -8, 1)
         assert calls == []
 
 
@@ -366,6 +407,62 @@ class TestGroupLaw:
         fam = catalog.family("quad2x2", (0, -1))
         with pytest.raises(NotAUnit):
             invert(fam.pair_map, (3, 1))  # f = 8
+
+    @staticmethod
+    def invert_outcome(cmap, x):
+        """Check `invert` at x against Gauss-Jordan over the rationals on
+        the matrix read off the law's forms, and say which outcome it was:
+        a singular system raises SingularMap, a non-integral solution
+        raises NotAUnit naming its first non-integral component, and an
+        integral one is returned."""
+        y = solve_rational(unit_vector_matrix(cmap, [x, None], 1),
+                           identity_element(cmap.h))
+        if y is None:
+            with pytest.raises(compose.SingularMap):
+                invert(cmap, x)
+            return "singular"
+        fractional = [v for v in y if v.denominator != 1]
+        if fractional:
+            with pytest.raises(NotAUnit) as exc:
+                invert(cmap, x)
+            assert str(exc.value) == \
+                f"non-integral inverse component {fractional[0]}"
+            return "non-unit"
+        assert invert(cmap, x) == tuple(map(int, y))
+        return "unit"
+
+    @pytest.mark.parametrize("name, values, x, outcome", [
+        ("quad2x2", (0, -1), (1, 1), "singular"),
+        ("quad2x2", (0, -1), (3, 1), "non-unit"),
+        ("quad2x2", (0, -2), (2, 0), "non-unit"),
+        ("quad2x2", (0, -2), (5, -3), "non-unit"),
+        ("quad2x2", (0, -2), (3, 2), "unit"),
+        ("quartic4x4", (5, -23, 2, -7), (0, 0, 0, 0), "singular"),
+        ("quartic4x4", (5, -23, 2, -7), (2, 0, 0, 0), "non-unit"),
+        ("quartic4x4", (5, -23, 2, -7), (1, 1, 0, 0), "non-unit"),
+        ("quartic4x4", (5, -23, 2, -7), (6, 2, 3, 2), "non-unit"),
+        ("quartic4x4", (5, -23, 2, -7), (6, 2, 3, 1), "unit"),
+        ("octic8x8", (0, -5, 0, -3, 0, -14), (0,) * 8, "singular"),
+        ("octic8x8", (0, -5, 0, -3, 0, -14), (2,) + (0,) * 7, "non-unit"),
+        ("octic8x8", (0, -5, 0, -3, 0, -14), (4, 2, 2, 1, 14, 7, 8, 5),
+         "non-unit"),
+        ("octic8x8", (0, -5, 0, -3, 0, -14), (4, 2, 2, 1, 14, 7, 8, 4),
+         "unit"),
+    ])
+    def test_invert_agrees_with_gauss_jordan(self, name, values, x, outcome):
+        cmap = catalog.family(name, values).pair_map
+        assert self.invert_outcome(cmap, x) == outcome
+
+    @pytest.mark.parametrize("name, values", [
+        ("quad2x2", (0, -1)), ("quartic4x4", (5, -23, 2, -7)),
+        ("octic8x8", (0, -5, 0, -3, 0, -14))])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_invert_agrees_with_gauss_jordan_at_drawn_points(self, name,
+                                                             values, data):
+        cmap = catalog.family(name, values).pair_map
+        x = data.draw(st.tuples(*[st.integers(-3, 3)] * cmap.h))
+        self.invert_outcome(cmap, x)
 
     @given(ivec4, ivec4, ivec4)
     @settings(max_examples=25)

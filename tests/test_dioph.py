@@ -495,7 +495,7 @@ class TestErrorsPastTheDigitLimit:
     lambda: family("threefold_quadratic", (1, 0, -2)).evaluate((1.5, 0)),
     lambda: Q2.structure.matrix_of((1.5, 0)),
     lambda: Q2.pair_map.apply(((1.5, 0), (1, 0))),
-    lambda: Q2.pair_map.argument_matrix((1.5, 0)),
+    lambda: Q2.pair_map.argument_matrix(((1.5, 0), None), 1),
     lambda: generate_sequence(SequenceSpec(Q2, (3.0, 2), 2, ((3, 2),))),
     lambda: generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3.0, 2),))),
     lambda: brute_force_search(Q2, 1.5),
@@ -684,18 +684,25 @@ class TestPrintedChain:
         peak(2)  # the law is derived once per family
         assert peak(1200) < 6 * peak(300)
 
-    def test_step_matrix_takes_h_map_applications(self, monkeypatch):
-        calls = []
-        apply = MultilinearMap.apply
-
-        def counting(self, args):
-            calls.append(args)
-            return apply(self, args)
-        monkeypatch.setattr(MultilinearMap, "apply", counting)
-        r = generate_sequence(SequenceSpec(
-            OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],)))
-        assert len(calls) == 8
-        assert r.solutions[:4] == OCTIC_SEQ
+    @pytest.mark.parametrize("spec", [
+        SequenceSpec(OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],)),
+        SequenceSpec(OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],), order=(1, 0)),
+        *(SequenceSpec(T4, T4_SEQ[0], 6, ((-4, 1, -3, 3), T4_SEQ[0]),
+                       order=order)
+          for order in itertools.permutations(range(3)))],
+        ids=["octic", "octic-yx", *("t4-" + "".join(map(str, o))
+                                    for o in itertools.permutations(range(3)))])
+    def test_step_matrix_is_the_map_at_unit_vectors(self, spec):
+        r = generate_sequence(spec)
+        fam = spec.family
+        cmap = fam.pair_map if len(spec.partners) == 1 else fam.triple_map()
+        order = spec.order or tuple(range(cmap.k))
+        slots = [None, *spec.partners]
+        columns = []
+        for j in range(cmap.h):
+            slots[0] = tuple(int(i == j) for i in range(cmap.h))
+            columns.append(cmap.apply([slots[s] for s in order]))
+        assert r.step == tuple(zip(*columns))
         for v, w in zip(r.solutions, r.solutions[1:]):
             assert w == tuple(sum(c * x for c, x in zip(row, v))
                               for row in r.step)
