@@ -390,16 +390,9 @@ def _sextic_uv_structure() -> LinearStructure:
     ])
 
 
-def _lift(outer: LinearStructure, inner: LinearStructure,
-          params: Tuple[str, ...]) -> LinearStructure:
-    """The block lift of `inner` over `outer`, in the parameter order
-    `params`."""
-    return outer.block_compose(inner).with_param_order(params)
-
-
 def _quartic_block() -> LinearStructure:
-    return _lift(_pell_structure("p", "q"), _pell_structure("m", "n"),
-                 ("m", "n", "p", "q"))
+    return _pell_structure("p", "q").block_compose(
+        _pell_structure("m", "n"), ("m", "n", "p", "q"))
 
 
 class _Entry(NamedTuple):
@@ -430,8 +423,8 @@ _REGISTRY: Dict[str, _Entry] = {
     "sextic6x6": _Entry(
         "senary sextic from a 2x2-of-3x3 block construction (11926 terms)",
         "pair", ("l1", "l2", "l3", "l4", "l5", "p", "q"), _coords("x", 6),
-        lambda: _lift(_pell_structure("p", "q"), _cubic_structure(),
-                      ("l1", "l2", "l3", "l4", "l5", "p", "q"))),
+        lambda: _pell_structure("p", "q").block_compose(
+            _cubic_structure(), ("l1", "l2", "l3", "l4", "l5", "p", "q"))),
     "sextic_circulant": _Entry(
         "senary sextic from a block matrix of two 3x3 circulants; splits "
         "into a quadratic times a quartic factor",
@@ -445,8 +438,8 @@ _REGISTRY: Dict[str, _Entry] = {
     "octic8x8": _Entry(
         "octonary octic from a 2x2-of-4x4 block construction",
         "pair", ("m", "n", "p", "q", "r", "s"), _coords("x", 8),
-        lambda: _lift(_pell_structure("r", "s"), _quartic_block(),
-                      ("m", "n", "p", "q", "r", "s"))),
+        lambda: _pell_structure("r", "s").block_compose(
+            _quartic_block(), ("m", "n", "p", "q", "r", "s"))),
     # the structure is in (t, b, c) with t^2 in the determinant; the
     # family's own form uses a in place of t^2: only even powers of t occur
     "threefold_quadratic": _Entry(
@@ -458,15 +451,13 @@ _REGISTRY: Dict[str, _Entry] = {
         "quaternary quartic from trace-free 2x2 blocks; admits only a "
         "trilinear composition law",
         "triple", ("m", "n", "p", "q", "s", "t"), _coords("x", 4),
-        lambda: _lift(_tracefree_structure("t", "p", "q"),
-                      _tracefree_structure("s", "m", "n"),
-                      ("m", "n", "p", "q", "s", "t"))),
+        lambda: _tracefree_structure("t", "p", "q").block_compose(
+            _tracefree_structure("s", "m", "n"), ("m", "n", "p", "q", "s", "t"))),
     "threefold8x8": _Entry(
         "octonary octic mixing one pairwise-closed and one triple-only "
         "block level; admits only a trilinear composition law",
         "triple", ("m", "n", "p", "q", "r", "s", "t"), _coords("x", 8),
-        lambda: _lift(
-            _pell_structure("r", "s"),
+        lambda: _pell_structure("r", "s").block_compose(
             _pell_structure("p", "q").block_compose(
                 _tracefree_structure("t", "m", "n")),
             ("m", "n", "p", "q", "r", "s", "t"))),

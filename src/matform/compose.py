@@ -6,9 +6,9 @@ DimensionMismatch), the coefficient tensor of a bilinear (k=2) or
 trilinear (k=3) map: output_i = sum lambda_{i,j1..jk} * arg1_{j1} * ... *
 argk_{jk}, with entries polynomial in named parameters.  At integer
 parameters, `MultilinearMap.argument_matrix` is its one integer
-linearization; `invert` solves it by cofactors, each an integer
-determinant.  `verify_identity` decides an identity
-f(x)f(y)[f(z)] = f(map(x, y[, z])) by expanding its residual termwise.
+linearization; `invert` solves it by one fraction-free elimination.
+`verify_identity` decides an identity f(x)f(y)[f(z)] = f(map(x, y[, z]))
+by expanding its residual termwise.
 A catalog family's own law needs no expansion: it is its structure's
 closure, A(x)A(y)[A(z)] = A(law) entry by entry, and its form is det A,
 so det multiplicativity proves it (`FormFamily.verify`).  The expansion
@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 # the law and its error are defined in linstruct and re-exported here
 from .linstruct import DimensionMismatch, MultilinearMap
-from .polyring import (PolyError, Polynomial, VarTable, int_matrix_determinant,
-                       no_int_str_limit)
+from .polyring import PolyError, Polynomial, VarTable, bareiss, no_int_str_limit
 
 
 class NotAUnit(PolyError):
@@ -60,10 +59,7 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
     prefixed x_, y_[, z_]."""
     prefixes = ("x", "y", "z")[:cmap.k]
     coord_sets = [tuple(f"{p}_{name}" for name in coord_names) for p in prefixes]
-    names = list(cmap.params)
-    for cs in coord_sets:
-        names.extend(cs)
-    table = VarTable(names)
+    table = VarTable(cmap.params + sum(coord_sets, ()))
     product = table.one()
     for cs in coord_sets:
         product = product * form.substitute(
@@ -85,27 +81,26 @@ def identity_element(h: int) -> Tuple[int, ...]:
 
 
 def invert(cmap: MultilinearMap, x: Sequence[int]) -> Tuple[int, ...]:
-    """The y with map(x, y) = (1, 0, ..., 0), by cofactors.
-
-    N = cmap.argument_matrix((x, None), 1) gives map(x, y) = N y, so the map
-    must be bilinear and parameter-free.  N y = e_1 has y_i = (-1)^i det N_0i
-    / det N, N_0i being N without row 0 and column i; every determinant is
-    `int_matrix_determinant`'s.  Raises SingularMap when det N = 0 and
-    NotAUnit, with y_i in lowest terms, at the first non-integral y_i (there
-    is one exactly when f(x) is not a unit).
-    """
-    N = cmap.argument_matrix((x, None), 1)
-    det = int_matrix_determinant(N)
+    """The y with map(x, y) = N y = (1, 0, ..., 0), N =
+    cmap.argument_matrix((x, None), 1) (a bilinear, parameter-free map):
+    one Bareiss elimination of [N | e_1], then exact back-substitution of
+    the integers D y_i, D = +-det N (Cramer).  Raises SingularMap when
+    det N = 0 and NotAUnit, with y_i in lowest terms, at the first
+    non-integral y_i (there is one exactly when f(x) is not a unit)."""
+    h = cmap.h
+    a = [row + [int(i == 0)] for i, row in
+         enumerate(cmap.argument_matrix((x, None), 1))]
+    det = bareiss(a, h) and a[h - 1][h - 1]
     if det == 0:
         raise SingularMap("the inverse's linear system has determinant 0")
-    out = []
-    for i in range(cmap.h):
-        num = (-1) ** i * int_matrix_determinant(
-            [row[:i] + row[i + 1:] for row in N[1:]])
+    scaled = [0] * h  # D y, from the last row up
+    for k in reversed(range(h)):
+        scaled[k] = (det * a[k][h] - sum(
+            a[k][j] * scaled[j] for j in range(k + 1, h))) // a[k][k]
+    for num in scaled:
         g = gcd(num, det) * (1 if det > 0 else -1)
         if g != det:
             with no_int_str_limit():
                 raise NotAUnit(
                     f"non-integral inverse component {num // g}/{det // g}")
-        out.append(num // det)
-    return tuple(out)
+    return tuple(num // det for num in scaled)

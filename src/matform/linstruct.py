@@ -24,7 +24,7 @@ entrywise check is exact over the parameters, never sampled.
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
@@ -80,28 +80,43 @@ def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
                       table: VarTable) -> List[Polynomial]:
     """[w_1..w_h] over `table`, with w_t the sum of c * s1[r] * s2[s] ...
     over the entries ((t, (r, s, ...)), c) of a coefficient table whose
-    c's are polynomials over `params`; `table` holds the parameters and
-    the names of the coordinate sets s1, s2, ..."""
-    width = len(table)
-    ppos = [table.index(name) for name in params]
-    cpos = [[table.index(name) for name in cs] for cs in coord_sets]
+    c's are polynomials over `params`; `table` lists the parameters, then
+    the names of the coordinate sets s1, s2, ..., so a term's exponents are
+    its parameter monomial followed by its entry's coordinate suffix."""
+    width = len(params)
+    cpos = [[table.index(name) - width for name in cs] for cs in coord_sets]
+    if table.names[:width] != tuple(params) or min(sum(cpos, []), default=0) < 0:
+        raise ValueError("the table must list the parameters, then the coordinates")
+    blank, suffixes = [0] * (len(table) - width), {}  # js -> its suffix
     out: List[Terms] = [{} for _ in coord_sets[0]]
     for (t, js), c in coeff.items():
-        coords = [pos[j] for pos, j in zip(cpos, js)]
+        suffix = suffixes.get(js)
+        if suffix is None:
+            suffix = blank[:]
+            for pos, j in zip(cpos, js):
+                suffix[pos[j]] += 1
+            suffix = suffixes[js] = tuple(suffix)
         acc = out[t]
         for m, v in c.terms.items():
-            exps = [0] * width
-            for pos, e in zip(ppos, m):
-                exps[pos] = e
-            for pos in coords:
-                exps[pos] += 1
-            key = tuple(exps)
+            key = m + suffix
             s = acc.get(key, 0) + v
             if s:
                 acc[key] = s
             else:
                 del acc[key]
     return [Polynomial._own(table, terms) for terms in out]
+
+
+def _reorder(joined: Tuple[str, ...], names: Sequence[str]):
+    """What puts exponents over `joined` in the order of `names`, a
+    permutation of it: `tuple` (a tuple as it is) where the two agree."""
+    return tuple if joined == tuple(names) else itemgetter(*map(joined.index, names))
+
+
+def _kron_terms(order, a: Terms, b: Terms) -> Terms:
+    """a * b over disjoint parameters, each term's exponents joined and
+    put in `order` (`_reorder`): no two terms merge, and none is zero."""
+    return {order(m1 + m2): c1 * c2 for m1, c1 in a.items() for m2, c2 in b.items()}
 
 
 def _sparse_product(a: Sparse, b: Sparse) -> Sparse:
@@ -177,10 +192,7 @@ class MultilinearMap:
     def __init__(self, k: int, h: int, params: Sequence[str], coeff: CoeffTable):
         if k not in (2, 3):
             raise ValueError("arity must be 2 or 3")
-        self.k = k
-        self.h = h
-        self.param_table = VarTable(params)
-        self.coeff = {}
+        self.k, self.h, self.param_table, self.coeff = k, h, VarTable(params), {}
         for (i, js), c in coeff.items():
             if c.table != self.param_table:
                 raise ValueError("coefficients must live over the parameter table")
@@ -190,6 +202,14 @@ class MultilinearMap:
                 raise ValueError("coefficient index out of range")
             self.coeff[(i, tuple(js))] = c
         self._ints: Optional[List[Tuple[int, Tuple[int, ...], int]]] = None
+
+    @classmethod
+    def _own(cls, k, h, table: VarTable, coeff: CoeffTable) -> "MultilinearMap":
+        """The map of a table built correct (no zero entry, every key in
+        range, every coefficient over `table`), taken as it is, unchecked."""
+        law = object.__new__(cls)
+        law.k, law.h, law.param_table, law.coeff, law._ints = k, h, table, coeff, None
+        return law
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -227,13 +247,10 @@ class MultilinearMap:
         """Output polynomials over params + the given coordinate sets."""
         if len(coord_sets) != self.k:
             raise DimensionMismatch(f"need {self.k} coordinate sets")
-        names: List[str] = list(self.params)
-        for cs in coord_sets:
-            if len(cs) != self.h:
-                raise DimensionMismatch(f"coordinate sets must have length {self.h}")
-            names.extend(cs)
+        if any(len(cs) != self.h for cs in coord_sets):
+            raise DimensionMismatch(f"coordinate sets must have length {self.h}")
         if table is None:
-            table = VarTable(names)
+            table = VarTable(self.params + sum(map(tuple, coord_sets), ()))
         return multilinear_forms(self.coeff, self.params, coord_sets, table)
 
     def _int_coeffs(self):
@@ -262,8 +279,9 @@ class MultilinearMap:
         if len(pv) != len(self.params):
             raise ValueError(f"need {len(self.params)} parameter values")
         empty = VarTable(())
-        coeff = {key: empty.const(c.eval_vector(pv)) for key, c in self.coeff.items()}
-        return MultilinearMap(self.k, self.h, (), coeff)
+        return MultilinearMap._own(self.k, self.h, empty, {
+            key: Polynomial._own(empty, {(): v}) for key, c in self.coeff.items()
+            if (v := c.eval_vector(pv))})
 
     def argument_matrix(self, args: Sequence[Optional[Sequence[int]]],
                         slot: int) -> List[List[int]]:
@@ -301,30 +319,36 @@ class LinearStructure:
 
     def __init__(self, n: int, h: int, params: Sequence[str],
                  coeff: Sequence[Sequence[Sequence[Polynomial]]]):
-        self.n = n
-        self.h = h
-        self.param_table = VarTable(params)
+        table = VarTable(params)
         if h > n:
             raise ValueError(f"{h} coordinates do not fit the first row of "
                              f"a {n} x {n} matrix")
         if len(coeff) != n or any(len(row) != n for row in coeff):
             raise ValueError("coefficient tensor must be n x n")
-        for row in coeff:
-            for cell in row:
-                if len(cell) != h:
-                    raise ValueError("each cell needs one coefficient per coordinate")
-                for p in cell:
-                    if p.table != self.param_table:
-                        raise ValueError("coefficients must live over the parameter table")
-        self.coeff = tuple(tuple(tuple(cell) for cell in row) for row in coeff)
-        self.divisors = tuple(self.coeff[0][t][t] for t in range(h))
+        if any(len(cell) != h for row in coeff for cell in row):
+            raise ValueError("each cell needs one coefficient per coordinate")
+        if any(p.table != table for row in coeff for cell in row for p in cell):
+            raise ValueError("coefficients must live over the parameter table")
+        self._set(n, h, table, tuple(tuple(tuple(cell) for cell in row)
+                                     for row in coeff))
         if any(d.term_count() > 1 for d in self.divisors):
             raise ValueError("each divisor must have at most one term")
+
+    @classmethod
+    def _own(cls, n, h, table, coeff, factors=None) -> "LinearStructure":
+        """The structure of coefficients built correct (n x n tuples of h
+        polynomials over `table`, each divisor one term or none), unchecked."""
+        return object.__new__(cls)._set(n, h, table, coeff, factors)
+
+    def _set(self, n, h, table, coeff, factors=None) -> "LinearStructure":
+        self.n, self.h, self.param_table, self.coeff = n, h, table, coeff
+        self.divisors = tuple(coeff[0][t][t] for t in range(h))
         self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
         # (outer, inner) where block_compose built this structure
-        self._factors: Optional[Tuple[LinearStructure, LinearStructure]] = None
+        self._factors: Optional[Tuple[LinearStructure, LinearStructure]] = factors
+        return self
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -420,15 +444,14 @@ class LinearStructure:
             self._form_cache[key] = got
         return got
 
-    def _mapped(self, params: Sequence[str], fn,
+    def _mapped(self, table: VarTable, fn,
                 factors: Optional[tuple] = None) -> "LinearStructure":
-        """The structure over `params` with fn(c) for every coefficient c,
-        a lift of `factors` where given."""
-        st = LinearStructure(self.n, self.h, params,
-                             [[[fn(c) for c in cell] for cell in row]
-                              for row in self.coeff])
-        st._factors = factors
-        return st
+        """The structure over `table` with fn(c), a polynomial over it, for
+        every coefficient c, a lift of `factors` where given."""
+        return LinearStructure._own(
+            self.n, self.h, table,
+            tuple(tuple(tuple(map(fn, cell)) for cell in row)
+                  for row in self.coeff), factors)
 
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
         """Substitute integer values for all parameters (result has none,
@@ -437,12 +460,12 @@ class LinearStructure:
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [index(v) for v in param_values]
         empty = VarTable(())
-        return self._mapped((), lambda c: empty.const(c.eval_vector(pv)))
+        return self._mapped(empty, lambda c: empty.const(c.eval_vector(pv)))
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
         """Same structure with parameters renamed, a lift's factors too."""
         table = VarTable(mapping.get(p, p) for p in self.params)
-        return self._mapped(table.names, lambda c: Polynomial(table, c.terms),
+        return self._mapped(table, lambda c: Polynomial._own(table, c.terms),
                             self._factors and tuple(f.rename_params(mapping)
                                                     for f in self._factors))
 
@@ -490,19 +513,14 @@ class LinearStructure:
         raise ValueError("order must be 2 or 3")
 
     def verify_pair_closure(self) -> Union[MultilinearMap, NotClosed]:
-        """Symbolically check A(x) A(y) = A(z) for bilinear z.
-
-        Returns the bilinear law z = map(x, y), its coefficients the pair
-        structure constants, or NotClosed.
-        """
+        """closure(2): the bilinear law z = map(x, y) with A(x) A(y) = A(z),
+        its coefficients the pair structure constants, or NotClosed."""
         return self._closure(2)
 
     def verify_triple_closure(self) -> Union[MultilinearMap, NotClosed]:
-        """Symbolically check A(x) A(y) A(z) = A(w) for trilinear w.
-
-        Returns the trilinear law w = map(x, y, z), its coefficients the
-        triple structure constants, or NotClosed.
-        """
+        """closure(3): the trilinear law w = map(x, y, z) with A(x) A(y) A(z)
+        = A(w), its coefficients the triple structure constants, or
+        NotClosed."""
         return self._closure(3)
 
     def _closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
@@ -525,8 +543,8 @@ class LinearStructure:
         if order == 3:
             pair = self._closure(2)
             if isinstance(pair, MultilinearMap):
-                return MultilinearMap(3, self.h, self.params,
-                                      _cube(pair.coeff, self.param_table))
+                return MultilinearMap._own(3, self.h, self.param_table,
+                                           _cube(pair.coeff, self.param_table))
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top; each
         # divisor is a basis entry, so within top
@@ -547,7 +565,7 @@ class LinearStructure:
         got = self._read_table(order, basis, products, pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
-        return MultilinearMap(order, self.h, self.params, got)
+        return MultilinearMap._own(order, self.h, self.param_table, got)
 
     def law_at(self, order: int, values: Sequence[int]
                ) -> Union[MultilinearMap, NotClosed]:
@@ -572,16 +590,16 @@ class LinearStructure:
         c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u), over
         the lift's parameters, or none where both laws are at integer
         values.  The factors' parameters are disjoint, so no two monomials
-        of a product merge, and c(v) c'(v) is the product c c' at v."""
-        table = self.param_table if outer.params or inner.params \
-            else inner.param_table
+        of a product merge (`_kron_terms`), and c(v) c'(v) is c c' at v."""
+        table = VarTable(self.params if outer.params or inner.params else ())
+        order = _reorder(outer.params + inner.params, table.names)
         hin = inner.h
-        a = [(t, js, c.embed(table).terms) for (t, js), c in outer.coeff.items()]
-        b = [(u, ks, c.embed(table).terms) for (u, ks), c in inner.coeff.items()]
-        return MultilinearMap(outer.k, self.h, table.names, {
-            (t * hin + u, tuple(j * hin + k for j, k in zip(js, ks))):
-                Polynomial._own(table, _mul_into({}, ca, cb))
-            for t, js, ca in a for u, ks, cb in b})
+        a = [(t * hin, [j * hin for j in js], c.terms)
+             for (t, js), c in outer.coeff.items()]
+        return MultilinearMap._own(outer.k, self.h, table, {
+            (t + u, tuple(map(add, js, ks))):
+                Polynomial._own(table, _kron_terms(order, ca, c.terms))
+            for t, js, ca in a for (u, ks), c in inner.coeff.items()})
 
     def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
@@ -627,7 +645,9 @@ class LinearStructure:
 
     # -- block lifting ------------------------------------------------------
 
-    def block_compose(self, inner: "LinearStructure") -> "LinearStructure":
+    def block_compose(self, inner: "LinearStructure",
+                      params: Optional[Sequence[str]] = None
+                      ) -> "LinearStructure":
         """Lift to an (n*m) x (n*m) structure with blocks P_ij = sum_r L[i][j][r] A_r.
 
         A_r is `inner` instantiated on coordinate slice r; coordinates are
@@ -638,47 +658,28 @@ class LinearStructure:
         structure with as many coordinates as rows (every catalog structure
         has); any other raises ValueError.
 
-        The lift keeps both structures as its factors, and
-        `with_param_order` and `rename_params` carry them along: its basis
-        is E_r (x) F_s, so its law at an order both factors close at is
-        their laws' Kronecker product, proven by their closures.
+        Its parameters are `params`, a permutation of this structure's then
+        the inner one's (that order by default), and L[(i,a)][(j,b)][(r,s)] is
+        the one product L[i][j][r] * L_in[a][b][s] (`_kron_terms`).  It keeps
+        both structures as its factors (`rename_params` renames them too):
+        its basis is E_r (x) F_s, so its law at an order both factors close
+        at is their laws' Kronecker product, proven by their closures.
         """
         if set(self.params) & set(inner.params):
             raise ParameterCollision(sorted(set(self.params) & set(inner.params))[0])
         if inner.h != inner.n:
             raise ValueError(f"a lift needs an inner structure with h = n, "
                              f"got h = {inner.h}, n = {inner.n}")
-        n, m = self.n, inner.n
-        H, hin = self.h, inner.h
-        params = self.params + inner.params
-        ptable = VarTable(params)
-        zero = ptable.zero()
-        N = n * m
-        coeff = [[[zero for _ in range(H * hin)] for _ in range(N)] for _ in range(N)]
-        for i in range(n):
-            for j in range(n):
-                for r in range(H):
-                    outer_c = self.coeff[i][j][r]
-                    if outer_c.is_zero():
-                        continue
-                    oc = outer_c.embed(ptable)
-                    for a in range(m):
-                        for b in range(m):
-                            for s in range(hin):
-                                inner_c = inner.coeff[a][b][s]
-                                if inner_c.is_zero():
-                                    continue
-                                cell = coeff[i * m + a][j * m + b]
-                                cell[r * hin + s] = cell[r * hin + s] + oc * inner_c.embed(ptable)
-        lifted = LinearStructure(N, H * hin, params, coeff)
-        lifted._factors = (self, inner)
-        return lifted
-
-    def with_param_order(self, names: Sequence[str]) -> "LinearStructure":
-        """Same structure with the parameter table reordered to `names`."""
-        names = tuple(names)
-        if set(names) != set(self.params) or len(names) != len(self.params):
-            raise ValueError("names must be a permutation of the parameters")
-        table = VarTable(names)
-        return self._mapped(names, lambda c: c.embed(table), self._factors)
-
+        joined = self.params + inner.params
+        params = joined if params is None else tuple(params)
+        if sorted(params) != sorted(joined):
+            raise ValueError("params must be a permutation of " + ",".join(joined))
+        table = VarTable(params)
+        order = _reorder(joined, params)
+        lifted = tuple(
+            tuple(tuple(Polynomial._own(table, _kron_terms(order, o.terms, i.terms))
+                        for o in outer_cell for i in inner_cell)
+                  for outer_cell in outer_row for inner_cell in inner_row)
+            for outer_row in self.coeff for inner_row in inner.coeff)
+        return LinearStructure._own(self.n * inner.n, self.h * inner.h, table,
+                                    lifted, (self, inner))

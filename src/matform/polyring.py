@@ -374,15 +374,23 @@ class Polynomial:
         return "".join(self.json_pieces())
 
     def json_pieces(self) -> Iterator[str]:
-        """The text of `to_json` in pieces, one per term, so a large form
-        can be written in chunks (`write_chunks`) without its whole text."""
+        """The text of `to_json` in pieces, one per term (exponents spelled
+        from a table), so a large form goes out in chunks (`write_chunks`)."""
         yield '{"vars": %s, "terms": [' % json.dumps(self.table.names)
-        sep = ""
+        sep, spell = "", _SPELLING.__getitem__
         for m, c in self.sorted_terms():
-            yield '%s{"c": "%d", "e": %s}' % (sep, c, list(m))
+            yield '%s{"c": "%d", "e": [%s]}' % (sep, c, ", ".join(map(spell, m)))
             sep = ", "
         yield "]}"
 
+
+class _Spelling(dict):
+    """{e: str(e)}, each entry made on its first lookup."""
+    def __missing__(self, e: int) -> str:
+        return self.setdefault(e, str(e))
+
+
+_SPELLING = _Spelling()
 
 # The least text per write of a long output, in characters (all ASCII, so
 # bytes).  Below glibc's default 128 KB mmap threshold: a larger chunk's
@@ -584,12 +592,17 @@ class PolyMatrix:
 def int_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss); a
     float entry raises TypeError."""
-    n = len(rows)
     a = [list(map(operator.index, row)) for row in rows]
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
+    return bareiss(a, len(a)) * a[-1][-1]
+
+
+def bareiss(a: List[List[int]], n: int) -> int:
+    """Fraction-free elimination, in place, of integer rows whose first n
+    columns are square (later columns carried along): a[n-1][n-1] becomes
+    det of the rows as permuted; returns their sign, 0 if singular early."""
+    sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -600,8 +613,8 @@ def int_matrix_determinant(rows: Sequence[Sequence[int]]) -> int:
             else:
                 return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(a[i])):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign

@@ -313,15 +313,57 @@ def test_closed_lift_takes_no_product_of_its_own_basis(name, order, monkeypatch)
 
 
 def test_renamed_and_reordered_lift_keeps_its_factors():
-    """`rename_params` renames the factors with the lift, and
-    `with_param_order` keeps them; `specialize` drops them."""
+    """`rename_params` renames the factors with the lift, and a lift built
+    in another parameter order (`block_compose(inner, params)`) keeps
+    them; `specialize` drops them."""
     st = fresh("octic8x8").rename_params({"p": "P", "m": "M"})
     assert st._factors is not None
     assert {p for f in st._factors for p in f.params} == set(st.params)
-    reordered = st.with_param_order(sorted(st.params))
+    outer, inner = st._factors
+    reordered = outer.block_compose(inner, sorted(st.params))
+    assert reordered.params == tuple(sorted(st.params))
+    assert reordered._factors[0] is outer and reordered._factors[1] is inner
     for lift in (st, reordered):
         assert lift.closure(2) == basis_route(lift).closure(2)
     assert st.specialize((1, -2, 3, 1, 0, -1))._factors is None
+
+
+def kronecker_lift(name: str, order: str):
+    """(outer, inner, lift): a catalog lift's factors and the lift built
+    from them in the default parameter order (outer's, then inner's) or in
+    the family's own; "quartic4x4*quartic4x4" is quartic4x4 over the
+    renamed quartic, its "family" order the reverse of the default."""
+    if name == "quartic4x4*quartic4x4":
+        outer, inner = fresh("quartic4x4"), renamed_quartic()
+        params = (outer.params + inner.params)[::-1]
+    else:
+        outer, inner = fresh(name)._factors
+        params = catalog._REGISTRY[name].params
+    return outer, inner, outer.block_compose(
+        inner, None if order == "default" else params)
+
+
+@pytest.mark.parametrize("order", ["default", "family"])
+@pytest.mark.parametrize("name", LIFTS + ("quartic4x4*quartic4x4",))
+def test_lift_coefficients_are_kronecker_products(name, order):
+    """Every lift coefficient L[(i,a)][(j,b)][(r,s)] is the product of
+    outer L[i][j][r] and inner L[a][b][s], each embedded in the lift's
+    table and multiplied by `Polynomial.__mul__`."""
+    outer, inner, lift = kronecker_lift(name, order)
+    table = lift.param_table
+    assert set(lift.params) == set(outer.params + inner.params)
+    if order == "family" and name in LIFTS:
+        assert lift.params == fresh(name).params
+    m, hin = inner.n, inner.h
+    assert (lift.n, lift.h) == (outer.n * m, outer.h * hin)
+    for i, j, r in ((i, j, r) for i in range(outer.n)
+                    for j in range(outer.n) for r in range(outer.h)):
+        oc = outer.coeff[i][j][r].embed(table)
+        for a, b, s in ((a, b, s) for a in range(m) for b in range(m)
+                        for s in range(hin)):
+            got = lift.coeff[i * m + a][j * m + b][r * hin + s]
+            assert got.table == table
+            assert got == oc * inner.coeff[a][b][s].embed(table)
 
 
 def test_block_lift_of_two_quartics_is_the_basis_route():

@@ -73,6 +73,16 @@ def unit_vector_matrix(cmap, args, slot):
     return [list(row) for row in zip(*columns)]
 
 
+def unit_power(name, values, unit, k):
+    """`unit` composed with itself k times under the family's pair law at
+    `values`: a unit whose coordinates have about k times its digits."""
+    cmap = catalog.family(name, values).pair_map
+    x = unit
+    for _ in range(k - 1):
+        x = cmap.apply((x, unit))
+    return x
+
+
 def composition_map(fam):
     return fam.triple_map() if fam.kind == "triple" else fam.pair_map
 
@@ -448,6 +458,10 @@ class TestGroupLaw:
          "non-unit"),
         ("octic8x8", (0, -5, 0, -3, 0, -14), (4, 2, 2, 1, 14, 7, 8, 4),
          "unit"),
+        # the 200th power of that unit, coordinates of ~470 digits
+        ("octic8x8", (0, -5, 0, -3, 0, -14),
+         unit_power("octic8x8", (0, -5, 0, -3, 0, -14),
+                    (4, 2, 2, 1, 14, 7, 8, 4), 200), "unit"),
     ])
     def test_invert_agrees_with_gauss_jordan(self, name, values, x, outcome):
         cmap = catalog.family(name, values).pair_map

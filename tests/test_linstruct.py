@@ -13,7 +13,7 @@ from matform.linstruct import (
     ParameterCollision,
     _multilinear_coeffs,
 )
-from matform.polyring import PolyMatrix, VarTable
+from matform.polyring import PolyError, PolyMatrix, VarTable
 
 from companion import companion_structure
 from polytools import eval_int, from_json_obj
@@ -174,6 +174,85 @@ class TestPositions:
             LinearStructure.from_matrix(("p", "q"), ("a1", "a2"), entries)
 
 
+def bad_structure(case: str):
+    """The arguments (n, h, params, coeff) of a 2 x 2 structure in p with
+    two coordinates, spoiled as `case` says."""
+    one, p = VarTable(("p",)).one(), VarTable(("p",)).var("p")
+    cells = [[(one, p), (p, one)], [(p, p), (one, one)]]
+    if case == "rows":
+        cells = cells[:1]
+    elif case == "columns":
+        cells = [cells[0][:1], cells[1]]
+    elif case == "cell":
+        cells[1][0] = (p,)
+    elif case == "table":
+        cells[1][1] = (one, VarTable(("q",)).var("q"))
+    return 2, 2, ("p",), cells
+
+
+class TestPublicConstructorsCheckTheirInput:
+    """The constructors that take outside input check every entry; the
+    tables closure and lifting build skip the checks, and still pass
+    them."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("rows", "must be n x n"), ("columns", "must be n x n"),
+        ("cell", "one coefficient per coordinate"),
+        ("table", "over the parameter table")])
+    def test_structure_rejections(self, case, message):
+        # with the "first row" and "one term" cases of TestPositions
+        LinearStructure(*bad_structure("none"))  # unspoiled, accepted
+        with pytest.raises(ValueError, match=message):
+            LinearStructure(*bad_structure(case))
+
+    @pytest.mark.parametrize("k, key, table, message", [
+        (1, (0, (0,)), ("p",), "arity"), (4, (0, (0,) * 4), ("p",), "arity"),
+        (2, (0, (0, 0)), ("q",), "over the parameter table"),
+        (2, (2, (0, 0)), ("p",), "out of range"),
+        (2, (-1, (0, 0)), ("p",), "out of range"),
+        (2, (0, (0,)), ("p",), "out of range"),
+        (2, (0, (0, 2)), ("p",), "out of range")])
+    def test_law_rejections(self, k, key, table, message):
+        c = VarTable(table).var(table[0])
+        with pytest.raises(ValueError, match=message):
+            MultilinearMap(k, 2, ("p",), {key: c})
+
+    def test_law_drops_zero_entries(self):
+        table = VarTable(("p",))
+        law = MultilinearMap(2, 2, ("p",), {(0, (0, 0)): table.var("p"),
+                                            (1, (1, 1)): table.zero()})
+        assert list(law.coeff) == [(0, (0, 0))]
+
+    @pytest.mark.parametrize("sets, names, error", [
+        ((("x1", "x2"),), None, "DimensionMismatch"),
+        ((("x1",), ("y1", "y2")), None, "DimensionMismatch"),
+        ((("x1", "x2"), ("y1", "y2")), ("p", "q", "x1", "x2", "y1"),
+         "UnknownVariable"),
+        ((("x1", "x2"), ("y1", "y2")), ("x1", "x2", "y1", "y2", "p", "q"),
+         "ValueError"),
+        ((("x1", "x2"), ("q", "y2")), ("p", "q", "x1", "x2", "y2"),
+         "ValueError")])
+    def test_forms_rejections(self, sets, names, error):
+        """Wrong coordinate sets, a table without a coordinate name, one
+        that does not list the parameters first, and a coordinate named as
+        a parameter."""
+        law = pell("p", "q").closure(2)
+        table = None if names is None else VarTable(names)
+        with pytest.raises((PolyError, ValueError)) as exc:
+            law.forms(sets, table=table)
+        assert type(exc.value).__name__ == error
+
+    @pytest.mark.parametrize("name", ["quartic4x4", "threefold8x8"])
+    def test_built_tables_pass_the_checks_they_skip(self, name):
+        from matform.catalog import family
+        st = family(name).structure
+        checked = LinearStructure(st.n, st.h, st.params, st.coeff)
+        assert (checked.coeff, checked.divisors) == (st.coeff, st.divisors)
+        for values in (None, (1,) * len(st.params)):
+            law = st.closure(3) if values is None else st.law_at(3, values)
+            assert MultilinearMap(law.k, law.h, law.params, law.coeff) == law
+
+
 class TestExtraction:
     def test_round_trip_through_default_recipe(self):
         st = pell("p", "q")
@@ -298,6 +377,13 @@ class TestBlockLifting:
     def test_parameter_collision_rejected(self):
         with pytest.raises(ParameterCollision):
             pell("p", "q").block_compose(pell("p", "n"))
+
+    @pytest.mark.parametrize("params", [("p", "q", "m"),
+                                        ("p", "q", "m", "m"),
+                                        ("p", "q", "m", "x")])
+    def test_parameter_order_must_permute_both(self, params):
+        with pytest.raises(ValueError, match="permutation of p,q,m,n"):
+            pell("p", "q").block_compose(pell("m", "n"), params)
 
     def test_inner_with_fewer_coordinates_than_columns_is_rejected(self):
         # the lift's first row would hold an inner zero where a coordinate
