@@ -24,7 +24,7 @@ its structure, which `family` calls once per process, on first use.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from operator import index
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -79,7 +79,6 @@ class FormFamily:
         self.param_values = param_values  # integers, from `specialize`
         self._base = base or self
         self._form: Optional[Polynomial] = None  # derived on first use
-        self._own: tuple = ()  # (the own structure,) once derived
         self._laws: Dict[int, MultilinearMap] = {}
 
     # -- basics ----------------------------------------------------------
@@ -110,18 +109,17 @@ class FormFamily:
 
     # -- matrix realization -------------------------------------------------
 
+    @cached_property
     def _own_structure(self) -> Optional[LinearStructure]:
         """The family's structure at this instance's values, derived once;
         None unless it is in the family's own parameters
         (threefold_quadratic's is in (t, b, c))."""
-        if not self._own:
-            st = self._structure
-            if st.params != self.param_names:
-                st = None
-            elif self.param_values is not None:
-                st = st.specialize(self.param_values)
-            self._own = (st,)
-        return self._own[0]
+        st = self._structure
+        if st.params != self.param_names:
+            return None
+        if self.param_values is None:
+            return st
+        return st.specialize(self.param_values)
 
     @property
     def structure(self) -> LinearStructure:
@@ -129,9 +127,8 @@ class FormFamily:
         at these values where every divisor is nonzero there (extraction
         would otherwise divide by zero), else the symbolic family's
         structure (threefold_quadratic's is in t, b, c)."""
-        st = self._own_structure()
-        return st if st is not None and all(st.divisors) \
-            else self._base._structure
+        st = self._own_structure
+        return st if st is not None and all(st.divisors) else self._structure
 
     # -- forms -----------------------------------------------------------
 
@@ -142,7 +139,7 @@ class FormFamily:
         with t^2 read as a, and its numeric one that form at these
         values."""
         if self._form is None:
-            st = self._own_structure()
+            st = self._own_structure
             if st is not None:
                 self._form = st.form(self.coord_names)
             elif self.is_symbolic():
@@ -249,7 +246,7 @@ class FormFamily:
         None where the family has no parameter-free structure at these
         values (threefold_quadratic)."""
         self._check_point(point)
-        st = self._own_structure()
+        st = self._own_structure
         return None if st is None else st.matrix_of(point)
 
     def evaluate(self, point: Sequence[int]) -> int:

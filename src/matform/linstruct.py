@@ -201,14 +201,13 @@ class MultilinearMap:
             if not (0 <= i < h) or len(js) != k or not all(0 <= j < h for j in js):
                 raise ValueError("coefficient index out of range")
             self.coeff[(i, tuple(js))] = c
-        self._ints: Optional[List[Tuple[int, Tuple[int, ...], int]]] = None
 
     @classmethod
     def _own(cls, k, h, table: VarTable, coeff: CoeffTable) -> "MultilinearMap":
         """The map of a table built correct (no zero entry, every key in
         range, every coefficient over `table`), taken as it is, unchecked."""
         law = object.__new__(cls)
-        law.k, law.h, law.param_table, law.coeff, law._ints = k, h, table, coeff, None
+        law.k, law.h, law.param_table, law.coeff = k, h, table, coeff
         return law
 
     @property
@@ -253,17 +252,6 @@ class MultilinearMap:
             table = VarTable(self.params + sum(map(tuple, coord_sets), ()))
         return multilinear_forms(self.coeff, self.params, coord_sets, table)
 
-    def _int_coeffs(self):
-        """(i, js, integer coefficient) triples of a parameter-free map,
-        derived on first use and kept."""
-        if self._ints is None:
-            if self.params:
-                raise ValueError(f"map has parameters {','.join(self.params)}; "
-                                 "specialize it first")
-            self._ints = [(i, js, c.constant_term())
-                          for (i, js), c in self.coeff.items()]
-        return self._ints
-
     def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """Exact output vector at integer arguments (parameter-free maps):
         M @ args[-1] for M = argument_matrix(args, k - 1)."""
@@ -286,7 +274,8 @@ class MultilinearMap:
     def argument_matrix(self, args: Sequence[Optional[Sequence[int]]],
                         slot: int) -> List[List[int]]:
         """Integer matrix M with map(args, with v in `slot`) = M @ v, for a
-        parameter-free map of either arity; args[slot] is not read.  The
+        parameter-free map of either arity (one with parameters raises
+        ValueError: `specialize` it first); args[slot] is not read.  The
         one integer linearization of the law: `apply`, the `solve` step
         and `invert` all read it."""
         if len(args) != self.k:
@@ -299,8 +288,12 @@ class MultilinearMap:
                  for s, a in enumerate(args)]
         if any(len(a) != self.h for a in fixed):
             raise DimensionMismatch(f"argument vectors must have length {self.h}")
+        if self.params:
+            raise ValueError(f"map has parameters {','.join(self.params)}; "
+                             "specialize it first")
         M = [[0] * self.h for _ in range(self.h)]
-        for i, js, v in self._int_coeffs():
+        for (i, js), c in self.coeff.items():
+            v = c.constant_term()
             for a, j in zip(fixed, js):
                 v *= a[j]
             M[i][js[slot]] += v
@@ -343,7 +336,6 @@ class LinearStructure:
     def _set(self, n, h, table, coeff, factors=None) -> "LinearStructure":
         self.n, self.h, self.param_table, self.coeff = n, h, table, coeff
         self.divisors = tuple(coeff[0][t][t] for t in range(h))
-        self._form_cache: Dict[Tuple[str, ...], Polynomial] = {}
         self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
         # (outer, inner) where block_compose built this structure
@@ -432,17 +424,8 @@ class LinearStructure:
                 for row in self._cells]
 
     def form(self, coord_names: Sequence[str]) -> Polynomial:
-        """det(A(coord_names)): the degree-n form carried by the family.
-
-        Cached per coordinate tuple; the symbolic determinants of the larger
-        families are expensive and requested repeatedly.
-        """
-        key = tuple(coord_names)
-        got = self._form_cache.get(key)
-        if got is None:
-            got = self.instantiate(key).determinant()
-            self._form_cache[key] = got
-        return got
+        """det(A(coord_names)): the degree-n form carried by the family."""
+        return self.instantiate(coord_names).determinant()
 
     def _mapped(self, table: VarTable, fn,
                 factors: Optional[tuple] = None) -> "LinearStructure":
@@ -524,9 +507,10 @@ class LinearStructure:
         return self._closure(3)
 
     def _closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """The closure result of `order` factors, cached per order:
-        deriving a family's law and proving its identity by the matrix
-        route both need the same one."""
+        """The closure result of `order` factors, cached per order: each
+        further specialization of a family (`law_at`) re-reads the symbolic
+        closure of its structure, or of a lift's factors, and `closure`
+        returns the same object every time."""
         if order not in self._closure_cache:
             self._closure_cache[order] = self._decide(order)
         return self._closure_cache[order]

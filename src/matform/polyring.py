@@ -78,9 +78,6 @@ class VarTable:
     def __eq__(self, other) -> bool:
         return isinstance(other, VarTable) and self.names == other.names
 
-    def __hash__(self) -> int:
-        return hash(self.names)
-
     def __repr__(self) -> str:
         return f"VarTable({list(self.names)!r})"
 
@@ -126,26 +123,21 @@ def _exponents(m: Iterable[int], width: int) -> Monomial:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact integer coefficients.
+    """Immutable sparse polynomial with exact integer coefficients."""
 
-    `terms` is never mutated after construction, so data derived from it
-    (the sparse term list `eval_vector` uses) is cached per polynomial.
-    """
-
-    __slots__ = ("table", "terms", "_sparse")
+    __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int]):
         checked = [(_exponents(m, len(table)), c) for m, c in terms.items()]
         self.table = table
         self.terms: Dict[Monomial, int] = {m: c for m, c in checked if c}
-        self._sparse = None
 
     @classmethod
     def _own(cls, table: VarTable, terms: Dict[Monomial, int]) -> "Polynomial":
         """Wrap a dict that already holds no zero coefficient; the new
         polynomial takes ownership of it (no copy, no zero filter)."""
         poly = object.__new__(cls)
-        poly.table, poly.terms, poly._sparse = table, terms, None
+        poly.table, poly.terms = table, terms
         return poly
 
     # -- basics ---------------------------------------------------------
@@ -169,9 +161,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.table == other.table and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.table, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -317,20 +306,12 @@ class Polynomial:
         """Exact value given one integer per table variable, in order."""
         if len(values) != len(self.table):
             raise UnassignedVariable("point length != table size")
-        if self._sparse is None:
-            self._sparse = _sparse_terms(self.terms, len(self.table))
-        top, sparse = self._sparse
-        powers: List[List[int]] = []
-        for x, e_max in zip(values, top):
-            row = [1]
-            for _ in range(e_max):
-                row.append(row[-1] * x)
-            powers.append(row)
         total = 0
-        for v, factors in sparse:
-            for i, e in factors:
-                v *= powers[i][e]
-            total += v
+        for m, c in self.terms.items():
+            for x, e in zip(values, m):
+                if e:
+                    c *= x ** e
+            total += c
         return total
 
     # -- printing and JSON ------------------------------------------------
@@ -413,20 +394,6 @@ def write_chunks(out: TextIO, pieces: Iterable[str]) -> None:
     out.write("".join(chunk))
 
 
-def _sparse_terms(terms: Mapping[Monomial, int], width: int):
-    """(largest exponent per variable, [(c, ((i, e), ...)), ...]) with only
-    the nonzero exponents listed: the form `eval_vector` walks."""
-    top = [0] * width
-    sparse = []
-    for m, c in terms.items():
-        factors = tuple((i, e) for i, e in enumerate(m) if e)
-        for i, e in factors:
-            if e > top[i]:
-                top[i] = e
-        sparse.append((c, factors))
-    return top, sparse
-
-
 def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
               scale: int = 1) -> Dict[Monomial, int]:
     """out += scale * terms, in place and returned; keeps `out` free of
@@ -442,14 +409,12 @@ def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
 
 
 def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
-              b: Mapping[Monomial, int], scale: int = 1) -> Dict[Monomial, int]:
-    """out += scale * a * b, in place and returned; keeps `out` free of
-    zeros."""
+              b: Mapping[Monomial, int]) -> Dict[Monomial, int]:
+    """out += a * b, in place and returned; keeps `out` free of zeros."""
     if len(a) > len(b):
         a, b = b, a
     get = out.get
     for m1, c1 in a.items():
-        c1 *= scale
         for m2, c2 in b.items():
             m = tuple(map(int.__add__, m1, m2))
             s = get(m, 0) + c1 * c2

@@ -83,8 +83,7 @@ def test_criterion_2_threefold_suite():
 def test_criterion_3_form_cross_checks():
     """Printed quartic == determinant; sextic has 11926 terms; the circulant
     determinant splits into its quadratic and quartic factors."""
-    quartic = family("quartic4x4")
-    det = quartic.structure.form(quartic.coord_names)
+    det = family("quartic4x4").form
     printed = paper.printed_form("quartic4x4")
     if printed.table != det.table:
         printed = printed.embed(det.table)

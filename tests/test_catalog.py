@@ -159,8 +159,7 @@ class TestTranscribedAgainstDerived:
 
     @pytest.mark.parametrize("name", paper.PRINTED_FAMILIES)
     def test_printed_form_equals_determinant(self, name):
-        fam = family(name)
-        det = fam.structure.form(fam.coord_names)
+        det = family(name).form
         printed = paper.printed_form(name)
         if printed.table != det.table:
             printed = printed.embed(det.table)
@@ -195,6 +194,27 @@ class TestTranscribedAgainstDerived:
         assert fam.evaluate((1, 0, 0, 0)) == 1
         assert fam.evaluate((6, 2, 3, 1)) == 1
         assert fam.evaluate((0, 1, 0, 0)) == (-23) ** 2  # n^2 coefficient slot
+
+
+class TestFormIsDerivedOnce:
+    @pytest.mark.parametrize("name, values", [
+        ("quartic4x4", None), ("quartic4x4", (5, -23, 2, -7)),
+        ("threefold_quadratic", (1, 0, -2))])
+    def test_second_read_takes_no_determinant(self, monkeypatch, name,
+                                              values):
+        # a fresh registry, so no earlier test has derived the form
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        fam = family(name, values)
+        dets = []
+        determinant = PolyMatrix.determinant
+
+        def counting(self):
+            dets.append(self)
+            return determinant(self)
+        monkeypatch.setattr(PolyMatrix, "determinant", counting)
+        first = fam.form
+        assert fam.form is first
+        assert len(dets) <= 1
 
 
 class TestEvaluation:

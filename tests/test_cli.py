@@ -255,8 +255,8 @@ class TestVerifyWithoutDeterminant:
         ("--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1"),
     ])
     def test_no_determinant(self, capsys, monkeypatch, argv):
-        # both form accessors are counted too: their caches would hide a
-        # determinant that an earlier test already computed
+        # both form accessors are counted too: the family's form cache
+        # would hide a determinant that an earlier test already computed
         calls = []
 
         def counting(name, fn):

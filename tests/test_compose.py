@@ -16,7 +16,7 @@ from matform.compose import (
     invert,
     verify_identity,
 )
-from matform.polyring import Polynomial, VarTable
+from matform.polyring import VarTable
 
 import paper
 from companion import companion_family
@@ -190,23 +190,19 @@ class TestMultilinearMap:
         assert cmap.argument_matrix(((1, 0, 0), (3, 2)), 0) == \
             cmap.argument_matrix((None, (3, 2)), 0)
 
-    def test_integer_terms_are_derived_once(self, monkeypatch):
-        cmap = catalog.family("quartic4x4", (5, -23, 2, -7)).pair_map
-        x, y = (6, 2, 3, 1), (352, 121, 192, 66)
-        first = cmap.apply((x, y))
-        calls = []
-        constant_term = Polynomial.constant_term
-
-        def counting(self):
-            calls.append(self)
-            return constant_term(self)
-        monkeypatch.setattr(Polynomial, "constant_term", counting)
-        for _ in range(100):
-            assert cmap.apply((x, y)) == first
-        cmap.argument_matrix((x, None), 1)
-        cmap.argument_matrix((None, y), 0)
-        assert invert(cmap, x) == (32, -4, -8, 1)
-        assert calls == []
+    @pytest.mark.parametrize("name, k", [("quad2x2", 2), ("quartic4x4", 2),
+                                         ("threefold_quadratic", 3)])
+    def test_map_with_parameters_must_be_specialized(self, name, k):
+        fam = catalog.family(name)
+        cmap = fam.triple_map() if k == 3 else fam.pair_map
+        args = [(1,) * cmap.h] * k
+        with pytest.raises(ValueError, match="specialize it first"):
+            cmap.argument_matrix(args[:-1] + [None], k - 1)
+        with pytest.raises(ValueError, match="specialize it first"):
+            cmap.apply(args)
+        if k == 2:
+            with pytest.raises(ValueError, match="specialize it first"):
+                invert(cmap, args[0])
 
 
 class TestVerifyIdentity:
