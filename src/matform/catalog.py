@@ -61,23 +61,22 @@ class FormFamily:
     (each with t^2 read as a for threefold_quadratic).  A numeric family
     owns everything that depends on its parameter values (structure, form
     and laws, each derived on first use and kept); its laws and form
-    equal the symbolic ones specialized, a lift's law computed
-    factor-first (`LinearStructure.law_at`).  The integer A(point) of
+    equal the symbolic ones specialized.  Its law is the closure of the
+    structure `closure --params` prints, for a lift the Kronecker product
+    of its factors' laws at their values.  The integer A(point) of
     `matrix` is the parameter-free structure's `matrix_of`.
     """
 
     def __init__(self, name: str, kind: str,
                  param_names: Sequence[str], coord_names: Sequence[str],
                  structure: LinearStructure,
-                 param_values: Optional[Tuple[int, ...]] = None,
-                 base: Optional["FormFamily"] = None):
+                 param_values: Optional[Tuple[int, ...]] = None):
         self.name = name
         self.kind = kind
         self.param_names = tuple(param_names)
         self.coord_names = tuple(coord_names)
         self._structure = structure
         self.param_values = param_values  # integers, from `specialize`
-        self._base = base or self
         self._form: Optional[Polynomial] = None  # derived on first use
         self._laws: Dict[int, MultilinearMap] = {}
 
@@ -105,7 +104,7 @@ class FormFamily:
                 f"{self.name} takes {self.arity} parameters, got {len(values)}")
         return FormFamily(
             self.name, self.kind, self.param_names, self.coord_names,
-            structure=self._structure, param_values=values, base=self._base)
+            structure=self._structure, param_values=values)
 
     # -- matrix realization -------------------------------------------------
 
@@ -123,10 +122,11 @@ class FormFamily:
 
     @property
     def structure(self) -> LinearStructure:
-        """The matrix realization for closure: the family's own structure
-        at these values where every divisor is nonzero there (extraction
-        would otherwise divide by zero), else the symbolic family's
-        structure (threefold_quadratic's is in t, b, c)."""
+        """The matrix realization for closure, the structure whose closure
+        is the family's law: the family's own structure at these values
+        where every divisor is nonzero there (extraction would otherwise
+        divide by zero), else the symbolic family's structure
+        (threefold_quadratic's is in t, b, c)."""
         st = self._own_structure
         return st if st is not None and all(st.divisors) else self._structure
 
@@ -142,12 +142,11 @@ class FormFamily:
             st = self._own_structure
             if st is not None:
                 self._form = st.form(self.coord_names)
-            elif self.is_symbolic():
-                self._form = _t_squared_as_a(
+            else:
+                form = _t_squared_as_a(
                     -self._structure.form(self.coord_names),
                     VarTable(self.param_names + self.coord_names))
-            else:
-                self._form = self._base.form.specialize(
+                self._form = form if self.is_symbolic() else form.specialize(
                     dict(zip(self.param_names, self.param_values)))
         return self._form
 
@@ -162,32 +161,29 @@ class FormFamily:
 
     def _law(self, k: int) -> MultilinearMap:
         """The law of arity k (2 or 3), derived on first use and kept: the
-        closure of the family's structure.  That is the object the
-        structure's closure cache holds where the structure is in the
-        family's own parameters; threefold_quadratic's is in (t, b, c),
-        and its closure with t^2 read as a is psi.  A numeric family's law
-        equals the symbolic family's law specialized; where the structure
-        is in the family's own parameters it is computed factor-first,
-        `LinearStructure.law_at`, and a lift's symbolic law is not built."""
+        closure of `structure`, the very object its closure cache holds,
+        read further in two cases.  threefold_quadratic's structure is in
+        (t, b, c), and its closure with t^2 read as a is psi.  Where a
+        numeric family's structure still has parameters
+        (threefold_quadratic, and values at which a divisor is 0), its law
+        is that closure specialized; at any other values no symbolic law
+        is built."""
         law = self._laws.get(k)
-        st = self._structure
-        if law is None and not self.is_symbolic() \
-                and st.params != self.param_names:
-            law = self._base._law(k).specialize(self.param_values)
-        elif law is None:
+        if law is None:
             word = {2: "bilinear", 3: "trilinear"}[k]
             if k == 2 and self.kind == "triple":
                 raise PolyError(f"{self.name} has no {word} composition map")
-            law = st.closure(k) if self.is_symbolic() \
-                else st.law_at(k, self.param_values)
+            law = self.structure.closure(k)
             if isinstance(law, NotClosed):
                 raise PolyError(f"{self.name} {word} closure failed unexpectedly")
-            if st.params != self.param_names:
+            if self._own_structure is None:
                 table = VarTable(self.param_names)
                 law = MultilinearMap(k, law.h, table.names, {
                     key: _t_squared_as_a(c, table)
                     for key, c in law.coeff.items()})
-        self._laws[k] = law
+            if law.params and not self.is_symbolic():
+                law = law.specialize(self.param_values)
+            self._laws[k] = law
         return law
 
     @property

@@ -16,10 +16,11 @@ c_rsu^t = sum_v c_rs^v c_vu^t; a structure closed only for triples has its
 products (E_r E_s) E_u read the same way.  A block lift keeps its two
 factors: its basis is E_r (x) F_s, so where both factors close its table is
 the Kronecker product of theirs, c_(r,s)(r',s')^(t,u) = c_rr'^t c'_ss'^u
-(and likewise for triples), and no product of its own basis is taken;
-at integer parameter values (`law_at`) the same product is taken of the
-factors' laws at their own values.  Every product, division and
-entrywise check is exact over the parameters, never sampled.
+(and likewise for triples), and no product of its own basis is taken.
+A lift specialized at integer values keeps its factors at their own
+values, so its law there is the same product of their laws at those
+values.  Every product, division and entrywise check is exact over the
+parameters, never sampled.
 """
 
 from __future__ import annotations
@@ -437,13 +438,18 @@ class LinearStructure:
                   for row in self.coeff), factors)
 
     def specialize(self, param_values: Sequence[int]) -> "LinearStructure":
-        """Substitute integer values for all parameters (result has none,
-        and no factors: its closure is read off its basis products)."""
+        """Substitute integer values for all parameters (result has none);
+        a lift keeps its factors, each specialized at its own values, so
+        its closure is still their laws' Kronecker product."""
         if len(param_values) != len(self.params):
             raise ValueError(f"expected {len(self.params)} parameter values")
         pv = [index(v) for v in param_values]
+        at = dict(zip(self.params, pv))
         empty = VarTable(())
-        return self._mapped(empty, lambda c: empty.const(c.eval_vector(pv)))
+        return self._mapped(empty, lambda c: empty.const(c.eval_vector(pv)),
+                            self._factors and tuple(
+                                f.specialize([at[p] for p in f.params])
+                                for f in self._factors))
 
     def rename_params(self, mapping: Dict[str, str]) -> "LinearStructure":
         """Same structure with parameters renamed, a lift's factors too."""
@@ -507,10 +513,10 @@ class LinearStructure:
         return self._closure(3)
 
     def _closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """The closure result of `order` factors, cached per order: each
-        further specialization of a family (`law_at`) re-reads the symbolic
-        closure of its structure, or of a lift's factors, and `closure`
-        returns the same object every time."""
+        """The closure result of `order` factors, decided once per order
+        and kept so that `closure` returns one object every time: a
+        family's law is the very object its structure's closure returns.
+        No command reads it twice."""
         if order not in self._closure_cache:
             self._closure_cache[order] = self._decide(order)
         return self._closure_cache[order]
@@ -551,31 +557,15 @@ class LinearStructure:
             return NotClosed(order=order, witness=got)
         return MultilinearMap._own(order, self.h, self.param_table, got)
 
-    def law_at(self, order: int, values: Sequence[int]
-               ) -> Union[MultilinearMap, NotClosed]:
-        """The closure of `order` factors at integer parameter values:
-        closure(order).specialize(values), or its NotClosed.  A lift whose
-        factors close is the Kronecker product of their laws at their own
-        values, so no symbolic law of the lift is built; any other
-        structure specializes its (cached) closure."""
-        if self._factors is not None:
-            laws = [f.law_at(order, [values[self.params.index(p)]
-                                     for p in f.params])
-                    for f in self._factors]
-            if all(isinstance(law, MultilinearMap) for law in laws):
-                return self._tensor(*laws)
-        law = self._closure(order)
-        return law if isinstance(law, NotClosed) else law.specialize(values)
-
     def _tensor(self, outer: MultilinearMap,
                 inner: MultilinearMap) -> MultilinearMap:
         """The lift's law from its factors' laws of one arity:
         E_r E_r' [E_r''] (x) F_s F_s' [F_s''] = sum c_rr'[r'']^t
         c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u), over
-        the lift's parameters, or none where both laws are at integer
-        values.  The factors' parameters are disjoint, so no two monomials
-        of a product merge (`_kron_terms`), and c(v) c'(v) is c c' at v."""
-        table = VarTable(self.params if outer.params or inner.params else ())
+        the lift's parameters (none for a specialized lift, whose factors'
+        laws are at its values).  The factors' parameters are disjoint, so
+        no two monomials of a product merge (`_kron_terms`)."""
+        table = self.param_table
         order = _reorder(outer.params + inner.params, table.names)
         hin = inner.h
         a = [(t * hin, [j * hin for j in js], c.terms)

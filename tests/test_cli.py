@@ -572,20 +572,21 @@ THREEFOLD8 = ("--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1")
 
 
 class TestRunPathBuildsNoSymbolicLiftLaw:
-    """A numeric lift's law is its factors' laws at its values, multiplied
-    (`LinearStructure.law_at`): solve, invert and numeric verify decide the
-    closure of no lift, at any level, symbolically.  Symbolic verify and
-    closure still decide the lift's own."""
+    """A numeric lift's law is the closure of the lift specialized at its
+    values, which keeps its factors at those values and multiplies their
+    laws: solve, invert and numeric verify decide the closure of no
+    symbolic lift, at any level.  Symbolic verify and closure still decide
+    the lift's own, and so do values where a divisor vanishes."""
 
     def decided(self, capsys, monkeypatch, argv):
-        """The lifts whose closure `argv` decided, as (lift, order);
-        no family or closure is cached beforehand."""
+        """The symbolic lifts whose closure `argv` decided, as (lift,
+        order); no family or closure is cached beforehand."""
         monkeypatch.setattr(catalog, "_SYMBOLIC", {})
         calls = []
         decide = LinearStructure._decide
 
         def spy(self, order):
-            if self._factors is not None:
+            if self._factors is not None and self.params:
                 calls.append((self, order))
             return decide(self, order)
         monkeypatch.setattr(LinearStructure, "_decide", spy)
@@ -604,18 +605,29 @@ class TestRunPathBuildsNoSymbolicLiftLaw:
         ("solve", *THREEFOLD4, "--seed", "21,8,33,13", "--step",
          "21,8,33,13", "--fixed", "1,0,0,0", "--count", "3"),
         ("verify", *THREEFOLD4),
-        # every divisor of the lift vanishes at s = t = 0
-        ("verify", "--family", "threefold4x4", "--params=0,1,0,2,0,0"),
         ("solve", *THREEFOLD8, "--seed", "2,6,1,3,7,21,4,12", "--step",
          "2,6,1,3,7,21,4,12", "--fixed", "1,0,0,0,0,0,0,0", "--count", "3"),
         ("verify", *THREEFOLD8),
     ], ids=["solve-quartic4x4", "invert-quartic4x4", "verify-quartic4x4",
             "solve-octic8x8", "invert-octic8x8", "verify-octic8x8",
-            "solve-threefold4x4", "verify-threefold4x4",
-            "verify-threefold4x4-zero-divisors", "solve-threefold8x8",
+            "solve-threefold4x4", "verify-threefold4x4", "solve-threefold8x8",
             "verify-threefold8x8"])
     def test_numeric_commands_decide_no_lift(self, capsys, monkeypatch, argv):
         assert self.decided(capsys, monkeypatch, argv) == []
+
+    def test_zero_divisors_specialize_the_symbolic_closure(self, capsys,
+                                                           monkeypatch):
+        """Every divisor of the lift vanishes at s = t = 0, so the family's
+        structure there is the symbolic one: its law is the symbolic
+        closure, specialized."""
+        values = (0, 1, 0, 2, 0, 0)
+        calls = self.decided(capsys, monkeypatch, (
+            "verify", "--family", "threefold4x4",
+            "--params=" + ",".join(map(str, values))))
+        symbolic = catalog.family("threefold4x4")._structure
+        assert (symbolic, 3) in calls
+        assert catalog.family("threefold4x4", values).triple_map() == \
+            symbolic.closure(3).specialize(values)
 
     @pytest.mark.parametrize("name", ["quartic4x4", "octic8x8",
                                       "threefold4x4", "threefold8x8"])

@@ -16,6 +16,8 @@ import pytest
 from matform import catalog, compose, dioph
 from matform.cli import main
 
+from polytools import from_json_obj
+
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 
@@ -61,3 +63,35 @@ def test_proofs_expand_nothing(capsys, monkeypatch, argv):
     code = main(argv.split(" "))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert [code, digest] == GOLDEN[argv]
+
+
+def _numeric_family(words):
+    """The family a numeric argv names, at its --params values, or None."""
+    params = next((w for w in words if w.startswith("--params=")), None)
+    return params and catalog.family(
+        words[words.index("--family") + 1],
+        [int(v) for v in params[len("--params="):].split(",")])
+
+
+def _prints_its_own_numeric_law(argv: str) -> bool:
+    """A numeric `closure --format json` argv that closes and prints the
+    closure of the family's own structure at its values: not
+    threefold_quadratic's (in t, b, c) and not the symbolic one where a
+    divisor vanishes."""
+    words = argv.split(" ")
+    fam = words[0] == "closure" and "json" in words and _numeric_family(words)
+    return bool(fam) and GOLDEN[argv][0] == 0 and \
+        fam.structure is fam._own_structure
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN
+                                  if _prints_its_own_numeric_law(a)])
+def test_numeric_closure_prints_the_law_solve_steps_by(capsys, argv):
+    """The outputs `closure --params` prints are the forms of the family's
+    own law at those values, the law `solve`, `invert` and `verify` use."""
+    words = argv.split(" ")
+    assert main(words) == 0
+    printed = json.loads(capsys.readouterr().out)["outputs"]
+    fam = _numeric_family(words)
+    law = fam.pair_map if "pair" in words else fam.triple_map()
+    assert [from_json_obj(obj) for obj in printed] == law.forms(law.coord_sets)

@@ -294,13 +294,19 @@ def test_lift_of_a_factor_not_closed_keeps_the_witness(name):
     assert got == basis_route(st).closure(2)
 
 
+@pytest.mark.parametrize("label", ["symbolic", "golden"])
 @pytest.mark.parametrize("name,order", [
     (name, order) for name in LIFTS for order in (2, 3)
     if order == 3 or not name.startswith("threefold")])
-def test_closed_lift_takes_no_product_of_its_own_basis(name, order, monkeypatch):
+def test_closed_lift_takes_no_product_of_its_own_basis(name, order, label,
+                                                       monkeypatch):
     """Where both factors close, the lift multiplies no n x n matrices:
-    only its factors' smaller bases are multiplied out."""
+    only its factors' smaller bases are multiplied out.  A lift
+    specialized at integer values keeps its factors at their values, so
+    its law is built the same way."""
     st = fresh(name)
+    if label == "golden":
+        st = st.specialize(GOLDEN_VALUES[name])
     sizes = []
     product = linstruct._sparse_product
 
@@ -313,9 +319,9 @@ def test_closed_lift_takes_no_product_of_its_own_basis(name, order, monkeypatch)
 
 
 def test_renamed_and_reordered_lift_keeps_its_factors():
-    """`rename_params` renames the factors with the lift, and a lift built
-    in another parameter order (`block_compose(inner, params)`) keeps
-    them; `specialize` drops them."""
+    """`rename_params` renames the factors with the lift, a lift built in
+    another parameter order (`block_compose(inner, params)`) keeps them,
+    and `specialize` keeps them, each specialized at its own values."""
     st = fresh("octic8x8").rename_params({"p": "P", "m": "M"})
     assert st._factors is not None
     assert {p for f in st._factors for p in f.params} == set(st.params)
@@ -323,9 +329,13 @@ def test_renamed_and_reordered_lift_keeps_its_factors():
     reordered = outer.block_compose(inner, sorted(st.params))
     assert reordered.params == tuple(sorted(st.params))
     assert reordered._factors[0] is outer and reordered._factors[1] is inner
-    for lift in (st, reordered):
+    values = (1, -2, 3, 1, 0, -1)
+    at = dict(zip(st.params, values))
+    numeric = st.specialize(values)
+    assert [f.coeff for f in numeric._factors] == \
+        [f.specialize([at[p] for p in f.params]).coeff for f in st._factors]
+    for lift in (st, reordered, numeric):
         assert lift.closure(2) == basis_route(lift).closure(2)
-    assert st.specialize((1, -2, 3, 1, 0, -1))._factors is None
 
 
 def kronecker_lift(name: str, order: str):
@@ -423,10 +433,14 @@ def test_numeric_lift_law_at_random_values(name, order, data):
 
 @pytest.mark.parametrize("name", ["threefold4x4", "threefold8x8"])
 def test_numeric_law_of_a_lift_whose_factor_does_not_close(name):
-    """A trace-free factor does not close pairwise: the lift's law at
-    integer values is its own closure's, here the same witness."""
-    lift = fresh(name)
-    assert lift.law_at(2, GOLDEN_VALUES[name]) == lift.closure(2)
+    """A trace-free factor does not close pairwise, at integer values
+    either: the specialized lift takes its own basis route, and its
+    witness is the one read off its basis products at those values."""
+    lift = fresh(name).specialize(GOLDEN_VALUES[name])
+    assert any(isinstance(f.closure(2), NotClosed) for f in lift._factors)
+    got = lift.closure(2)
+    assert isinstance(got, NotClosed)
+    assert got == basis_route(lift).closure(2)
 
 
 @pytest.mark.parametrize("inner_values", [(5, -23, 2, -7), (1, -2, 3, 0)])
@@ -436,7 +450,8 @@ def test_block_lift_of_two_quartics_pair_law_at_values(inner_values):
     integer values, factor-first, is its symbolic pair law specialized."""
     lifted = fresh("quartic4x4").block_compose(renamed_quartic())
     values = (5, -23, 2, -7) + inner_values
-    assert lifted.law_at(2, values) == lifted.closure(2).specialize(values)
+    assert lifted.specialize(values).closure(2) == \
+        lifted.closure(2).specialize(values)
 
 
 # -- sympy as an independent multiplier --------------------------------------

@@ -249,7 +249,7 @@ class TestPublicConstructorsCheckTheirInput:
         checked = LinearStructure(st.n, st.h, st.params, st.coeff)
         assert (checked.coeff, checked.divisors) == (st.coeff, st.divisors)
         for values in (None, (1,) * len(st.params)):
-            law = st.closure(3) if values is None else st.law_at(3, values)
+            law = (st if values is None else st.specialize(values)).closure(3)
             assert MultilinearMap(law.k, law.h, law.params, law.coeff) == law
 
 
