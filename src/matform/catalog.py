@@ -160,11 +160,11 @@ class FormFamily:
     # -- maps --------------------------------------------------------------
 
     def _law(self, k: int) -> MultilinearMap:
-        """The law of arity k (2 or 3), derived on first use and kept: the
-        closure of `structure`, the very object its closure cache holds,
-        read further in two cases.  threefold_quadratic's structure is in
-        (t, b, c), and its closure with t^2 read as a is psi.  Where a
-        numeric family's structure still has parameters
+        """The law of arity k (2 or 3), derived on first use and kept here,
+        its one cache (a structure keeps no closure): the closure of
+        `structure`, read further in two cases.  threefold_quadratic's
+        structure is in (t, b, c), and its closure with t^2 read as a is
+        psi.  Where a numeric family's structure still has parameters
         (threefold_quadratic, and values at which a divisor is 0), its law
         is that closure specialized; at any other values no symbolic law
         is built."""

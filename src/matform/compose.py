@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 # the law and its error are defined in linstruct and re-exported here
 from .linstruct import DimensionMismatch, MultilinearMap
-from .polyring import PolyError, Polynomial, VarTable, bareiss, no_int_str_limit
+from .polyring import PolyError, Polynomial, bareiss, no_int_str_limit
 
 
 class NotAUnit(PolyError):
@@ -55,16 +55,16 @@ def verify_identity(form: Polynomial, cmap: MultilinearMap,
     """Decide whether f(x)f(y)[f(z)] == f(map(x,y[,z])) identically by
     expanding the residual f(x)f(y)[f(z)] - f(map(x,y[,z])) termwise.
     Returns ZeroResidual("expand", ...) where it is zero, else the
-    residual, a polynomial in the map's parameters and the coordinates
-    prefixed x_, y_[, z_]."""
+    residual, a polynomial over the table of the map's forms in the
+    coordinates prefixed x_, y_[, z_]: its parameters, then those."""
     prefixes = ("x", "y", "z")[:cmap.k]
     coord_sets = [tuple(f"{p}_{name}" for name in coord_names) for p in prefixes]
-    table = VarTable(cmap.params + sum(coord_sets, ()))
+    outputs = cmap.forms(coord_sets)
+    table = outputs[0].table  # the map's parameters, then the coordinates
     product = table.one()
     for cs in coord_sets:
         product = product * form.substitute(
             {name: table.var(alias) for name, alias in zip(coord_names, cs)})
-    outputs = cmap.forms(coord_sets, table=table)
     residual = product - form.substitute(
         {name: out for name, out in zip(coord_names, outputs)})
     if not residual.is_zero():

@@ -77,18 +77,17 @@ Sparse = List[Dict[int, Dict[int, int]]]  # row i: {column: packed entry}
 
 
 def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
-                      coord_sets: Sequence[Sequence[str]],
-                      table: VarTable) -> List[Polynomial]:
-    """[w_1..w_h] over `table`, with w_t the sum of c * s1[r] * s2[s] ...
-    over the entries ((t, (r, s, ...)), c) of a coefficient table whose
-    c's are polynomials over `params`; `table` lists the parameters, then
-    the names of the coordinate sets s1, s2, ..., so a term's exponents are
-    its parameter monomial followed by its entry's coordinate suffix."""
-    width = len(params)
+                      coord_sets: Sequence[Sequence[str]]) -> List[Polynomial]:
+    """[w_1..w_h], with w_t the sum of c * s1[r] * s2[s] ... over the
+    entries ((t, (r, s, ...)), c) of a coefficient table whose c's are
+    polynomials over `params`, over the one table of a law's forms: the
+    parameters, then the names of the coordinate sets s1, s2, ... (a name
+    repeated raises ValueError), so a term's exponents are its parameter
+    monomial followed by its entry's coordinate suffix."""
+    names = sum(map(tuple, coord_sets), ())
+    table, width = VarTable(tuple(params) + names), len(params)
     cpos = [[table.index(name) - width for name in cs] for cs in coord_sets]
-    if table.names[:width] != tuple(params) or min(sum(cpos, []), default=0) < 0:
-        raise ValueError("the table must list the parameters, then the coordinates")
-    blank, suffixes = [0] * (len(table) - width), {}  # js -> its suffix
+    blank, suffixes = [0] * len(names), {}  # js -> its suffix
     out: List[Terms] = [{} for _ in coord_sets[0]]
     for (t, js), c in coeff.items():
         suffix = suffixes.get(js)
@@ -242,16 +241,14 @@ class MultilinearMap:
                  for js, c in _multilinear_coeffs(form, ptable, coord_sets).items()}
         return cls(k, h, params, coeff)
 
-    def forms(self, coord_sets: Sequence[Sequence[str]],
-              table: Optional[VarTable] = None) -> List[Polynomial]:
-        """Output polynomials over params + the given coordinate sets."""
+    def forms(self, coord_sets: Sequence[Sequence[str]]) -> List[Polynomial]:
+        """Output polynomials over params + the given coordinate sets (a
+        caller that needs them over a larger table embeds them)."""
         if len(coord_sets) != self.k:
             raise DimensionMismatch(f"need {self.k} coordinate sets")
         if any(len(cs) != self.h for cs in coord_sets):
             raise DimensionMismatch(f"coordinate sets must have length {self.h}")
-        if table is None:
-            table = VarTable(self.params + sum(map(tuple, coord_sets), ()))
-        return multilinear_forms(self.coeff, self.params, coord_sets, table)
+        return multilinear_forms(self.coeff, self.params, coord_sets)
 
     def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """Exact output vector at integer arguments (parameter-free maps):
@@ -337,7 +334,6 @@ class LinearStructure:
     def _set(self, n, h, table, coeff, factors=None) -> "LinearStructure":
         self.n, self.h, self.param_table, self.coeff = n, h, table, coeff
         self.divisors = tuple(coeff[0][t][t] for t in range(h))
-        self._closure_cache: Dict[int, Union[MultilinearMap, NotClosed]] = {}
         self._cells: Optional[list] = None  # kept by matrix_of
         # (outer, inner) where block_compose built this structure
         self._factors: Optional[Tuple[LinearStructure, LinearStructure]] = factors
@@ -371,13 +367,9 @@ class LinearStructure:
 
     # -- instantiation ----------------------------------------------------
 
-    def instantiate(self, coord_names: Sequence[str],
-                    table: Optional[VarTable] = None) -> PolyMatrix:
-        """The matrix A(coord_names) over params + coord_names.
-
-        `table` may supply a larger shared VarTable (it must contain all
-        parameters and coordinate names).
-        """
+    def instantiate(self, coord_names: Sequence[str]) -> PolyMatrix:
+        """The matrix A(coord_names) over params + coord_names (a caller
+        that multiplies it by another matrix embeds both in one table)."""
         coord_names = tuple(coord_names)
         if len(coord_names) != self.h:
             raise ValueError(f"expected {self.h} coordinate names")
@@ -385,8 +377,7 @@ class LinearStructure:
             raise NameCollision("coordinate names must be distinct")
         if set(coord_names) & set(self.params):
             raise NameCollision("coordinate names collide with parameters")
-        if table is None:
-            table = VarTable(self.params + coord_names)
+        table = VarTable(self.params + coord_names)
         flat = [entry for _, entry in
                 self._combine(table, [table.var(c) for c in coord_names])]
         return PolyMatrix([flat[i * self.n:(i + 1) * self.n]
@@ -504,34 +495,26 @@ class LinearStructure:
     def verify_pair_closure(self) -> Union[MultilinearMap, NotClosed]:
         """closure(2): the bilinear law z = map(x, y) with A(x) A(y) = A(z),
         its coefficients the pair structure constants, or NotClosed."""
-        return self._closure(2)
+        return self._decide(2)
 
     def verify_triple_closure(self) -> Union[MultilinearMap, NotClosed]:
         """closure(3): the trilinear law w = map(x, y, z) with A(x) A(y) A(z)
         = A(w), its coefficients the triple structure constants, or
         NotClosed."""
-        return self._closure(3)
-
-    def _closure(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """The closure result of `order` factors, decided once per order
-        and kept so that `closure` returns one object every time: a
-        family's law is the very object its structure's closure returns.
-        No command reads it twice."""
-        if order not in self._closure_cache:
-            self._closure_cache[order] = self._decide(order)
-        return self._closure_cache[order]
+        return self._decide(3)
 
     def _decide(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """Closure of `order` factors: a lift of two factors that close is
-        their laws' Kronecker product, the triple table of a closed pair
-        table is its contraction, any other table is read off the basis
-        products E_r E_s [E_u]."""
+        """Closure of `order` factors, decided anew on every call (the
+        family that reads it keeps its law, `FormFamily._laws`): a lift of
+        two factors that close is their laws' Kronecker product, the
+        triple table of a closed pair table is its contraction, any other
+        table is read off the basis products E_r E_s [E_u]."""
         if self._factors is not None:
-            laws = [f._closure(order) for f in self._factors]
+            laws = [f._decide(order) for f in self._factors]
             if all(isinstance(law, MultilinearMap) for law in laws):
                 return self._tensor(*laws)
         if order == 3:
-            pair = self._closure(2)
+            pair = self._decide(2)
             if isinstance(pair, MultilinearMap):
                 return MultilinearMap._own(3, self.h, self.param_table,
                                            _cube(pair.coeff, self.param_table))
@@ -611,10 +594,9 @@ class LinearStructure:
                         misses.setdefault((i, j), {})[(0, js)] = pack.poly(terms)
         if misses:
             first = min(misses)
-            sets = argument_names(self.h, order)
-            table = VarTable(self.params + sum(sets, ()))
             return NotInSpan(entry=first, reason="mismatch", residual=(
-                multilinear_forms(misses[first], self.params, sets, table)[0]))
+                multilinear_forms(misses[first], self.params,
+                                  argument_names(self.h, order))[0]))
         return {key: pack.poly(terms) for key, terms in coeff.items()}
 
     # -- block lifting ------------------------------------------------------

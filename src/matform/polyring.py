@@ -514,6 +514,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix) or other.n != self.n:
             raise ValueError("matrix orders differ")
+        if other.table != self.table:
+            raise VarTableMismatch(f"{other.table!r} differs from {self.table!r}")
         a, b = self.entries, other.entries
 
         def entry(i: int, j: int) -> Polynomial:

@@ -1,8 +1,9 @@
 """Polynomial helpers that only the tests use: exact evaluation at a named
 point, coefficient and degree queries, the graded-lex key and the dict
 form that `Polynomial.to_json` writes as text (the oracles for its order
-and its bytes), reading that form back, and the first-row cofactor
-determinant, the oracle for `PolyMatrix.determinant`.
+and its bytes), reading that form back, a matrix embedded in a larger
+table (to multiply matrices at different coordinates), and the first-row
+cofactor determinant, the oracle for `PolyMatrix.determinant`.
 """
 
 import operator
@@ -69,6 +70,11 @@ def from_json_obj(obj: dict) -> Polynomial:
     if len({m for m, _ in pairs}) != len(pairs):
         raise ValueError("repeated monomial in the terms")
     return Polynomial(table, dict(pairs))
+
+
+def embedded(matrix: PolyMatrix, table: VarTable) -> PolyMatrix:
+    """`matrix` with every entry over `table`, which has all its names."""
+    return PolyMatrix([[p.embed(table) for p in row] for row in matrix.entries])
 
 
 def determinant_cofactor(matrix: PolyMatrix) -> Polynomial:

@@ -17,7 +17,7 @@ from matform.linstruct import NotClosed, NotInSpan
 from matform.polyring import VarTable
 
 import paper
-from polytools import eval_int
+from polytools import embedded, eval_int
 
 
 def _apply_polys(cmap, args, table):
@@ -234,8 +234,8 @@ def test_criterion_7_block_lifting_suite():
     P = sextic.structure.instantiate(tuple(f"x{i + 1}" for i in range(6)))
     tp = P.table
     cubic = family("cubic3x3")
-    A1 = cubic.structure.instantiate(("x1", "x2", "x3"), tp)
-    A2 = cubic.structure.instantiate(("x4", "x5", "x6"), tp)
+    A1 = embedded(cubic.structure.instantiate(("x1", "x2", "x3")), tp)
+    A2 = embedded(cubic.structure.instantiate(("x4", "x5", "x6")), tp)
     pp, qq = tp.var("p"), tp.var("q")
     for i in range(3):
         for j in range(3):

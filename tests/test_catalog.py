@@ -130,11 +130,9 @@ class TestTranscribedAgainstDerived:
 
     @pytest.mark.parametrize("name", STRUCTURED)
     def test_derived_law_is_the_structure_closure(self, name):
-        # one source and one cache: the family keeps the object its
-        # structure's closure returned, not a copy
         fam = family(name)
         law = fam.triple_map() if fam.kind == "triple" else fam.pair_map
-        assert law is fam.structure.closure(law.k)
+        assert law == fam.structure.closure(law.k)
 
     def test_threefold_quadratic_law_is_its_closure_with_t_squared_as_a(self):
         # the structure is in (t, b, c), the family in (a, b, c): its
@@ -215,6 +213,48 @@ class TestFormIsDerivedOnce:
         first = fam.form
         assert fam.form is first
         assert len(dets) <= 1
+
+
+class TestLawHasOneOwner:
+    """The family keeps its laws; no structure keeps a closure."""
+
+    def structures(self, st):
+        """`st` and, for a lift, its factors, recursively."""
+        yield st
+        for f in st._factors or ():
+            yield from self.structures(f)
+
+    def test_no_structure_holds_a_law(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        fam = family("threefold8x8", (3, -1, 0, -3, 0, -14, 1))
+        fam.triple_map()
+        # an attribute, or an entry of a dict attribute
+        kept = [(st, value) for root in (fam._own_structure, fam.structure)
+                for st in self.structures(root) for attr in vars(st).values()
+                for value in (attr, *(attr.values() if isinstance(attr, dict)
+                                      else ()))
+                if isinstance(value, (MultilinearMap, NotClosed))]
+        assert kept == []
+        assert len(list(self.structures(fam._own_structure))) == 5
+
+    @pytest.mark.parametrize("name, values, read", [
+        ("threefold8x8", (3, -1, 0, -3, 0, -14, 1), lambda f: f.triple_map()),
+        ("quartic4x4", (5, -23, 2, -7), lambda f: f.pair_map),
+        ("quartic4x4", None, lambda f: f.triple_map())])
+    def test_second_read_decides_nothing(self, monkeypatch, name, values,
+                                         read):
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        fam = family(name, values)
+        first = read(fam)
+        calls = []
+        decide = LinearStructure._decide
+
+        def counting(self, order):
+            calls.append((self, order))
+            return decide(self, order)
+        monkeypatch.setattr(LinearStructure, "_decide", counting)
+        assert read(fam) is first
+        assert calls == []
 
 
 class TestEvaluation:

@@ -580,7 +580,7 @@ class TestRunPathBuildsNoSymbolicLiftLaw:
 
     def decided(self, capsys, monkeypatch, argv):
         """The symbolic lifts whose closure `argv` decided, as (lift,
-        order); no family or closure is cached beforehand."""
+        order); no family, and so no law, is cached beforehand."""
         monkeypatch.setattr(catalog, "_SYMBOLIC", {})
         calls = []
         decide = LinearStructure._decide

@@ -15,6 +15,7 @@ import pytest
 
 from matform import catalog, compose, dioph
 from matform.cli import main
+from matform.linstruct import LinearStructure
 
 from polytools import from_json_obj
 
@@ -22,11 +23,24 @@ GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))
-def test_stdout_unchanged(capsys, argv):
+def test_stdout_unchanged(capsys, monkeypatch, argv):
+    """Each argv, run from a fresh registry as a process runs it, prints
+    its digest and decides each (structure, order) closure at most once:
+    no structure keeps its closure, so a second decision would be the
+    work a cache saved."""
+    monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+    calls = []
+    decide = LinearStructure._decide
+
+    def spy(self, order):
+        calls.append((self, order))
+        return decide(self, order)
+    monkeypatch.setattr(LinearStructure, "_decide", spy)
     code = main(argv.split(" "))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert [code, digest] == GOLDEN[argv], \
         f"matform {argv}: now exit {code}, stdout sha256 {digest}"
+    assert len(set(calls)) == len(calls), calls
 
 
 # How `solve` proves each family's chain: by the method of the family's

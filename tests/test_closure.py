@@ -25,6 +25,7 @@ from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
 from matform.polyring import Polynomial, VarTable, int_matrix_determinant
 
 from intmatrix import int_matrix_product
+from polytools import embedded
 
 # every catalog family: each has a matrix structure
 FAMILIES = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -34,7 +35,7 @@ CASES = [(name, order) for name in FAMILIES for order in (2, 3)]
 
 
 def fresh(name: str) -> LinearStructure:
-    """The family's structure, built anew so that no closure is cached."""
+    """The family's structure, built anew: not the one the catalog shares."""
     return catalog._REGISTRY[name].build()
 
 
@@ -43,9 +44,9 @@ def product_route(st: LinearStructure, order: int):
     back at the structure's positions."""
     sets = tuple(tuple(f"{p}{i + 1}" for i in range(st.h)) for p in "xyz"[:order])
     table = VarTable(st.params + sum(sets, ()))
-    product = st.instantiate(sets[0], table)
+    product = embedded(st.instantiate(sets[0]), table)
     for cs in sets[1:]:
-        product = product @ st.instantiate(cs, table)
+        product = product @ embedded(st.instantiate(cs), table)
     got = st.extract_coordinates(product)
     if isinstance(got, NotInSpan):
         return NotClosed(order=order, witness=got)
@@ -476,7 +477,7 @@ def test_sympy_product_matches_certificate(name, order):
 
     product = sympy.eye(st.n)
     for cs in sets:
-        a = st.instantiate(cs, table)
+        a = embedded(st.instantiate(cs), table)
         product = product * sympy.Matrix(st.n, st.n, lambda i, j: element(a[i, j]).as_expr())
     if isinstance(got, NotClosed):
         # the three-fold families: the divisor does not divide the product

@@ -484,16 +484,17 @@ class TestGroupLaw:
     def test_symbolic_associativity_quad(self):
         cmap = catalog.family("quad2x2").pair_map
         xs, ys, zs = ("x1", "x2"), ("y1", "y2"), ("z1", "z2")
-        names = cmap.params + xs + ys + zs
-        table = VarTable(names)
-        xy = cmap.forms((xs, ys), table=table)
-        yz = cmap.forms((ys, zs), table=table)
+        table = VarTable(cmap.params + xs + ys + zs)
+
+        def forms(*sets):
+            return [f.embed(table) for f in cmap.forms(sets)]
+        xy, yz = forms(xs, ys), forms(ys, zs)
         # (x*y)*z via substitution of the intermediate outputs
         left = [f.substitute({"x1": xy[0], "x2": xy[1],
                               "y1": table.var("z1"), "y2": table.var("z2")})
-                for f in cmap.forms((xs, ys), table=table)]
+                for f in forms(xs, ys)]
         right = [f.substitute({"y1": yz[0], "y2": yz[1]})
-                 for f in cmap.forms((xs, ys), table=table)]
+                 for f in forms(xs, ys)]
         assert left == right
 
 

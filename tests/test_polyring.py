@@ -292,6 +292,16 @@ class TestDeterminants:
         assert I @ M == M
         assert M @ I == M
 
+    def test_matmul_rejects_mixed_tables(self):
+        """A product over two tables raises, as `*` of two polynomials
+        does: exponents over ("b", "c") are never read against ("a",)."""
+        a = PolyMatrix([[VarTable(("a",)).var("a")]])
+        bc = PolyMatrix([[VarTable(("b", "c")).var("b")]])
+        with pytest.raises(VarTableMismatch):
+            a @ bc
+        with pytest.raises(VarTableMismatch):
+            bc @ a
+
 
 # -- the packed kernels against independent oracles --------------------------
 #
