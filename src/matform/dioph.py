@@ -8,17 +8,26 @@ anywhere upstream surfaces immediately instead of silently corrupting the
 chain.  The proof is the family's composition identity, once per chain:
 the partners have f = 1, so the identity gives f(S v) = f(v) for every v,
 and f = 1 follows along the chain by induction.  The last iterate is
-evaluated exactly, which catches a slip in the integer step.
+evaluated exactly, which catches a slip in the integer arithmetic.
 
-The integer chain runs once and keeps no iterate, only a key per
-coordinate: its sign and |v| mod 2**60, a mask of its lowest limbs.  The
-chain is printed from a second run of the same recurrence in exact
-`decimal` arithmetic, whose str() is linear in the digit count where
-CPython's int-to-str is quadratic, and every printed string is checked
-against its key: 2**60 divides 10**60, so the last 60 printed digits fix
-the residue, and any error confined to the last 18 digits changes it.
-Each step is a C-level dot product per row, and the rows, JSON or text,
-are written in chunks of about 64 KB.
+A chain can be certified positive, and then skips the exact big-integer
+run.  If h >= 2, every entry of S is at least 1 and the seed is positive,
+then (S v)_i >= sum_j v_j > v_i, so every iterate is positive and every
+coordinate increases strictly: the chain gives infinitely many solutions
+in positive integers.  Such a chain keeps each coordinate's residue mod
+2**60 (its key) from the same recurrence run mod 2**60 in small ints, and
+its last iterate is S^(count-1) seed by binary powering, a few products
+of big-integer matrices.  Any other chain runs the exact recurrence once,
+keeping no iterate, only a key per coordinate: its sign and |v| mod
+2**60, a mask of its lowest limbs.  The chain is printed from a run of
+the same recurrence in exact `decimal` arithmetic, whose str() is linear
+in the digit count where CPython's int-to-str is quadratic, and every
+printed string is checked against its key: 2**60 divides 10**60, so the
+last 60 printed digits fix the residue, and any error confined to the
+last 18 digits changes it.  The printed last iterate is compared exactly
+with the proven one, which catches an error in the higher digits.  Each
+step is a C-level dot product per row, and the rows, JSON or text, are
+written in pieces, in chunks of about 64 KB.
 
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
@@ -40,7 +49,7 @@ import json
 from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
-from itertools import chain, product
+from itertools import product
 from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
@@ -108,6 +117,25 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
 _MASK = 2 ** 60 - 1
 
 
+def _replay(step: Tuple[Vec, ...], seed: Vec, count: int,
+            number=int) -> Iterator[Vec]:
+    """The chain v_0 = seed, v_{i+1} = S v_i of `count` iterates under
+    `_step`, with S's entries converted by `number`: int for the exact
+    route, whose steps read no context, or Decimal for the printout, each
+    step in _EXACT."""
+    S = [(tuple(j for j, c in enumerate(row) if c),
+          tuple(number(c) for c in row if c)) for row in step]
+    v = seed
+    for i in range(count):
+        if i:
+            if number is int:
+                v = _step(S, v)
+            else:
+                with localcontext(_EXACT):
+                    v = _step(S, v)
+        yield v
+
+
 def _key(v: int) -> int:
     """The sign of v and r = |v| mod 2**60 in one int: r for v >= 0 and
     ~r = -r - 1 for v < 0, so it fits a signed 64-bit slot.  The mask
@@ -115,6 +143,59 @@ def _key(v: int) -> int:
     negative v)."""
     r = abs(v) & _MASK
     return ~r if v < 0 else r
+
+
+def _certified(step: Tuple[Vec, ...], seed: Vec) -> bool:
+    """The positivity certificate of the chain v_{i+1} = S v_i from the
+    seed: h >= 2, every entry of S at least 1 and every seed coordinate
+    positive.  Then (S v)_i >= sum_j v_j > v_i for every positive v, so
+    every iterate is positive, every coordinate increases strictly, and no
+    two iterates are equal.  h^2 + h comparisons, no big-integer work."""
+    return (len(seed) >= 2 and all(c >= 1 for row in step for c in row)
+            and all(c > 0 for c in seed))
+
+
+def _product(A: Tuple[Vec, ...], B: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
+    """The matrix product A B of int matrices given row by row, each
+    entry one C-level dot product."""
+    columns = tuple(zip(*B))
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns])
+                  for row in A])
+
+
+def _power(S: Tuple[Vec, ...], e: int, v: Vec) -> Vec:
+    """S^e v for e >= 1, by binary powering over the bits of e from the
+    top: square at every bit, then multiply by S at a set bit.  Only the
+    squarings multiply big ints by big ints, about log2(e) of them, where
+    the chain takes e steps of h^2 products each."""
+    M = S
+    for bit in bin(e)[3:]:
+        M = _product(M, M)
+        if bit == "1":
+            M = _product(M, S)
+    return tuple([sum(map(mul, row, v)) for row in M])
+
+
+def _chain(step: Tuple[Vec, ...], seed: Vec, count: int
+           ) -> Tuple[array, Vec]:
+    """The `_key` of every coordinate of the chain's `count` iterates, h
+    per iterate, and its last iterate (the seed when count <= 1).  A
+    certified chain (`_certified`) is positive, so each key is a residue
+    mod 2**60, and S v mod 2**60 depends only on S and v mod 2**60: the
+    keys come from the recurrence mod 2**60 in small ints, and the last
+    iterate from `_power`.  Any other chain runs the exact recurrence
+    (`_replay`) once."""
+    if not _certified(step, seed):
+        keys, last = array("q"), seed
+        for last in _replay(step, seed, count):
+            keys.extend(map(_key, last))
+        return keys, last
+    v = tuple([c & _MASK for c in seed])
+    keys = array("q", v if count else ())
+    for _ in range(count - 1):
+        v = tuple([sum(map(mul, row, v)) & _MASK for row in step])
+        keys.extend(v)
+    return keys, _power(step, count - 1, seed) if count > 1 else seed
 
 
 def _check_printed(i: int, row: List[str], keys) -> None:
@@ -148,23 +229,33 @@ class SequenceResult:
     """The proven chain of spec.count iterates v_0 = seed, v_{i+1} = S v_i,
     with `step` the step matrix S and `seed` the int seed.
 
-    The chain keeps no iterate: iterate i has O(i) digits, so all of them
-    would take memory quadratic in the count.  `keys` holds what the
-    printout is checked against, the `_key` of every coordinate (sign and
-    |v| mod 2**60), h per iterate in a signed 64-bit array.  `solutions`
-    replays the int chain on each read.
+    The chain keeps no iterate but `last`, the proven last iterate (the
+    seed for a chain of at most one): iterate i has O(i) digits, so all
+    of them would take memory quadratic in the count.  `keys` holds what
+    the printout is checked against, the `_key` of every coordinate (sign
+    and |v| mod 2**60), h per iterate in a signed 64-bit array.
+    `solutions` replays the exact int chain on each read.
+
+    `certified` says whether the chain is certified positive
+    (`_certified`: h >= 2, S >= 1 entrywise, a positive seed): every
+    iterate is positive and increases strictly in every coordinate, so
+    f = 1 has infinitely many solutions in positive integers.  Such a
+    chain took its keys from the recurrence mod 2**60 and `last` by binary
+    powering; any other chain ran the exact recurrence once.
 
     `proof` is the method of the identity proof the chain rests on,
     `FormFamily.verify` of the family's own law: "matrix".  `evaluated`
     counts the iterates checked by exact evaluation: the seed and the
     last one.
-    Results are equal when all six fields are."""
-    __slots__ = ("spec", "step", "proof", "seed", "keys", "evaluated")
+    Results are equal when all seven fields are."""
+    __slots__ = ("spec", "step", "proof", "seed", "keys", "evaluated",
+                 "last")
 
     def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
-                 seed: Vec, keys: array, evaluated: int):
+                 seed: Vec, keys: array, evaluated: int, last: Vec):
         self.spec, self.step, self.proof = spec, step, proof
         self.seed, self.keys, self.evaluated = seed, keys, evaluated
+        self.last = last
 
     def __eq__(self, other):
         if type(other) is not SequenceResult:
@@ -172,28 +263,18 @@ class SequenceResult:
         return all(getattr(self, f) == getattr(other, f)
                    for f in self.__slots__)
 
-    def _replay(self, number=int) -> Iterator[Vec]:
-        """The chain from the seed under `_step`, with S's entries
-        converted by `number`: int for the proof, whose steps read no
-        context, or Decimal for the printout, each step in _EXACT."""
-        S = [(tuple(j for j, c in enumerate(row) if c),
-              tuple(number(c) for c in row if c)) for row in self.step]
-        v = self.seed
-        for i in range(self.spec.count):
-            if i:
-                if number is int:
-                    v = _step(S, v)
-                else:
-                    with localcontext(_EXACT):
-                        v = _step(S, v)
-            yield v
+    @property
+    def certified(self) -> bool:
+        """Whether the chain is certified positive (`_certified`)."""
+        return _certified(self.step, self.seed)
 
     @property
     def solutions(self) -> List[Vec]:
-        """The int iterates, replayed from the seed with the same S as
-        `generate_sequence` proved them with: a new list on every read,
-        which holds the whole chain.  `rows()` prints without it."""
-        return list(self._replay())
+        """The int iterates, replayed from the seed by the exact recurrence
+        with the same S as `generate_sequence` proved the chain with: a new
+        list on every read, which holds the whole chain.  `rows()` prints
+        without it."""
+        return list(_replay(self.step, self.seed, self.spec.count))
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.
@@ -202,21 +283,28 @@ class SequenceResult:
         from str() of the ints, which is quadratic in the digit count.  Each
         printed value equals its proven int:
         - the replay runs the step function with the same S from the same
-          seed as `generate_sequence` did over ints (S's entries are
-          converted exactly, an iterate never is; the seed row is the int
-          seed);
+          seed as the exact recurrence does over ints (S's entries are
+          converted exactly; the seed row is the int seed);
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
         `_check_printed` then compares every string's sign, and the
-        residue mod 2**60 of its last 60 characters, with the int's key; a
-        mismatch raises SequenceVerificationError.  Rows are produced one
-        at a time, so only the current iterate is held.
+        residue mod 2**60 of its last 60 characters, with the int's key,
+        and the last iterate is compared exactly with `last`, which also
+        catches an error past the 60th digit from the end (2**60 divides
+        10**60); a mismatch raises SequenceVerificationError before the
+        row is produced.  Rows are produced one at a time, so only the
+        current iterate is held.
         """
-        h = len(self.seed)
-        for i, v in enumerate(self._replay(Decimal)):
+        h, end = len(self.seed), self.spec.count - 1
+        for i, v in enumerate(_replay(self.step, self.seed, self.spec.count,
+                                      Decimal)):
             row = [str(c) for c in v]
             _check_printed(i, row, self.keys[i * h:(i + 1) * h])
+            if i == end and v != self.last:  # exact: Decimal == int
+                raise SequenceVerificationError(
+                    f"iterate {i}: the printed chain differs from the "
+                    f"proven last iterate")
             yield row
 
     def write_json(self, out: TextIO) -> None:
@@ -235,22 +323,28 @@ class SequenceResult:
             "verified": True,
         }).partition('"solutions": null')
         self._write(out, head + '"solutions": [',
-                    lambda row: '["' + '", "'.join(row) + '"]', ", ",
+                    lambda row: ('["', '", "'.join(row), '"]'), ", ",
                     "]" + tail + "\n")
 
     def write_text(self, out: TextIO) -> None:
         """Write the chain one iterate per line, its coordinates joined by
         commas."""
-        self._write(out, "", ",".join, "\n", "\n")
+        self._write(out, "", lambda row: (",".join(row),), "\n", "\n")
 
-    def _write(self, out: TextIO, head: str, row_text, sep: str,
+    def _write(self, out: TextIO, head: str, row_pieces, sep: str,
                tail: str) -> None:
-        """Write head, row_text(row) of every row joined by sep, and tail,
-        in chunks (`write_chunks`): one system call per chunk rather than
-        one per iterate."""
-        write_chunks(out, chain(
-            (head,), ((sep if i else "") + row_text(row)
-                      for i, row in enumerate(self.rows())), (tail,)))
+        """Write head, the pieces row_pieces(row) of every row with sep
+        between rows, and tail, in chunks (`write_chunks`): one system call
+        per chunk rather than one per iterate, and no row's text copied
+        before its chunk is joined."""
+        def pieces():
+            yield head
+            for i, row in enumerate(self.rows()):
+                if i:
+                    yield sep
+                yield from row_pieces(row)
+            yield tail
+        write_chunks(out, pieces())
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:
@@ -272,11 +366,14 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     SequenceVerificationError is raised up front where that is no
     ZeroResidual.  With the partners' f = 1, the
     identity gives f(S v) = f(v) for every v, so f(v_i) = f(seed) = 1 by
-    induction.  The ints are run once, keeping only the current iterate
-    and each coordinate's key (see `SequenceResult`).  The last iterate is
-    evaluated exactly: f is invariant under S, so a slip in the integer
-    step anywhere shows in f of the last iterate, and
-    SequenceVerificationError is raised if it is not 1.
+    induction.  Each coordinate's key and the last iterate come from one
+    of two routes, chosen from S and the seed (`_chain`): a chain
+    certified positive (h >= 2, S >= 1 entrywise, a positive seed) runs
+    the recurrence mod 2**60 and takes the last iterate by binary
+    powering; any other chain runs the exact int recurrence once.  The
+    last iterate is evaluated exactly on both: f is invariant under S, so
+    a slip in the integer arithmetic anywhere shows in f of the last
+    iterate, and SequenceVerificationError is raised if it is not 1.
     """
     fam = spec.family
     k = len(spec.partners) + 1
@@ -305,17 +402,17 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
         raise SequenceVerificationError(
             f"{fam.name}: the composition identity fails for this map")
 
-    step = cmap.argument_matrix([slots[s] for s in order], order.index(0))
-    result = SequenceResult(spec=spec, step=tuple(map(tuple, step)),
-                            proof=proof.method, seed=seed, keys=array("q"),
-                            evaluated=min(spec.count, 2))  # seed and last
-    for current in result._replay():
-        result.keys.extend(map(_key, current))
-    if spec.count > 1 and fam.evaluate(current) != 1:
+    step = tuple(map(tuple, cmap.argument_matrix(
+        [slots[s] for s in order], order.index(0))))
+    keys, last = _chain(step, seed, spec.count)
+    if spec.count > 1 and fam.evaluate(last) != 1:
         with no_int_str_limit():
             raise SequenceVerificationError(
-                f"iterate {spec.count - 1} fails f = 1: {current}")
-    return result
+                f"iterate {spec.count - 1} fails f = 1: {last}")
+    return SequenceResult(spec=spec, step=step, proof=proof.method,
+                          seed=seed, keys=keys,
+                          evaluated=min(spec.count, 2),  # seed and last
+                          last=last)
 
 
 _SEARCH_GUARD = 10 ** 9

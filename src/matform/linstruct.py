@@ -506,15 +506,24 @@ class LinearStructure:
     def _decide(self, order: int) -> Union[MultilinearMap, NotClosed]:
         """Closure of `order` factors, decided anew on every call (the
         family that reads it keeps its law, `FormFamily._laws`): a lift of
-        two factors that close is their laws' Kronecker product, the
-        triple table of a closed pair table is its contraction, any other
-        table is read off the basis products E_r E_s [E_u]."""
+        two factors that close is their laws' Kronecker product, and any
+        other structure is decided on its own basis (`_on_basis`)."""
         if self._factors is not None:
             laws = [f._decide(order) for f in self._factors]
             if all(isinstance(law, MultilinearMap) for law in laws):
                 return self._tensor(*laws)
+        return self._on_basis(order)
+
+    def _on_basis(self, order: int) -> Union[MultilinearMap, NotClosed]:
+        """Closure of `order` factors on the structure's own basis: the
+        triple table of a closed pair table is its contraction, any other
+        table is read off the basis products E_r E_s [E_u].  The pair table
+        is decided here too, not by `_decide`: a lift comes here when a
+        factor does not close at `order`, and a factor that does not close
+        at 3 does not close at 2 either (its pair law's contraction would
+        be its triple law), so its factors cannot give the pair law."""
         if order == 3:
-            pair = self._decide(2)
+            pair = self._on_basis(2)
             if isinstance(pair, MultilinearMap):
                 return MultilinearMap._own(3, self.h, self.param_table,
                                            _cube(pair.coeff, self.param_table))

@@ -444,6 +444,29 @@ def test_numeric_law_of_a_lift_whose_factor_does_not_close(name):
     assert got == basis_route(lift).closure(2)
 
 
+def test_lift_whose_factors_do_not_close_reads_each_table_once(monkeypatch):
+    """At these values no factor of the lift closes, at order 2 or 3.  Its
+    triple closure reads each table, (structure, order), off a basis once:
+    each factor's pair and triple table, then the lift's own pair and
+    triple table.  A factor that does not close at 3 does not close at 2
+    either, so the lift's pair closure is read off its own basis, and the
+    witness is the one read off there."""
+    lift = fresh("threefold4x4").specialize((0, 1, 0, 2, 0, 0))
+    reads = []
+    read = LinearStructure._read_table
+
+    def spy(self, order, *args):
+        reads.append((self, order))
+        return read(self, order, *args)
+    monkeypatch.setattr(LinearStructure, "_read_table", spy)
+    got = lift.closure(3)
+    assert isinstance(got, NotClosed)
+    assert len(reads) == len(set(reads)) == 6
+    assert {st for st, _ in reads} == {lift, *lift._factors}
+    monkeypatch.undo()
+    assert got == basis_route(lift).closure(3)
+
+
 @pytest.mark.parametrize("inner_values", [(5, -23, 2, -7), (1, -2, 3, 0)])
 def test_block_lift_of_two_quartics_pair_law_at_values(inner_values):
     """The 16 x 16 lift `matform block --outer quartic4x4 --inner

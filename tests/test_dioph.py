@@ -171,8 +171,10 @@ class TestRecords:
                          ("proof", "expand"),
                          ("seed", (1, 0, 0, 0)),
                          ("keys", a.keys[:-1]),
-                         ("evaluated", 1)]:
+                         ("evaluated", 1),
+                         ("last", QUARTIC_SEQ[2])]:
             assert dioph.SequenceResult(**{**fields, f: other}) != a, f
+        assert a.last == QUARTIC_SEQ[-1] and a.certified
 
 
 class TestSequences:
@@ -422,25 +424,33 @@ class TestIterateCertificate:
             assert (r.proof, r.evaluated) == (proof, 2)
             assert evaluations == [seed, *partners, r.solutions[-1]]
 
-    @pytest.mark.parametrize("fam, seed, partners", [
-        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],)),
-        (T4, T4_SEQ[0], (E4, T4_SEQ[0])),
-    ], ids=["quartic4x4", "threefold4x4"])
+    @pytest.mark.parametrize("fam, seed, partners, route, at, bump", [
+        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), "_product", 3,
+         lambda M: ((M[0][0] + 1,) + M[0][1:],) + M[1:]),
+        (T4, T4_SEQ[0], (E4, T4_SEQ[0]), "_product", 3,
+         lambda M: ((M[0][0] + 1,) + M[0][1:],) + M[1:]),
+        (family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), "_step", 5,
+         lambda v: (v[0] + 1,) + v[1:]),
+    ], ids=["quartic4x4", "threefold4x4", "sextic_uv"])
     def test_wrong_integer_step_at_a_middle_iterate_raises(
-            self, monkeypatch, fam, seed, partners):
-        step = dioph._step
-        ints = []
+            self, monkeypatch, fam, seed, partners, route, at, bump):
+        """A slip in the integer route the chain takes raises.  A certified
+        chain of 12 iterates takes its last as S^11 seed, with S^11 =
+        ((S^2)^2 S)^2 S: the slip is in the third product, S^5, the power
+        that takes the seed to iterate 5.  sextic_uv's chain is not
+        certified, and the slip is in the fifth step of its exact
+        recurrence, iterate 5."""
+        assert generate_sequence(SequenceSpec(
+            fam, seed, 2, partners)).certified == (route == "_product")
+        real, results = getattr(dioph, route), []
 
-        def slip(S, v):
-            w = step(S, v)
-            if not isinstance(w[0], int):
-                return w
-            ints.append(w)
-            return (w[0] + 1,) + w[1:] if len(ints) == 5 else w
-        monkeypatch.setattr(dioph, "_step", slip)
+        def slip(*args):
+            results.append(real(*args))
+            return bump(results[-1]) if len(results) == at else results[-1]
+        monkeypatch.setattr(dioph, route, slip)
         with pytest.raises(SequenceVerificationError, match="fails f = 1"):
             generate_sequence(SequenceSpec(fam, seed, 12, partners))
-        assert len(ints) >= 5  # the slip happened, at iterate 5
+        assert len(results) >= at  # the slip happened
 
 
 Q2 = family("quad2x2", (0, -2))  # x1^2 - 2*x2^2
@@ -471,11 +481,17 @@ class TestErrorsPastTheDigitLimit:
         with pytest.raises(StepNotSolution, match=f"= {self.F_BIG} != 1$"):
             generate_sequence(SequenceSpec(Q2, (3, 2), 3, (self.BIG,)))
 
-    def test_iterate(self, monkeypatch):
-        monkeypatch.setattr(dioph, "_step", lambda S, v: (10 ** 4400, 1))
+    @pytest.mark.parametrize("partner, route", [
+        ((3, 2), "_power"), ((3, -2), "_step")],
+        ids=["certified", "exact"])
+    def test_iterate(self, monkeypatch, partner, route):
+        """A wrong last iterate from either integer route: binary powering
+        where S = [[3, 4], [2, 3]] is certified, the exact recurrence where
+        S = [[3, -4], [-2, 3]] is not."""
+        monkeypatch.setattr(dioph, route, lambda *args: (10 ** 4400, 1))
         with pytest.raises(SequenceVerificationError,
                            match=r"iterate 1 fails f = 1: \(10{4400}, 1\)$"):
-            generate_sequence(SequenceSpec(Q2, (3, 2), 2, ((3, 2),)))
+            generate_sequence(SequenceSpec(Q2, (3, 2), 2, (partner,)))
 
     def test_search_hit(self, monkeypatch):
         monkeypatch.setattr(FormFamily, "evaluate",
@@ -574,26 +590,37 @@ class TestPrintedChain:
         assert text.endswith("\n")
         assert [line.split(",") for line in text[:-1].split("\n")] == rows
 
-    @pytest.mark.parametrize("diverge", [lambda d: d + 1, lambda d: -d,
-                                         lambda d: d + 10 ** 30],
-                             ids=["last-digit", "sign", "high-digit"])
+    @pytest.mark.parametrize("diverge, at", [
+        (lambda d: d + 1, 1), (lambda d: -d, 1), (lambda d: d + 10 ** 30, 1),
+        (lambda d: d + 10 ** 60, 3),
+    ], ids=["last-digit", "sign", "high-digit", "digit-61"])
+    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
+                                          (family("sextic_uv", (3,)), UV_SEQ)],
+                             ids=["quartic4x4", "sextic_uv"])
     def test_printed_chain_diverging_from_proven_raises(self, monkeypatch,
-                                                        diverge):
-        """The printout is checked against the proven ints: a printed value
-        off in its last digit, its sign or its 31st digit from the end
-        raises.  The last of these keeps the last 18 digits (352 at
-        iterate 1), so only a residue of more digits catches it."""
-        step = dioph._step
+                                                        fam, seq, diverge,
+                                                        at):
+        """The printout is checked against the proven ints, on the
+        certified route (quartic4x4) and the exact one (sextic_uv): a
+        printed value off in its last digit, its sign or its 31st digit
+        from the end raises at the iterate where it is printed.  The 31st
+        keeps the last 18 digits, so only a residue of more digits catches
+        it.  An error of 10**60 in the last iterate keeps every key, since
+        2**60 divides it, and the exact comparison of the last iterate
+        catches it."""
+        step, decimal_steps = dioph._step, []
 
         def off(S, v):
             w = step(S, v)
-            return w if isinstance(w[0], int) else (diverge(w[0]),) + w[1:]
+            if isinstance(w[0], int):
+                return w
+            decimal_steps.append(w)
+            return (diverge(w[0]),) + w[1:] if len(decimal_steps) == at else w
         monkeypatch.setattr(dioph, "_step", off)
-        r = generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], 4, (QUARTIC_SEQ[0],)))
-        assert r.solutions == QUARTIC_SEQ  # the proof ran over ints
-        with pytest.raises(SequenceVerificationError,
-                           match="iterate 1, coordinate 1"):
+        r = generate_sequence(SequenceSpec(fam, seq[0], 4, (seq[0],)))
+        assert r.solutions == seq  # the proof ran over ints
+        where = "iterate 3: " if at == 3 else "iterate 1, coordinate 1"
+        with pytest.raises(SequenceVerificationError, match=where):
             r.write_json(io.StringIO())
 
     @pytest.mark.parametrize("v", [
@@ -731,6 +758,109 @@ class TestMonotoneReports:
         rep = check_monotone_positive([e, e])
         assert not rep.ok
         assert any("did not increase" in v for v in rep.violations)
+
+
+def result_of(step, seed, count) -> dioph.SequenceResult:
+    """A result for the chain v <- S v from `seed`, keyed by `_chain` as
+    `generate_sequence` keys it, for any S: no family's law is proven."""
+    keys, last = dioph._chain(step, seed, count)
+    return dioph.SequenceResult(
+        spec=SequenceSpec(Q2, seed, count, ((1, 0),)), step=step,
+        proof="matrix", seed=seed, keys=keys, evaluated=min(count, 2),
+        last=last)
+
+
+def exact_keys(solutions) -> array:
+    return array("q", [dioph._key(c) for v in solutions for c in v])
+
+
+def quartic_step():
+    """The golden quartic chain's S, all entries >= 1 (a chain of one
+    iterate takes no power of it)."""
+    return generate_sequence(SequenceSpec(
+        QUARTIC, QUARTIC_SEQ[0], 1, (QUARTIC_SEQ[0],))).step
+
+
+@pytest.fixture
+def no_powering(monkeypatch):
+    """Fail any call of the certified route's binary powering."""
+    def fail(*args):
+        raise AssertionError("binary powering on the exact route")
+    monkeypatch.setattr(dioph, "_power", fail)
+
+
+class TestPositivityCertificate:
+    """h >= 2, S >= 1 entrywise and a positive seed certify a chain: every
+    iterate is positive and increases strictly.  A certified chain takes
+    its keys mod 2**60 and its last iterate by binary powering; any other
+    takes the exact route.  Both give the exact replay's keys and last
+    iterate."""
+
+    @pytest.mark.parametrize("fam, seed, partners, certified", [
+        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), True),
+        (OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), True),
+        (T4, T4_SEQ[0], (E4, T4_SEQ[0]), True),
+        (T8, T8_SEQ[0], (E8, T8_SEQ[0]), True),
+        (family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), False),
+    ], ids=["quartic4x4", "octic8x8", "threefold4x4", "threefold8x8",
+            "sextic_uv"])
+    def test_golden_chains(self, fam, seed, partners, certified):
+        r = generate_sequence(SequenceSpec(fam, seed, 30, partners))
+        assert r.certified is certified
+        solutions = r.solutions
+        assert r.keys == exact_keys(solutions)
+        assert r.last == solutions[-1]
+        everywhere = range(fam.h)
+        assert check_monotone_positive(solutions, everywhere).ok is certified
+
+    @pytest.mark.parametrize("i, j, entry", [
+        (0, 0, 0), (0, 0, -1), (2, 1, 0), (3, 3, -1)])
+    def test_an_entry_below_one_takes_the_exact_route(self, no_powering,
+                                                      i, j, entry):
+        step = quartic_step()
+        step = tuple(tuple(entry if (r, c) == (i, j) else x
+                           for c, x in enumerate(row))
+                     for r, row in enumerate(step))
+        r = result_of(step, QUARTIC_SEQ[0], 12)
+        assert not r.certified
+        assert r.keys == exact_keys(r.solutions)
+        assert r.last == r.solutions[-1]
+        assert list(r.rows())[-1] == [str(c) for c in r.last]
+
+    @pytest.mark.parametrize("seed", [(0, 2, 3, 1), (6, 2, -3, 1)])
+    def test_a_seed_coordinate_below_one_takes_the_exact_route(
+            self, no_powering, seed):
+        step = quartic_step()
+        r = result_of(step, seed, 12)
+        assert not r.certified
+        assert r.keys == exact_keys(r.solutions)
+        assert r.last == r.solutions[-1]
+
+    def test_one_coordinate_takes_the_exact_route(self, no_powering):
+        r = result_of(((2,),), (1,), 12)  # v <- 2 v: positive, but h = 1
+        assert not r.certified
+        assert r.last == (2 ** 11,) == r.solutions[-1]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda h: st.tuples(
+        st.lists(st.lists(st.integers(1, 4) | st.integers(2 ** 59, 2 ** 61),
+                          min_size=h, max_size=h).map(tuple),
+                 min_size=h, max_size=h).map(tuple),
+        st.lists(st.integers(1, 5) | st.integers(1, 2 ** 70),
+                 min_size=h, max_size=h).map(tuple))))
+    def test_certified_chain_is_its_exact_replay(self, chain):
+        """Small positive S and seeds, some entries past 2**60: over 20
+        steps the keys and last iterate equal the exact replay's, the chain
+        increases strictly in every coordinate, and it prints as the
+        replay."""
+        step, seed = chain
+        r = result_of(step, seed, 21)
+        assert r.certified
+        solutions = r.solutions
+        assert r.keys == exact_keys(solutions)
+        assert r.last == solutions[-1]
+        assert check_monotone_positive(solutions, range(len(seed))).ok
+        assert list(r.rows()) == [[str(c) for c in v] for v in solutions]
 
 
 class TestBruteForce:
