@@ -10,22 +10,22 @@ the partners have f = 1, so the identity gives f(S v) = f(v) for every v,
 and f = 1 follows along the chain by induction.  The last iterate is
 evaluated exactly, which catches a slip in the integer arithmetic.
 
-A chain can be certified positive, and then skips the exact big-integer
-run.  If h >= 2, every entry of S is at least 1 and the seed is positive,
-then (S v)_i >= sum_j v_j > v_i, so every iterate is positive and every
-coordinate increases strictly: the chain gives infinitely many solutions
-in positive integers.  Such a chain keeps each coordinate's residue mod
-2**60 (its key) from the same recurrence run mod 2**60 in small ints, and
-its last iterate is S^(count-1) seed by binary powering, a few products
-of big-integer matrices.  Any other chain runs the exact recurrence once,
-keeping no iterate, only a key per coordinate: its sign and |v| mod
-2**60, a mask of its lowest limbs.  The chain is printed from a run of
-the same recurrence in exact `decimal` arithmetic, whose str() is linear
-in the digit count where CPython's int-to-str is quadratic, and every
-printed string is checked against its key: 2**60 divides 10**60, so the
-last 60 printed digits fix the residue, and any error confined to the
-last 18 digits changes it.  The printed last iterate is compared exactly
-with the proven one, which catches an error in the higher digits.  Each
+The last iterate is S^(count-1) seed by binary powering, a few products
+of big-integer matrices.  The chain is printed from a run of the same
+recurrence in exact `decimal` arithmetic, whose str() is linear in the
+digit count where CPython's int-to-str is quadratic.  Every printed
+string is checked against the int recurrence run beside it: its sign,
+and its last 60 digits against |v| mod 2**60, a mask of the int's lowest
+limbs.  2**60 divides 10**60, so those digits fix the residue, and any
+error confined to the last 18 digits changes it.  The printed last
+iterate is compared exactly with the proven one, which catches an error
+in the higher digits.  A chain can be certified positive: if h >= 2,
+every entry of S is at least 1 and the seed is positive, then
+(S v)_i >= sum_j v_j > v_i, so every iterate is positive and every
+coordinate increases strictly, and the chain gives infinitely many
+solutions in positive integers.  Its signs are known, so the int
+recurrence beside the printout runs mod 2**60 in small ints; any other
+chain's runs exactly.  No chain keeps an iterate but its last.  Each
 step is a C-level dot product per row, and the rows, JSON or text, are
 written in pieces, in chunks of about 64 KB.
 
@@ -46,7 +46,6 @@ of f before it is returned.
 from __future__ import annotations
 
 import json
-from array import array
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from itertools import product
@@ -117,32 +116,33 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
 _MASK = 2 ** 60 - 1
 
 
-def _replay(step: Tuple[Vec, ...], seed: Vec, count: int,
-            number=int) -> Iterator[Vec]:
-    """The chain v_0 = seed, v_{i+1} = S v_i of `count` iterates under
-    `_step`, with S's entries converted by `number`: int for the exact
-    route, whose steps read no context, or Decimal for the printout, each
-    step in _EXACT."""
+def _printed(step: Tuple[Vec, ...], seed: Vec, count: int
+             ) -> Iterator[Vec]:
+    """The chain v_0 = seed, v_{i+1} = S v_i of `count` iterates in
+    Decimal, for the printout: S's nonzero entries converted exactly,
+    each step `_step` in _EXACT, and the seed row the int seed."""
     S = [(tuple(j for j, c in enumerate(row) if c),
-          tuple(number(c) for c in row if c)) for row in step]
+          tuple(Decimal(c) for c in row if c)) for row in step]
     v = seed
     for i in range(count):
         if i:
-            if number is int:
+            with localcontext(_EXACT):
                 v = _step(S, v)
-            else:
-                with localcontext(_EXACT):
-                    v = _step(S, v)
         yield v
 
 
-def _key(v: int) -> int:
-    """The sign of v and r = |v| mod 2**60 in one int: r for v >= 0 and
-    ~r = -r - 1 for v < 0, so it fits a signed 64-bit slot.  The mask
-    reads the lowest limbs of |v| and divides nothing (abs copies a
-    negative v)."""
-    r = abs(v) & _MASK
-    return ~r if v < 0 else r
+def _iterates(step: Tuple[Vec, ...], seed: Vec, count: int,
+              mask: int = -1) -> Iterator[Vec]:
+    """The chain v_0 = seed, v_{i+1} = S v_i of `count` iterates over
+    ints, each coordinate & mask: with -1, every bit kept, the exact
+    chain; with _MASK the chain mod 2**60 in small ints, since S v mod
+    2**60 depends only on S and v mod 2**60.  Each row of a step is one
+    C-level dot product over the dense row of S."""
+    v = tuple([c & mask for c in seed])
+    for i in range(count):
+        if i:
+            v = tuple([sum(map(mul, row, v)) & mask for row in step])
+        yield v
 
 
 def _certified(step: Tuple[Vec, ...], seed: Vec) -> bool:
@@ -176,47 +176,26 @@ def _power(S: Tuple[Vec, ...], e: int, v: Vec) -> Vec:
     return tuple([sum(map(mul, row, v)) for row in M])
 
 
-def _chain(step: Tuple[Vec, ...], seed: Vec, count: int
-           ) -> Tuple[array, Vec]:
-    """The `_key` of every coordinate of the chain's `count` iterates, h
-    per iterate, and its last iterate (the seed when count <= 1).  A
-    certified chain (`_certified`) is positive, so each key is a residue
-    mod 2**60, and S v mod 2**60 depends only on S and v mod 2**60: the
-    keys come from the recurrence mod 2**60 in small ints, and the last
-    iterate from `_power`.  Any other chain runs the exact recurrence
-    (`_replay`) once."""
-    if not _certified(step, seed):
-        keys, last = array("q"), seed
-        for last in _replay(step, seed, count):
-            keys.extend(map(_key, last))
-        return keys, last
-    v = tuple([c & _MASK for c in seed])
-    keys = array("q", v if count else ())
-    for _ in range(count - 1):
-        v = tuple([sum(map(mul, row, v)) & _MASK for row in step])
-        keys.extend(v)
-    return keys, _power(step, count - 1, seed) if count > 1 else seed
-
-
-def _check_printed(i: int, row: List[str], keys) -> None:
-    """Guard on one printed iterate: each string has the sign of its
-    proven integer, and its last 60 characters read as an int have the
-    residue mod 2**60 in its `_key`.  2**60 divides 10**60, so those
-    digits fix |v| mod 2**60.  A wrong value whose error d is confined to
-    the last 18 digits fails, since 0 < |d| < 10**18 < 2**60, as does a
-    one-digit change up to the 57th digit from the end (a digit change is
-    c * 10**(p-1) with |c| <= 9, and 2**60 divides it only from p = 58 on).
-    Each string costs the parse of at most 60 characters."""
-    if len(row) != len(keys):
+def _check_printed(i: int, row: List[str], proven: Vec) -> None:
+    """Guard on one printed iterate against its proven ints, exact or,
+    for a positive chain, mod 2**60: each string has the sign of its int,
+    and its last 60 characters read as an int have the int's |v| mod
+    2**60.  2**60 divides 10**60, so those digits fix |v| mod 2**60.  A
+    wrong value whose error d is confined to the last 18 digits fails,
+    since 0 < |d| < 10**18 < 2**60, as does a one-digit change up to the
+    57th digit from the end (a digit change is c * 10**(p-1) with
+    |c| <= 9, and 2**60 divides it only from p = 58 on).  Each string
+    costs the parse of at most 60 characters, and each int a mask of its
+    lowest limbs (abs copies a negative one)."""
+    if len(row) != len(proven):
         raise SequenceVerificationError(
             f"iterate {i}: printed {len(row)} coordinates, proved "
-            f"{len(keys)}")
-    for j, (text, key) in enumerate(zip(row, keys)):
-        negative = text.startswith("-")
+            f"{len(proven)}")
+    for j, (text, v) in enumerate(zip(row, proven)):
         try:
             # a string of at most 60 characters may keep its "-"
-            ok = negative == (key < 0) and \
-                abs(int(text[-60:])) & _MASK == (~key if negative else key)
+            ok = text.startswith("-") == (v < 0) and \
+                abs(int(text[-60:])) & _MASK == abs(v) & _MASK
         except ValueError:  # not an integer's digits
             ok = False
         if not ok:
@@ -229,33 +208,30 @@ class SequenceResult:
     """The proven chain of spec.count iterates v_0 = seed, v_{i+1} = S v_i,
     with `step` the step matrix S and `seed` the int seed.
 
-    The chain keeps no iterate but `last`, the proven last iterate (the
-    seed for a chain of at most one): iterate i has O(i) digits, so all
-    of them would take memory quadratic in the count.  `keys` holds what
-    the printout is checked against, the `_key` of every coordinate (sign
-    and |v| mod 2**60), h per iterate in a signed 64-bit array.
-    `solutions` replays the exact int chain on each read.
+    The chain keeps no iterate but `last`, the proven last iterate
+    S^(count-1) seed by binary powering (the seed for a chain of at most
+    one): iterate i has O(i) digits, so all of them would take memory
+    quadratic in the count.  `solutions` and `rows()` run the int
+    recurrence again on each read.
 
     `certified` says whether the chain is certified positive
     (`_certified`: h >= 2, S >= 1 entrywise, a positive seed): every
     iterate is positive and increases strictly in every coordinate, so
     f = 1 has infinitely many solutions in positive integers.  Such a
-    chain took its keys from the recurrence mod 2**60 and `last` by binary
-    powering; any other chain ran the exact recurrence once.
+    chain's printout is checked against the int recurrence mod 2**60;
+    any other chain's against the exact one.
 
     `proof` is the method of the identity proof the chain rests on,
     `FormFamily.verify` of the family's own law: "matrix".  `evaluated`
     counts the iterates checked by exact evaluation: the seed and the
     last one.
-    Results are equal when all seven fields are."""
-    __slots__ = ("spec", "step", "proof", "seed", "keys", "evaluated",
-                 "last")
+    Results are equal when all six fields are."""
+    __slots__ = ("spec", "step", "proof", "seed", "evaluated", "last")
 
     def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
-                 seed: Vec, keys: array, evaluated: int, last: Vec):
+                 seed: Vec, evaluated: int, last: Vec):
         self.spec, self.step, self.proof = spec, step, proof
-        self.seed, self.keys, self.evaluated = seed, keys, evaluated
-        self.last = last
+        self.seed, self.evaluated, self.last = seed, evaluated, last
 
     def __eq__(self, other):
         if type(other) is not SequenceResult:
@@ -270,38 +246,43 @@ class SequenceResult:
 
     @property
     def solutions(self) -> List[Vec]:
-        """The int iterates, replayed from the seed by the exact recurrence
-        with the same S as `generate_sequence` proved the chain with: a new
-        list on every read, which holds the whole chain.  `rows()` prints
-        without it."""
-        return list(_replay(self.step, self.seed, self.spec.count))
+        """The int iterates, run from the seed by the exact recurrence
+        (`_iterates`) with the same S as `generate_sequence` proved the
+        chain with: a new list on every read, which holds the whole chain.
+        `rows()` prints without it."""
+        return list(_iterates(self.step, self.seed, self.spec.count))
 
     def rows(self) -> Iterator[List[str]]:
         """The iterates as decimal strings, one iterate at a time.
 
-        The strings come from replaying the chain in `decimal` rather than
-        from str() of the ints, which is quadratic in the digit count.  Each
-        printed value equals its proven int:
-        - the replay runs the step function with the same S from the same
-          seed as the exact recurrence does over ints (S's entries are
-          converted exactly; the seed row is the int seed);
+        The strings come from running the chain in `decimal` (`_printed`)
+        rather than from str() of the ints, which is quadratic in the
+        digit count.  Each printed value equals its proven int:
+        - the Decimal run applies the same S to the same seed as the int
+          recurrence (S's entries are converted exactly; the seed row is
+          the int seed);
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
-        `_check_printed` then compares every string's sign, and the
-        residue mod 2**60 of its last 60 characters, with the int's key,
+        Beside it runs the int recurrence (`_iterates`), mod 2**60 on a
+        certified chain, whose every iterate is positive, and exactly on
+        any other.  `_check_printed` compares every string's sign, and
+        the residue mod 2**60 of its last 60 characters, with the int's,
         and the last iterate is compared exactly with `last`, which also
         catches an error past the 60th digit from the end (2**60 divides
         10**60); a mismatch raises SequenceVerificationError before the
-        row is produced.  Rows are produced one at a time, so only the
-        current iterate is held.
+        row is produced, and an int run of another length ValueError.
+        Rows are produced one at a time, so only the current iterate is
+        held.
         """
-        h, end = len(self.seed), self.spec.count - 1
-        for i, v in enumerate(_replay(self.step, self.seed, self.spec.count,
-                                      Decimal)):
+        count = self.spec.count
+        proven = _iterates(self.step, self.seed, count,
+                           _MASK if self.certified else -1)
+        for i, (v, w) in enumerate(zip(_printed(self.step, self.seed, count),
+                                       proven, strict=True)):
             row = [str(c) for c in v]
-            _check_printed(i, row, self.keys[i * h:(i + 1) * h])
-            if i == end and v != self.last:  # exact: Decimal == int
+            _check_printed(i, row, w)
+            if i == count - 1 and v != self.last:  # exact: Decimal == int
                 raise SequenceVerificationError(
                     f"iterate {i}: the printed chain differs from the "
                     f"proven last iterate")
@@ -366,13 +347,9 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
     SequenceVerificationError is raised up front where that is no
     ZeroResidual.  With the partners' f = 1, the
     identity gives f(S v) = f(v) for every v, so f(v_i) = f(seed) = 1 by
-    induction.  Each coordinate's key and the last iterate come from one
-    of two routes, chosen from S and the seed (`_chain`): a chain
-    certified positive (h >= 2, S >= 1 entrywise, a positive seed) runs
-    the recurrence mod 2**60 and takes the last iterate by binary
-    powering; any other chain runs the exact int recurrence once.  The
-    last iterate is evaluated exactly on both: f is invariant under S, so
-    a slip in the integer arithmetic anywhere shows in f of the last
+    induction.  The last iterate is S^(count-1) seed by binary powering
+    (`_power`), and is evaluated exactly: f is invariant under S, so a
+    slip in the integer arithmetic anywhere shows in f of the last
     iterate, and SequenceVerificationError is raised if it is not 1.
     """
     fam = spec.family
@@ -404,13 +381,15 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
 
     step = tuple(map(tuple, cmap.argument_matrix(
         [slots[s] for s in order], order.index(0))))
-    keys, last = _chain(step, seed, spec.count)
-    if spec.count > 1 and fam.evaluate(last) != 1:
-        with no_int_str_limit():
-            raise SequenceVerificationError(
-                f"iterate {spec.count - 1} fails f = 1: {last}")
+    last = seed
+    if spec.count > 1:
+        last = _power(step, spec.count - 1, seed)
+        if fam.evaluate(last) != 1:
+            with no_int_str_limit():
+                raise SequenceVerificationError(
+                    f"iterate {spec.count - 1} fails f = 1: {last}")
     return SequenceResult(spec=spec, step=step, proof=proof.method,
-                          seed=seed, keys=keys,
+                          seed=seed,
                           evaluated=min(spec.count, 2),  # seed and last
                           last=last)
 
