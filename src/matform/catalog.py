@@ -222,10 +222,8 @@ class FormFamily:
                             else "symbolic identity specialized")
 
     def _is_own_law(self, cmap: MultilinearMap) -> bool:
-        try:
-            return cmap == self._law(cmap.k)
-        except PolyError:  # the family has no law of that arity
-            return False
+        # every family has a trilinear law, and a pair family a bilinear one
+        return (cmap.k == 3 or self.kind == "pair") and cmap == self._law(cmap.k)
 
     # -- numeric evaluation -------------------------------------------------
 

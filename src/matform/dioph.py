@@ -25,9 +25,11 @@ every entry of S is at least 1 and the seed is positive, then
 coordinate increases strictly, and the chain gives infinitely many
 solutions in positive integers.  Its signs are known, so the int
 recurrence beside the printout runs mod 2**60 in small ints; any other
-chain's runs exactly.  No chain keeps an iterate but its last.  Each
-step is a C-level dot product per row, and the rows, JSON or text, are
-written in pieces, in chunks of about 64 KB.
+chain's runs exactly.  No chain keeps an iterate but its last.  Both
+runs, and the powering, step the same dense rows of S, converted to
+Decimal once for the printout: each row of a step is one C-level dot
+product, and the rows, JSON or text, are written in pieces, in chunks of
+about 64 KB.
 
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
@@ -97,16 +99,6 @@ class SequenceSpec(NamedTuple):
     order: Optional[Tuple[int, ...]] = None
 
 
-def _step(S, v):
-    """S v, with S given row by row as (columns, entries) over its nonzero
-    entries, over whatever number type S and v hold.  Each row is one
-    C-level dot product.  Each sum starts at the int 0 and skips the zero
-    entries of S, so a Decimal sum of signed zeros (-3 * Decimal(0) is -0)
-    comes out +0."""
-    return tuple([sum(map(mul, entries, map(v.__getitem__, columns)))
-                  for columns, entries in S])
-
-
 # Every operation in this context is exact or raises: a result that would
 # need more digits than MAX_PREC, or an exponent past MAX_EMAX, signals
 # Rounded and Inexact, and any invalid operation signals InvalidOperation.
@@ -119,15 +111,18 @@ _MASK = 2 ** 60 - 1
 def _printed(step: Tuple[Vec, ...], seed: Vec, count: int
              ) -> Iterator[Vec]:
     """The chain v_0 = seed, v_{i+1} = S v_i of `count` iterates in
-    Decimal, for the printout: S's nonzero entries converted exactly,
-    each step `_step` in _EXACT, and the seed row the int seed."""
-    S = [(tuple(j for j, c in enumerate(row) if c),
-          tuple(Decimal(c) for c in row if c)) for row in step]
+    Decimal, for the printout: S's dense rows converted exactly once, each
+    row of a step one C-level dot product in _EXACT, as in `_iterates`,
+    and the seed row the int seed.  No printed zero is -0: a zero entry of
+    S times a negative coordinate is Decimal -0, but each sum starts at the
+    int 0, and 0 + Decimal('-0') is +0 under _EXACT's rounding, as is any
+    sum of opposite values."""
+    S = [tuple(map(Decimal, row)) for row in step]
     v = seed
     for i in range(count):
         if i:
             with localcontext(_EXACT):
-                v = _step(S, v)
+                v = tuple([sum(map(mul, row, v)) for row in S])
         yield v
 
 

@@ -507,7 +507,8 @@ class LinearStructure:
         """Closure of `order` factors, decided anew on every call (the
         family that reads it keeps its law, `FormFamily._laws`): a lift of
         two factors that close is their laws' Kronecker product, and any
-        other structure is decided on its own basis (`_on_basis`)."""
+        other structure is decided on its own basis (`_on_basis`), whose
+        one pass takes each pair product once at either order."""
         if self._factors is not None:
             laws = [f._decide(order) for f in self._factors]
             if all(isinstance(law, MultilinearMap) for law in laws):
@@ -515,18 +516,12 @@ class LinearStructure:
         return self._on_basis(order)
 
     def _on_basis(self, order: int) -> Union[MultilinearMap, NotClosed]:
-        """Closure of `order` factors on the structure's own basis: the
-        triple table of a closed pair table is its contraction, any other
-        table is read off the basis products E_r E_s [E_u].  The pair table
-        is decided here too, not by `_decide`: a lift comes here when a
-        factor does not close at `order`, and a factor that does not close
-        at 3 does not close at 2 either (its pair law's contraction would
-        be its triple law), so its factors cannot give the pair law."""
-        if order == 3:
-            pair = self._on_basis(2)
-            if isinstance(pair, MultilinearMap):
-                return MultilinearMap._own(3, self.h, self.param_table,
-                                           _cube(pair.coeff, self.param_table))
+        """Closure of `order` factors on the structure's own basis, in one
+        pass: the basis is packed once and its h^2 pair products E_r E_s
+        taken once, and the pair table is read off them.  At order 3 a
+        closed pair table gives the triple table by its contraction
+        (`_cube`); otherwise the table is read off the triple products
+        (E_r E_s) E_u, built from those same pair products."""
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top; each
         # divisor is a basis entry, so within top
@@ -540,11 +535,15 @@ class LinearStructure:
             for r in range(self.h)]
         products = {(r, s): _sparse_product(a, b)
                     for r, a in enumerate(basis) for s, b in enumerate(basis)}
+        got = self._read_table(2, basis, products, pack)
         if order == 3:
+            if not isinstance(got, NotInSpan):
+                return MultilinearMap._own(3, self.h, self.param_table,
+                                           _cube(got, self.param_table))
             products = {(r, s, u): _sparse_product(p, c)
                         for (r, s), p in products.items()
                         for u, c in enumerate(basis)}
-        got = self._read_table(order, basis, products, pack)
+            got = self._read_table(3, basis, products, pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
         return MultilinearMap._own(order, self.h, self.param_table, got)

@@ -8,9 +8,10 @@ when serializing or printing, so arithmetic stays hash-map fast while
 output stays deterministic.
 
 Exponent tuples are the form at rest (`terms`, printing, JSON); the kernels
-that loop over products (`substitute`, `**`, `determinant`, closure in
+that loop over products (`substitute`, `determinant`, closure in
 `linstruct`) pack them into ints (`Packing`) so that a monomial product is
-one int addition.  A single `*` stays on tuples, where packing costs more.
+one int addition.  A single `*`, and `**` by binary powering over it, stay
+on tuples, where packing costs more.
 """
 
 from __future__ import annotations
@@ -200,23 +201,19 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
+        """self^e by binary powering over the bits of e from the top: square
+        at every bit, then multiply by self at a set bit, each a `*`."""
         e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return Polynomial._own(self.table, {tuple(e * k for k in m): c ** e})
-        # each exponent of a product of e terms is at most e times the
-        # largest exponent of self
-        pack = Packing(self.table, e * _top(self.terms))
-        base, result = pack.pack_terms(self.terms), {0: 1}
-        while True:
-            if e & 1:
-                result = _mul_packed({}, result, base)
-            e >>= 1
-            if not e:
-                return pack.poly(result)
-            base = _mul_packed({}, base, base)
+        if not e:
+            return self.table.one()
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     # -- substitution and evaluation -------------------------------------
 

@@ -61,8 +61,8 @@ MUTANTS = (
            "abs(int(text[-60:])) & _MASK == abs(v) & _MASK",
            "int(text[-60:]) is not None", DIOPH),
     Mutant("decimal-step-slip", "dioph.py",
-           "map(v.__getitem__, columns)))", "map(v.__getitem__, columns)), 1)",
-           DIOPH),
+           "sum(map(mul, row, v)) for row in S]",
+           "sum(map(mul, row, v), 1) for row in S]", DIOPH),
     Mutant("recurrence-one-short", "dioph.py",
            "    for i in range(count):\n        if i:\n"
            "            v = tuple([sum(map(mul, row, v)) & mask",
@@ -96,7 +96,30 @@ MUTANTS = (
            "f.specialize([at[p] for p in f.params])",
            "f.specialize(pv[:len(f.params)])",
            ("test_closure.py", "test_catalog.py")),
-    # polyring: the one fraction-free elimination
+    # equivalent in its law: only the count of basis products shows it
+    Mutant("contraction-skipped", "linstruct.py",
+           "if not isinstance(got, NotInSpan):", "if False:",
+           ("test_linstruct.py",)),
+    # catalog and compose: which law is the family's own, and the inverse
+    Mutant("own-law-arity-guard-dropped", "catalog.py",
+           '(cmap.k == 3 or self.kind == "pair") and ', "",
+           ("test_catalog.py",)),
+    Mutant("invert-back-substitution", "compose.py",
+           "for j in range(k + 1, h))) // a[k][k]",
+           "for j in range(k + 2, h))) // a[k][k]",
+           ("test_compose.py", "test_catalog.py")),
+    # polyring: powering, the packed division, the DP determinant and the
+    # one fraction-free elimination
+    Mutant("pow-extra-bit", "polyring.py",
+           "for bit in bin(e)[3:]:", "for bit in bin(e)[2:]:",
+           ("test_polyring.py",)),
+    Mutant("packing-divide-guard", "polyring.py",
+           "if c % scale or ((m | guard) - need) & guard != guard:",
+           "if c % scale:", ("test_polyring.py", "test_closure.py")),
+    Mutant("det-sign-parity", "polyring.py",
+           'sign = -1 if bin(mask >> (j + 1)).count("1") & 1 else 1',
+           'sign = -1 if bin(mask >> (j + 2)).count("1") & 1 else 1',
+           ("test_polyring.py", "test_catalog.py")),
     Mutant("bareiss-division", "polyring.py",
            "a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev",
            "a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev ** 2",

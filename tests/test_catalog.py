@@ -11,7 +11,7 @@ from matform import catalog
 from matform.catalog import (FormFamily, ParamArity, UnknownFamily, family,
                              list_families)
 from matform.compose import MultilinearMap, ZeroResidual, verify_identity
-from matform.linstruct import LinearStructure, NotClosed
+from matform.linstruct import LinearStructure, NotClosed, NotInSpan
 from matform.polyring import PolyError, PolyMatrix, VarTable
 
 import paper
@@ -255,6 +255,31 @@ class TestLawHasOneOwner:
         monkeypatch.setattr(LinearStructure, "_decide", counting)
         assert read(fam) is first
         assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_failed_closure_raises_rather_than_expands(self, monkeypatch,
+                                                         k):
+        """A family's law of arity k exists (k = 3, or a pair family), so
+        a closure that fails is an internal fault: `verify` raises it
+        instead of proving the map by expansion."""
+        other = family("quad2x2")
+        cmap = other.pair_map if k == 2 else other.triple_map()
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        fam = family("quad2x2")
+        witness = NotInSpan(entry=(0, 0), residual=None, reason="division")
+        monkeypatch.setattr(LinearStructure, "closure",
+                            lambda self, order: NotClosed(order, witness))
+        with pytest.raises(PolyError, match="closure failed unexpectedly"):
+            fam.verify(cmap)
+
+    def test_a_triple_family_expands_a_bilinear_map(self, monkeypatch):
+        """A triple family has no bilinear law, so a bilinear map is
+        decided by expansion, and no closure is taken."""
+        monkeypatch.setattr(catalog, "_SYMBOLIC", {})
+        fam = family("threefold4x4")
+        monkeypatch.setattr(LinearStructure, "closure", None)
+        zero = MultilinearMap(2, fam.h, fam.param_names, {})
+        assert not isinstance(fam.verify(zero), ZeroResidual)
 
 
 class TestEvaluation:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -690,6 +691,28 @@ class TestContract:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ZERO-RESIDUAL"
+
+    def test_traced_run_prints_what_the_untraced_cli_prints(self):
+        """bench/trace_child.py wraps every name of src/ it reads before it
+        runs the command, so a name src/ drops makes it exit nonzero.
+        Traced, the command prints the same bytes as untraced, and the
+        last line of stderr is the span summary, closure's span in it."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+        argv = ["closure", "--family", "quad2x2", "--order", "pair",
+                "--format", "json"]
+        traced, plain = (
+            subprocess.run([sys.executable, *head, *argv], cwd=root, env=env,
+                           capture_output=True)
+            for head in ([str(root / "bench" / "trace_child.py")],
+                         ["-m", "matform.cli"]))
+        assert traced.returncode == 0, traced.stderr.decode()
+        assert plain.returncode == 0
+        assert traced.stdout == plain.stdout
+        mark, _, summary = traced.stderr.decode().splitlines()[-1].partition(" ")
+        assert mark == "BENCH-SPANS"
+        assert "linstruct.closure" in json.loads(summary)["spans"]
 
     @pytest.mark.parametrize("argv", [
         ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",

@@ -7,6 +7,7 @@ import json
 import sys
 import tracemalloc
 from dataclasses import dataclass, field
+from decimal import localcontext
 from operator import index
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -602,18 +603,39 @@ class TestPrintedChain:
         more digits catches it.  An error of 10**60 in the last iterate
         keeps every residue mod 2**60, since 2**60 divides it, and the
         exact comparison of the last iterate catches it."""
-        step, decimal_steps = dioph._step, []
+        printed = dioph._printed
 
-        def off(S, v):  # the Decimal steps of the printout
-            w = step(S, v)
-            decimal_steps.append(w)
-            return (diverge(w[0]),) + w[1:] if len(decimal_steps) == at else w
-        monkeypatch.setattr(dioph, "_step", off)
+        def off(step, seed, count):  # the printout's Decimal iterates
+            for i, w in enumerate(printed(step, seed, count)):
+                if i == at:
+                    with localcontext(dioph._EXACT):
+                        w = (diverge(w[0]),) + w[1:]
+                yield w
+        monkeypatch.setattr(dioph, "_printed", off)
         r = generate_sequence(SequenceSpec(fam, seq[0], 4, (seq[0],)))
         assert r.solutions == seq  # the proof ran over ints
         where = "iterate 3: " if at == 3 else "iterate 1, coordinate 1"
         with pytest.raises(SequenceVerificationError, match=where):
             r.write_json(io.StringIO())
+
+    @pytest.mark.parametrize("step, seed", [
+        (None, UV_SEQ[0]),           # sextic_uv's S: 13 of its 36 entries 0
+        (((0, 1), (-1, 0)), (1, 0)),  # a rotation: every row half zeros
+    ], ids=["sextic_uv", "rotation"])
+    def test_printed_dense_step_prints_no_negative_zero(self, step, seed):
+        """`_printed` steps every entry of S, zeros included, so a zero
+        entry times a negative coordinate is Decimal -0; each sum starts at
+        the int 0, and every string is str of the exact int, never
+        "-0"."""
+        if step is None:
+            step = generate_sequence(SequenceSpec(
+                family("sextic_uv", (3,)), seed, 2, (seed,))).step
+            assert sum(c == 0 for row in step for c in row) == 13
+        rows = [[str(c) for c in v] for v in dioph._printed(step, seed, 30)]
+        assert rows == [[str(c) for c in v]
+                        for v in dioph._iterates(step, seed, 30)]
+        assert any(c.startswith("-") for row in rows for c in row)
+        assert all(c != "-0" for row in rows for c in row)
 
     @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
                                           (family("sextic_uv", (3,)), UV_SEQ)],

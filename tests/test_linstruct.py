@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from matform import linstruct
+from matform.catalog import family
 from matform.compose import MultilinearMap
 from matform.linstruct import (
     LinearStructure,
@@ -328,6 +330,32 @@ class TestClosure:
         assert isinstance(triple, MultilinearMap)
         assert triple.k == 3
         assert isinstance(st.verify_pair_closure(), NotClosed)
+
+    @pytest.mark.parametrize("build, order, products", [
+        (lambda: tracefree("t", "b", "c"), 2, 4),
+        (lambda: tracefree("t", "b", "c"), 3, 4 + 8),
+        (lambda: pell("p", "q"), 2, 4),
+        (lambda: pell("p", "q"), 3, 4),
+        (lambda: family("cubic3x3").structure, 3, 9),
+    ], ids=["tracefree-pair", "tracefree-triple", "pell-pair",
+            "pell-triple", "cubic3x3-triple"])
+    def test_each_basis_product_is_taken_once(self, monkeypatch, build,
+                                              order, products):
+        """A basis closure takes the h^2 pair products once at either
+        order: a pair-closed structure's triple table is their
+        contraction, and one that is not closed pairwise adds only its
+        h^3 triple products (E_r E_s) E_u."""
+        st = build()
+        taken = []
+        product = linstruct._sparse_product
+
+        def counting(a, b):
+            taken.append(1)
+            return product(a, b)
+        monkeypatch.setattr(linstruct, "_sparse_product", counting)
+        closed = st.closure(order)
+        assert isinstance(closed, MultilinearMap) or order == 2
+        assert len(taken) == products
 
     def test_closure_names_its_order(self):
         st = pell("p", "q")
