@@ -31,6 +31,16 @@ Decimal once for the printout: each row of a step is one C-level dot
 product, and the rows, JSON or text, are written in pieces, in chunks of
 about 64 KB.
 
+A long printout is split into contiguous ranges of about equal cost,
+two where the CPUs this process may run on and the digits allow, each
+printed by its own process.  Any iterate is S^m seed by binary powering,
+so a range restarts both runs there, and ends in an exact comparison of
+its printed last iterate with the proven one; this process prints the
+first range, then copies the others' text in order, and stdout does not
+depend on the number of ranges.  That text waits in files, at most
+_HELD_TEXT characters of it, so the printout's memory does not grow with
+the square of the count either.
+
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
 int, so the form's coefficients over the first coordinates become packed
@@ -48,9 +58,12 @@ of f before it is returned.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from itertools import product
+from math import ceil, log10, sqrt
 from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
@@ -106,6 +119,15 @@ class SequenceSpec(NamedTuple):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
 _MASK = 2 ** 60 - 1
+# The printout's cost model and split (`SequenceResult._bounds`): the
+# cost of a step's work per coordinate that does not grow with the digits,
+# in printed digits; the least estimated cost of a range, and a process,
+# of its own; the most ranges, the number measured to gain; and the most
+# text, in characters, that the forked ranges' files may hold at once.
+_ITERATE_DIGITS = 500
+_RANGE_DIGITS = 2_000_000
+_RANGES = 2
+_HELD_TEXT = 2 ** 24
 
 
 def _printed(step: Tuple[Vec, ...], seed: Vec, count: int
@@ -247,40 +269,56 @@ class SequenceResult:
         `rows()` prints without it."""
         return list(_iterates(self.step, self.seed, self.spec.count))
 
-    def rows(self) -> Iterator[List[str]]:
-        """The iterates as decimal strings, one iterate at a time.
+    def _at(self, i: int) -> Vec:
+        """The proven iterate i: the seed, `last`, or S^i seed by binary
+        powering (`_power`)."""
+        if i == self.spec.count - 1:
+            return self.last
+        return _power(self.step, i, self.seed) if i else self.seed
+
+    def rows(self, start: int = 0,
+             stop: Optional[int] = None) -> Iterator[List[str]]:
+        """The iterates start..stop-1 (default: all of them) as decimal
+        strings, one iterate at a time.
 
         The strings come from running the chain in `decimal` (`_printed`)
         rather than from str() of the ints, which is quadratic in the
         digit count.  Each printed value equals its proven int:
-        - the Decimal run applies the same S to the same seed as the int
-          recurrence (S's entries are converted exactly; the seed row is
-          the int seed);
+        - the Decimal run applies the same S as the int recurrence to the
+          same first iterate: the int seed at start 0, and otherwise
+          S^start seed by binary powering (`_power`), converted exactly by
+          Decimal(int) (str() would be quadratic, and refused past 4300
+          digits); S's entries are converted exactly too;
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
-        Beside it runs the int recurrence (`_iterates`), mod 2**60 on a
-        certified chain, whose every iterate is positive, and exactly on
-        any other.  `_check_printed` compares every string's sign, and
-        the residue mod 2**60 of its last 60 characters, with the int's,
-        and the last iterate is compared exactly with `last`, which also
+        Beside it runs the int recurrence (`_iterates`) from the same
+        first iterate, mod 2**60 on a certified chain, whose every
+        iterate is positive, and exactly on any other.  `_check_printed`
+        compares every string's sign, and the residue mod 2**60 of its
+        last 60 characters, with the int's, and the iterate stop-1 is
+        compared exactly with the proven one (`last` at the end of the
+        chain, S^(stop-1) seed by binary powering before it), which also
         catches an error past the 60th digit from the end (2**60 divides
         10**60); a mismatch raises SequenceVerificationError before the
         row is produced, and an int run of another length ValueError.
         Rows are produced one at a time, so only the current iterate is
         held.
         """
-        count = self.spec.count
-        proven = _iterates(self.step, self.seed, count,
+        stop = self.spec.count if stop is None else stop
+        v, end = self._at(start), self._at(stop - 1)
+        first = tuple(map(Decimal, v)) if start else v
+        proven = _iterates(self.step, v, stop - start,
                            _MASK if self.certified else -1)
-        for i, (v, w) in enumerate(zip(_printed(self.step, self.seed, count),
-                                       proven, strict=True)):
-            row = [str(c) for c in v]
+        for i, (p, w) in enumerate(zip(_printed(self.step, first,
+                                                stop - start),
+                                       proven, strict=True), start):
+            row = [str(c) for c in p]
             _check_printed(i, row, w)
-            if i == count - 1 and v != self.last:  # exact: Decimal == int
+            if i == stop - 1 and p != end:  # exact: Decimal == int
                 raise SequenceVerificationError(
                     f"iterate {i}: the printed chain differs from the "
-                    f"proven last iterate")
+                    f"proven iterate")
             yield row
 
     def write_json(self, out: TextIO) -> None:
@@ -307,20 +345,153 @@ class SequenceResult:
         commas."""
         self._write(out, "", lambda row: (",".join(row),), "\n", "\n")
 
+    def _bounds(self) -> List[int]:
+        """The bounds 0 = b_0 < b_1 < ... < b_k = count of the printout's
+        ranges [b_j, b_(j+1)).
+
+        Printing iterate i is taken to cost its digits, plus
+        _ITERATE_DIGITS per coordinate for the work of a step that does
+        not grow with them, and the digits to grow linearly from the
+        seed's to the last iterate's, read off their bit lengths: a cost
+        a + g i, and C(n) = a n + g n^2 / 2 for the first n.  Its text is
+        taken the same way, with 6 characters per coordinate and 2 per
+        iterate in place of _ITERATE_DIGITS (a digit past the bits'
+        estimate, a sign and JSON's separators): X(n) = x n + g n^2 / 2.
+
+        k is _RANGES, at most the number of CPUs this process may run on,
+        at most C(count) over _RANGE_DIGITS and at most count, and at
+        least 1: one range, in this process, on a platform without
+        os.fork, os.memfd_create or os.sched_getaffinity, and in a process
+        that runs more than one thread, where a forked process could wait
+        forever on a lock another thread held.  b_j solves
+        C(b_j) = C(count) j / k, so every range costs about the same (with
+        digits in proportion to i, b_j = count sqrt(j / k)), except that
+        the ranges after the first, whose text waits in files until this
+        process copies it, hold at most _HELD_TEXT: b_1 is at least the n
+        with X(count) - X(n) = _HELD_TEXT, and the ranges after it share
+        the cost left equally."""
+        count = self.spec.count
+        threading = sys.modules.get("threading")
+        if count < 2 or not all(hasattr(os, f) for f in (
+                "fork", "memfd_create", "sched_getaffinity")) or (
+                threading and threading.active_count() > 1):
+            return [0, count]
+        h = len(self.seed)
+        d, e = (sum(c.bit_length() for c in v) * log10(2)
+                for v in (self.seed, self.last))
+        g = (e - d) / (count - 1)
+        a, x = d + _ITERATE_DIGITS * h, d + 6 * h + 2
+
+        def first(t: float, a: float) -> float:  # the n of a n + g n^2/2 = t
+            return 2 * t / (a + sqrt(a * a + 2 * g * t)) if t > 0 else 0
+
+        total = a * count + g * count * count / 2
+        k = min(_RANGES, len(os.sched_getaffinity(0)), count,
+                int(total // _RANGE_DIGITS))
+        if k < 2:
+            return [0, count]
+        n = ceil(first(x * count + g * count * count / 2 - _HELD_TEXT, x))
+        t = max(total / k, a * n + g * n * n / 2)
+        cuts = {min(count - 1, max(1, round(first(
+            t + (total - t) * j / (k - 1), a)))) for j in range(k - 1)}
+        return [0, *sorted(cuts), count]
+
     def _write(self, out: TextIO, head: str, row_pieces, sep: str,
                tail: str) -> None:
         """Write head, the pieces row_pieces(row) of every row with sep
         between rows, and tail, in chunks (`write_chunks`): one system call
         per chunk rather than one per iterate, and no row's text copied
-        before its chunk is joined."""
+        before its chunk is joined.
+
+        The rows are printed as the ranges of `_bounds`, each by
+        `rows(start, stop)`, which restarts the chain at S^start seed and
+        ends in an exact check.  Each range after the first is printed by
+        a forked process (`_spawn`) into an anonymous file, all of them
+        started before the first range so that they run at once; where no
+        process can be started, this process prints the range itself.
+        This process prints the first range straight to `out`, then waits
+        for each range's process in order and copies its text to `out` in
+        pieces no longer than a row, through the same chunks, closing each
+        file once it is copied.  A range whose process did not exit 0 is
+        printed here instead: the rows are the same in every process, so a
+        failed check raises here with its type and message, and a range
+        whose process a signal ended is printed whole.  Every process left
+        is killed and reaped on every way out, an error or a closed `out`
+        included.  Stdout is the same whatever the number of ranges."""
+        bounds = self._bounds()
+        children: List[Tuple[int, int]] = []
+        unreaped, files = set(), set()
+
         def pieces():
             yield head
-            for i, row in enumerate(self.rows()):
-                if i:
-                    yield sep
-                yield from row_pieces(row)
+            for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                if 0 < j <= len(children):  # printed by its own process
+                    pid, fd = children[j - 1]
+                    status = os.waitpid(pid, 0)[1]
+                    unreaped.discard(pid)
+                    if not status:
+                        yield from _read(fd, len(sep) + sum(map(len, parts)))
+                        files.discard(fd)
+                        os.close(fd)
+                        continue
+                for i, row in enumerate(self.rows(start, stop), start):
+                    if i:
+                        yield sep
+                    parts = row_pieces(row)
+                    yield from parts
             yield tail
-        write_chunks(out, pieces())
+
+        try:
+            for start, stop in zip(bounds[1:], bounds[2:]):
+                try:
+                    child = _spawn(text for row in self.rows(start, stop)
+                                   for text in (sep, *row_pieces(row)))
+                except OSError:  # no process to spare: the rest print here
+                    break
+                children.append(child)
+                unreaped.add(child[0])
+                files.add(child[1])
+            write_chunks(out, pieces())
+        finally:
+            if unreaped:
+                import signal
+                for pid in unreaped:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            for fd in files:
+                os.close(fd)
+
+
+def _spawn(pieces: Iterator[str]) -> Tuple[int, int]:
+    """Fork a process that writes the concatenation of `pieces` in chunks
+    (`write_chunks`) to a new anonymous file (os.memfd_create) and exits
+    0, or 1 on an exception.  The forked process never returns from here:
+    os._exit skips every cleanup, so no buffer it inherited is flushed
+    twice.  Returns its process id and the file's descriptor."""
+    fd = os.memfd_create("matform-range")
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(fd)
+        raise
+    if pid:
+        return pid, fd
+    code = 1
+    try:
+        with open(fd, "w", encoding="ascii", closefd=False) as f:
+            write_chunks(f, pieces)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read(fd: int, size: int) -> Iterator[str]:
+    """The text of the file `fd` from its start, in pieces of at most
+    `size` characters."""
+    offset = 0
+    while data := os.pread(fd, size, offset):
+        offset += len(data)
+        yield data.decode("ascii")
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:

@@ -354,7 +354,7 @@ class Polynomial:
     def json_pieces(self) -> Iterator[str]:
         """The text of `to_json` in pieces, one per term (exponents spelled
         from a table), so a large form goes out in chunks (`write_chunks`)."""
-        yield '{"vars": %s, "terms": [' % json.dumps(self.table.names)
+        yield '{"vars": %s, "terms": [' % _QUOTED[self.table.names]
         sep, spell = "", _SPELLING.__getitem__
         for m, c in self.sorted_terms():
             yield '%s{"c": "%d", "e": [%s]}' % (sep, c, ", ".join(map(spell, m)))
@@ -363,12 +363,17 @@ class Polynomial:
 
 
 class _Spelling(dict):
-    """{e: str(e)}, each entry made on its first lookup."""
-    def __missing__(self, e: int) -> str:
-        return self.setdefault(e, str(e))
+    """{key: spell(key)}, each entry made on its first lookup."""
+    def __init__(self, spell):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, key) -> str:
+        return self.setdefault(key, self.spell(key))
 
 
-_SPELLING = _Spelling()
+_SPELLING = _Spelling(str)  # {e: str(e)}
+_QUOTED = _Spelling(json.dumps)  # {a table's names: their JSON list}
 
 # The least text per write of a long output, in characters (all ASCII, so
 # bytes).  Below glibc's default 128 KB mmap threshold: a larger chunk's

@@ -53,7 +53,7 @@ MUTANTS = (
     Mutant("power-extra-bit", "dioph.py",
            "for bit in bin(e)[3:]:", "for bit in bin(e)[2:]:", DIOPH),
     Mutant("last-iterate-comparison-removed", "dioph.py",
-           "if i == count - 1 and v != self.last:", "if False:", DIOPH),
+           "if i == stop - 1 and p != end:", "if False:", DIOPH),
     Mutant("sign-comparison-removed", "dioph.py",
            'ok = text.startswith("-") == (v < 0) and \\\n',
            "ok = \\\n", DIOPH),
@@ -74,6 +74,20 @@ MUTANTS = (
            "_MASK = 2 ** 60 - 1", "_MASK = 2 ** 59 - 1", DIOPH),
     Mutant("uncertified-chain-masked", "dioph.py",
            "_MASK if self.certified else -1", "_MASK", DIOPH),
+    # dioph: the printout's ranges, each in its own process
+    Mutant("range-end-comparison-dropped", "dioph.py",
+           "if i == stop - 1 and p != end:",
+           "if i == self.spec.count - 1 and p != end:", DIOPH),
+    Mutant("range-exit-status-ignored", "dioph.py",
+           "if not status:", "if True:", DIOPH),
+    Mutant("range-start-off-by-one", "dioph.py",
+           "_spawn(text for row in self.rows(start, stop)",
+           "_spawn(text for row in self.rows(start - 1, stop)", DIOPH),
+    Mutant("range-processes-not-reaped", "dioph.py",
+           "if unreaped:", "if False:", DIOPH),
+    Mutant("held-text-bound-dropped", "dioph.py",
+           "t = max(total / k, a * n + g * n * n / 2)", "t = total / k",
+           DIOPH),
     Mutant("search-leaf-bias", "dioph.py",
            "bias, xor = (L - target) * ones, L * ones",
            "bias, xor = (L - target + 1) * ones, L * ones", DIOPH),

@@ -4,7 +4,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import signal
+import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass, field
 from decimal import localcontext
@@ -733,22 +737,36 @@ class TestPrintedChain:
                       for row in json.loads(text)["solutions"])
         assert all(len(c) < chunk + longest for c in out.calls)
 
-    def test_peak_memory_is_not_quadratic_in_the_count(self):
+    def test_peak_memory_is_not_quadratic_in_the_count(self, monkeypatch,
+                                                       ranges):
         """The chain keeps no per-iterate state, only its current and last
-        iterates: from 300 to 1200 iterates the traced peak grows far less
-        than the 16x of holding every iterate (the ints take count^2
-        digits)."""
+        iterates, and the text of the ranges printed by other processes
+        waits in files of at most _HELD_TEXT characters: from 300 to 1200
+        iterates, printed as two ranges, the traced peak plus those files
+        grows far less than the 16x of holding every iterate (the ints
+        take count^2 digits)."""
         class Null:
             def write(self, text):
                 return len(text)
 
+        ranges(2)
+        monkeypatch.setattr(dioph, "_HELD_TEXT", 2 ** 16)
+        held, read = [], dioph._read
+
+        def counted(fd, size):
+            held.append(os.fstat(fd).st_size)
+            return read(fd, size)
+        monkeypatch.setattr(dioph, "_read", counted)
+
         def peak(count):
+            held.clear()
             tracemalloc.start()
             try:
                 generate_sequence(SequenceSpec(
                     QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],))
                 ).write_json(Null())
-                return tracemalloc.get_traced_memory()[1]
+                assert len(held) == 1 and held[0] <= dioph._HELD_TEXT
+                return tracemalloc.get_traced_memory()[1] + held[0]
             finally:
                 tracemalloc.stop()
 
@@ -777,6 +795,375 @@ class TestPrintedChain:
         for v, w in zip(r.solutions, r.solutions[1:]):
             assert w == tuple(sum(c * x for c, x in zip(row, v))
                               for row in r.step)
+
+
+SOLVE_ARGVS = [a for a in GOLDEN if a.startswith("solve ")]
+UV = family("sextic_uv", (3,))
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """force(k) makes every printout of k iterates or more k ranges, one
+    process each, whatever the machine: k CPUs, at most k ranges and a
+    range cost of one digit; force(1) makes every printout one range."""
+    def force(k):
+        monkeypatch.setattr(dioph.os, "sched_getaffinity",
+                            lambda pid: set(range(k)))
+        monkeypatch.setattr(dioph, "_RANGES", k)
+        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 1 if k > 1 else 10 ** 30)
+    return force
+
+
+def process_statuses(monkeypatch) -> list:
+    """The wait statuses of the processes the printout reaps, as exit
+    codes, in the order they are reaped."""
+    codes, waitpid = [], os.waitpid
+
+    def spy(pid, options):
+        got = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+    monkeypatch.setattr(dioph.os, "waitpid", spy)
+    return codes
+
+
+def in_a_range_process(parent: int) -> bool:
+    """Whether this is a process the printout forked from `parent`."""
+    return os.getpid() != parent
+
+
+def chain(fam, seed, count) -> dioph.SequenceResult:
+    return generate_sequence(SequenceSpec(fam, seed, count, (seed,)))
+
+
+class TestPrintedRanges:
+    """A long printout is split into ranges, each printed by its own
+    process from S^start seed and ended in an exact check; stdout is the
+    same whatever the number of ranges."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("argv", SOLVE_ARGVS)
+    def test_split_stdout_is_the_golden_stdout(self, capsys, monkeypatch,
+                                               ranges, k, argv):
+        ranges(k)
+        splits = []
+        bounds = dioph.SequenceResult._bounds
+
+        def spy(self):
+            splits.append(bounds(self))
+            return splits[-1]
+        monkeypatch.setattr(dioph.SequenceResult, "_bounds", spy)
+        code = main(argv.split(" "))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [code, digest] == GOLDEN[argv]
+        [b] = splits
+        count = int(argv.split("--count ")[1].split(" ")[0])
+        assert len(b) == min(k, count) + 1 and b[0] == 0 and b[-1] == count
+        assert b == sorted(set(b))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
+                                          (UV, UV_SEQ)],
+                             ids=["quartic4x4", "sextic_uv"])
+    def test_short_chains_print_the_same_in_any_ranges(self, ranges, fam,
+                                                       seq, count, fmt):
+        """Counts 0, 1 and 2, and counts below and at k = 3: the ranges
+        are the count's first min(3, count) iterates' own, and stdout is
+        the one-range printout's."""
+        r = chain(fam, seq[0], count)
+        texts = []
+        for k in (1, 3):
+            ranges(k)
+            assert len(r._bounds()) == (min(k, count) if count else 1) + 1
+            out = io.StringIO()
+            getattr(r, "write_" + fmt)(out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        if fmt == "text":
+            assert texts[0] == ("".join(
+                ",".join(map(str, v)) + "\n" for v in seq[:count]) or "\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_ranges_are_at_most_two_and_the_cpus(self, monkeypatch, cpus):
+        """The 2600-iterate quartic (24 MB) takes min(CPUs, _RANGES = 2)
+        ranges, the number measured to gain, however many CPUs there are;
+        the file of its second range (13 MB) is under _HELD_TEXT, so the
+        two cost the same."""
+        monkeypatch.setattr(dioph.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
+        b = r._bounds()
+        assert len(b) == min(cpus, 2) + 1
+        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
+        assert r._bounds() == b
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_bounds_balance_the_cost(self, monkeypatch, ranges, k):
+        """With no bound on the forked ranges' text, the 2600-iterate
+        quartic takes k ranges of about equal cost, a range's cost its
+        digits and _ITERATE_DIGITS per coordinate of each iterate: iterate
+        i has about i/2599 of the last one's digits, so the first range
+        holds the most iterates."""
+        ranges(k)
+        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
+        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
+        b = r._bounds()
+        assert len(b) == k + 1 and (b[0], b[-1]) == (0, 2600)
+        sizes = [y - x for x, y in zip(b, b[1:])]
+        assert sizes == sorted(sizes, reverse=True)
+        costs = [sum(len(c) for row in r.rows(x, y) for c in row)
+                 + dioph._ITERATE_DIGITS * 4 * (y - x)
+                 for x, y in zip(b, b[1:])]
+        assert all(abs(c * k / sum(costs) - 1) < 0.01 for c in costs)
+
+    @pytest.mark.parametrize("k, count, held", [
+        (2, 1200, 2 ** 16), (2, 1200, 2 ** 20), (3, 1200, 2 ** 20),
+        (5, 2600, dioph._HELD_TEXT)])
+    def test_forked_ranges_hold_at_most_held_text(self, monkeypatch, ranges,
+                                                  k, count, held):
+        """The ranges after the first wait in files until this process
+        copies them: their text together is at most _HELD_TEXT, counted
+        from the files (os.fstat), and the split still takes k ranges, the
+        bytes unchanged.  The 2600-iterate quartic as five ranges would
+        hold 4/5 of its 24 MB; the default bound holds 16 MiB."""
+        r = chain(QUARTIC, QUARTIC_SEQ[0], count)
+        ranges(1)
+        want = io.StringIO()
+        r.write_json(want)
+        ranges(k)
+        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
+        monkeypatch.setattr(dioph, "_HELD_TEXT", held)
+        sizes, read = [], dioph._read
+
+        def counted(fd, size):
+            sizes.append(os.fstat(fd).st_size)
+            return read(fd, size)
+        monkeypatch.setattr(dioph, "_read", counted)
+        got = io.StringIO()
+        r.write_json(got)
+        assert got.getvalue() == want.getvalue()
+        assert len(sizes) == k - 1 == len(r._bounds()) - 2
+        assert 0.9 * held < sum(sizes) <= held
+
+    def test_a_small_chain_stays_in_one_range(self, monkeypatch):
+        """The 300-iterate threefold8x8 chain, 1 MB of digits, costs less
+        than two ranges' worth, so it forks nothing on any machine."""
+        monkeypatch.setattr(dioph.os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        r = generate_sequence(SequenceSpec(
+            T8, T8_SEQ[0], 300, ((1,) + (0,) * 7, T8_SEQ[0])))
+        assert r._bounds() == [0, 300]
+
+    def test_a_process_with_threads_forks_nothing(self, ranges):
+        ranges(3)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 8)
+        assert len(r._bounds()) == 4
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            assert r._bounds() == [0, 8]
+        finally:
+            done.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_a_range_restarts_at_its_first_proven_iterate(self):
+        r = chain(UV, UV_SEQ[0], 4)
+        assert list(r.rows(1, 3)) == [[str(c) for c in v] for v in UV_SEQ[1:3]]
+        assert list(r.rows(3, 4)) == [[str(c) for c in UV_SEQ[3]]]
+        assert list(r.rows(2, 2)) == []
+
+    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
+                                          (UV, UV_SEQ)],
+                             ids=["quartic4x4", "sextic_uv"])
+    def test_a_divergence_in_a_range_process_is_raised_here(
+            self, monkeypatch, ranges, fam, seq):
+        """A printed value off in its last digit inside the second range,
+        in every process, ends that range's process with status 1; the
+        range is printed here again, which raises SequenceVerificationError
+        naming its iterate, and writes nothing of that range."""
+        ranges(2)
+        statuses = process_statuses(monkeypatch)
+        printed = dioph._printed
+
+        def off(step, seed, count):
+            for i, w in enumerate(printed(step, seed, count)):
+                if i == 1 and type(seed[0]) is dioph.Decimal:  # restarted
+                    with localcontext(dioph._EXACT):
+                        w = (w[0] + 1,) + w[1:]
+                yield w
+        monkeypatch.setattr(dioph, "_printed", off)
+        r = chain(fam, seq[0], 8)
+        b = r._bounds()
+        assert len(b) == 3
+        out = io.StringIO()
+        with pytest.raises(SequenceVerificationError,
+                           match=f"^iterate {b[1] + 1}, coordinate 1: "):
+            r.write_text(out)
+        assert out.getvalue().count("\n") <= b[1]
+        assert statuses == [1]
+
+    def test_a_short_recurrence_in_a_range_process_raises_value_error(
+            self, monkeypatch, ranges):
+        """An int run one iterate short in the second range, in every
+        process, ends that range's process with status 1, and raises its
+        ValueError here, with its type and message."""
+        ranges(2)
+        statuses = process_statuses(monkeypatch)
+        iterates = dioph._iterates
+
+        def short(step, seed, count, mask=-1):
+            if seed != QUARTIC_SEQ[0]:  # a range after the first
+                count -= 1
+            return iterates(step, seed, count, mask)
+        monkeypatch.setattr(dioph, "_iterates", short)
+        with pytest.raises(ValueError) as caught:
+            chain(QUARTIC, QUARTIC_SEQ[0], 8).write_json(io.StringIO())
+        assert type(caught.value) is ValueError
+        assert "zip()" in str(caught.value)
+        assert statuses == [1]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_range_whose_process_is_killed_is_printed_here(
+            self, monkeypatch, ranges, fmt):
+        """A range's process that a signal ends, as the kernel's OOM killer
+        would, leaves a partial file; the range is printed here instead,
+        and stdout is the one-range printout."""
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
+        ranges(1)
+        want = io.StringIO()
+        getattr(r, "write_" + fmt)(want)
+        ranges(3)
+        statuses = process_statuses(monkeypatch)
+        parent, printed = os.getpid(), dioph._printed
+
+        def killed(step, seed, count):
+            for i, w in enumerate(printed(step, seed, count)):
+                if i == count // 2 and in_a_range_process(parent):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield w
+        monkeypatch.setattr(dioph, "_printed", killed)
+        got = io.StringIO()
+        getattr(r, "write_" + fmt)(got)
+        assert got.getvalue() == want.getvalue()
+        assert statuses == [-signal.SIGKILL] * 2
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["this", "forked"])
+    def test_an_error_past_the_residue_at_a_range_end_raises(
+            self, monkeypatch, ranges, which):
+        """An error of 10**60 keeps every residue mod 2**60.  At the last
+        iterate of a range that is not the last one, nothing after it
+        would carry it, since the next range restarts from S^start seed:
+        only the exact check at the range's end catches it, in this
+        process's range and in a forked one."""
+        ranges(3)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 9)
+        b = r._bounds()
+        assert len(b) == 4
+        at = b[which + 1] - 1  # the last iterate of range `which`
+        first = dioph.Decimal if which else int
+        printed = dioph._printed
+
+        def off(step, seed, count):
+            for i, w in enumerate(printed(step, seed, count)):
+                if i == count - 1 and type(seed[0]) is first \
+                        and w == r._at(at):
+                    with localcontext(dioph._EXACT):
+                        w = (w[0] + 10 ** 60,) + w[1:]
+                yield w
+        monkeypatch.setattr(dioph, "_printed", off)
+        with pytest.raises(SequenceVerificationError,
+                           match=f"^iterate {at}: the printed chain"):
+            r.write_json(io.StringIO())
+
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_a_range_no_process_can_print_is_printed_here(
+            self, monkeypatch, ranges, forks):
+        """Where os.fork fails, as it does at a process limit, this
+        process prints the ranges left itself: the same bytes, and no
+        process left."""
+        ranges(3)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
+        want = io.StringIO()
+        r.write_text(want)
+        fork, calls = os.fork, []
+
+        def failing():
+            calls.append(1)
+            if len(calls) > forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(dioph.os, "fork", failing)
+        got = io.StringIO()
+        r.write_text(got)
+        assert len(calls) == forks + 1
+        assert got.getvalue() == want.getvalue()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault", ["check", BrokenPipeError,
+                                       KeyboardInterrupt])
+    def test_a_failure_here_leaves_no_process(self, monkeypatch, ranges,
+                                              fault):
+        """A failed check in this process's range, a reader that closed
+        `out` and an interrupt, each while the other ranges' processes
+        still print, kill and reap every one of them before they
+        propagate."""
+        ranges(3)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
+        out = io.StringIO()
+        if fault == "check":
+            fault, parent, printed = (SequenceVerificationError, os.getpid(),
+                                      dioph._printed)
+
+            def off(step, seed, count):
+                for i, w in enumerate(printed(step, seed, count)):
+                    if i == 1 and not in_a_range_process(parent):
+                        w = (w[0] + 1,) + w[1:]
+                    yield w
+            monkeypatch.setattr(dioph, "_printed", off)
+        else:
+            class Failing:
+                def write(self, text):
+                    raise fault("planted")
+            out = Failing()
+        with pytest.raises(fault):
+            r.write_json(out)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
+                        reason="lists processes through /proc")
+    def test_a_closed_pipe_exits_1_and_leaves_no_process(self):
+        """`matform solve ... --count 2600 | head -c 100`, printed as three
+        ranges: exit status 1, nothing on stderr and, once it has exited,
+        no process of it left."""
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}"
+                "; from matform.cli import main; sys.exit(main())")
+        argv = [sys.executable, "-c", code, *(
+            "solve --family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
+            "--step 6,2,3,1 --count 2600").split()]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE)
+        assert run.stdout.read(100).startswith(b'{"family": "quartic4x4"')
+        run.stdout.close()
+        assert run.wait(timeout=60) == 1
+        cmdline = "\0".join(argv).encode() + b"\0"
+        left = []
+        for proc in Path("/proc").iterdir():
+            try:
+                if (proc / "cmdline").read_bytes() == cmdline:
+                    left.append(proc.name)
+            except OSError:  # not a process, or one that has ended
+                pass
+        # read only now: a process left running would hold stderr open
+        assert run.stderr.read() == b""
+        run.stderr.close()
+        assert left == []
 
 
 class TestMonotoneReports:
