@@ -33,9 +33,10 @@ about 64 KB.
 
 A long printout is split into contiguous ranges of about equal cost,
 two where the CPUs this process may run on and the digits allow, each
-printed by its own process.  Any iterate is S^m seed by binary powering,
-so a range restarts both runs there, and ends in an exact comparison of
-its printed last iterate with the proven one; this process prints the
+printed by its own process.  The iterate just before each boundary is
+S^m seed by binary powering, taken once: the range before the boundary
+ends in an exact comparison of its printed last iterate with it, and the
+range after restarts both runs one step past it; this process prints the
 first range, then copies the others' text in order, and stdout does not
 depend on the number of ranges.  That text waits in files, at most
 _HELD_TEXT characters of it, so the printout's memory does not grow with
@@ -279,16 +280,25 @@ class SequenceResult:
     def rows(self, start: int = 0,
              stop: Optional[int] = None) -> Iterator[List[str]]:
         """The iterates start..stop-1 (default: all of them) as decimal
-        strings, one iterate at a time.
+        strings, one iterate at a time (`_range`, from the proven iterates
+        start-1 and stop-1)."""
+        stop = self.spec.count if stop is None else stop
+        return self._range(start, stop, self._at(start - 1) if start else None,
+                           self._at(stop - 1))
+
+    def _range(self, start: int, stop: int, before: Optional[Vec],
+               end: Vec) -> Iterator[List[str]]:
+        """The iterates start..stop-1 as decimal strings, given the proven
+        iterate start-1 as `before` (None at start 0) and stop-1 as `end`.
 
         The strings come from running the chain in `decimal` (`_printed`)
         rather than from str() of the ints, which is quadratic in the
         digit count.  Each printed value equals its proven int:
         - the Decimal run applies the same S as the int recurrence to the
           same first iterate: the int seed at start 0, and otherwise
-          S^start seed by binary powering (`_power`), converted exactly by
-          Decimal(int) (str() would be quadratic, and refused past 4300
-          digits); S's entries are converted exactly too;
+          S before, one int step, converted exactly by Decimal(int) (str()
+          would be quadratic, and refused past 4300 digits); S's entries
+          are converted exactly too;
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
@@ -297,17 +307,15 @@ class SequenceResult:
         iterate is positive, and exactly on any other.  `_check_printed`
         compares every string's sign, and the residue mod 2**60 of its
         last 60 characters, with the int's, and the iterate stop-1 is
-        compared exactly with the proven one (`last` at the end of the
-        chain, S^(stop-1) seed by binary powering before it), which also
-        catches an error past the 60th digit from the end (2**60 divides
-        10**60); a mismatch raises SequenceVerificationError before the
-        row is produced, and an int run of another length ValueError.
-        Rows are produced one at a time, so only the current iterate is
-        held.
+        compared exactly with `end`, which also catches an error past the
+        60th digit from the end (2**60 divides 10**60); a mismatch raises
+        SequenceVerificationError before the row is produced, and an int
+        run of another length ValueError.  Rows are produced one at a
+        time, so only the current iterate is held.
         """
-        stop = self.spec.count if stop is None else stop
-        v, end = self._at(start), self._at(stop - 1)
-        first = tuple(map(Decimal, v)) if start else v
+        v = self.seed if before is None else tuple(
+            [sum(map(mul, row, before)) for row in self.step])
+        first = v if before is None else tuple(map(Decimal, v))
         proven = _iterates(self.step, v, stop - start,
                            _MASK if self.certified else -1)
         for i, (p, w) in enumerate(zip(_printed(self.step, first,
@@ -404,27 +412,32 @@ class SequenceResult:
         before its chunk is joined.
 
         The rows are printed as the ranges of `_bounds`, each by
-        `rows(start, stop)`, which restarts the chain at S^start seed and
-        ends in an exact check.  Each range after the first is printed by
-        a forked process (`_spawn`) into an anonymous file, all of them
-        started before the first range so that they run at once; where no
-        process can be started, this process prints the range itself.
-        This process prints the first range straight to `out`, then waits
-        for each range's process in order and copies its text to `out` in
-        pieces no longer than a row, through the same chunks, closing each
-        file once it is copied.  A range whose process did not exit 0 is
-        printed here instead: the rows are the same in every process, so a
-        failed check raises here with its type and message, and a range
-        whose process a signal ended is printed whole.  Every process left
-        is killed and reaped on every way out, an error or a closed `out`
-        included.  Stdout is the same whatever the number of ranges."""
+        `_range`.  The proven iterate b-1 at a bound b is taken once,
+        S^(b-1) seed by binary powering, before any process starts: the
+        range that ends there is checked against it exactly, and the next
+        range restarts one int step past it.  Each range after the first
+        is printed by a forked process (`_spawn`) into an anonymous file,
+        all of them started before the first range so that they run at
+        once; where no process can be started, this process prints the
+        range itself.  This process prints the first range straight to
+        `out`, then waits for each range's process in order and copies its
+        text to `out` in pieces no longer than a row, through the same
+        chunks, closing each file once it is copied.  A range whose process
+        did not exit 0 is printed here instead: the rows are the same in
+        every process, so a failed check raises here with its type and
+        message, and a range whose process a signal ended is printed
+        whole.  Every process left is killed and reaped on every way out,
+        an error or a closed `out` included.  Stdout is the same whatever
+        the number of ranges."""
         bounds = self._bounds()
+        ends = [self._at(b - 1) for b in bounds[1:]]
+        ranges = list(zip(bounds, bounds[1:], [None, *ends], ends))
         children: List[Tuple[int, int]] = []
         unreaped, files = set(), set()
 
         def pieces():
             yield head
-            for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            for j, (start, stop, before, end) in enumerate(ranges):
                 if 0 < j <= len(children):  # printed by its own process
                     pid, fd = children[j - 1]
                     status = os.waitpid(pid, 0)[1]
@@ -434,7 +447,8 @@ class SequenceResult:
                         files.discard(fd)
                         os.close(fd)
                         continue
-                for i, row in enumerate(self.rows(start, stop), start):
+                for i, row in enumerate(self._range(start, stop, before,
+                                                    end), start):
                     if i:
                         yield sep
                     parts = row_pieces(row)
@@ -442,9 +456,10 @@ class SequenceResult:
             yield tail
 
         try:
-            for start, stop in zip(bounds[1:], bounds[2:]):
+            for start, stop, before, end in ranges[1:]:
+                rows = self._range(start, stop, before, end)
                 try:
-                    child = _spawn(text for row in self.rows(start, stop)
+                    child = _spawn(text for row in rows
                                    for text in (sep, *row_pieces(row)))
                 except OSError:  # no process to spare: the rest print here
                     break

@@ -29,7 +29,7 @@ from operator import add, index, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
-                       VarTable, _mul_into, _mul_packed, _top)
+                       VarTable, _mul_packed, _top)
 
 
 class NameCollision(PolyError):
@@ -135,8 +135,7 @@ def _cube(pair: CoeffTable, ptable: VarTable) -> CoeffTable:
     """The triple table of a closed pair table: E_r E_s E_u =
     sum_v c_rs^v E_v E_u = sum_t (sum_v c_rs^v c_vu^t) E_t."""
     # a product of two pair coefficients has exponents up to twice theirs
-    pack = Packing(ptable, 2 * max((_top(c.terms) for c in pair.values()),
-                                   default=0))
+    pack = Packing(ptable, 2 * _top(pair.values()))
     by_rs: Dict[Tuple[int, int], List[Tuple[int, Dict[int, int]]]] = {}
     by_v: Dict[int, List[Tuple[int, int, Dict[int, int]]]] = {}
     for (t, (r, s)), c in pair.items():
@@ -385,14 +384,19 @@ class LinearStructure:
 
     def _combine(self, table: VarTable, values: Sequence[Polynomial]):
         """The entries ((i, j), sum_r L[i][j][r] * values[r]) of A(values)
-        over `table`, row by row, each accumulated in place."""
+        over `table`, row by row, each accumulated packed in place."""
+        # a term is a coefficient's term times a value's
+        pack = Packing(table, _top(c for row in self.coeff for cell in row
+                                   for c in cell) + _top(values))
+        packed = [pack.pack_terms(v.terms) for v in values]
         for i, row in enumerate(self.coeff):
             for j, cell in enumerate(row):
-                acc: Dict[Tuple[int, ...], int] = {}
-                for cr, v in zip(cell, values):
+                acc: Dict[int, int] = {}
+                for cr, v in zip(cell, packed):
                     if cr.terms:
-                        _mul_into(acc, cr.embed(table).terms, v.terms)
-                yield (i, j), Polynomial._own(table, acc)
+                        _mul_packed(acc, pack.pack_terms(
+                            cr.embed(table).terms), v)
+                yield (i, j), pack.poly(acc)
 
     def matrix_of(self, point: Sequence[int]) -> List[List[int]]:
         """Integer matrix A(point) of a parameter-free structure (one with
@@ -525,9 +529,8 @@ class LinearStructure:
         # a product has exponents up to order * top, its reconstruction
         # (a quotient times a basis entry) up to (order + 1) * top; each
         # divisor is a basis entry, so within top
-        top = max((_top(c.terms) for row in self.coeff for cell in row
-                   for c in cell), default=0)
-        pack = Packing(self.param_table, (order + 1) * top)
+        pack = Packing(self.param_table, (order + 1) * _top(
+            c for row in self.coeff for cell in row for c in cell))
         basis: List[Sparse] = [
             [{j: pack.pack_terms(cell[r].terms)
               for j, cell in enumerate(row) if cell[r].terms}

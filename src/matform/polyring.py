@@ -7,11 +7,12 @@ there is no floating point anywhere.  Term order is graded lexicographic
 when serializing or printing, so arithmetic stays hash-map fast while
 output stays deterministic.
 
-Exponent tuples are the form at rest (`terms`, printing, JSON); the kernels
-that loop over products (`substitute`, `determinant`, closure in
-`linstruct`) pack them into ints (`Packing`) so that a monomial product is
-one int addition.  A single `*`, and `**` by binary powering over it, stay
-on tuples, where packing costs more.
+Exponent tuples are the form at rest (`terms`, printing, JSON); every
+product packs them into ints (`Packing`) so that a monomial product is one
+int addition, and `_mul_packed` is the one product kernel: `*` (and `**`,
+binary powering over it), the matrix product, `determinant`, the one
+substitution kernel `_map_through` (`substitute` and `specialize`), and
+closure and `instantiate` in `linstruct`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import contextlib
 import json
 import operator
 import sys
+from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, TextIO, Tuple)
 
@@ -195,8 +197,11 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        return Polynomial._own(self.table, _mul_into({}, self.terms,
-                                                     self._coerce(other).terms))
+        other = self._coerce(other)
+        # a product's exponent is the sum of one from each factor
+        pack = Packing(self.table, _top((self,)) + _top((other,)))
+        return pack.poly(_mul_packed({}, pack.pack_terms(self.terms),
+                                     pack.pack_terms(other.terms)))
 
     __rmul__ = __mul__
 
@@ -254,8 +259,7 @@ class Polynomial:
         `target`, with every product taken on packed monomials."""
         # a term of degree d maps to a product of d image terms, so no
         # exponent exceeds total_degree(self) times the largest image one
-        pack = Packing(target, max(self.total_degree(), 0)
-                       * max((_top(im.terms) for im in images), default=0))
+        pack = Packing(target, max(self.total_degree(), 0) * _top(images))
         # powers[i][e] = images[i] ** e, each from the one before it
         powers = [[{0: 1}, pack.pack_terms(im.terms)] for im in images]
 
@@ -270,8 +274,8 @@ class Polynomial:
             *rest, last = [power(i, e) for i, e in enumerate(m) if e] or [{0: 1}]
             term = {0: c}
             for f in rest:
-                term = _mul_packed({}, *sorted((term, f), key=len))
-            _mul_packed(acc, *sorted((term, last), key=len))
+                term = _mul_packed({}, term, f)
+            _mul_packed(acc, term, last)
         return pack.poly(acc)
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
@@ -279,25 +283,10 @@ class Polynomial:
         from the table.  The remaining variables keep their order."""
         for name in values:
             self.table.index(name)  # raises UnknownVariable
-        keep = [i for i, name in enumerate(self.table.names) if name not in values]
-        vals = {self.table.index(name): operator.index(v)
-                for name, v in values.items()}
-        table = VarTable(tuple(self.table.names[i] for i in keep))
-        out: Dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            v = c
-            for i, x in vals.items():
-                if m[i]:
-                    v *= x ** m[i]
-            if not v:
-                continue
-            key = tuple(m[i] for i in keep)
-            s = out.get(key, 0) + v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Polynomial._own(table, out)
+        table = VarTable(n for n in self.table.names if n not in values)
+        return self._map_through(table, [
+            table.const(values[n]) if n in values else table.var(n)
+            for n in self.table.names])
 
     def eval_vector(self, values: Sequence[int]) -> int:
         """Exact value given one integer per table variable, in order."""
@@ -410,26 +399,10 @@ def _add_into(out: Dict[Monomial, int], terms: Mapping[Monomial, int],
     return out
 
 
-def _mul_into(out: Dict[Monomial, int], a: Mapping[Monomial, int],
-              b: Mapping[Monomial, int]) -> Dict[Monomial, int]:
-    """out += a * b, in place and returned; keeps `out` free of zeros."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(int.__add__, m1, m2))
-            s = get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def _top(terms: Mapping[Monomial, int]) -> int:
-    """The largest exponent of any variable in `terms`; 0 if none."""
-    return max((max(m, default=0) for m in terms), default=0)
+def _top(polys: Iterable[Polynomial]) -> int:
+    """The largest exponent of any variable in any of `polys`; 0 if none."""
+    monomials = chain.from_iterable(p.terms for p in polys)
+    return max(chain.from_iterable(monomials), default=0)
 
 
 class Packing:
@@ -474,7 +447,9 @@ class Packing:
 def _mul_packed(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
                 scale: int = 1) -> Dict[int, int]:
     """out += scale * a * b over packed monomials, in place and returned;
-    keeps `out` free of zeros.  Pass the smaller factor as `a`."""
+    keeps `out` free of zeros.  The smaller factor is the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
     get = out.get
     for m1, c1 in a.items():
         c1 *= scale
@@ -518,13 +493,17 @@ class PolyMatrix:
             raise ValueError("matrix orders differ")
         if other.table != self.table:
             raise VarTableMismatch(f"{other.table!r} differs from {self.table!r}")
-        a, b = self.entries, other.entries
+        # an entry's term is a product of one entry term from each side
+        pack = Packing(self.table, sum(_top(chain.from_iterable(m.entries))
+                                       for m in (self, other)))
+        a, b = ([[pack.pack_terms(p.terms) for p in row] for row in m.entries]
+                for m in (self, other))
 
         def entry(i: int, j: int) -> Polynomial:
-            acc: Dict[Monomial, int] = {}
+            acc: Dict[int, int] = {}
             for k in range(self.n):
-                _mul_into(acc, a[i][k].terms, b[k][j].terms)
-            return Polynomial._own(self.table, acc)
+                _mul_packed(acc, a[i][k], b[k][j])
+            return pack.poly(acc)
         return PolyMatrix([[entry(i, j) for j in range(self.n)]
                            for i in range(self.n)])
 
@@ -538,8 +517,7 @@ class PolyMatrix:
         """
         # a minor's term is a product of one entry term per row, so no
         # exponent exceeds the sum over rows of that row's largest one
-        pack = Packing(self.table, sum(max(_top(p.terms) for p in row)
-                                       for row in self.entries))
+        pack = Packing(self.table, sum(map(_top, self.entries)))
         rows = [[pack.pack_terms(p.terms) for p in row] for row in self.entries]
         minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
         for row in rows:

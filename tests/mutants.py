@@ -81,8 +81,12 @@ MUTANTS = (
     Mutant("range-exit-status-ignored", "dioph.py",
            "if not status:", "if True:", DIOPH),
     Mutant("range-start-off-by-one", "dioph.py",
-           "_spawn(text for row in self.rows(start, stop)",
-           "_spawn(text for row in self.rows(start - 1, stop)", DIOPH),
+           "rows = self._range(start, stop, before, end)",
+           "rows = self._range(start - 1, stop, before, end)", DIOPH),
+    Mutant("range-boundary-step-skipped", "dioph.py",
+           "v = self.seed if before is None else tuple(\n"
+           "            [sum(map(mul, row, before)) for row in self.step])",
+           "v = self.seed if before is None else before", DIOPH),
     Mutant("range-processes-not-reaped", "dioph.py",
            "if unreaped:", "if False:", DIOPH),
     Mutant("held-text-bound-dropped", "dioph.py",
@@ -106,6 +110,9 @@ MUTANTS = (
     Mutant("read-table-divisor-test", "linstruct.py",
            "if divided is None:", "if divided is None and False:",
            ("test_closure.py", "test_linstruct.py")),
+    Mutant("combine-values-top-dropped", "linstruct.py",
+           "for c in cell) + _top(values))", "for c in cell))",
+           ("test_linstruct.py",)),
     Mutant("specialize-factor-values", "linstruct.py",
            "f.specialize([at[p] for p in f.params])",
            "f.specialize(pv[:len(f.params)])",
@@ -122,8 +129,30 @@ MUTANTS = (
            "for j in range(k + 1, h))) // a[k][k]",
            "for j in range(k + 2, h))) // a[k][k]",
            ("test_compose.py", "test_catalog.py")),
-    # polyring: powering, the packed division, the DP determinant and the
-    # one fraction-free elimination
+    # polyring: the one product kernel, the field layout of packed
+    # monomials, the one substitution kernel, powering, the packed
+    # division, the DP determinant and the one fraction-free elimination
+    Mutant("mul-packed-zero-filter-dropped", "polyring.py",
+           "            s = get(m, 0) + c1 * c2\n            if s:\n"
+           "                out[m] = s\n            else:\n"
+           "                del out[m]\n",
+           "            out[m] = get(m, 0) + c1 * c2\n",
+           ("test_polyring.py",)),
+    # the larger top would be equivalent: a field of bound.bit_length() + 1
+    # bits holds the sum of two exponents at most `bound`
+    Mutant("mul-field-bound-smaller-top", "polyring.py",
+           "Packing(self.table, _top((self,)) + _top((other,)))",
+           "Packing(self.table, min(_top((self,)), _top((other,))))",
+           ("test_polyring.py",)),
+    Mutant("packing-mask-one-bit-wide", "polyring.py",
+           "self.mask = (1 << bits) - 1", "self.mask = (1 << bits + 1) - 1",
+           ("test_polyring.py",)),
+    Mutant("specialize-kept-variable-constant", "polyring.py",
+           "else table.var(n)", "else table.const(1)", ("test_polyring.py",)),
+    Mutant("substitute-power-squared", "polyring.py",
+           "row.append(_mul_packed({}, row[1], row[-1]))",
+           "row.append(_mul_packed({}, row[-1], row[-1]))",
+           ("test_polyring.py",)),
     Mutant("pow-extra-bit", "polyring.py",
            "for bit in bin(e)[3:]:", "for bit in bin(e)[2:]:",
            ("test_polyring.py",)),

@@ -4,14 +4,69 @@ form that `Polynomial.to_json` writes as text (the oracles for its order
 and its bytes), reading that form back, a matrix embedded in a larger
 table (to multiply matrices at different coordinates), and the first-row
 cofactor determinant, the oracle for `PolyMatrix.determinant`.
+
+The tests have their own product kernel, over exponent tuples: `mul` of
+two polynomials, `matmul` of two matrices, and `specialized`.  src/ takes
+every product on packed monomials, so an oracle that multiplies with
+these shares no product kernel with the code it checks.
 """
 
 import operator
-from typing import Mapping
+from typing import Dict, Mapping
 
 from matform.polyring import (Monomial, PolyMatrix, Polynomial,
                               UnassignedVariable, UnknownVariable, VarTable,
                               VarTableMismatch, _exponents)
+
+
+def _mul_terms(out: Dict[Monomial, int], a: Mapping[Monomial, int],
+               b: Mapping[Monomial, int]) -> Dict[Monomial, int]:
+    """out += a * b over exponent tuples, in place and returned; keeps
+    `out` free of zeros."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(operator.add, m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b over exponent tuples (the tests' own product)."""
+    if a.table != b.table:
+        raise VarTableMismatch(f"{b.table!r} differs from {a.table!r}")
+    return Polynomial(a.table, _mul_terms({}, a.terms, b.terms))
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """a @ b over exponent tuples (the tests' own matrix product)."""
+    if a.n != b.n or a.table != b.table:
+        raise ValueError("matrix orders or tables differ")
+
+    def entry(i: int, j: int) -> Polynomial:
+        out: Dict[Monomial, int] = {}
+        for k in range(a.n):
+            _mul_terms(out, a[i, k].terms, b[k, j].terms)
+        return Polynomial(a.table, out)
+    return PolyMatrix([[entry(i, j) for j in range(a.n)] for i in range(a.n)])
+
+
+def specialized(poly: Polynomial, values: Mapping[str, int]) -> Polynomial:
+    """`poly` with integers for the variables in `values`, which leave
+    the table: each term's coefficient times the values' powers, over
+    exponent tuples restricted to the kept variables."""
+    keep = [i for i, n in enumerate(poly.table.names) if n not in values]
+    at = {poly.table.index(n): v for n, v in values.items()}
+    out: Dict[Monomial, int] = {}
+    for m, c in poly.terms.items():
+        for i, v in at.items():
+            c *= v ** m[i]
+        key = tuple(m[i] for i in keep)
+        out[key] = out.get(key, 0) + c
+    return Polynomial(VarTable(poly.table.names[i] for i in keep), out)
 
 
 def degree_in(poly: Polynomial, name: str) -> int:
@@ -89,6 +144,6 @@ def determinant_cofactor(matrix: PolyMatrix) -> Polynomial:
             continue
         minor = determinant_cofactor(PolyMatrix([
             [rows[i][k] for k in range(n) if k != j] for i in range(1, n)]))
-        term = entry * minor
+        term = mul(entry, minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc

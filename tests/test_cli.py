@@ -692,16 +692,23 @@ class TestContract:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ZERO-RESIDUAL"
 
-    def test_traced_run_prints_what_the_untraced_cli_prints(self):
+    @pytest.mark.parametrize("argv, span", [
+        (("closure", "--family", "quad2x2", "--order", "pair", "--format",
+          "json"), "linstruct.closure"),
+        (("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",
+          "--count", "5"), "dioph.sequence"),
+        (("search", *QUARTIC, "--bound", "2"), "dioph.search"),
+    ], ids=["closure", "solve", "search"])
+    def test_traced_run_prints_what_the_untraced_cli_prints(self, argv, span):
         """bench/trace_child.py wraps every name of src/ it reads before it
-        runs the command, so a name src/ drops makes it exit nonzero.
-        Traced, the command prints the same bytes as untraced, and the
-        last line of stderr is the span summary, closure's span in it."""
+        runs the command, so a name src/ drops makes it exit nonzero, and
+        its hooks read what the command returns (`solve`'s
+        `SequenceResult.solutions`, `search`'s hits).  Traced, the command
+        prints the same bytes as untraced, and the last line of stderr is
+        the span summary, the command's span in it."""
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
-        argv = ["closure", "--family", "quad2x2", "--order", "pair",
-                "--format", "json"]
         traced, plain = (
             subprocess.run([sys.executable, *head, *argv], cwd=root, env=env,
                            capture_output=True)
@@ -712,7 +719,7 @@ class TestContract:
         assert traced.stdout == plain.stdout
         mark, _, summary = traced.stderr.decode().splitlines()[-1].partition(" ")
         assert mark == "BENCH-SPANS"
-        assert "linstruct.closure" in json.loads(summary)["spans"]
+        assert span in json.loads(summary)["spans"]
 
     @pytest.mark.parametrize("argv", [
         ("solve", *QUARTIC, "--seed", "6,2,3,1", "--step", "6,2,3,1",

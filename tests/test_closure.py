@@ -1,7 +1,8 @@
 """Closure decided from the basis multiplication table, against oracles
 that never read the table:
 
-- the symbolic product A(x) @ A(y) [@ A(z)] read back by
+- the symbolic product A(x) @ A(y) [@ A(z)], taken with the tests' own
+  tuple product (`polytools.matmul`), read back by
   `extract_coordinates`, which must give the same law or the same
   NotClosed witness;
 - integer points: A(x)·A(y)[·A(z)] == A(map(x, y[, z])) through
@@ -25,7 +26,7 @@ from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
 from matform.polyring import Polynomial, VarTable, int_matrix_determinant
 
 from intmatrix import int_matrix_product
-from polytools import embedded
+from polytools import embedded, matmul
 
 # every catalog family: each has a matrix structure
 FAMILIES = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -46,7 +47,7 @@ def product_route(st: LinearStructure, order: int):
     table = VarTable(st.params + sum(sets, ()))
     product = embedded(st.instantiate(sets[0]), table)
     for cs in sets[1:]:
-        product = product @ embedded(st.instantiate(cs), table)
+        product = matmul(product, embedded(st.instantiate(cs), table))
     got = st.extract_coordinates(product)
     if isinstance(got, NotInSpan):
         return NotClosed(order=order, witness=got)

@@ -838,8 +838,8 @@ def chain(fam, seed, count) -> dioph.SequenceResult:
 
 class TestPrintedRanges:
     """A long printout is split into ranges, each printed by its own
-    process from S^start seed and ended in an exact check; stdout is the
-    same whatever the number of ranges."""
+    process one int step past the proven iterate before it and ended in
+    an exact check; stdout is the same whatever the number of ranges."""
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("argv", SOLVE_ARGVS)
@@ -975,6 +975,35 @@ class TestPrintedRanges:
         assert list(r.rows(1, 3)) == [[str(c) for c in v] for v in UV_SEQ[1:3]]
         assert list(r.rows(3, 4)) == [[str(c) for c in UV_SEQ[3]]]
         assert list(r.rows(2, 2)) == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_power_per_boundary_before_any_process(self, monkeypatch,
+                                                       ranges, k):
+        """The proven iterate b-1 at each inner bound b is taken once, by
+        binary powering in this process: it ends one range's exact check
+        and starts the next range one step past it.  A range process takes
+        no power of its own: one that did would exit 3."""
+        ranges(k)
+        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
+        b = r._bounds()
+        assert len(b) == k + 1 and b[1] > 1
+        parent, power, calls = os.getpid(), dioph._power, []
+
+        def counted(S, e, v):
+            if in_a_range_process(parent):
+                os._exit(3)
+            calls.append(e)
+            return power(S, e, v)
+        monkeypatch.setattr(dioph, "_power", counted)
+        statuses = process_statuses(monkeypatch)
+        want = io.StringIO()
+        for row in r.rows():
+            want.write(",".join(row) + "\n")
+        got = io.StringIO()
+        r.write_text(got)
+        assert got.getvalue() == want.getvalue()
+        assert calls == [x - 1 for x in b[1:-1]]
+        assert statuses == [0] * (k - 1)
 
     @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
                                           (UV, UV_SEQ)],

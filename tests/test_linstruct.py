@@ -18,7 +18,7 @@ from matform.linstruct import (
 from matform.polyring import PolyError, PolyMatrix, VarTable, VarTableMismatch
 
 from companion import companion_structure
-from polytools import embedded, eval_int, from_json_obj
+from polytools import embedded, eval_int, from_json_obj, matmul, mul
 
 
 def pell(c1: str, c2: str) -> LinearStructure:
@@ -280,6 +280,17 @@ class TestExtraction:
         assert out.reason == "mismatch"
         assert out.residual is not None and not out.residual.is_zero()
 
+    def test_values_past_the_coefficients_exponents_are_read_back(self):
+        """A(z) at coordinates whose parameter exponents (7 and 6) pass
+        the coefficients' (1): the reconstruction's packed fields must
+        hold a coefficient's exponent plus a coordinate's."""
+        st = pell("p", "q")
+        A = st.instantiate(("u1", "u2"))
+        p, q, u1, u2 = A.table.vars()
+        z = {"u1": p ** 7 * u1, "u2": q ** 6 + p ** 3 * u2}
+        M = PolyMatrix([[e.substitute(z) for e in row] for row in A.entries])
+        assert st.extract_coordinates(M) == list(z.values())
+
     def test_specialized_divisor_recipe(self):
         values = {"t": 3, "b": -2, "c": 5}
         st = tracefree("t", "b", "c").specialize(
@@ -377,13 +388,13 @@ class TestClosure:
         table = outputs[0].table
         ax = embedded(st.instantiate(cert.coord_sets[0]), table)
         ay = embedded(st.instantiate(cert.coord_sets[1]), table)
-        prod = ax @ ay
+        prod = matmul(ax, ay)
         # reassemble A(z) from the certificate outputs
         for i in range(st.n):
             for j in range(st.n):
                 acc = table.zero()
                 for r in range(st.h):
-                    acc = acc + st.coeff[i][j][r].embed(table) * outputs[r]
+                    acc = acc + mul(st.coeff[i][j][r].embed(table), outputs[r])
                 assert acc == prod[i, j]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matform.linstruct import LinearStructure
 from matform.polyring import (
     Packing,
     Polynomial,
@@ -19,7 +20,8 @@ from matform.polyring import (
 )
 
 from polytools import (as_int, degree_in, determinant_cofactor, eval_int,
-                       from_json_obj, grlex_key, json_obj)
+                       from_json_obj, grlex_key, json_obj, matmul, mul,
+                       specialized)
 
 T = VarTable(("a", "b", "c"))
 
@@ -61,7 +63,7 @@ class TestRingAxioms:
     def test_pow_matches_repeated_mul(self, p, e):
         expected = T.one()
         for _ in range(e):
-            expected = expected * p
+            expected = mul(expected, p)
         assert p ** e == expected
 
     @given(polys(), polys(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
@@ -305,9 +307,10 @@ class TestDeterminants:
 
 # -- the packed kernels against independent oracles --------------------------
 #
-# `determinant`, `substitute` and `**` multiply on packed monomials; the DP
-# determinant is checked against cofactor expansion, substitution against
-# evaluation, powers against repeated `*`, all of which multiply on tuples.
+# Every product in src/ is taken on packed monomials.  The DP determinant
+# is checked against cofactor expansion, substitution against evaluation,
+# and `*`, `**`, `@`, `instantiate` and `specialize` against the tests' own
+# kernel over exponent tuples (`polytools`), which shares nothing with them.
 
 
 def _matrices(n, max_exp=4):
@@ -375,7 +378,7 @@ class TestPackedKernels:
         p = a ** t + b ** t - c
         expected = T.one()
         for _ in range(e):
-            expected = expected * p
+            expected = mul(expected, p)
         x = VarTable(("x",)).var("x")
         assert (x ** e).substitute({"x": p}) == expected
 
@@ -399,6 +402,103 @@ class TestPackedKernels:
             {g.as_expr(): element(images[n]).as_expr()
              for g, n in zip(gens, T.names)}, simultaneous=True)
         assert element(p.substitute(images)) == ring(sympy.expand(want))
+
+
+# tables of 0-4 variables, exponents on both sides of the powers of two
+# that set a packed field's width, and coefficients +-1, +-2, so that
+# products cancel
+NAMES = ("a", "b", "c", "d")
+EXPONENTS = st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8])
+KERNEL = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@st.composite
+def tables(draw):
+    return VarTable(NAMES[:draw(st.integers(0, len(NAMES)))])
+
+
+def table_polys(table, max_terms=4):
+    return st.dictionaries(st.tuples(*[EXPONENTS] * len(table)),
+                           st.sampled_from([-2, -1, 1, 2]),
+                           max_size=max_terms).map(
+        lambda terms: Polynomial(table, terms))
+
+
+@st.composite
+def matrix_pairs(draw):
+    table, n = draw(tables()), draw(st.integers(1, 3))
+
+    def matrix():
+        return PolyMatrix([[draw(table_polys(table, 3)) for _ in range(n)]
+                           for _ in range(n)])
+    return matrix(), matrix()
+
+
+@st.composite
+def structures(draw):
+    """A structure over a drawn parameter table, each divisor one term or
+    none, as `LinearStructure` requires."""
+    table, n = draw(tables()), draw(st.integers(1, 3))
+    h = draw(st.integers(1, n))
+    return LinearStructure(n, h, table.names, [
+        [[draw(table_polys(table, 1 if (i, j) == (0, r) else 3))
+          for r in range(h)] for j in range(n)] for i in range(n)])
+
+
+class TestProductKernel:
+    """Every product in src/ is packed (`_mul_packed`); each is checked
+    against the tests' own product over exponent tuples."""
+
+    @given(st.data())
+    @KERNEL
+    def test_mul_and_pow(self, data):
+        table = data.draw(tables())
+        a, b = (data.draw(table_polys(table)) for _ in range(2))
+        assert a * b == mul(a, b)
+        # (a + b)(a - b): the cross terms cancel
+        assert (a + b) * (a - b) == mul(a + b, a - b)
+        e = data.draw(st.integers(0, 5))
+        want = table.one()
+        for _ in range(e):
+            want = mul(want, a)
+        assert a ** e == want
+
+    @given(matrix_pairs())
+    @KERNEL
+    def test_matmul(self, pair):
+        M, N = pair
+        assert M @ N == matmul(M, N)
+
+    @given(structures())
+    @KERNEL
+    def test_instantiate(self, structure):
+        coords = tuple(f"x{r + 1}" for r in range(structure.h))
+        A = structure.instantiate(coords)
+        xs = [A.table.var(c) for c in coords]
+        for i, row in enumerate(structure.coeff):
+            for j, cell in enumerate(row):
+                want = A.table.zero()
+                for c, x in zip(cell, xs):
+                    want = want + mul(c.embed(A.table), x)
+                assert A[i, j] == want
+
+    @given(st.data())
+    @KERNEL
+    def test_specialize(self, data):
+        """`specialize` equals the tuple oracle and `substitute` of the
+        constants over the table of the variables it keeps."""
+        table = data.draw(tables())
+        p = data.draw(table_polys(table))
+        drop = data.draw(st.lists(st.booleans(), min_size=len(table),
+                                  max_size=len(table)))
+        values = {n: data.draw(st.integers(-3, 3))
+                  for n, d in zip(table.names, drop) if d}
+        got = p.specialize(values)
+        kept = VarTable(n for n in table.names if n not in values)
+        assert got.table == kept
+        assert got == specialized(p, values)
+        assert got == p.substitute({n: kept.const(v)
+                                    for n, v in values.items()})
 
 
 class TestPacking:
