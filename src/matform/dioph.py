@@ -31,16 +31,16 @@ Decimal once for the printout: each row of a step is one C-level dot
 product, and the rows, JSON or text, are written in pieces, in chunks of
 about 64 KB.
 
-A long printout is split into contiguous ranges of about equal cost,
-two where the CPUs this process may run on and the digits allow, each
-printed by its own process.  The iterate just before each boundary is
-S^m seed by binary powering, taken once: the range before the boundary
-ends in an exact comparison of its printed last iterate with it, and the
-range after restarts both runs one step past it; this process prints the
-first range, then copies the others' text in order, and stdout does not
-depend on the number of ranges.  That text waits in files, at most
-_HELD_TEXT characters of it, so the printout's memory does not grow with
-the square of the count either.
+A long printout is split at most once, where the CPUs this process may
+run on and the digits allow: at one cut, into two contiguous ranges of
+about equal cost, the second printed by a forked process.  The iterate
+just before the cut is S^(cut-1) seed by binary powering, taken once: the
+first range ends in an exact comparison of its printed last iterate with
+it, and the second restarts both runs one step past it; this process
+prints the first range, then copies the second's text, the bytes one
+range would print.  That text waits in a file, at most _HELD_TEXT
+characters of it, so the printout's memory does not grow with the square
+of the count either.
 
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
@@ -120,14 +120,13 @@ class SequenceSpec(NamedTuple):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
 _MASK = 2 ** 60 - 1
-# The printout's cost model and split (`SequenceResult._bounds`): the
-# cost of a step's work per coordinate that does not grow with the digits,
-# in printed digits; the least estimated cost of a range, and a process,
-# of its own; the most ranges, the number measured to gain; and the most
-# text, in characters, that the forked ranges' files may hold at once.
+# The printout's cost model and cut (`SequenceResult._cut`): the cost of
+# a step's work per coordinate that does not grow with the digits, in
+# printed digits; the least estimated cost of each of the two ranges, one
+# process each; and the most text, in characters, that the forked range's
+# file may hold.
 _ITERATE_DIGITS = 500
 _RANGE_DIGITS = 2_000_000
-_RANGES = 2
 _HELD_TEXT = 2 ** 24
 
 
@@ -182,10 +181,12 @@ def _product(A: Tuple[Vec, ...], B: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
 
 
 def _power(S: Tuple[Vec, ...], e: int, v: Vec) -> Vec:
-    """S^e v for e >= 1, by binary powering over the bits of e from the
+    """S^e v for e >= 0, by binary powering over the bits of e from the
     top: square at every bit, then multiply by S at a set bit.  Only the
     squarings multiply big ints by big ints, about log2(e) of them, where
     the chain takes e steps of h^2 products each."""
+    if not e:
+        return v
     M = S
     for bit in bin(e)[3:]:
         M = _product(M, M)
@@ -270,21 +271,10 @@ class SequenceResult:
         `rows()` prints without it."""
         return list(_iterates(self.step, self.seed, self.spec.count))
 
-    def _at(self, i: int) -> Vec:
-        """The proven iterate i: the seed, `last`, or S^i seed by binary
-        powering (`_power`)."""
-        if i == self.spec.count - 1:
-            return self.last
-        return _power(self.step, i, self.seed) if i else self.seed
-
-    def rows(self, start: int = 0,
-             stop: Optional[int] = None) -> Iterator[List[str]]:
-        """The iterates start..stop-1 (default: all of them) as decimal
-        strings, one iterate at a time (`_range`, from the proven iterates
-        start-1 and stop-1)."""
-        stop = self.spec.count if stop is None else stop
-        return self._range(start, stop, self._at(start - 1) if start else None,
-                           self._at(stop - 1))
+    def rows(self) -> Iterator[List[str]]:
+        """The iterates as decimal strings, one iterate at a time (`_range`
+        over the whole chain, ended by the proven `last`)."""
+        return self._range(0, self.spec.count, None, self.last)
 
     def _range(self, start: int, stop: int, before: Optional[Vec],
                end: Vec) -> Iterator[List[str]]:
@@ -353,9 +343,9 @@ class SequenceResult:
         commas."""
         self._write(out, "", lambda row: (",".join(row),), "\n", "\n")
 
-    def _bounds(self) -> List[int]:
-        """The bounds 0 = b_0 < b_1 < ... < b_k = count of the printout's
-        ranges [b_j, b_(j+1)).
+    def _cut(self) -> int:
+        """The iterate at which the printout splits into the ranges
+        [0, cut) and [cut, count), or count for one range.
 
         Printing iterate i is taken to cost its digits, plus
         _ITERATE_DIGITS per coordinate for the work of a step that does
@@ -366,24 +356,24 @@ class SequenceResult:
         iterate in place of _ITERATE_DIGITS (a digit past the bits'
         estimate, a sign and JSON's separators): X(n) = x n + g n^2 / 2.
 
-        k is _RANGES, at most the number of CPUs this process may run on,
-        at most C(count) over _RANGE_DIGITS and at most count, and at
-        least 1: one range, in this process, on a platform without
-        os.fork, os.memfd_create or os.sched_getaffinity, and in a process
-        that runs more than one thread, where a forked process could wait
-        forever on a lock another thread held.  b_j solves
-        C(b_j) = C(count) j / k, so every range costs about the same (with
-        digits in proportion to i, b_j = count sqrt(j / k)), except that
-        the ranges after the first, whose text waits in files until this
-        process copies it, hold at most _HELD_TEXT: b_1 is at least the n
-        with X(count) - X(n) = _HELD_TEXT, and the ranges after it share
-        the cost left equally."""
+        The printout is one range, in this process, for a count below 2,
+        on a platform without os.fork, os.memfd_create or
+        os.sched_getaffinity, in a process that runs more than one thread,
+        where a forked process could wait forever on a lock another thread
+        held, with fewer than 2 CPUs this process may run on, and where
+        C(count) is below 2 _RANGE_DIGITS.  Otherwise the cut solves
+        C(cut) = C(count) / 2, so both ranges cost about the same (with
+        digits in proportion to i, cut = count / sqrt(2)), except that the
+        second range, whose text waits in a file until this process copies
+        it, holds at most _HELD_TEXT: the cut is at least the n with
+        X(count) - X(n) = _HELD_TEXT."""
         count = self.spec.count
         threading = sys.modules.get("threading")
         if count < 2 or not all(hasattr(os, f) for f in (
                 "fork", "memfd_create", "sched_getaffinity")) or (
-                threading and threading.active_count() > 1):
-            return [0, count]
+                threading and threading.active_count() > 1) or len(
+                os.sched_getaffinity(0)) < 2:
+            return count
         h = len(self.seed)
         d, e = (sum(c.bit_length() for c in v) * log10(2)
                 for v in (self.seed, self.last))
@@ -394,15 +384,11 @@ class SequenceResult:
             return 2 * t / (a + sqrt(a * a + 2 * g * t)) if t > 0 else 0
 
         total = a * count + g * count * count / 2
-        k = min(_RANGES, len(os.sched_getaffinity(0)), count,
-                int(total // _RANGE_DIGITS))
-        if k < 2:
-            return [0, count]
+        if total < 2 * _RANGE_DIGITS:
+            return count
         n = ceil(first(x * count + g * count * count / 2 - _HELD_TEXT, x))
-        t = max(total / k, a * n + g * n * n / 2)
-        cuts = {min(count - 1, max(1, round(first(
-            t + (total - t) * j / (k - 1), a)))) for j in range(k - 1)}
-        return [0, *sorted(cuts), count]
+        t = max(total / 2, a * n + g * n * n / 2)
+        return min(count - 1, max(1, round(first(t, a))))
 
     def _write(self, out: TextIO, head: str, row_pieces, sep: str,
                tail: str) -> None:
@@ -411,69 +397,61 @@ class SequenceResult:
         per chunk rather than one per iterate, and no row's text copied
         before its chunk is joined.
 
-        The rows are printed as the ranges of `_bounds`, each by
-        `_range`.  The proven iterate b-1 at a bound b is taken once,
-        S^(b-1) seed by binary powering, before any process starts: the
-        range that ends there is checked against it exactly, and the next
-        range restarts one int step past it.  Each range after the first
-        is printed by a forked process (`_spawn`) into an anonymous file,
-        all of them started before the first range so that they run at
-        once; where no process can be started, this process prints the
-        range itself.  This process prints the first range straight to
-        `out`, then waits for each range's process in order and copies its
-        text to `out` in pieces no longer than a row, through the same
-        chunks, closing each file once it is copied.  A range whose process
-        did not exit 0 is printed here instead: the rows are the same in
-        every process, so a failed check raises here with its type and
-        message, and a range whose process a signal ended is printed
-        whole.  Every process left is killed and reaped on every way out,
-        an error or a closed `out` included.  Stdout is the same whatever
-        the number of ranges."""
-        bounds = self._bounds()
-        ends = [self._at(b - 1) for b in bounds[1:]]
-        ranges = list(zip(bounds, bounds[1:], [None, *ends], ends))
-        children: List[Tuple[int, int]] = []
-        unreaped, files = set(), set()
+        The rows are printed as the ranges [0, cut) and [cut, count) of
+        `_cut`, each by `_range`.  The proven iterate cut-1 is taken once,
+        S^(cut-1) seed by binary powering, before the fork: the first range
+        is checked against it exactly at its end, and the second restarts
+        one int step past it.  The second range is printed by a forked
+        process (`_spawn`) into an anonymous file, started before the first
+        range so that the two run at once.  This process prints the first
+        range straight to `out`, then waits for the forked process and
+        copies its text to `out` in pieces no longer than a row, through
+        the same chunks.  Where the fork raised OSError, or the forked
+        process did not exit 0, this process prints the second range
+        itself: the rows are the same in every process, so a failed check
+        raises here with its type and message, and a range whose process a
+        signal ended is printed whole.  The forked process is killed and
+        reaped on every way out, an error or a closed `out` included, and
+        its file is closed."""
+        count, cut = self.spec.count, self._cut()
+        at = self.last if cut == count else _power(self.step, cut - 1,
+                                                   self.seed)
+        rest = (text for row in self._range(cut, count, at, self.last)
+                for text in (sep, *row_pieces(row)))
+        child = None  # the forked process's id, 0 once reaped, and file
 
         def pieces():
+            nonlocal child, rest
             yield head
-            for j, (start, stop, before, end) in enumerate(ranges):
-                if 0 < j <= len(children):  # printed by its own process
-                    pid, fd = children[j - 1]
-                    status = os.waitpid(pid, 0)[1]
-                    unreaped.discard(pid)
-                    if not status:
-                        yield from _read(fd, len(sep) + sum(map(len, parts)))
-                        files.discard(fd)
-                        os.close(fd)
-                        continue
-                for i, row in enumerate(self._range(start, stop, before,
-                                                    end), start):
-                    if i:
-                        yield sep
-                    parts = row_pieces(row)
-                    yield from parts
+            for i, row in enumerate(self._range(0, cut, None, at)):
+                if i:
+                    yield sep
+                parts = row_pieces(row)
+                yield from parts
+            if child:
+                pid, fd = child
+                status = os.waitpid(pid, 0)[1]
+                child = 0, fd  # reaped: only its file is left to close
+                if not status:  # it printed the rest into its file
+                    rest = _read(fd, len(sep) + sum(map(len, parts)))
+            if cut < count:
+                yield from rest
             yield tail
 
         try:
-            for start, stop, before, end in ranges[1:]:
-                rows = self._range(start, stop, before, end)
+            if cut < count:
                 try:
-                    child = _spawn(text for row in rows
-                                   for text in (sep, *row_pieces(row)))
-                except OSError:  # no process to spare: the rest print here
-                    break
-                children.append(child)
-                unreaped.add(child[0])
-                files.add(child[1])
+                    child = _spawn(rest)
+                except OSError:  # no process to spare: the rest prints here
+                    pass
             write_chunks(out, pieces())
         finally:
-            if unreaped:
-                import signal
-                for pid in unreaped:
+            if child:
+                pid, fd = child
+                if pid:
+                    import signal
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-            for fd in files:
                 os.close(fd)
 
 

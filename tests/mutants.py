@@ -74,24 +74,28 @@ MUTANTS = (
            "_MASK = 2 ** 60 - 1", "_MASK = 2 ** 59 - 1", DIOPH),
     Mutant("uncertified-chain-masked", "dioph.py",
            "_MASK if self.certified else -1", "_MASK", DIOPH),
-    # dioph: the printout's ranges, each in its own process
+    # dioph: the printout's cut and its forked range
     Mutant("range-end-comparison-dropped", "dioph.py",
            "if i == stop - 1 and p != end:",
            "if i == self.spec.count - 1 and p != end:", DIOPH),
     Mutant("range-exit-status-ignored", "dioph.py",
            "if not status:", "if True:", DIOPH),
     Mutant("range-start-off-by-one", "dioph.py",
-           "rows = self._range(start, stop, before, end)",
-           "rows = self._range(start - 1, stop, before, end)", DIOPH),
+           "self._range(cut, count, at, self.last)",
+           "self._range(cut - 1, count, at, self.last)", DIOPH),
     Mutant("range-boundary-step-skipped", "dioph.py",
            "v = self.seed if before is None else tuple(\n"
            "            [sum(map(mul, row, before)) for row in self.step])",
            "v = self.seed if before is None else before", DIOPH),
     Mutant("range-processes-not-reaped", "dioph.py",
-           "if unreaped:", "if False:", DIOPH),
+           "if pid:\n                    import signal",
+           "if False:\n                    import signal", DIOPH),
     Mutant("held-text-bound-dropped", "dioph.py",
-           "t = max(total / k, a * n + g * n * n / 2)", "t = total / k",
+           "t = max(total / 2, a * n + g * n * n / 2)", "t = total / 2",
            DIOPH),
+    Mutant("cut-cost-iterate-digits-dropped", "dioph.py",
+           "a, x = d + _ITERATE_DIGITS * h, d + 6 * h + 2",
+           "a, x = d, d + 6 * h + 2", DIOPH),
     Mutant("search-leaf-bias", "dioph.py",
            "bias, xor = (L - target) * ones, L * ones",
            "bias, xor = (L - target + 1) * ones, L * ones", DIOPH),
@@ -129,6 +133,17 @@ MUTANTS = (
            "for j in range(k + 1, h))) // a[k][k]",
            "for j in range(k + 2, h))) // a[k][k]",
            ("test_compose.py", "test_catalog.py")),
+    # polyring: the CLI's JSON writers
+    Mutant("json-pieces-term-separator", "polyring.py",
+           'sep = ", "\n        yield "]}"', 'sep = ","\n        yield "]}"',
+           ("test_cli_golden.py", "test_polyring.py")),
+    Mutant("quoted-names-spelled-by-str", "polyring.py",
+           "_QUOTED = _Spelling(json.dumps)", "_QUOTED = _Spelling(str)",
+           ("test_cli_golden.py", "test_polyring.py")),
+    Mutant("write-chunks-last-chunk-dropped", "polyring.py",
+           '            chunk, size = [], 0\n    out.write("".join(chunk))\n',
+           "            chunk, size = [], 0\n",
+           ("test_cli_golden.py", "test_polyring.py")),
     # polyring: the one product kernel, the field layout of packed
     # monomials, the one substitution kernel, powering, the packed
     # division, the DP determinant and the one fraction-free elimination

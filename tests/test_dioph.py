@@ -738,18 +738,18 @@ class TestPrintedChain:
         assert all(len(c) < chunk + longest for c in out.calls)
 
     def test_peak_memory_is_not_quadratic_in_the_count(self, monkeypatch,
-                                                       ranges):
+                                                       split):
         """The chain keeps no per-iterate state, only its current and last
-        iterates, and the text of the ranges printed by other processes
-        waits in files of at most _HELD_TEXT characters: from 300 to 1200
-        iterates, printed as two ranges, the traced peak plus those files
+        iterates, and the text of the range printed by another process
+        waits in a file of at most _HELD_TEXT characters: from 300 to 1200
+        iterates, split at the cut, the traced peak plus that file
         grows far less than the 16x of holding every iterate (the ints
         take count^2 digits)."""
         class Null:
             def write(self, text):
                 return len(text)
 
-        ranges(2)
+        split()
         monkeypatch.setattr(dioph, "_HELD_TEXT", 2 ** 16)
         held, read = [], dioph._read
 
@@ -802,15 +802,15 @@ UV = family("sextic_uv", (3,))
 
 
 @pytest.fixture
-def ranges(monkeypatch):
-    """force(k) makes every printout of k iterates or more k ranges, one
-    process each, whatever the machine: k CPUs, at most k ranges and a
-    range cost of one digit; force(1) makes every printout one range."""
-    def force(k):
+def split(monkeypatch):
+    """force() makes every printout of 2 iterates or more split at its cut,
+    the second range printed by its own process, whatever the machine: 2
+    CPUs and a range cost of one digit; force(cpus=1) makes every printout
+    one range."""
+    def force(cpus=2):
         monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: set(range(k)))
-        monkeypatch.setattr(dioph, "_RANGES", k)
-        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 1 if k > 1 else 10 ** 30)
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 1)
     return force
 
 
@@ -837,45 +837,46 @@ def chain(fam, seed, count) -> dioph.SequenceResult:
 
 
 class TestPrintedRanges:
-    """A long printout is split into ranges, each printed by its own
-    process one int step past the proven iterate before it and ended in
-    an exact check; stdout is the same whatever the number of ranges."""
+    """A long printout is split at one cut: the range after it is printed
+    by its own process, one int step past the proven iterate before the
+    cut, and each range ends in an exact check; stdout is the same split
+    or not."""
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["split", "unsplit"])
     @pytest.mark.parametrize("argv", SOLVE_ARGVS)
-    def test_split_stdout_is_the_golden_stdout(self, capsys, monkeypatch,
-                                               ranges, k, argv):
-        ranges(k)
-        splits = []
-        bounds = dioph.SequenceResult._bounds
+    def test_stdout_is_the_golden_stdout(self, capsys, monkeypatch, split,
+                                         cpus, argv):
+        split(cpus)
+        cuts = []
+        cut = dioph.SequenceResult._cut
 
         def spy(self):
-            splits.append(bounds(self))
-            return splits[-1]
-        monkeypatch.setattr(dioph.SequenceResult, "_bounds", spy)
+            cuts.append(cut(self))
+            return cuts[-1]
+        monkeypatch.setattr(dioph.SequenceResult, "_cut", spy)
         code = main(argv.split(" "))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert [code, digest] == GOLDEN[argv]
-        [b] = splits
+        [c] = cuts
         count = int(argv.split("--count ")[1].split(" ")[0])
-        assert len(b) == min(k, count) + 1 and b[0] == 0 and b[-1] == count
-        assert b == sorted(set(b))
+        assert 0 < c < count if cpus > 1 and count > 1 else c == count
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
                                           (UV, UV_SEQ)],
                              ids=["quartic4x4", "sextic_uv"])
-    def test_short_chains_print_the_same_in_any_ranges(self, ranges, fam,
-                                                       seq, count, fmt):
-        """Counts 0, 1 and 2, and counts below and at k = 3: the ranges
-        are the count's first min(3, count) iterates' own, and stdout is
-        the one-range printout's."""
+    def test_short_chains_print_the_same_split_or_not(self, split, fam, seq,
+                                                      count, fmt):
+        """Counts 0 and 1 stay one range; from 2 on the cut falls inside
+        the chain, and stdout is the one-range printout's."""
         r = chain(fam, seq[0], count)
         texts = []
-        for k in (1, 3):
-            ranges(k)
-            assert len(r._bounds()) == (min(k, count) if count else 1) + 1
+        for cpus in (1, 2):
+            split(cpus)
+            cut = r._cut()
+            assert 0 < cut < count if cpus > 1 and count > 1 else \
+                cut == count
             out = io.StringIO()
             getattr(r, "write_" + fmt)(out)
             texts.append(out.getvalue())
@@ -884,55 +885,89 @@ class TestPrintedRanges:
             assert texts[0] == ("".join(
                 ",".join(map(str, v)) + "\n" for v in seq[:count]) or "\n")
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-    def test_ranges_are_at_most_two_and_the_cpus(self, monkeypatch, cpus):
-        """The 2600-iterate quartic (24 MB) takes min(CPUs, _RANGES = 2)
-        ranges, the number measured to gain, however many CPUs there are;
-        the file of its second range (13 MB) is under _HELD_TEXT, so the
-        two cost the same."""
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_one_cut_whatever_the_cpus(self, monkeypatch, cpus):
+        """The 2600-iterate quartic (24 MB) is cut once given 2 CPUs or
+        more, however many there are, and not at all given one; the file
+        of its second range (13 MB) is under _HELD_TEXT, so the cut is the
+        one without that bound."""
         monkeypatch.setattr(dioph.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
-        b = r._bounds()
-        assert len(b) == min(cpus, 2) + 1
+        cut = r._cut()
+        assert cut == (2600 if cpus < 2 else 1767)
         monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
-        assert r._bounds() == b
+        assert r._cut() == cut
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_bounds_balance_the_cost(self, monkeypatch, ranges, k):
-        """With no bound on the forked ranges' text, the 2600-iterate
-        quartic takes k ranges of about equal cost, a range's cost its
-        digits and _ITERATE_DIGITS per coordinate of each iterate: iterate
-        i has about i/2599 of the last one's digits, so the first range
-        holds the most iterates."""
-        ranges(k)
+    @pytest.mark.parametrize("fam, seq, count, cut", [
+        (QUARTIC, QUARTIC_SEQ, 2600, 1767), (OCTIC, OCTIC_SEQ, 700, 450)],
+        ids=["quartic4x4-2600", "octic8x8-700"])
+    def test_the_benchmark_chains_cut_where_they_did(self, monkeypatch, fam,
+                                                     seq, count, cut):
+        """The two chains of the benchmark that split, at 2 CPUs: the cut
+        sets the parallel printout's balance, and the cost model
+        (_ITERATE_DIGITS per coordinate besides the digits) sets the cut."""
+        monkeypatch.setattr(dioph.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        assert chain(fam, seq[0], count)._cut() == cut
+
+    @pytest.mark.parametrize("fam, seq, count, cut, bound", [
+        (QUARTIC, QUARTIC_SEQ, 800, 800, False),
+        (QUARTIC, QUARTIC_SEQ, 837, 535, False),
+        (QUARTIC, QUARTIC_SEQ, 2983, 2063, True),
+        (OCTIC, OCTIC_SEQ, 467, 467, False),
+        (OCTIC, OCTIC_SEQ, 504, 316, False),
+        (OCTIC, OCTIC_SEQ, 1836, 1268, True)],
+        ids=["quartic4x4-800", "quartic4x4-837", "quartic4x4-2983",
+             "octic8x8-467", "octic8x8-504", "octic8x8-1836"])
+    def test_the_cut_at_each_guard(self, monkeypatch, fam, seq, count, cut,
+                                   bound):
+        """At 2 CPUs: the last chain (in steps of 37 iterates) that costs
+        less than two ranges and is printed unsplit, the first that is
+        cut, and the first whose forked range _HELD_TEXT bounds, so that
+        without the bound the cut falls earlier.  Each is the cut the
+        k-range split of earlier versions made at 2 CPUs."""
+        monkeypatch.setattr(dioph.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        r = chain(fam, seq[0], count)
+        assert r._cut() == cut
+        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
+        assert (r._cut() < cut) == bound
+
+    def test_the_cut_balances_the_cost(self, monkeypatch, split):
+        """With no bound on the forked range's text, the cut of the
+        2600-iterate quartic gives two ranges of about equal cost, a
+        range's cost its digits and _ITERATE_DIGITS per coordinate of each
+        iterate: iterate i has about i/2599 of the last one's digits, so
+        the first range holds more iterates."""
+        split()
         monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
         monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
         r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
-        b = r._bounds()
-        assert len(b) == k + 1 and (b[0], b[-1]) == (0, 2600)
-        sizes = [y - x for x, y in zip(b, b[1:])]
-        assert sizes == sorted(sizes, reverse=True)
-        costs = [sum(len(c) for row in r.rows(x, y) for c in row)
-                 + dioph._ITERATE_DIGITS * 4 * (y - x)
-                 for x, y in zip(b, b[1:])]
-        assert all(abs(c * k / sum(costs) - 1) < 0.01 for c in costs)
+        cut = r._cut()
+        assert cut > 2600 - cut
+        at = dioph._power(r.step, cut - 1, r.seed)
+        costs = [sum(len(c) for row in rows for c in row)
+                 + dioph._ITERATE_DIGITS * 4 * n
+                 for rows, n in ((r._range(0, cut, None, at), cut),
+                                 (r._range(cut, 2600, at, r.last),
+                                  2600 - cut))]
+        assert all(abs(c * 2 / sum(costs) - 1) < 0.01 for c in costs)
 
-    @pytest.mark.parametrize("k, count, held", [
-        (2, 1200, 2 ** 16), (2, 1200, 2 ** 20), (3, 1200, 2 ** 20),
-        (5, 2600, dioph._HELD_TEXT)])
-    def test_forked_ranges_hold_at_most_held_text(self, monkeypatch, ranges,
-                                                  k, count, held):
-        """The ranges after the first wait in files until this process
-        copies them: their text together is at most _HELD_TEXT, counted
-        from the files (os.fstat), and the split still takes k ranges, the
-        bytes unchanged.  The 2600-iterate quartic as five ranges would
-        hold 4/5 of its 24 MB; the default bound holds 16 MiB."""
+    @pytest.mark.parametrize("count, held", [
+        (1200, 2 ** 16), (1200, 2 ** 20), (3200, dioph._HELD_TEXT)])
+    def test_the_forked_range_holds_at_most_held_text(self, monkeypatch,
+                                                      split, count, held):
+        """The range after the cut waits in a file until this process
+        copies it: its text is at most _HELD_TEXT, counted from the file
+        (os.fstat), and the bytes are unchanged.  The 3200-iterate
+        quartic's second range at an equal cost would hold 18 MB; the
+        default bound holds 16 MiB."""
         r = chain(QUARTIC, QUARTIC_SEQ[0], count)
-        ranges(1)
+        split(cpus=1)
         want = io.StringIO()
         r.write_json(want)
-        ranges(k)
+        split()
         monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
         monkeypatch.setattr(dioph, "_HELD_TEXT", held)
         sizes, read = [], dioph._read
@@ -944,8 +979,7 @@ class TestPrintedRanges:
         got = io.StringIO()
         r.write_json(got)
         assert got.getvalue() == want.getvalue()
-        assert len(sizes) == k - 1 == len(r._bounds()) - 2
-        assert 0.9 * held < sum(sizes) <= held
+        assert len(sizes) == 1 and 0.9 * held < sizes[0] <= held
 
     def test_a_small_chain_stays_in_one_range(self, monkeypatch):
         """The 300-iterate threefold8x8 chain, 1 MB of digits, costs less
@@ -954,39 +988,43 @@ class TestPrintedRanges:
                             lambda pid: set(range(64)))
         r = generate_sequence(SequenceSpec(
             T8, T8_SEQ[0], 300, ((1,) + (0,) * 7, T8_SEQ[0])))
-        assert r._bounds() == [0, 300]
+        assert r._cut() == 300
 
-    def test_a_process_with_threads_forks_nothing(self, ranges):
-        ranges(3)
+    def test_a_process_with_threads_forks_nothing(self, split):
+        split()
         r = chain(QUARTIC, QUARTIC_SEQ[0], 8)
-        assert len(r._bounds()) == 4
+        assert r._cut() < 8
         done = threading.Event()
         thread = threading.Thread(target=done.wait, args=(60,))
         thread.start()
         try:
-            assert r._bounds() == [0, 8]
+            assert r._cut() == 8
         finally:
             done.set()
             thread.join(timeout=60)
         assert not thread.is_alive()
 
     def test_a_range_restarts_at_its_first_proven_iterate(self):
+        """`_range` prints iterates start..stop-1 one int step past the
+        proven iterate start-1, S^(start-1) seed by `_power`."""
         r = chain(UV, UV_SEQ[0], 4)
-        assert list(r.rows(1, 3)) == [[str(c) for c in v] for v in UV_SEQ[1:3]]
-        assert list(r.rows(3, 4)) == [[str(c) for c in UV_SEQ[3]]]
-        assert list(r.rows(2, 2)) == []
+        P = [dioph._power(r.step, e, r.seed) for e in range(4)]
+        assert P == UV_SEQ and P[3] == r.last
+        assert list(r._range(1, 3, P[0], P[2])) \
+            == [[str(c) for c in v] for v in UV_SEQ[1:3]]
+        assert list(r._range(3, 4, P[2], r.last)) \
+            == [[str(c) for c in UV_SEQ[3]]]
+        assert list(r._range(2, 2, P[1], P[1])) == []
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_one_power_per_boundary_before_any_process(self, monkeypatch,
-                                                       ranges, k):
-        """The proven iterate b-1 at each inner bound b is taken once, by
-        binary powering in this process: it ends one range's exact check
-        and starts the next range one step past it.  A range process takes
-        no power of its own: one that did would exit 3."""
-        ranges(k)
+    def test_one_power_before_the_fork(self, monkeypatch, split):
+        """The proven iterate cut-1 is taken once, by binary powering in
+        this process: it ends the first range's exact check and starts the
+        second range one step past it.  The range process takes no power
+        of its own: one that did would exit 3."""
+        split()
         r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
-        b = r._bounds()
-        assert len(b) == k + 1 and b[1] > 1
+        cut = r._cut()
+        assert 1 < cut < 300
         parent, power, calls = os.getpid(), dioph._power, []
 
         def counted(S, e, v):
@@ -1002,19 +1040,19 @@ class TestPrintedRanges:
         got = io.StringIO()
         r.write_text(got)
         assert got.getvalue() == want.getvalue()
-        assert calls == [x - 1 for x in b[1:-1]]
-        assert statuses == [0] * (k - 1)
+        assert calls == [cut - 1]
+        assert statuses == [0]
 
     @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
                                           (UV, UV_SEQ)],
                              ids=["quartic4x4", "sextic_uv"])
     def test_a_divergence_in_a_range_process_is_raised_here(
-            self, monkeypatch, ranges, fam, seq):
+            self, monkeypatch, split, fam, seq):
         """A printed value off in its last digit inside the second range,
         in every process, ends that range's process with status 1; the
         range is printed here again, which raises SequenceVerificationError
         naming its iterate, and writes nothing of that range."""
-        ranges(2)
+        split()
         statuses = process_statuses(monkeypatch)
         printed = dioph._printed
 
@@ -1026,26 +1064,26 @@ class TestPrintedRanges:
                 yield w
         monkeypatch.setattr(dioph, "_printed", off)
         r = chain(fam, seq[0], 8)
-        b = r._bounds()
-        assert len(b) == 3
+        cut = r._cut()
+        assert 0 < cut < 7
         out = io.StringIO()
         with pytest.raises(SequenceVerificationError,
-                           match=f"^iterate {b[1] + 1}, coordinate 1: "):
+                           match=f"^iterate {cut + 1}, coordinate 1: "):
             r.write_text(out)
-        assert out.getvalue().count("\n") <= b[1]
+        assert out.getvalue().count("\n") <= cut
         assert statuses == [1]
 
     def test_a_short_recurrence_in_a_range_process_raises_value_error(
-            self, monkeypatch, ranges):
+            self, monkeypatch, split):
         """An int run one iterate short in the second range, in every
         process, ends that range's process with status 1, and raises its
         ValueError here, with its type and message."""
-        ranges(2)
+        split()
         statuses = process_statuses(monkeypatch)
         iterates = dioph._iterates
 
         def short(step, seed, count, mask=-1):
-            if seed != QUARTIC_SEQ[0]:  # a range after the first
+            if seed != QUARTIC_SEQ[0]:  # the range after the cut
                 count -= 1
             return iterates(step, seed, count, mask)
         monkeypatch.setattr(dioph, "_iterates", short)
@@ -1057,15 +1095,15 @@ class TestPrintedRanges:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_a_range_whose_process_is_killed_is_printed_here(
-            self, monkeypatch, ranges, fmt):
+            self, monkeypatch, split, fmt):
         """A range's process that a signal ends, as the kernel's OOM killer
         would, leaves a partial file; the range is printed here instead,
         and stdout is the one-range printout."""
         r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
-        ranges(1)
+        split(cpus=1)
         want = io.StringIO()
         getattr(r, "write_" + fmt)(want)
-        ranges(3)
+        split()
         statuses = process_statuses(monkeypatch)
         parent, printed = os.getpid(), dioph._printed
 
@@ -1078,70 +1116,75 @@ class TestPrintedRanges:
         got = io.StringIO()
         getattr(r, "write_" + fmt)(got)
         assert got.getvalue() == want.getvalue()
-        assert statuses == [-signal.SIGKILL] * 2
+        assert statuses == [-signal.SIGKILL]
 
     @pytest.mark.parametrize("which", [0, 1], ids=["this", "forked"])
     def test_an_error_past_the_residue_at_a_range_end_raises(
-            self, monkeypatch, ranges, which):
-        """An error of 10**60 keeps every residue mod 2**60.  At the last
-        iterate of a range that is not the last one, nothing after it
-        would carry it, since the next range restarts from S^start seed:
-        only the exact check at the range's end catches it, in this
-        process's range and in a forked one."""
-        ranges(3)
+            self, monkeypatch, split, which):
+        """An error of 10**60 keeps every residue mod 2**60.  At iterate
+        cut-1, the last one this process prints, nothing after it would
+        carry it, since the second range restarts from S^cut seed: only
+        the exact check at the cut catches it.  At the last iterate, which
+        the forked process prints, the exact check against `last` ends
+        that process with status 1, and raises when the range is printed
+        here again.  No process is left either way."""
+        split()
         r = chain(QUARTIC, QUARTIC_SEQ[0], 9)
-        b = r._bounds()
-        assert len(b) == 4
-        at = b[which + 1] - 1  # the last iterate of range `which`
-        first = dioph.Decimal if which else int
+        cut = r._cut()
+        assert 1 < cut < 9
+        at = (cut, 9)[which] - 1  # the last iterate of range `which`
+        first = (int, dioph.Decimal)[which]
+        proven = dioph._power(r.step, at, r.seed)
         printed = dioph._printed
 
         def off(step, seed, count):
             for i, w in enumerate(printed(step, seed, count)):
                 if i == count - 1 and type(seed[0]) is first \
-                        and w == r._at(at):
+                        and w == proven:
                     with localcontext(dioph._EXACT):
                         w = (w[0] + 10 ** 60,) + w[1:]
                 yield w
         monkeypatch.setattr(dioph, "_printed", off)
+        statuses = process_statuses(monkeypatch)
         with pytest.raises(SequenceVerificationError,
                            match=f"^iterate {at}: the printed chain"):
             r.write_json(io.StringIO())
+        if which:
+            assert statuses == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("forks", [0, 1])
+    @pytest.mark.parametrize("call", ["fork", "memfd_create"])
     def test_a_range_no_process_can_print_is_printed_here(
-            self, monkeypatch, ranges, forks):
-        """Where os.fork fails, as it does at a process limit, this
-        process prints the ranges left itself: the same bytes, and no
-        process left."""
-        ranges(3)
+            self, monkeypatch, split, call):
+        """Where os.fork fails, as it does at a process limit, or the file
+        cannot be made, this process prints the second range itself: the
+        same bytes, and no process left."""
+        split()
         r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
         want = io.StringIO()
         r.write_text(want)
-        fork, calls = os.fork, []
+        calls = []
 
-        def failing():
-            calls.append(1)
-            if len(calls) > forks:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-        monkeypatch.setattr(dioph.os, "fork", failing)
+        def failing(*args):
+            calls.append(args)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(dioph.os, call, failing)
         got = io.StringIO()
         r.write_text(got)
-        assert len(calls) == forks + 1
+        assert len(calls) == 1
         assert got.getvalue() == want.getvalue()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("fault", ["check", BrokenPipeError,
                                        KeyboardInterrupt])
-    def test_a_failure_here_leaves_no_process(self, monkeypatch, ranges,
+    def test_a_failure_here_leaves_no_process(self, monkeypatch, split,
                                               fault):
         """A failed check in this process's range, a reader that closed
-        `out` and an interrupt, each while the other ranges' processes
-        still print, kill and reap every one of them before they
-        propagate."""
-        ranges(3)
+        `out` and an interrupt, each while the forked range's process
+        still prints, kill and reap it before they propagate."""
+        split()
         r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
         out = io.StringIO()
         if fault == "check":
@@ -1167,10 +1210,10 @@ class TestPrintedRanges:
     @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
                         reason="lists processes through /proc")
     def test_a_closed_pipe_exits_1_and_leaves_no_process(self):
-        """`matform solve ... --count 2600 | head -c 100`, printed as three
-        ranges: exit status 1, nothing on stderr and, once it has exited,
-        no process of it left."""
-        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}"
+        """`matform solve ... --count 2600 | head -c 100`, split at its cut
+        on 2 CPUs: exit status 1, nothing on stderr and, once it has
+        exited, no process of it left."""
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}"
                 "; from matform.cli import main; sys.exit(main())")
         argv = [sys.executable, "-c", code, *(
             "solve --family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
