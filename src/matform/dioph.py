@@ -555,27 +555,27 @@ def generate_sequence(spec: SequenceSpec) -> SequenceResult:
 
 _SEARCH_GUARD = 10 ** 9
 # The most fields, one per trailing point, in one packed int of
-# `brute_force_search`.  More fields leave fewer prefixes to walk, but each
-# monomial of the form then costs an operation on a longer int; 625 was the
-# fastest cap, or close to it, on every box of a sweep from 81 to 2187.
+# `brute_force_search`; a wider last coordinate fills one int alone.  More
+# fields leave fewer prefixes to walk, but each monomial costs an operation
+# on a longer int: 625 was the fastest cap, or close, on boxes of 81-2187.
 _FIELDS = 625
 
 
-def _packed_coefficients(terms, p: int, boxes, w: int):
+def _packed_coefficients(terms, p: int, values, w: int):
     """The polynomial `terms` in x_1..x_h as one in its first p coordinates
     whose coefficients are packed ints over the trailing box
-    boxes[0] x ... x boxes[-1] of x_{p+1}..x_h.
+    values^(h - p) of x_{p+1}..x_h.
 
     Field i, w bits wide at bit w*i, stands for the i-th trailing point q
     in lexicographic order.  A monomial c * x^a * q^b adds c * Q_b to the
     coefficient of x^a, where Q_b = sum_i q^b * 2**(w*i) over the trailing
-    points.  That is the tensor-product layout: with b = (e, *rest) and v_j
-    the values of the first trailing coordinate,
-    Q_b = sum_j v_j^e * Q_rest * 2**(w * j * n_rest), where Q_rest, over
-    the n_rest points of the coordinates after it, fills the fields of one
-    value v_j.  Both are identities of integers whatever the fields'
-    signs.  Each suffix of each b is built once, by len(values) shifts and
-    small multiplies, the shortest first.
+    points.  That is the tensor-product layout: with b = (e, *rest),
+    Q_b = sum_j v_j^e * Q_rest * 2**(w * j * n_rest) over the values v_j,
+    where Q_rest, over the n_rest points of the coordinates after the
+    first trailing one, fills the fields of one value v_j.  Both are
+    identities of integers whatever the fields' signs.  Each suffix of
+    each b is built once, by len(values) shifts and small multiplies, the
+    shortest first.
     """
     suffixes = {(): (1, 1)}  # b -> (Q_b, number of fields)
 
@@ -584,7 +584,6 @@ def _packed_coefficients(terms, p: int, boxes, w: int):
         if got is None:
             rest, n = trailing(b[1:])
             shift, e = w * n, b[0]
-            values = boxes[len(boxes) - len(b)]
             q = 0
             for v in reversed(values):
                 q = (q << shift) + v ** e * rest
@@ -603,17 +602,15 @@ def brute_force_search(fam: FormFamily, bound: int,
     """All v with max|v_i| <= bound and f(v) = target, in lexicographic
     order.
 
-    The box is searched a packed sub-box at a time.  Its last r
-    coordinates, r as large as keeps (2B+1)^r <= _FIELDS, make the
+    The box is searched in one packed pass.  Its last r coordinates, r
+    as large as keeps (2B+1)^r <= _FIELDS but at least 1, make the
     trailing box, and f at every trailing point is held in one w-bit field
-    of one int (`_packed_coefficients`); a last coordinate wider than
-    _FIELDS is packed one slice of _FIELDS values at a time, each slice
-    its own pass.  The first p = h - r coordinates are then fixed one at a
-    time, depth first: a value v of the next one folds the packed
-    coefficients {m: c} left into {m[1:]: sum of c * v^m[0]}, and Horner's
-    rule runs over the last of them.  Every multiply-add is one big-integer
-    operation for the whole trailing box; for p = 0 the whole box is one
-    int.
+    of one int (`_packed_coefficients`).  The first p = h - r coordinates
+    are then fixed one at a time, depth first and in increasing order: a
+    value v of the next one folds the packed coefficients {m: c} left into
+    {m[1:]: sum of c * v^m[0]}, and Horner's rule runs over the last of
+    them.  Every multiply-add is one big-integer operation for the whole
+    trailing box; for p = 0 the whole box is one int.
 
     Each leaf g, whose fields are the signed values of f, is tested
     without a carry.  L = sum |c_m| B^|m| + |target| bounds |f - target|
@@ -624,8 +621,9 @@ def brute_force_search(fam: FormFamily, bound: int,
     with f = target.  For such a field y, y + low (low = 2**(w-1) - 1 in
     every field) sets the top bit unless y = 0 and carries out of no
     field, so high & ~(z + low) has its top bit set at exactly the hits,
-    read off in lexicographic order.  The same bound shows that no point
-    hits when |target| exceeds sum |c_m| B^|m|.
+    read off in lexicographic order after their prefix, so the hits need
+    no sort.  The same bound shows that no point hits when |target|
+    exceeds sum |c_m| B^|m|.
 
     Each hit is confirmed by `FormFamily.evaluate` before it is returned;
     SearchVerificationError is raised if one fails.  A negative bound
@@ -654,45 +652,41 @@ def brute_force_search(fam: FormFamily, bound: int,
     powers = {v: [v ** e for e in range(max(map(sum, terms), default=0) + 1)]
               for v in values} if p > 1 else {}
     out: List[Vec] = []
-    for start in range(0, side, _FIELDS):
-        boxes = [values] * (r - 1) + [values[start:start + _FIELDS]]
-        points = list(product(*boxes))
-        ones = ((1 << w * len(points)) - 1) // ((1 << w) - 1)
-        bias, xor = (L - target) * ones, L * ones
-        high = ones << (w - 1)
-        low = high - ones
+    points = list(product(values, repeat=r))
+    ones = ((1 << w * len(points)) - 1) // ((1 << w) - 1)
+    bias, xor = (L - target) * ones, L * ones
+    high = ones << (w - 1)
+    low = high - ones
 
-        def test(g: int, prefix: Vec) -> None:
-            hits = high & ~(((g + bias) ^ xor) + low)
-            while hits:
-                bit = hits & -hits
-                out.append(prefix + points[bit.bit_length() // w - 1])
-                hits ^= bit
+    def test(g: int, prefix: Vec) -> None:
+        hits = high & ~(((g + bias) ^ xor) + low)
+        while hits:
+            bit = hits & -hits
+            out.append(prefix + points[bit.bit_length() // w - 1])
+            hits ^= bit
 
-        def walk(prefix: Vec, poly: dict) -> None:
-            if len(prefix) == p - 1:  # the last prefix coordinate
-                coeffs = [poly.get((e,), 0) for e in range(top, -1, -1)]
-                for t in values:
-                    acc = 0
-                    for c in coeffs:
-                        acc = acc * t + c
-                    test(acc, prefix + (t,))
-                return
-            for v in values:
-                pw, folded = powers[v], {}
-                for m, c in poly.items():
-                    rest = m[1:]
-                    folded[rest] = folded.get(rest, 0) + c * pw[m[0]]
-                walk(prefix + (v,), folded)
+    def walk(prefix: Vec, poly: dict) -> None:
+        if len(prefix) == p - 1:  # the last prefix coordinate
+            coeffs = [poly.get((e,), 0) for e in range(top, -1, -1)]
+            for t in values:
+                acc = 0
+                for c in coeffs:
+                    acc = acc * t + c
+                test(acc, prefix + (t,))
+            return
+        for v in values:
+            pw, folded = powers[v], {}
+            for m, c in poly.items():
+                rest = m[1:]
+                folded[rest] = folded.get(rest, 0) + c * pw[m[0]]
+            walk(prefix + (v,), folded)
 
-        packed = _packed_coefficients(terms, p, boxes, w)
-        if p:
-            top = max((m[-1] for m in packed), default=0)  # degree in x_p
-            walk((), packed)
-        else:
-            test(packed.get((), 0), ())
-    if side > _FIELDS:
-        out.sort()  # each slice of the last coordinate was its own pass
+    packed = _packed_coefficients(terms, p, values, w)
+    if p:
+        top = max((m[-1] for m in packed), default=0)  # degree in x_p
+        walk((), packed)
+    else:
+        test(packed.get((), 0), ())
     for v in out:
         value = fam.evaluate(v)
         if value != target:

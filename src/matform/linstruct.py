@@ -74,6 +74,7 @@ def argument_names(h: int, k: int) -> Tuple[Tuple[str, ...], ...]:
 
 Terms = Dict[Monomial, int]
 Sparse = List[Dict[int, Dict[int, int]]]  # row i: {column: packed entry}
+Packed = Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]]  # a packed CoeffTable
 
 
 def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
@@ -131,23 +132,21 @@ def _sparse_product(a: Sparse, b: Sparse) -> Sparse:
     return out
 
 
-def _cube(pair: CoeffTable, ptable: VarTable) -> CoeffTable:
-    """The triple table of a closed pair table: E_r E_s E_u =
-    sum_v c_rs^v E_v E_u = sum_t (sum_v c_rs^v c_vu^t) E_t."""
-    # a product of two pair coefficients has exponents up to twice theirs
-    pack = Packing(ptable, 2 * _top(pair.values()))
+def _cube(pair: Packed) -> Packed:
+    """The triple table of a closed pair table, both in the packing that
+    read it (`_on_basis`): E_r E_s E_u = sum_v c_rs^v E_v E_u =
+    sum_t (sum_v c_rs^v c_vu^t) E_t."""
     by_rs: Dict[Tuple[int, int], List[Tuple[int, Dict[int, int]]]] = {}
     by_v: Dict[int, List[Tuple[int, int, Dict[int, int]]]] = {}
     for (t, (r, s)), c in pair.items():
-        packed = pack.pack_terms(c.terms)
-        by_rs.setdefault((r, s), []).append((t, packed))
-        by_v.setdefault(r, []).append((s, t, packed))
-    out: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+        by_rs.setdefault((r, s), []).append((t, c))
+        by_v.setdefault(r, []).append((s, t, c))
+    out: Packed = {}
     for (r, s), cs in by_rs.items():
         for v, c1 in cs:
             for u, t, c2 in by_v.get(v, ()):
                 _mul_packed(out.setdefault((t, (r, s, u)), {}), c1, c2)
-    return {key: pack.poly(terms) for key, terms in out.items() if terms}
+    return {key: terms for key, terms in out.items() if terms}
 
 
 def _multilinear_coeffs(poly: Polynomial, ptable: VarTable,
@@ -525,10 +524,11 @@ class LinearStructure:
         taken once, and the pair table is read off them.  At order 3 a
         closed pair table gives the triple table by its contraction
         (`_cube`); otherwise the table is read off the triple products
-        (E_r E_s) E_u, built from those same pair products."""
-        # a product has exponents up to order * top, its reconstruction
-        # (a quotient times a basis entry) up to (order + 1) * top; each
-        # divisor is a basis entry, so within top
+        (E_r E_s) E_u, built from those same pair products.  Every table
+        stays packed, and the law is unpacked once."""
+        # a product has exponents up to order * top, its reconstruction (a
+        # quotient times a basis entry) up to (order + 1) * top, `_cube`'s
+        # up to 4 * top; each divisor is a basis entry, so within top
         pack = Packing(self.param_table, (order + 1) * _top(
             c for row in self.coeff for cell in row for c in cell))
         basis: List[Sparse] = [
@@ -541,15 +541,16 @@ class LinearStructure:
         got = self._read_table(2, basis, products, pack)
         if order == 3:
             if not isinstance(got, NotInSpan):
-                return MultilinearMap._own(3, self.h, self.param_table,
-                                           _cube(got, self.param_table))
-            products = {(r, s, u): _sparse_product(p, c)
-                        for (r, s), p in products.items()
-                        for u, c in enumerate(basis)}
-            got = self._read_table(3, basis, products, pack)
+                got = _cube(got)
+            else:
+                products = {(r, s, u): _sparse_product(p, c)
+                            for (r, s), p in products.items()
+                            for u, c in enumerate(basis)}
+                got = self._read_table(3, basis, products, pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
-        return MultilinearMap._own(order, self.h, self.param_table, got)
+        return MultilinearMap._own(order, self.h, self.param_table, {
+            key: pack.poly(terms) for key, terms in got.items()})
 
     def _tensor(self, outer: MultilinearMap,
                 inner: MultilinearMap) -> MultilinearMap:
@@ -571,15 +572,15 @@ class LinearStructure:
 
     def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
-                    pack: Packing) -> Union[CoeffTable, NotInSpan]:
+                    pack: Packing) -> Union[Packed, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
-        indices) on the first row, or the witness that
+        indices) on the first row, packed, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
         span.  Every product is read and checked before the witness is
         chosen: division fails at the first position where any
         product does not divide, and a mismatch is at the first (i, j) in
         row-major order, with the residual summed over every product."""
-        coeff: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+        coeff: Packed = {}
         for t, ((i, j), divisor) in enumerate(zip(self.positions, self.divisors)):
             if not divisor:
                 return NotInSpan(entry=(i, j), residual=None, reason="division")
@@ -608,7 +609,7 @@ class LinearStructure:
             return NotInSpan(entry=first, reason="mismatch", residual=(
                 multilinear_forms(misses[first], self.params,
                                   argument_names(self.h, order))[0]))
-        return {key: pack.poly(terms) for key, terms in coeff.items()}
+        return coeff
 
     # -- block lifting ------------------------------------------------------
 

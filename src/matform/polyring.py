@@ -84,9 +84,6 @@ class VarTable:
     def __repr__(self) -> str:
         return f"VarTable({list(self.names)!r})"
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]

@@ -101,6 +101,9 @@ MUTANTS = (
            "bias, xor = (L - target + 1) * ones, L * ones", DIOPH),
     Mutant("search-horner", "dioph.py",
            "acc = acc * t + c", "acc = acc * t - c", DIOPH),
+    # the hits are read off in the walk's order, with no sort after it
+    Mutant("search-point-order", "dioph.py",
+           "for t in values:", "for t in reversed(values):", DIOPH),
     # linstruct: the integer linearization, lifts and closure tables
     Mutant("argument-matrix-slot", "linstruct.py",
            "M[i][js[slot]] += v", "M[i][js[-1]] += v",
@@ -121,18 +124,32 @@ MUTANTS = (
            "f.specialize([at[p] for p in f.params])",
            "f.specialize(pv[:len(f.params)])",
            ("test_closure.py", "test_catalog.py")),
-    # equivalent in its law: only the count of basis products shows it
+    # equivalent in its law: only the count of basis products shows it.
+    # 3 * top as the pass's field bound, for (order + 1) * top, would be
+    # equivalent: a field of bound.bit_length() + 1 bits holds 4 * top
     Mutant("contraction-skipped", "linstruct.py",
            "if not isinstance(got, NotInSpan):", "if False:",
            ("test_linstruct.py",)),
-    # catalog and compose: which law is the family's own, and the inverse
+    # catalog and compose: which law is the family's own, the expansion
+    # of any other map, and the inverse
     Mutant("own-law-arity-guard-dropped", "catalog.py",
            '(cmap.k == 3 or self.kind == "pair") and ', "",
            ("test_catalog.py",)),
+    Mutant("verify-expand-route-skipped", "catalog.py",
+           "if not self._is_own_law(cmap):", "if False:",
+           ("test_compose.py",)),
     Mutant("invert-back-substitution", "compose.py",
            "for j in range(k + 1, h))) // a[k][k]",
            "for j in range(k + 2, h))) // a[k][k]",
            ("test_compose.py", "test_catalog.py")),
+    # cli: usage errors, exit 2 with nothing on stdout
+    Mutant("vector-length-guard-short", "cli.py",
+           "if vec is not None and len(vec) != fam.h:",
+           "if vec is not None and len(vec) > fam.h:",
+           ("test_cli_golden.py",)),
+    Mutant("pairwise-order-guard-dropped", "cli.py",
+           "elif args.order is not None:", "elif False:",
+           ("test_cli_golden.py",)),
     # polyring: the CLI's JSON writers
     Mutant("json-pieces-term-separator", "polyring.py",
            'sep = ", "\n        yield "]}"', 'sep = ","\n        yield "]}"',

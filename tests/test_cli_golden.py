@@ -3,8 +3,10 @@ recorded exit code and the SHA-256 of its stdout.
 
 The argvs cover every subcommand over the catalog: symbolic and numeric
 proofs, closures, solution chains under every slot order, search boxes,
-inversion and block composition.  Only stdout is digested; the stderr of a
-usage error is argparse wording, which differs across Python versions.
+inversion and block composition, and every usage error the CLI raises
+itself, each with exit 2 and an empty stdout.  Only stdout is digested; the
+stderr of a usage error is argparse wording, which differs across Python
+versions.
 """
 
 import hashlib
@@ -50,7 +52,8 @@ ROUTES = {"quartic4x4": "matrix", "octic8x8": "matrix",
           "sextic_uv": "matrix", "threefold_quadratic": "matrix"}
 
 
-@pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("solve ")])
+@pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("solve ")
+                                  and GOLDEN[a][0] == 0])
 def test_solve_reports_its_route(capsys, monkeypatch, argv):
     results = []
     generate = dioph.generate_sequence

@@ -797,7 +797,8 @@ class TestPrintedChain:
                               for row in r.step)
 
 
-SOLVE_ARGVS = [a for a in GOLDEN if a.startswith("solve ")]
+SOLVE_ARGVS = [a for a in GOLDEN  # the chains printed, not the usage errors
+               if a.startswith("solve ") and GOLDEN[a][0] == 0]
 UV = family("sextic_uv", (3,))
 
 
@@ -1493,28 +1494,30 @@ class TestFoldedSearch:
 
 
 class TestPackedSearch:
-    """The packed sub-box at its edges, against the per-point oracle:
-    fields wider than a machine word, targets at and just past the range
-    of f, every point a hit, a last coordinate packed in slices, and
-    trailing boxes with and without folded coordinates before them."""
+    """The packed pass at its edges, against the per-point oracle: fields
+    wider than a machine word, targets at and just past the range of f,
+    every point a hit, a last coordinate wider than the cap, and trailing
+    boxes with and without folded coordinates before them."""
 
     @pytest.fixture
     def boxes(self, monkeypatch):
-        """The number of trailing points of every packed int searched."""
+        """The number of trailing points of every packed int searched: the
+        values to the power of the trailing coordinates, h - p."""
         sizes = []
         packed = dioph._packed_coefficients
 
-        def recording(terms, p, boxes, w):
-            sizes.append(len(list(itertools.product(*boxes))))
-            return packed(terms, p, boxes, w)
+        def recording(terms, p, values, w):
+            h = len(next(iter(terms)))
+            sizes.append(len(values) ** (h - p))
+            return packed(terms, p, values, w)
         monkeypatch.setattr(dioph, "_packed_coefficients", recording)
         return sizes
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_per_point_oracle_at_any_cap(self, data):
-        # a cap of 1 or 2 packs one slice of the last coordinate at a
-        # time, 3 and 9 pack one or two whole coordinates at bound 1
+        # a cap of 1 or 2 is narrower than the last coordinate, which still
+        # fills one int; 3 and 9 pack one or two coordinates at bound 1
         name = data.draw(st.sampled_from(
             ["quad2x2", "threefold_quadratic", "cubic3x3", "quartic4x4"]))
         base = family(name)
@@ -1575,24 +1578,25 @@ class TestPackedSearch:
 
     @pytest.mark.parametrize("coeffs", [(3,), (-5,)])
     def test_one_coordinate_wider_than_a_packed_int(self, coeffs, boxes):
-        # h = 1: the only coordinate is packed one slice at a time
+        # h = 1: the only coordinate, 1 251 values, fills one int; f = x1,
+        # so the last target is past its reach and packs nothing
         fam = companion_family(coeffs)
         bound = dioph._FIELDS
         for target in (1, -bound, bound, 0, bound + 1):
             assert brute_force_search(fam, bound, target=target) == \
                 box_oracle(fam, bound, target)
-        assert len(boxes) > 1 and max(boxes) <= dioph._FIELDS
+        assert boxes == [2 * bound + 1] * 4 == [1251] * 4
 
     def test_slices_of_the_last_coordinate_come_out_in_order(
             self, boxes, monkeypatch):
-        # x2 spans 21 values, packed 9, 9 and 3 at a time, each slice its
-        # own pass over x1
+        # x2 spans 21 values, wider than the cap of 9: all 21 fill one
+        # int, and one pass over x1 reads the hits off in order
         monkeypatch.setattr(dioph, "_FIELDS", 9)
         fam = family("quad2x2", (0, -2))
         found = brute_force_search(fam, 10)
         assert found == box_oracle(fam, 10, 1)
         assert found == [(-3, -2), (-3, 2), (-1, 0), (1, 0), (3, -2), (3, 2)]
-        assert boxes == [9, 9, 3]
+        assert boxes == [21]
 
     def test_whole_box_in_one_int_and_folds_before_it(self, boxes):
         # quad2x2 fits one int at bound 1 (r = h, nothing to fold);
@@ -1618,6 +1622,7 @@ class TestPackedSearch:
         # [[x1, x2, x3], [0, x2, 0], [0, 0, x2]] has f = x1*x2^2: with cap 3
         # Horner's rule runs over x2 (p = 2), of higher degree than x1.
         # Every catalog form has its full degree in x1, so none shows this.
+        # At bound 2, x3's 5 values, wider than the cap, fill one int.
         empty = VarTable(())
         x1, x2, x3 = ([empty.const(int(r == t)) for r in range(3)]
                       for t in range(3))
@@ -1633,4 +1638,6 @@ class TestPackedSearch:
                 assert brute_force_search(fam, bound, target=target) == \
                     box_oracle(fam, bound, target)
         assert brute_force_search(fam, 2, target=4)
-        assert max(boxes) == 3  # one trailing coordinate, x3: p = 2
+        # one trailing coordinate, x3 (p = 2); at bound 1, |f| <= 1 < 4
+        # leaves nothing to pack
+        assert boxes == [3, 5, 5, 5]

@@ -500,6 +500,27 @@ class TestProductKernel:
         assert got == p.substitute({n: kept.const(v)
                                     for n, v in values.items()})
 
+    @given(st.data())
+    @KERNEL
+    def test_substitute_monomial_images(self, data):
+        """Every variable to a constant in [-3, 3], 0 included, or to any
+        variable of the same table, so that terms merge: each term maps to
+        one term, and the sum equals the tuple oracle's."""
+        table = data.draw(tables())
+        p = data.draw(table_polys(table))
+        image = st.one_of(st.integers(-3, 3).map(table.const),
+                          st.sampled_from(table.names).map(table.var)
+                          if table.names else st.nothing())
+        images = {n: data.draw(image) for n in table.names}
+        want = table.zero()
+        for m, c in p.terms.items():
+            term = table.const(c)
+            for n, e in zip(table.names, m):
+                for _ in range(e):
+                    term = mul(term, images[n])
+            want = want + term
+        assert p.substitute(images) == want
+
 
 class TestPacking:
     """The field layout directly: a round trip, a product at the bound and
