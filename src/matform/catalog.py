@@ -42,11 +42,6 @@ class ParamArity(PolyError):
     """Wrong number of parameter values for the family."""
 
 
-def _vars(names: Sequence[str]) -> Tuple[VarTable, Dict[str, Polynomial]]:
-    table = VarTable(tuple(names))
-    return table, {name: table.var(name) for name in table.names}
-
-
 def _coords(prefix: str, h: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(h))
 
@@ -258,8 +253,7 @@ class FormFamily:
 def _pell_structure(c1: str, c2: str) -> LinearStructure:
     """[[a1, a2], [-c2*a2, a1 + c1*a2]]: the norm-like 2x2 family whose
     linear structure is closed under pairwise products."""
-    t, v = _vars((c1, c2, "a1", "a2"))
-    p, q, a1, a2 = (v[c1], v[c2], v["a1"], v["a2"])
+    p, q, a1, a2 = VarTable((c1, c2, "a1", "a2")).vars()
     return LinearStructure.from_matrix(
         (c1, c2), ("a1", "a2"),
         [[a1, a2], [-q * a2, a1 + p * a2]])
@@ -269,8 +263,7 @@ def _tracefree_structure(ct: str, cb: str, cc: str) -> LinearStructure:
     """[[t*a1, a2], [b*a1 + c*a2, -t*a1]]: trace-free 2x2 family, closed
     only under triple products; the first row is read back divided by t
     and 1, the coefficients there."""
-    t, v = _vars((ct, cb, cc, "a1", "a2"))
-    tv, bv, cv, a1, a2 = (v[ct], v[cb], v[cc], v["a1"], v["a2"])
+    tv, bv, cv, a1, a2 = VarTable((ct, cb, cc, "a1", "a2")).vars()
     return LinearStructure.from_matrix(
         (ct, cb, cc), ("a1", "a2"),
         [[tv * a1, a2], [bv * a1 + cv * a2, -tv * a1]])
@@ -278,9 +271,8 @@ def _tracefree_structure(ct: str, cb: str, cc: str) -> LinearStructure:
 
 def _cubic_structure() -> LinearStructure:
     """The 3x3 family in five parameters closed under pairwise products."""
-    t, v = _vars(("l1", "l2", "l3", "l4", "l5", "x1", "x2", "x3"))
-    l1, l2, l3, l4, l5 = (v["l1"], v["l2"], v["l3"], v["l4"], v["l5"])
-    x1, x2, x3 = (v["x1"], v["x2"], v["x3"])
+    l1, l2, l3, l4, l5, x1, x2, x3 = VarTable(
+        ("l1", "l2", "l3", "l4", "l5", "x1", "x2", "x3")).vars()
     return LinearStructure.from_matrix(
         ("l1", "l2", "l3", "l4", "l5"), ("x1", "x2", "x3"),
         [
@@ -314,9 +306,8 @@ def _t_squared_as_a(poly: Polynomial, table: VarTable) -> Polynomial:
 
 @cache
 def _quartic_printed_form() -> Polynomial:
-    t, v = _vars(("m", "n", "p", "q", "x1", "x2", "x3", "x4"))
-    m, n, p, q = v["m"], v["n"], v["p"], v["q"]
-    x1, x2, x3, x4 = v["x1"], v["x2"], v["x3"], v["x4"]
+    m, n, p, q, x1, x2, x3, x4 = VarTable(
+        ("m", "n", "p", "q", "x1", "x2", "x3", "x4")).vars()
     return (x1**4 + 2*m*x1**3*x2 + 2*p*x1**3*x3 + m*p*x1**3*x4
             + (m**2 + 2*n)*x1**2*x2**2 + 3*m*p*x1**2*x2*x3
             + (m**2 + 2*n)*p*x1**2*x2*x4
@@ -342,10 +333,8 @@ def _quartic_printed_form() -> Polynomial:
 
 def _circulant_structure() -> LinearStructure:
     """The 6x6 block matrix of two 3x3 circulants, the lower one times q."""
-    t, v = _vars(("q", "x1", "x2", "x3", "x4", "x5", "x6"))
-    q = v["q"]
-    x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
-                              v["x4"], v["x5"], v["x6"])
+    q, x1, x2, x3, x4, x5, x6 = VarTable(
+        ("q", "x1", "x2", "x3", "x4", "x5", "x6")).vars()
     return LinearStructure.from_matrix(
         ("q",), ("x1", "x2", "x3", "x4", "x5", "x6"),
         [
@@ -366,9 +355,9 @@ def _sextic_uv_structure() -> LinearStructure:
     determinants, u1^2 - q*u2^2 and a quartic, compose simultaneously
     under the one law, and det A is their product."""
     coords = _coords("u", 6)
-    t, v = _vars(("q",) + coords)
-    q, zero = v["q"], t.zero()
-    u1, u2, u3, u4, u5, u6 = (v[name] for name in coords)
+    table = VarTable(("q",) + coords)
+    q, u1, u2, u3, u4, u5, u6 = table.vars()
+    zero = table.zero()
     return LinearStructure.from_matrix(("q",), coords, [
         [u1, u2, u3, u4, u5, u6],
         [q*u2, u1, q*u4, u6, u3, q*u2 - q*u4 - q*u5],

@@ -50,13 +50,19 @@ class UsageError(Exception):
     pass
 
 
-def _family(name: str, params: Optional[Tuple[int, ...]]):
+def _family(name: str, params: Optional[Tuple[int, ...]],
+            numeric_for: Optional[str] = None):
+    """The family `name` at `params`; the command named by `numeric_for`
+    takes numeric ones only."""
     try:
-        return catalog.family(name, params)
+        fam = catalog.family(name, params)
     except catalog.UnknownFamily as exc:
         raise UsageError(f"unknown family: {exc}")
     except catalog.ParamArity as exc:
         raise UsageError(str(exc))
+    if numeric_for is not None and fam.is_symbolic():
+        raise UsageError(f"{numeric_for} needs numeric --params")
+    return fam
 
 
 def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
@@ -142,9 +148,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_solve(args) -> int:
     from . import dioph  # only solve and search load it
-    fam = _family(args.family, args.params)
-    if fam.is_symbolic():
-        raise UsageError("solve needs numeric --params")
+    fam = _family(args.family, args.params, "solve")
     for flag, vec in (("--seed", args.seed), ("--step", args.step),
                       ("--fixed", args.fixed)):
         _check_length(fam, flag, vec)
@@ -155,15 +159,14 @@ def _cmd_solve(args) -> int:
         order = "xyz" if args.order is None else args.order
         if sorted(order) != ["x", "y", "z"]:
             raise UsageError("--order must be a permutation of xyz")
-        spec = dioph.SequenceSpec(
-            family=fam, seed=args.seed, count=args.count,
-            partners=(args.fixed, args.step),
-            order=tuple("xyz".index(ch) for ch in order))
+        partners = (args.fixed, args.step)
+        order = tuple("xyz".index(ch) for ch in order)
     elif args.order is not None:
         raise UsageError("--order applies to three-argument maps only")
     else:
-        spec = dioph.SequenceSpec(family=fam, seed=args.seed, count=args.count,
-                                  partners=(args.step,))
+        partners, order = (args.step,), None
+    spec = dioph.SequenceSpec(family=fam, seed=args.seed, count=args.count,
+                              partners=partners, order=order)
     try:
         result = dioph.generate_sequence(spec)
     except (dioph.SeedNotSolution, dioph.StepNotSolution) as exc:
@@ -179,9 +182,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_search(args) -> int:
     from . import dioph
-    fam = _family(args.family, args.params)
-    if fam.is_symbolic():
-        raise UsageError("search needs numeric --params")
+    fam = _family(args.family, args.params, "search")
     try:
         found = dioph.brute_force_search(fam, args.bound)
     except dioph.SearchSpaceTooLarge as exc:
@@ -196,9 +197,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    fam = _family(args.family, args.params)
-    if fam.is_symbolic():
-        raise UsageError("invert needs numeric --params")
+    fam = _family(args.family, args.params, "invert")
     if fam.kind == "triple":
         raise UsageError("invert applies to two-argument composition only")
     point = args.point

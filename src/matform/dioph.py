@@ -223,7 +223,7 @@ def _check_printed(i: int, row: List[str], proven: Vec) -> None:
                 f"from the proven value")
 
 
-class SequenceResult:
+class SequenceResult(NamedTuple):
     """The proven chain of spec.count iterates v_0 = seed, v_{i+1} = S v_i,
     with `step` the step matrix S and `seed` the int seed.
 
@@ -245,18 +245,12 @@ class SequenceResult:
     counts the iterates checked by exact evaluation: the seed and the
     last one.
     Results are equal when all six fields are."""
-    __slots__ = ("spec", "step", "proof", "seed", "evaluated", "last")
-
-    def __init__(self, spec: SequenceSpec, step: Tuple[Vec, ...], proof: str,
-                 seed: Vec, evaluated: int, last: Vec):
-        self.spec, self.step, self.proof = spec, step, proof
-        self.seed, self.evaluated, self.last = seed, evaluated, last
-
-    def __eq__(self, other):
-        if type(other) is not SequenceResult:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
+    spec: SequenceSpec
+    step: Tuple[Vec, ...]
+    proof: str
+    seed: Vec
+    evaluated: int
+    last: Vec
 
     @property
     def certified(self) -> bool:

@@ -11,8 +11,8 @@ Exponent tuples are the form at rest (`terms`, printing, JSON); every
 product packs them into ints (`Packing`) so that a monomial product is one
 int addition, and `_mul_packed` is the one product kernel: `*` (and `**`,
 binary powering over it), the matrix product, `determinant`, the one
-substitution kernel `_map_through` (`substitute` and `specialize`), and
-closure and `instantiate` in `linstruct`.
+substitution kernel `substitute`, and closure and `instantiate` in
+`linstruct`.  `specialize` takes no product: it maps each term to one term.
 """
 
 from __future__ import annotations
@@ -237,25 +237,10 @@ class Polynomial:
                 raise VarTableMismatch("substitution values over mixed tables")
         images = [values[name] if name in values else target.var(name)
                   for name in self.table.names]
-        return self._map_through(target, images)
-
-    def embed(self, target: VarTable) -> "Polynomial":
-        """Reinterpret over a table containing all of this table's names."""
-        positions = [target.index(name) for name in self.table.names]
-        width = len(target)
-        out: Dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            exps = [0] * width
-            for pos, e in zip(positions, m):
-                exps[pos] = e
-            out[tuple(exps)] = c
-        return Polynomial._own(target, out)
-
-    def _map_through(self, target: VarTable, images: Sequence["Polynomial"]) -> "Polynomial":
-        """sum of c * prod_i images[i] ** m[i] over the terms (m, c), over
-        `target`, with every product taken on packed monomials."""
-        # a term of degree d maps to a product of d image terms, so no
-        # exponent exceeds total_degree(self) times the largest image one
+        # sum of c * prod_i images[i] ** m[i] over the terms (m, c), with
+        # every product taken on packed monomials.  A term of degree d maps
+        # to a product of d image terms, so no exponent exceeds
+        # total_degree(self) times the largest image one
         pack = Packing(target, max(self.total_degree(), 0) * _top(images))
         # powers[i][e] = images[i] ** e, each from the one before it
         powers = [[{0: 1}, pack.pack_terms(im.terms)] for im in images]
@@ -275,15 +260,40 @@ class Polynomial:
             _mul_packed(acc, term, last)
         return pack.poly(acc)
 
+    def embed(self, target: VarTable) -> "Polynomial":
+        """Reinterpret over a table containing all of this table's names."""
+        positions = [target.index(name) for name in self.table.names]
+        width = len(target)
+        out: Dict[Monomial, int] = {}
+        for m, c in self.terms.items():
+            exps = [0] * width
+            for pos, e in zip(positions, m):
+                exps[pos] = e
+            out[tuple(exps)] = c
+        return Polynomial._own(target, out)
+
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
         """Substitute integers for a subset of variables, dropping them
-        from the table.  The remaining variables keep their order."""
-        for name in values:
-            self.table.index(name)  # raises UnknownVariable
-        table = VarTable(n for n in self.table.names if n not in values)
-        return self._map_through(table, [
-            table.const(values[n]) if n in values else table.var(n)
-            for n in self.table.names])
+        from the table.  The remaining variables keep their order.  Each
+        term maps to the one term c * prod_i values[i] ** m[i] of the kept
+        exponents, so no polynomial product is taken."""
+        fixed = [(self.table.index(name), operator.index(v))
+                 for name, v in values.items()]  # raises UnknownVariable
+        keep = [i for i, name in enumerate(self.table.names)
+                if name not in values]
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for m, c in self.terms.items():
+            for i, v in fixed:
+                c *= v ** m[i]
+            if c:
+                key = tuple([m[i] for i in keep])
+                s = get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return Polynomial._own(VarTable(self.table.names[i] for i in keep), out)
 
     def eval_vector(self, values: Sequence[int]) -> int:
         """Exact value given one integer per table variable, in order."""

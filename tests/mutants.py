@@ -150,6 +150,9 @@ MUTANTS = (
     Mutant("pairwise-order-guard-dropped", "cli.py",
            "elif args.order is not None:", "elif False:",
            ("test_cli_golden.py",)),
+    Mutant("numeric-params-guard-dropped", "cli.py",
+           "if numeric_for is not None and fam.is_symbolic():", "if False:",
+           ("test_cli_golden.py",)),
     # polyring: the CLI's JSON writers
     Mutant("json-pieces-term-separator", "polyring.py",
            'sep = ", "\n        yield "]}"', 'sep = ","\n        yield "]}"',
@@ -162,8 +165,9 @@ MUTANTS = (
            "            chunk, size = [], 0\n",
            ("test_cli_golden.py", "test_polyring.py")),
     # polyring: the one product kernel, the field layout of packed
-    # monomials, the one substitution kernel, powering, the packed
-    # division, the DP determinant and the one fraction-free elimination
+    # monomials, the term map of `specialize`, the one substitution
+    # kernel, powering, the packed division, the DP determinant and the
+    # one fraction-free elimination
     Mutant("mul-packed-zero-filter-dropped", "polyring.py",
            "            s = get(m, 0) + c1 * c2\n            if s:\n"
            "                out[m] = s\n            else:\n"
@@ -179,8 +183,8 @@ MUTANTS = (
     Mutant("packing-mask-one-bit-wide", "polyring.py",
            "self.mask = (1 << bits) - 1", "self.mask = (1 << bits + 1) - 1",
            ("test_polyring.py",)),
-    Mutant("specialize-kept-variable-constant", "polyring.py",
-           "else table.var(n)", "else table.const(1)", ("test_polyring.py",)),
+    Mutant("specialize-value-unraised", "polyring.py",
+           "c *= v ** m[i]", "c *= v", ("test_polyring.py",)),
     Mutant("substitute-power-squared", "polyring.py",
            "row.append(_mul_packed({}, row[1], row[-1]))",
            "row.append(_mul_packed({}, row[-1], row[-1]))",

@@ -96,16 +96,23 @@ def modules_after(code: str) -> set:
 
 
 class TestStartupBudget:
-    """A CLI process imports what its command runs and nothing more (see
-    README, "Start-up").  Measured against `python -c pass` in the same
-    interpreter, so whatever `site` loads does not count."""
+    """What a CLI process imports (see README, "Start-up"): `import
+    matform.cli` loads the four layers every command may run, `polyring`,
+    `linstruct`, `compose` and `catalog`, up front, whatever the command;
+    only `solve` and `search` add `matform.dioph`, and with it `decimal`;
+    and no command loads the modules in UNUSED.  Measured against `python
+    -c pass` in the same interpreter, so whatever `site` loads does not
+    count."""
 
+    LAYERS = {"matform.polyring", "matform.linstruct", "matform.compose",
+              "matform.catalog"}
     UNUSED = {"inspect", "dataclasses", "fractions", "decimal",
               "matform.dioph"}
 
-    def test_import_loads_no_unused_module(self):
+    def test_import_loads_the_four_layers_and_no_unused_module(self):
         added = modules_after("import matform.cli") - modules_after("pass")
         assert "matform.cli" in added
+        assert self.LAYERS <= added
         assert not added & self.UNUSED
 
     @pytest.mark.parametrize("argv, loads", [
@@ -364,6 +371,19 @@ class TestNumericParams:
         assert json.loads(out) == {"status": "zero-residual",
                                    "method": "matrix"}
 
+    @pytest.mark.parametrize("argv", [
+        "solve --family quartic4x4 --params=symbolic --seed 1,0,0,0 "
+        "--step 1,0,0,0 --count 1",
+        "search --family quad2x2 --params=symbolic --bound 1",
+        "invert --family quartic4x4 --params=symbolic --point 6,2,3,1",
+    ], ids=lambda argv: argv.split(" ")[0])
+    def test_symbolic_params_rejected(self, capsys, argv):
+        """The commands that take numeric --params only reject symbolic
+        ones with one line, which names the command."""
+        code, out, err = run_cli(capsys, *argv.split(" "))
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv.split(' ')[0]} needs numeric --params\n"
+
 
 class TestSolve:
     def test_quartic_sequence(self, capsys):
@@ -467,14 +487,6 @@ class TestSolve:
         chunk = polyring._CHUNK
         assert len(calls) <= -(-len(text) // chunk) + 1
         assert all(len(c) >= chunk for c in calls[:-1])
-
-    def test_symbolic_params_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "solve", "--family", "quartic4x4",
-            "--params", "symbolic", "--seed", "1,0,0,0",
-            "--step", "1,0,0,0", "--count", "1")
-        assert code == 2
-        assert "numeric" in err
 
 
 class TestSearchInvertBlock:

@@ -168,7 +168,7 @@ class TestRecords:
         assert a.solutions == QUARTIC_SEQ and a == b
         with pytest.raises(AttributeError):
             a.solutions = []
-        fields = {f: getattr(a, f) for f in dioph.SequenceResult.__slots__}
+        fields = {f: getattr(a, f) for f in dioph.SequenceResult._fields}
         assert dioph.SequenceResult(**fields) == a
         for f, other in [("spec", spec._replace(count=3)),
                          ("step", a.step[1:]),

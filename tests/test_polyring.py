@@ -144,6 +144,23 @@ class TestPolynomialBasics:
         with pytest.raises(TypeError):
             family("quad2x2").form.specialize({"p": 0.5, "q": -2})
 
+    def test_specialize_takes_no_packed_product(self, monkeypatch):
+        """Each term maps to one term, so `specialize` packs nothing: the
+        symbolic octic form at the golden values, which zero whole
+        monomials, is the numeric family's form with `Packing` and
+        `_mul_packed` refused."""
+        from matform import polyring
+        from matform.catalog import family
+        values = (0, -5, 0, -3, 0, -14)
+        fam = family("octic8x8")
+        form, want = fam.form, family("octic8x8", values).form
+
+        def refuse(*args):
+            raise AssertionError("specialize took a packed product")
+        monkeypatch.setattr(polyring, "Packing", refuse)
+        monkeypatch.setattr(polyring, "_mul_packed", refuse)
+        assert form.specialize(dict(zip(fam.param_names, values))) == want
+
 
 class TestExponentValidation:
     """Every exponent tuple has one non-negative int per table variable;
@@ -447,7 +464,8 @@ def structures(draw):
 
 class TestProductKernel:
     """Every product in src/ is packed (`_mul_packed`); each is checked
-    against the tests' own product over exponent tuples."""
+    against the tests' own product over exponent tuples, and so is
+    `specialize`, which maps each term to one term and takes none."""
 
     @given(st.data())
     @KERNEL
