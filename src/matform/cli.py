@@ -13,11 +13,11 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import catalog, compose
 from .compose import ZeroResidual
-from .linstruct import NotClosed
+from .linstruct import NotClosed, multilinear_forms
 from .polyring import PolyError, no_int_str_limit, write_chunks
 
 
@@ -72,15 +72,28 @@ def _check_length(fam, flag: str, vec: Optional[Tuple[int, ...]]) -> None:
 
 
 def _emit(obj, text, fmt: str) -> None:
-    """Print obj() as JSON or text(): only the format asked for is built.
-    A str from obj() is JSON text already and is printed as it is."""
+    """Write obj() as JSON or text(), then a newline, through
+    `write_chunks`, the one writer: only the format asked for is built.
+    Each gives its document as one str or as an iterable of its pieces,
+    written as they come; a dict or list from obj() is one json.dumps
+    piece, so text mode never calls json.dumps."""
     out = obj() if fmt == "json" else text()
-    print(out if isinstance(out, str) else json.dumps(out))
+    if isinstance(out, (dict, list)):
+        out = json.dumps(out)
+    write_chunks(sys.stdout, chain((out,) if isinstance(out, str) else out,
+                                   ("\n",)))
 
 
-def _json_list(texts) -> str:
-    """The JSON list of items that are JSON text already."""
-    return "[%s]" % ", ".join(texts)
+def _json_list(items) -> Iterator[str]:
+    """The pieces of the JSON list of `items`, each the pieces of one
+    item's JSON text, taken one item at a time."""
+    yield "["
+    sep = ""
+    for pieces in items:
+        yield sep
+        yield from pieces
+        sep = ", "
+    yield "]"
 
 
 def _vec_strings(v: Sequence[int]) -> List[str]:
@@ -100,10 +113,7 @@ def _cmd_list_families(args) -> int:
 
 def _cmd_emit_form(args) -> int:
     form = _family(args.family, args.params).form
-    if args.format == "json":  # in chunks: the whole text is never held
-        write_chunks(sys.stdout, chain(form.json_pieces(), ("\n",)))
-    else:
-        print(form)
+    _emit(form.json_pieces, form.text_pieces, args.format)
     return 0
 
 
@@ -116,9 +126,10 @@ def _cmd_verify(args) -> int:
         _emit(lambda: {"status": "zero-residual", "method": result.method},
               lambda: "ZERO-RESIDUAL", args.format)
         return 0
-    _emit(lambda: '{"status": "nonzero-residual", "residual": %s}'
-          % result.to_json(),
-          lambda: f"NONZERO-RESIDUAL ({result.term_count()} terms): {result}",
+    _emit(lambda: chain(('{"status": "nonzero-residual", "residual": ',),
+                        result.json_pieces(), ("}",)),
+          lambda: chain((f"NONZERO-RESIDUAL ({result.term_count()} terms): ",),
+                        result.text_pieces()),
           args.format)
     return 1
 
@@ -129,20 +140,28 @@ def _cmd_closure(args) -> int:
     if isinstance(law, NotClosed):
         witness = law.witness
         residual = witness.residual
-        _emit(lambda: '{"closed": false, "order": "%s", "reason": "%s", '
-              '"entry": %s, "residual": %s}' % (
-                  args.order, witness.reason, list(witness.entry),
-                  "null" if residual is None else residual.to_json()),
+        _emit(lambda: chain((
+                  '{"closed": false, "order": "%s", "reason": "%s", '
+                  '"entry": %s, "residual": ' % (
+                      args.order, witness.reason, list(witness.entry)),),
+                  ("null",) if residual is None else residual.json_pieces(),
+                  ("}",)),
               lambda: f"NOT-CLOSED ({args.order}): entry {witness.entry}, "
                       f"reason {witness.reason}",
               args.format)
         return 1
-    outputs = law.forms(law.coord_sets)
-    _emit(lambda: '{"closed": true, "order": "%s", "outputs": %s}' % (
-              args.order, _json_list(p.to_json() for p in outputs)),
-          lambda: f"CLOSED ({args.order}): "
-          + "; ".join(f"z{i + 1} = {p}" for i, p in enumerate(outputs)),
-          args.format)
+    # one output form at a time, each written as it is formed
+    outputs = multilinear_forms(law.coeff, law.params, law.coord_sets)
+
+    def text():
+        yield f"CLOSED ({args.order}): "
+        for i, p in enumerate(outputs):
+            yield f"; z{i + 1} = " if i else "z1 = "
+            yield from p.text_pieces()
+    _emit(lambda: chain(('{"closed": true, "order": "%s", "outputs": '
+                         % args.order,),
+                        _json_list(p.json_pieces() for p in outputs), ("}",)),
+          text, args.format)
     return 0
 
 
@@ -225,12 +244,12 @@ def _cmd_block(args) -> int:
             {p: f"i_{p}" for p in inner_st.params})
     lifted = outer.structure.block_compose(inner_st)
     positions = lifted.positions
-    _emit(lambda: '{"n": %d, "h": %d, "params": %s, "coeff": %s, '
-          '"positions": %s}' % (
-              lifted.n, lifted.h, json.dumps(lifted.params),
-              _json_list(_json_list(_json_list(c.to_json() for c in cell)
+    _emit(lambda: chain(
+              ('{"n": %d, "h": %d, "params": %s, "coeff": '
+               % (lifted.n, lifted.h, json.dumps(lifted.params)),),
+              _json_list(_json_list(_json_list(c.json_pieces() for c in cell)
                                     for cell in row) for row in lifted.coeff),
-              json.dumps(positions)),
+              (', "positions": %s}' % json.dumps(positions),)),
           lambda: f"n={lifted.n} h={lifted.h} "
                   f"params={','.join(lifted.params)} positions={positions}",
           args.format)

@@ -26,7 +26,8 @@ parameters, never sampled.
 from __future__ import annotations
 
 from operator import add, index, itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .polyring import (Monomial, Packing, PolyError, PolyMatrix, Polynomial,
                        VarTable, _mul_packed, _top)
@@ -78,34 +79,40 @@ Packed = Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]]  # a packed CoeffTabl
 
 
 def multilinear_forms(coeff: CoeffTable, params: Sequence[str],
-                      coord_sets: Sequence[Sequence[str]]) -> List[Polynomial]:
-    """[w_1..w_h], with w_t the sum of c * s1[r] * s2[s] ... over the
-    entries ((t, (r, s, ...)), c) of a coefficient table whose c's are
-    polynomials over `params`, over the one table of a law's forms: the
+                      coord_sets: Sequence[Sequence[str]]
+                      ) -> Iterator[Polynomial]:
+    """w_1..w_h, one at a time, with w_t the sum of c * s1[r] * s2[s] ...
+    over the entries ((t, (r, s, ...)), c) of a coefficient table whose c's
+    are polynomials over `params`, over the one table of a law's forms: the
     parameters, then the names of the coordinate sets s1, s2, ... (a name
     repeated raises ValueError), so a term's exponents are its parameter
-    monomial followed by its entry's coordinate suffix."""
+    monomial followed by its entry's coordinate suffix.  The entries are
+    grouped by output in one pass and the suffixes kept across outputs, so
+    a caller that writes each form as it comes holds one form at a time."""
     names = sum(map(tuple, coord_sets), ())
     table, width = VarTable(tuple(params) + names), len(params)
     cpos = [[table.index(name) - width for name in cs] for cs in coord_sets]
     blank, suffixes = [0] * len(names), {}  # js -> its suffix
-    out: List[Terms] = [{} for _ in coord_sets[0]]
-    for (t, js), c in coeff.items():
-        suffix = suffixes.get(js)
-        if suffix is None:
-            suffix = blank[:]
-            for pos, j in zip(cpos, js):
-                suffix[pos[j]] += 1
-            suffix = suffixes[js] = tuple(suffix)
-        acc = out[t]
-        for m, v in c.terms.items():
-            key = m + suffix
-            s = acc.get(key, 0) + v
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return [Polynomial._own(table, terms) for terms in out]
+    by_output: List[List[Tuple[int, ...]]] = [[] for _ in coord_sets[0]]
+    for t, js in coeff:
+        by_output[t].append(js)
+    for t, entries in enumerate(by_output):
+        acc: Terms = {}
+        for js in entries:
+            suffix = suffixes.get(js)
+            if suffix is None:
+                suffix = blank[:]
+                for pos, j in zip(cpos, js):
+                    suffix[pos[j]] += 1
+                suffix = suffixes[js] = tuple(suffix)
+            for m, v in coeff[t, js].terms.items():
+                key = m + suffix
+                s = acc.get(key, 0) + v
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        yield Polynomial._own(table, acc)
 
 
 def _reorder(joined: Tuple[str, ...], names: Sequence[str]):
@@ -246,7 +253,7 @@ class MultilinearMap:
             raise DimensionMismatch(f"need {self.k} coordinate sets")
         if any(len(cs) != self.h for cs in coord_sets):
             raise DimensionMismatch(f"coordinate sets must have length {self.h}")
-        return multilinear_forms(self.coeff, self.params, coord_sets)
+        return list(multilinear_forms(self.coeff, self.params, coord_sets))
 
     def apply(self, args: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """Exact output vector at integer arguments (parameter-free maps):
@@ -559,16 +566,30 @@ class LinearStructure:
         c'_ss'[s'']^u E_t (x) F_u, keyed slice-major (t*h_in + u), over
         the lift's parameters (none for a specialized lift, whose factors'
         laws are at its values).  The factors' parameters are disjoint, so
-        no two monomials of a product merge (`_kron_terms`)."""
+        no two monomials of a product merge (`_kron_terms`).  A factor law
+        has few distinct coefficients, so each (outer, inner) pair of them,
+        keyed by value, is multiplied once and its product is the one
+        (immutable) Polynomial of every entry it gives."""
         table = self.param_table
         order = _reorder(outer.params + inner.params, table.names)
-        hin = inner.h
-        a = [(t * hin, [j * hin for j in js], c.terms)
-             for (t, js), c in outer.coeff.items()]
-        return MultilinearMap._own(outer.k, self.h, table, {
-            (t + u, tuple(map(add, js, ks))):
-                Polynomial._own(table, _kron_terms(order, ca, c.terms))
-            for t, js, ca in a for (u, ks), c in inner.coeff.items()})
+        ids: Dict[frozenset, int] = {}  # a coefficient's terms -> its index
+
+        def indexed(law: MultilinearMap, scale: int):
+            return [(t * scale, [j * scale for j in js], c.terms,
+                     ids.setdefault(frozenset(c.terms.items()), len(ids)))
+                    for (t, js), c in law.coeff.items()]
+        b = indexed(inner, 1)
+        products: Dict[Tuple[int, int], Polynomial] = {}
+        coeff: CoeffTable = {}
+        for t, js, ca, i in indexed(outer, inner.h):
+            for u, ks, cb, k in b:
+                pair = i, k
+                p = products.get(pair)
+                if p is None:
+                    p = products[pair] = Polynomial._own(
+                        table, _kron_terms(order, ca, cb))
+                coeff[(t + u, tuple(map(add, js, ks)))] = p
+        return MultilinearMap._own(outer.k, self.h, table, coeff)
 
     def _read_table(self, order: int, basis: List[Sparse],
                     products: Dict[Tuple[int, ...], Sparse],
@@ -606,9 +627,9 @@ class LinearStructure:
                         misses.setdefault((i, j), {})[(0, js)] = pack.poly(terms)
         if misses:
             first = min(misses)
-            return NotInSpan(entry=first, reason="mismatch", residual=(
+            return NotInSpan(entry=first, reason="mismatch", residual=next(
                 multilinear_forms(misses[first], self.params,
-                                  argument_names(self.h, order))[0]))
+                                  argument_names(self.h, order))))
         return coeff
 
     # -- block lifting ------------------------------------------------------

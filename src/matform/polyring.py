@@ -317,9 +317,16 @@ class Polynomial:
         return ((m, self.terms[m]) for m in monos)
 
     def __str__(self) -> str:
+        """The text "c*x^e*y + ..." in `sorted_terms` order: the join of
+        `text_pieces`."""
+        return "".join(self.text_pieces())
+
+    def text_pieces(self) -> Iterator[str]:
+        """The text of `str` in pieces, one per term, so a large form goes
+        out in chunks (`write_chunks`)."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+        plus, minus = "", "-"
         for m, c in self.sorted_terms():
             factors = [
                 name if e == 1 else f"{name}^{e}"
@@ -332,11 +339,8 @@ class Polynomial:
                 body = "*".join(factors)
             else:
                 body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            yield (plus if c > 0 else minus) + body
+            plus, minus = " + ", " - "
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

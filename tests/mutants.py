@@ -108,6 +108,10 @@ MUTANTS = (
     Mutant("argument-matrix-slot", "linstruct.py",
            "M[i][js[slot]] += v", "M[i][js[-1]] += v",
            ("test_compose.py", "test_dioph.py")),
+    # a product shared by every entry whose outer coefficient is equal,
+    # whatever its inner one
+    Mutant("shared-product-key-outer-only", "linstruct.py",
+           "pair = i, k", "pair = i", ("test_closure.py",)),
     Mutant("kron-terms-order", "linstruct.py",
            "order(m1 + m2)", "order(m2 + m1)",
            ("test_closure.py", "test_linstruct.py")),
@@ -153,6 +157,9 @@ MUTANTS = (
     Mutant("numeric-params-guard-dropped", "cli.py",
            "if numeric_for is not None and fam.is_symbolic():", "if False:",
            ("test_cli_golden.py",)),
+    # cli: the separator between the items of a streamed JSON list
+    Mutant("json-list-separator-dropped", "cli.py",
+           'sep = ", "', 'sep = ""', ("test_cli_golden.py",)),
     # polyring: the CLI's JSON writers
     Mutant("json-pieces-term-separator", "polyring.py",
            'sep = ", "\n        yield "]}"', 'sep = ","\n        yield "]}"',

@@ -320,6 +320,38 @@ def test_closed_lift_takes_no_product_of_its_own_basis(name, order, label,
     assert st.n not in sizes
 
 
+def distinct_pairs(st: LinearStructure, order: int) -> int:
+    """The number of distinct (outer, inner) pairs of coefficient values,
+    one coefficient from each of a lift's factors' laws at `order`."""
+    def value(c):
+        return frozenset(c.terms.items())
+    outer, inner = (f.closure(order) for f in st._factors)
+    return len({(value(a), value(b)) for a in outer.coeff.values()
+                for b in inner.coeff.values()})
+
+
+def test_lift_takes_each_distinct_coefficient_product_once(monkeypatch):
+    """octic8x8's symbolic triple law (1 728 entries, 125 distinct
+    coefficients) is the Kronecker product of its factors' laws, and so is
+    its inner quartic's: each takes one product (`_kron_terms`) per
+    distinct (outer, inner) pair of coefficient values, and every entry of
+    one value holds one and the same polynomial."""
+    st = fresh("octic8x8")
+    want = distinct_pairs(st, 3) + distinct_pairs(st._factors[1], 3)
+    calls = []
+    kron = linstruct._kron_terms
+
+    def counting(order, a, b):
+        calls.append((a, b))
+        return kron(order, a, b)
+    monkeypatch.setattr(linstruct, "_kron_terms", counting)
+    law = st.closure(3)
+    assert len(calls) == want
+    assert len(law.coeff) == 1728
+    assert len({id(c) for c in law.coeff.values()}) == 125
+    assert len({frozenset(c.terms.items()) for c in law.coeff.values()}) == 125
+
+
 def test_renamed_and_reordered_lift_keeps_its_factors():
     """`rename_params` renames the factors with the lift, a lift built in
     another parameter order (`block_compose(inner, params)`) keeps them,
