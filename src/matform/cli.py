@@ -4,6 +4,15 @@ integer-solution sequence generators.
 Exit codes: 0 success, 1 verification failure or a reader that closed
 stdout, 2 usage error.  With --format json, stdout is a single JSON
 document; diagnostics go to stderr.
+
+`main` is the in-process API: it returns the exit code and leaves the
+interpreter running.  `run` is the process entry point, of `python -m
+matform.cli` and of the `matform` console script: it flushes stdout and
+stderr once `main` returns and ends the process with `os._exit`, so the
+interpreter's teardown (the last garbage collection, the clearing of
+every module, the freeing of every object) is skipped, and with it every
+`atexit` hook, coverage of subprocesses among them (README, "Start-up
+and exit").
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from . import catalog, compose
 from .compose import ZeroResidual
@@ -336,5 +345,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run `main` on sys.argv and end the process with its exit code,
+    skipping the interpreter's teardown: what the process still owes is
+    done first.  Both streams are flushed, and a reader that closed stdout
+    gives exit 1 with nothing on stderr, as from `main`; a forked `solve`
+    range is already reaped and its file closed (`SequenceResult._write`).
+    An exception that escapes `main` takes the normal exit instead:
+    argparse's SystemExit (--help, a malformed command line) with its
+    code, any other with its traceback and exit 1."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -528,11 +528,13 @@ class LinearStructure:
     def _on_basis(self, order: int) -> Union[MultilinearMap, NotClosed]:
         """Closure of `order` factors on the structure's own basis, in one
         pass: the basis is packed once and its h^2 pair products E_r E_s
-        taken once, and the pair table is read off them.  At order 3 a
-        closed pair table gives the triple table by its contraction
-        (`_cube`); otherwise the table is read off the triple products
-        (E_r E_s) E_u, built from those same pair products.  Every table
-        stays packed, and the law is unpacked once."""
+        taken once, and the pair table is read off them.  The division is
+        decided on the products' first rows, where the table is read, so
+        their other rows are taken only where it passes or at order 3.
+        At order 3 a closed pair table gives the triple table by its
+        contraction (`_cube`); otherwise the table is read off the triple
+        products (E_r E_s) E_u, built from those same pair products.
+        Every table stays packed, and the law is unpacked once."""
         # a product has exponents up to order * top, its reconstruction (a
         # quotient times a basis entry) up to (order + 1) * top, `_cube`'s
         # up to 4 * top; each divisor is a basis entry, so within top
@@ -543,9 +545,14 @@ class LinearStructure:
               for j, cell in enumerate(row) if cell[r].terms}
              for row in self.coeff]
             for r in range(self.h)]
-        products = {(r, s): _sparse_product(a, b)
-                    for r, a in enumerate(basis) for s, b in enumerate(basis)}
-        got = self._read_table(2, basis, products, pack)
+        firsts = {(r, s): _sparse_product(a[:1], b)
+                  for r, a in enumerate(basis) for s, b in enumerate(basis)}
+        got = self._read_table(firsts, pack)
+        if order == 2 and isinstance(got, NotInSpan):
+            return NotClosed(order=order, witness=got)
+        products = {(r, s): first + _sparse_product(basis[r][1:], basis[s])
+                    for (r, s), first in firsts.items()}
+        got = self._check_table(2, basis, products, got, pack)
         if order == 3:
             if not isinstance(got, NotInSpan):
                 got = _cube(got)
@@ -553,7 +560,8 @@ class LinearStructure:
                 products = {(r, s, u): _sparse_product(p, c)
                             for (r, s), p in products.items()
                             for u, c in enumerate(basis)}
-                got = self._read_table(3, basis, products, pack)
+                got = self._check_table(3, basis, products,
+                                        self._read_table(products, pack), pack)
         if isinstance(got, NotInSpan):
             return NotClosed(order=order, witness=got)
         return MultilinearMap._own(order, self.h, self.param_table, {
@@ -591,16 +599,14 @@ class LinearStructure:
                 coeff[(t + u, tuple(map(add, js, ks)))] = p
         return MultilinearMap._own(outer.k, self.h, table, coeff)
 
-    def _read_table(self, order: int, basis: List[Sparse],
-                    products: Dict[Tuple[int, ...], Sparse],
+    def _read_table(self, products: Dict[Tuple[int, ...], Sparse],
                     pack: Packing) -> Union[Packed, NotInSpan]:
         """The table read off the basis products (keyed by their factors'
-        indices) on the first row, packed, or the witness that
+        indices; the first row of each is all it reads) at each position
+        (0, t), divided by its divisor, packed, or the witness that
         A(x)A(y)[A(z)] = sum of x_r y_s [z_u] E_r E_s [E_u] is not in the
-        span.  Every product is read and checked before the witness is
-        chosen: division fails at the first position where any
-        product does not divide, and a mismatch is at the first (i, j) in
-        row-major order, with the residual summed over every product."""
+        span: division fails at the first position where any product does
+        not divide."""
         coeff: Packed = {}
         for t, ((i, j), divisor) in enumerate(zip(self.positions, self.divisors)):
             if not divisor:
@@ -612,6 +618,20 @@ class LinearStructure:
                     return NotInSpan(entry=(i, j), residual=None, reason="division")
                 if divided:
                     coeff[(t, js)] = divided
+        return coeff
+
+    def _check_table(self, order: int, basis: List[Sparse],
+                     products: Dict[Tuple[int, ...], Sparse],
+                     coeff: Union[Packed, NotInSpan],
+                     pack: Packing) -> Union[Packed, NotInSpan]:
+        """`coeff`, what `_read_table` read off the first rows of
+        `products`, where it is a table and every whole product is its sum
+        of c^t E_t; otherwise the witness, `coeff` itself where division
+        failed.  Every product is checked before a mismatch is chosen: it
+        is at the first (i, j) in row-major order, with the residual summed
+        over every product."""
+        if isinstance(coeff, NotInSpan):
+            return coeff
         misses: Dict[Tuple[int, int], CoeffTable] = {}  # (i, j) -> {(0, js): residual}
         for js, p in products.items():
             residual = [{j: dict(terms) for j, terms in row.items()} for row in p]

@@ -157,6 +157,9 @@ MUTANTS = (
     Mutant("numeric-params-guard-dropped", "cli.py",
            "if numeric_for is not None and fam.is_symbolic():", "if False:",
            ("test_cli_golden.py",)),
+    # cli: the exit code a process ends with, after `main` returns
+    Mutant("exit-code-dropped", "cli.py", "os._exit(code)", "os._exit(0)",
+           ("test_cli_golden.py",)),
     # cli: the separator between the items of a streamed JSON list
     Mutant("json-list-separator-dropped", "cli.py",
            'sep = ", "', 'sep = ""', ("test_cli_golden.py",)),

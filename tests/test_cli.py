@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matform import catalog, polyring
+from matform import catalog, cli, polyring
 from matform.catalog import FormFamily
 from matform.cli import main
 from matform.polyring import no_int_str_limit
@@ -97,7 +97,7 @@ def modules_after(code: str) -> set:
 
 
 class TestStartupBudget:
-    """What a CLI process imports (see README, "Start-up"): `import
+    """What a CLI process imports (see README, "Start-up and exit"): `import
     matform.cli` loads the four layers every command may run, `polyring`,
     `linstruct`, `compose` and `catalog`, up front, whatever the command;
     only `solve` and `search` add `matform.dioph`, and with it `decimal`;
@@ -853,6 +853,82 @@ class TestContract:
         proc.stderr.close()
         assert len(head) == 10
         assert (proc.wait(), err) == (1, b"")
+
+
+class _Stream(io.StringIO):
+    """A text stream that logs each flush, with the text written so far,
+    to `events`, and then raises `fails` if it is set."""
+
+    def __init__(self, name, events, fails=None):
+        super().__init__()
+        self.name, self.events, self.fails = name, events, fails
+
+    def flush(self):
+        self.events.append(("flush", self.name, self.getvalue()))
+        if self.fails is not None:
+            raise self.fails
+
+
+class _Exited(Exception):
+    pass
+
+
+class TestRun:
+    """`cli.run`, the process entry point, in-process with os._exit
+    logged instead of taken: main's exit code, once stdout and stderr are
+    flushed."""
+
+    def run(self, monkeypatch, argv, stdout_fails=None):
+        """The events of `run` on `argv`: each flush and the exit."""
+        events = []
+
+        def exit(code):
+            events.append(("exit", code))
+            raise _Exited
+        monkeypatch.setattr(os, "_exit", exit)
+        monkeypatch.setattr(sys, "argv", ["matform", *argv])
+        monkeypatch.setattr(sys, "stdout",
+                            _Stream("stdout", events, stdout_fails))
+        monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+        with pytest.raises(_Exited):
+            cli.run()
+        return events
+
+    @pytest.mark.parametrize("argv", [
+        "verify --family quad2x2",
+        "closure --family threefold_quadratic --order pair",
+        "emit-form --family nosuch",
+    ])
+    def test_exits_with_mains_code_once_both_streams_are_flushed(
+            self, monkeypatch, argv):
+        golden = json.loads(
+            Path(__file__).with_name("cli_golden.json").read_text())
+        code, digest = golden[argv]
+        *_, out, err, exit = self.run(monkeypatch, argv.split(" "))
+        assert exit == ("exit", code)
+        assert (out[:2], err[:2]) == (("flush", "stdout"), ("flush", "stderr"))
+        assert hashlib.sha256(out[2].encode()).hexdigest() == digest
+        assert err[2].startswith("error: ") == (code == 2)
+
+    def test_closed_stdout_at_the_last_flush_is_exit_one(self, monkeypatch):
+        # main returned 0 with text still buffered, and the reader has
+        # closed stdout since: exit 1, and nothing on stderr
+        def main():
+            print("buffered")
+            return 0
+        monkeypatch.setattr(cli, "main", main)
+        *_, err, exit = self.run(monkeypatch, [], BrokenPipeError())
+        assert (err, exit) == (("flush", "stderr", ""), ("exit", 1))
+
+    def test_exception_from_main_takes_the_normal_exit(self, monkeypatch):
+        def main():
+            raise RuntimeError("escaped")
+        monkeypatch.setattr(cli, "main", main)
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        with pytest.raises(RuntimeError, match="escaped"):
+            cli.run()
+        assert exits == []
 
 
 # -- fuzzing the whole surface -------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI stdout, byte for byte: each argv of cli_golden.json against its
-recorded exit code and the SHA-256 of its stdout.
+recorded exit code and the SHA-256 of its stdout, in-process through
+`main` and, for one argv per command and exit code, as a process through
+`python -m matform.cli` (`run`).
 
 The argvs cover every subcommand over the catalog: symbolic and numeric
 proofs, closures, solution chains under every slot order, search boxes,
@@ -11,6 +13,9 @@ versions.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +48,52 @@ def test_stdout_unchanged(capsys, monkeypatch, argv):
     assert [code, digest] == GOLDEN[argv], \
         f"matform {argv}: now exit {code}, stdout sha256 {digest}"
     assert len(set(calls)) == len(calls), calls
+
+
+# what `python -v` writes to stderr as the interpreter's teardown clears
+# its modules
+TEARDOWN = b"# cleanup"
+# the 2600-iterate quartic, whose printout splits at one cut where the
+# process may run on 2 CPUs: its second range is printed by a forked process
+SPLIT = ("solve --family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
+         "--step 6,2,3,1 --count 2600")
+
+
+def _first_per_command_and_code():
+    firsts = {}
+    for argv, (code, _) in GOLDEN.items():
+        firsts.setdefault((argv.split(" ")[0], code), argv)
+    return list(firsts.values())
+
+
+def test_verbose_interpreter_marks_its_teardown():
+    run = subprocess.run([sys.executable, "-v", "-c", "pass"],
+                         capture_output=True, check=True)
+    assert TEARDOWN in run.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [*_first_per_command_and_code(), SPLIT])
+def test_process_exit_code_and_stdout(argv, unbuffered):
+    """As a process, `python -m matform.cli` (`run`), one argv per
+    command and exit code gives its recorded exit code and stdout, with
+    stdout buffered and with PYTHONUNBUFFERED set.  The process ends by
+    os._exit, so the interpreter is not torn down (`python -v` writes no
+    TEARDOWN line), and a usage error's line is on stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    run = subprocess.run([sys.executable, "-v", "-m", "matform.cli",
+                          *argv.split(" ")], env=env, capture_output=True)
+    digest = hashlib.sha256(run.stdout).hexdigest()
+    assert [run.returncode, digest] == GOLDEN[argv]
+    assert TEARDOWN not in run.stderr
+    assert any(line.startswith(b"error: ")
+               for line in run.stderr.splitlines()) == (run.returncode == 2)
 
 
 # How `solve` proves each family's chain: by the method of the family's

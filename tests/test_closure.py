@@ -352,6 +352,29 @@ def test_lift_takes_each_distinct_coefficient_product_once(monkeypatch):
     assert len({frozenset(c.terms.items()) for c in law.coeff.values()}) == 125
 
 
+def test_pair_closure_that_does_not_divide_takes_first_rows_alone(
+        monkeypatch):
+    """threefold8x8's pair closure fails division at (0, 0), on its own
+    basis and on its inner factor's: the first rows of their pair
+    products are all it reads, and all it takes.  The 2 x 2 factors that
+    close take each product's first row, then its other row; no product
+    is taken whole."""
+    st = fresh("threefold8x8")
+    taken = []
+    product = linstruct._sparse_product
+
+    def recording(a, b):
+        taken.append((len(a), len(b)))
+        return product(a, b)
+    monkeypatch.setattr(linstruct, "_sparse_product", recording)
+    got = st.closure(2)
+    assert isinstance(got, NotClosed)
+    assert (got.witness.reason, got.witness.entry) == ("division", (0, 0))
+    assert all(rows < n for rows, n in taken)
+    assert sorted(taken) == sorted([(1, 8)] * 64 + [(1, 4)] * 16
+                                   + [(1, 2)] * 20)
+
+
 def test_renamed_and_reordered_lift_keeps_its_factors():
     """`rename_params` renames the factors with the lift, a lift built in
     another parameter order (`block_compose(inner, params)`) keeps them,
@@ -488,9 +511,10 @@ def test_lift_whose_factors_do_not_close_reads_each_table_once(monkeypatch):
     reads = []
     read = LinearStructure._read_table
 
-    def spy(self, order, *args):
-        reads.append((self, order))
-        return read(self, order, *args)
+    def spy(self, products, pack):
+        # the products are keyed by their `order` factors' indices
+        reads.append((self, len(next(iter(products)))))
+        return read(self, products, pack)
     monkeypatch.setattr(LinearStructure, "_read_table", spy)
     got = lift.closure(3)
     assert isinstance(got, NotClosed)
