@@ -349,11 +349,10 @@ def run() -> NoReturn:
     """Run `main` on sys.argv and end the process with its exit code,
     skipping the interpreter's teardown: what the process still owes is
     done first.  Both streams are flushed, and a reader that closed stdout
-    gives exit 1 with nothing on stderr, as from `main`; a forked `solve`
-    range is already reaped and its file closed (`SequenceResult._write`).
-    An exception that escapes `main` takes the normal exit instead:
-    argparse's SystemExit (--help, a malformed command line) with its
-    code, any other with its traceback and exit 1."""
+    gives exit 1 with nothing on stderr, as from `main`.  An exception
+    that escapes `main` takes the normal exit instead: argparse's
+    SystemExit (--help, a malformed command line) with its code, any
+    other with its traceback and exit 1."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -31,17 +31,6 @@ Decimal once for the printout: each row of a step is one C-level dot
 product, and the rows, JSON or text, are written in pieces, in chunks of
 about 64 KB.
 
-A long printout is split at most once, where the CPUs this process may
-run on and the digits allow: at one cut, into two contiguous ranges of
-about equal cost, the second printed by a forked process.  The iterate
-just before the cut is S^(cut-1) seed by binary powering, taken once: the
-first range ends in an exact comparison of its printed last iterate with
-it, and the second restarts both runs one step past it; this process
-prints the first range, then copies the second's text, the bytes one
-range would print.  That text waits in a file, at most _HELD_TEXT
-characters of it, so the printout's memory does not grow with the square
-of the count either.
-
 The box search decides a packed sub-box at a time.  The values of f at
 every point of the box's last few coordinates sit in w-bit fields of one
 int, so the form's coefficients over the first coordinates become packed
@@ -59,12 +48,9 @@ of f before it is returned.
 from __future__ import annotations
 
 import json
-import os
-import sys
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact,
                      InvalidOperation, Rounded, localcontext)
 from itertools import product
-from math import ceil, log10, sqrt
 from operator import index, mul
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
@@ -120,14 +106,6 @@ class SequenceSpec(NamedTuple):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, InvalidOperation])
 _MASK = 2 ** 60 - 1
-# The printout's cost model and cut (`SequenceResult._cut`): the cost of
-# a step's work per coordinate that does not grow with the digits, in
-# printed digits; the least estimated cost of each of the two ranges, one
-# process each; and the most text, in characters, that the forked range's
-# file may hold.
-_ITERATE_DIGITS = 500
-_RANGE_DIGITS = 2_000_000
-_HELD_TEXT = 2 ** 24
 
 
 def _printed(step: Tuple[Vec, ...], seed: Vec, count: int
@@ -266,48 +244,35 @@ class SequenceResult(NamedTuple):
         return list(_iterates(self.step, self.seed, self.spec.count))
 
     def rows(self) -> Iterator[List[str]]:
-        """The iterates as decimal strings, one iterate at a time (`_range`
-        over the whole chain, ended by the proven `last`)."""
-        return self._range(0, self.spec.count, None, self.last)
-
-    def _range(self, start: int, stop: int, before: Optional[Vec],
-               end: Vec) -> Iterator[List[str]]:
-        """The iterates start..stop-1 as decimal strings, given the proven
-        iterate start-1 as `before` (None at start 0) and stop-1 as `end`.
+        """The iterates as decimal strings, one iterate at a time.
 
         The strings come from running the chain in `decimal` (`_printed`)
         rather than from str() of the ints, which is quadratic in the
         digit count.  Each printed value equals its proven int:
         - the Decimal run applies the same S as the int recurrence to the
-          same first iterate: the int seed at start 0, and otherwise
-          S before, one int step, converted exactly by Decimal(int) (str()
-          would be quadratic, and refused past 4300 digits); S's entries
-          are converted exactly too;
+          same int seed, and S's entries are converted exactly;
         - in _EXACT every Decimal operation is exact or raises;
         - so the Decimal at each index equals the int there, and str() of
           an integral Decimal with exponent 0 is its plain decimal digits.
-        Beside it runs the int recurrence (`_iterates`) from the same
-        first iterate, mod 2**60 on a certified chain, whose every
-        iterate is positive, and exactly on any other.  `_check_printed`
-        compares every string's sign, and the residue mod 2**60 of its
-        last 60 characters, with the int's, and the iterate stop-1 is
-        compared exactly with `end`, which also catches an error past the
-        60th digit from the end (2**60 divides 10**60); a mismatch raises
+        Beside it runs the int recurrence (`_iterates`) from the seed, mod
+        2**60 on a certified chain, whose every iterate is positive, and
+        exactly on any other.  `_check_printed` compares every string's
+        sign, and the residue mod 2**60 of its last 60 characters, with the
+        int's, and the last iterate is compared exactly with the proven
+        `last`, which also catches an error past the 60th digit from the
+        end (2**60 divides 10**60); a mismatch raises
         SequenceVerificationError before the row is produced, and an int
         run of another length ValueError.  Rows are produced one at a
         time, so only the current iterate is held.
         """
-        v = self.seed if before is None else tuple(
-            [sum(map(mul, row, before)) for row in self.step])
-        first = v if before is None else tuple(map(Decimal, v))
-        proven = _iterates(self.step, v, stop - start,
+        count = self.spec.count
+        proven = _iterates(self.step, self.seed, count,
                            _MASK if self.certified else -1)
-        for i, (p, w) in enumerate(zip(_printed(self.step, first,
-                                                stop - start),
-                                       proven, strict=True), start):
+        for i, (p, w) in enumerate(zip(_printed(self.step, self.seed, count),
+                                       proven, strict=True)):
             row = [str(c) for c in p]
             _check_printed(i, row, w)
-            if i == stop - 1 and p != end:  # exact: Decimal == int
+            if i == count - 1 and p != self.last:  # exact: Decimal == int
                 raise SequenceVerificationError(
                     f"iterate {i}: the printed chain differs from the "
                     f"proven iterate")
@@ -337,148 +302,21 @@ class SequenceResult(NamedTuple):
         commas."""
         self._write(out, "", lambda row: (",".join(row),), "\n", "\n")
 
-    def _cut(self) -> int:
-        """The iterate at which the printout splits into the ranges
-        [0, cut) and [cut, count), or count for one range.
-
-        Printing iterate i is taken to cost its digits, plus
-        _ITERATE_DIGITS per coordinate for the work of a step that does
-        not grow with them, and the digits to grow linearly from the
-        seed's to the last iterate's, read off their bit lengths: a cost
-        a + g i, and C(n) = a n + g n^2 / 2 for the first n.  Its text is
-        taken the same way, with 6 characters per coordinate and 2 per
-        iterate in place of _ITERATE_DIGITS (a digit past the bits'
-        estimate, a sign and JSON's separators): X(n) = x n + g n^2 / 2.
-
-        The printout is one range, in this process, for a count below 2,
-        on a platform without os.fork, os.memfd_create or
-        os.sched_getaffinity, in a process that runs more than one thread,
-        where a forked process could wait forever on a lock another thread
-        held, with fewer than 2 CPUs this process may run on, and where
-        C(count) is below 2 _RANGE_DIGITS.  Otherwise the cut solves
-        C(cut) = C(count) / 2, so both ranges cost about the same (with
-        digits in proportion to i, cut = count / sqrt(2)), except that the
-        second range, whose text waits in a file until this process copies
-        it, holds at most _HELD_TEXT: the cut is at least the n with
-        X(count) - X(n) = _HELD_TEXT."""
-        count = self.spec.count
-        threading = sys.modules.get("threading")
-        if count < 2 or not all(hasattr(os, f) for f in (
-                "fork", "memfd_create", "sched_getaffinity")) or (
-                threading and threading.active_count() > 1) or len(
-                os.sched_getaffinity(0)) < 2:
-            return count
-        h = len(self.seed)
-        d, e = (sum(c.bit_length() for c in v) * log10(2)
-                for v in (self.seed, self.last))
-        g = (e - d) / (count - 1)
-        a, x = d + _ITERATE_DIGITS * h, d + 6 * h + 2
-
-        def first(t: float, a: float) -> float:  # the n of a n + g n^2/2 = t
-            return 2 * t / (a + sqrt(a * a + 2 * g * t)) if t > 0 else 0
-
-        total = a * count + g * count * count / 2
-        if total < 2 * _RANGE_DIGITS:
-            return count
-        n = ceil(first(x * count + g * count * count / 2 - _HELD_TEXT, x))
-        t = max(total / 2, a * n + g * n * n / 2)
-        return min(count - 1, max(1, round(first(t, a))))
-
     def _write(self, out: TextIO, head: str, row_pieces, sep: str,
                tail: str) -> None:
         """Write head, the pieces row_pieces(row) of every row with sep
         between rows, and tail, in chunks (`write_chunks`): one system call
         per chunk rather than one per iterate, and no row's text copied
-        before its chunk is joined.
-
-        The rows are printed as the ranges [0, cut) and [cut, count) of
-        `_cut`, each by `_range`.  The proven iterate cut-1 is taken once,
-        S^(cut-1) seed by binary powering, before the fork: the first range
-        is checked against it exactly at its end, and the second restarts
-        one int step past it.  The second range is printed by a forked
-        process (`_spawn`) into an anonymous file, started before the first
-        range so that the two run at once.  This process prints the first
-        range straight to `out`, then waits for the forked process and
-        copies its text to `out` in pieces no longer than a row, through
-        the same chunks.  Where the fork raised OSError, or the forked
-        process did not exit 0, this process prints the second range
-        itself: the rows are the same in every process, so a failed check
-        raises here with its type and message, and a range whose process a
-        signal ended is printed whole.  The forked process is killed and
-        reaped on every way out, an error or a closed `out` included, and
-        its file is closed."""
-        count, cut = self.spec.count, self._cut()
-        at = self.last if cut == count else _power(self.step, cut - 1,
-                                                   self.seed)
-        rest = (text for row in self._range(cut, count, at, self.last)
-                for text in (sep, *row_pieces(row)))
-        child = None  # the forked process's id, 0 once reaped, and file
-
+        before its chunk is joined."""
         def pieces():
-            nonlocal child, rest
             yield head
-            for i, row in enumerate(self._range(0, cut, None, at)):
+            for i, row in enumerate(self.rows()):
                 if i:
                     yield sep
-                parts = row_pieces(row)
-                yield from parts
-            if child:
-                pid, fd = child
-                status = os.waitpid(pid, 0)[1]
-                child = 0, fd  # reaped: only its file is left to close
-                if not status:  # it printed the rest into its file
-                    rest = _read(fd, len(sep) + sum(map(len, parts)))
-            if cut < count:
-                yield from rest
+                yield from row_pieces(row)
             yield tail
 
-        try:
-            if cut < count:
-                try:
-                    child = _spawn(rest)
-                except OSError:  # no process to spare: the rest prints here
-                    pass
-            write_chunks(out, pieces())
-        finally:
-            if child:
-                pid, fd = child
-                if pid:
-                    import signal
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(fd)
-
-
-def _spawn(pieces: Iterator[str]) -> Tuple[int, int]:
-    """Fork a process that writes the concatenation of `pieces` in chunks
-    (`write_chunks`) to a new anonymous file (os.memfd_create) and exits
-    0, or 1 on an exception.  The forked process never returns from here:
-    os._exit skips every cleanup, so no buffer it inherited is flushed
-    twice.  Returns its process id and the file's descriptor."""
-    fd = os.memfd_create("matform-range")
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(fd)
-        raise
-    if pid:
-        return pid, fd
-    code = 1
-    try:
-        with open(fd, "w", encoding="ascii", closefd=False) as f:
-            write_chunks(f, pieces)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _read(fd: int, size: int) -> Iterator[str]:
-    """The text of the file `fd` from its start, in pieces of at most
-    `size` characters."""
-    offset = 0
-    while data := os.pread(fd, size, offset):
-        offset += len(data)
-        yield data.decode("ascii")
+        write_chunks(out, pieces())
 
 
 def generate_sequence(spec: SequenceSpec) -> SequenceResult:

@@ -53,7 +53,7 @@ MUTANTS = (
     Mutant("power-extra-bit", "dioph.py",
            "for bit in bin(e)[3:]:", "for bit in bin(e)[2:]:", DIOPH),
     Mutant("last-iterate-comparison-removed", "dioph.py",
-           "if i == stop - 1 and p != end:", "if False:", DIOPH),
+           "if i == count - 1 and p != self.last:", "if False:", DIOPH),
     Mutant("sign-comparison-removed", "dioph.py",
            'ok = text.startswith("-") == (v < 0) and \\\n',
            "ok = \\\n", DIOPH),
@@ -74,28 +74,6 @@ MUTANTS = (
            "_MASK = 2 ** 60 - 1", "_MASK = 2 ** 59 - 1", DIOPH),
     Mutant("uncertified-chain-masked", "dioph.py",
            "_MASK if self.certified else -1", "_MASK", DIOPH),
-    # dioph: the printout's cut and its forked range
-    Mutant("range-end-comparison-dropped", "dioph.py",
-           "if i == stop - 1 and p != end:",
-           "if i == self.spec.count - 1 and p != end:", DIOPH),
-    Mutant("range-exit-status-ignored", "dioph.py",
-           "if not status:", "if True:", DIOPH),
-    Mutant("range-start-off-by-one", "dioph.py",
-           "self._range(cut, count, at, self.last)",
-           "self._range(cut - 1, count, at, self.last)", DIOPH),
-    Mutant("range-boundary-step-skipped", "dioph.py",
-           "v = self.seed if before is None else tuple(\n"
-           "            [sum(map(mul, row, before)) for row in self.step])",
-           "v = self.seed if before is None else before", DIOPH),
-    Mutant("range-processes-not-reaped", "dioph.py",
-           "if pid:\n                    import signal",
-           "if False:\n                    import signal", DIOPH),
-    Mutant("held-text-bound-dropped", "dioph.py",
-           "t = max(total / 2, a * n + g * n * n / 2)", "t = total / 2",
-           DIOPH),
-    Mutant("cut-cost-iterate-digits-dropped", "dioph.py",
-           "a, x = d + _ITERATE_DIGITS * h, d + 6 * h + 2",
-           "a, x = d, d + 6 * h + 2", DIOPH),
     Mutant("search-leaf-bias", "dioph.py",
            "bias, xor = (L - target) * ones, L * ones",
            "bias, xor = (L - target + 1) * ones, L * ones", DIOPH),

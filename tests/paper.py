@@ -18,6 +18,9 @@ derived data against them and a typo on either side is caught.
 - `uv_factors()`: the pair f1, f2 that sextic_uv's law composes
   simultaneously, whose product is its form: the determinants of its
   structure's diagonal blocks.  The catalog keeps no factor.
+- `golden_value_factors(name)`: the factors of cubic3x3's and sextic6x6's
+  forms at the numeric --params of the golden CLI argvs, where both forms
+  are reducible.
 - `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
   form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.
@@ -400,6 +403,38 @@ def uv_factors() -> Tuple[Polynomial, Polynomial]:
           + 9*q*u5**2*u6**2 + 9*u3**4 + 18*u3**3*u6 + 27*u3**2*u6**2
           + 18*u3*u6**3 + 9*u6**4)
     return f1, f2
+
+
+# The numeric --params of cubic3x3's and sextic6x6's golden CLI argvs.
+GOLDEN_VALUES = {"cubic3x3": (1, -1, 2, 1, -2),
+                 "sextic6x6": (1, -1, 2, 1, -2, 1, -3)}
+
+
+@lru_cache(maxsize=None)
+def golden_value_factors(name: str) -> Tuple[Tuple[Polynomial, int], ...]:
+    """The factors, each with its multiplicity, whose product is the
+    family's form at GOLDEN_VALUES[name]: there cubic3x3's form is
+    (x1 + 3x2 + x3)(x1 - 2x3)^2 and sextic6x6's is Q1 * Q2^2, so neither
+    is the irreducible form of the paper's statements.  Transcribed from
+    sympy's factor_list; Q1 = a^2 + ab - 3b^2 with a = x1 + 3x2 + x3 and
+    b = x4 + 3x5 + x6, and Q2 = c^2 + cd - 3d^2 with c = x1 - 2x3 and
+    d = x4 - 2x6."""
+    if name == "cubic3x3":
+        v = _vars(("x1", "x2", "x3"))
+        x1, x2, x3 = v["x1"], v["x2"], v["x3"]
+        return (x1 + 3*x2 + x3, 1), (x1 - 2*x3, 2)
+    if name != "sextic6x6":
+        raise KeyError(name)
+    v = _vars(("x1", "x2", "x3", "x4", "x5", "x6"))
+    x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
+                              v["x4"], v["x5"], v["x6"])
+    q1 = (x1**2 + 6*x1*x2 + 2*x1*x3 + x1*x4 + 3*x1*x5 + x1*x6 + 9*x2**2
+          + 6*x2*x3 + 3*x2*x4 + 9*x2*x5 + 3*x2*x6 + x3**2 + x3*x4
+          + 3*x3*x5 + x3*x6 - 3*x4**2 - 18*x4*x5 - 6*x4*x6 - 27*x5**2
+          - 18*x5*x6 - 3*x6**2)
+    q2 = (x1**2 - 4*x1*x3 + x1*x4 - 2*x1*x6 + 4*x3**2 - 2*x3*x4
+          + 4*x3*x6 - 3*x4**2 + 12*x4*x6 - 12*x6**2)
+    return (q1, 1), (q2, 2)
 
 
 # parameter values at which the form degenerates: -(x1^2 + x2^2), 4*x4^4

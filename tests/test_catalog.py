@@ -1,6 +1,8 @@
 """The built-in form families: the paper's transcriptions against the
 data derived from the structures."""
 
+import json
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -16,7 +18,7 @@ from matform.polyring import PolyError, PolyMatrix, VarTable
 
 import paper
 from companion import companion_family
-from polytools import coefficient_of, eval_int
+from polytools import coefficient_of, eval_int, mul
 
 # the families whose structure is in their own parameters
 STRUCTURED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
@@ -481,6 +483,27 @@ class TestCirculantFactorization:
         f1, f2 = paper.circulant_factors()
         det = circ.form
         assert not (det - (f1 + 1) * f2).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(paper.GOLDEN_VALUES))
+def test_golden_values_give_reducible_forms(name):
+    """cubic3x3's and sextic6x6's golden argvs take --params at which the
+    form is reducible: there it equals the product of its transcribed
+    factors, a square among them, taken with the tests' own product
+    (`polytools.mul`), which shares no kernel with the determinant."""
+    values = paper.GOLDEN_VALUES[name]
+    golden = json.loads(
+        (Path(__file__).with_name("cli_golden.json")).read_text())
+    assert any(argv.startswith(f"verify --family {name} --params="
+                               + ",".join(map(str, values)))
+               for argv in golden)
+    factors = paper.golden_value_factors(name)
+    assert any(e > 1 and f.total_degree() > 0 for f, e in factors)
+    product = None
+    for f, e in factors:
+        for _ in range(e):
+            product = f if product is None else mul(product, f)
+    assert product == family(name, values).form
 
 
 class TestThreefoldFamilies:

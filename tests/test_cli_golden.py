@@ -53,10 +53,10 @@ def test_stdout_unchanged(capsys, monkeypatch, argv):
 # what `python -v` writes to stderr as the interpreter's teardown clears
 # its modules
 TEARDOWN = b"# cleanup"
-# the 2600-iterate quartic, whose printout splits at one cut where the
-# process may run on 2 CPUs: its second range is printed by a forked process
-SPLIT = ("solve --family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
-         "--step 6,2,3,1 --count 2600")
+# the 2600-iterate quartic, the longest golden chain: 24 MB of JSON, which
+# the process writes in chunks and flushes before its exit
+LONGEST_CHAIN = ("solve --family quartic4x4 --params=5,-23,2,-7 "
+                 "--seed 6,2,3,1 --step 6,2,3,1 --count 2600")
 
 
 def _first_per_command_and_code():
@@ -74,7 +74,8 @@ def test_verbose_interpreter_marks_its_teardown():
 
 @pytest.mark.parametrize("unbuffered", [False, True],
                          ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [*_first_per_command_and_code(), SPLIT])
+@pytest.mark.parametrize("argv", [*_first_per_command_and_code(),
+                                  LONGEST_CHAIN])
 def test_process_exit_code_and_stdout(argv, unbuffered):
     """As a process, `python -m matform.cli` (`run`), one argv per
     command and exit code gives its recorded exit code and stdout, with

@@ -5,10 +5,7 @@ import io
 import itertools
 import json
 import os
-import signal
-import subprocess
 import sys
-import threading
 import tracemalloc
 from dataclasses import dataclass, field
 from decimal import localcontext
@@ -43,6 +40,20 @@ from polytools import eval_int
 
 
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+SOLVE_ARGVS = [a for a in GOLDEN  # the chains printed, not the usage errors
+               if a.startswith("solve ") and GOLDEN[a][0] == 0]
+
+
+def flag(argv: str, name: str) -> Optional[str]:
+    """The value of option `name` in a golden argv, given as `name value`
+    or `name=value`; None where it is absent."""
+    words = argv.split(" ")
+    for i, word in enumerate(words):
+        if word == name:
+            return words[i + 1]
+        if word.startswith(name + "="):
+            return word[len(name) + 1:]
+    return None
 
 
 def is_solution(fam: FormFamily, v: Sequence[int]) -> bool:
@@ -275,6 +286,22 @@ TQ = family("threefold_quadratic", (1, 0, -2))  # x1^2 - 2*x2^2
 TQ_SEED = (3, 2)
 E2 = (1, 0)
 
+# the six families of the golden `solve` argvs, with their partners and
+# slot orders
+GOLDEN_CHAINS = [
+    pytest.param(QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), None,
+                 id="quartic4x4"),
+    pytest.param(OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), None, id="octic8x8"),
+    pytest.param(family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), None,
+                 id="sextic_uv"),
+    pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, id="threefold8x8"),
+    pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0),
+                 id="threefold_quadratic-zyx"),
+    *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
+                   id="threefold4x4-" + "".join("xyz"[s] for s in order))
+      for order in itertools.permutations(range(3))],
+]
+
 
 def bumped(cmap, key):
     """cmap with the coefficient at `key` increased by one."""
@@ -400,32 +427,26 @@ class TestIterateCertificate:
             QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
         assert (r.proof, r.evaluated) == ("matrix", count)
 
-    # the six families of the golden `solve` argvs, with their partners
-    @pytest.mark.parametrize("fam, seed, partners, order, proof", [
-        pytest.param(QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), None,
-                     "matrix", id="quartic4x4"),
-        pytest.param(OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), None, "matrix",
-                     id="octic8x8"),
-        pytest.param(family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],),
-                     None, "matrix", id="sextic_uv"),
-        pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, "matrix",
-                     id="threefold8x8"),
-        pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0), "matrix",
-                     id="threefold_quadratic-zyx"),
-        *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
-                       "matrix",
-                       id="threefold4x4-" + "".join("xyz"[s] for s in order))
-          for order in itertools.permutations(range(3))],
-    ])
+    @pytest.mark.parametrize("fam, seed, partners, order", GOLDEN_CHAINS)
     def test_proof_cost_does_not_grow_with_count(self, evaluations, fam,
-                                                 seed, partners, order,
-                                                 proof):
+                                                 seed, partners, order):
         for count in (50, 500):
             evaluations.clear()
             r = generate_sequence(SequenceSpec(fam, seed, count, partners,
                                                order))
-            assert (r.proof, r.evaluated) == (proof, 2)
+            assert (r.proof, r.evaluated) == ("matrix", 2)
             assert evaluations == [seed, *partners, r.solutions[-1]]
+
+    @pytest.mark.parametrize("fam, seed, partners, order", GOLDEN_CHAINS)
+    def test_binary_power_takes_the_seed_to_every_iterate(self, fam, seed,
+                                                          partners, order):
+        """`_power(S, e, seed)`, the proof's route to the last iterate, is
+        iterate e of the int recurrence for every e of a 30-iterate chain,
+        so `last` is the iterate `rows()` compares the printout with."""
+        r = generate_sequence(SequenceSpec(fam, seed, 30, partners, order))
+        chain = r.solutions
+        assert [dioph._power(r.step, e, r.seed) for e in range(30)] == chain
+        assert r.last == chain[-1] and r.seed == chain[0]
 
     @pytest.mark.parametrize("fam, seed, partners, certified", [
         (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), True),
@@ -541,20 +562,33 @@ class TestPrintedChain:
             assert last == [str(c) for c in r.solutions[-1]]
         assert len(last[0]) > 4300
 
-    @pytest.mark.parametrize("count", [0, 1])
-    def test_short_chains(self, capsys, count):
-        r = generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
-        assert list(r.rows()) == [["6", "2", "3", "1"]][:count]
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fam, params, seq", [
+        (QUARTIC, "5,-23,2,-7", QUARTIC_SEQ),
+        (family("sextic_uv", (3,)), "3", UV_SEQ)],
+        ids=["quartic4x4", "sextic_uv"])
+    def test_short_chains(self, capsys, fam, params, seq, count, fmt):
+        """Chains of 0 to 4 iterates, certified (quartic4x4) and not
+        (sextic_uv): the rows are str of the ints, and the library and the
+        CLI print them the same in JSON and in text, an empty chain in text
+        as one newline."""
+        r = generate_sequence(SequenceSpec(fam, seq[0], count, (seq[0],)))
+        want = [[str(c) for c in v] for v in seq[:count]]
+        assert list(r.rows()) == want
         out = io.StringIO()
-        r.write_json(out)
-        assert json.loads(out.getvalue())["solutions"] \
-            == [["6", "2", "3", "1"]][:count]
-        argv = ["solve", "--family", "quartic4x4", "--params=5,-23,2,-7",
-                "--seed", "6,2,3,1", "--step", "6,2,3,1",
-                "--count", str(count), "--format", "text"]
+        getattr(r, "write_" + fmt)(out)
+        seed = ",".join(map(str, seq[0]))
+        argv = ["solve", "--family", fam.name, f"--params={params}",
+                f"--seed={seed}", f"--step={seed}", "--count", str(count),
+                "--format", fmt]
         assert main(argv) == 0
-        assert capsys.readouterr().out == ("6,2,3,1\n" if count else "\n")
+        assert capsys.readouterr().out == out.getvalue()
+        if fmt == "json":
+            assert json.loads(out.getvalue())["solutions"] == want
+        else:
+            assert out.getvalue() == ("".join(
+                ",".join(row) + "\n" for row in want) or "\n")
 
     def test_seed_row_prints_the_int_seed(self):
         r = generate_sequence(SequenceSpec(Q2, (True, False), 3, ((3, 2),)))
@@ -622,6 +656,42 @@ class TestPrintedChain:
         with pytest.raises(SequenceVerificationError, match=where):
             r.write_json(io.StringIO())
 
+    @pytest.mark.parametrize("diverge, at, where", [
+        (lambda d: d + 1, 1, "iterate 1, coordinate 1: "),
+        (lambda d: d + 1, 10, "iterate 10, coordinate 1: "),
+        (lambda d: d + 1, 19, "iterate 19, coordinate 1: "),
+        (lambda d: d + 10 ** 60, 19, "iterate 19: the printed chain "),
+    ], ids=["last-digit-1", "last-digit-10", "last-digit-19", "digit-61-19"])
+    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
+                                          (family("sextic_uv", (3,)), UV_SEQ)],
+                             ids=["quartic4x4", "sextic_uv"])
+    def test_a_diverging_row_is_never_written(self, monkeypatch, fam, seq,
+                                              diverge, at, where):
+        """Rows reach `out` as they are checked: with a chunk of one
+        character, a printed value off at iterate `at` of 20 (in its last
+        digit, or by 10**60 at the last iterate, which only the exact
+        comparison with `last` catches) raises SequenceVerificationError
+        naming that iterate once every row before it, and none of it, is
+        written."""
+        r = generate_sequence(SequenceSpec(fam, seq[0], 20, (seq[0],)))
+        want = io.StringIO()
+        r.write_text(want)
+        printed = dioph._printed
+
+        def off(step, seed, count):
+            for i, w in enumerate(printed(step, seed, count)):
+                if i == at:
+                    with localcontext(dioph._EXACT):
+                        w = (diverge(w[0]),) + w[1:]
+                yield w
+        monkeypatch.setattr(dioph, "_printed", off)
+        monkeypatch.setattr(polyring, "_CHUNK", 1)
+        got = io.StringIO()
+        with pytest.raises(SequenceVerificationError, match="^" + where):
+            r.write_text(got)
+        lines = want.getvalue().split("\n")
+        assert got.getvalue() == "\n".join(lines[:at])
+
     @pytest.mark.parametrize("step, seed", [
         (None, UV_SEQ[0]),           # sextic_uv's S: 13 of its 36 entries 0
         (((0, 1), (-1, 0)), (1, 0)),  # a rotation: every row half zeros
@@ -641,25 +711,29 @@ class TestPrintedChain:
         assert any(c.startswith("-") for row in rows for c in row)
         assert all(c != "-0" for row in rows for c in row)
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
     @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
                                           (family("sextic_uv", (3,)), UV_SEQ)],
                              ids=["quartic4x4", "sextic_uv"])
-    def test_a_proven_chain_one_iterate_short_raises(self, monkeypatch, fam,
-                                                     seq):
+    def test_a_proven_chain_of_another_length_raises(self, monkeypatch, fam,
+                                                     seq, change):
         """The exact comparison with the last iterate runs at the last
         index, so an int recurrence one iterate shorter than the printed
-        chain must not end the printout early without it: the rows raise
-        where the two runs part."""
+        chain must not end the printout early without it, and one a step
+        longer must not end it unnoticed: the rows raise the ValueError of
+        the strict zip where the two runs part, and not a subclass."""
         iterates = dioph._iterates
 
-        def short(step, seed, count, mask=-1):
-            return iterates(step, seed, count - 1, mask)
-        monkeypatch.setattr(dioph, "_iterates", short)
+        def other(step, seed, count, mask=-1):
+            return iterates(step, seed, count + change, mask)
+        monkeypatch.setattr(dioph, "_iterates", other)
         r = generate_sequence(SequenceSpec(fam, seq[0], 4, (seq[0],)))
         rows = []
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is ") \
+                as caught:
             rows.extend(r.rows())
-        assert rows == [[str(c) for c in v] for v in seq[:3]]
+        assert type(caught.value) is ValueError
+        assert rows == [[str(c) for c in v] for v in seq[:min(4, 4 + change)]]
 
     @pytest.mark.parametrize("v", [
         0, 7, -7, 10 ** 18 - 1, 10 ** 18, -10 ** 18,
@@ -737,41 +811,81 @@ class TestPrintedChain:
                       for row in json.loads(text)["solutions"])
         assert all(len(c) < chunk + longest for c in out.calls)
 
-    def test_peak_memory_is_not_quadratic_in_the_count(self, monkeypatch,
-                                                       split):
+    @pytest.mark.parametrize("fault", [BrokenPipeError, KeyboardInterrupt])
+    def test_a_fault_of_the_writer_propagates(self, fault):
+        """A reader that closed `out`, and Ctrl-C, at the first chunk of the
+        2600-iterate quartic leave the printout with their own type."""
+        class Failing:
+            def write(self, text):
+                raise fault("planted")
+        r = generate_sequence(SequenceSpec(
+            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],)))
+        with pytest.raises(fault, match="planted"):
+            r.write_json(Failing())
+
+    def test_peak_memory_is_not_quadratic_in_the_count(self):
         """The chain keeps no per-iterate state, only its current and last
-        iterates, and the text of the range printed by another process
-        waits in a file of at most _HELD_TEXT characters: from 300 to 1200
-        iterates, split at the cut, the traced peak plus that file
-        grows far less than the 16x of holding every iterate (the ints
-        take count^2 digits)."""
+        iterates: from 300 to 1200 iterates the traced peak grows far less
+        than the 16x of holding every iterate (the ints take count^2
+        digits)."""
         class Null:
             def write(self, text):
                 return len(text)
 
-        split()
-        monkeypatch.setattr(dioph, "_HELD_TEXT", 2 ** 16)
-        held, read = [], dioph._read
-
-        def counted(fd, size):
-            held.append(os.fstat(fd).st_size)
-            return read(fd, size)
-        monkeypatch.setattr(dioph, "_read", counted)
-
         def peak(count):
-            held.clear()
             tracemalloc.start()
             try:
                 generate_sequence(SequenceSpec(
                     QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],))
                 ).write_json(Null())
-                assert len(held) == 1 and held[0] <= dioph._HELD_TEXT
-                return tracemalloc.get_traced_memory()[1] + held[0]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(2)  # the law is derived once per family
         assert peak(1200) < 6 * peak(300)
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    @pytest.mark.parametrize("argv", SOLVE_ARGVS)
+    def test_every_golden_chain_is_printed_by_this_process(
+            self, capsys, monkeypatch, argv, cpus):
+        """Every golden chain, the 2600-iterate quartic's 24 MB of JSON
+        among them, is printed as one range by the process that proved
+        it, however many CPUs it may run on: it forks nothing, and stdout
+        is the golden stdout."""
+        def refuse(*args):
+            raise AssertionError("the printout forked a process")
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", refuse, raising=False)
+        code = main(argv.split(" "))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [code, digest] == GOLDEN[argv]
+
+    @pytest.mark.parametrize("argv", [a for a in SOLVE_ARGVS
+                                      if int(flag(a, "--count")) <= 30])
+    def test_every_printed_iterate_of_a_golden_chain_solves_f(self, capsys,
+                                                              argv):
+        """The stdout of each golden chain of at most 30 iterates, read
+        back as ints, starts at the seed and holds `--count` iterates,
+        each with f = 1 by exact evaluation, where the chain itself
+        evaluates only its seed and last iterate; sextic_uv's also solve
+        the paper's two factors at once."""
+        assert main(argv.split(" ")) == 0
+        out = capsys.readouterr().out
+        if flag(argv, "--format") == "text":
+            rows = [line.split(",") for line in out[:-1].split("\n")]
+        else:
+            rows = json.loads(out)["solutions"]
+        chain = [tuple(map(int, row)) for row in rows]
+        name = flag(argv, "--family")
+        params = tuple(map(int, flag(argv, "--params").split(",")))
+        fam = family(name, params)
+        assert len(chain) == int(flag(argv, "--count"))
+        assert chain[0] == tuple(map(int, flag(argv, "--seed").split(",")))
+        assert all(is_solution(fam, v) for v in chain)
+        if name == "sextic_uv":
+            assert all(simultaneous_is_solution(*params, v) for v in chain)
 
     @pytest.mark.parametrize("spec", [
         SequenceSpec(OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],)),
@@ -795,448 +909,6 @@ class TestPrintedChain:
         for v, w in zip(r.solutions, r.solutions[1:]):
             assert w == tuple(sum(c * x for c, x in zip(row, v))
                               for row in r.step)
-
-
-SOLVE_ARGVS = [a for a in GOLDEN  # the chains printed, not the usage errors
-               if a.startswith("solve ") and GOLDEN[a][0] == 0]
-UV = family("sextic_uv", (3,))
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """force() makes every printout of 2 iterates or more split at its cut,
-    the second range printed by its own process, whatever the machine: 2
-    CPUs and a range cost of one digit; force(cpus=1) makes every printout
-    one range."""
-    def force(cpus=2):
-        monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 1)
-    return force
-
-
-def process_statuses(monkeypatch) -> list:
-    """The wait statuses of the processes the printout reaps, as exit
-    codes, in the order they are reaped."""
-    codes, waitpid = [], os.waitpid
-
-    def spy(pid, options):
-        got = waitpid(pid, options)
-        codes.append(os.waitstatus_to_exitcode(got[1]))
-        return got
-    monkeypatch.setattr(dioph.os, "waitpid", spy)
-    return codes
-
-
-def in_a_range_process(parent: int) -> bool:
-    """Whether this is a process the printout forked from `parent`."""
-    return os.getpid() != parent
-
-
-def chain(fam, seed, count) -> dioph.SequenceResult:
-    return generate_sequence(SequenceSpec(fam, seed, count, (seed,)))
-
-
-class TestPrintedRanges:
-    """A long printout is split at one cut: the range after it is printed
-    by its own process, one int step past the proven iterate before the
-    cut, and each range ends in an exact check; stdout is the same split
-    or not."""
-
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["split", "unsplit"])
-    @pytest.mark.parametrize("argv", SOLVE_ARGVS)
-    def test_stdout_is_the_golden_stdout(self, capsys, monkeypatch, split,
-                                         cpus, argv):
-        split(cpus)
-        cuts = []
-        cut = dioph.SequenceResult._cut
-
-        def spy(self):
-            cuts.append(cut(self))
-            return cuts[-1]
-        monkeypatch.setattr(dioph.SequenceResult, "_cut", spy)
-        code = main(argv.split(" "))
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert [code, digest] == GOLDEN[argv]
-        [c] = cuts
-        count = int(argv.split("--count ")[1].split(" ")[0])
-        assert 0 < c < count if cpus > 1 and count > 1 else c == count
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
-                                          (UV, UV_SEQ)],
-                             ids=["quartic4x4", "sextic_uv"])
-    def test_short_chains_print_the_same_split_or_not(self, split, fam, seq,
-                                                      count, fmt):
-        """Counts 0 and 1 stay one range; from 2 on the cut falls inside
-        the chain, and stdout is the one-range printout's."""
-        r = chain(fam, seq[0], count)
-        texts = []
-        for cpus in (1, 2):
-            split(cpus)
-            cut = r._cut()
-            assert 0 < cut < count if cpus > 1 and count > 1 else \
-                cut == count
-            out = io.StringIO()
-            getattr(r, "write_" + fmt)(out)
-            texts.append(out.getvalue())
-        assert texts[0] == texts[1]
-        if fmt == "text":
-            assert texts[0] == ("".join(
-                ",".join(map(str, v)) + "\n" for v in seq[:count]) or "\n")
-
-    @pytest.mark.parametrize("cpus", [1, 2, 64])
-    def test_one_cut_whatever_the_cpus(self, monkeypatch, cpus):
-        """The 2600-iterate quartic (24 MB) is cut once given 2 CPUs or
-        more, however many there are, and not at all given one; the file
-        of its second range (13 MB) is under _HELD_TEXT, so the cut is the
-        one without that bound."""
-        monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
-        cut = r._cut()
-        assert cut == (2600 if cpus < 2 else 1767)
-        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
-        assert r._cut() == cut
-
-    @pytest.mark.parametrize("fam, seq, count, cut", [
-        (QUARTIC, QUARTIC_SEQ, 2600, 1767), (OCTIC, OCTIC_SEQ, 700, 450)],
-        ids=["quartic4x4-2600", "octic8x8-700"])
-    def test_the_benchmark_chains_cut_where_they_did(self, monkeypatch, fam,
-                                                     seq, count, cut):
-        """The two chains of the benchmark that split, at 2 CPUs: the cut
-        sets the parallel printout's balance, and the cost model
-        (_ITERATE_DIGITS per coordinate besides the digits) sets the cut."""
-        monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: {0, 1})
-        assert chain(fam, seq[0], count)._cut() == cut
-
-    @pytest.mark.parametrize("fam, seq, count, cut, bound", [
-        (QUARTIC, QUARTIC_SEQ, 800, 800, False),
-        (QUARTIC, QUARTIC_SEQ, 837, 535, False),
-        (QUARTIC, QUARTIC_SEQ, 2983, 2063, True),
-        (OCTIC, OCTIC_SEQ, 467, 467, False),
-        (OCTIC, OCTIC_SEQ, 504, 316, False),
-        (OCTIC, OCTIC_SEQ, 1836, 1268, True)],
-        ids=["quartic4x4-800", "quartic4x4-837", "quartic4x4-2983",
-             "octic8x8-467", "octic8x8-504", "octic8x8-1836"])
-    def test_the_cut_at_each_guard(self, monkeypatch, fam, seq, count, cut,
-                                   bound):
-        """At 2 CPUs: the last chain (in steps of 37 iterates) that costs
-        less than two ranges and is printed unsplit, the first that is
-        cut, and the first whose forked range _HELD_TEXT bounds, so that
-        without the bound the cut falls earlier.  Each is the cut the
-        k-range split of earlier versions made at 2 CPUs."""
-        monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: {0, 1})
-        r = chain(fam, seq[0], count)
-        assert r._cut() == cut
-        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
-        assert (r._cut() < cut) == bound
-
-    def test_the_cut_balances_the_cost(self, monkeypatch, split):
-        """With no bound on the forked range's text, the cut of the
-        2600-iterate quartic gives two ranges of about equal cost, a
-        range's cost its digits and _ITERATE_DIGITS per coordinate of each
-        iterate: iterate i has about i/2599 of the last one's digits, so
-        the first range holds more iterates."""
-        split()
-        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
-        monkeypatch.setattr(dioph, "_HELD_TEXT", 10 ** 30)
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
-        cut = r._cut()
-        assert cut > 2600 - cut
-        at = dioph._power(r.step, cut - 1, r.seed)
-        costs = [sum(len(c) for row in rows for c in row)
-                 + dioph._ITERATE_DIGITS * 4 * n
-                 for rows, n in ((r._range(0, cut, None, at), cut),
-                                 (r._range(cut, 2600, at, r.last),
-                                  2600 - cut))]
-        assert all(abs(c * 2 / sum(costs) - 1) < 0.01 for c in costs)
-
-    @pytest.mark.parametrize("count, held", [
-        (1200, 2 ** 16), (1200, 2 ** 20), (3200, dioph._HELD_TEXT)])
-    def test_the_forked_range_holds_at_most_held_text(self, monkeypatch,
-                                                      split, count, held):
-        """The range after the cut waits in a file until this process
-        copies it: its text is at most _HELD_TEXT, counted from the file
-        (os.fstat), and the bytes are unchanged.  The 3200-iterate
-        quartic's second range at an equal cost would hold 18 MB; the
-        default bound holds 16 MiB."""
-        r = chain(QUARTIC, QUARTIC_SEQ[0], count)
-        split(cpus=1)
-        want = io.StringIO()
-        r.write_json(want)
-        split()
-        monkeypatch.setattr(dioph, "_RANGE_DIGITS", 2_000_000)
-        monkeypatch.setattr(dioph, "_HELD_TEXT", held)
-        sizes, read = [], dioph._read
-
-        def counted(fd, size):
-            sizes.append(os.fstat(fd).st_size)
-            return read(fd, size)
-        monkeypatch.setattr(dioph, "_read", counted)
-        got = io.StringIO()
-        r.write_json(got)
-        assert got.getvalue() == want.getvalue()
-        assert len(sizes) == 1 and 0.9 * held < sizes[0] <= held
-
-    def test_a_small_chain_stays_in_one_range(self, monkeypatch):
-        """The 300-iterate threefold8x8 chain, 1 MB of digits, costs less
-        than two ranges' worth, so it forks nothing on any machine."""
-        monkeypatch.setattr(dioph.os, "sched_getaffinity",
-                            lambda pid: set(range(64)))
-        r = generate_sequence(SequenceSpec(
-            T8, T8_SEQ[0], 300, ((1,) + (0,) * 7, T8_SEQ[0])))
-        assert r._cut() == 300
-
-    def test_a_process_with_threads_forks_nothing(self, split):
-        split()
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 8)
-        assert r._cut() < 8
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait, args=(60,))
-        thread.start()
-        try:
-            assert r._cut() == 8
-        finally:
-            done.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-
-    def test_a_range_restarts_at_its_first_proven_iterate(self):
-        """`_range` prints iterates start..stop-1 one int step past the
-        proven iterate start-1, S^(start-1) seed by `_power`."""
-        r = chain(UV, UV_SEQ[0], 4)
-        P = [dioph._power(r.step, e, r.seed) for e in range(4)]
-        assert P == UV_SEQ and P[3] == r.last
-        assert list(r._range(1, 3, P[0], P[2])) \
-            == [[str(c) for c in v] for v in UV_SEQ[1:3]]
-        assert list(r._range(3, 4, P[2], r.last)) \
-            == [[str(c) for c in UV_SEQ[3]]]
-        assert list(r._range(2, 2, P[1], P[1])) == []
-
-    def test_one_power_before_the_fork(self, monkeypatch, split):
-        """The proven iterate cut-1 is taken once, by binary powering in
-        this process: it ends the first range's exact check and starts the
-        second range one step past it.  The range process takes no power
-        of its own: one that did would exit 3."""
-        split()
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
-        cut = r._cut()
-        assert 1 < cut < 300
-        parent, power, calls = os.getpid(), dioph._power, []
-
-        def counted(S, e, v):
-            if in_a_range_process(parent):
-                os._exit(3)
-            calls.append(e)
-            return power(S, e, v)
-        monkeypatch.setattr(dioph, "_power", counted)
-        statuses = process_statuses(monkeypatch)
-        want = io.StringIO()
-        for row in r.rows():
-            want.write(",".join(row) + "\n")
-        got = io.StringIO()
-        r.write_text(got)
-        assert got.getvalue() == want.getvalue()
-        assert calls == [cut - 1]
-        assert statuses == [0]
-
-    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
-                                          (UV, UV_SEQ)],
-                             ids=["quartic4x4", "sextic_uv"])
-    def test_a_divergence_in_a_range_process_is_raised_here(
-            self, monkeypatch, split, fam, seq):
-        """A printed value off in its last digit inside the second range,
-        in every process, ends that range's process with status 1; the
-        range is printed here again, which raises SequenceVerificationError
-        naming its iterate, and writes nothing of that range."""
-        split()
-        statuses = process_statuses(monkeypatch)
-        printed = dioph._printed
-
-        def off(step, seed, count):
-            for i, w in enumerate(printed(step, seed, count)):
-                if i == 1 and type(seed[0]) is dioph.Decimal:  # restarted
-                    with localcontext(dioph._EXACT):
-                        w = (w[0] + 1,) + w[1:]
-                yield w
-        monkeypatch.setattr(dioph, "_printed", off)
-        r = chain(fam, seq[0], 8)
-        cut = r._cut()
-        assert 0 < cut < 7
-        out = io.StringIO()
-        with pytest.raises(SequenceVerificationError,
-                           match=f"^iterate {cut + 1}, coordinate 1: "):
-            r.write_text(out)
-        assert out.getvalue().count("\n") <= cut
-        assert statuses == [1]
-
-    def test_a_short_recurrence_in_a_range_process_raises_value_error(
-            self, monkeypatch, split):
-        """An int run one iterate short in the second range, in every
-        process, ends that range's process with status 1, and raises its
-        ValueError here, with its type and message."""
-        split()
-        statuses = process_statuses(monkeypatch)
-        iterates = dioph._iterates
-
-        def short(step, seed, count, mask=-1):
-            if seed != QUARTIC_SEQ[0]:  # the range after the cut
-                count -= 1
-            return iterates(step, seed, count, mask)
-        monkeypatch.setattr(dioph, "_iterates", short)
-        with pytest.raises(ValueError) as caught:
-            chain(QUARTIC, QUARTIC_SEQ[0], 8).write_json(io.StringIO())
-        assert type(caught.value) is ValueError
-        assert "zip()" in str(caught.value)
-        assert statuses == [1]
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_a_range_whose_process_is_killed_is_printed_here(
-            self, monkeypatch, split, fmt):
-        """A range's process that a signal ends, as the kernel's OOM killer
-        would, leaves a partial file; the range is printed here instead,
-        and stdout is the one-range printout."""
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
-        split(cpus=1)
-        want = io.StringIO()
-        getattr(r, "write_" + fmt)(want)
-        split()
-        statuses = process_statuses(monkeypatch)
-        parent, printed = os.getpid(), dioph._printed
-
-        def killed(step, seed, count):
-            for i, w in enumerate(printed(step, seed, count)):
-                if i == count // 2 and in_a_range_process(parent):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                yield w
-        monkeypatch.setattr(dioph, "_printed", killed)
-        got = io.StringIO()
-        getattr(r, "write_" + fmt)(got)
-        assert got.getvalue() == want.getvalue()
-        assert statuses == [-signal.SIGKILL]
-
-    @pytest.mark.parametrize("which", [0, 1], ids=["this", "forked"])
-    def test_an_error_past_the_residue_at_a_range_end_raises(
-            self, monkeypatch, split, which):
-        """An error of 10**60 keeps every residue mod 2**60.  At iterate
-        cut-1, the last one this process prints, nothing after it would
-        carry it, since the second range restarts from S^cut seed: only
-        the exact check at the cut catches it.  At the last iterate, which
-        the forked process prints, the exact check against `last` ends
-        that process with status 1, and raises when the range is printed
-        here again.  No process is left either way."""
-        split()
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 9)
-        cut = r._cut()
-        assert 1 < cut < 9
-        at = (cut, 9)[which] - 1  # the last iterate of range `which`
-        first = (int, dioph.Decimal)[which]
-        proven = dioph._power(r.step, at, r.seed)
-        printed = dioph._printed
-
-        def off(step, seed, count):
-            for i, w in enumerate(printed(step, seed, count)):
-                if i == count - 1 and type(seed[0]) is first \
-                        and w == proven:
-                    with localcontext(dioph._EXACT):
-                        w = (w[0] + 10 ** 60,) + w[1:]
-                yield w
-        monkeypatch.setattr(dioph, "_printed", off)
-        statuses = process_statuses(monkeypatch)
-        with pytest.raises(SequenceVerificationError,
-                           match=f"^iterate {at}: the printed chain"):
-            r.write_json(io.StringIO())
-        if which:
-            assert statuses == [1]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("call", ["fork", "memfd_create"])
-    def test_a_range_no_process_can_print_is_printed_here(
-            self, monkeypatch, split, call):
-        """Where os.fork fails, as it does at a process limit, or the file
-        cannot be made, this process prints the second range itself: the
-        same bytes, and no process left."""
-        split()
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 300)
-        want = io.StringIO()
-        r.write_text(want)
-        calls = []
-
-        def failing(*args):
-            calls.append(args)
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        monkeypatch.setattr(dioph.os, call, failing)
-        got = io.StringIO()
-        r.write_text(got)
-        assert len(calls) == 1
-        assert got.getvalue() == want.getvalue()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("fault", ["check", BrokenPipeError,
-                                       KeyboardInterrupt])
-    def test_a_failure_here_leaves_no_process(self, monkeypatch, split,
-                                              fault):
-        """A failed check in this process's range, a reader that closed
-        `out` and an interrupt, each while the forked range's process
-        still prints, kill and reap it before they propagate."""
-        split()
-        r = chain(QUARTIC, QUARTIC_SEQ[0], 2600)
-        out = io.StringIO()
-        if fault == "check":
-            fault, parent, printed = (SequenceVerificationError, os.getpid(),
-                                      dioph._printed)
-
-            def off(step, seed, count):
-                for i, w in enumerate(printed(step, seed, count)):
-                    if i == 1 and not in_a_range_process(parent):
-                        w = (w[0] + 1,) + w[1:]
-                    yield w
-            monkeypatch.setattr(dioph, "_printed", off)
-        else:
-            class Failing:
-                def write(self, text):
-                    raise fault("planted")
-            out = Failing()
-        with pytest.raises(fault):
-            r.write_json(out)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
-                        reason="lists processes through /proc")
-    def test_a_closed_pipe_exits_1_and_leaves_no_process(self):
-        """`matform solve ... --count 2600 | head -c 100`, split at its cut
-        on 2 CPUs: exit status 1, nothing on stderr and, once it has
-        exited, no process of it left."""
-        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}"
-                "; from matform.cli import main; sys.exit(main())")
-        argv = [sys.executable, "-c", code, *(
-            "solve --family quartic4x4 --params=5,-23,2,-7 --seed 6,2,3,1 "
-            "--step 6,2,3,1 --count 2600").split()]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        run = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                               stderr=subprocess.PIPE)
-        assert run.stdout.read(100).startswith(b'{"family": "quartic4x4"')
-        run.stdout.close()
-        assert run.wait(timeout=60) == 1
-        cmdline = "\0".join(argv).encode() + b"\0"
-        left = []
-        for proc in Path("/proc").iterdir():
-            try:
-                if (proc / "cmdline").read_bytes() == cmdline:
-                    left.append(proc.name)
-            except OSError:  # not a process, or one that has ended
-                pass
-        # read only now: a process left running would hold stderr open
-        assert run.stderr.read() == b""
-        run.stderr.close()
-        assert left == []
 
 
 class TestMonotoneReports:

@@ -281,6 +281,18 @@ class TestDeterminants:
         M = _int_matrix(rows, T)
         assert int_matrix_determinant(rows) == as_int(M.determinant())
 
+    @pytest.mark.parametrize("rows, det", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 2, 1], [3, 1, 0], [1, 0, 1]], -7),
+        ([[1, 2, 3], [2, 4, 1], [0, 1, 5]], 5),  # a zero second pivot
+    ])
+    def test_bareiss_row_swap_negates(self, rows, det):
+        """A zero pivot swaps two rows, which negates the determinant.  The
+        random draw above need not hold one, so these do, at the first
+        pivot and at the second."""
+        M = _int_matrix(rows, T)
+        assert int_matrix_determinant(rows) == det == as_int(M.determinant())
+
     @pytest.mark.parametrize("call", [
         lambda: int_matrix_determinant([[0.5, 1], [1, 2.9]]),
         lambda: int_matrix_determinant([[2.0]]),
