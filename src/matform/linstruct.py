@@ -374,7 +374,10 @@ class LinearStructure:
 
     def instantiate(self, coord_names: Sequence[str]) -> PolyMatrix:
         """The matrix A(coord_names) over params + coord_names (a caller
-        that multiplies it by another matrix embeds both in one table)."""
+        that multiplies it by another matrix embeds both in one table).
+        A term map: each term (m, c) of L[i][j][r] is the term (m + e_r, c),
+        e_r the unit exponents of coordinate r, so no product is taken, and
+        terms of distinct r or m never merge."""
         coord_names = tuple(coord_names)
         if len(coord_names) != self.h:
             raise ValueError(f"expected {self.h} coordinate names")
@@ -383,26 +386,10 @@ class LinearStructure:
         if set(coord_names) & set(self.params):
             raise NameCollision("coordinate names collide with parameters")
         table = VarTable(self.params + coord_names)
-        flat = [entry for _, entry in
-                self._combine(table, [table.var(c) for c in coord_names])]
-        return PolyMatrix([flat[i * self.n:(i + 1) * self.n]
-                           for i in range(self.n)])
-
-    def _combine(self, table: VarTable, values: Sequence[Polynomial]):
-        """The entries ((i, j), sum_r L[i][j][r] * values[r]) of A(values)
-        over `table`, row by row, each accumulated packed in place."""
-        # a term is a coefficient's term times a value's
-        pack = Packing(table, _top(c for row in self.coeff for cell in row
-                                   for c in cell) + _top(values))
-        packed = [pack.pack_terms(v.terms) for v in values]
-        for i, row in enumerate(self.coeff):
-            for j, cell in enumerate(row):
-                acc: Dict[int, int] = {}
-                for cr, v in zip(cell, packed):
-                    if cr.terms:
-                        _mul_packed(acc, pack.pack_terms(
-                            cr.embed(table).terms), v)
-                yield (i, j), pack.poly(acc)
+        units = [tuple(int(r == s) for s in range(self.h)) for r in range(self.h)]
+        return PolyMatrix([[Polynomial._own(table, {
+            m + e: c for cr, e in zip(cell, units) for m, c in cr.terms.items()})
+            for cell in row] for row in self.coeff])
 
     def matrix_of(self, point: Sequence[int]) -> List[List[int]]:
         """Integer matrix A(point) of a parameter-free structure (one with
@@ -466,8 +453,9 @@ class LinearStructure:
         NotInSpan.
 
         Returns the list [z_1..z_h] such that instantiating this structure
-        at the z's reproduces `matrix` exactly; otherwise a NotInSpan
-        carrying the first offending entry.
+        at the z's reproduces `matrix` exactly, each entry rebuilt as
+        sum_r L[i][j][r] * z_r by the ring's own `*` and `+`; otherwise a
+        NotInSpan carrying the first offending entry.
         """
         if matrix.n != self.n:
             raise ValueError("matrix order differs from structure order")
@@ -485,10 +473,14 @@ class LinearStructure:
                     return NotInSpan(entry=(i, j), residual=None, reason="division")
                 divided[exps] = c // scale
             outputs.append(Polynomial(table, divided))
-        for (i, j), rebuilt in self._combine(table, outputs):
-            residual = matrix[i, j] - rebuilt
-            if not residual.is_zero():
-                return NotInSpan(entry=(i, j), residual=residual, reason="mismatch")
+        for i, row in enumerate(self.coeff):
+            for j, cell in enumerate(row):
+                rebuilt = sum((c.embed(table) * z
+                               for c, z in zip(cell, outputs) if c), table.zero())
+                residual = matrix[i, j] - rebuilt
+                if not residual.is_zero():
+                    return NotInSpan(entry=(i, j), residual=residual,
+                                     reason="mismatch")
         return outputs
 
     # -- closure checks ---------------------------------------------------

@@ -11,8 +11,9 @@ Exponent tuples are the form at rest (`terms`, printing, JSON); every
 product packs them into ints (`Packing`) so that a monomial product is one
 int addition, and `_mul_packed` is the one product kernel: `*` (and `**`,
 binary powering over it), the matrix product, `determinant`, the one
-substitution kernel `substitute`, and closure and `instantiate` in
-`linstruct`.  `specialize` takes no product: it maps each term to one term.
+substitution kernel `substitute`, and closure in `linstruct`.  A packed
+product runs only where two multi-term polynomials meet: `specialize`, like
+`instantiate` in `linstruct`, is a term map that takes no product.
 """
 
 from __future__ import annotations

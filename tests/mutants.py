@@ -99,9 +99,18 @@ MUTANTS = (
     Mutant("read-table-divisor-test", "linstruct.py",
            "if divided is None:", "if divided is None and False:",
            ("test_closure.py", "test_linstruct.py")),
-    Mutant("combine-values-top-dropped", "linstruct.py",
-           "for c in cell) + _top(values))", "for c in cell))",
-           ("test_linstruct.py",)),
+    # instantiate's term map: coordinate r's unit exponent at slot h-1-r
+    Mutant("instantiate-unit-suffix-reversed", "linstruct.py",
+           "zip(cell, units)", "zip(cell, units[::-1])",
+           ("test_polyring.py", "test_linstruct.py")),
+    # extract_coordinates' reconstruction: the rebuilt entry is not
+    # subtracted, or is rebuilt from the coordinates in reverse order
+    Mutant("extract-rebuild-skipped", "linstruct.py",
+           "residual = matrix[i, j] - rebuilt",
+           "residual = matrix[i, j] - matrix[i, j]", ("test_linstruct.py",)),
+    Mutant("extract-rebuild-coordinates-reversed", "linstruct.py",
+           "zip(cell, outputs)", "zip(cell, outputs[::-1])",
+           ("test_linstruct.py", "test_closure.py")),
     Mutant("specialize-factor-values", "linstruct.py",
            "f.specialize([at[p] for p in f.params])",
            "f.specialize(pv[:len(f.params)])",

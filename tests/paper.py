@@ -18,15 +18,18 @@ derived data against them and a typo on either side is caught.
 - `uv_factors()`: the pair f1, f2 that sextic_uv's law composes
   simultaneously, whose product is its form: the determinants of its
   structure's diagonal blocks.  The catalog keeps no factor.
-- `golden_value_factors(name)`: the factors of cubic3x3's and sextic6x6's
-  forms at the numeric --params of the golden CLI argvs, where both forms
-  are reducible.
+- `IRREDUCIBLE`: whether each family's form is irreducible over Q at each
+  numeric --params of the golden CLI argvs (`golden_params`), each True
+  certified by the line `irreducibility_line`, each False by the factors
+  `golden_value_factors(name, values)`.
 - `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
   form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.
 """
 
+import json
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from matform import catalog
@@ -405,26 +408,84 @@ def uv_factors() -> Tuple[Polynomial, Polynomial]:
     return f1, f2
 
 
-# The numeric --params of cubic3x3's and sextic6x6's golden CLI argvs.
-GOLDEN_VALUES = {"cubic3x3": (1, -1, 2, 1, -2),
-                 "sextic6x6": (1, -1, 2, 1, -2, 1, -3)}
+# -- irreducibility at the golden values ------------------------------------
+
+
+def golden_params() -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Each (family, values) a golden CLI argv passes as numeric --params,
+    one value per parameter, in file order without repeats."""
+    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+    arity = {e["name"]: len(e["params"]) for e in catalog.list_families()}
+    found = {}
+    for argv in golden:
+        words = argv.split(" ")
+        params = [w[len("--params="):] for w in words if w.startswith("--params=")]
+        if "--family" not in words or not params:
+            continue
+        name = words[words.index("--family") + 1]
+        try:
+            values = tuple(map(int, params[0].split(",")))
+        except ValueError:  # a usage error's argv: --params=symbolic
+            continue
+        if arity.get(name) == len(values):
+            found[name, values] = None
+    return tuple(found)
+
+
+# Whether each family's form is irreducible over Q at each of the
+# `golden_params`.  Each True is certified by the line `irreducibility_line`:
+# if f = g * h, every restriction of f to a line factors too, so one
+# restriction of full degree that is irreducible proves f irreducible.
+# Each False is certified by the factors `golden_value_factors` gives.
+IRREDUCIBLE = {
+    ("quad2x2", (0, -2)): True,
+    ("cubic3x3", (1, -1, 2, 1, -2)): False,
+    ("cubic3x3", (0, 1, -3, 8, -3)): True,
+    ("quartic4x4", (5, -23, 2, -7)): True,
+    ("sextic6x6", (1, -1, 2, 1, -2, 1, -3)): False,
+    ("sextic6x6", (1, -5, 3, -8, -7, 8, -6)): True,
+    ("sextic_circulant", (3,)): False,
+    ("sextic_uv", (3,)): False,
+    ("octic8x8", (0, -5, 0, -3, 0, -14)): True,
+    ("threefold_quadratic", (1, 0, -2)): True,
+    ("threefold4x4", (-1, -4, 1, -1, 1, 1)): True,
+    ("threefold4x4", (0, 1, 0, 2, 0, 0)): False,
+    ("threefold8x8", (3, -1, 0, -3, 0, -14, 1)): True,
+}
+
+
+def irreducibility_line(h: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(a, b) of the line x = a*T + b through h coordinates, a = (1, 2,
+    ..., h) and b = (1, 0, ..., 0), fixed: the restriction of every
+    irreducible form above to it is irreducible, of full degree."""
+    return tuple(range(1, h + 1)), (1,) + (0,) * (h - 1)
 
 
 @lru_cache(maxsize=None)
-def golden_value_factors(name: str) -> Tuple[Tuple[Polynomial, int], ...]:
+def golden_value_factors(name: str, values: Tuple[int, ...]
+                         ) -> Tuple[Tuple[Polynomial, int], ...]:
     """The factors, each with its multiplicity, whose product is the
-    family's form at GOLDEN_VALUES[name]: there cubic3x3's form is
-    (x1 + 3x2 + x3)(x1 - 2x3)^2 and sextic6x6's is Q1 * Q2^2, so neither
-    is the irreducible form of the paper's statements.  Transcribed from
-    sympy's factor_list; Q1 = a^2 + ab - 3b^2 with a = x1 + 3x2 + x3 and
-    b = x4 + 3x5 + x6, and Q2 = c^2 + cd - 3d^2 with c = x1 - 2x3 and
-    d = x4 - 2x6."""
+    family's form at `values`, where IRREDUCIBLE says it is reducible.
+    There cubic3x3's form is (x1 + 3x2 + x3)(x1 - 2x3)^2 and sextic6x6's
+    is Q1 * Q2^2, so neither is the irreducible form of the paper's
+    statements.  Transcribed from sympy's factor_list; Q1 = a^2 +
+    ab - 3b^2 with a = x1 + 3x2 + x3 and b = x4 + 3x5 + x6, and Q2 = c^2 +
+    cd - 3d^2 with c = x1 - 2x3 and d = x4 - 2x6.  sextic_circulant's and
+    sextic_uv's forms are their two factors at every q, and threefold4x4's
+    at its DEGENERATE_WITNESSES value is 4 * x4^4."""
+    if IRREDUCIBLE.get((name, values)) is not False:
+        raise KeyError((name, values))
+    if name in ("sextic_circulant", "sextic_uv"):
+        factors = circulant_factors() if name == "sextic_circulant" \
+            else uv_factors()
+        return tuple((f.specialize({"q": values[0]}), 1) for f in factors)
+    if name == "threefold4x4":
+        table = VarTable(("x1", "x2", "x3", "x4"))
+        return (table.const(4), 1), (table.var("x4"), 4)
     if name == "cubic3x3":
         v = _vars(("x1", "x2", "x3"))
         x1, x2, x3 = v["x1"], v["x2"], v["x3"]
         return (x1 + 3*x2 + x3, 1), (x1 - 2*x3, 2)
-    if name != "sextic6x6":
-        raise KeyError(name)
     v = _vars(("x1", "x2", "x3", "x4", "x5", "x6"))
     x1, x2, x3, x4, x5, x6 = (v["x1"], v["x2"], v["x3"],
                               v["x4"], v["x5"], v["x6"])

@@ -6,9 +6,10 @@ table (to multiply matrices at different coordinates), and the first-row
 cofactor determinant, the oracle for `PolyMatrix.determinant`.
 
 The tests have their own product kernel, over exponent tuples: `mul` of
-two polynomials, `matmul` of two matrices, and `specialized`.  src/ takes
-every product on packed monomials, so an oracle that multiplies with
-these shares no product kernel with the code it checks.
+two polynomials, `matmul` of two matrices, `specialized`, and
+`instantiated`, a structure's matrix.  src/ takes every product on packed
+monomials, so an oracle that multiplies with these shares no product
+kernel with the code it checks.
 """
 
 import operator
@@ -67,6 +68,16 @@ def specialized(poly: Polynomial, values: Mapping[str, int]) -> Polynomial:
         key = tuple(m[i] for i in keep)
         out[key] = out.get(key, 0) + c
     return Polynomial(VarTable(poly.table.names[i] for i in keep), out)
+
+
+def instantiated(structure, coords) -> PolyMatrix:
+    """A(coords) of a LinearStructure, over its parameters then `coords`:
+    each entry the sum of mul(L[i][j][r], x_r) over r."""
+    table = VarTable(structure.params + tuple(coords))
+    xs = [table.var(c) for c in coords]
+    return PolyMatrix([[sum((mul(c.embed(table), x) for c, x in zip(cell, xs)),
+                            table.zero()) for cell in row]
+                       for row in structure.coeff])
 
 
 def degree_in(poly: Polynomial, name: str) -> int:

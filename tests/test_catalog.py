@@ -1,8 +1,6 @@
 """The built-in form families: the paper's transcriptions against the
 data derived from the structures."""
 
-import json
-from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -485,25 +483,57 @@ class TestCirculantFactorization:
         assert not (det - (f1 + 1) * f2).is_zero()
 
 
-@pytest.mark.parametrize("name", sorted(paper.GOLDEN_VALUES))
-def test_golden_values_give_reducible_forms(name):
-    """cubic3x3's and sextic6x6's golden argvs take --params at which the
-    form is reducible: there it equals the product of its transcribed
-    factors, a square among them, taken with the tests' own product
-    (`polytools.mul`), which shares no kernel with the determinant."""
-    values = paper.GOLDEN_VALUES[name]
-    golden = json.loads(
-        (Path(__file__).with_name("cli_golden.json")).read_text())
-    assert any(argv.startswith(f"verify --family {name} --params="
-                               + ",".join(map(str, values)))
-               for argv in golden)
-    factors = paper.golden_value_factors(name)
-    assert any(e > 1 and f.total_degree() > 0 for f, e in factors)
+# the numeric --params of the golden argvs, by whether the form is
+# irreducible there
+REDUCIBLE_AT = [key for key, yes in paper.IRREDUCIBLE.items() if not yes]
+IRREDUCIBLE_AT = [key for key, yes in paper.IRREDUCIBLE.items() if yes]
+
+
+def test_irreducibility_record_covers_the_golden_values():
+    """Every numeric --params of a golden argv has its irreducibility
+    recorded, and cubic3x3 and sextic6x6 each have a golden value at
+    which their form is irreducible."""
+    assert set(paper.IRREDUCIBLE) == set(paper.golden_params())
+    assert {name for name, _ in IRREDUCIBLE_AT} >= {"cubic3x3", "sextic6x6"}
+
+
+@pytest.mark.parametrize("name,values", REDUCIBLE_AT,
+                         ids=[name for name, _ in REDUCIBLE_AT])
+def test_golden_values_give_reducible_forms(name, values):
+    """Where a golden argv's --params give a reducible form, it equals the
+    product of its transcribed factors, at least two of positive degree,
+    taken with the tests' own product (`polytools.mul`), which shares no
+    kernel with the determinant.  cubic3x3's and sextic6x6's forms, which
+    are irreducible at other values, have a square among them."""
+    factors = paper.golden_value_factors(name, values)
+    assert sum(e for f, e in factors if f.total_degree() > 0) >= 2
+    if name in ("cubic3x3", "sextic6x6"):
+        assert any(e > 1 and f.total_degree() > 0 for f, e in factors)
     product = None
     for f, e in factors:
         for _ in range(e):
             product = f if product is None else mul(product, f)
     assert product == family(name, values).form
+
+
+@pytest.mark.parametrize("name,values", IRREDUCIBLE_AT,
+                         ids=[f"{name}-{','.join(map(str, values))}"
+                              for name, values in IRREDUCIBLE_AT])
+def test_irreducibility_at_the_golden_values(name, values):
+    """The form's restriction to `irreducibility_line` has full degree and
+    is irreducible over Q, so the form is: a factorization f = g * h would
+    restrict to one.  The restriction is interpolated from the form's own
+    values (`FormFamily.evaluate`) at T = 0..h, so sympy sees one
+    univariate polynomial."""
+    sympy = pytest.importorskip("sympy")
+    fam = family(name, values)
+    a, b = paper.irreducibility_line(fam.h)
+    T = sympy.Symbol("T")
+    restriction = sympy.Poly(sympy.interpolate(
+        [(t, fam.evaluate([ai * t + bi for ai, bi in zip(a, b)]))
+         for t in range(fam.h + 1)], T), T)
+    assert restriction.degree() == fam.h
+    assert restriction.is_irreducible
 
 
 class TestThreefoldFamilies:

@@ -20,8 +20,8 @@ from matform.polyring import (
 )
 
 from polytools import (as_int, degree_in, determinant_cofactor, eval_int,
-                       from_json_obj, grlex_key, json_obj, matmul, mul,
-                       specialized)
+                       from_json_obj, grlex_key, instantiated, json_obj,
+                       matmul, mul, specialized)
 
 T = VarTable(("a", "b", "c"))
 
@@ -43,6 +43,7 @@ class TestRingAxioms:
         assert p + q == q + p
 
     @given(polys(), polys(), polys())
+    @settings(derandomize=True)
     def test_mul_associative_commutative(self, p, q, r):
         assert (p * q) * r == p * (q * r)
         assert p * q == q * p
@@ -60,6 +61,7 @@ class TestRingAxioms:
         assert p - p == T.zero()
 
     @given(polys(max_exp=9), st.integers(0, 6))
+    @settings(derandomize=True)
     def test_pow_matches_repeated_mul(self, p, e):
         expected = T.one()
         for _ in range(e):
@@ -268,7 +270,7 @@ class TestDeterminants:
                     min_size=3, max_size=3),
            st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                     min_size=3, max_size=3))
-    @settings(max_examples=40)
+    @settings(max_examples=40, derandomize=True)
     def test_det_multiplicative(self, m, n):
         M = _int_matrix(m, T)
         N = _int_matrix(n, T)
@@ -338,8 +340,9 @@ class TestDeterminants:
 #
 # Every product in src/ is taken on packed monomials.  The DP determinant
 # is checked against cofactor expansion, substitution against evaluation,
-# and `*`, `**`, `@`, `instantiate` and `specialize` against the tests' own
-# kernel over exponent tuples (`polytools`), which shares nothing with them.
+# and `*`, `**`, `@` and the term maps `instantiate` and `specialize`
+# against the tests' own kernel over exponent tuples (`polytools`), which
+# shares nothing with them.
 
 
 def _matrices(n, max_exp=4):
@@ -475,9 +478,10 @@ def structures(draw):
 
 
 class TestProductKernel:
-    """Every product in src/ is packed (`_mul_packed`); each is checked
-    against the tests' own product over exponent tuples, and so is
-    `specialize`, which maps each term to one term and takes none."""
+    """Every product in src/ is packed (`_mul_packed`), and runs only where
+    two multi-term polynomials meet; each is checked against the tests' own
+    product over exponent tuples, and so are `instantiate` and
+    `specialize`, which map each term to one term and take none."""
 
     @given(st.data())
     @KERNEL
@@ -503,14 +507,31 @@ class TestProductKernel:
     @KERNEL
     def test_instantiate(self, structure):
         coords = tuple(f"x{r + 1}" for r in range(structure.h))
-        A = structure.instantiate(coords)
-        xs = [A.table.var(c) for c in coords]
-        for i, row in enumerate(structure.coeff):
-            for j, cell in enumerate(row):
-                want = A.table.zero()
-                for c, x in zip(cell, xs):
-                    want = want + mul(c.embed(A.table), x)
-                assert A[i, j] == want
+        assert structure.instantiate(coords) == instantiated(structure, coords)
+
+    def test_instantiate_takes_no_packed_product(self, monkeypatch):
+        """Each coefficient term maps to one term, so `instantiate` packs
+        nothing: every catalog structure, symbolic and at each numeric
+        --params of the golden argvs, gives the tuple oracle's matrix with
+        `Packing` and `_mul_packed` refused in `polyring` and
+        `linstruct`."""
+        from matform import catalog, linstruct, polyring
+        import paper
+        cases = [(e["name"], None) for e in catalog.list_families()]
+        cases += paper.golden_params()
+        built = []
+        for name, values in cases:
+            structure = catalog.family(name, values).structure
+            coords = [f"x{r + 1}" for r in range(structure.h)]
+            built.append((structure, coords, instantiated(structure, coords)))
+
+        def refuse(*args):
+            raise AssertionError("instantiate took a packed product")
+        for module in (polyring, linstruct):
+            monkeypatch.setattr(module, "Packing", refuse)
+            monkeypatch.setattr(module, "_mul_packed", refuse)
+        for case, (structure, coords, want) in zip(cases, built):
+            assert structure.instantiate(coords) == want, case
 
     @given(st.data())
     @KERNEL
