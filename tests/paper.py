@@ -2,9 +2,10 @@
 
 At run time every structured family's composition law is its structure's
 closure, and its form is the structure's determinant (threefold_quadratic
-reads t^2 as a in both).  The laws, printed expansions, factorizations and
-inverse formulas the paper prints live here, so that the suite checks the
-derived data against them and a typo on either side is caught.
+reads t^2 as a in both).  The laws, printed expansions, factorizations,
+inverse formulas and solution tables the paper prints live here, once,
+so that the suite checks the derived data against them and a typo on
+either side is caught.
 
 - `law(name)`: the printed bilinear or trilinear law of the eight
   families whose law the paper prints (sextic_uv's among them), and psi
@@ -25,14 +26,22 @@ derived data against them and a typo on either side is caught.
 - `DEGENERATE_WITNESSES`: parameter values at which a three-fold family's
   form collapses to a power or a definite form.
 - `quartic_inverse_forms()`: the printed inverse of the quartic's law.
+- `SOLUTION_TABLES`: the five published chains of solutions of f = 1,
+  each with its family's values, its partners and its first four
+  iterates.  No other test file spells a row past the seed.
+- `golden_values(name)`: the family's `golden_params` values, but for
+  its `DEGENERATE_WITNESSES` value.
 """
 
 import json
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from matform import catalog
+from matform.catalog import FormFamily
+from matform.dioph import SequenceSpec
 from matform.linstruct import MultilinearMap, argument_names
 from matform.polyring import Polynomial, VarTable
 
@@ -411,6 +420,7 @@ def uv_factors() -> Tuple[Polynomial, Polynomial]:
 # -- irreducibility at the golden values ------------------------------------
 
 
+@lru_cache(maxsize=None)
 def golden_params() -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
     """Each (family, values) a golden CLI argv passes as numeric --params,
     one value per parameter, in file order without repeats."""
@@ -430,6 +440,14 @@ def golden_params() -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
         if arity.get(name) == len(values):
             found[name, values] = None
     return tuple(found)
+
+
+def golden_values(name: str) -> Tuple[Tuple[int, ...], ...]:
+    """The family's `golden_params` values, in file order, but for its
+    DEGENERATE_WITNESSES value, at which a divisor of its structure
+    vanishes."""
+    return tuple(values for n, values in golden_params() if n == name
+                 and values != DEGENERATE_WITNESSES.get(name))
 
 
 # Whether each family's form is irreducible over Q at each of the
@@ -541,3 +559,71 @@ def quartic_inverse_forms() -> List[Polynomial]:
           + m*p*x2*x3*x4 + n*p*x2*x4**2 + q*x3**2*x4 + m*q*x3*x4**2
           + n*q*x4**3)
     return [y1, y2, y3, y4]
+
+
+# -- the published solution tables -------------------------------------------
+
+
+@dataclass(frozen=True)
+class SolutionTable:
+    """A chain of solutions of f = 1 the paper prints: its family at
+    `params`, the `--fixed` partner of a three-fold chain (None for a
+    pairwise one), and its first four iterates, the seed first, as
+    `SequenceResult.solutions` lists them."""
+    name: str
+    params: Tuple[int, ...]
+    fixed: Optional[Tuple[int, ...]]
+    rows: List[Tuple[int, ...]]
+
+    @cached_property
+    def family(self) -> FormFamily:
+        """The family at `params`, built once: it keeps its law."""
+        return catalog.family(self.name, self.params)
+
+    @property
+    def seed(self) -> Tuple[int, ...]:
+        return self.rows[0]
+
+    @property
+    def partners(self) -> Tuple[Tuple[int, ...], ...]:
+        """The step's partners: the seed, after `fixed` in a three-fold
+        chain."""
+        return (self.seed,) if self.fixed is None else (self.fixed, self.seed)
+
+    def spec(self, count: int = 4, order=None) -> SequenceSpec:
+        """The chain of `count` iterates from the seed."""
+        return SequenceSpec(self.family, self.seed, count, self.partners,
+                            order)
+
+
+SOLUTION_TABLES = {table.name: table for table in (
+    SolutionTable("quartic4x4", (5, -23, 2, -7), None, [
+        (6, 2, 3, 1),
+        (352, 121, 192, 66),
+        (22336, 7680, 12215, 4200),
+        (1420011, 488257, 776628, 267036)]),
+    SolutionTable("sextic_uv", (3,), None, [
+        (2, 1, 3, -1, 3, -4),
+        (7, 4, 67, 20, 20, -30),
+        (26, 15, 459, 525, -255, 459),
+        (97, 56, -6240, 3640, -7224, 12577)]),
+    SolutionTable("octic8x8", (0, -5, 0, -3, 0, -14), None, [
+        (4, 2, 2, 1, 14, 7, 8, 4),
+        (12285, 5460, 7092, 3152, 468, 208, 270, 120),
+        (578740, 258910, 334134, 149481, 729790, 326485, 421344, 188496),
+        (612075793, 273723336, 353382120, 158034240,
+         45691800, 20433600, 26380172, 11797344)]),
+    SolutionTable("threefold4x4", (-1, -4, 1, -1, 1, 1), (1, 0, 0, 0), [
+        (21, 8, 33, 13),
+        (2462, 961, 3983, 1555),
+        (294753, 115068, 476920, 186184),
+        (35291917, 13777548, 57103521, 22292541)]),
+    SolutionTable("threefold8x8", (3, -1, 0, -3, 0, -14, 1),
+                  (1, 0, 0, 0, 0, 0, 0, 0), [
+        (2, 6, 1, 3, 7, 21, 4, 12),
+        (13650, 45045, 7880, 26004, 520, 1716, 300, 990),
+        (1660070, 5482800, 958437, 3165480,
+         2093345, 6913800, 1208592, 3991680),
+        (4520236757, 14929326951, 2609759880, 8619450840,
+         337438200, 1114482600, 194820028, 643446804)]),
+)}

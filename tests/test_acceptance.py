@@ -12,7 +12,7 @@ from matform.compose import (
     invert,
     verify_identity,
 )
-from matform.dioph import SequenceSpec, brute_force_search, generate_sequence
+from matform.dioph import brute_force_search, generate_sequence
 from matform.linstruct import NotClosed, NotInSpan
 from matform.polyring import VarTable
 
@@ -99,49 +99,15 @@ def test_criterion_3_form_cross_checks():
 
 def test_criterion_4_sequence_reproduction():
     """The five published solution tables, exactly."""
-    runs = [
-        (family("quartic4x4", (5, -23, 2, -7)), "pairwise", None,
-         [(6, 2, 3, 1), (352, 121, 192, 66), (22336, 7680, 12215, 4200),
-          (1420011, 488257, 776628, 267036)]),
-        (family("sextic_uv", (3,)), "pairwise", None,
-         [(2, 1, 3, -1, 3, -4), (7, 4, 67, 20, 20, -30),
-          (26, 15, 459, 525, -255, 459),
-          (97, 56, -6240, 3640, -7224, 12577)]),
-        (family("octic8x8", (0, -5, 0, -3, 0, -14)), "pairwise", None,
-         [(4, 2, 2, 1, 14, 7, 8, 4),
-          (12285, 5460, 7092, 3152, 468, 208, 270, 120),
-          (578740, 258910, 334134, 149481, 729790, 326485, 421344, 188496),
-          (612075793, 273723336, 353382120, 158034240,
-           45691800, 20433600, 26380172, 11797344)]),
-        (family("threefold4x4", (-1, -4, 1, -1, 1, 1)), "triple",
-         (1, 0, 0, 0),
-         [(21, 8, 33, 13), (2462, 961, 3983, 1555),
-          (294753, 115068, 476920, 186184),
-          (35291917, 13777548, 57103521, 22292541)]),
-        (family("threefold8x8", (3, -1, 0, -3, 0, -14, 1)), "triple",
-         (1, 0, 0, 0, 0, 0, 0, 0),
-         [(2, 6, 1, 3, 7, 21, 4, 12),
-          (13650, 45045, 7880, 26004, 520, 1716, 300, 990),
-          (1660070, 5482800, 958437, 3165480,
-           2093345, 6913800, 1208592, 3991680),
-          (4520236757, 14929326951, 2609759880, 8619450840,
-           337438200, 1114482600, 194820028, 643446804)]),
-    ]
-    for fam, mode, fixed, expected in runs:
-        if mode == "pairwise":
-            spec = SequenceSpec(family=fam, seed=expected[0],
-                                count=len(expected), partners=(expected[0],))
-        else:
-            spec = SequenceSpec(family=fam, seed=expected[0],
-                                count=len(expected),
-                                partners=(fixed, expected[0]))
-        assert generate_sequence(spec).solutions == expected, fam.name
+    for table in paper.SOLUTION_TABLES.values():
+        assert generate_sequence(table.spec()).solutions == table.rows, \
+            table.name
 
     # every table entry satisfies f = 1 exactly (checked independently of
     # the generator's own re-verification)
-    for fam, _, _, expected in runs:
-        for v in expected:
-            assert fam.evaluate(v) == 1, (fam.name, v)
+    for table in paper.SOLUTION_TABLES.values():
+        for v in table.rows:
+            assert table.family.evaluate(v) == 1, (table.name, v)
 
 
 def test_criterion_5_group_law_suite():

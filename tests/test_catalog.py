@@ -388,11 +388,13 @@ class TestInverseFormulas:
         assert tuple(eval_int(f, env) for f in forms) == (32, -4, -8, 1)
 
     def test_printed_inverse_is_group_inverse(self):
-        fam = family("quartic4x4", (5, -23, 2, -7))
+        # at the first two rows of the paper's quartic table
+        table = paper.SOLUTION_TABLES["quartic4x4"]
+        fam = table.family
         forms = paper.quartic_inverse_forms()
-        for point in [(6, 2, 3, 1), (352, 121, 192, 66)]:
-            env = {"m": 5, "n": -23, "p": 2, "q": -7}
-            env.update(zip(("x1", "x2", "x3", "x4"), point))
+        for point in table.rows[:2]:
+            env = dict(zip(fam.param_names + fam.coord_names,
+                           table.params + point))
             inv = tuple(eval_int(f, env) for f in forms)
             assert fam.pair_map.apply((point, inv)) == (1, 0, 0, 0)
 

@@ -22,13 +22,10 @@ from matform.polyring import no_int_str_limit
 from matform.linstruct import LinearStructure, MultilinearMap
 from matform.polyring import PolyMatrix, Polynomial
 
+import paper
 from polytools import from_json_obj
 
 QUARTIC = ("--family", "quartic4x4", "--params", "5,-23,2,-7")
-# verify proves a family's own law by the matrix route
-MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-                 "sextic_circulant", "octic8x8", "threefold_quadratic",
-                 "threefold4x4", "threefold8x8")
 
 
 def run_cli(capsys, *argv):
@@ -360,7 +357,8 @@ class TestVerifyWithoutDeterminant:
     verify asks for no form and computes no symbolic determinant."""
 
     @pytest.mark.parametrize("argv", [
-        *(("--family", name) for name in MATRIX_ROUTED),
+        # verify proves every family's own law by the matrix route
+        *(("--family", f["name"]) for f in catalog.list_families()),
         ("--family", "octic8x8", "--params=0,-5,0,-3,0,-14"),
         ("--family", "threefold4x4", "--params=-1,-4,1,-1,1,1"),
         ("--family", "threefold8x8", "--params=3,-1,0,-3,0,-14,1"),
@@ -496,8 +494,9 @@ class TestSolve:
             "--step", "6,2,3,1", "--count", "2")
         assert code == 0
         obj = json.loads(out)
-        assert obj["solutions"] == [["6", "2", "3", "1"],
-                                    ["352", "121", "192", "66"]]
+        assert obj["solutions"] == [
+            list(map(str, v))
+            for v in paper.SOLUTION_TABLES["quartic4x4"].rows[:2]]
 
     def test_triple_mode(self, capsys):
         code, out, _ = run_cli(
@@ -509,7 +508,8 @@ class TestSolve:
         assert code == 0
         obj = json.loads(out)
         assert obj["mode"] == "triple"
-        assert obj["solutions"][1][0] == "13650"
+        assert obj["solutions"][1][0] == \
+            str(paper.SOLUTION_TABLES["threefold8x8"].rows[1][0])
 
     @pytest.mark.parametrize("argv", [
         (*QUARTIC, "--seed", "1,1,1,1", "--step", "6,2,3,1", "--count", "2"),
@@ -934,8 +934,9 @@ class TestRun:
 # -- fuzzing the whole surface -------------------------------------------------
 
 # small families: name -> (parameter count, coordinate count)
-FUZZ_SHAPES = {"quad2x2": (2, 2), "cubic3x3": (5, 3), "quartic4x4": (4, 4),
-               "threefold_quadratic": (3, 2)}
+FUZZ_SHAPES = {f["name"]: (len(f["params"]), f["coords"])
+               for f in catalog.list_families() if f["name"] in (
+                   "quad2x2", "cubic3x3", "quartic4x4", "threefold_quadratic")}
 # subcommand -> its flags; True marks a required one
 FUZZ_FLAGS = {
     "list-families": {},

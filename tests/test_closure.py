@@ -25,13 +25,15 @@ from matform.linstruct import (LinearStructure, MultilinearMap, NotClosed,
                                NotInSpan)
 from matform.polyring import Polynomial, VarTable, int_matrix_determinant
 
+import paper
 from intmatrix import int_matrix_product
 from polytools import embedded, matmul
 
-# every catalog family: each has a matrix structure
-FAMILIES = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-            "sextic_circulant", "octic8x8", "threefold_quadratic",
-            "threefold4x4", "threefold8x8", "sextic_uv")
+# every catalog family: each has a matrix structure.  sextic_uv, whose
+# structure came last, is listed last, so that each family keeps its
+# integer-point seed.
+FAMILIES = tuple(sorted((f["name"] for f in catalog.list_families()),
+                        key="sextic_uv".__eq__))
 CASES = [(name, order) for name in FAMILIES for order in (2, 3)]
 
 
@@ -307,8 +309,8 @@ def test_closed_lift_takes_no_product_of_its_own_basis(name, order, label,
     specialized at integer values keeps its factors at their values, so
     its law is built the same way."""
     st = fresh(name)
-    if label == "golden":
-        st = st.specialize(GOLDEN_VALUES[name])
+    lifts = ([st] if label == "symbolic" else
+             [st.specialize(values) for values in paper.golden_values(name)])
     sizes = []
     product = linstruct._sparse_product
 
@@ -316,7 +318,8 @@ def test_closed_lift_takes_no_product_of_its_own_basis(name, order, label,
         sizes.append(len(a))
         return product(a, b)
     monkeypatch.setattr(linstruct, "_sparse_product", counting)
-    assert isinstance(st.closure(order), MultilinearMap)
+    for lift in lifts:
+        assert isinstance(lift.closure(order), MultilinearMap)
     assert st.n not in sizes
 
 
@@ -454,12 +457,6 @@ def test_32x32_lift_integer_points():
 # not close pairwise
 LIFT_ORDERS = [(name, order) for name in LIFTS for order in (2, 3)
                if order == 3 or not name.startswith("threefold")]
-# the values of the golden numeric argvs
-GOLDEN_VALUES = {
-    "quartic4x4": (5, -23, 2, -7), "sextic6x6": (1, -1, 2, 1, -2, 1, -3),
-    "octic8x8": (0, -5, 0, -3, 0, -14),
-    "threefold4x4": (-1, -4, 1, -1, 1, 1),
-    "threefold8x8": (3, -1, 0, -3, 0, -14, 1)}
 
 
 def assert_law_is_specialized(name: str, order: int, values) -> None:
@@ -474,16 +471,16 @@ def assert_law_is_specialized(name: str, order: int, values) -> None:
 @pytest.mark.parametrize("label", ["golden", "zero"])
 def test_numeric_lift_law_is_the_symbolic_law_specialized(name, order, label):
     """At the golden values and at zero, where every divisor vanishes."""
-    values = GOLDEN_VALUES[name]
-    assert_law_is_specialized(
-        name, order, values if label == "golden" else (0,) * len(values))
+    for values in (paper.golden_values(name) if label == "golden" else
+                   [(0,) * catalog.family(name).arity]):
+        assert_law_is_specialized(name, order, values)
 
 
 @pytest.mark.parametrize("name,order", LIFT_ORDERS)
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_numeric_lift_law_at_random_values(name, order, data):
-    arity = len(GOLDEN_VALUES[name])
+    arity = catalog.family(name).arity
     assert_law_is_specialized(name, order, data.draw(
         st.lists(st.integers(-9, 9), min_size=arity, max_size=arity)))
 
@@ -493,11 +490,13 @@ def test_numeric_law_of_a_lift_whose_factor_does_not_close(name):
     """A trace-free factor does not close pairwise, at integer values
     either: the specialized lift takes its own basis route, and its
     witness is the one read off its basis products at those values."""
-    lift = fresh(name).specialize(GOLDEN_VALUES[name])
-    assert any(isinstance(f.closure(2), NotClosed) for f in lift._factors)
-    got = lift.closure(2)
-    assert isinstance(got, NotClosed)
-    assert got == basis_route(lift).closure(2)
+    for values in paper.golden_values(name):
+        lift = fresh(name).specialize(values)
+        assert any(isinstance(f.closure(2), NotClosed)
+                   for f in lift._factors)
+        got = lift.closure(2)
+        assert isinstance(got, NotClosed)
+        assert got == basis_route(lift).closure(2)
 
 
 def test_lift_whose_factors_do_not_close_reads_each_table_once(monkeypatch):

@@ -26,20 +26,9 @@ from polytools import degree_in, eval_int
 ivec = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 ivec4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(tuple)
 
-# every family's own law is its structure's closure: the matrix route
-MATRIX_ROUTED = ("quad2x2", "cubic3x3", "quartic4x4", "sextic6x6",
-                 "sextic_circulant", "sextic_uv", "octic8x8",
-                 "threefold_quadratic", "threefold4x4", "threefold8x8")
-
-
-# the values of the golden numeric `verify` argvs
-GOLDEN_VALUES = {
-    "quad2x2": (0, -2), "cubic3x3": (1, -1, 2, 1, -2),
-    "quartic4x4": (5, -23, 2, -7), "sextic6x6": (1, -1, 2, 1, -2, 1, -3),
-    "sextic_circulant": (3,), "sextic_uv": (3,),
-    "octic8x8": (0, -5, 0, -3, 0, -14), "threefold_quadratic": (1, 0, -2),
-    "threefold4x4": (-1, -4, 1, -1, 1, 1),
-    "threefold8x8": (3, -1, 0, -3, 0, -14, 1)}
+# every catalog family: each one's own law is its structure's closure,
+# which the matrix route proves
+FAMILIES = [f["name"] for f in catalog.list_families()]
 # divisors vanish: threefold4x4 at s = t = 0, at s = 0 and at t = 0,
 # threefold8x8 at t = 0
 VANISHING = [("threefold4x4", (0, 1, 0, 2, 0, 0)),
@@ -48,10 +37,14 @@ VANISHING = [("threefold4x4", (0, 1, 0, 2, 0, 0)),
              ("threefold8x8", (3, -1, 0, -3, 0, -14, 0))]
 
 
-def numeric_cases(cases):
+def numeric_cases(names, extra):
+    """The golden values of the named families, then the (name, values)
+    of `extra`."""
+    cases = [(name, values) for name in names
+             for values in paper.golden_values(name)]
     return [pytest.param(name, values,
                          id=f"{name}-{','.join(map(str, values))}")
-            for name, values in cases]
+            for name, values in cases + extra]
 
 
 # every catalog law, by family and arity: a "triple" family has no
@@ -168,15 +161,16 @@ class TestMultilinearMap:
     @given(data=st.data())
     def test_argument_matrix_matches_forms_at_unit_vectors(self, name, k,
                                                            data):
-        fam = catalog.family(name, GOLDEN_VALUES[name])
-        cmap = fam.triple_map() if k == 3 else fam.pair_map
-        vec = st.lists(st.integers(-9, 9), min_size=cmap.h,
-                       max_size=cmap.h).map(tuple)
-        args = [data.draw(vec) for _ in range(k)]
-        for slot in range(k):
-            free = args[:slot] + [None] + args[slot + 1:]
-            assert cmap.argument_matrix(free, slot) == \
-                unit_vector_matrix(cmap, args, slot)
+        for values in paper.golden_values(name):
+            fam = catalog.family(name, values)
+            cmap = fam.triple_map() if k == 3 else fam.pair_map
+            vec = st.lists(st.integers(-9, 9), min_size=cmap.h,
+                           max_size=cmap.h).map(tuple)
+            args = [data.draw(vec) for _ in range(k)]
+            for slot in range(k):
+                free = args[:slot] + [None] + args[slot + 1:]
+                assert cmap.argument_matrix(free, slot) == \
+                    unit_vector_matrix(cmap, args, slot)
 
     def test_argument_matrix_checks_its_arguments(self):
         cmap = catalog.family("quad2x2", (0, -2)).pair_map
@@ -258,7 +252,7 @@ class TestRoute:
     """The route follows from the map, not from the size: a family's own
     law takes the matrix route, any other map is expanded."""
 
-    @pytest.mark.parametrize("name", MATRIX_ROUTED)
+    @pytest.mark.parametrize("name", FAMILIES)
     def test_own_law_takes_matrix_route(self, name):
         # threefold_quadratic's closure is in (t, b, c), its law in
         # (a, b, c): the closure with t^2 read as a proves it all the same
@@ -294,8 +288,8 @@ class TestRoute:
         assert {name for name in res.table.names if degree_in(res, name)} \
             <= {"q", "x_u1", "x_u2", "y_u1", "y_u2"}
 
-    @pytest.mark.parametrize("name, values", numeric_cases(
-        [*GOLDEN_VALUES.items(), *VANISHING]))
+    @pytest.mark.parametrize("name, values", numeric_cases(FAMILIES,
+                                                           VANISHING))
     def test_numeric_verify_is_the_symbolic_proof_specialized(self, name,
                                                               values):
         symbolic = verify_auto(catalog.family(name))
@@ -305,9 +299,8 @@ class TestRoute:
     # expanding a mutated map is the cost of the test: the other golden
     # values and threefold8x8's (a 722-term octic at t = 0) take seconds
     @pytest.mark.parametrize("name, values", numeric_cases(
-        [(name, GOLDEN_VALUES[name]) for name in
-         ("quad2x2", "cubic3x3", "quartic4x4", "threefold_quadratic")]
-        + VANISHING[:3]))
+        ("quad2x2", "cubic3x3", "quartic4x4", "threefold_quadratic"),
+        VANISHING[:3]))
     def test_mutated_map_at_numeric_values_leaves_a_residual(self, name,
                                                              values):
         # the specialized proof is for the family's own map only; another
@@ -346,7 +339,7 @@ class TestIntegerPointOracle:
     closure that gives the run-time law, for the identities that the
     matrix route proves without expanding them."""
 
-    @pytest.mark.parametrize("name", MATRIX_ROUTED)
+    @pytest.mark.parametrize("name", FAMILIES)
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
     def test_identity_at_integer_points(self, name, data):

@@ -103,57 +103,22 @@ def check_monotone_positive(solutions: Sequence[Sequence[int]],
     return report
 
 
-QUARTIC = family("quartic4x4", (5, -23, 2, -7))
-OCTIC = family("octic8x8", (0, -5, 0, -3, 0, -14))
-
-QUARTIC_SEQ = [
-    (6, 2, 3, 1),
-    (352, 121, 192, 66),
-    (22336, 7680, 12215, 4200),
-    (1420011, 488257, 776628, 267036),
-]
-
-OCTIC_SEQ = [
-    (4, 2, 2, 1, 14, 7, 8, 4),
-    (12285, 5460, 7092, 3152, 468, 208, 270, 120),
-    (578740, 258910, 334134, 149481, 729790, 326485, 421344, 188496),
-    (612075793, 273723336, 353382120, 158034240,
-     45691800, 20433600, 26380172, 11797344),
-]
-
-UV_SEQ = [
-    (2, 1, 3, -1, 3, -4),
-    (7, 4, 67, 20, 20, -30),
-    (26, 15, 459, 525, -255, 459),
-    (97, 56, -6240, 3640, -7224, 12577),
-]
-
-T4_SEQ = [
-    (21, 8, 33, 13),
-    (2462, 961, 3983, 1555),
-    (294753, 115068, 476920, 186184),
-    (35291917, 13777548, 57103521, 22292541),
-]
-
-T8_SEQ = [
-    (2, 6, 1, 3, 7, 21, 4, 12),
-    (13650, 45045, 7880, 26004, 520, 1716, 300, 990),
-    (1660070, 5482800, 958437, 3165480,
-     2093345, 6913800, 1208592, 3991680),
-    (4520236757, 14929326951, 2609759880, 8619450840,
-     337438200, 1114482600, 194820028, 643446804),
-]
+# the paper's published chains, and the families they solve
+QUARTIC_T, OCTIC_T, UV_T, T4_T, T8_T = (
+    paper.SOLUTION_TABLES[name] for name in (
+        "quartic4x4", "octic8x8", "sextic_uv", "threefold4x4", "threefold8x8"))
+QUARTIC, OCTIC, T4 = QUARTIC_T.family, OCTIC_T.family, T4_T.family
 
 
 class TestIsSolution:
     def test_reference_solutions(self):
-        assert is_solution(QUARTIC, (6, 2, 3, 1))
+        assert is_solution(QUARTIC, QUARTIC_T.seed)
         assert is_solution(QUARTIC, (1, 0, 0, 0))
-        assert is_solution(OCTIC, (4, 2, 2, 1, 14, 7, 8, 4))
+        assert is_solution(OCTIC, OCTIC_T.seed)
         assert not is_solution(QUARTIC, (1, 1, 1, 1))
 
     def test_simultaneous(self):
-        assert simultaneous_is_solution(3, (2, 1, 3, -1, 3, -4))
+        assert simultaneous_is_solution(3, UV_T.seed)
         assert simultaneous_is_solution(3, (1, 0, 0, 0, 0, 0))
         assert not simultaneous_is_solution(3, (2, 1, 0, 0, 0, 0))
 
@@ -169,14 +134,13 @@ class TestRecords:
             spec.count = 5
 
     def test_solutions_is_a_replay_and_results_compare_by_field(self):
-        spec = SequenceSpec(family=QUARTIC, seed=(6, 2, 3, 1), count=4,
-                            partners=((6, 2, 3, 1),))
+        spec = QUARTIC_T.spec()
         a, b = generate_sequence(spec), generate_sequence(spec)
         assert a == b
         first = a.solutions
-        assert first == QUARTIC_SEQ and first is not a.solutions
+        assert first == QUARTIC_T.rows and first is not a.solutions
         first.append((1, 0, 0, 0))
-        assert a.solutions == QUARTIC_SEQ and a == b
+        assert a.solutions == QUARTIC_T.rows and a == b
         with pytest.raises(AttributeError):
             a.solutions = []
         fields = {f: getattr(a, f) for f in dioph.SequenceResult._fields}
@@ -186,47 +150,29 @@ class TestRecords:
                          ("proof", "expand"),
                          ("seed", (1, 0, 0, 0)),
                          ("evaluated", 1),
-                         ("last", QUARTIC_SEQ[2])]:
+                         ("last", QUARTIC_T.rows[2])]:
             assert dioph.SequenceResult(**{**fields, f: other}) != a, f
-        assert a.last == QUARTIC_SEQ[-1] and a.certified
+        assert a.last == QUARTIC_T.rows[-1] and a.certified
 
 
 class TestSequences:
     def test_quartic_reference_table(self):
-        r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=(6, 2, 3, 1), count=4,
-            partners=((6, 2, 3, 1),)))
-        assert r.solutions == QUARTIC_SEQ
+        assert generate_sequence(QUARTIC_T.spec()).solutions == QUARTIC_T.rows
 
     def test_octic_reference_table(self):
-        r = generate_sequence(SequenceSpec(
-            family=OCTIC, seed=OCTIC_SEQ[0], count=4,
-            partners=(OCTIC_SEQ[0],)))
-        assert r.solutions == OCTIC_SEQ
+        assert generate_sequence(OCTIC_T.spec()).solutions == OCTIC_T.rows
 
     def test_simultaneous_sextic_reference_table(self):
-        fam = family("sextic_uv", (3,))
-        r = generate_sequence(SequenceSpec(
-            family=fam, seed=UV_SEQ[0], partners=(UV_SEQ[0],), count=4))
-        assert r.solutions == UV_SEQ
+        r = generate_sequence(UV_T.spec())
+        assert r.solutions == UV_T.rows
         for v in r.solutions:
             assert simultaneous_is_solution(3, v)
 
     def test_threefold4x4_reference_table(self):
-        fam = family("threefold4x4", (-1, -4, 1, -1, 1, 1))
-        e = (1, 0, 0, 0)
-        r = generate_sequence(SequenceSpec(
-            family=fam, seed=T4_SEQ[0], count=4,
-            partners=(e, T4_SEQ[0])))
-        assert r.solutions == T4_SEQ
+        assert generate_sequence(T4_T.spec()).solutions == T4_T.rows
 
     def test_threefold8x8_reference_table(self):
-        fam = family("threefold8x8", (3, -1, 0, -3, 0, -14, 1))
-        e = (1, 0, 0, 0, 0, 0, 0, 0)
-        r = generate_sequence(SequenceSpec(
-            family=fam, seed=T8_SEQ[0], count=4,
-            partners=(e, T8_SEQ[0])))
-        assert r.solutions == T8_SEQ
+        assert generate_sequence(T8_T.spec()).solutions == T8_T.rows
 
     def test_bad_seed_rejected(self):
         with pytest.raises(SeedNotSolution):
@@ -259,29 +205,22 @@ class TestSequences:
                 QUARTIC, (6, 2, 3, 1), 2, partners, order))
 
     def test_json_wire_format(self):
-        r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=(6, 2, 3, 1), count=2,
-            partners=((6, 2, 3, 1),)))
+        r = generate_sequence(QUARTIC_T.spec(2))
         out = io.StringIO()
         r.write_json(out)
         obj = json.loads(out.getvalue())
         assert obj["family"] == "quartic4x4"
         assert obj["params"] == ["5", "-23", "2", "-7"]
         assert obj["mode"] == "pairwise"
-        assert obj["solutions"][1] == ["352", "121", "192", "66"]
+        assert obj["solutions"][1] == list(map(str, QUARTIC_T.rows[1]))
         assert obj["verified"] is True
 
     def test_deterministic(self):
-        spec = SequenceSpec(family=QUARTIC, seed=(6, 2, 3, 1),
-                            partners=((6, 2, 3, 1),), count=4)
+        spec = QUARTIC_T.spec()
         assert generate_sequence(spec).solutions \
             == generate_sequence(spec).solutions
 
 
-T4 = family("threefold4x4", (-1, -4, 1, -1, 1, 1))
-E4 = (1, 0, 0, 0)
-T8 = family("threefold8x8", (3, -1, 0, -3, 0, -14, 1))
-E8 = (1,) + (0,) * 7
 TQ = family("threefold_quadratic", (1, 0, -2))  # x1^2 - 2*x2^2
 TQ_SEED = (3, 2)
 E2 = (1, 0)
@@ -289,15 +228,11 @@ E2 = (1, 0)
 # the six families of the golden `solve` argvs, with their partners and
 # slot orders
 GOLDEN_CHAINS = [
-    pytest.param(QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), None,
-                 id="quartic4x4"),
-    pytest.param(OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), None, id="octic8x8"),
-    pytest.param(family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), None,
-                 id="sextic_uv"),
-    pytest.param(T8, T8_SEQ[0], (E8, T8_SEQ[0]), None, id="threefold8x8"),
+    *[pytest.param(t.family, t.seed, t.partners, None, id=t.name)
+      for t in (QUARTIC_T, OCTIC_T, UV_T, T8_T)],
     pytest.param(TQ, TQ_SEED, (E2, TQ_SEED), (2, 1, 0),
                  id="threefold_quadratic-zyx"),
-    *[pytest.param(T4, T4_SEQ[0], ((-4, 1, -3, 3), T4_SEQ[0]), order,
+    *[pytest.param(T4, T4_T.seed, ((-4, 1, -3, 3), T4_T.seed), order,
                    id="threefold4x4-" + "".join("xyz"[s] for s in order))
       for order in itertools.permutations(range(3))],
 ]
@@ -342,8 +277,8 @@ class TestIterateCertificate:
     and the partners, only the last iterate is evaluated."""
 
     @pytest.mark.parametrize("name, params, seed, key", [
-        ("quartic4x4", (5, -23, 2, -7), QUARTIC_SEQ[0], (0, (0, 0))),
-        ("sextic_uv", (3,), UV_SEQ[0], (0, (0, 0))),
+        ("quartic4x4", (5, -23, 2, -7), QUARTIC_T.seed, (0, (0, 0))),
+        ("sextic_uv", (3,), UV_T.seed, (0, (0, 0))),
     ])
     def test_mutated_pair_map_fails_before_any_iterate(
             self, monkeypatch, evaluations, name, params, seed, key):
@@ -389,11 +324,9 @@ class TestIterateCertificate:
         assert all(x * x - 2 * y * y == 1 for x, y in r.solutions)
 
     def test_proven_iterates_are_not_evaluated(self, evaluations):
-        r = generate_sequence(SequenceSpec(
-            family=QUARTIC, seed=QUARTIC_SEQ[0], partners=(QUARTIC_SEQ[0],),
-            count=50))
-        assert r.solutions[:4] == QUARTIC_SEQ
-        assert evaluations == [QUARTIC_SEQ[0], QUARTIC_SEQ[0],
+        r = generate_sequence(QUARTIC_T.spec(50))
+        assert r.solutions[:4] == QUARTIC_T.rows
+        assert evaluations == [QUARTIC_T.seed, QUARTIC_T.seed,
                                r.solutions[-1]]  # seed, partner, last
         assert (r.proof, r.evaluated) == ("matrix", 2)
         assert printed(QUARTIC)(r.solutions[-1]) == 1
@@ -402,8 +335,8 @@ class TestIterateCertificate:
     def test_every_slot_order_is_proven(self, order, evaluations):
         # a second solution besides the seed, so no slot holds (1, 0, 0, 0)
         r = generate_sequence(SequenceSpec(
-            family=T4, seed=T4_SEQ[0], count=6,
-            partners=((-4, 1, -3, 3), T4_SEQ[0]), order=order))
+            family=T4, seed=T4_T.seed, count=6,
+            partners=((-4, 1, -3, 3), T4_T.seed), order=order))
         assert len(evaluations) == 4  # seed, two partners, last
         assert r.proof == "matrix"
         f = printed(T4)
@@ -423,8 +356,7 @@ class TestIterateCertificate:
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_chain_without_a_step_is_its_evaluated_seed(self, count):
-        r = generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],)))
+        r = generate_sequence(QUARTIC_T.spec(count))
         assert (r.proof, r.evaluated) == ("matrix", count)
 
     @pytest.mark.parametrize("fam, seed, partners, order", GOLDEN_CHAINS)
@@ -448,19 +380,16 @@ class TestIterateCertificate:
         assert [dioph._power(r.step, e, r.seed) for e in range(30)] == chain
         assert r.last == chain[-1] and r.seed == chain[0]
 
-    @pytest.mark.parametrize("fam, seed, partners, certified", [
-        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), True),
-        (T4, T4_SEQ[0], (E4, T4_SEQ[0]), True),
-        (family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), False),
+    @pytest.mark.parametrize("table, certified", [
+        (QUARTIC_T, True), (T4_T, True), (UV_T, False),
     ], ids=["quartic4x4", "threefold4x4", "sextic_uv"])
     def test_wrong_integer_step_at_a_middle_iterate_raises(
-            self, monkeypatch, fam, seed, partners, certified):
+            self, monkeypatch, table, certified):
         """A slip in the binary powering raises, on a certified chain and
         on one that is not (sextic_uv's).  A chain of 12 iterates takes its
         last as S^11 seed, with S^11 = ((S^2)^2 S)^2 S: the slip is in the
         third product, S^5, the power that takes the seed to iterate 5."""
-        assert generate_sequence(SequenceSpec(
-            fam, seed, 2, partners)).certified is certified
+        assert generate_sequence(table.spec(2)).certified is certified
         real, results = dioph._product, []
 
         def slip(*args):
@@ -470,7 +399,7 @@ class TestIterateCertificate:
                 if len(results) == 3 else M
         monkeypatch.setattr(dioph, "_product", slip)
         with pytest.raises(SequenceVerificationError, match="fails f = 1"):
-            generate_sequence(SequenceSpec(fam, seed, 12, partners))
+            generate_sequence(table.spec(12))
         assert len(results) >= 3  # the slip happened
 
 
@@ -555,8 +484,7 @@ class TestPrintedChain:
     step matrix from the same seed, checked digit by digit at the tail."""
 
     def test_last_quartic_iterate_matches_str_of_the_int(self):
-        r = generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],)))
+        r = generate_sequence(QUARTIC_T.spec(2600))
         *_, last = r.rows()
         with no_int_str_limit():
             assert last == [str(c) for c in r.solutions[-1]]
@@ -564,22 +492,21 @@ class TestPrintedChain:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("fam, params, seq", [
-        (QUARTIC, "5,-23,2,-7", QUARTIC_SEQ),
-        (family("sextic_uv", (3,)), "3", UV_SEQ)],
-        ids=["quartic4x4", "sextic_uv"])
-    def test_short_chains(self, capsys, fam, params, seq, count, fmt):
+    @pytest.mark.parametrize("table", [QUARTIC_T, UV_T],
+                             ids=["quartic4x4", "sextic_uv"])
+    def test_short_chains(self, capsys, table, count, fmt):
         """Chains of 0 to 4 iterates, certified (quartic4x4) and not
         (sextic_uv): the rows are str of the ints, and the library and the
         CLI print them the same in JSON and in text, an empty chain in text
         as one newline."""
-        r = generate_sequence(SequenceSpec(fam, seq[0], count, (seq[0],)))
-        want = [[str(c) for c in v] for v in seq[:count]]
+        r = generate_sequence(table.spec(count))
+        want = [[str(c) for c in v] for v in table.rows[:count]]
         assert list(r.rows()) == want
         out = io.StringIO()
         getattr(r, "write_" + fmt)(out)
-        seed = ",".join(map(str, seq[0]))
-        argv = ["solve", "--family", fam.name, f"--params={params}",
+        seed = ",".join(map(str, table.seed))
+        params = ",".join(map(str, table.params))
+        argv = ["solve", "--family", table.name, f"--params={params}",
                 f"--seed={seed}", f"--step={seed}", "--count", str(count),
                 "--format", fmt]
         assert main(argv) == 0
@@ -627,12 +554,10 @@ class TestPrintedChain:
         (lambda d: d + 1, 1), (lambda d: -d, 1), (lambda d: d + 10 ** 30, 1),
         (lambda d: d + 10 ** 60, 3),
     ], ids=["last-digit", "sign", "high-digit", "digit-61"])
-    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
-                                          (family("sextic_uv", (3,)), UV_SEQ)],
+    @pytest.mark.parametrize("table", [QUARTIC_T, UV_T],
                              ids=["quartic4x4", "sextic_uv"])
     def test_printed_chain_diverging_from_proven_raises(self, monkeypatch,
-                                                        fam, seq, diverge,
-                                                        at):
+                                                        table, diverge, at):
         """The printout is checked against the proven ints, mod 2**60 on
         a certified chain (quartic4x4) and exactly on one that is not
         (sextic_uv): a printed value off in its last digit, its sign or
@@ -650,8 +575,8 @@ class TestPrintedChain:
                         w = (diverge(w[0]),) + w[1:]
                 yield w
         monkeypatch.setattr(dioph, "_printed", off)
-        r = generate_sequence(SequenceSpec(fam, seq[0], 4, (seq[0],)))
-        assert r.solutions == seq  # the proof ran over ints
+        r = generate_sequence(table.spec())
+        assert r.solutions == table.rows  # the proof ran over ints
         where = "iterate 3: " if at == 3 else "iterate 1, coordinate 1"
         with pytest.raises(SequenceVerificationError, match=where):
             r.write_json(io.StringIO())
@@ -662,10 +587,9 @@ class TestPrintedChain:
         (lambda d: d + 1, 19, "iterate 19, coordinate 1: "),
         (lambda d: d + 10 ** 60, 19, "iterate 19: the printed chain "),
     ], ids=["last-digit-1", "last-digit-10", "last-digit-19", "digit-61-19"])
-    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
-                                          (family("sextic_uv", (3,)), UV_SEQ)],
+    @pytest.mark.parametrize("table", [QUARTIC_T, UV_T],
                              ids=["quartic4x4", "sextic_uv"])
-    def test_a_diverging_row_is_never_written(self, monkeypatch, fam, seq,
+    def test_a_diverging_row_is_never_written(self, monkeypatch, table,
                                               diverge, at, where):
         """Rows reach `out` as they are checked: with a chunk of one
         character, a printed value off at iterate `at` of 20 (in its last
@@ -673,7 +597,7 @@ class TestPrintedChain:
         comparison with `last` catches) raises SequenceVerificationError
         naming that iterate once every row before it, and none of it, is
         written."""
-        r = generate_sequence(SequenceSpec(fam, seq[0], 20, (seq[0],)))
+        r = generate_sequence(table.spec(20))
         want = io.StringIO()
         r.write_text(want)
         printed = dioph._printed
@@ -693,7 +617,7 @@ class TestPrintedChain:
         assert got.getvalue() == "\n".join(lines[:at])
 
     @pytest.mark.parametrize("step, seed", [
-        (None, UV_SEQ[0]),           # sextic_uv's S: 13 of its 36 entries 0
+        (None, UV_T.seed),           # sextic_uv's S: 13 of its 36 entries 0
         (((0, 1), (-1, 0)), (1, 0)),  # a rotation: every row half zeros
     ], ids=["sextic_uv", "rotation"])
     def test_printed_dense_step_prints_no_negative_zero(self, step, seed):
@@ -702,8 +626,7 @@ class TestPrintedChain:
         the int 0, and every string is str of the exact int, never
         "-0"."""
         if step is None:
-            step = generate_sequence(SequenceSpec(
-                family("sextic_uv", (3,)), seed, 2, (seed,))).step
+            step = generate_sequence(UV_T.spec(2)).step
             assert sum(c == 0 for row in step for c in row) == 13
         rows = [[str(c) for c in v] for v in dioph._printed(step, seed, 30)]
         assert rows == [[str(c) for c in v]
@@ -712,11 +635,10 @@ class TestPrintedChain:
         assert all(c != "-0" for row in rows for c in row)
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
-    @pytest.mark.parametrize("fam, seq", [(QUARTIC, QUARTIC_SEQ),
-                                          (family("sextic_uv", (3,)), UV_SEQ)],
+    @pytest.mark.parametrize("table", [QUARTIC_T, UV_T],
                              ids=["quartic4x4", "sextic_uv"])
-    def test_a_proven_chain_of_another_length_raises(self, monkeypatch, fam,
-                                                     seq, change):
+    def test_a_proven_chain_of_another_length_raises(self, monkeypatch,
+                                                     table, change):
         """The exact comparison with the last iterate runs at the last
         index, so an int recurrence one iterate shorter than the printed
         chain must not end the printout early without it, and one a step
@@ -727,13 +649,14 @@ class TestPrintedChain:
         def other(step, seed, count, mask=-1):
             return iterates(step, seed, count + change, mask)
         monkeypatch.setattr(dioph, "_iterates", other)
-        r = generate_sequence(SequenceSpec(fam, seq[0], 4, (seq[0],)))
+        r = generate_sequence(table.spec())
         rows = []
         with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is ") \
                 as caught:
             rows.extend(r.rows())
         assert type(caught.value) is ValueError
-        assert rows == [[str(c) for c in v] for v in seq[:min(4, 4 + change)]]
+        assert rows == [[str(c) for c in v]
+                        for v in table.rows[:min(4, 4 + change)]]
 
     @pytest.mark.parametrize("v", [
         0, 7, -7, 10 ** 18 - 1, 10 ** 18, -10 ** 18,
@@ -798,8 +721,7 @@ class TestPrintedChain:
                 self.calls.append(text)
                 return len(text)
         out = Counting()
-        generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],))).write_json(out)
+        generate_sequence(QUARTIC_T.spec(2600)).write_json(out)
         text = "".join(out.calls)
         argv = ("solve --family quartic4x4 --params=5,-23,2,-7 "
                 "--seed 6,2,3,1 --step 6,2,3,1 --count 2600")
@@ -818,8 +740,7 @@ class TestPrintedChain:
         class Failing:
             def write(self, text):
                 raise fault("planted")
-        r = generate_sequence(SequenceSpec(
-            QUARTIC, QUARTIC_SEQ[0], 2600, (QUARTIC_SEQ[0],)))
+        r = generate_sequence(QUARTIC_T.spec(2600))
         with pytest.raises(fault, match="planted"):
             r.write_json(Failing())
 
@@ -835,9 +756,7 @@ class TestPrintedChain:
         def peak(count):
             tracemalloc.start()
             try:
-                generate_sequence(SequenceSpec(
-                    QUARTIC, QUARTIC_SEQ[0], count, (QUARTIC_SEQ[0],))
-                ).write_json(Null())
+                generate_sequence(QUARTIC_T.spec(count)).write_json(Null())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -888,9 +807,9 @@ class TestPrintedChain:
             assert all(simultaneous_is_solution(*params, v) for v in chain)
 
     @pytest.mark.parametrize("spec", [
-        SequenceSpec(OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],)),
-        SequenceSpec(OCTIC, OCTIC_SEQ[0], 40, (OCTIC_SEQ[0],), order=(1, 0)),
-        *(SequenceSpec(T4, T4_SEQ[0], 6, ((-4, 1, -3, 3), T4_SEQ[0]),
+        OCTIC_T.spec(40),
+        OCTIC_T.spec(40, order=(1, 0)),
+        *(SequenceSpec(T4, T4_T.seed, 6, ((-4, 1, -3, 3), T4_T.seed),
                        order=order)
           for order in itertools.permutations(range(3)))],
         ids=["octic", "octic-yx", *("t4-" + "".join(map(str, o))
@@ -913,20 +832,20 @@ class TestPrintedChain:
 
 class TestMonotoneReports:
     def test_quartic_sequence_monotone_positive(self):
-        rep = check_monotone_positive(QUARTIC_SEQ)
+        rep = check_monotone_positive(QUARTIC_T.rows)
         assert rep.ok and rep.violations == []
 
     def test_octic_sequence_first_coordinate_grows(self):
-        rep = check_monotone_positive(OCTIC_SEQ)
+        rep = check_monotone_positive(OCTIC_T.rows)
         assert rep.ok
 
     def test_sextic_system_first_two_coordinates(self):
-        rep = check_monotone_positive(UV_SEQ, increasing=(0, 1),
+        rep = check_monotone_positive(UV_T.rows, increasing=(0, 1),
                                       positive=(0, 1))
         assert rep.ok
 
     def test_sextic_system_not_all_positive(self):
-        rep = check_monotone_positive(UV_SEQ)
+        rep = check_monotone_positive(UV_T.rows)
         assert not rep.ok  # later coordinates go negative
 
     def test_constant_sequence_flagged(self):
@@ -954,8 +873,7 @@ def residues(chain) -> list:
 def quartic_step():
     """The golden quartic chain's S, all entries >= 1 (a chain of one
     iterate takes no power of it)."""
-    return generate_sequence(SequenceSpec(
-        QUARTIC, QUARTIC_SEQ[0], 1, (QUARTIC_SEQ[0],))).step
+    return generate_sequence(QUARTIC_T.spec(1)).step
 
 
 def chains(h: int, positive: bool):
@@ -979,22 +897,18 @@ class TestPositivityCertificate:
     recurrence mod 2**60, equal to the exact replay mod 2**60; any
     other's against the exact replay."""
 
-    @pytest.mark.parametrize("fam, seed, partners, certified", [
-        (QUARTIC, QUARTIC_SEQ[0], (QUARTIC_SEQ[0],), True),
-        (OCTIC, OCTIC_SEQ[0], (OCTIC_SEQ[0],), True),
-        (T4, T4_SEQ[0], (E4, T4_SEQ[0]), True),
-        (T8, T8_SEQ[0], (E8, T8_SEQ[0]), True),
-        (family("sextic_uv", (3,)), UV_SEQ[0], (UV_SEQ[0],), False),
-    ], ids=["quartic4x4", "octic8x8", "threefold4x4", "threefold8x8",
-            "sextic_uv"])
-    def test_golden_chains(self, fam, seed, partners, certified):
-        r = generate_sequence(SequenceSpec(fam, seed, 30, partners))
+    @pytest.mark.parametrize("table", [QUARTIC_T, OCTIC_T, T4_T, T8_T, UV_T],
+                             ids=lambda table: table.name)
+    def test_golden_chains(self, table):
+        # every published chain but sextic_uv's, which goes negative
+        certified = table is not UV_T
+        r = generate_sequence(table.spec(30))
         assert r.certified is certified
         solutions = r.solutions
         assert list(dioph._iterates(r.step, r.seed, 30, dioph._MASK)) \
             == residues(solutions)
         assert r.last == solutions[-1]
-        everywhere = range(fam.h)
+        everywhere = range(table.family.h)
         assert check_monotone_positive(solutions, everywhere).ok is certified
 
     @pytest.mark.parametrize("i, j, entry", [
@@ -1004,7 +918,7 @@ class TestPositivityCertificate:
         step = tuple(tuple(entry if (r, c) == (i, j) else x
                            for c, x in enumerate(row))
                      for r, row in enumerate(step))
-        r = result_of(step, QUARTIC_SEQ[0], 12)
+        r = result_of(step, QUARTIC_T.seed, 12)
         assert not r.certified
         assert r.last == r.solutions[-1]
         assert list(r.rows()) == [[str(c) for c in v] for v in r.solutions]

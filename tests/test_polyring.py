@@ -49,10 +49,12 @@ class TestRingAxioms:
         assert p * q == q * p
 
     @given(polys(), polys(), polys())
+    @settings(derandomize=True)
     def test_distributive(self, p, q, r):
         assert p * (q + r) == p * q + p * r
 
     @given(polys())
+    @settings(derandomize=True)
     def test_units_and_negation(self, p):
         assert p + T.zero() == p
         assert p * T.one() == p
@@ -357,7 +359,7 @@ BOUNDARIES = [(1 << k) - d for k in range(1, 7) for d in (1, 0)]
 
 class TestPackedKernels:
     @given(_matrices(3))
-    @settings(max_examples=60)
+    @settings(max_examples=60, derandomize=True)
     def test_det_3x3_matches_cofactor(self, M):
         assert M.determinant() == determinant_cofactor(M)
 
